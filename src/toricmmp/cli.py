@@ -112,9 +112,6 @@ def cmd_mmp(args):
 
 def cmd_zariski(args):
     m, D = _load_setting(args, need_divisor=True)
-    if not sections_mod.is_pseudo_effective(m, D, route="mmp"):
-        raise PreconditionError("pseudo-effectivity failed: the MMP reached a "
-                                "fano fibration with D negative on its fibers")
     R = sections_mod.zariski_decompose(m, D)
     verdict = sections_mod.verify_ckm(R, D, m_max=args.m_max)
     print(tio.dumps({

@@ -7,7 +7,6 @@ and zero sets, so the scale never matters.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -15,16 +14,9 @@ from typing import Optional
 
 from . import exactlin as xl
 from .errors import InvariantBreach, PreconditionError
-from .fan import Fan, FanMap, _maps_into, check_morphism, cone_dim, cone_eq, \
-    cone_intersection
+from .fan import Fan, FanMap, Wall, _maps_into, check_morphism, cone_dim, \
+    walls
 from .divisor import InvariantDivisor, support_function
-
-
-@dataclass(frozen=True)
-class Wall:
-    rays: tuple      # sorted ray indices of the codimension-1 face
-    side_a: tuple    # maximal cone (ray indices)
-    side_b: tuple
 
 
 @dataclass(frozen=True)
@@ -35,27 +27,6 @@ class CurveClass:
         """D . C up to a fixed positive scale: sum a_rho d_rho."""
         return sum((Fraction(a) * d for a, d in zip(self.coeffs, D.coeffs)),
                    Fraction(0))
-
-
-@lru_cache(maxsize=None)
-def walls(F: Fan) -> tuple:
-    """Codimension-1 faces shared by exactly two maximal cones."""
-    out = []
-    for a, b in itertools.combinations(range(len(F.max_cones)), 2):
-        ca, cb = F.max_cones[a], F.max_cones[b]
-        ga, gb = F.cone_gens(ca), F.cone_gens(cb)
-        if not ga or not gb:
-            continue
-        da = cone_dim(ga)
-        if cone_dim(gb) != da:
-            continue
-        shared = tuple(sorted(set(ca) & set(cb)))
-        sg = F.cone_gens(shared)
-        if shared and cone_dim(sg) == da - 1:
-            inter = cone_intersection(ga, gb)
-            if cone_eq(inter, sg):
-                out.append(Wall(shared, ca, cb))
-    return tuple(out)
 
 
 def wall_relation(F: Fan, w: Wall) -> CurveClass:

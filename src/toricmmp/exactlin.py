@@ -17,9 +17,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
-from .errors import InputError, PreconditionError
+from .errors import InputError, InvariantBreach, PreconditionError
 
 Vector = tuple
 Matrix = tuple
@@ -29,18 +29,10 @@ Matrix = tuple
 # basic vector / matrix helpers
 # ---------------------------------------------------------------------------
 
-def vec(entries: Iterable) -> Vector:
-    return tuple(Fraction(e) if not isinstance(e, int) else e for e in entries)
-
-
 def dot(u: Sequence, v: Sequence):
     if len(u) != len(v):
         raise InputError(f"dimension mismatch: {len(u)} vs {len(v)}")
     return sum(a * b for a, b in zip(u, v))
-
-
-def vadd(u: Sequence, v: Sequence) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
 
 
 def vsub(u: Sequence, v: Sequence) -> Vector:
@@ -203,7 +195,8 @@ def integer_kernel(A: Sequence[Sequence[int]]) -> list:
             break
     kernel = [tuple(U[j]) for j in range(k) if all(c == 0 for c in cols[j])]
     for kv in kernel:
-        assert all(dot(rowa, kv) == 0 for rowa in A)
+        if any(dot(rowa, kv) != 0 for rowa in A):
+            raise InvariantBreach("integer kernel vector is not in the kernel")
     return sorted(kernel)
 
 
@@ -469,7 +462,8 @@ def lp_feasible(H: HalfspaceSystem) -> Optional[Vector]:
         else:
             x = (lo + hi) / 2
         partial.append(x)
-    assert H.contains(partial)
+    if not H.contains(partial):
+        raise InvariantBreach("Fourier-Motzkin witness violates a constraint")
     return tuple(partial)
 
 
@@ -693,7 +687,8 @@ def extreme_rays_of_halfspaces(ineqs: Sequence[Sequence], eqs: Sequence[Sequence
         # split off the pointed part: C = lineality + (C intersect lineality-perp)
         sub_rays, sub_lin = extreme_rays_of_halfspaces(
             ineqs, list(eqs) + [tuple(l) for l in amb_lin], dim)
-        assert not sub_lin
+        if sub_lin:
+            raise InvariantBreach("pointed part of the cone has a lineality space")
         return sub_rays, amb_lin
     rays = set()
     if s == 1:

@@ -79,12 +79,6 @@ def cone_strongly_convex(gens: tuple) -> bool:
     return not xl.cone_contains_line(list(gens))
 
 
-def cone_relint_contains(gens: tuple, v) -> bool:
-    if not cone_contains(gens, v):
-        return False
-    return all(xl.dot(n, v) > 0 for n in cone_facets(gens))
-
-
 def cone_eq(gens_a: tuple, gens_b: tuple) -> bool:
     return (all(cone_contains(gens_b, g) for g in gens_a)
             and all(cone_contains(gens_a, g) for g in gens_b))
@@ -113,15 +107,6 @@ def minimal_face_containing(gens: tuple, vectors) -> Optional[tuple]:
     active = [n for n in cone_facets(gens)
               if all(xl.dot(n, v) == 0 for v in vectors)]
     return tuple(g for g in gens if all(xl.dot(n, g) == 0 for n in active))
-
-
-def is_face_of(face_gens: tuple, gens: tuple) -> bool:
-    mf = minimal_face_containing(gens, face_gens)
-    if mf is None:
-        return False
-    if not face_gens:
-        return mf == ()
-    return cone_eq(face_gens, mf)
 
 
 def cone_lattice_multiplicity(gens: tuple) -> int:
@@ -154,12 +139,6 @@ def parallelepiped_points(gens: tuple) -> list:
         if all(0 <= ti < 1 for ti in t):
             out.append((tuple(point), tuple(t)))
     return out
-
-
-def cone_lineality_span(gens: tuple) -> list:
-    """Generators of the largest linear subspace contained in the cone."""
-    idx = xl.positive_circuit_indices(list(gens))
-    return [gens[i] for i in idx]
 
 
 # covering -------------------------------------------------------------------
@@ -418,31 +397,44 @@ def star(F: Fan, tau) -> Fan:
         mf = minimal_face_containing(F.cone_gens(c), tgens)
         if mf is None or not cone_eq(tgens, mf):
             raise PreconditionError(f"{tau} is not a face of cone {c}")
-    P = xl.quotient_projection(tgens, F.rank)
-    new_rank = len(P)
-    ray_list: list = []
-    cones = []
-    for c in holders:
-        imgs = []
-        for i in c:
-            w = xl.mat_vec(P, F.rays[i])
-            if not xl.is_zero(w):
-                imgs.append(tuple(int(a) for a in w))
-        if not imgs:
-            cones.append(())
-            continue
-        ext = [xl.primitive(imgs[k]) for k in xl.extreme_rays(imgs)]
-        idxs = []
-        for r in sorted(set(ext)):
-            if r not in ray_list:
-                ray_list.append(r)
-            idxs.append(ray_list.index(r))
-        cones.append(tuple(sorted(set(idxs))))
-    out = Fan(new_rank, tuple(ray_list), tuple(sorted(set(cones))))
+    out = quotient_fan(F, xl.quotient_projection(tgens, F.rank), holders)
     bad = validate_fan(out)
     if bad:
         raise InvariantBreach(f"star fan invalid: {bad}")
     return out
+
+
+def quotient_fan(F: Fan, P, cones) -> Fan:
+    """Images of the given cones of F under the lattice projection P.
+
+    Each image cone keeps the primitive extreme rays of its projected
+    generators; rays are indexed by first appearance, and image cones lying
+    inside another image cone are dropped.  The result is not validated.
+    """
+    ray_list: list = []
+    images = []
+    for c in cones:
+        imgs = [tuple(int(a) for a in xl.mat_vec(P, F.rays[i])) for i in c]
+        imgs = [w for w in imgs if not xl.is_zero(w)]
+        if not imgs:
+            images.append(())
+            continue
+        ext = sorted({xl.primitive(imgs[k]) for k in xl.extreme_rays(imgs)})
+        idxs = []
+        for r in ext:
+            if r not in ray_list:
+                ray_list.append(r)
+            idxs.append(ray_list.index(r))
+        images.append(tuple(sorted(idxs)))
+    keep = []
+    for c in set(images):
+        gens_c = tuple(ray_list[i] for i in c)
+        if not any(set(c) < set(d) or
+                   (c != d and all(cone_contains(tuple(ray_list[i] for i in d), v)
+                                   for v in gens_c))
+                   for d in set(images)):
+            keep.append(c)
+    return Fan(len(P), tuple(ray_list), tuple(sorted(keep)))
 
 
 def star_subdivision(F: Fan, v) -> Fan:
@@ -755,25 +747,32 @@ def is_proper(m: FanMap) -> bool:
     return True
 
 
-def _adjacent_pairs(F: Fan):
-    """Pairs of maximal cones sharing a codimension-one face, with the shared
-    ray index set."""
+@dataclass(frozen=True)
+class Wall:
+    rays: tuple      # sorted ray indices of the codimension-1 face
+    side_a: tuple    # maximal cone (ray indices)
+    side_b: tuple
+
+
+@lru_cache(maxsize=None)
+def walls(F: Fan) -> tuple:
+    """Codimension-1 faces shared by exactly two maximal cones."""
     out = []
     for a, b in itertools.combinations(range(len(F.max_cones)), 2):
         ca, cb = F.max_cones[a], F.max_cones[b]
-        shared = tuple(sorted(set(ca) & set(cb)))
         ga, gb = F.cone_gens(ca), F.cone_gens(cb)
         if not ga or not gb:
             continue
         da = cone_dim(ga)
         if cone_dim(gb) != da:
             continue
+        shared = tuple(sorted(set(ca) & set(cb)))
         sg = F.cone_gens(shared)
         if shared and cone_dim(sg) == da - 1:
             inter = cone_intersection(ga, gb)
             if cone_eq(inter, sg):
-                out.append((ca, cb, shared))
-    return out
+                out.append(Wall(shared, ca, cb))
+    return tuple(out)
 
 
 def _wall_lp_certificate(m: FanMap):
@@ -837,12 +836,13 @@ def projectivity_certificate(m: FanMap) -> Optional[tuple]:
                 row[var(idx[a], k)] += F.rays[i][k]
                 row[var(idx[b], k)] -= F.rays[i][k]
             eqs.append((tuple(row), Fraction(0)))
-    for ca, cb, shared in _adjacent_pairs(F):
+    for w in walls(F):
+        ca, cb = w.side_a, w.side_b
         both = tuple(sorted(set(ca) | set(cb)))
         if _maps_into(m, F.cone_gens(both)) is None:
             continue
         for (cone_in, cone_out) in ((ca, cb), (cb, ca)):
-            for j in set(cone_out) - set(shared):
+            for j in set(cone_out) - set(w.rays):
                 row = [Fraction(0)] * nvar
                 for k in range(F.rank):
                     row[var(idx[cone_in], k)] += F.rays[j][k]

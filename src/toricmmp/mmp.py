@@ -3,9 +3,11 @@
 The driver is the trichotomy loop: while the divisor is not nef over the
 base, contract a negative extremal ray; a fano contraction ends the run, a
 divisorial contraction drops the Picard rank by one, a flipping contraction
-is resolved by an exhaustive triangulation search with an ampleness
-certificate.  Every step is recorded with its certificates and termination
-is witnessed by a no-repeat set of fans.
+is resolved by Reid's circuit construction: the wall relation
+sum a_i v_i = 0 swaps the triangulation of each merged cone from the
+positive to the negative side, and the divisor must be ample on the new
+cells over the small target (the certificate).  Every step is recorded with
+its certificates and termination is witnessed by a no-repeat set of fans.
 """
 
 from __future__ import annotations
@@ -17,9 +19,8 @@ from typing import Optional
 
 from . import exactlin as xl
 from .errors import InputError, InvariantBreach, PreconditionError
-from .fan import (Fan, FanMap, cone_contains, cone_covered_by_gens, cone_dim,
-                  cone_eq, cone_intersection, common_refinement,
-                  identity_map, validate_fan)
+from .fan import (Fan, FanMap, cone_dim, common_refinement, identity_map,
+                  quotient_fan, validate_fan)
 from .divisor import (InvariantDivisor, pullback, pushforward,
                       support_function, NotQCartier)
 from .curves import (CurveClass, Wall, contracted_walls, ne_cone, nefness,
@@ -82,15 +83,16 @@ def contract(m: FanMap, wall_set) -> ContractionResult:
     non-simplicial target cone).
     """
     F = m.source
-    groups = [g for g in _merge_groups(F, wall_set)]
-    merged = [g for g in groups if len(g) > 1]
+    merged = [g for g in _merge_groups(F, wall_set) if len(g) > 1]
     if not merged:
         raise PreconditionError("wall set contracts nothing")
     merged_ray_sets = [tuple(sorted(set(itertools.chain.from_iterable(g))))
                        for g in merged]
+    merged_members = set(itertools.chain.from_iterable(merged))
+    unmerged = [c for c in F.max_cones if c not in merged_members]
 
     # fano: some merged cone contains a line
-    for g, rayset in zip(merged, merged_ray_sets):
+    for rayset in merged_ray_sets:
         gens = F.cone_gens(rayset)
         circ = xl.positive_circuit_indices(list(gens))
         if circ:
@@ -99,30 +101,7 @@ def contract(m: FanMap, wall_set) -> ContractionResult:
             if any(not xl.is_zero(xl.mat_vec(m.matrix, v)) for v in lin_gens) \
                     and m.target.rank > 0:
                 raise InvariantBreach("contracted fibers are not vertical over the base")
-            ray_list, cones = [], []
-            for c in F.max_cones:
-                imgs = [tuple(int(a) for a in xl.mat_vec(P, F.rays[i])) for i in c]
-                imgs = [w for w in imgs if not xl.is_zero(w)]
-                if not imgs:
-                    cones.append(())
-                    continue
-                ext = sorted({xl.primitive(imgs[k]) for k in xl.extreme_rays(imgs)})
-                idxs = []
-                for r in ext:
-                    if r not in ray_list:
-                        ray_list.append(r)
-                    idxs.append(ray_list.index(r))
-                cones.append(tuple(sorted(idxs)))
-            # drop cones contained in others
-            keep = []
-            for c in set(cones):
-                gens_c = tuple(ray_list[i] for i in c)
-                if not any(set(c) < set(d) or
-                           (c != d and all(cone_contains(tuple(ray_list[i] for i in d), v)
-                                           for v in gens_c))
-                           for d in set(cones)):
-                    keep.append(c)
-            Z = Fan(len(P), tuple(ray_list), tuple(sorted(keep)))
+            Z = quotient_fan(F, P, F.max_cones)
             bad = validate_fan(Z)
             if bad:
                 raise InvariantBreach(f"fano quotient fan invalid: {bad}")
@@ -154,18 +133,16 @@ def contract(m: FanMap, wall_set) -> ContractionResult:
         survivors = [i for i in range(len(F.rays)) if i != ray]
         reindex = {old: new for new, old in enumerate(survivors)}
         new_cones = []
-        for g, rayset in zip(merged, merged_ray_sets):
+        for rayset in merged_ray_sets:
             kept = tuple(sorted(reindex[i] for i in rayset if i != ray))
             gens = tuple(F.rays[i] for i in rayset if i != ray)
             if len(gens) != cone_dim(gens):
                 raise InvariantBreach("divisorial target cone is not simplicial")
             new_cones.append(kept)
-        merged_members = set(itertools.chain.from_iterable(merged))
-        for c in F.max_cones:
-            if c not in merged_members:
-                if ray in c:
-                    raise InvariantBreach("removed ray survives in an unmerged cone")
-                new_cones.append(tuple(sorted(reindex[i] for i in c)))
+        for c in unmerged:
+            if ray in c:
+                raise InvariantBreach("removed ray survives in an unmerged cone")
+            new_cones.append(tuple(sorted(reindex[i] for i in c)))
         Z = Fan(F.rank, tuple(F.rays[i] for i in survivors),
                 tuple(sorted(set(new_cones))))
         bad = validate_fan(Z)
@@ -176,12 +153,7 @@ def contract(m: FanMap, wall_set) -> ContractionResult:
                                  removed_ray=F.rays[ray])
 
     # flipping: small, merged cones become non-simplicial
-    new_cones = list(merged_ray_sets)
-    merged_members = set(itertools.chain.from_iterable(merged))
-    for c in F.max_cones:
-        if c not in merged_members:
-            new_cones.append(c)
-    Z = Fan(F.rank, F.rays, tuple(sorted(set(new_cones))))
+    Z = Fan(F.rank, F.rays, tuple(sorted(set(merged_ray_sets + unmerged))))
     bad = validate_fan(Z)
     if bad:
         raise InvariantBreach(f"flipping target fan invalid: {bad}")
@@ -194,76 +166,49 @@ def contract(m: FanMap, wall_set) -> ContractionResult:
 # flips
 # ---------------------------------------------------------------------------
 
-def _triangulations(F: Fan, rayset):
-    """All simplicial triangulations of cone(rayset) using exactly its own
-    rays, as sorted tuples of cells."""
-    gens = F.cone_gens(rayset)
-    d = cone_dim(gens)
-    cells = [sub for sub in itertools.combinations(rayset, d)
-             if cone_dim(F.cone_gens(sub)) == d]
-    results = []
-
-    def compatible(c1, c2):
-        g1, g2 = F.cone_gens(c1), F.cone_gens(c2)
-        inter = cone_intersection(g1, g2)
-        shared = F.cone_gens(tuple(sorted(set(c1) & set(c2))))
-        return cone_eq(inter, shared) if (inter or shared) else True
-
-    def search(chosen, rest):
-        if cone_covered_by_gens(gens, [F.cone_gens(c) for c in chosen]):
-            t = tuple(sorted(chosen))
-            if t not in results:
-                results.append(t)
-            return
-        if not rest:
-            return
-        head, tail = rest[0], rest[1:]
-        if all(compatible(head, c) for c in chosen):
-            search(chosen + [head], tail)
-        search(chosen, tail)
-
-    search([], cells)
-    # keep only irredundant ones (every cell needed)
-    out = []
-    for t in results:
-        if not any(set(s) < set(t) for s in results):
-            out.append(t)
-    return out
-
-
 def flip(m: FanMap, wall_set, D: InvariantDivisor):
     """Elementary transformation across a flipping contraction.
 
-    For each merged cone all triangulations on its own rays are enumerated;
-    the unique one other than the original making D strictly positive on the
-    internal walls (ampleness over the small target) is selected.
+    Reid's circuit construction: the walls share one relation
+    sum a_i v_i = 0, and J+ / J- are the rays with positive / negative
+    coefficient.  Each merged cone has rank + 1 rays and is cut by F into
+    the cells rayset - {j}, j in J+; the flip replaces them with the cells
+    rayset - {j}, j in J-.  D must then be strictly positive on the new
+    internal walls (ampleness over the small target).
     Returns (flipped fan, map to the small target, transported divisor).
     """
     res = contract(m, wall_set)
     if res.kind != "flipping":
         raise PreconditionError(f"contraction is {res.kind}, not flipping")
     F = m.source
+    relations = {wall_relation(F, w) for w in wall_set}
+    if len(relations) != 1:
+        raise PreconditionError("the walls do not share one relation")
+    (rel,) = relations
+    j_plus = [i for i, a in enumerate(rel.coeffs) if a > 0]
+    j_minus = [i for i, a in enumerate(rel.coeffs) if a < 0]
     replacement = {}
     for rayset in res.merged_cones:
-        original = tuple(sorted(c for c in F.max_cones if set(c) <= set(rayset)))
-        choices = []
-        for t in _triangulations(F, rayset):
-            if t == original:
-                continue
-            cand = _replace_cones(F, {rayset: t})
-            if _ample_on_merged(cand, D, rayset):
-                choices.append(t)
-        if len(choices) != 1:
+        original = {c for c in F.max_cones if set(c) <= set(rayset)}
+        if (len(rayset) != F.rank + 1
+                or original != _circuit_cells(rayset, j_plus)):
             raise InvariantBreach(
-                f"expected exactly one ample triangulation, found {len(choices)}")
-        replacement[rayset] = choices[0]
+                f"merged cone {rayset} is not the J+ side of a circuit")
+        replacement[rayset] = _circuit_cells(rayset, j_minus)
     Xp = _replace_cones(F, replacement)
+    if not all(_ample_on_merged(Xp, D, rayset) for rayset in replacement):
+        raise InvariantBreach("D is not ample on the flipped cells")
     bad = validate_fan(Xp)
     if bad:
         raise InvariantBreach(f"flipped fan invalid: {bad}")
     if set(Xp.rays) != set(F.rays):
         raise InvariantBreach("flip changed the ray set")
     return Xp, identity_map(Xp, res.target), InvariantDivisor(D.coeffs)
+
+
+def _circuit_cells(rayset, side) -> set:
+    """Cells rayset - {j}, j in side: one triangulation of a circuit cone."""
+    return {tuple(i for i in rayset if i != j) for j in side}
 
 
 def _replace_cones(F: Fan, replacement) -> Fan:
@@ -421,26 +366,22 @@ def contract_face(m: FanMap, D: InvariantDivisor):
     if not zero_walls:
         return F, identity_map(F, F), InvariantDivisor(D.coeffs)
     groups = _merge_groups(F, zero_walls)
-    for g in groups:
-        if len(g) < 2:
-            continue
-        rayset = tuple(sorted(set(itertools.chain.from_iterable(g))))
-        if xl.cone_contains_line(list(F.cone_gens(rayset))):
-            return _contract_fibration_face(m, D, zero_walls, groups)
+    merged = [tuple(sorted(set(itertools.chain.from_iterable(g))))
+              for g in groups if len(g) > 1]
+    for rayset in merged:
+        # D must descend: one covector fits the whole merged cone
+        if xl.solve_linear([F.rays[i] for i in rayset],
+                           [-D.coeffs[i] for i in rayset]) is None:
+            raise InvariantBreach("divisor does not descend to the merged cone")
+    if any(xl.cone_contains_line(list(F.cone_gens(rayset))) for rayset in merged):
+        return _contract_fibration_face(m, D, zero_walls)
     ray_list, cones, coeff_at = [], [], {}
     for g in groups:
         rayset = tuple(sorted(set(itertools.chain.from_iterable(g))))
         gens = F.cone_gens(rayset)
-        if len(g) > 1:
-            # D must descend: one covector fits the whole merged cone
-            sol = xl.solve_linear([F.rays[i] for i in rayset],
-                                  [-D.coeffs[i] for i in rayset])
-            if sol is None:
-                raise InvariantBreach("divisor does not descend to the merged cone")
-            ext = set(xl.extreme_rays(gens)) if gens else set()
-            keep = [rayset[k] for k in sorted(ext)]
-        else:
-            keep = list(rayset)
+        keep = list(rayset)
+        if len(g) > 1 and gens:
+            keep = [rayset[k] for k in sorted(xl.extreme_rays(gens))]
         idxs = []
         for i in keep:
             r = F.rays[i]
@@ -457,18 +398,10 @@ def contract_face(m: FanMap, D: InvariantDivisor):
     return Z, identity_map(F, Z), Dz
 
 
-def _contract_fibration_face(m: FanMap, D: InvariantDivisor, zero_walls, groups):
+def _contract_fibration_face(m: FanMap, D: InvariantDivisor, zero_walls):
     """Ample model when the D-trivial face is a fibration: some merged cone
     contains a line, so the model lives in a quotient lattice."""
     F = m.source
-    for g in groups:
-        if len(g) < 2:
-            continue
-        rayset = tuple(sorted(set(itertools.chain.from_iterable(g))))
-        # D must still be linear across the merged region
-        if xl.solve_linear([F.rays[i] for i in rayset],
-                           [-D.coeffs[i] for i in rayset]) is None:
-            raise InvariantBreach("divisor does not descend to the merged cone")
     res = contract(m, zero_walls)
     if res.kind != "fano":
         raise InvariantBreach("line-containing merged cone did not yield a "

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,8 @@ from toricmmp import mmp
 from toricmmp.curves import contracted_walls, nefness
 from toricmmp.divisor import InvariantDivisor
 from toricmmp.errors import InvariantBreach, PreconditionError
-from toricmmp.fan import Fan, FanMap, map_to_point
+from toricmmp.fan import (Fan, FanMap, cone_covered_by_gens, cone_dim, cone_eq,
+                          cone_intersection, map_to_point)
 from toricmmp.mmp import contract, contract_face, flip, run_mmp, verify_negativity
 
 
@@ -85,6 +87,81 @@ def test_flip_requires_flipping_contraction(blowup_map):
     ws = _wall_set_for(m, (1, 1, -1))
     with pytest.raises(PreconditionError):
         flip(m, ws, InvariantDivisor((0, 0, 1)))
+
+
+# -- test oracle: flips by exhaustive triangulation search ----------------------
+
+def _triangulations(F: Fan, rayset):
+    """All simplicial triangulations of cone(rayset) using exactly its own
+    rays, as sorted tuples of cells."""
+    gens = F.cone_gens(rayset)
+    d = cone_dim(gens)
+    cells = [sub for sub in itertools.combinations(rayset, d)
+             if cone_dim(F.cone_gens(sub)) == d]
+    results = []
+
+    def compatible(c1, c2):
+        g1, g2 = F.cone_gens(c1), F.cone_gens(c2)
+        inter = cone_intersection(g1, g2)
+        shared = F.cone_gens(tuple(sorted(set(c1) & set(c2))))
+        return cone_eq(inter, shared) if (inter or shared) else True
+
+    def search(chosen, rest):
+        if cone_covered_by_gens(gens, [F.cone_gens(c) for c in chosen]):
+            t = tuple(sorted(chosen))
+            if t not in results:
+                results.append(t)
+            return
+        if not rest:
+            return
+        head, tail = rest[0], rest[1:]
+        if all(compatible(head, c) for c in chosen):
+            search(chosen + [head], tail)
+        search(chosen, tail)
+
+    search([], cells)
+    # keep only irredundant ones (every cell needed)
+    return [t for t in results if not any(set(s) < set(t) for s in results)]
+
+
+def _ample_triangulation_flip(m, wall_set, D):
+    """The flipped fan found by search: for each merged cone, the unique
+    triangulation other than the original on which D is ample."""
+    res = contract(m, wall_set)
+    assert res.kind == "flipping"
+    F = m.source
+    replacement = {}
+    for rayset in res.merged_cones:
+        original = tuple(sorted(c for c in F.max_cones if set(c) <= set(rayset)))
+        choices = [t for t in _triangulations(F, rayset) if t != original
+                   and mmp._ample_on_merged(mmp._replace_cones(F, {rayset: t}),
+                                            D, rayset)]
+        assert len(choices) == 1, f"{len(choices)} ample triangulations"
+        replacement[rayset] = choices[0]
+    return mmp._replace_cones(F, replacement)
+
+
+# the pre-flip state of corpus instance 65
+# (termination_instances(seed=20240801, count=100)): a 3-fold over the orthant
+CORPUS_65_MAP = FanMap(
+    ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+    Fan(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 2, 1), (2, 4, 3)),
+        ((0, 1, 3), (0, 2, 4), (0, 3, 4), (2, 3, 4))),
+    Fan(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((0, 1, 2),)))
+CORPUS_65_DIVISOR = InvariantDivisor(
+    (Fraction(-4), Fraction(-5, 2), Fraction(1), Fraction(3), Fraction(-1, 6)))
+
+
+def test_flip_matches_triangulation_oracle(quadric_map_a):
+    cases = ((quadric_map_a, InvariantDivisor((1, 0, 0, 0)), (0, 3)),
+             (CORPUS_65_MAP, CORPUS_65_DIVISOR, (0, 3)))
+    for m, D, wall_rays in cases:
+        (cls,) = [c for w, c in contracted_walls(m) if w.rays == wall_rays]
+        assert cls.pair(D) < 0
+        wall_set = _wall_set_for(m, cls.coeffs)
+        Xp, _, _ = flip(m, wall_set, D)
+        assert Xp.canonical() != m.source.canonical()
+        assert Xp.canonical() == _ample_triangulation_flip(m, wall_set, D).canonical()
 
 
 def test_run_mmp_p2(p2):
