@@ -25,13 +25,29 @@ from .fan import (Fan, FanMap, check_morphism, identity_map, map_to_point,
                   qfactorialize, resolve, validate_fan)
 
 
+def _valid(F: Fan, what="fan") -> Fan:
+    """F itself; a fan that breaks the fan axioms is malformed input."""
+    violations = validate_fan(F)
+    if violations:
+        raise InputError(f"{what} axioms violated: {violations}")
+    return F
+
+
+def _ints(text, sep, option):
+    try:
+        return tuple(int(x) for x in text.split(sep))
+    except ValueError:
+        raise InputError(f"{option} expects integers, got {text!r}")
+
+
 def _load_setting(args, need_divisor=False, default_divisor=None):
     """(FanMap, divisor) from --map or --fan (+ point base)."""
     if getattr(args, "map", None):
         m = tio.load_map(args.map)
+        _valid(m.source, "source fan")
+        _valid(m.target, "target fan")
     elif getattr(args, "fan", None):
-        F = tio.load_fan(args.fan)
-        m = map_to_point(F)
+        m = map_to_point(_valid(tio.load_fan(args.fan)))
     else:
         raise InputError("one of --fan or --map is required")
     D = None
@@ -80,9 +96,7 @@ def cmd_fan(args):
         if violations:
             raise InputError("fan axioms violated")
         return
-    violations = validate_fan(F)
-    if violations:
-        raise InputError(f"fan axioms violated: {violations}")
+    _valid(F)
     if args.action == "resolve":
         R, _ = resolve(F)
     else:
@@ -132,8 +146,9 @@ def cmd_sections(args):
                           for n, o in zip(H.normals, H.offsets)]}
     box = None
     if args.box:
-        box = [tuple(int(x) for x in part.split(":"))
-               for part in args.box.split(",")]
+        box = [_ints(part, ":", "--box") for part in args.box.split(",")]
+        if len(box) != F.rank or any(len(b) != 2 for b in box):
+            raise InputError(f"--box needs {F.rank} ranges lo:hi: {args.box!r}")
     try:
         out["lattice_points"] = [list(p) for p in sections_basis(F, D, box=box)]
     except PreconditionError:
@@ -150,14 +165,14 @@ def cmd_hilbert(args):
 
 
 def cmd_sing(args):
-    F = tio.load_fan(args.fan)
+    F = _valid(tio.load_fan(args.fan))
     D = tio.load_divisor(args.divisor, F) if args.divisor else zero_divisor(F)
     result = sing_mod.classify_pair(F, D)
     out = {"verdict": result.verdict,
            "witness": list(result.witness) if result.witness else None,
            "min_discrepancy": result.min_discrepancy}
     if args.point:
-        v = tuple(int(x) for x in args.point.split(","))
+        v = _ints(args.point, ",", "--point")
         out["discrepancy_at_point"] = sing_mod.discrepancy(F, D, v)
     print(tio.dumps(out), end="")
 
@@ -222,7 +237,8 @@ def build_parser():
     q.add_argument("--fan")
     q.add_argument("--map")
     q.add_argument("--divisor")
-    q.add_argument("--box", help="lo:hi,lo:hi,... enumeration box")
+    q.add_argument("--box", help="lo:hi,lo:hi,... enumeration box; write "
+                   "--box=-2:2,-2:2 when it starts with a minus sign")
     q.set_defaults(func=cmd_sections)
 
     q = sub.add_parser("hilbert", help="section-algebra generators")
@@ -252,7 +268,10 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:  # a usage error (argparse's 2) is bad input
+        return 1 if e.code else 0
     try:
         args.func(args)
     except InputError as e:

@@ -3,7 +3,9 @@
 A Fan stores the lattice rank, the ordered list of primitive ray generators,
 and the maximal cones as tuples of ray indices.  Non-simplicial cones are
 stored by generator list; faces are computed on demand from the dual
-description.  All values are immutable and all operations pure.
+description.  All values are immutable and all operations pure.  Apart from
+`validate_fan`, every operation expects valid fans: covering questions are
+answered by facet pairing (`cone_covered`), which relies on it.
 """
 
 from __future__ import annotations
@@ -152,44 +154,45 @@ def _h_to_gens(ineqs, eqs, dim):
     return tuple(gens)
 
 
-def cone_covered(ineqs, eqs, dim, cover: Sequence[tuple], _depth=0) -> bool:
-    """Is the (possibly non-pointed) cone {x : ineqs >= 0, eqs = 0} contained
-    in the union of the strongly convex cones in `cover`?
+def cone_covered(ineqs, eqs, dim, cells: Sequence[tuple]) -> bool:
+    """Is the (possibly non-pointed) cone C = {x : ineqs >= 0, eqs = 0} the
+    union of `cells`?
 
-    Recursive hyperplane splitting: find a covering cone with full-dimensional
-    overlap, split off the part inside it, recurse on the outside pieces.
+    Precondition: the cells are cones of one valid fan, each lying in C; a
+    cone listed twice counts once.  Facet pairing: with d = dim C, they
+    cover C exactly when some cell is d-dimensional and every facet of a
+    d-dimensional cell is shared by two of them or lies in a facet of C (a
+    row of `ineqs` vanishes on the facet but not on its cell).  Why: then
+    the union of the d-dimensional cells is closed, not empty, and open in
+    relint C off the codimension-2 faces, which do not disconnect it; so it
+    is C.  An unpaired facet inside relint C leaves the points beyond it
+    uncovered, and lower-dimensional cells fill no open set.
     """
-    if _depth > 200:
-        raise InvariantBreach("cone covering recursion too deep")
     gens = _h_to_gens(ineqs, eqs, dim)
     d = cone_dim(gens) if gens else 0
     if d == 0:
         return True
-    for cg in cover:
-        if all(cone_contains(cg, g) for g in gens):
-            return True
-    # find a cover member overlapping in full piece dimension
-    for cg in cover:
-        inter_ineqs = list(ineqs) + list(cone_facets(cg))
-        inter_eqs = list(eqs) + list(cone_span_perp(cg))
-        ig = _h_to_gens(inter_ineqs, inter_eqs, dim)
-        if ig and cone_dim(ig) == d:
-            pieces = []
-            cur_ineqs = list(ineqs)
-            for n in cone_facets(cg):
-                outside = cur_ineqs + [tuple(xl.vscale(-1, n))]
-                og = _h_to_gens(outside, eqs, dim)
-                if og and cone_dim(og) == d:
-                    pieces.append(tuple(outside))
-                cur_ineqs = cur_ineqs + [tuple(n)]
-            for z in cone_span_perp(cg):
-                for sgn in (1, -1):
-                    outside = cur_ineqs + [tuple(xl.vscale(-sgn, z))]
-                    og = _h_to_gens(outside, eqs, dim)
-                    if og and cone_dim(og) == d:
-                        pieces.append(tuple(outside))
-            return all(cone_covered(p, eqs, dim, cover, _depth + 1) for p in pieces)
-    return False
+    full = {frozenset(c): c for c in cells if cone_dim(c) == d}
+    if not full:
+        return False
+    owners = {}  # facet generator set -> d-dimensional cells having it
+    for c in full.values():
+        if len(c) == d:  # simplicial: one facet per omitted generator
+            facets = [c[:i] + c[i + 1:] for i in range(d)]
+        else:
+            facets = [[g for g in c if xl.dot(n, g) == 0]
+                      for n in cone_facets(c)]
+        for facet in facets:
+            owners.setdefault(frozenset(facet), []).append(c)
+    for facet, holders in owners.items():
+        if len(holders) == 2:
+            continue
+        # implicit equalities of C vanish on every cell and never count
+        if not any(all(xl.dot(r, v) == 0 for v in facet)
+                   and any(xl.dot(r, g) != 0 for g in holders[0])
+                   for r in ineqs):
+            return False
+    return True
 
 
 def cone_covered_by_gens(gens: tuple, cover: Sequence[tuple]) -> bool:
@@ -229,9 +232,6 @@ class Fan:
     def cone_gens(self, cone) -> tuple:
         return tuple(self.rays[i] for i in cone)
 
-    def ray_index(self, v) -> int:
-        return self.rays.index(tuple(v))
-
     def is_simplicial(self) -> bool:
         return all(len(c) == cone_dim(self.cone_gens(c)) for c in self.max_cones)
 
@@ -242,7 +242,7 @@ class Fan:
 
     def support_convex(self) -> bool:
         """Support equals the convex hull cone of all rays (possibly the
-        whole space)."""
+        whole space).  The cones must form a valid fan."""
         if not self.rays:
             return True
         # H-representation of the hull: facet normals are the extreme rays of
@@ -612,15 +612,16 @@ def common_refinement(F1: Fan, F2: Fan):
         raise PreconditionError("fans live in different lattices")
     cov1 = [F1.cone_gens(c) for c in F1.max_cones]
     cov2 = [F2.cone_gens(c) for c in F2.max_cones]
-    for g in cov1:
-        if g and not cone_covered_by_gens(g, cov2):
+    # table[i][j] = cov1[i] meet cov2[j]; row i cuts F2 down to cov1[i]
+    table = [[cone_intersection(g1, g2) for g2 in cov2] for g1 in cov1]
+    for g1, row in zip(cov1, table):
+        if g1 and not cone_covered_by_gens(g1, row):
             raise PreconditionError("fan supports differ")
-    for g in cov2:
-        if g and not cone_covered_by_gens(g, cov1):
+    for j, g2 in enumerate(cov2):
+        if g2 and not cone_covered_by_gens(g2, [row[j] for row in table]):
             raise PreconditionError("fan supports differ")
     pieces = []
-    for g1, g2 in itertools.product(cov1, cov2):
-        inter = cone_intersection(g1, g2) if g1 and g2 else ()
+    for inter in itertools.chain.from_iterable(table):
         if inter and inter not in pieces:
             pieces.append(inter)
     maximal = []
@@ -637,7 +638,7 @@ def common_refinement(F1: Fan, F2: Fan):
             idxs.append(ray_list.index(r))
         cones.append(tuple(sorted(idxs)))
     if not maximal:
-        out = Fan(F1.rank, (), ((),)) if F1.rank == 0 else Fan(F1.rank, (), ())
+        out = Fan(F1.rank, (), ())  # rank 0 gets the zero cone
         return out, identity_map(out, F1), identity_map(out, F2)
     coarse = Fan(F1.rank, tuple(ray_list), tuple(sorted(set(cones))))
     bad = validate_fan(coarse)
@@ -694,55 +695,31 @@ def _facet_owners(F: Fan) -> dict:
     return seen
 
 
-def _boundary_facet_verdict(m: FanMap) -> Optional[bool]:
-    """Properness via boundary facets when the preimage of the target support
-    is a full-dimensional convex cone: the source covers it exactly when every
-    unshared maximal-cone facet lies in its boundary.  None means the shape is
-    out of scope and the general cover check must run."""
-    F = m.source
-    n = F.rank
-    if not F.max_cones or not _full_dim_simplicial(F):
-        return None
-    if m.target.rank == 0:
-        rows = []
-    elif len(m.target.max_cones) == 1:
-        tg = m.target.cone_gens(m.target.max_cones[0])
-        if cone_span_perp(tg):
-            return None
-        At = xl.transpose(m.matrix)
-        rows = [tuple(xl.mat_vec(At, f)) for f in cone_facets(tg)]
-        rows = [r for r in rows if not xl.is_zero(r)]
-        if rows and xl.feasible_point(
-                [(r, Fraction(1)) for r in rows], (), n) is None:
-            return None
-    else:
-        return None
-    for s, owners in _facet_owners(F).items():
-        if len(owners) >= 2:
-            continue
-        gens = F.cone_gens(s)
-        if not any(all(xl.dot(r, v) == 0 for v in gens) for r in rows):
-            return False
-    return True
+def _cut(gens: tuple, ineqs, eqs, dim) -> tuple:
+    """Generators of cone(gens) intersected with {ineqs >= 0, eqs = 0}."""
+    if (all(xl.dot(r, g) >= 0 for r in ineqs for g in gens)
+            and all(xl.dot(z, g) == 0 for z in eqs for g in gens)):
+        return gens
+    return _h_to_gens(list(cone_facets(gens)) + list(ineqs),
+                      list(cone_span_perp(gens)) + list(eqs), dim)
 
 
 def is_proper(m: FanMap) -> bool:
-    """Preimage of the target support equals the source support."""
+    """Preimage of the target support equals the source support (the source
+    must be a valid fan): for each target cone, the source cones cut by its
+    preimage Q must cover Q (`cone_covered`)."""
     if not is_toric_morphism(m):
         return False
-    fast = _boundary_facet_verdict(m)
-    if fast is not None:
-        return fast
-    cover = [m.source.cone_gens(c) for c in m.source.max_cones]
     n = m.source.rank
+    At = xl.transpose(m.matrix)
     for tc in m.target.max_cones:
         tg = m.target.cone_gens(tc)
         # rows of (facet o A): facet-normal composed with the lattice map
-        ineqs = [tuple(xl.mat_vec(xl.transpose(m.matrix), f)) for f in cone_facets(tg)] if tg else []
-        eqs = [tuple(xl.mat_vec(xl.transpose(m.matrix), z)) for z in cone_span_perp(tg)] if tg else []
-        ineqs = [r for r in ineqs if not xl.is_zero(r)]
-        eqs = [r for r in eqs if not xl.is_zero(r)]
-        if not cone_covered(tuple(ineqs), tuple(eqs), n, cover):
+        ineqs = [tuple(xl.mat_vec(At, f)) for f in cone_facets(tg)]
+        eqs = [tuple(xl.mat_vec(At, z)) for z in cone_span_perp(tg)]
+        cells = [_cut(m.source.cone_gens(c), ineqs, eqs, n)
+                 for c in m.source.max_cones]
+        if not cone_covered(ineqs, eqs, n, cells):
             return False
     return True
 

@@ -177,7 +177,11 @@ def flip(m: FanMap, wall_set, D: InvariantDivisor):
     internal walls (ampleness over the small target).
     Returns (flipped fan, map to the small target, transported divisor).
     """
-    res = contract(m, wall_set)
+    return _flip_contracted(m, wall_set, D, contract(m, wall_set))
+
+
+def _flip_contracted(m: FanMap, wall_set, D: InvariantDivisor, res):
+    """`flip`, given the ContractionResult `res` of `wall_set`."""
     if res.kind != "flipping":
         raise PreconditionError(f"contraction is {res.kind}, not flipping")
     F = m.source
@@ -326,7 +330,7 @@ def run_mmp(m: FanMap, D: InvariantDivisor, max_steps: int = 10000) -> MMPTrace:
             continue
 
         # flipping
-        Xp, to_w, Dp = flip(cur_map, wall_set, cur_D)
+        Xp, to_w, Dp = _flip_contracted(cur_map, wall_set, cur_D, res)
         new_map = FanMap(cur_map.matrix, Xp, cur_map.target)
         new_ne = ne_cone(new_map)
         if new_ne.rho != ne.rho:

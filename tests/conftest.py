@@ -56,6 +56,18 @@ def quadric_map_a(quadric_tri_a, quadric_cone_fan):
 
 
 @pytest.fixture
+def corpus65_map():
+    # the pre-flip state of corpus instance 65
+    # (termination_instances(seed=20240801, count=100)): a 3-fold over the
+    # orthant
+    return FanMap(
+        ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+        Fan(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 2, 1), (2, 4, 3)),
+            ((0, 1, 3), (0, 2, 4), (0, 3, 4), (2, 3, 4))),
+        Fan(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((0, 1, 2),)))
+
+
+@pytest.fixture
 def a1_cone_fan():
     return Fan(2, ((1, 0), (1, 2)), ((0, 1),))
 

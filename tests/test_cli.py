@@ -53,6 +53,58 @@ def test_fan_malformed_json(tmp_path, capsys):
     assert code == 1
 
 
+# malformed files and arguments: each command must exit 1 without a traceback
+BAD_FILES = {
+    "no_rays.json": {"rank": 2, "cones": []},
+    "bad_index.json": {"rank": 2, "rays": [[1, 0]], "cones": [[3]]},
+    # two cones overlapping in a 2-dimensional piece: not a fan
+    "overlap.json": {"rank": 2, "rays": [[1, 0], [0, 1], [1, 1]],
+                     "cones": [[0, 1], [0, 2]]},
+    "p2.json": P2,
+    "orthant.json": ORTHANT,
+    "short.json": {"coeffs": ["1"]},
+    "bad_rational.json": {"coeffs": ["x/y", "0", "0"]},
+    "overlap_source.json": {"matrix": [[1, 0], [0, 1]],
+                            "source": "overlap.json", "target": "orthant.json"},
+    "overlap_target.json": {"matrix": [[1, 0], [0, 1]],
+                            "source": "orthant.json", "target": "overlap.json"},
+    "bad_shape.json": {"matrix": [[1, 0]],
+                       "source": "p2.json", "target": "orthant.json"},
+    "bad_exponents.json": {"exponents": [[1, "a"]]},
+}
+MALFORMED = (
+    ["fan", "resolve", "--fan", "no_rays.json"],
+    ["mmp", "--fan", "bad_index.json"],
+    ["sing", "classify", "--fan", "overlap.json"],
+    ["ne-cone", "--fan", "overlap.json"],
+    ["ne-cone", "--map", "overlap_source.json"],
+    ["ne-cone", "--map", "overlap_target.json"],
+    ["mmp", "--map", "bad_shape.json"],
+    ["mmp", "--fan", "missing.json"],
+    ["mmp", "--fan", "p2.json", "--divisor", "short.json"],
+    ["sections", "--fan", "p2.json", "--divisor", "bad_rational.json"],
+    ["newton", "--exponents", "bad_exponents.json"],
+    ["sing", "classify", "--fan", "p2.json", "--point", "a,b"],
+    ["sections", "--fan", "p2.json", "--box", "1"],
+    ["sections", "--fan", "p2.json", "--box", "0:x,0:1"],
+    ["sections", "--fan", "p2.json", "--box", "-2:2,-2:2"],  # needs --box=
+    ["zariski", "--fan", "p2.json", "--divisor", "short.json",
+     "--m-max", "x"],
+    ["mmp"],
+    ["no-such-command"],
+)
+
+
+def test_malformed_input_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, obj in BAD_FILES.items():
+        _write(tmp_path, name, obj)
+    for argv in MALFORMED:
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert (code, "Traceback" in err) == (1, False), argv
+
+
 def test_fan_qfactorialize(tmp_path, capsys):
     f = _write(tmp_path, "q.json", QUADRIC)
     code, out = _run(capsys, ["fan", "qfactorialize", "--fan", f])

@@ -2,10 +2,13 @@ import itertools
 
 import pytest
 
+import covering_oracle
 from toricmmp import exactlin as xl
 from toricmmp import fan as fn
+from toricmmp.curves import contracted_walls
 from toricmmp.errors import InputError, PreconditionError
 from toricmmp.fan import Fan, FanMap, identity_map, map_to_point
+from toricmmp.mmp import contract
 
 
 def test_validate_good(p2, f1, quadric_cone_fan):
@@ -208,6 +211,53 @@ def test_properness_grid_oracle(mk, blowup2, orthant2, a1xp1_over_a1):
             grid_ok = False
             break
     assert proper == grid_ok
+
+
+def test_covering_matches_splitter_oracle(quadric_tri_a, quadric_tri_b,
+                                          quadric_cone_fan, corpus65_map):
+    # facet pairing against recursive splitting, on every sub-collection of
+    # maximal cones, for convexity and for properness onto a flipping target
+    pairs = contracted_walls(corpus65_map)
+    (cls,) = [c for w, c in pairs if w.rays == (0, 3)]
+    flipping = contract(corpus65_map, [w for w, c in pairs if c == cls]).target
+    cases = ((quadric_tri_a, quadric_cone_fan),
+             (quadric_tri_b, quadric_cone_fan),
+             (quadric_cone_fan, quadric_cone_fan),
+             (corpus65_map.source, flipping))
+    verdicts = set()
+    for source, target in cases:
+        for k in range(1, len(source.max_cones) + 1):
+            for cones in itertools.combinations(source.max_cones, k):
+                F = Fan(source.rank, source.rays, cones)
+                m = identity_map(F, target)
+                got = (F.support_convex(), fn.is_proper(m))
+                want = (covering_oracle.support_convex(F),
+                        covering_oracle.is_proper(m))
+                assert got == want, cones
+                verdicts.add(got)
+    # both answers occur for both questions
+    assert {v[0] for v in verdicts} == {v[1] for v in verdicts} == {True, False}
+
+
+def test_cone_covered_implicit_equalities_and_repeats(orthant2):
+    # x1 >= 0 and -x1 >= 0 cut out the line x1 = 0: both half-lines are
+    # needed, although the lone origin facet of one lies on both rows' zero set
+    rows = [(1, 0), (-1, 0)]
+    up, down = ((0, 1),), ((0, -1),)
+    assert fn.cone_covered(rows, [], 2, [up, down])
+    assert not fn.cone_covered(rows, [], 2, [up])
+    assert not covering_oracle.cone_covered(rows, [], 2, [up])
+    # the same line as the preimage of the orthant under x -> (x1, -x1)
+    line = Fan(2, ((0, 1), (0, -1)), ((0,), (1,)))
+    half = Fan(2, ((0, 1),), ((0,),))
+    A = ((1, 0), (-1, 0))
+    assert fn.is_proper(FanMap(A, line, orthant2))
+    assert not fn.is_proper(FanMap(A, half, orthant2))
+    # a cone listed twice counts once: cone(e1, e2) leaves part of the wedge
+    # between e1 and (-1, 1, 0) uncovered
+    wedge = ((1, 0, 0), (-1, 1, 0))
+    cell = ((1, 0, 0), (0, 1, 0))
+    assert not fn.cone_covered_by_gens(wedge, [cell, cell])
 
 
 def test_ample_certificate_is_strictly_convex(p2):

@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from covering_oracle import cone_covered_by_gens
 from toricmmp import divisor as dv
 from toricmmp import mmp
 from toricmmp.curves import contracted_walls, nefness
 from toricmmp.divisor import InvariantDivisor
 from toricmmp.errors import InvariantBreach, PreconditionError
-from toricmmp.fan import (Fan, FanMap, cone_covered_by_gens, cone_dim, cone_eq,
-                          cone_intersection, map_to_point)
+from toricmmp.fan import (Fan, FanMap, cone_dim, cone_eq, cone_intersection,
+                          map_to_point)
 from toricmmp.mmp import contract, contract_face, flip, run_mmp, verify_negativity
 
 
@@ -141,20 +142,14 @@ def _ample_triangulation_flip(m, wall_set, D):
     return mmp._replace_cones(F, replacement)
 
 
-# the pre-flip state of corpus instance 65
-# (termination_instances(seed=20240801, count=100)): a 3-fold over the orthant
-CORPUS_65_MAP = FanMap(
-    ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
-    Fan(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 2, 1), (2, 4, 3)),
-        ((0, 1, 3), (0, 2, 4), (0, 3, 4), (2, 3, 4))),
-    Fan(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((0, 1, 2),)))
+# the divisor of corpus instance 65 on its pre-flip fan (`corpus65_map`)
 CORPUS_65_DIVISOR = InvariantDivisor(
     (Fraction(-4), Fraction(-5, 2), Fraction(1), Fraction(3), Fraction(-1, 6)))
 
 
-def test_flip_matches_triangulation_oracle(quadric_map_a):
+def test_flip_matches_triangulation_oracle(quadric_map_a, corpus65_map):
     cases = ((quadric_map_a, InvariantDivisor((1, 0, 0, 0)), (0, 3)),
-             (CORPUS_65_MAP, CORPUS_65_DIVISOR, (0, 3)))
+             (corpus65_map, CORPUS_65_DIVISOR, (0, 3)))
     for m, D, wall_rays in cases:
         (cls,) = [c for w, c in contracted_walls(m) if w.rays == wall_rays]
         assert cls.pair(D) < 0
