@@ -147,8 +147,9 @@ def cmd_sections(args):
     box = None
     if args.box:
         box = [_ints(part, ":", "--box") for part in args.box.split(",")]
-        if len(box) != F.rank or any(len(b) != 2 for b in box):
-            raise InputError(f"--box needs {F.rank} ranges lo:hi: {args.box!r}")
+        if len(box) != F.rank or any(len(b) != 2 or b[0] > b[1] for b in box):
+            raise InputError(f"--box needs {F.rank} ranges lo:hi with lo <= hi: "
+                             f"{args.box!r}")
     try:
         out["lattice_points"] = [list(p) for p in sections_basis(F, D, box=box)]
     except PreconditionError:
@@ -192,6 +193,8 @@ def cmd_newton(args):
 
 
 def cmd_corpus(args):
+    if args.count < 0:
+        raise InputError(f"--count must be nonnegative, got {args.count}")
     instances = corpus_mod.termination_instances(args.seed, args.count)
     records = []
     for m, D in instances:

@@ -4,8 +4,10 @@ Everything here works over ``fractions.Fraction`` or Python ints; no floating
 point is used anywhere.  Vectors are tuples, matrices are tuples of row
 tuples.  All algorithms are desk-scale exact methods: Gaussian elimination,
 Hermite/Smith reduction, Fourier-Motzkin elimination, a Bland-rule rational
-simplex for feasibility questions with many variables, and recursive interval
-enumeration for lattice points.
+simplex for feasibility questions with many variables, recursive interval
+enumeration for lattice points, and a subset-enumeration double description
+whose one-dimensional kernels are signed maximal minors, computed over the
+integers by fraction-free (Bareiss) elimination.
 
 Deterministic ordering: whenever ties arise, vectors are compared
 lexicographically.
@@ -149,6 +151,36 @@ def nullspace(A: Sequence[Sequence], n: Optional[int] = None) -> list:
             x[c] = -rows[i][f]
         basis.append(tuple(x))
     return basis
+
+
+def integer_det(M: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free elimination
+    (Bareiss): every division is exact, so all entries stay integers."""
+    a = [list(r) for r in M]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            p = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if p is None:
+                return 0
+            a[k], a[p] = a[p], a[k]
+            sign = -sign
+        rk, akk = a[k], a[k][k]
+        for i in range(k + 1, n):
+            ri, aik = a[i], a[i][k]
+            for j in range(k + 1, n):
+                ri[j] = (ri[j] * akk - aik * rk[j]) // prev
+        prev = akk
+    return sign * a[-1][-1] if n else 1
+
+
+def _minor_kernel(M, s: int) -> Vector:
+    """Signed maximal minors of an (s-1) x s integer matrix M.  They satisfy
+    M k = 0 (each row of M repeated on top of M gives a zero determinant);
+    k spans the kernel when M has rank s-1 and is zero otherwise."""
+    return tuple((-1) ** j * integer_det([r[:j] + r[j + 1:] for r in M])
+                 for j in range(s))
 
 
 # ---------------------------------------------------------------------------
@@ -670,7 +702,10 @@ def extreme_rays_of_halfspaces(ineqs: Sequence[Sequence], eqs: Sequence[Sequence
     Rays are primitive integer vectors, sorted; lineality is a rational basis
     of the largest linear subspace inside the cone.  Subset-enumeration double
     description: each extreme ray is cut out by dim(span)-1 independent active
-    constraints.
+    constraints.  After the lineality split the work is on integers: the span
+    basis and the rows are rescaled to primitive integer vectors (a positive
+    rescaling keeps every ray) and the kernel of each row subset is its
+    vector of signed maximal minors.
     """
     span = nullspace(list(eqs), dim) if eqs else \
         [tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)]
@@ -690,23 +725,17 @@ def extreme_rays_of_halfspaces(ineqs: Sequence[Sequence], eqs: Sequence[Sequence
         if sub_lin:
             raise InvariantBreach("pointed part of the cone has a lineality space")
         return sub_rays, amb_lin
+    basis = [scale_to_integer(b) for b in span]
+    rows = (tuple(dot(a, b) for b in basis) for a in ineqs)
+    rows = list(dict.fromkeys(scale_to_integer(r) for r in rows if not is_zero(r)))
     rays = set()
-    if s == 1:
-        for sign in (1, -1):
-            cand = (Fraction(sign),)
-            if all(dot(r, cand) >= 0 for r in rows):
-                amb = tuple(sign * span[0][i] for i in range(dim))
-                rays.add(scale_to_integer(amb))
-    else:
-        for subset in itertools.combinations(range(len(rows)), s - 1):
-            sub = [rows[i] for i in subset]
-            ker = nullspace(sub, s)
-            if len(ker) != 1:
-                continue
-            for cand in (ker[0], vscale(-1, ker[0])):
-                if all(dot(r, cand) >= 0 for r in rows):
-                    amb = tuple(sum(cand[j] * span[j][i] for j in range(s)) for i in range(dim))
-                    if not is_zero(amb):
-                        rays.add(scale_to_integer(amb))
-                    break
+    for subset in itertools.combinations(rows, s - 1):
+        ker = _minor_kernel(subset, s)
+        if is_zero(ker):
+            continue  # dependent rows
+        for cand in (ker, tuple(-k for k in ker)):
+            if all(sum(x * y for x, y in zip(r, cand)) >= 0 for r in rows):
+                rays.add(primitive(tuple(sum(c * b[i] for c, b in zip(cand, basis))
+                                         for i in range(dim))))
+                break
     return sorted(rays), []

@@ -72,9 +72,20 @@ def cone_facets(gens: tuple) -> tuple:
 
 
 def cone_contains(gens: tuple, v) -> bool:
+    """Is v in the cone spanned by `gens`?
+
+    Precondition: `gens` span a strongly convex cone (every cone of a valid
+    fan, every `cone_intersection` and every image kept by
+    `xl.extreme_rays` does).  Then v lies in the cone exactly when it lies
+    in its span (`cone_span_perp` vanishes on v) and every facet normal
+    (`cone_facets`) is nonnegative on v.
+    """
     if xl.is_zero(v):
         return True
-    return xl.solve_nonneg(list(gens), v) is not None
+    if not gens:
+        return False
+    return (all(xl.dot(z, v) == 0 for z in cone_span_perp(gens))
+            and all(xl.dot(n, v) >= 0 for n in cone_facets(gens)))
 
 
 def cone_strongly_convex(gens: tuple) -> bool:

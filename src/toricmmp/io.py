@@ -18,7 +18,7 @@ from .divisor import InvariantDivisor
 
 
 def parse_rational(s) -> Fraction:
-    if isinstance(s, int):
+    if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
     if isinstance(s, str):
         try:
@@ -41,12 +41,25 @@ def _load_json(path):
         raise InputError(f"cannot read {path}: {e}")
 
 
+def _int(x) -> int:
+    """A JSON integer; a float (even 1.0), a bool or a string is a
+    TypeError."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise TypeError(f"expected an integer, got {x!r}")
+    return x
+
+
+def _int_rows(rows) -> tuple:
+    return tuple(tuple(_int(c) for c in r) for r in rows)
+
+
 def load_fan(path) -> Fan:
     data = _load_json(path)
     try:
-        return Fan(int(data["rank"]),
-                   tuple(tuple(int(c) for c in r) for r in data["rays"]),
-                   tuple(tuple(int(i) for i in c) for c in data["cones"]))
+        rank = _int(data["rank"])
+        if rank < 0:
+            raise ValueError(f"negative rank {rank}")
+        return Fan(rank, _int_rows(data["rays"]), _int_rows(data["cones"]))
     except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"malformed fan file {path}: {e}")
 
@@ -81,7 +94,7 @@ def load_map(path) -> FanMap:
     data = _load_json(path)
     base = os.path.dirname(os.path.abspath(path))
     try:
-        matrix = tuple(tuple(int(c) for c in row) for row in data["matrix"])
+        matrix = _int_rows(data["matrix"])
         source = load_fan(os.path.join(base, data["source"]))
         target = load_fan(os.path.join(base, data["target"]))
     except (KeyError, TypeError, ValueError) as e:
@@ -94,7 +107,7 @@ def load_exponents(path) -> tuple:
     if isinstance(data, dict):
         data = data.get("exponents")
     try:
-        return tuple(tuple(int(c) for c in m) for m in data)
+        return _int_rows(data)
     except (TypeError, ValueError) as e:
         raise InputError(f"malformed exponents file {path}: {e}")
 

@@ -2,14 +2,16 @@
 
 An independent covering test that accepts any strongly convex cones as the
 cover (overlapping, or sticking out of the covered cone) and runs one double
-description per piece.  Tests check `fan.cone_covered` (facet pairing)
-against it, and the triangulation search in test_mmp uses it.
+description per piece; membership goes through the LP oracle.  Tests check
+`fan.cone_covered` (facet pairing) against it, and the triangulation search
+in test_mmp uses it.
 """
 
+from cone_oracle import cone_contains
 from toricmmp import exactlin as xl
 from toricmmp.errors import InvariantBreach
-from toricmmp.fan import (_h_to_gens, cone_contains, cone_dim, cone_facets,
-                          cone_span_perp, is_toric_morphism)
+from toricmmp.fan import (_h_to_gens, cone_dim, cone_facets, cone_span_perp,
+                          is_toric_morphism)
 
 
 def cone_covered(ineqs, eqs, dim, cover, _depth=0) -> bool:

@@ -71,6 +71,21 @@ BAD_FILES = {
     "bad_shape.json": {"matrix": [[1, 0]],
                        "source": "p2.json", "target": "orthant.json"},
     "bad_exponents.json": {"exponents": [[1, "a"]]},
+    # JSON numbers that are not integers, and a negative rank
+    "float_ray.json": {"rank": 2, "rays": [[1.5, 0], [0, 1]],
+                       "cones": [[0, 1]]},
+    "float_one.json": {"rank": 2, "rays": [[1.0, 0], [0, 1]],
+                       "cones": [[0, 1]]},
+    "bool_index.json": {"rank": 2, "rays": [[1, 0], [0, 1]],
+                        "cones": [[False, True]]},
+    "float_rank.json": {"rank": 2.0, "rays": [[1, 0], [0, 1]],
+                        "cones": [[0, 1]]},
+    "negative_rank.json": {"rank": -1, "rays": [], "cones": []},
+    "float_matrix.json": {"matrix": [[1, 0], [0, 1.0]],
+                          "source": "orthant.json", "target": "orthant.json"},
+    "float_exponents.json": {"exponents": [[1, 0.5], [0, 2]]},
+    "bool_exponents.json": {"exponents": [[1, True], [0, 2]]},
+    "bool_coeffs.json": {"coeffs": [True, 0, 0]},
 }
 MALFORMED = (
     ["fan", "resolve", "--fan", "no_rays.json"],
@@ -90,6 +105,17 @@ MALFORMED = (
     ["sections", "--fan", "p2.json", "--box", "-2:2,-2:2"],  # needs --box=
     ["zariski", "--fan", "p2.json", "--divisor", "short.json",
      "--m-max", "x"],
+    ["fan", "validate", "--fan", "float_ray.json"],
+    ["fan", "validate", "--fan", "float_one.json"],
+    ["fan", "validate", "--fan", "bool_index.json"],
+    ["fan", "validate", "--fan", "float_rank.json"],
+    ["sing", "classify", "--fan", "negative_rank.json"],
+    ["ne-cone", "--map", "float_matrix.json"],
+    ["newton", "--exponents", "float_exponents.json"],
+    ["newton", "--exponents", "bool_exponents.json"],
+    ["sections", "--fan", "p2.json", "--divisor", "bool_coeffs.json"],
+    ["sections", "--fan", "p2.json", "--box=2:-2,0:1"],  # reversed range
+    ["corpus", "--count", "-1"],
     ["mmp"],
     ["no-such-command"],
 )

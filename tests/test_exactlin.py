@@ -1,8 +1,9 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import cone_oracle
 from toricmmp import exactlin as xl
 from toricmmp.errors import InputError, PreconditionError
 
@@ -147,3 +148,26 @@ def test_extreme_rays_generate(gens):
     cols = [gens[i] for i in ext]
     for g in gens:
         assert xl.solve_nonneg(cols, g) is not None
+
+
+@st.composite
+def halfspace_systems(draw):
+    dim = draw(st.integers(min_value=1, max_value=4))
+    coeff = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    row = st.tuples(*[coeff] * dim)
+    ineqs = draw(st.lists(row, max_size=6))
+    eqs = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * dim), max_size=2))
+    return ineqs, eqs, dim
+
+
+@given(halfspace_systems())
+@example(([(1, 1)], [], 2))  # a halfplane: lineality plus one ray
+@example(([(1, 0, 0), (0, 1, 0), (1, 1, 1)], [(1, -1, 0)], 3))
+@example(([(Fraction(1, 2), 0), (0, 1), (-1, -1)], [], 2))  # the whole plane
+@example(([(2, 0, 0), (1, 0, 0), (0, 0, 0), (0, 1, 0)], [], 3))
+@example(([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1)], [], 3))  # x0 = 0
+@settings(max_examples=300, deadline=None)
+def test_extreme_rays_of_halfspaces_matches_fraction_oracle(system):
+    # signed integer minors against one Fraction nullspace per row subset
+    got = xl.extreme_rays_of_halfspaces(*system)
+    assert got == cone_oracle.extreme_rays_of_halfspaces(*system)

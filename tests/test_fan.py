@@ -1,7 +1,9 @@
 import itertools
+import random
 
 import pytest
 
+import cone_oracle
 import covering_oracle
 from toricmmp import exactlin as xl
 from toricmmp import fan as fn
@@ -237,6 +239,35 @@ def test_covering_matches_splitter_oracle(quadric_tri_a, quadric_tri_b,
                 verdicts.add(got)
     # both answers occur for both questions
     assert {v[0] for v in verdicts} == {v[1] for v in verdicts} == {True, False}
+
+
+def test_cone_contains_matches_lp_oracle(p2, quadric_tri_a, quadric_tri_b,
+                                        quadric_cone_fan, corpus65_map):
+    # facet normals against the phase-1 simplex on the cone spanned by every
+    # nonempty subset of the rays of each maximal cone (lower-dimensional
+    # ones too), probed with the rays, their pairwise sums and random
+    # integer vectors
+    rng = random.Random(4)
+    fans = (p2, quadric_tri_a, quadric_tri_b, quadric_cone_fan,
+            corpus65_map.source, corpus65_map.target)
+    verdicts, mismatches = set(), []
+    for F in fans:
+        probes = list(F.rays) + [tuple(a + b for a, b in zip(r, s))
+                                 for r, s in itertools.combinations(F.rays, 2)]
+        probes += [tuple(rng.randint(-4, 4) for _ in range(F.rank))
+                   for _ in range(40)]
+        subsets = {sub for c in F.max_cones for k in range(1, len(c) + 1)
+                   for sub in itertools.combinations(c, k)}
+        for sub in sorted(subsets):
+            gens = F.cone_gens(sub)
+            for v in probes:
+                got = fn.cone_contains(gens, v)
+                if got != cone_oracle.cone_contains(gens, v):
+                    mismatches.append((gens, v))
+                verdicts.add(got)
+    assert mismatches == []
+    assert verdicts == {True, False}
+    assert fn.cone_contains((), (0, 0, 0)) and not fn.cone_contains((), (1, 0, 0))
 
 
 def test_cone_covered_implicit_equalities_and_repeats(orthant2):

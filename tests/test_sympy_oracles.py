@@ -1,0 +1,78 @@
+"""Independent oracles: exactlin's linear algebra against sympy.
+
+sympy is optional; without it these tests are skipped.  The expected values
+come from sympy alone: nothing here calls exactlin to build an expectation.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+sympy = pytest.importorskip("sympy")
+from sympy.matrices.normalforms import invariant_factors  # noqa: E402
+
+from toricmmp import exactlin as xl  # noqa: E402
+
+entries = st.integers(min_value=-6, max_value=6)
+
+
+@st.composite
+def int_matrices(draw, max_rows=4, max_cols=4):
+    m = draw(st.integers(min_value=1, max_value=max_rows))
+    n = draw(st.integers(min_value=1, max_value=max_cols))
+    return [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(m)]
+
+
+@st.composite
+def square_matrices(draw, max_n=5):
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    return [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(n)]
+
+
+def _fractions(vec):
+    return tuple(Fraction(int(x.p), int(x.q)) for x in vec)
+
+
+@given(int_matrices())
+@settings(max_examples=150, deadline=None)
+def test_rank_and_nullspace_match_sympy(A):
+    M = sympy.Matrix(A)
+    assert xl.rank(A) == M.rank()
+    # both put 1 at one free column and 0 at the others, so the bases agree
+    assert xl.nullspace(A) == [_fractions(v) for v in M.nullspace()]
+
+
+@given(int_matrices())
+@settings(max_examples=150, deadline=None)
+def test_smith_normal_form_matches_sympy(A):
+    D, U, V = xl.smith_normal_form(A)
+    M = sympy.Matrix(A)
+    assert sympy.Matrix(U) * M * sympy.Matrix(V) == sympy.Matrix(D)
+    assert abs(sympy.Matrix(U).det()) == 1 and abs(sympy.Matrix(V).det()) == 1
+    k = min(len(A), len(A[0]))
+    assert all(D[i][j] == 0 for i in range(len(D)) for j in range(len(D[0]))
+               if i != j)
+    expected = [abs(int(f)) for f in invariant_factors(M, domain=sympy.ZZ)]
+    assert [D[i][i] for i in range(k)] == expected + [0] * (k - len(expected))
+
+
+@given(int_matrices())
+@settings(max_examples=150, deadline=None)
+def test_integer_kernel_spans_sympy_kernel(A):
+    M = sympy.Matrix(A)
+    K = xl.integer_kernel(A)
+    assert len(K) == len(M.nullspace())
+    if not K:
+        return
+    KM = sympy.Matrix(K).T  # columns are the kernel vectors
+    assert M * KM == sympy.zeros(len(A), len(K))
+    assert KM.rank() == len(K)
+    # a lattice basis of the kernel is saturated: its invariant factors are 1
+    assert all(abs(int(f)) == 1 for f in invariant_factors(KM, domain=sympy.ZZ))
+
+
+@given(square_matrices())
+@settings(max_examples=200, deadline=None)
+def test_integer_det_matches_sympy(A):
+    assert xl.integer_det(A) == sympy.Matrix(len(A), len(A), sum(A, [])).det()
