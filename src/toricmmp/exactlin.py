@@ -3,11 +3,14 @@
 Everything here works over ``fractions.Fraction`` or Python ints; no floating
 point is used anywhere.  Vectors are tuples, matrices are tuples of row
 tuples.  All algorithms are desk-scale exact methods: Gaussian elimination,
-Hermite/Smith reduction, Fourier-Motzkin elimination, a Bland-rule rational
+Hermite/Smith reduction, Fourier-Motzkin elimination, a Bland-rule phase-1
 simplex for feasibility questions with many variables, recursive interval
 enumeration for lattice points, and a subset-enumeration double description
-whose one-dimensional kernels are signed maximal minors, computed over the
-integers by fraction-free (Bareiss) elimination.
+whose one-dimensional kernels are signed maximal minors.  The simplex and
+the minors run on Python ints by fraction-free elimination: the simplex by
+integer pivoting over one common denominator (Edmonds), the minors by
+Bareiss's determinant (Bareiss 1968); the simplex builds ``Fraction``s only
+for the witness it returns.
 
 Deterministic ordering: whenever ties arise, vectors are compared
 lexicographically.
@@ -18,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import ceil, floor, gcd, lcm
 from typing import Optional, Sequence
 
 from .errors import InputError, InvariantBreach, PreconditionError
@@ -71,12 +74,19 @@ def primitive(v: Sequence[int]) -> Vector:
     return tuple(int(a) // g for a in v)
 
 
+def _integer_row(row) -> list:
+    """The row times the positive lcm of its denominators, as ints.  Ints
+    and integral Fractions go in with no Fraction arithmetic."""
+    den = lcm(*[x.denominator for x in row])
+    if den == 1:
+        return [x.numerator for x in row]
+    return [x.numerator * (den // x.denominator) for x in row]
+
+
 def scale_to_integer(v: Sequence) -> Vector:
     """Scale a nonzero rational vector by a positive rational to a primitive
     integer vector."""
-    den = lcm(*(Fraction(a).denominator for a in v)) if v else 1
-    w = tuple(int(Fraction(a) * den) for a in v)
-    return primitive(w)
+    return primitive(_integer_row(v))
 
 
 # ---------------------------------------------------------------------------
@@ -551,8 +561,7 @@ def lattice_points(H: HalfspaceSystem, bounded: bool = True,
         lo, hi = iv
         if lo is None or hi is None:
             raise PreconditionError("unbounded direction during enumeration")
-        import math
-        for x in range(math.ceil(lo), math.floor(hi) + 1):
+        for x in range(ceil(lo), floor(hi) + 1):
             nxt = partial + [x]
             if var == dim - 1:
                 if H.contains(nxt):
@@ -565,71 +574,103 @@ def lattice_points(H: HalfspaceSystem, bounded: bool = True,
 
 
 # ---------------------------------------------------------------------------
-# rational simplex (phase 1 feasibility)
+# phase-1 simplex by integer pivoting
 # ---------------------------------------------------------------------------
 
 def _phase1(A, b):
-    """Find z >= 0 with A z = b (exact), or None.  Bland's rule simplex."""
+    """Find z >= 0 with A z = b (exact), or None.  Bland's rule simplex.
+
+    Integer pivoting (Edmonds): the tableau holds integers over one common
+    denominator D > 0, starting at 1; each row of [A | b] is scaled to
+    integers first.  Pivoting on p = T[r][s] turns every other row, and the
+    cost row, into (x*p - f*y) // D and then sets D = p.  The division is
+    exact because every entry is a minor of the initial tableau, and p > 0
+    (the ratio test picks it), so every sign test and every ratio
+    comparison is that of the rational tableau.
+
+    The cost row starts as minus the sum of the rows, artificial columns
+    included, so it stays a combination of the constraint rows.  An
+    artificial column keeps cost -1 while it is basic from the start, and
+    Bland's rule pivots it in place once no earlier column has negative
+    cost; when no cost is negative every basic column has cost 0, so the
+    right-hand side of the cost row is 0.  The system is infeasible exactly
+    when an artificial variable is then basic at a positive level.
+    """
     m = len(A)
     n = len(A[0]) if m else 0
     if m == 0:
         return tuple()
     T = []
     for i in range(m):
-        row = [Fraction(x) for x in A[i]]
-        rhs = Fraction(b[i])
-        if rhs < 0:
+        row = _integer_row(list(A[i]) + [b[i]])
+        if row[-1] < 0:
             row = [-x for x in row]
-            rhs = -rhs
-        T.append(row + [Fraction(1) if j == i else Fraction(0) for j in range(m)] + [rhs])
+        T.append(row[:-1] + [1 if j == i else 0 for j in range(m)] + row[-1:])
     ncols = n + m
     basis = list(range(n, n + m))
-    cost = [Fraction(0)] * (ncols + 1)
-    for i in range(m):
-        cost = [c - t for c, t in zip(cost, T[i])]
+    cost = [-sum(col) for col in zip(*T)]
+    D = 1
     while True:
         enter = next((j for j in range(ncols) if cost[j] < 0), None)
         if enter is None:
             break
-        ratios = [(T[i][ncols] / T[i][enter], basis[i], i)
-                  for i in range(m) if T[i][enter] > 0]
-        if not ratios:
-            return None  # unbounded phase-1: cannot happen, guard anyway
-        _, _, piv = min(ratios)
-        pv = T[piv][enter]
-        T[piv] = [x / pv for x in T[piv]]
+        # Bland's ratio test: least (rhs / entry, basis[i], i) over positive
+        # entries, ratios compared by cross-multiplication
+        piv = None
         for i in range(m):
-            if i != piv and T[i][enter] != 0:
-                f = T[i][enter]
-                T[i] = [x - f * y for x, y in zip(T[i], T[piv])]
-        if cost[enter] != 0:
-            f = cost[enter]
-            cost = [x - f * y for x, y in zip(cost, T[piv])]
+            a = T[i][enter]
+            if a > 0:
+                if piv is None:
+                    piv, best_a, best_t = i, a, T[i][ncols]
+                    continue
+                lhs, rhs = T[i][ncols] * best_a, best_t * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[piv]):
+                    piv, best_a, best_t = i, a, T[i][ncols]
+        if piv is None:
+            raise InvariantBreach("phase 1 unbounded: no positive entry in the entering column")
+        prow = T[piv]
+        p = prow[enter]
+        for i in range(m):
+            if i != piv:
+                row = T[i]
+                f = row[enter]
+                if f:
+                    T[i] = [(x * p - f * y) // D for x, y in zip(row, prow)]
+                elif p != D:
+                    T[i] = [x * p // D for x in row]
+        f = cost[enter]
+        cost = [(x * p - f * y) // D for x, y in zip(cost, prow)]
         basis[piv] = enter
-    if -cost[ncols] != 0:
-        return None
+        D = p
+    if cost[ncols] != 0:
+        raise InvariantBreach("phase 1 ended with a nonzero cost right-hand side")
     z = [Fraction(0)] * n
     for i, bv in enumerate(basis):
         if bv < n:
-            z[bv] = T[i][ncols]
+            z[bv] = Fraction(T[i][ncols], D)
         elif T[i][ncols] != 0:
-            return None  # artificial stuck at positive level
+            return None  # an artificial variable stays positive: infeasible
     return tuple(z)
 
 
 def solve_nonneg(columns: Sequence[Sequence], target: Sequence) -> Optional[Vector]:
-    """Coefficients c >= 0 with sum c_j columns[j] = target, or None."""
+    """Coefficients c >= 0 with sum c_j columns[j] = target, or None.  A
+    witness is checked exactly before it is returned."""
     if not columns:
         return () if is_zero(target) else None
     m = len(columns[0])
     A = [[columns[j][i] for j in range(len(columns))] for i in range(m)]
-    return _phase1(A, list(target))
+    c = _phase1(A, list(target))
+    if c is not None and (any(x < 0 for x in c) or mat_vec(A, c) != tuple(target)):
+        raise InvariantBreach("solve_nonneg witness fails its check")
+    return c
 
 
 def feasible_point(ineqs: Sequence[tuple], eqs: Sequence[tuple] = (),
                    dim: Optional[int] = None) -> Optional[Vector]:
     """Find x with <a,x> >= r for (a,r) in ineqs and <a,x> = r for (a,r) in
-    eqs.  Variables are free; handled by x = u - w with u,w >= 0."""
+    eqs.  Variables are free; handled by x = u - w with u,w >= 0.  A point
+    is checked against every constraint before it is returned."""
     rows = list(ineqs) + list(eqs)
     if dim is None:
         dim = len(rows[0][0]) if rows else 0
@@ -638,16 +679,18 @@ def feasible_point(ineqs: Sequence[tuple], eqs: Sequence[tuple] = (),
     nslack = len(ineqs)
     A, b = [], []
     for k, (a, r) in enumerate(ineqs):
-        row = list(a) + [-x for x in a] + [Fraction(-1) if j == k else Fraction(0) for j in range(nslack)]
-        A.append(row)
+        A.append(list(a) + [-x for x in a] + [-1 if j == k else 0 for j in range(nslack)])
         b.append(r)
     for a, r in eqs:
-        A.append(list(a) + [-x for x in a] + [Fraction(0)] * nslack)
+        A.append(list(a) + [-x for x in a] + [0] * nslack)
         b.append(r)
     z = _phase1(A, b)
     if z is None:
         return None
-    return tuple(z[i] - z[dim + i] for i in range(dim))
+    x = tuple(z[i] - z[dim + i] for i in range(dim))
+    if any(dot(a, x) < r for a, r in ineqs) or any(dot(a, x) != r for a, r in eqs):
+        raise InvariantBreach("feasible_point witness violates a constraint")
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,15 @@
 `extreme_rays_of_halfspaces` is the subset-enumeration double description
 with one `Fraction` nullspace per subset of constraints.  Tests check
 `fan.cone_contains` (facet normals) and `exactlin.extreme_rays_of_halfspaces`
-(signed integer minors) against them.
+(signed integer minors) against them.  The simplex is the `Fraction`
+oracle of `lp_oracle`, so the membership oracle shares no arithmetic with
+`exactlin`'s integer pivoting.
 """
 
 import itertools
 from fractions import Fraction
 
+import lp_oracle
 from toricmmp import exactlin as xl
 from toricmmp.errors import InvariantBreach
 
@@ -18,7 +21,7 @@ def cone_contains(gens, v) -> bool:
     """Is v a nonnegative combination of `gens`?  (Any generators.)"""
     if xl.is_zero(v):
         return True
-    return xl.solve_nonneg(list(gens), v) is not None
+    return lp_oracle.solve_nonneg(list(gens), v) is not None
 
 
 def extreme_rays_of_halfspaces(ineqs, eqs, dim) -> tuple:

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import cone_oracle
+import lp_oracle
 from toricmmp import exactlin as xl
-from toricmmp.errors import InputError, PreconditionError
+from toricmmp.errors import InputError, InvariantBreach, PreconditionError
 
 
 def test_primitive():
@@ -171,3 +172,71 @@ def test_extreme_rays_of_halfspaces_matches_fraction_oracle(system):
     # signed integer minors against one Fraction nullspace per row subset
     got = xl.extreme_rays_of_halfspaces(*system)
     assert got == cone_oracle.extreme_rays_of_halfspaces(*system)
+
+
+# --- the integer-pivoting simplex against the Fraction oracle of lp_oracle ---
+
+rational = st.one_of(small_ints, st.builds(Fraction, st.integers(-4, 4),
+                                           st.integers(1, 3)))
+
+
+@st.composite
+def integer_systems(draw):
+    """(A, b) with small integer entries; about half are feasible by
+    construction (b = A z for some z >= 0), and zero entries are common."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 6))
+    entry = st.one_of(st.just(0), st.integers(-3, 3))
+    A = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(m)]
+    if draw(st.booleans()):
+        z = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        b = [sum(a * c for a, c in zip(row, z)) for row in A]
+    else:
+        b = draw(st.lists(entry, min_size=m, max_size=m))
+    return A, b
+
+
+@given(integer_systems())
+@example(([[1, 0], [0, 1]], [-1, 0]))  # infeasible: an artificial stays positive
+@example(([[0, 0, 0]], [0]))  # zero row, zero target
+@example(([[0]], [1]))  # zero row, nonzero target
+@example(([[1, 1], [1, 1]], [0, 0]))  # degenerate: every ratio is 0
+@example(([[1, 1, 2], [2, 2, 4], [1, -1, 0]], [2, 4, 0]))  # dependent rows
+@example(([[1, -1], [-1, 1]], [1, 1]))  # inconsistent
+@settings(max_examples=400, deadline=None)
+def test_phase1_matches_fraction_oracle_on_integer_systems(system):
+    # integer pivoting follows the rational pivots: same verdict, same z
+    A, b = system
+    assert xl._phase1(A, b) == lp_oracle._phase1(A, b)
+    A_frac = [[Fraction(a) for a in row] for row in A]  # integral Fractions
+    assert xl._phase1(A_frac, b) == lp_oracle._phase1(A, b)
+
+
+@given(st.integers(1, 4).flatmap(lambda m: st.integers(1, 5).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.lists(rational, min_size=n, max_size=n), min_size=m, max_size=m),
+        st.lists(rational, min_size=m, max_size=m)))))
+@example(([[Fraction(1, 2), Fraction(1, 3)]], [Fraction(1, 6)]))
+@example(([[Fraction(1, 2), 0], [0, Fraction(-1, 3)]], [1, 1]))
+@settings(max_examples=300, deadline=None)
+def test_phase1_certified_witness_on_rational_systems(system):
+    # rows with true fractions are scaled first, which may change the pivots,
+    # so only the verdict has to agree; the witness is checked exactly
+    A, b = system
+    got, want = xl._phase1(A, b), lp_oracle._phase1(A, b)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert all(c >= 0 for c in got)
+        assert xl.mat_vec(A, got) == tuple(b)
+
+
+def test_lp_witnesses_are_certified(monkeypatch):
+    # a kernel handing back a wrong witness is caught, not passed on
+    monkeypatch.setattr(xl, "_phase1", lambda A, b: tuple(Fraction(1) for _ in A[0]))
+    with pytest.raises(InvariantBreach):
+        xl.solve_nonneg([(1, 0), (0, 1)], (1, 2))
+    with pytest.raises(InvariantBreach):
+        xl.feasible_point([((1,), Fraction(2))])
+    monkeypatch.setattr(xl, "_phase1", lambda A, b: tuple(Fraction(-1) for _ in A[0]))
+    with pytest.raises(InvariantBreach):
+        xl.solve_nonneg([(1, 0), (0, 1)], (-1, -1))
