@@ -119,12 +119,17 @@ def cmd_mmp(args):
     trace = mmp_mod.run_mmp(m, D)
     text = tio.dumps(_trace_obj(trace))
     if args.trace:
-        with open(args.trace, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.trace, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise InputError(f"cannot write --trace file: {e}")
     print(text, end="")
 
 
 def cmd_zariski(args):
+    if args.m_max is not None and args.m_max < 1:
+        raise InputError(f"--m-max must be at least 1, got {args.m_max}")
     m, D = _load_setting(args, need_divisor=True)
     R = sections_mod.zariski_decompose(m, D)
     verdict = sections_mod.verify_ckm(R, D, m_max=args.m_max)

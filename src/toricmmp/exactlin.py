@@ -711,7 +711,12 @@ def positive_circuit_indices(generators: Sequence[Sequence]) -> list:
 
 
 def cone_contains_line(generators: Sequence[Sequence]) -> bool:
-    return bool(positive_circuit_indices(generators))
+    """Does the cone of the generators contain a line?  Exactly when some
+    c >= 0 with sum c = 1 has sum c_j g_j = 0, which is one LP."""
+    if not generators:
+        return False
+    lifted = [tuple(g) + (1,) for g in generators]
+    return solve_nonneg(lifted, (0,) * len(generators[0]) + (1,)) is not None
 
 
 def extreme_rays(generators: Sequence[Sequence]) -> list:

@@ -88,10 +88,6 @@ def cone_contains(gens: tuple, v) -> bool:
             and all(xl.dot(n, v) >= 0 for n in cone_facets(gens)))
 
 
-def cone_strongly_convex(gens: tuple) -> bool:
-    return not xl.cone_contains_line(list(gens))
-
-
 def cone_eq(gens_a: tuple, gens_b: tuple) -> bool:
     return (all(cone_contains(gens_b, g) for g in gens_a)
             and all(cone_contains(gens_a, g) for g in gens_b))
@@ -333,7 +329,7 @@ def validate_fan(F: Fan) -> list:
     cones = list(F.max_cones)
     for c in cones:
         gens = F.cone_gens(c)
-        if gens and not cone_strongly_convex(gens):
+        if gens and xl.cone_contains_line(list(gens)):
             violations.append(f"cone {c} is not strongly convex (contains a line)")
     if violations:
         return violations
@@ -367,6 +363,15 @@ def validate_fan(F: Fan) -> list:
             if all(cone_contains(gb, g) for g in ga):
                 violations.append(f"cone {cones[a]} is contained in cone {cones[b]}")
     return violations
+
+
+def certify_fan(F: Fan, what: str) -> Fan:
+    """F itself once `validate_fan` passes it; a fan built by the program
+    that breaks the axioms is a bug."""
+    bad = validate_fan(F)
+    if bad:
+        raise InvariantBreach(f"{what} invalid: {bad}")
+    return F
 
 
 @dataclass(frozen=True)
@@ -408,11 +413,9 @@ def star(F: Fan, tau) -> Fan:
         mf = minimal_face_containing(F.cone_gens(c), tgens)
         if mf is None or not cone_eq(tgens, mf):
             raise PreconditionError(f"{tau} is not a face of cone {c}")
-    out = quotient_fan(F, xl.quotient_projection(tgens, F.rank), holders)
-    bad = validate_fan(out)
-    if bad:
-        raise InvariantBreach(f"star fan invalid: {bad}")
-    return out
+    return certify_fan(
+        quotient_fan(F, xl.quotient_projection(tgens, F.rank), holders),
+        "star fan")
 
 
 def quotient_fan(F: Fan, P, cones) -> Fan:
@@ -651,10 +654,9 @@ def common_refinement(F1: Fan, F2: Fan):
     if not maximal:
         out = Fan(F1.rank, (), ())  # rank 0 gets the zero cone
         return out, identity_map(out, F1), identity_map(out, F2)
-    coarse = Fan(F1.rank, tuple(ray_list), tuple(sorted(set(cones))))
-    bad = validate_fan(coarse)
-    if bad:
-        raise InvariantBreach(f"refinement fan invalid: {bad}")
+    coarse = certify_fan(
+        Fan(F1.rank, tuple(ray_list), tuple(sorted(set(cones)))),
+        "refinement fan")
     fine, _ = qfactorialize(coarse)
     return fine, identity_map(fine, F1), identity_map(fine, F2)
 
@@ -744,7 +746,14 @@ class Wall:
 
 @lru_cache(maxsize=None)
 def walls(F: Fan) -> tuple:
-    """Codimension-1 faces shared by exactly two maximal cones."""
+    """Codimension-1 faces shared by exactly two maximal cones.
+
+    Precondition: F is a valid fan.  Then maximal cones of equal dimension d
+    whose shared rays span dimension d - 1 meet in the cone of those rays,
+    so no intersection is computed: the intersection is a face of both, not
+    all of either (maximal cones are not nested), so of dimension d - 1, and
+    each of its rays is a ray of both, that is, a shared ray.
+    """
     out = []
     for a, b in itertools.combinations(range(len(F.max_cones)), 2):
         ca, cb = F.max_cones[a], F.max_cones[b]
@@ -757,9 +766,7 @@ def walls(F: Fan) -> tuple:
         shared = tuple(sorted(set(ca) & set(cb)))
         sg = F.cone_gens(shared)
         if shared and cone_dim(sg) == da - 1:
-            inter = cone_intersection(ga, gb)
-            if cone_eq(inter, sg):
-                out.append(Wall(shared, ca, cb))
+            out.append(Wall(shared, ca, cb))
     return tuple(out)
 
 

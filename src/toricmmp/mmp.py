@@ -1,29 +1,30 @@
 """Extremal contractions, flips, the D-MMP driver, and the negativity oracle.
 
 The driver is the trichotomy loop: while the divisor is not nef over the
-base, contract a negative extremal ray; a fano contraction ends the run, a
-divisorial contraction drops the Picard rank by one, a flipping contraction
-is resolved by Reid's circuit construction: the wall relation
-sum a_i v_i = 0 swaps the triangulation of each merged cone from the
-positive to the negative side, and the divisor must be ample on the new
-cells over the small target (the certificate).  Every step is recorded with
-its certificates and termination is witnessed by a no-repeat set of fans.
+base, contract a negative extremal ray.  The signs of its wall relation
+sum a_i v_i = 0 give the kind (Reid 1983): no negative a_i is a fano
+contraction, which ends the run; one negative a_j is divisorial and drops
+v_j and the Picard rank by one; two or more make it flipping, and Reid's
+circuit construction swaps the triangulation of each merged cone from the
+positive to the negative side, where the divisor must be ample over the
+small target (the certificate).  Every step is recorded with its
+certificates and termination is witnessed by a no-repeat set of fans.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from . import exactlin as xl
-from .errors import InputError, InvariantBreach, PreconditionError
-from .fan import (Fan, FanMap, cone_dim, common_refinement, identity_map,
-                  quotient_fan, validate_fan)
+from .errors import InvariantBreach, PreconditionError
+from .fan import (Fan, FanMap, certify_fan, cone_dim, common_refinement,
+                  identity_map, quotient_fan)
 from .divisor import (InvariantDivisor, pullback, pushforward,
                       support_function, NotQCartier)
-from .curves import (CurveClass, Wall, contracted_walls, ne_cone, nefness,
+from .curves import (CurveClass, contracted_walls, ne_cone, nefness,
                      wall_relation, walls)
 
 
@@ -36,6 +37,7 @@ class ContractionResult:
     removed_ray: Optional[tuple] = None
     merged_cones: tuple = ()      # ray-index tuples in source indexing
     quotient_matrix: Optional[tuple] = None
+    relation: Optional[CurveClass] = None  # the walls' sum a_i v_i = 0
 
 
 def _merge_groups(F: Fan, wall_set):
@@ -75,61 +77,42 @@ def _section_of_projection(P):
 
 
 def contract(m: FanMap, wall_set) -> ContractionResult:
-    """Contract the extremal face spanned by the given walls.
+    """Contract the extremal ray whose walls are `wall_set`.
 
-    Maximal cones are merged transitively across the walls; the merged cone
-    decides the trichotomy: a line inside means fano (quotient lattice), an
-    interior ray means divisorial (ray removed), otherwise flipping (small,
-    non-simplicial target cone).
+    The walls must share one relation sum a_i v_i = 0, and maximal cones
+    merge across them.  Its signs give the kind (Reid 1983), with no search:
+    no negative a_i is fano, the quotient by the lattice of the rays J+ with
+    a_i > 0; one negative a_j is divisorial, and the target drops
+    v_j = sum (a_i / -a_j) v_i; two or more is flipping, and the merged
+    circuit cones stay whole in the small, non-simplicial target.
     """
     F = m.source
+    relations = {wall_relation(F, w) for w in wall_set}
+    if len(relations) != 1:
+        raise PreconditionError("the walls do not share one relation")
+    (rel,) = relations
+    j_plus = [i for i, a in enumerate(rel.coeffs) if a > 0]
+    j_minus = [i for i, a in enumerate(rel.coeffs) if a < 0]
+
+    if not j_minus:
+        P, Z = _fibration(m, [F.rays[i] for i in j_plus])
+        B = ()
+        if m.target.rank > 0:
+            s = _section_of_projection(P)
+            B = tuple(tuple(xl.dot(row, col) for col in zip(*s))
+                      for row in m.matrix)
+        return ContractionResult("fano", Z, FanMap(P, F, Z),
+                                 FanMap(B, Z, m.target),
+                                 quotient_matrix=tuple(P), relation=rel)
+
     merged = [g for g in _merge_groups(F, wall_set) if len(g) > 1]
-    if not merged:
-        raise PreconditionError("wall set contracts nothing")
     merged_ray_sets = [tuple(sorted(set(itertools.chain.from_iterable(g))))
                        for g in merged]
     merged_members = set(itertools.chain.from_iterable(merged))
     unmerged = [c for c in F.max_cones if c not in merged_members]
 
-    # fano: some merged cone contains a line
-    for rayset in merged_ray_sets:
-        gens = F.cone_gens(rayset)
-        circ = xl.positive_circuit_indices(list(gens))
-        if circ:
-            lin_gens = [gens[i] for i in circ]
-            P = xl.quotient_projection(lin_gens, F.rank)
-            if any(not xl.is_zero(xl.mat_vec(m.matrix, v)) for v in lin_gens) \
-                    and m.target.rank > 0:
-                raise InvariantBreach("contracted fibers are not vertical over the base")
-            Z = quotient_fan(F, P, F.max_cones)
-            bad = validate_fan(Z)
-            if bad:
-                raise InvariantBreach(f"fano quotient fan invalid: {bad}")
-            if m.target.rank == 0:
-                base = FanMap((), Z, m.target)
-            else:
-                s = _section_of_projection(P)
-                B = tuple(tuple(xl.dot(row, col) for col in zip(*s))
-                          for row in m.matrix)
-                base = FanMap(B, Z, m.target)
-            return ContractionResult("fano", Z, FanMap(P, F, Z), base,
-                                     quotient_matrix=tuple(P))
-
-    # divisorial: a merged cone with a non-extreme generator (the removed
-    # ray may sit inside a proper face, not only in the full interior)
-    interior = []
-    for rayset in merged_ray_sets:
-        gens = F.cone_gens(rayset)
-        ext = set(xl.extreme_rays(list(gens)))
-        for pos, i in enumerate(rayset):
-            if pos not in ext:
-                interior.append(i)
-    if interior:
-        # the same ray may be swallowed by several merged groups at once
-        if len(set(interior)) != 1:
-            raise PreconditionError(
-                "more than one interior ray; not an extremal-ray contraction")
-        ray = interior[0]
+    if len(j_minus) == 1:
+        (ray,) = j_minus
         survivors = [i for i in range(len(F.rays)) if i != ray]
         reindex = {old: new for new, old in enumerate(survivors)}
         new_cones = []
@@ -143,23 +126,30 @@ def contract(m: FanMap, wall_set) -> ContractionResult:
             if ray in c:
                 raise InvariantBreach("removed ray survives in an unmerged cone")
             new_cones.append(tuple(sorted(reindex[i] for i in c)))
-        Z = Fan(F.rank, tuple(F.rays[i] for i in survivors),
-                tuple(sorted(set(new_cones))))
-        bad = validate_fan(Z)
-        if bad:
-            raise InvariantBreach(f"divisorial target fan invalid: {bad}")
+        Z = certify_fan(Fan(F.rank, tuple(F.rays[i] for i in survivors),
+                            tuple(sorted(set(new_cones)))),
+                        "divisorial target fan")
         return ContractionResult("divisorial", Z, identity_map(F, Z),
                                  FanMap(m.matrix, Z, m.target),
-                                 removed_ray=F.rays[ray])
+                                 removed_ray=F.rays[ray], relation=rel)
 
-    # flipping: small, merged cones become non-simplicial
-    Z = Fan(F.rank, F.rays, tuple(sorted(set(merged_ray_sets + unmerged))))
-    bad = validate_fan(Z)
-    if bad:
-        raise InvariantBreach(f"flipping target fan invalid: {bad}")
+    Z = certify_fan(
+        Fan(F.rank, F.rays, tuple(sorted(set(merged_ray_sets + unmerged)))),
+        "flipping target fan")
     return ContractionResult("flipping", Z, identity_map(F, Z),
                              FanMap(m.matrix, Z, m.target),
-                             merged_cones=tuple(merged_ray_sets))
+                             merged_cones=tuple(merged_ray_sets), relation=rel)
+
+
+def _fibration(m: FanMap, lin_gens):
+    """(P, Z) for the fibration contracting the lines spanned by `lin_gens`,
+    which must lie in the fibres over the base: P projects onto the quotient
+    by their saturated lattice, Z is the fan of the images of all cones."""
+    F = m.source
+    P = xl.quotient_projection(lin_gens, F.rank)
+    if any(not xl.is_zero(xl.mat_vec(m.matrix, v)) for v in lin_gens):
+        raise InvariantBreach("contracted fibers are not vertical over the base")
+    return P, certify_fan(quotient_fan(F, P, F.max_cones), "fano quotient fan")
 
 
 # ---------------------------------------------------------------------------
@@ -177,20 +167,16 @@ def flip(m: FanMap, wall_set, D: InvariantDivisor):
     internal walls (ampleness over the small target).
     Returns (flipped fan, map to the small target, transported divisor).
     """
-    return _flip_contracted(m, wall_set, D, contract(m, wall_set))
+    return _flip_contracted(m, D, contract(m, wall_set))
 
 
-def _flip_contracted(m: FanMap, wall_set, D: InvariantDivisor, res):
-    """`flip`, given the ContractionResult `res` of `wall_set`."""
+def _flip_contracted(m: FanMap, D: InvariantDivisor, res):
+    """`flip`, given the ContractionResult `res` of the walls."""
     if res.kind != "flipping":
         raise PreconditionError(f"contraction is {res.kind}, not flipping")
     F = m.source
-    relations = {wall_relation(F, w) for w in wall_set}
-    if len(relations) != 1:
-        raise PreconditionError("the walls do not share one relation")
-    (rel,) = relations
-    j_plus = [i for i, a in enumerate(rel.coeffs) if a > 0]
-    j_minus = [i for i, a in enumerate(rel.coeffs) if a < 0]
+    j_plus = [i for i, a in enumerate(res.relation.coeffs) if a > 0]
+    j_minus = [i for i, a in enumerate(res.relation.coeffs) if a < 0]
     replacement = {}
     for rayset in res.merged_cones:
         original = {c for c in F.max_cones if set(c) <= set(rayset)}
@@ -202,9 +188,7 @@ def _flip_contracted(m: FanMap, wall_set, D: InvariantDivisor, res):
     Xp = _replace_cones(F, replacement)
     if not all(_ample_on_merged(Xp, D, rayset) for rayset in replacement):
         raise InvariantBreach("D is not ample on the flipped cells")
-    bad = validate_fan(Xp)
-    if bad:
-        raise InvariantBreach(f"flipped fan invalid: {bad}")
+    certify_fan(Xp, "flipped fan")
     if set(Xp.rays) != set(F.rays):
         raise InvariantBreach("flip changed the ray set")
     return Xp, identity_map(Xp, res.target), InvariantDivisor(D.coeffs)
@@ -330,7 +314,7 @@ def run_mmp(m: FanMap, D: InvariantDivisor, max_steps: int = 10000) -> MMPTrace:
             continue
 
         # flipping
-        Xp, to_w, Dp = _flip_contracted(cur_map, wall_set, cur_D, res)
+        Xp, to_w, Dp = _flip_contracted(cur_map, cur_D, res)
         new_map = FanMap(cur_map.matrix, Xp, cur_map.target)
         new_ne = ne_cone(new_map)
         if new_ne.rho != ne.rho:
@@ -377,8 +361,13 @@ def contract_face(m: FanMap, D: InvariantDivisor):
         if xl.solve_linear([F.rays[i] for i in rayset],
                            [-D.coeffs[i] for i in rayset]) is None:
             raise InvariantBreach("divisor does not descend to the merged cone")
-    if any(xl.cone_contains_line(list(F.cone_gens(rayset))) for rayset in merged):
-        return _contract_fibration_face(m, D, zero_walls)
+    for rayset in merged:
+        gens = list(F.cone_gens(rayset))
+        if xl.cone_contains_line(gens):
+            # a D-trivial face may carry several relations, so the lines
+            # come from this cone's positive circuits, not from one relation
+            lines = [gens[k] for k in xl.positive_circuit_indices(gens)]
+            return _contract_fibration_face(m, D, lines)
     ray_list, cones, coeff_at = [], [], {}
     for g in groups:
         rayset = tuple(sorted(set(itertools.chain.from_iterable(g))))
@@ -394,29 +383,23 @@ def contract_face(m: FanMap, D: InvariantDivisor):
                 coeff_at[r] = D.coeffs[i]
             idxs.append(ray_list.index(r))
         cones.append(tuple(sorted(idxs)))
-    Z = Fan(F.rank, tuple(ray_list), tuple(sorted(set(cones))))
-    bad = validate_fan(Z)
-    if bad:
-        raise InvariantBreach(f"ample model fan invalid: {bad}")
+    Z = certify_fan(Fan(F.rank, tuple(ray_list), tuple(sorted(set(cones)))),
+                    "ample model fan")
     Dz = InvariantDivisor(tuple(coeff_at[r] for r in Z.rays))
     return Z, identity_map(F, Z), Dz
 
 
-def _contract_fibration_face(m: FanMap, D: InvariantDivisor, zero_walls):
-    """Ample model when the D-trivial face is a fibration: some merged cone
-    contains a line, so the model lives in a quotient lattice."""
-    F = m.source
-    res = contract(m, zero_walls)
-    if res.kind != "fano":
-        raise InvariantBreach("line-containing merged cone did not yield a "
-                              "fibration contraction")
-    Z = res.target
-    if Z.rank == 0:
-        return Z, res.contraction, InvariantDivisor(())
-    s = _section_of_projection(res.quotient_matrix)
-    psi = support_function(F, D)
-    coeffs = tuple(-psi.value(xl.mat_vec(s, w)) for w in Z.rays)
-    return Z, res.contraction, InvariantDivisor(coeffs)
+def _contract_fibration_face(m: FanMap, D: InvariantDivisor, lines):
+    """Ample model when the D-trivial face is a fibration: a merged cone
+    contains the lines spanned by `lines`, so the model lives in a quotient
+    lattice."""
+    P, Z = _fibration(m, lines)
+    coeffs = ()
+    if Z.rank > 0:
+        s = _section_of_projection(P)
+        psi = support_function(m.source, D)
+        coeffs = tuple(-psi.value(xl.mat_vec(s, w)) for w in Z.rays)
+    return Z, FanMap(P, m.source, Z), InvariantDivisor(coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from typing import Optional
 
 from . import exactlin as xl
 from .errors import InputError, InvariantBreach, PreconditionError
-from .fan import (Fan, FanMap, cone_dim, identity_map, resolve, validate_fan)
+from .fan import Fan, FanMap, certify_fan, cone_dim, identity_map, resolve
 from .divisor import InvariantDivisor
 from .curves import NefVerdict, nefness
 from .mmp import MMPTrace, contract_face, run_mmp
@@ -97,11 +97,8 @@ def normal_fan(E) -> Fan:
         cone = tuple(sorted(idxs))
         if cone not in cones:
             cones.append(cone)
-    F = Fan(n, tuple(ray_list), tuple(sorted(cones)))
-    bad = validate_fan(F)
-    if bad:
-        raise InvariantBreach(f"normal fan invalid: {bad}")
-    return F
+    return certify_fan(Fan(n, tuple(ray_list), tuple(sorted(cones))),
+                       "normal fan")
 
 
 def _assert_ord_linear(E, F: Fan):

@@ -86,6 +86,7 @@ BAD_FILES = {
     "float_exponents.json": {"exponents": [[1, 0.5], [0, 2]]},
     "bool_exponents.json": {"exponents": [[1, True], [0, 2]]},
     "bool_coeffs.json": {"coeffs": [True, 0, 0]},
+    "p2_divisor.json": {"coeffs": [1, 0, 0]},
 }
 MALFORMED = (
     ["fan", "resolve", "--fan", "no_rays.json"],
@@ -116,6 +117,11 @@ MALFORMED = (
     ["sections", "--fan", "p2.json", "--divisor", "bool_coeffs.json"],
     ["sections", "--fan", "p2.json", "--box=2:-2,0:1"],  # reversed range
     ["corpus", "--count", "-1"],
+    ["mmp", "--fan", "p2.json", "--trace", "no_such_dir/trace.json"],
+    ["zariski", "--fan", "p2.json", "--divisor", "p2_divisor.json",
+     "--m-max", "0"],
+    ["zariski", "--fan", "p2.json", "--divisor", "p2_divisor.json",
+     "--m-max", "-1"],
     ["mmp"],
     ["no-such-command"],
 )

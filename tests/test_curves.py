@@ -2,11 +2,14 @@ from fractions import Fraction
 
 import pytest
 
+import mmp_oracle
+from toricmmp import corpus
 from toricmmp import curves as cv
 from toricmmp import divisor as dv
 from toricmmp.divisor import InvariantDivisor
 from toricmmp.errors import PreconditionError
 from toricmmp.fan import Fan, FanMap, map_to_point
+from toricmmp.mmp import run_mmp
 
 
 def test_walls_p2(p2):
@@ -22,6 +25,22 @@ def test_walls_f1(f1):
 def test_walls_quadric_triangulation(quadric_tri_a):
     ws = cv.walls(quadric_tri_a)
     assert len(ws) == 1 and ws[0].rays == (0, 3)
+
+
+def test_walls_match_intersection_oracle(p2, f1, blowup2, orthant2,
+                                        quadric_tri_a, quadric_cone_fan,
+                                        corpus65_map, a1xp1_over_a1):
+    # the desk fans, a fan with maximal cones of dimensions 2 and 3 that
+    # share a ray, then every fan an MMP of a corpus slice passes through
+    mixed = Fan(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, -1, -1)),
+                ((0, 1), (0, 2, 3)))
+    fans = [p2, f1, blowup2, orthant2, quadric_tri_a, quadric_cone_fan,
+            corpus65_map.source, a1xp1_over_a1.source, mixed]
+    for m, D in corpus.termination_instances(seed=20240801, count=24):
+        fans.append(m.source)
+        fans.extend(s.fan_after for s in run_mmp(m, D).steps)
+    for F in fans:
+        assert cv.walls(F) == mmp_oracle.walls(F), F
 
 
 def test_wall_relation_p2(p2):

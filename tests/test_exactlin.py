@@ -152,6 +152,24 @@ def test_extreme_rays_generate(gens):
 
 
 @st.composite
+def generator_lists(draw):
+    dim = draw(st.integers(min_value=1, max_value=4))
+    return draw(st.lists(st.tuples(*[st.integers(-3, 3)] * dim), max_size=6))
+
+
+@given(generator_lists())
+@example([])
+@example([(0, 0)])
+@example([(1, 0), (0, 1), (-1, -1)])  # the whole plane
+@example([(1, 0, 0), (0, 1, 0), (-1, -1, 0)])  # a plane inside 3-space
+@example([(1, 0), (-1, 0), (0, 1)])  # a halfplane
+@example([(1, 1), (2, 2)])
+@settings(max_examples=300, deadline=None)
+def test_cone_contains_line_matches_circuit_indices(gens):
+    assert xl.cone_contains_line(gens) == bool(xl.positive_circuit_indices(gens))
+
+
+@st.composite
 def halfspace_systems(draw):
     dim = draw(st.integers(min_value=1, max_value=4))
     coeff = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))

@@ -8,7 +8,7 @@ import covering_oracle
 from toricmmp import exactlin as xl
 from toricmmp import fan as fn
 from toricmmp.curves import contracted_walls
-from toricmmp.errors import InputError, PreconditionError
+from toricmmp.errors import InputError, InvariantBreach, PreconditionError
 from toricmmp.fan import Fan, FanMap, identity_map, map_to_point
 from toricmmp.mmp import contract
 
@@ -17,6 +17,7 @@ def test_validate_good(p2, f1, quadric_cone_fan):
     assert fn.validate_fan(p2) == []
     assert fn.validate_fan(f1) == []
     assert fn.validate_fan(quadric_cone_fan) == []
+    assert fn.certify_fan(p2, "plane") is p2
 
 
 def test_validate_line():
@@ -27,6 +28,8 @@ def test_validate_line():
 def test_validate_overlap():
     F = Fan(2, ((1, 0), (0, 1), (1, 1)), ((0, 1), (1, 2), (0, 2)))
     assert fn.validate_fan(F)  # overlapping cones
+    with pytest.raises(InvariantBreach):
+        fn.certify_fan(F, "overlapping fan")
 
 
 def test_validate_bad_ray():

@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+import mmp_oracle
 from covering_oracle import cone_covered_by_gens
+from toricmmp import corpus
 from toricmmp import divisor as dv
 from toricmmp import mmp
-from toricmmp.curves import contracted_walls, nefness
+from toricmmp.curves import contracted_walls, ne_cone, nefness
 from toricmmp.divisor import InvariantDivisor
 from toricmmp.errors import InvariantBreach, PreconditionError
 from toricmmp.fan import (Fan, FanMap, cone_dim, cone_eq, cone_intersection,
@@ -57,6 +59,31 @@ def test_contract_flipping_quadric(quadric_tri_a, quadric_cone_fan, quadric_map_
     res = contract(quadric_map_a, wall_set)
     assert res.kind == "flipping"
     assert res.target.canonical() == quadric_cone_fan.canonical()
+
+
+def test_contract_matches_lp_oracle(quadric_map_a, f1, p2, blowup_map,
+                                    corpus65_map):
+    # every extremal ray of each start map and every MMP step of a slice of
+    # the acceptance corpus, plus the desk examples
+    kinds = []
+    instances = corpus.termination_instances(seed=20240801, count=24)
+    starts = [quadric_map_a, map_to_point(f1), map_to_point(p2), blowup_map,
+              corpus65_map] + [m for m, _ in instances]
+    for m in starts:
+        for cls in ne_cone(m).extremal_rays:
+            kinds.append(mmp_oracle.check_contraction(m, cls))
+    for m, D in instances:
+        for cur, cls in mmp_oracle.step_maps(m, run_mmp(m, D)):
+            kinds.append(mmp_oracle.check_contraction(cur, cls))
+    assert set(kinds) == {"fano", "divisorial", "flipping"}
+
+
+def test_contract_requires_one_relation(f1):
+    m = map_to_point(f1)
+    with pytest.raises(PreconditionError):
+        contract(m, [w for w, _ in contracted_walls(m)])
+    with pytest.raises(PreconditionError):
+        contract(m, [])
 
 
 def test_flip_quadric(quadric_map_a, quadric_tri_b):

@@ -7,7 +7,8 @@ Left out of the default run by the `slow` marker; run it with
 Each instance is a seeded `corpus.random_complete_fan` (rank 3 with up to 9
 rays, or rank 4) mapped to a point, with a `corpus.random_divisor`.  The MMP
 must end, and its certificates are re-checked as in the acceptance corpus:
-nefness at a minimal end and negativity on every replayed flip.  The time
+nefness at a minimal end and negativity on every replayed flip.  Each
+step's contraction must also equal the LP oracle's (`mmp_oracle`).  The time
 per instance is printed, to find worst cases.  The seeds are fixed and are
 not to be chosen by their outcome.
 """
@@ -17,6 +18,7 @@ import time
 
 import pytest
 
+import mmp_oracle
 from test_acceptance import _check_flip_steps
 from toricmmp import corpus
 from toricmmp.curves import nefness
@@ -41,6 +43,8 @@ def test_mmp_stress(rank, nrays, seed):
     if trace.outcome == "minimal":
         assert nefness(trace.final_divisor, trace.final_map).nef
     _check_flip_steps(m, D, trace)
+    for cur, cls in mmp_oracle.step_maps(m, trace):
+        mmp_oracle.check_contraction(cur, cls)
     steps = ",".join(s.kind for s in trace.steps) or "none"
     print(f"\nrank {rank}, {len(F.rays)} rays, seed {seed}: steps {steps}, "
           f"{trace.outcome}, {time.perf_counter() - start:.2f} s")
