@@ -6,6 +6,17 @@ stored by generator list; faces are computed on demand from the dual
 description.  All values are immutable and all operations pure.  Apart from
 `validate_fan`, every operation expects valid fans: covering questions are
 answered by facet pairing (`cone_covered`), which relies on it.
+
+Fans are certified locally wherever the theory allows, with no pairwise
+double description.  A full-dimensional simplicial fan is valid by the
+triangulation criterion (De Loera-Rambau-Santos, *Triangulations*, 2010,
+ch. 4): its facets pair up with opposite orientation, unpaired facets lie on
+the boundary of the cone of all rays, and one point is covered once
+(`validate_fan`).  Where the caller knows that every pair of cones away
+from some given cones is fine, only the pairs through them are tested
+(`certify_local`).  Two valid fans share most cones in practice;
+`common_refinement` intersects only the cones they do not share, and
+`is_proper` cuts no source cone when the lattice map is onto.
 """
 
 from __future__ import annotations
@@ -223,7 +234,9 @@ class Fan:
 
     def __post_init__(self):
         rays = tuple(tuple(int(c) for c in r) for r in self.rays)
-        cones = tuple(tuple(sorted(set(int(i) for i in c))) for c in self.max_cones)
+        # a cone listed twice counts once; the first listing keeps its place
+        cones = tuple(dict.fromkeys(tuple(sorted(set(int(i) for i in c)))
+                                    for c in self.max_cones))
         object.__setattr__(self, "rays", rays)
         object.__setattr__(self, "max_cones", cones)
         for r in rays:
@@ -307,7 +320,23 @@ def map_to_point(source: Fan) -> FanMap:
 # ---------------------------------------------------------------------------
 
 def validate_fan(F: Fan) -> list:
-    """Fan axioms as a verdict list; empty iff F is a valid fan."""
+    """Fan axioms as a verdict list; empty iff F is a valid fan.
+
+    The ray checks run first.  A full-dimensional simplicial F that passes
+    them is then proved valid by the triangulation criterion
+    (`_triangulates`), which intersects no cones.  Any other F, and any F
+    the criterion does not prove, goes through the pairwise check
+    (`_cone_violations` on every cone and every pair of cones), which alone
+    writes the violations about cones.
+    """
+    violations = _ray_violations(F)
+    if violations or _triangulates(F):
+        return violations
+    n = len(F.max_cones)
+    return _cone_violations(F, range(n), itertools.combinations(range(n), 2))
+
+
+def _ray_violations(F: Fan) -> list:
     violations = []
     seen = {}
     for i, r in enumerate(F.rays):
@@ -323,26 +352,93 @@ def validate_fan(F: Fan) -> list:
     for i in range(len(F.rays)):
         if i not in used:
             violations.append(f"ray {i} occurs in no maximal cone")
-    if violations:
-        return violations
+    return violations
 
-    cones = list(F.max_cones)
-    for c in cones:
-        gens = F.cone_gens(c)
+
+def _simplicial_contains(gens: tuple, det: int, v) -> bool:
+    """Is v in the full-dimensional simplicial cone with generator rows
+    `gens` and determinant `det`?  By Cramer's rule v = sum t_i g_i with
+    t_i = det(gens with row i replaced by v) / det, so v lies in the cone
+    exactly when no such determinant has the opposite sign of `det`."""
+    return all(xl.integer_det(gens[:i] + (v,) + gens[i + 1:]) * det >= 0
+               for i in range(len(gens)))
+
+
+def _triangulates(F: Fan) -> bool:
+    """Does the triangulation criterion prove F, whose rays passed the ray
+    checks, a valid fan?  False means undecided, not invalid.
+
+    It applies when every maximal cone is full-dimensional and simplicial
+    (rank rays, nonzero determinant).  Such cones form a fan exactly when
+    (De Loera-Rambau-Santos, *Triangulations*, 2010, ch. 4):
+    - every facet (a cone minus one ray) lies in at most two cones;
+    - across a shared facet the two opposite rays lie on opposite sides,
+      that is, their determinants with the facet have opposite signs;
+    - a facet with one owner lies in a facet of C = cone(all rays);
+    - one interior point of one cone lies in no other cone.
+    Why: the number of cones covering a point of C off the codimension-2
+    faces does not change across a paired facet and no unpaired facet
+    meets the interior of C, so it is the same everywhere, and it is one
+    at the chosen point.  The cones then cover C with disjoint interiors,
+    meeting facet to facet.  A fan whose support is not convex fails the
+    third test and is left to the pairwise check.
+    """
+    n = F.rank
+    if n == 0 or not F.max_cones:
+        return False
+    dets = []
+    for c in F.max_cones:
+        if len(c) != n:
+            return False
+        det = xl.integer_det(F.cone_gens(c))
+        if det == 0:
+            return False
+        dets.append(det)
+    normals = None  # facet normals of C, computed on the first unpaired facet
+    for facet, owners in _facet_owners(F).items():
+        fg = F.cone_gens(facet)
+        if len(owners) == 2:
+            a, b = (xl.integer_det(
+                fg + F.cone_gens(set(F.max_cones[k]) - set(facet)))
+                for k in owners)
+            if a * b >= 0:
+                return False
+        elif len(owners) == 1:
+            if normals is None:
+                normals, _ = xl.extreme_rays_of_halfspaces(F.rays, (), n)
+            if not any(all(xl.dot(u, g) == 0 for g in fg) for u in normals):
+                return False
+        else:
+            return False
+    gens0 = F.cone_gens(F.max_cones[0])
+    p = tuple(sum(col) for col in zip(*gens0))
+    return not any(_simplicial_contains(F.cone_gens(c), det, p)
+                   for c, det in zip(F.max_cones[1:], dets[1:]))
+
+
+def _cone_violations(F: Fan, cones, pairs) -> list:
+    """The fan axioms on the maximal cones with indices `cones` and on the
+    pairs of maximal cones with indices `pairs` (a < b): strong convexity
+    and extreme generators of each such cone, then for each pair a common
+    face as intersection and no containment either way.  Violations come in
+    index order, as the whole-fan check lists them."""
+    cones = sorted(cones)
+    pairs = sorted(pairs)
+    mc = F.max_cones
+    violations = []
+    for i in cones:
+        gens = F.cone_gens(mc[i])
         if gens and xl.cone_contains_line(list(gens)):
-            violations.append(f"cone {c} is not strongly convex (contains a line)")
+            violations.append(
+                f"cone {mc[i]} is not strongly convex (contains a line)")
     if violations:
         return violations
-
-    for c in cones:
-        gens = F.cone_gens(c)
-        if not gens:
-            continue
-        ext = set(xl.extreme_rays(gens))
-        if len(ext) != len(gens):
-            violations.append(f"cone {c} lists a non-extreme generator")
-    for a, b in itertools.combinations(range(len(cones)), 2):
-        ga, gb = F.cone_gens(cones[a]), F.cone_gens(cones[b])
+    for i in cones:
+        gens = F.cone_gens(mc[i])
+        if gens and len(set(xl.extreme_rays(gens))) != len(gens):
+            violations.append(f"cone {mc[i]} lists a non-extreme generator")
+    for a, b in pairs:
+        ga, gb = F.cone_gens(mc[a]), F.cone_gens(mc[b])
         if not ga or not gb:
             continue
         inter = cone_intersection(ga, gb)
@@ -356,12 +452,12 @@ def validate_fan(F: Fan) -> list:
             ok = fa == () and fb == ()
         if not ok:
             violations.append(
-                f"cones {cones[a]} and {cones[b]} do not intersect in a common face")
-    for a, b in itertools.permutations(range(len(cones)), 2):
-        ga, gb = F.cone_gens(cones[a]), F.cone_gens(cones[b])
-        if ga and gb and set(cones[a]) != set(cones[b]):
+                f"cones {mc[a]} and {mc[b]} do not intersect in a common face")
+    for a, b in sorted(pairs + [(b, a) for a, b in pairs]):
+        ga, gb = F.cone_gens(mc[a]), F.cone_gens(mc[b])
+        if ga and gb and set(mc[a]) != set(mc[b]):
             if all(cone_contains(gb, g) for g in ga):
-                violations.append(f"cone {cones[a]} is contained in cone {cones[b]}")
+                violations.append(f"cone {mc[a]} is contained in cone {mc[b]}")
     return violations
 
 
@@ -369,6 +465,25 @@ def certify_fan(F: Fan, what: str) -> Fan:
     """F itself once `validate_fan` passes it; a fan built by the program
     that breaks the axioms is a bug."""
     bad = validate_fan(F)
+    if bad:
+        raise InvariantBreach(f"{what} invalid: {bad}")
+    return F
+
+
+def certify_local(F: Fan, cones, what: str) -> Fan:
+    """`certify_fan` for a fan that is valid away from the maximal cones
+    `cones` (ray tuples): their strong convexity and extreme generators,
+    and each pair of one of them with a maximal cone sharing a ray with it.
+
+    Precondition, which the caller proves: the rays pass the ray checks,
+    two cones not in `cones` meet in a common face, and a cone in `cones`
+    meets every cone sharing no ray with it only in 0.
+    """
+    idx = [F.max_cones.index(c) for c in cones]
+    near = {tuple(sorted((a, b))) for a in idx
+            for b in range(len(F.max_cones))
+            if b != a and set(F.max_cones[a]) & set(F.max_cones[b])}
+    bad = _cone_violations(F, idx, near)
     if bad:
         raise InvariantBreach(f"{what} invalid: {bad}")
     return F
@@ -617,27 +732,42 @@ def total_multiplicity(F: Fan) -> int:
 # ---------------------------------------------------------------------------
 
 def common_refinement(F1: Fan, F2: Fan):
-    """Simplicial common refinement of two fans with equal support.
+    """Simplicial common refinement of two valid fans with equal support.
 
     Cones are the pairwise intersections, triangulated with no rays beyond
     the intersections' extreme rays.  Returns (fan, map to F1, map to F2).
+
+    A cone of both fans is its own piece: it meets every other cone of
+    either fan in a proper face of itself, which is no maximal piece.  So
+    only the cones the fans do not share are intersected, and only they
+    are checked to be covered by their pieces; the proper faces left out
+    have lower dimension, which `cone_covered` ignores.  The pieces keep
+    the order of the whole table of intersections (row by row), so the
+    rays of the refinement come in the same order.
     """
     if F1.rank != F2.rank:
         raise PreconditionError("fans live in different lattices")
     cov1 = [F1.cone_gens(c) for c in F1.max_cones]
     cov2 = [F2.cone_gens(c) for c in F2.max_cones]
-    # table[i][j] = cov1[i] meet cov2[j]; row i cuts F2 down to cov1[i]
-    table = [[cone_intersection(g1, g2) for g2 in cov2] for g1 in cov1]
-    for g1, row in zip(cov1, table):
+    in2 = {frozenset(g) for g in cov2}
+    shared = in2.intersection(frozenset(g) for g in cov1)
+    rest1 = [g for g in cov1 if frozenset(g) not in shared]
+    rest2 = [g for g in cov2 if frozenset(g) not in shared]
+    # table[i][j] = rest1[i] meet rest2[j]; row i cuts F2 down to rest1[i]
+    table = [[cone_intersection(g1, g2) for g2 in rest2] for g1 in rest1]
+    for g1, row in zip(rest1, table):
         if g1 and not cone_covered_by_gens(g1, row):
             raise PreconditionError("fan supports differ")
-    for j, g2 in enumerate(cov2):
+    for j, g2 in enumerate(rest2):
         if g2 and not cone_covered_by_gens(g2, [row[j] for row in table]):
             raise PreconditionError("fan supports differ")
+    rows = iter(table)
     pieces = []
-    for inter in itertools.chain.from_iterable(table):
-        if inter and inter not in pieces:
-            pieces.append(inter)
+    for g1 in cov1:
+        row = [tuple(sorted(g1))] if frozenset(g1) in shared else next(rows)
+        for inter in row:
+            if inter and inter not in pieces:
+                pieces.append(inter)
     maximal = []
     for p in pieces:
         if not any(q != p and all(cone_contains(q, g) for g in p) for q in pieces):
@@ -708,30 +838,50 @@ def _facet_owners(F: Fan) -> dict:
     return seen
 
 
+def _within(gens: tuple, ineqs, eqs) -> bool:
+    """Do all of `gens` satisfy ineqs >= 0 and eqs = 0?"""
+    return (all(xl.dot(r, g) >= 0 for r in ineqs for g in gens)
+            and all(xl.dot(z, g) == 0 for z in eqs for g in gens))
+
+
 def _cut(gens: tuple, ineqs, eqs, dim) -> tuple:
     """Generators of cone(gens) intersected with {ineqs >= 0, eqs = 0}."""
-    if (all(xl.dot(r, g) >= 0 for r in ineqs for g in gens)
-            and all(xl.dot(z, g) == 0 for z in eqs for g in gens)):
+    if _within(gens, ineqs, eqs):
         return gens
     return _h_to_gens(list(cone_facets(gens)) + list(ineqs),
                       list(cone_span_perp(gens)) + list(eqs), dim)
 
 
 def is_proper(m: FanMap) -> bool:
-    """Preimage of the target support equals the source support (the source
-    must be a valid fan): for each target cone, the source cones cut by its
-    preimage Q must cover Q (`cone_covered`)."""
+    """Preimage of the target support equals the source support: for each
+    target cone tc, the source cones cut by its preimage Q = A^-1(tc) must
+    cover Q (`cone_covered`).  Precondition: source and target are valid
+    fans.
+
+    When A is onto (rank A = target rank), no cone is cut.  A source cone
+    whose image lies in tc lies in Q and stays whole; every other one is
+    dropped.  Why that is safe: its image lies in another maximal target
+    cone tc', so its cut lies in A^-1(tc meet tc'), where tc meet tc' is a
+    proper face of tc (the target is a valid fan).  As A is onto, the
+    preimage of that face is a face of Q of lower dimension, and
+    `cone_covered` ignores cells of lower dimension.  A map that is not
+    onto can keep a full cut in such a face, so it cuts every cone.
+    """
     if not is_toric_morphism(m):
         return False
     n = m.source.rank
     At = xl.transpose(m.matrix)
+    onto = m.target.rank == 0 or xl.rank(m.matrix) == m.target.rank
+    sources = [m.source.cone_gens(c) for c in m.source.max_cones]
     for tc in m.target.max_cones:
         tg = m.target.cone_gens(tc)
         # rows of (facet o A): facet-normal composed with the lattice map
         ineqs = [tuple(xl.mat_vec(At, f)) for f in cone_facets(tg)]
         eqs = [tuple(xl.mat_vec(At, z)) for z in cone_span_perp(tg)]
-        cells = [_cut(m.source.cone_gens(c), ineqs, eqs, n)
-                 for c in m.source.max_cones]
+        if onto:
+            cells = [g for g in sources if _within(g, ineqs, eqs)]
+        else:
+            cells = [_cut(g, ineqs, eqs, n) for g in sources]
         if not cone_covered(ineqs, eqs, n, cells):
             return False
     return True

@@ -20,8 +20,8 @@ from typing import Optional
 
 from . import exactlin as xl
 from .errors import InvariantBreach, PreconditionError
-from .fan import (Fan, FanMap, certify_fan, cone_dim, common_refinement,
-                  identity_map, quotient_fan)
+from .fan import (Fan, FanMap, certify_fan, certify_local, cone_dim,
+                  common_refinement, identity_map, quotient_fan)
 from .divisor import (InvariantDivisor, pullback, pushforward,
                       support_function, NotQCartier)
 from .curves import (CurveClass, contracted_walls, ne_cone, nefness,
@@ -84,7 +84,11 @@ def contract(m: FanMap, wall_set) -> ContractionResult:
     no negative a_i is fano, the quotient by the lattice of the rays J+ with
     a_i > 0; one negative a_j is divisorial, and the target drops
     v_j = sum (a_i / -a_j) v_i; two or more is flipping, and the merged
-    circuit cones stay whole in the small, non-simplicial target.
+    circuit cones stay whole in the small, non-simplicial target.  Each
+    merged cone must have rank + 1 rays and be cut by F into the cells
+    rayset - {j}, j in J+; then it is the union of those cells (the two
+    triangulations of a circuit cover the same cone), and the target is
+    certified step-locally (`certify_local`).
     """
     F = m.source
     relations = {wall_relation(F, w) for w in wall_set}
@@ -133,9 +137,18 @@ def contract(m: FanMap, wall_set) -> ContractionResult:
                                  FanMap(m.matrix, Z, m.target),
                                  removed_ray=F.rays[ray], relation=rel)
 
-    Z = certify_fan(
+    for rayset in merged_ray_sets:
+        original = {c for c in F.max_cones if set(c) <= set(rayset)}
+        if (len(rayset) != F.rank + 1
+                or original != _circuit_cells(rayset, j_plus)):
+            raise InvariantBreach(
+                f"merged cone {rayset} is not the J+ side of a circuit")
+    # each merged cone is the union of its cells, cones of the valid F, so
+    # it meets a cone sharing no ray with it only in 0, and two unmerged
+    # cones are cones of F: only pairs through a merged cone need the test
+    Z = certify_local(
         Fan(F.rank, F.rays, tuple(sorted(set(merged_ray_sets + unmerged)))),
-        "flipping target fan")
+        merged_ray_sets, "flipping target fan")
     return ContractionResult("flipping", Z, identity_map(F, Z),
                              FanMap(m.matrix, Z, m.target),
                              merged_cones=tuple(merged_ray_sets), relation=rel)
@@ -175,16 +188,10 @@ def _flip_contracted(m: FanMap, D: InvariantDivisor, res):
     if res.kind != "flipping":
         raise PreconditionError(f"contraction is {res.kind}, not flipping")
     F = m.source
-    j_plus = [i for i, a in enumerate(res.relation.coeffs) if a > 0]
     j_minus = [i for i, a in enumerate(res.relation.coeffs) if a < 0]
-    replacement = {}
-    for rayset in res.merged_cones:
-        original = {c for c in F.max_cones if set(c) <= set(rayset)}
-        if (len(rayset) != F.rank + 1
-                or original != _circuit_cells(rayset, j_plus)):
-            raise InvariantBreach(
-                f"merged cone {rayset} is not the J+ side of a circuit")
-        replacement[rayset] = _circuit_cells(rayset, j_minus)
+    # `contract` checked that each merged cone is the J+ side of a circuit
+    replacement = {rayset: _circuit_cells(rayset, j_minus)
+                   for rayset in res.merged_cones}
     Xp = _replace_cones(F, replacement)
     if not all(_ample_on_merged(Xp, D, rayset) for rayset in replacement):
         raise InvariantBreach("D is not ample on the flipped cells")

@@ -1,0 +1,332 @@
+"""Local fan certification against the whole-fan oracles.
+
+`validate_fan` proves full-dimensional simplicial fans by the triangulation
+criterion, `contract` certifies a flipping target only around its merged
+cones, `common_refinement` intersects only unshared cones and `is_proper`
+cuts no cone under an onto map.  Each is checked here against the routine
+it replaced (`fan_oracle`, `covering_oracle`) on a slice of the acceptance
+corpus and on mutated fans, and a guard makes sure the MMP never falls
+back to the pairwise check on the fans the fast paths cover.
+"""
+
+import itertools
+import random
+
+import pytest
+
+import covering_oracle
+import fan_oracle
+import mmp_oracle
+from toricmmp import corpus
+from toricmmp import fan as fn
+from toricmmp import mmp
+from toricmmp.curves import contracted_walls
+from toricmmp.errors import InvariantBreach
+from toricmmp.fan import Fan, FanMap
+from test_acceptance import _check_flip_steps
+
+# every sixth instance of the corpus is a complete 3-fold; the slice holds
+# four of them, the first flips and every kind of instance
+SLICE = range(24)
+
+
+@pytest.fixture(scope="module")
+def instances():
+    return corpus.termination_instances(seed=20240801, count=100)
+
+
+def _full_dim_simplicial(F):
+    return F.rank > 0 and bool(F.max_cones) and fn._full_dim_simplicial(F)
+
+
+def mutate(rng, F):
+    """A random small change of F, often leaving it no fan: a cone dropped,
+    added or widened, two cones merged, a ray of a cone swapped or a ray
+    vector moved."""
+    cones = list(F.max_cones)
+    rays = list(F.rays)
+    kind = rng.randrange(6)
+    if kind == 0 and len(cones) > 1:
+        cones.pop(rng.randrange(len(cones)))
+    elif kind == 1:
+        cones.append(tuple(rng.sample(range(len(rays)), min(F.rank, len(rays)))))
+    elif kind == 2:
+        k = rng.randrange(len(cones))
+        cones[k] = tuple(set(cones[k]) | {rng.randrange(len(rays))})
+    elif kind == 3 and len(cones) > 1:
+        a, b = rng.sample(range(len(cones)), 2)
+        cones[a] = tuple(set(cones[a]) | set(cones[b]))
+        cones.pop(b)
+    elif kind == 4:
+        k = rng.randrange(len(cones))
+        c = list(cones[k])
+        if c:
+            c[rng.randrange(len(c))] = rng.randrange(len(rays))
+        cones[k] = tuple(c)
+    else:
+        i = rng.randrange(len(rays))
+        v = list(rays[i])
+        v[rng.randrange(F.rank)] += rng.choice((-1, 1))
+        rays[i] = tuple(v)
+    return Fan(F.rank, tuple(rays), tuple(cones))
+
+
+def _flip_contractions(instances, indices):
+    """(map, ContractionResult) of every flipping step of the MMP runs."""
+    out = []
+    for k in indices:
+        m, D = instances[k]
+        trace = mmp.run_mmp(m, D)
+        for cur, cls in mmp_oracle.step_maps(m, trace):
+            wall_set = [w for w, c in contracted_walls(cur) if c == cls]
+            res = mmp.contract(cur, wall_set)
+            if res.kind == "flipping":
+                out.append((cur, res, trace))
+    return out
+
+
+# -- the triangulation criterion ----------------------------------------------
+
+# five rays winding twice around the origin: every facet is paired with
+# opposite orientation, but every point is covered twice
+PENTAGRAM = Fan(2, ((1, 0), (-4, 3), (1, -3), (1, 3), (-4, -3)),
+                ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4)))
+# a fold: the cones at ray 2 lie on the same side of it, the first cone's
+# ray sum is covered once, and the sector between rays 3 and 2 three times
+FOLD = Fan(2, ((1, 0), (-1, 2), (-1, -2), (-3, -1), (1, -2)),
+           ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4)))
+# two cones overlapping between (1, 2) and (0, 1): no facet is shared, the
+# ray sum (1, 1) of the first lies outside the second, but the facet (0, 1)
+# lies inside the upper half-plane C
+OVERLAP = Fan(2, ((1, 0), (0, 1), (1, 2), (-1, 0)), ((0, 1), (2, 3)))
+# a valid fan whose support (three quarters of the plane) is not convex
+THREE_QUARTERS = Fan(2, ((1, 0), (0, 1), (-1, 0), (0, -1)),
+                     ((0, 1), (1, 2), (2, 3)))
+
+
+def test_criterion_rejects_double_cover_fold_and_inner_facet():
+    for F in (PENTAGRAM, FOLD, OVERLAP):
+        assert fn._ray_violations(F) == []
+        assert not fn._triangulates(F)
+        bad = fn.validate_fan(F)
+        assert bad and bad == fan_oracle.validate_fan(F)
+
+
+def test_criterion_leaves_nonconvex_support_to_the_pairwise_check():
+    assert not fn._triangulates(THREE_QUARTERS)
+    assert fn.validate_fan(THREE_QUARTERS) == []
+
+
+def test_criterion_proves_valid_fans(p2, f1, quadric_tri_a, quadric_tri_b,
+                                     orthant2, blowup2):
+    for F in (p2, f1, quadric_tri_a, quadric_tri_b, orthant2, blowup2):
+        assert fn._triangulates(F)
+    # not full-dimensional or not simplicial: undecided
+    assert not fn._triangulates(Fan(2, ((1, 0),), ((0,),)))
+    assert not fn._triangulates(
+        Fan(3, ((0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)), ((0, 1, 2, 3),)))
+
+
+def test_cone_listed_twice_counts_once(p2):
+    F = Fan(2, p2.rays, ((0, 1), (1, 2), (0, 2), (1, 0)))
+    assert F.max_cones == ((0, 1), (1, 2), (0, 2))
+    assert fn.validate_fan(F) == []
+
+
+def test_validate_matches_pairwise_oracle(instances):
+    # every fan the slice's MMP runs validate, and six mutations of each
+    seen = {}
+    orig = fn.validate_fan
+
+    def record(F):
+        seen.setdefault(F, None)
+        return orig(F)
+
+    try:
+        fn.validate_fan = record
+        for k in SLICE:
+            mmp.run_mmp(*instances[k])
+    finally:
+        fn.validate_fan = orig
+    rng = random.Random(7)
+    fans = list(seen) + [mutate(rng, F) for F in seen if F.rays
+                         for _ in range(6)]
+    fast = invalid = 0
+    for F in fans:
+        got = fn.validate_fan(F)
+        assert got == fan_oracle.validate_fan(F), F
+        invalid += bool(got)
+        fast += not fn._ray_violations(F) and fn._triangulates(F)
+    # 218 fans: 82 invalid, 89 proved by the criterion
+    assert invalid >= 60 and fast >= 60
+
+
+# -- the flipping target --------------------------------------------------------
+
+def test_flipping_target_matches_validate_fan(instances):
+    flips = _flip_contractions(instances, SLICE)
+    assert len(flips) >= 3
+    rng = random.Random(11)
+    verdicts = set()
+    for cur, res, _ in flips:
+        Z = res.target
+        assert fan_oracle.validate_fan(Z) == []
+        # widen a merged cone by a ray of a cone next to it
+        for rayset in res.merged_cones:
+            near = sorted({i for c in Z.max_cones if set(c) & set(rayset)
+                           for i in c} - set(rayset))
+            for extra in rng.sample(near, min(2, len(near))):
+                wide = tuple(sorted(rayset + (extra,)))
+                cones = [wide if c == rayset else c for c in Z.max_cones]
+                W = Fan(Z.rank, Z.rays, tuple(sorted(set(cones))))
+                if wide not in W.max_cones:
+                    continue
+                try:
+                    fn.certify_local(W, [wide], "widened target")
+                    ok = True
+                except InvariantBreach:
+                    ok = False
+                assert ok == (fan_oracle.validate_fan(W) == []), W
+                verdicts.add(ok)
+        # put a cell of the source back next to the merged cone holding it
+        cell = next(c for c in cur.source.max_cones
+                    if set(c) <= set(res.merged_cones[0]))
+        W = Fan(Z.rank, Z.rays, Z.max_cones + (cell,))
+        with pytest.raises(InvariantBreach, match="contained"):
+            fn.certify_local(W, res.merged_cones, "target with a cell")
+    assert False in verdicts
+
+
+# -- common refinement ----------------------------------------------------------
+
+def _refinement_calls(instances, indices):
+    """The (X, X') pairs `verify_negativity` refines when every flipping step
+    of the slice's MMP runs is re-derived, as the acceptance gate does."""
+    seen = []
+    orig = mmp.common_refinement
+
+    def record(F1, F2):
+        seen.append((F1, F2))
+        return orig(F1, F2)
+
+    try:
+        mmp.common_refinement = record
+        for k in indices:
+            m, D = instances[k]
+            _check_flip_steps(m, D, mmp.run_mmp(m, D))
+    finally:
+        mmp.common_refinement = orig
+    return seen
+
+
+def test_common_refinement_matches_full_table(instances, monkeypatch):
+    pairs = _refinement_calls(instances, SLICE)
+    assert len(pairs) >= 3
+    for F1, F2 in pairs:
+        assert fn.common_refinement(F1, F2) == fan_oracle.common_refinement(F1, F2)
+    # cones the two fans share are not intersected; a fan refined with
+    # itself intersects nothing
+    calls = []
+    orig = fn.cone_intersection
+    monkeypatch.setattr(fn, "cone_intersection",
+                        lambda a, b: calls.append(1) or orig(a, b))
+    for F1, F2 in pairs:
+        calls.clear()
+        fn.common_refinement(F1, F2)
+        shared = ({frozenset(F1.cone_gens(c)) for c in F1.max_cones}
+                  & {frozenset(F2.cone_gens(c)) for c in F2.max_cones})
+        assert len(calls) == ((len(F1.max_cones) - len(shared))
+                              * (len(F2.max_cones) - len(shared)))
+    F = instances[3][0].source
+    calls.clear()
+    R, _, _ = fn.common_refinement(F, F)
+    assert calls == [] and R.canonical() == F.canonical()
+    # a shared cone is a piece with its generators sorted, so the rays of
+    # the refinement come in the same order as from the whole table
+    G = Fan(2, ((1, 1), (1, 0), (0, 1)), ((0, 1), (0, 2)))
+    H = Fan(2, G.rays + ((1, 2),), ((0, 1), (0, 3), (2, 3)))
+    for F1, F2 in ((G, G), (G, H), (H, G)):
+        assert fn.common_refinement(F1, F2) == \
+            fan_oracle.common_refinement(F1, F2)
+
+
+# -- properness -------------------------------------------------------------------
+
+def test_is_proper_matches_covering_oracle(instances, blowup_map, orthant2,
+                                           a1xp1_over_a1):
+    maps = [blowup_map, a1xp1_over_a1,
+            FanMap(((1, 0), (0, 1)), Fan(2, ((1, 0),), ((0,),)), orthant2)]
+    for k in SLICE[:12]:
+        m = instances[k][0]
+        maps.append(m)
+        # a source with one cone missing is no longer proper over the base
+        if len(m.source.max_cones) > 1:
+            maps.append(FanMap(m.matrix, Fan(m.source.rank, m.source.rays,
+                                             m.source.max_cones[1:]), m.target))
+    for cur, res, _ in _flip_contractions(instances, SLICE):
+        maps.append(res.contraction)
+        maps.append(res.base_map)
+    verdicts = []
+    for m in maps:
+        got = fn.is_proper(m)
+        assert got == covering_oracle.is_proper(m), m
+        verdicts.append(got)
+    assert set(verdicts) == {True, False}
+
+
+def test_is_proper_cuts_under_a_map_that_is_not_onto():
+    # x -> (x1, 0) from the plane onto a line of the Hirzebruch fan.  The
+    # preimage of cone((0, 1), (-1, 1)) is the x2-axis; no source cone maps
+    # into that cone, but their cuts cover the axis, so the map is proper
+    plane = Fan(2, ((1, 0), (0, 1), (-1, 0), (0, -1)),
+                ((0, 1), (1, 2), (2, 3), (0, 3)))
+    hirzebruch = Fan(2, ((1, 0), (0, 1), (-1, 1), (0, -1)),
+                     ((0, 1), (1, 2), (2, 3), (0, 3)))
+    m = FanMap(((1, 0), (0, 0)), plane, hirzebruch)
+    assert fn.is_toric_morphism(m)
+    assert fn.is_proper(m) and covering_oracle.is_proper(m)
+    half = FanMap(m.matrix, Fan(2, plane.rays[:3], ((0, 1), (1, 2))), hirzebruch)
+    assert not fn.is_proper(half) and not covering_oracle.is_proper(half)
+
+
+# -- no silent fallback to the pairwise check -------------------------------------
+
+def test_no_pairwise_check_on_simplicial_fans_or_flipping_targets(
+        instances, monkeypatch):
+    calls = []
+    orig = fn._cone_violations
+
+    def spy(F, cones, pairs):
+        pairs = list(pairs)
+        calls.append((F, pairs))
+        return orig(F, cones, pairs)
+
+    monkeypatch.setattr(fn, "_cone_violations", spy)
+    targets = {}
+    orig_contract = mmp.contract
+
+    def record(m, wall_set):
+        res = orig_contract(m, wall_set)
+        if res.kind == "flipping":
+            targets[res.target] = {res.target.max_cones.index(r)
+                                   for r in res.merged_cones}
+        return res
+
+    monkeypatch.setattr(mmp, "contract", record)
+    for k in SLICE:
+        m, D = instances[k]
+        _check_flip_steps(m, D, mmp.run_mmp(m, D))
+    assert len(targets) >= 3
+    unmerged_pairs = 0
+    for F, pairs in calls:
+        assert not _full_dim_simplicial(F), F
+        if F in targets:
+            merged = targets[F]
+            assert all(a in merged or b in merged for a, b in pairs), F
+    for Z, merged in targets.items():
+        unmerged_pairs += any(a not in merged and b not in merged
+                              for a, b in itertools.combinations(
+                                  range(len(Z.max_cones)), 2))
+    # the guard is not vacuous: the targets were checked, and some target
+    # has a pair of unmerged cones
+    assert any(F in targets for F, _ in calls) and unmerged_pairs > 0

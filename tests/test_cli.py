@@ -146,6 +146,18 @@ def test_fan_qfactorialize(tmp_path, capsys):
     assert len(data["fan"]["cones"]) == 2
 
 
+def test_cone_listed_twice_counts_once(tmp_path, capsys):
+    twice = dict(P2, cones=P2["cones"] + [[1, 0]])
+    f = _write(tmp_path, "twice.json", twice)
+    div = _write(tmp_path, "d.json", {"coeffs": ["1", "1", "1"]})
+    code, out = _run(capsys, ["fan", "validate", "--fan", f])
+    assert code == 0 and json.loads(out)["valid"] is True
+    code, out = _run(capsys, ["fan", "qfactorialize", "--fan", f])
+    assert code == 0 and json.loads(out)["fan"]["cones"] == P2["cones"]
+    code, out = _run(capsys, ["mmp", "--fan", f, "--divisor", div])
+    assert code == 0 and json.loads(out)["final_fan"]["cones"] == P2["cones"]
+
+
 def test_ne_cone_f1(tmp_path, capsys):
     f = _write(tmp_path, "f1.json", F1)
     code, out = _run(capsys, ["ne-cone", "--fan", f])

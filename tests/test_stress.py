@@ -5,7 +5,7 @@ Left out of the default run by the `slow` marker; run it with
     python3 -m pytest -m slow -s tests/test_stress.py
 
 Each instance is a seeded `corpus.random_complete_fan` (rank 3 with up to 9
-rays, or rank 4) mapped to a point, with a `corpus.random_divisor`.  The MMP
+rays, or rank 4 or 5) mapped to a point, with a `corpus.random_divisor`.  The MMP
 must end, and its certificates are re-checked as in the acceptance corpus:
 nefness at a minimal end and negativity on every replayed flip.  Each
 step's contraction must also equal the LP oracle's (`mmp_oracle`).  The time
@@ -25,7 +25,8 @@ from toricmmp.curves import nefness
 from toricmmp.fan import map_to_point
 from toricmmp.mmp import run_mmp
 
-CASES = [(3, nrays) for nrays in range(5, 10)] + [(4, nrays) for nrays in (6, 7)]
+CASES = ([(3, nrays) for nrays in range(5, 10)] + [(4, nrays) for nrays in (6, 7)]
+         + [(5, nrays) for nrays in (7, 8)])
 SEEDS = range(3)
 
 
