@@ -369,12 +369,13 @@ def _triangulates(F: Fan) -> bool:
     checks, a valid fan?  False means undecided, not invalid.
 
     It applies when every maximal cone is full-dimensional and simplicial
-    (rank rays, nonzero determinant).  Such cones form a fan exactly when
-    (De Loera-Rambau-Santos, *Triangulations*, 2010, ch. 4):
+    (rank rays, nonzero determinant).  Such cones form a fan with support
+    C = cone(all rays) exactly when (De Loera-Rambau-Santos,
+    *Triangulations*, 2010, ch. 4):
     - every facet (a cone minus one ray) lies in at most two cones;
     - across a shared facet the two opposite rays lie on opposite sides,
       that is, their determinants with the facet have opposite signs;
-    - a facet with one owner lies in a facet of C = cone(all rays);
+    - a facet with one owner lies in a facet of C;
     - one interior point of one cone lies in no other cone.
     Why: the number of cones covering a point of C off the codimension-2
     faces does not change across a paired facet and no unpaired facet
