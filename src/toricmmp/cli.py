@@ -16,13 +16,11 @@ from . import mmp as mmp_mod
 from . import newton as newton_mod
 from . import sections as sections_mod
 from . import singularities as sing_mod
-from .curves import ne_cone, nefness
-from .divisor import (InvariantDivisor, canonical_divisor, sections_basis,
-                      sections_polytope, support_function, zero_divisor,
-                      NotQCartier)
+from .curves import ne_cone
+from .divisor import (canonical_divisor, sections_basis, sections_polytope,
+                      zero_divisor)
 from .errors import InputError, InvariantBreach, PreconditionError
-from .fan import (Fan, FanMap, check_morphism, identity_map, map_to_point,
-                  qfactorialize, resolve, validate_fan)
+from .fan import Fan, map_to_point, qfactorialize, resolve, validate_fan
 
 
 def _valid(F: Fan, what="fan") -> Fan:

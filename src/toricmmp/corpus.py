@@ -15,8 +15,7 @@ from fractions import Fraction
 
 from . import exactlin as xl
 from .errors import InvariantBreach
-from .fan import Fan, FanMap, identity_map, map_to_point, star_subdivision, \
-    validate_fan
+from .fan import Fan, FanMap, map_to_point, star_subdivision, validate_fan
 from .divisor import InvariantDivisor
 
 

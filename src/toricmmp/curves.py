@@ -93,11 +93,10 @@ class NECone:
 
 
 def ne_cone(m: FanMap) -> NECone:
-    flags = check_morphism(m)
-    if not flags.projective:
+    pairs = contracted_walls(m)
+    if not check_morphism(m).projective:
         raise PreconditionError("map must be projective (strong convexity of "
                                 "the Mori cone needs an ample divisor)")
-    pairs = contracted_walls(m)
     classes = []
     for _, c in pairs:
         if c not in classes:

@@ -11,10 +11,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
 
 from . import exactlin as xl
-from .errors import InputError, InvariantBreach, PreconditionError
+from .errors import InputError, PreconditionError
 from .fan import Fan, FanMap, cone_contains
 
 

@@ -16,13 +16,15 @@ the boundary of the cone of all rays, and one point is covered once
 from some given cones is fine, only the pairs through them are tested
 (`certify_local`).  Two valid fans share most cones in practice;
 `common_refinement` intersects only the cones they do not share, and
-`is_proper` cuts no source cone when the lattice map is onto.
+`is_proper` cuts no source cone when the lattice map is onto.  Walls, the
+triangulation criterion and the projectivity LP read one facet map
+(`_facet_owners`).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -172,6 +174,16 @@ def _h_to_gens(ineqs, eqs, dim):
     return tuple(gens)
 
 
+def _facets_of(items: tuple, gens: tuple) -> list:
+    """The facets of the cone spanned by `gens`, each as the sub-tuple of
+    `items` (one item per generator) lying on it: a simplicial cone's by
+    dropping one generator, any other cone's from `cone_facets`."""
+    if len(gens) == cone_dim(gens):
+        return [items[:i] + items[i + 1:] for i in range(len(items))]
+    return [tuple(x for x, g in zip(items, gens) if xl.dot(n, g) == 0)
+            for n in cone_facets(gens)]
+
+
 def cone_covered(ineqs, eqs, dim, cells: Sequence[tuple]) -> bool:
     """Is the (possibly non-pointed) cone C = {x : ineqs >= 0, eqs = 0} the
     union of `cells`?
@@ -195,12 +207,7 @@ def cone_covered(ineqs, eqs, dim, cells: Sequence[tuple]) -> bool:
         return False
     owners = {}  # facet generator set -> d-dimensional cells having it
     for c in full.values():
-        if len(c) == d:  # simplicial: one facet per omitted generator
-            facets = [c[:i] + c[i + 1:] for i in range(d)]
-        else:
-            facets = [[g for g in c if xl.dot(n, g) == 0]
-                      for n in cone_facets(c)]
-        for facet in facets:
+        for facet in _facets_of(c, c):
             owners.setdefault(frozenset(facet), []).append(c)
     for facet, holders in owners.items():
         if len(holders) == 2:
@@ -445,12 +452,11 @@ def _cone_violations(F: Fan, cones, pairs) -> list:
         inter = cone_intersection(ga, gb)
         fa = minimal_face_containing(ga, inter)
         fb = minimal_face_containing(gb, inter)
-        ok = (fa is not None and fb is not None
-              and (not inter or (cone_eq(inter, fa) and cone_eq(inter, fb)))
-              and (inter or (not fa and not fb) or (fa == () and fb == ()))
-              )
         if inter == ():
             ok = fa == () and fb == ()
+        else:
+            ok = (fa is not None and fb is not None
+                  and cone_eq(inter, fa) and cone_eq(inter, fb))
         if not ok:
             violations.append(
                 f"cones {mc[a]} and {mc[b]} do not intersect in a common face")
@@ -640,14 +646,10 @@ def qfactorialize(F: Fan):
     """Small projective Q-factorialization: simplicial fan with the same rays
     and support, via a regular triangulation from deterministic generic
     lifting heights.  Returns (fan, refinement map); identity when already
-    simplicial."""
-    fan, fmap, _ = qfactorialize_with_heights(F)
-    return fan, fmap
-
-
-def qfactorialize_with_heights(F: Fan):
+    simplicial.  The wall LP of `check_morphism` certifies the map
+    projective."""
     if F.is_simplicial():
-        return F, identity_map(F, F), None
+        return F, identity_map(F, F)
     for c in _PRIMES:
         heights = {i: Fraction(c) ** (i + 1) for i in range(len(F.rays))}
         new_cones = []
@@ -668,31 +670,8 @@ def qfactorialize_with_heights(F: Fan):
         bad = validate_fan(out)
         if bad:
             continue
-        return out, identity_map(out, F), heights
+        return out, identity_map(out, F)
     raise InvariantBreach("no generic lifting heights found")
-
-
-def wall_convexity_certificate(F: Fan, triangulated: Fan, heights) -> bool:
-    """Check strict convexity of the lifting across every internal wall of
-    every subdivided cone (the projectivity certificate)."""
-    if heights is None:
-        return True
-    for cone in F.max_cones:
-        cells = [c for c in triangulated.max_cones
-                 if set(c) <= set(cone)]
-        for c1, c2 in itertools.combinations(cells, 2):
-            shared = set(c1) & set(c2)
-            gens = triangulated.cone_gens(tuple(sorted(shared)))
-            if len(shared) != len(c1) - 1 or cone_dim(triangulated.cone_gens(c1)) - 1 != cone_dim(gens):
-                continue
-            sg = triangulated.cone_gens(c1)
-            rows = list(sg) + list(cone_span_perp(F.cone_gens(cone)))
-            rhs = [heights[i] for i in c1] + [Fraction(0)] * (len(rows) - len(c1))
-            m = xl.solve_linear(rows, rhs)
-            for j in set(c2) - shared:
-                if not xl.dot(m, triangulated.rays[j]) < heights[j]:
-                    return False
-    return True
 
 
 def resolve(F: Fan):
@@ -828,15 +807,15 @@ def _full_dim_simplicial(F: Fan) -> bool:
 
 
 def _facet_owners(F: Fan) -> dict:
-    """Map each codimension-one ray subset of a maximal cone to the indices of
-    the maximal cones having it as a facet.  Only meaningful when every
-    maximal cone is simplicial and full dimensional."""
-    seen = {}
+    """The facet map: each facet of a maximal cone, as its sorted ray
+    indices, to the indices of the maximal cones having it as a facet, in
+    increasing order.  Facets come in first-seen order, cone by cone
+    (`_facets_of`).  F's non-simplicial cones must be strongly convex."""
+    owners = {}
     for ci, c in enumerate(F.max_cones):
-        for drop in c:
-            s = tuple(sorted(set(c) - {drop}))
-            seen.setdefault(s, []).append(ci)
-    return seen
+        for facet in _facets_of(c, F.cone_gens(c)):
+            owners.setdefault(facet, []).append(ci)
+    return owners
 
 
 def _within(gens: tuple, ineqs, eqs) -> bool:
@@ -897,37 +876,37 @@ class Wall:
 
 @lru_cache(maxsize=None)
 def walls(F: Fan) -> tuple:
-    """Codimension-1 faces shared by exactly two maximal cones.
+    """Codimension-1 faces shared by two maximal cones: for each nonempty
+    facet of the facet map (`_facet_owners`), every pair (a, b), a < b, of
+    its owners, with the walls in the order of (a, b).
 
-    Precondition: F is a valid fan.  Then maximal cones of equal dimension d
-    whose shared rays span dimension d - 1 meet in the cone of those rays,
-    so no intersection is computed: the intersection is a face of both, not
-    all of either (maximal cones are not nested), so of dimension d - 1, and
-    each of its rays is a ray of both, that is, a shared ray.
+    Precondition: F is a valid fan.  Then two maximal cones meet in a face
+    of both, so they share at most one facet, and a cone's facet is the
+    cone of the rays lying on it; no intersection is computed.
     """
-    out = []
-    for a, b in itertools.combinations(range(len(F.max_cones)), 2):
-        ca, cb = F.max_cones[a], F.max_cones[b]
-        ga, gb = F.cone_gens(ca), F.cone_gens(cb)
-        if not ga or not gb:
-            continue
-        da = cone_dim(ga)
-        if cone_dim(gb) != da:
-            continue
-        shared = tuple(sorted(set(ca) & set(cb)))
-        sg = F.cone_gens(shared)
-        if shared and cone_dim(sg) == da - 1:
-            out.append(Wall(shared, ca, cb))
-    return tuple(out)
+    found = []
+    for facet, owners in _facet_owners(F).items():
+        if facet:
+            found += [(a, b, facet) for k, a in enumerate(owners)
+                      for b in owners[k + 1:]]
+    return tuple(Wall(facet, F.max_cones[a], F.max_cones[b])
+                 for a, b, facet in sorted(found))
 
 
-def _wall_lp_certificate(m: FanMap):
-    """Divisor coefficients strictly positive on every contracted wall class.
-    Requires a simplicial source with full-dimensional maximal cones, where
-    any coefficient vector defines a piecewise linear support function and
-    positivity on the wall class equals strict convexity across the wall.
-    NotImplemented means the structure fell outside that case."""
+def projectivity_certificate(m: FanMap) -> Optional[tuple]:
+    """Divisor coefficients strictly positive on every contracted wall class,
+    found by an exact LP with one row per contracted wall of the facet map
+    (in its order), or None when infeasible.
+
+    Precondition, else PreconditionError: every maximal cone of the source
+    is simplicial and full dimensional.  Then every coefficient vector
+    defines a piecewise linear support function, and positivity on a wall
+    class is strict convexity across the wall.
+    """
     F = m.source
+    if not _full_dim_simplicial(F):
+        raise PreconditionError("projectivity needs a simplicial source with "
+                                "full-dimensional cones")
     nr = len(F.rays)
     ineqs = []
     for s, owners in _facet_owners(F).items():
@@ -937,19 +916,12 @@ def _wall_lp_certificate(m: FanMap):
         union = tuple(sorted(set(ca) | set(cb)))
         if _maps_into(m, F.cone_gens(union)) is None:
             continue
-        ker = xl.integer_kernel(xl.transpose([F.rays[i] for i in union]))
-        if len(ker) != 1:
-            return NotImplemented
-        a = list(ker[0])
+        (a,) = xl.integer_kernel(xl.transpose([F.rays[i] for i in union]))
         off = next(i for i in ca if i not in s)
-        ap = a[union.index(off)]
-        if ap == 0:
-            return NotImplemented
-        if ap < 0:
-            a = [-x for x in a]
+        sign = 1 if a[union.index(off)] > 0 else -1
         row = [Fraction(0)] * nr
         for pos, i in enumerate(union):
-            row[i] = Fraction(a[pos])
+            row[i] = Fraction(sign * a[pos])
         ineqs.append((tuple(row), Fraction(1)))
     sol = xl.feasible_point(ineqs, (), nr)
     if sol is None:
@@ -957,58 +929,13 @@ def _wall_lp_certificate(m: FanMap):
     return tuple(sol)
 
 
-def projectivity_certificate(m: FanMap) -> Optional[tuple]:
-    """Divisor coefficients strictly positive on every contracted wall, found
-    by an exact LP over per-cone covectors, or None when infeasible."""
-    F = m.source
-    if F.max_cones and _full_dim_simplicial(F):
-        fast = _wall_lp_certificate(m)
-        if fast is not NotImplemented:
-            return fast
-    ncones = len(F.max_cones)
-    nvar = ncones * F.rank
-    if nvar == 0:
-        return tuple()
-
-    def var(ci, k):
-        return ci * F.rank + k
-
-    eqs, ineqs = [], []
-    idx = {c: i for i, c in enumerate(F.max_cones)}
-    for a, b in itertools.combinations(F.max_cones, 2):
-        for i in set(a) & set(b):
-            row = [Fraction(0)] * nvar
-            for k in range(F.rank):
-                row[var(idx[a], k)] += F.rays[i][k]
-                row[var(idx[b], k)] -= F.rays[i][k]
-            eqs.append((tuple(row), Fraction(0)))
-    for w in walls(F):
-        ca, cb = w.side_a, w.side_b
-        both = tuple(sorted(set(ca) | set(cb)))
-        if _maps_into(m, F.cone_gens(both)) is None:
-            continue
-        for (cone_in, cone_out) in ((ca, cb), (cb, ca)):
-            for j in set(cone_out) - set(w.rays):
-                row = [Fraction(0)] * nvar
-                for k in range(F.rank):
-                    row[var(idx[cone_in], k)] += F.rays[j][k]
-                    row[var(idx[cone_out], k)] -= F.rays[j][k]
-                ineqs.append((tuple(row), Fraction(1)))
-    sol = xl.feasible_point(ineqs, eqs, dim=nvar)
-    if sol is None:
-        return None
-    coeffs = [Fraction(0)] * len(F.rays)
-    for ci, cone in enumerate(F.max_cones):
-        for i in cone:
-            coeffs[i] = -sum(sol[var(ci, k)] * F.rays[i][k] for k in range(F.rank))
-    return tuple(coeffs)
-
-
 @lru_cache(maxsize=None)
 def check_morphism(m: FanMap) -> MorphismFlags:
+    """Toric, proper and projective flags of m.  Only a proper map gets a
+    `projectivity_certificate`, which needs its scope."""
     toric = is_toric_morphism(m)
     proper = is_proper(m) if toric else False
-    cert = projectivity_certificate(m) if toric else None
+    cert = projectivity_certificate(m) if proper else None
     return MorphismFlags(toric=toric, proper=proper,
                          projective=cert is not None,
                          ample_certificate=cert)

@@ -20,12 +20,12 @@ from typing import Optional
 
 from . import exactlin as xl
 from .errors import InvariantBreach, PreconditionError
-from .fan import (Fan, FanMap, certify_fan, certify_local, cone_dim,
+from .fan import (Fan, FanMap, Wall, certify_fan, certify_local, cone_dim,
                   common_refinement, identity_map, quotient_fan)
 from .divisor import (InvariantDivisor, pullback, pushforward,
-                      support_function, NotQCartier)
+                      support_function)
 from .curves import (CurveClass, contracted_walls, ne_cone, nefness,
-                     wall_relation, walls)
+                     wall_relation)
 
 
 @dataclass(frozen=True)
@@ -180,11 +180,14 @@ def flip(m: FanMap, wall_set, D: InvariantDivisor):
     internal walls (ampleness over the small target).
     Returns (flipped fan, map to the small target, transported divisor).
     """
-    return _flip_contracted(m, D, contract(m, wall_set))
+    return _flip_contracted(m, D, contract(m, wall_set))[:3]
 
 
 def _flip_contracted(m: FanMap, D: InvariantDivisor, res):
-    """`flip`, given the ContractionResult `res` of the walls."""
+    """`flip`, given the ContractionResult `res` of the walls, and D's value
+    on the new internal walls.  These are read off the circuit: the wall
+    rayset - {j, k} between the cells rayset - {j} and rayset - {k}, for
+    j, k in J-; the new fan is simplicial, so D is Q-Cartier on it."""
     if res.kind != "flipping":
         raise PreconditionError(f"contraction is {res.kind}, not flipping")
     F = m.source
@@ -193,12 +196,19 @@ def _flip_contracted(m: FanMap, D: InvariantDivisor, res):
     replacement = {rayset: _circuit_cells(rayset, j_minus)
                    for rayset in res.merged_cones}
     Xp = _replace_cones(F, replacement)
-    if not all(_ample_on_merged(Xp, D, rayset) for rayset in replacement):
-        raise InvariantBreach("D is not ample on the flipped cells")
+    for rayset in replacement:
+        for j, k in itertools.combinations(j_minus, 2):
+            wall = Wall(tuple(i for i in rayset if i not in (j, k)),
+                        tuple(i for i in rayset if i != j),
+                        tuple(i for i in rayset if i != k))
+            positive = wall_relation(Xp, wall).pair(D)
+            if positive <= 0:
+                raise InvariantBreach("D is not ample on the flipped cells")
     certify_fan(Xp, "flipped fan")
     if set(Xp.rays) != set(F.rays):
         raise InvariantBreach("flip changed the ray set")
-    return Xp, identity_map(Xp, res.target), InvariantDivisor(D.coeffs)
+    return (Xp, identity_map(Xp, res.target), InvariantDivisor(D.coeffs),
+            positive)
 
 
 def _circuit_cells(rayset, side) -> set:
@@ -218,20 +228,6 @@ def _replace_cones(F: Fan, replacement) -> Fan:
         if c not in merged_members:
             new_cones.append(c)
     return Fan(F.rank, F.rays, tuple(sorted(set(new_cones))))
-
-
-def _ample_on_merged(F: Fan, D: InvariantDivisor, rayset) -> bool:
-    """Q-Cartier and strictly positive on every wall interior to
-    cone(rayset)."""
-    try:
-        support_function(F, D)
-    except NotQCartier:
-        return False
-    for w in walls(F):
-        if set(w.side_a) <= set(rayset) and set(w.side_b) <= set(rayset):
-            if wall_relation(F, w).pair(D) <= 0:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -321,19 +317,11 @@ def run_mmp(m: FanMap, D: InvariantDivisor, max_steps: int = 10000) -> MMPTrace:
             continue
 
         # flipping
-        Xp, to_w, Dp = _flip_contracted(cur_map, cur_D, res)
+        Xp, to_w, Dp, pos = _flip_contracted(cur_map, cur_D, res)
         new_map = FanMap(cur_map.matrix, Xp, cur_map.target)
         new_ne = ne_cone(new_map)
         if new_ne.rho != ne.rho:
             raise InvariantBreach("flip must preserve rho")
-        pos = None
-        for w in walls(Xp):
-            both = set(w.side_a) | set(w.side_b)
-            if any(both <= set(rs) for rs in res.merged_cones):
-                val = wall_relation(Xp, w).pair(Dp)
-                if val <= 0:
-                    raise InvariantBreach("flipped divisor not positive on new wall")
-                pos = val
         key = Xp.canonical()
         if key in seen:
             raise InvariantBreach("fan repeated; termination violated")

@@ -10,14 +10,13 @@ verified here.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from . import exactlin as xl
-from .errors import InputError, InvariantBreach, PreconditionError
-from .fan import Fan, FanMap, certify_fan, cone_dim, identity_map, resolve
+from .errors import InputError, InvariantBreach
+from .fan import Fan, FanMap, certify_fan, resolve
 from .divisor import InvariantDivisor
 from .curves import NefVerdict, nefness
 from .mmp import MMPTrace, contract_face, run_mmp

@@ -9,10 +9,7 @@ extreme rays, fundamental parallelepipeds, irreducibility pruning).
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from . import exactlin as xl
@@ -20,7 +17,7 @@ from .errors import InputError, InvariantBreach, PreconditionError
 from .fan import (Fan, FanMap, common_refinement, identity_map,
                   parallelepiped_points, qfactorialize, resolve)
 from .divisor import (InvariantDivisor, check_divisor, pullback, round_down,
-                      sections_polytope, support_function, zero_divisor)
+                      sections_polytope, support_function)
 from .curves import nefness
 from .mmp import contract_face, run_mmp
 

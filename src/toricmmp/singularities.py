@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import exactlin as xl
-from .errors import InputError, PreconditionError
+from .errors import InputError
 from .fan import Fan, cone_facets, cone_span_perp
 from .divisor import (InvariantDivisor, canonical_divisor, check_divisor,
                       support_function, NotQCartier)

@@ -6,14 +6,22 @@ fan with every cone of the other.  These are the routines `fan` ran before
 it proved simplicial fans by the triangulation criterion and refined only
 the cones two fans do not share.  (`covering_oracle.is_proper` is the
 oracle for `fan.is_proper`.)
+
+`projectivity_certificate` is the covector LP `fan` ran before the wall LP
+on the facet map: one covector per maximal cone, equal on shared rays and
+strictly convex across every contracted wall.  It needs no simplicial
+source, so it checks the wall LP's verdict independently.
 """
 
 import itertools
+from fractions import Fraction
 
+from toricmmp import exactlin as xl
 from toricmmp import fan as fn
 from toricmmp.errors import PreconditionError
-from toricmmp.fan import (Fan, certify_fan, cone_contains, cone_covered_by_gens,
-                          cone_intersection, identity_map, qfactorialize)
+from toricmmp.fan import (Fan, FanMap, _maps_into, certify_fan, cone_contains,
+                          cone_covered_by_gens, cone_intersection,
+                          identity_map, qfactorialize, walls)
 
 
 def validate_fan(F: Fan) -> list:
@@ -62,3 +70,46 @@ def common_refinement(F1: Fan, F2: Fan):
         "refinement fan")
     fine, _ = qfactorialize(coarse)
     return fine, identity_map(fine, F1), identity_map(fine, F2)
+
+
+def projectivity_certificate(m: FanMap):
+    """Divisor coefficients strictly positive on every contracted wall, found
+    by an exact LP over per-cone covectors, or None when infeasible."""
+    F = m.source
+    ncones = len(F.max_cones)
+    nvar = ncones * F.rank
+    if nvar == 0:
+        return tuple()
+
+    def var(ci, k):
+        return ci * F.rank + k
+
+    eqs, ineqs = [], []
+    idx = {c: i for i, c in enumerate(F.max_cones)}
+    for a, b in itertools.combinations(F.max_cones, 2):
+        for i in set(a) & set(b):
+            row = [Fraction(0)] * nvar
+            for k in range(F.rank):
+                row[var(idx[a], k)] += F.rays[i][k]
+                row[var(idx[b], k)] -= F.rays[i][k]
+            eqs.append((tuple(row), Fraction(0)))
+    for w in walls(F):
+        ca, cb = w.side_a, w.side_b
+        both = tuple(sorted(set(ca) | set(cb)))
+        if _maps_into(m, F.cone_gens(both)) is None:
+            continue
+        for (cone_in, cone_out) in ((ca, cb), (cb, ca)):
+            for j in set(cone_out) - set(w.rays):
+                row = [Fraction(0)] * nvar
+                for k in range(F.rank):
+                    row[var(idx[cone_in], k)] += F.rays[j][k]
+                    row[var(idx[cone_out], k)] -= F.rays[j][k]
+                ineqs.append((tuple(row), Fraction(1)))
+    sol = xl.feasible_point(ineqs, eqs, dim=nvar)
+    if sol is None:
+        return None
+    coeffs = [Fraction(0)] * len(F.rays)
+    for ci, cone in enumerate(F.max_cones):
+        for i in cone:
+            coeffs[i] = -sum(sol[var(ci, k)] * F.rays[i][k] for k in range(F.rank))
+    return tuple(coeffs)

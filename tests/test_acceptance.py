@@ -97,6 +97,8 @@ def _check_flip_steps(m, D, trace):
             E = verify_negativity((F0, f, D0),
                                   (s.fan_after, g, s.divisor_after))
             assert E.is_effective() and not E.is_zero()
+            # the new walls carry the circuit relation with the other sign
+            assert s.flip_positive_value == -s.value
         F0, D0 = s.fan_after, s.divisor_after
 
 

@@ -9,7 +9,7 @@ from toricmmp import divisor as dv
 from toricmmp.divisor import InvariantDivisor
 from toricmmp.errors import PreconditionError
 from toricmmp.fan import Fan, FanMap, map_to_point
-from toricmmp.mmp import run_mmp
+from toricmmp.mmp import contract, contract_face, run_mmp
 
 
 def test_walls_p2(p2):
@@ -31,14 +31,27 @@ def test_walls_match_intersection_oracle(p2, f1, blowup2, orthant2,
                                         quadric_tri_a, quadric_cone_fan,
                                         corpus65_map, a1xp1_over_a1):
     # the desk fans, a fan with maximal cones of dimensions 2 and 3 that
-    # share a ray, then every fan an MMP of a corpus slice passes through
+    # share a ray, the fan over the faces of a cube (no simplicial cone),
+    # then every fan an MMP of a corpus slice passes through, with its
+    # contraction targets and ample models
     mixed = Fan(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, -1, -1)),
                 ((0, 1), (0, 2, 3)))
+    corners = [(x, y, z) for x in (1, -1) for y in (1, -1) for z in (1, -1)]
+    cube = Fan(3, corners, [[i for i, v in enumerate(corners) if v[k] == s]
+                            for k in range(3) for s in (1, -1)])
     fans = [p2, f1, blowup2, orthant2, quadric_tri_a, quadric_cone_fan,
-            corpus65_map.source, a1xp1_over_a1.source, mixed]
+            corpus65_map.source, a1xp1_over_a1.source, mixed, cube]
     for m, D in corpus.termination_instances(seed=20240801, count=24):
+        trace = run_mmp(m, D)
         fans.append(m.source)
-        fans.extend(s.fan_after for s in run_mmp(m, D).steps)
+        fans.extend(s.fan_after for s in trace.steps)
+        for cur, cls in mmp_oracle.step_maps(m, trace):
+            wall_set = [w for w, c in cv.contracted_walls(cur) if c == cls]
+            fans.append(contract(cur, wall_set).target)
+        if trace.outcome == "minimal":
+            fans.append(contract_face(trace.final_map, trace.final_divisor)[0])
+    assert sum(not F.is_simplicial() for F in fans) >= 6
+    assert len(cv.walls(cube)) == 12
     for F in fans:
         assert cv.walls(F) == mmp_oracle.walls(F), F
 

@@ -5,12 +5,16 @@ import pytest
 
 import cone_oracle
 import covering_oracle
+import fan_oracle
+import mmp_oracle
+from toricmmp import corpus
+from toricmmp import curves as cv
 from toricmmp import exactlin as xl
 from toricmmp import fan as fn
 from toricmmp.curves import contracted_walls
 from toricmmp.errors import InputError, InvariantBreach, PreconditionError
 from toricmmp.fan import Fan, FanMap, identity_map, map_to_point
-from toricmmp.mmp import contract
+from toricmmp.mmp import contract, run_mmp
 
 
 def test_validate_good(p2, f1, quadric_cone_fan):
@@ -93,18 +97,19 @@ def test_qfactorialize(quadric_cone_fan, quadric_tri_a, quadric_tri_b):
 
 
 def test_qfactorialize_certificate(quadric_cone_fan):
-    Q, _, h = fn.qfactorialize_with_heights(quadric_cone_fan)
-    assert fn.wall_convexity_certificate(quadric_cone_fan, Q, h)
+    Q, _ = fn.qfactorialize(quadric_cone_fan)
+    I = xl.identity_matrix(3)
+    assert fn.check_morphism(FanMap(I, Q, quadric_cone_fan)).projective
 
 
 def test_qfactorialize_cube_cone():
     cube = tuple((x, y, z, 1) for x in (0, 1) for y in (0, 1) for z in (0, 1))
     C = Fan(4, cube, (tuple(range(8)),))
-    Q, _, h = fn.qfactorialize_with_heights(C)
+    Q, _ = fn.qfactorialize(C)
     assert Q.is_simplicial()
     assert set(Q.rays) == set(cube)
     assert fn.validate_fan(Q) == []
-    assert fn.wall_convexity_certificate(C, Q, h)
+    assert fn.check_morphism(FanMap(xl.identity_matrix(4), Q, C)).projective
 
 
 def test_resolve_smooth_fixed_point(p2):
@@ -184,6 +189,8 @@ def test_check_morphism_not_proper(orthant2):
     half = Fan(2, ((1, 0),), ((0,),))
     flags = fn.check_morphism(FanMap(((1, 0), (0, 1)), half, orthant2))
     assert flags.toric and not flags.proper
+    # only a proper map is certified projective
+    assert not flags.projective and flags.ample_certificate is None
 
 
 def test_check_morphism_not_toric(p2, orthant2):
@@ -299,3 +306,69 @@ def test_ample_certificate_is_strictly_convex(p2):
     d = flags.ample_certificate
     # strictly positive against the single curve class (1,1,1)
     assert sum(d) > 0
+
+
+# De Loera-Rambau-Santos's "mother of all examples" (Triangulations, 2010):
+# the triangle with corners 0, 1, 2 and the three inner points 3, 4, 5, at
+# height one.  Its eight triangulations that use every point, mapped onto
+# the cone of the triangle; the two rotational ones are not regular, so
+# their maps are proper and not projective.
+MOTHER_RAYS = ((0, 0, 1), (4, 0, 1), (0, 4, 1), (1, 1, 1), (2, 1, 1),
+               (1, 2, 1))
+MOTHER_ROTATIONAL = (
+    ((0, 1, 3), (0, 2, 5), (0, 3, 5), (1, 2, 4), (1, 3, 4), (2, 4, 5),
+     (3, 4, 5)),
+    ((0, 1, 4), (0, 2, 3), (0, 3, 4), (1, 2, 5), (1, 4, 5), (2, 3, 5),
+     (3, 4, 5)))
+MOTHER_REGULAR = (
+    ((0, 1, 3), (0, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 5), (2, 4, 5),
+     (3, 4, 5)),
+    ((0, 1, 3), (0, 2, 3), (1, 2, 5), (1, 3, 4), (1, 4, 5), (2, 3, 5),
+     (3, 4, 5)),
+    ((0, 1, 3), (0, 2, 5), (0, 3, 5), (1, 2, 5), (1, 3, 4), (1, 4, 5),
+     (3, 4, 5)),
+    ((0, 1, 4), (0, 2, 3), (0, 3, 4), (1, 2, 4), (2, 3, 5), (2, 4, 5),
+     (3, 4, 5)),
+    ((0, 1, 4), (0, 2, 5), (0, 3, 4), (0, 3, 5), (1, 2, 4), (2, 4, 5),
+     (3, 4, 5)),
+    ((0, 1, 4), (0, 2, 5), (0, 3, 4), (0, 3, 5), (1, 2, 5), (1, 4, 5),
+     (3, 4, 5)))
+
+
+def _mother_map(cells):
+    triangle = Fan(3, MOTHER_RAYS[:3], ((0, 1, 2),))
+    return FanMap(xl.identity_matrix(3), Fan(3, MOTHER_RAYS, cells), triangle)
+
+
+@pytest.mark.parametrize("cells", MOTHER_ROTATIONAL + MOTHER_REGULAR)
+def test_mother_of_all_examples(cells):
+    m = _mother_map(cells)
+    assert fn.validate_fan(m.source) == []
+    flags = fn.check_morphism(m)
+    projective = cells in MOTHER_REGULAR
+    assert flags.toric and flags.proper and flags.projective == projective
+    assert (fan_oracle.projectivity_certificate(m) is not None) == projective
+    if projective:
+        assert cv.ne_cone(m).rho > 0
+    else:
+        assert flags.ample_certificate is None
+        with pytest.raises(PreconditionError):
+            cv.ne_cone(m)
+
+
+def test_projectivity_matches_covector_oracle(p2, blowup_map, a1xp1_over_a1,
+                                              quadric_map_a, corpus65_map):
+    # the wall LP on the facet map against the covector LP, on the desk
+    # maps, the eight triangulations of the mother of all examples and
+    # every map an MMP of a corpus slice passes through
+    maps = [map_to_point(p2), blowup_map, a1xp1_over_a1, quadric_map_a,
+            corpus65_map]
+    maps += [_mother_map(c) for c in MOTHER_ROTATIONAL + MOTHER_REGULAR]
+    for m, D in corpus.termination_instances(seed=20240801, count=24):
+        maps += [cur for cur, _ in
+                 mmp_oracle.step_maps(m, run_mmp(m, D))]
+    mismatches = [m for m in maps
+                  if fn.check_morphism(m).projective
+                  != (fan_oracle.projectivity_certificate(m) is not None)]
+    assert mismatches == []
+    assert sum(not fn.check_morphism(m).projective for m in maps) == 2

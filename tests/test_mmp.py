@@ -8,7 +8,8 @@ from covering_oracle import cone_covered_by_gens
 from toricmmp import corpus
 from toricmmp import divisor as dv
 from toricmmp import mmp
-from toricmmp.curves import contracted_walls, ne_cone, nefness
+from toricmmp.curves import (contracted_walls, ne_cone, nefness,
+                             wall_relation, walls)
 from toricmmp.divisor import InvariantDivisor
 from toricmmp.errors import InvariantBreach, PreconditionError
 from toricmmp.fan import (Fan, FanMap, cone_dim, cone_eq, cone_intersection,
@@ -152,6 +153,17 @@ def _triangulations(F: Fan, rayset):
     return [t for t in results if not any(set(s) < set(t) for s in results)]
 
 
+def _ample_on_merged(F, D, rayset):
+    """Q-Cartier and strictly positive on every wall of F interior to
+    cone(rayset), found by scanning all walls of F."""
+    try:
+        dv.support_function(F, D)
+    except dv.NotQCartier:
+        return False
+    return all(wall_relation(F, w).pair(D) > 0 for w in walls(F)
+               if set(w.side_a) | set(w.side_b) <= set(rayset))
+
+
 def _ample_triangulation_flip(m, wall_set, D):
     """The flipped fan found by search: for each merged cone, the unique
     triangulation other than the original on which D is ample."""
@@ -162,8 +174,8 @@ def _ample_triangulation_flip(m, wall_set, D):
     for rayset in res.merged_cones:
         original = tuple(sorted(c for c in F.max_cones if set(c) <= set(rayset)))
         choices = [t for t in _triangulations(F, rayset) if t != original
-                   and mmp._ample_on_merged(mmp._replace_cones(F, {rayset: t}),
-                                            D, rayset)]
+                   and _ample_on_merged(mmp._replace_cones(F, {rayset: t}),
+                                        D, rayset)]
         assert len(choices) == 1, f"{len(choices)} ample triangulations"
         replacement[rayset] = choices[0]
     return mmp._replace_cones(F, replacement)

@@ -178,3 +178,15 @@ def test_ckm_detects_wrong_split(blowup2, blowup_map):
                                R.nef_end_fan, R.p_cartier_index)
     v = sc.verify_ckm(shifted, D)
     assert not v.ok
+
+
+def test_lattice_free_of_bounded_regions():
+    # 1/3 <= u <= 2/3: rational points, no lattice point
+    assert sc._lattice_free_of([(3,), (-3,)], [-1, 2]) == (True, None)
+    # 1/2 <= u1 <= 3/2, -1/2 <= u2 <= 1/2 holds exactly (1, 0)
+    empty, point = sc._lattice_free_of([(2, 0), (-2, 0), (0, 2), (0, -2)],
+                                       [-1, 3, 1, 1])
+    assert not empty and tuple(point) == (1, 0)
+    # the half-line u >= 1/2 is feasible and unbounded: no finite certificate
+    with pytest.raises(PreconditionError):
+        sc._lattice_free_of([(2,)], [-1])
