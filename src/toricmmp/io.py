@@ -78,7 +78,10 @@ def save_fan(F: Fan, path):
 def load_divisor(path, F: Fan = None) -> InvariantDivisor:
     data = _load_json(path)
     try:
-        coeffs = tuple(parse_rational(c) for c in data["coeffs"])
+        coeffs = data["coeffs"]
+        if not isinstance(coeffs, list):  # a string or object would iterate
+            raise TypeError(f"coeffs must be a list, got {coeffs!r}")
+        coeffs = tuple(parse_rational(c) for c in coeffs)
     except (KeyError, TypeError) as e:
         raise InputError(f"malformed divisor file {path}: {e}")
     if F is not None and len(coeffs) != len(F.rays):

@@ -1,9 +1,15 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from toricmmp.cli import main
+import toricmmp
+from toricmmp.cli import build_parser, main
 from toricmmp import io as tio
+from toricmmp import newton
 from toricmmp.fan import Fan
 
 
@@ -86,6 +92,9 @@ BAD_FILES = {
     "float_exponents.json": {"exponents": [[1, 0.5], [0, 2]]},
     "bool_exponents.json": {"exponents": [[1, True], [0, 2]]},
     "bool_coeffs.json": {"coeffs": [True, 0, 0]},
+    # coefficients must be a JSON list, not a string or an object of three
+    "string_coeffs.json": {"coeffs": "123"},
+    "object_coeffs.json": {"coeffs": {"1": 0, "2": 0, "3": 0}},
     "p2_divisor.json": {"coeffs": [1, 0, 0]},
 }
 MALFORMED = (
@@ -115,6 +124,9 @@ MALFORMED = (
     ["newton", "--exponents", "float_exponents.json"],
     ["newton", "--exponents", "bool_exponents.json"],
     ["sections", "--fan", "p2.json", "--divisor", "bool_coeffs.json"],
+    ["sections", "--fan", "p2.json", "--divisor", "string_coeffs.json"],
+    ["sections", "--fan", "p2.json", "--divisor", "object_coeffs.json"],
+    ["sing", "classify", "--fan", "p2.json", "--point", "-1,-1"],  # --point=
     ["sections", "--fan", "p2.json", "--box=2:-2,0:1"],  # reversed range
     ["corpus", "--count", "-1"],
     ["mmp", "--fan", "p2.json", "--trace", "no_such_dir/trace.json"],
@@ -261,6 +273,14 @@ def test_sing_classify(tmp_path, capsys):
     assert data["discrepancy_at_point"] == "0"
 
 
+def test_point_with_leading_minus(tmp_path, capsys):
+    f = _write(tmp_path, "p2.json", P2)
+    code, out = _run(capsys, ["sing", "classify", "--fan", f,
+                              "--point=-1,-1"])
+    assert code == 0
+    assert "discrepancy_at_point" in json.loads(out)
+
+
 def test_sing_precondition_exit_code(tmp_path, capsys):
     f = _write(tmp_path, "q.json", QUADRIC)
     div = _write(tmp_path, "d.json", {"coeffs": ["1", "0", "0", "0"]})
@@ -277,6 +297,14 @@ def test_newton(tmp_path, capsys):
     data = json.loads(out)
     assert data["model_type"] == "canonical"
     assert data["nef"] is True
+
+
+def test_model_choices_match_newton():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    model = next(a for a in sub.choices["newton"]._actions
+                 if a.dest == "model")
+    assert tuple(model.choices) == newton.MODEL_TYPES
 
 
 def test_corpus_smoke(capsys):
@@ -305,3 +333,53 @@ def test_divisor_rational_roundtrip():
     assert tio.parse_rational("-3/7") == Fraction(-3, 7)
     assert tio.format_rational(Fraction(-3, 7)) == "-3/7"
     assert tio.format_rational(Fraction(4, 2)) == "2"
+
+
+# A fresh interpreter imports toricmmp.cli, optionally runs main(argv) with
+# its report swallowed, and prints the exit code and the loaded submodules.
+_LOADED = """
+import contextlib, io, json, sys
+import toricmmp.cli
+code = None
+if len(sys.argv) > 1:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = toricmmp.cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules
+                               if m.startswith("toricmmp."))]))
+"""
+_BASE = {"cli", "divisor", "errors", "exactlin", "fan", "io"}
+_STARTUP = (
+    (None, set()),
+    (["fan", "validate", "--fan", "p2.json"], set()),
+    (["sing", "classify", "--fan", "p2.json"], {"singularities"}),
+    (["sections", "--fan", "p2.json", "--divisor", "h.json"], set()),
+    (["ne-cone", "--fan", "f1.json"], {"curves"}),
+    (["mmp", "--fan", "f1.json"], {"curves", "mmp"}),
+    (["zariski", "--map", "map.json", "--divisor", "e.json"],
+     {"curves", "mmp", "sections"}),
+    (["hilbert", "--fan", "orthant.json"], {"curves", "mmp", "sections"}),
+    (["newton", "--exponents", "cusp.json"], {"curves", "mmp", "newton"}),
+    (["corpus", "--count", "1"], {"corpus", "curves", "mmp"}),
+)
+
+
+@pytest.mark.parametrize("argv,extra", _STARTUP,
+                         ids=[a[0] if a else "import" for a, _ in _STARTUP])
+def test_command_imports_only_what_it_runs(tmp_path, argv, extra):
+    for name, obj in {"p2.json": P2, "f1.json": F1, "orthant.json": ORTHANT,
+                      "blowup.json": BLOWUP,
+                      "map.json": {"matrix": [[1, 0], [0, 1]],
+                                   "source": "blowup.json",
+                                   "target": "orthant.json"},
+                      "h.json": {"coeffs": ["0", "0", "1"]},
+                      "e.json": {"coeffs": ["0", "0", "1"]},
+                      "cusp.json": {"exponents": [[2, 0], [0, 3]]}}.items():
+        _write(tmp_path, name, obj)
+    src = os.path.dirname(os.path.dirname(toricmmp.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", _LOADED] + (argv or []),
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    code, loaded = json.loads(done.stdout)
+    assert code == (None if argv is None else 0)
+    assert set(loaded) == {"toricmmp." + m for m in _BASE | extra}
