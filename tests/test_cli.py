@@ -126,7 +126,7 @@ MALFORMED = (
     ["sections", "--fan", "p2.json", "--divisor", "bool_coeffs.json"],
     ["sections", "--fan", "p2.json", "--divisor", "string_coeffs.json"],
     ["sections", "--fan", "p2.json", "--divisor", "object_coeffs.json"],
-    ["sing", "classify", "--fan", "p2.json", "--point", "-1,-1"],  # --point=
+    ["sing", "classify", "--fan", "p2.json", "--point", "-1,-1"],  # needs --point=
     ["sections", "--fan", "p2.json", "--box=2:-2,0:1"],  # reversed range
     ["corpus", "--count", "-1"],
     ["mmp", "--fan", "p2.json", "--trace", "no_such_dir/trace.json"],
@@ -352,7 +352,7 @@ _STARTUP = (
     (None, set()),
     (["fan", "validate", "--fan", "p2.json"], set()),
     (["sing", "classify", "--fan", "p2.json"], {"singularities"}),
-    (["sections", "--fan", "p2.json", "--divisor", "h.json"], set()),
+    (["sections", "--fan", "p2.json", "--divisor", "e.json"], set()),
     (["ne-cone", "--fan", "f1.json"], {"curves"}),
     (["mmp", "--fan", "f1.json"], {"curves", "mmp"}),
     (["zariski", "--map", "map.json", "--divisor", "e.json"],
@@ -371,7 +371,6 @@ def test_command_imports_only_what_it_runs(tmp_path, argv, extra):
                       "map.json": {"matrix": [[1, 0], [0, 1]],
                                    "source": "blowup.json",
                                    "target": "orthant.json"},
-                      "h.json": {"coeffs": ["0", "0", "1"]},
                       "e.json": {"coeffs": ["0", "0", "1"]},
                       "cusp.json": {"exponents": [[2, 0], [0, 3]]}}.items():
         _write(tmp_path, name, obj)
