@@ -3,10 +3,6 @@
 Exit codes: 0 success, 1 malformed input, 2 precondition violation,
 3 internal invariant breach (always a bug).  All reports are
 byte-deterministic for identical inputs.
-
-Every command runs in a process of its own, so each handler imports only
-the modules it runs: compiling `mmp`, `sections` or `newton` would
-otherwise be a large share of a short command's start-up.
 """
 
 from __future__ import annotations
@@ -14,7 +10,13 @@ from __future__ import annotations
 import argparse
 import sys
 
+from . import corpus as corpus_mod
 from . import io as tio
+from . import mmp as mmp_mod
+from . import newton as newton_mod
+from . import sections as sections_mod
+from . import singularities as sing_mod
+from .curves import ne_cone
 from .divisor import (canonical_divisor, sections_basis, sections_polytope,
                       zero_divisor)
 from .errors import InputError, InvariantBreach, PreconditionError
@@ -102,7 +104,6 @@ def cmd_fan(args):
 
 
 def cmd_ne_cone(args):
-    from .curves import ne_cone
     m, _ = _load_setting(args)
     ne = ne_cone(m)
     print(tio.dumps({
@@ -112,7 +113,6 @@ def cmd_ne_cone(args):
 
 
 def cmd_mmp(args):
-    from . import mmp as mmp_mod
     m, D = _load_setting(args, need_divisor=True, default_divisor="K")
     trace = mmp_mod.run_mmp(m, D)
     text = tio.dumps(_trace_obj(trace))
@@ -126,7 +126,6 @@ def cmd_mmp(args):
 
 
 def cmd_zariski(args):
-    from . import sections as sections_mod
     if args.m_max is not None and args.m_max < 1:
         raise InputError(f"--m-max must be at least 1, got {args.m_max}")
     m, D = _load_setting(args, need_divisor=True)
@@ -163,7 +162,6 @@ def cmd_sections(args):
 
 
 def cmd_hilbert(args):
-    from . import sections as sections_mod
     m, D = _load_setting(args, need_divisor=True, default_divisor="0")
     gens = sections_mod.algebra_generators(m, D)
     print(tio.dumps({"generators": [list(g) for g in gens],
@@ -171,7 +169,6 @@ def cmd_hilbert(args):
 
 
 def cmd_sing(args):
-    from . import singularities as sing_mod
     F = _valid(tio.load_fan(args.fan))
     D = tio.load_divisor(args.divisor, F) if args.divisor else zero_divisor(F)
     result = sing_mod.classify_pair(F, D)
@@ -185,7 +182,6 @@ def cmd_sing(args):
 
 
 def cmd_newton(args):
-    from . import newton as newton_mod
     E = tio.load_exponents(args.exponents)
     rep = newton_mod.model(E, args.model)
     print(tio.dumps({
@@ -200,8 +196,6 @@ def cmd_newton(args):
 
 
 def cmd_corpus(args):
-    from . import corpus as corpus_mod
-    from . import mmp as mmp_mod
     if args.count < 0:
         raise InputError(f"--count must be nonnegative, got {args.count}")
     instances = corpus_mod.termination_instances(args.seed, args.count)
@@ -269,10 +263,8 @@ def build_parser():
 
     q = sub.add_parser("newton", help="Newton-polytope hypersurface models")
     q.add_argument("--exponents", required=True)
-    # newton.MODEL_TYPES, spelled out so that parsing imports no newton;
-    # a test keeps the two equal
-    q.add_argument("--model", default="minimal",
-                   choices=["minimal", "canonical", "dlt", "log-canonical"])
+    q.add_argument("--model", choices=list(newton_mod.MODEL_TYPES),
+                   default="minimal")
     q.set_defaults(func=cmd_newton)
 
     q = sub.add_parser("corpus", help="random-instance property harness")

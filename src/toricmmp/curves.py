@@ -7,19 +7,19 @@ and zero sets, so the scale never matters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
 from . import exactlin as xl
 from .errors import InvariantBreach, PreconditionError
+from .record import record
 from .fan import Fan, FanMap, Wall, _maps_into, check_morphism, cone_dim, \
     walls
 from .divisor import InvariantDivisor, support_function
 
 
-@dataclass(frozen=True)
+@record
 class CurveClass:
     coeffs: tuple  # primitive integer vector indexed by the fan's rays
 
@@ -85,7 +85,7 @@ def contracted_walls(m: FanMap) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@record
 class NECone:
     generators: tuple      # CurveClass per contracted wall (deduplicated)
     extremal_rays: tuple   # sublist of generators
@@ -111,7 +111,7 @@ def ne_cone(m: FanMap) -> NECone:
                   xl.rank(vecs))
 
 
-@dataclass(frozen=True)
+@record
 class NefVerdict:
     nef: bool
     strict: bool

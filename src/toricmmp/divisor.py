@@ -8,12 +8,12 @@ D = sum d_rho D_rho satisfies psi_D(v_rho) = -d_rho.  Everything downstream
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from . import exactlin as xl
 from .errors import InputError, PreconditionError
+from .record import record
 from .fan import Fan, FanMap, cone_contains
 
 
@@ -25,7 +25,7 @@ class NotQCartier(PreconditionError):
         self.cone = cone
 
 
-@dataclass(frozen=True)
+@record
 class InvariantDivisor:
     coeffs: tuple
 
@@ -65,7 +65,7 @@ def check_divisor(F: Fan, D: InvariantDivisor):
         raise InputError("coefficient count does not match ray count")
 
 
-@dataclass(frozen=True)
+@record
 class SupportFunction:
     """Per maximal cone a covector m_sigma with <m_sigma, v_rho> = -d_rho."""
     covectors: tuple  # aligned with fan.max_cones

@@ -19,12 +19,12 @@ lexicographically.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd, lcm
 from typing import Optional, Sequence
 
 from .errors import InputError, InvariantBreach, PreconditionError
+from .record import record
 
 Vector = tuple
 Matrix = tuple
@@ -372,7 +372,7 @@ def integer_multiple_for_solvability(A: Sequence[Sequence[int]], b: Sequence) ->
 # halfspace systems and Fourier-Motzkin elimination
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class HalfspaceSystem:
     """Finite list of constraints <normal, x> + offset >= 0."""
 

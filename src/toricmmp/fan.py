@@ -24,13 +24,13 @@ triangulation criterion and the projectivity LP read one facet map
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import exactlin as xl
 from .errors import InputError, InvariantBreach, PreconditionError
+from .record import record
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 
@@ -233,7 +233,7 @@ def cone_covered_by_gens(gens: tuple, cover: Sequence[tuple]) -> bool:
 # Fan and FanMap
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class Fan:
     rank: int
     rays: tuple
@@ -293,7 +293,7 @@ def point_fan() -> Fan:
     return Fan(0, (), ((),))
 
 
-@dataclass(frozen=True)
+@record
 class FanMap:
     matrix: tuple  # target_rank x source_rank integer matrix
     source: Fan
@@ -496,7 +496,7 @@ def certify_local(F: Fan, cones, what: str) -> Fan:
     return F
 
 
-@dataclass(frozen=True)
+@record
 class ConeClass:
     kind: str  # 'smooth' | 'simplicial' | 'non-simplicial'
     multiplicity: Optional[int]
@@ -775,7 +775,7 @@ def common_refinement(F1: Fan, F2: Fan):
 # morphism checks
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class MorphismFlags:
     toric: bool
     proper: bool
@@ -867,7 +867,7 @@ def is_proper(m: FanMap) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@record
 class Wall:
     rays: tuple      # sorted ray indices of the codimension-1 face
     side_a: tuple    # maximal cone (ray indices)

@@ -14,12 +14,12 @@ certificates and termination is witnessed by a no-repeat set of fans.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from . import exactlin as xl
 from .errors import InvariantBreach, PreconditionError
+from .record import record
 from .fan import (Fan, FanMap, Wall, certify_fan, certify_local, cone_dim,
                   common_refinement, identity_map, quotient_fan)
 from .divisor import (InvariantDivisor, pullback, pushforward,
@@ -28,7 +28,7 @@ from .curves import (CurveClass, contracted_walls, ne_cone, nefness,
                      wall_relation)
 
 
-@dataclass(frozen=True)
+@record
 class ContractionResult:
     kind: str                     # 'fano' | 'divisorial' | 'flipping'
     target: Fan
@@ -234,7 +234,7 @@ def _replace_cones(F: Fan, replacement) -> Fan:
 # the driver
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class MMPStep:
     kind: str                      # 'divisorial' | 'flipping' | 'fano'
     chosen_class: CurveClass
@@ -247,7 +247,7 @@ class MMPStep:
     flip_positive_value: Optional[Fraction] = None
 
 
-@dataclass(frozen=True)
+@record
 class MMPTrace:
     steps: tuple
     outcome: str                   # 'minimal' | 'fano'

@@ -10,12 +10,12 @@ verified here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from . import exactlin as xl
 from .errors import InputError, InvariantBreach
+from .record import record
 from .fan import Fan, FanMap, certify_fan, resolve
 from .divisor import InvariantDivisor
 from .curves import NefVerdict, nefness
@@ -139,7 +139,7 @@ def model_divisor(E, F: Fan, model_type: str) -> InvariantDivisor:
     return InvariantDivisor(tuple(coeffs))
 
 
-@dataclass(frozen=True)
+@record
 class ModelReport:
     model_type: str
     ambient_start: FanMap          # resolution -> orthant

@@ -9,11 +9,11 @@ extreme rays, fundamental parallelepipeds, irreducibility pruning).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from . import exactlin as xl
 from .errors import InputError, InvariantBreach, PreconditionError
+from .record import record
 from .fan import (Fan, FanMap, common_refinement, identity_map,
                   parallelepiped_points, qfactorialize, resolve)
 from .divisor import (InvariantDivisor, check_divisor, pullback, round_down,
@@ -22,7 +22,7 @@ from .curves import nefness
 from .mmp import contract_face, run_mmp
 
 
-@dataclass(frozen=True)
+@record
 class SectionCone:
     """Halfspace description of the graded section cone in M x R."""
     normals: tuple  # each (v_rho..., d_rho) plus the grading row
@@ -124,7 +124,7 @@ def is_pseudo_effective(m: FanMap, D: InvariantDivisor,
 # Zariski decomposition
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class ZariskiResult:
     model: Fan                    # common refinement Z
     to_source: FanMap             # Z -> X (identity-matrix refinement)
@@ -182,7 +182,7 @@ def _lattice_free_of(ineqs_normals, ineqs_offsets):
     return True, None
 
 
-@dataclass(frozen=True)
+@record
 class CKMVerdict:
     ok: bool
     failed_condition: Optional[int] = None

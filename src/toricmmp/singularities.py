@@ -9,12 +9,12 @@ exactly 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from . import exactlin as xl
 from .errors import InputError
+from .record import record
 from .fan import Fan, cone_facets, cone_span_perp
 from .divisor import (InvariantDivisor, canonical_divisor, check_divisor,
                       support_function, NotQCartier)
@@ -36,7 +36,7 @@ def discrepancy(F: Fan, D: InvariantDivisor, v) -> Fraction:
     return Fraction(-1) + psi.value(v)
 
 
-@dataclass(frozen=True)
+@record
 class PairClassification:
     verdict: str  # terminal | canonical | klt | lc | not-lc | not-Q-Cartier
     witness: Optional[tuple] = None

@@ -1,4 +1,3 @@
-import argparse
 import json
 import os
 import subprocess
@@ -7,9 +6,8 @@ import sys
 import pytest
 
 import toricmmp
-from toricmmp.cli import build_parser, main
+from toricmmp.cli import main
 from toricmmp import io as tio
-from toricmmp import newton
 from toricmmp.fan import Fan
 
 
@@ -299,14 +297,6 @@ def test_newton(tmp_path, capsys):
     assert data["nef"] is True
 
 
-def test_model_choices_match_newton():
-    sub = next(a for a in build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    model = next(a for a in sub.choices["newton"]._actions
-                 if a.dest == "model")
-    assert tuple(model.choices) == newton.MODEL_TYPES
-
-
 def test_corpus_smoke(capsys):
     code, out = _run(capsys, ["corpus", "--seed", "3", "--count", "4"])
     assert code == 0
@@ -335,50 +325,29 @@ def test_divisor_rational_roundtrip():
     assert tio.format_rational(Fraction(4, 2)) == "2"
 
 
-# A fresh interpreter imports toricmmp.cli, optionally runs main(argv) with
-# its report swallowed, and prints the exit code and the loaded submodules.
+# A fresh interpreter imports toricmmp.cli and prints the modules that the
+# import added to sys.modules.
 _LOADED = """
-import contextlib, io, json, sys
+import json, sys
+before = set(sys.modules)
 import toricmmp.cli
-code = None
-if len(sys.argv) > 1:
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = toricmmp.cli.main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules
-                               if m.startswith("toricmmp."))]))
+print(json.dumps(sorted(set(sys.modules) - before)))
 """
-_BASE = {"cli", "divisor", "errors", "exactlin", "fan", "io"}
-_STARTUP = (
-    (None, set()),
-    (["fan", "validate", "--fan", "p2.json"], set()),
-    (["sing", "classify", "--fan", "p2.json"], {"singularities"}),
-    (["sections", "--fan", "p2.json", "--divisor", "e.json"], set()),
-    (["ne-cone", "--fan", "f1.json"], {"curves"}),
-    (["mmp", "--fan", "f1.json"], {"curves", "mmp"}),
-    (["zariski", "--map", "map.json", "--divisor", "e.json"],
-     {"curves", "mmp", "sections"}),
-    (["hilbert", "--fan", "orthant.json"], {"curves", "mmp", "sections"}),
-    (["newton", "--exponents", "cusp.json"], {"curves", "mmp", "newton"}),
-    (["corpus", "--count", "1"], {"corpus", "curves", "mmp"}),
-)
 
 
-@pytest.mark.parametrize("argv,extra", _STARTUP,
-                         ids=[a[0] if a else "import" for a, _ in _STARTUP])
-def test_command_imports_only_what_it_runs(tmp_path, argv, extra):
-    for name, obj in {"p2.json": P2, "f1.json": F1, "orthant.json": ORTHANT,
-                      "blowup.json": BLOWUP,
-                      "map.json": {"matrix": [[1, 0], [0, 1]],
-                                   "source": "blowup.json",
-                                   "target": "orthant.json"},
-                      "e.json": {"coeffs": ["0", "0", "1"]},
-                      "cusp.json": {"exponents": [[2, 0], [0, 3]]}}.items():
-        _write(tmp_path, name, obj)
+def test_cli_import_loads_every_module_and_compiles_no_methods():
     src = os.path.dirname(os.path.dirname(toricmmp.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-c", _LOADED] + (argv or []),
-                          cwd=tmp_path, env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
-    code, loaded = json.loads(done.stdout)
-    assert code == (None if argv is None else 0)
-    assert set(loaded) == {"toricmmp." + m for m in _BASE | extra}
+    done = subprocess.run([sys.executable, "-c", _LOADED],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120,
+                          check=True)
+    loaded = set(json.loads(done.stdout))
+    package = {"toricmmp." + name[:-3] for name in os.listdir(
+        os.path.dirname(toricmmp.__file__))
+        if name.endswith(".py") and name != "__init__.py"}
+    # the traced benchmark (perfbench/bench_trace.py) wraps entry points
+    # only in the modules that `import toricmmp.cli` loaded
+    assert {m for m in loaded if m.startswith("toricmmp.")} == package
+    # records are built by `record.record`: no `dataclass` compiles methods,
+    # and nothing brings in `inspect`
+    assert not loaded & {"dataclasses", "inspect"}
