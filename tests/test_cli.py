@@ -124,7 +124,8 @@ MALFORMED = (
     ["sections", "--fan", "p2.json", "--divisor", "bool_coeffs.json"],
     ["sections", "--fan", "p2.json", "--divisor", "string_coeffs.json"],
     ["sections", "--fan", "p2.json", "--divisor", "object_coeffs.json"],
-    ["sing", "classify", "--fan", "p2.json", "--point", "-1,-1"],  # needs --point=
+    # a leading minus needs --point=-1,-1
+    ["sing", "classify", "--fan", "p2.json", "--point", "-1,-1"],
     ["sections", "--fan", "p2.json", "--box=2:-2,0:1"],  # reversed range
     ["corpus", "--count", "-1"],
     ["mmp", "--fan", "p2.json", "--trace", "no_such_dir/trace.json"],

@@ -59,22 +59,21 @@ def test_record_matches_frozen_dataclass(args, kwargs):
 
 
 @pytest.mark.parametrize("args,kwargs", [
-    ((), {}), ((1,), {}), ((1, 2, 3, 4, 5), {}), ((1, 2), {"x": 1}),
-    ((1, 2), {"colour": 1}),
+    ((), {}), ((1,), {}), ((1, (2,), "p", None, 5), {}),
+    ((1, (2,)), {"x": 1}), ((1, (2,)), {"colour": 1}),
 ])
 def test_record_rejects_what_dataclass_rejects(args, kwargs):
     for cls in _pair(BODY):
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError,
+                           match="missing|takes|unexpected|multiple"):
             cls(*args, **kwargs)
 
 
-def test_one_field_and_no_field():
-    for body in ("class Point:\n    x: tuple\n", "class Point:\n    pass\n"):
-        R, D = _pair(body)
-        args = ((1, 2),) if "x" in body else ()
-        assert (repr(R(*args)), hash(R(*args))) == (repr(D(*args)),
-                                                   hash(D(*args)))
-        assert R(*args) == R(*args)
+def test_one_field():
+    R, D = _pair("class Point:\n    x: tuple\n")
+    r, d = R((1, 2)), D((1, 2))
+    assert (repr(r), hash(r)) == (repr(d), hash(d))
+    assert r == R((1, 2)) and r != R((1, 3))
 
 
 def test_package_records_hash_and_repr_as_dataclasses_did():
