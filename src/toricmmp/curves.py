@@ -12,10 +12,10 @@ from functools import lru_cache
 from typing import Optional
 
 from . import exactlin as xl
-from .errors import InvariantBreach, PreconditionError
+from .errors import PreconditionError
 from .record import record
-from .fan import Fan, FanMap, Wall, _maps_into, check_morphism, cone_dim, \
-    walls
+from .fan import Fan, FanMap, Wall, _full_dim_simplicial, check_morphism, \
+    cone_dim, wall_coefficients, walls
 from .divisor import InvariantDivisor, support_function
 
 
@@ -30,59 +30,42 @@ class CurveClass:
 
 
 def wall_relation(F: Fan, w: Wall) -> CurveClass:
-    """Primitive kernel vector of the ray matrix of side_a union side_b,
-    normalized so the two off-wall coefficients are positive."""
+    """The relation (`fan.wall_coefficients`) of a wall of simplicial cones."""
     for side in (w.side_a, w.side_b):
-        gens = F.cone_gens(side)
-        if len(side) != cone_dim(gens):
+        if len(side) != cone_dim(F.cone_gens(side)):
             raise PreconditionError(
                 f"adjacent cone {side} is not simplicial; wall relations need "
                 "a Q-factorial fan")
-    support = tuple(sorted(set(w.side_a) | set(w.side_b)))
-    A = [[F.rays[i][k] for i in support] for k in range(F.rank)]
-    ker = xl.integer_kernel(A)
-    if len(ker) != 1:
-        raise InvariantBreach(f"wall relation space has dimension {len(ker)}")
-    rel = list(ker[0])
-    off = [support.index(i) for i in support if i not in w.rays]
-    if len(off) != 2:
-        raise InvariantBreach("wall must have exactly two off-wall rays")
-    if rel[off[0]] < 0:
-        rel = [-c for c in rel]
-    if not (rel[off[0]] > 0 and rel[off[1]] > 0):
-        raise InvariantBreach("off-wall coefficients are not positive")
-    full = [0] * len(F.rays)
-    for pos, i in enumerate(support):
-        full[i] = rel[pos]
-    return CurveClass(tuple(full))
+    return CurveClass(wall_coefficients(F, w.rays, w.side_a, w.side_b))
 
 
 def _require_mori_scope(m: FanMap):
     F = m.source
-    if not F.is_simplicial():
+    # full-dimensional simplicial cones make F simplicial and full-dimensional
+    full = bool(F.max_cones) and _full_dim_simplicial(F)
+    if not (full or F.is_simplicial()):
         raise PreconditionError("source fan must be simplicial")
-    if not F.support_full_dimensional():
+    if not (full or F.support_full_dimensional()):
         raise PreconditionError("source support must be full-dimensional")
-    if not F.support_convex():
+    # a proper map has |F| = A^-1 |S|, convex when the base's support is
+    if not (full and check_morphism(m).proper
+            and m.target.support_convex()) and not F.support_convex():
         raise PreconditionError("source support must be convex")
 
 
 @lru_cache(maxsize=None)
 def contracted_walls(m: FanMap) -> tuple:
     """(Wall, CurveClass) pairs for the walls whose two adjacent cones map
-    into one common cone of the target; these carry the complete curves
-    contracted by the morphism."""
+    into one common cone of the target, in `walls` order; these carry the
+    complete curves contracted by the morphism.  The classes are the
+    relations `check_morphism` found (`fan._contracted_facets`)."""
     _require_mori_scope(m)
     flags = check_morphism(m)
     if not flags.toric or not flags.proper:
         raise PreconditionError("map must be a proper toric morphism")
-    F = m.source
-    out = []
-    for w in walls(F):
-        merged = tuple(sorted(set(w.side_a) | set(w.side_b)))
-        if _maps_into(m, F.cone_gens(merged)) is not None:
-            out.append((w, wall_relation(F, w)))
-    return tuple(out)
+    relation = dict(flags.contracted)
+    return tuple((w, CurveClass(relation[w.rays])) for w in walls(m.source)
+                 if w.rays in relation)
 
 
 @record

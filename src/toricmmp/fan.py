@@ -16,9 +16,12 @@ the boundary of the cone of all rays, and one point is covered once
 from some given cones is fine, only the pairs through them are tested
 (`certify_local`).  Two valid fans share most cones in practice;
 `common_refinement` intersects only the cones they do not share, and
-`is_proper` cuts no source cone when the lattice map is onto.  Walls, the
-triangulation criterion and the projectivity LP read one facet map
-(`_facet_owners`).
+`is_proper` cuts no source cone when the lattice map is onto, so the
+caller knows the dimension `cone_covered` needs.  Walls, the triangulation
+criterion and `check_morphism` read one facet map (`_facet_owners`);
+`check_morphism` places each ray's image once and keeps the relations of
+the walls a map contracts, for its projectivity LP and for
+`curves.contracted_walls`.
 """
 
 from __future__ import annotations
@@ -184,22 +187,25 @@ def _facets_of(items: tuple, gens: tuple) -> list:
             for n in cone_facets(gens)]
 
 
-def cone_covered(ineqs, eqs, dim, cells: Sequence[tuple]) -> bool:
-    """Is the (possibly non-pointed) cone C = {x : ineqs >= 0, eqs = 0} the
-    union of `cells`?
+def cone_covered(ineqs, d: int, cells: Sequence[tuple]) -> bool:
+    """Is the d-dimensional (possibly non-pointed) cone C, cut out by
+    `ineqs` >= 0 within its span, the union of `cells`?
 
     Precondition: the cells are cones of one valid fan, each lying in C; a
-    cone listed twice counts once.  Facet pairing: with d = dim C, they
-    cover C exactly when some cell is d-dimensional and every facet of a
-    d-dimensional cell is shared by two of them or lies in a facet of C (a
-    row of `ineqs` vanishes on the facet but not on its cell).  Why: then
-    the union of the d-dimensional cells is closed, not empty, and open in
+    cone listed twice counts once.  Facet pairing: they cover C exactly
+    when some cell is d-dimensional and every facet of a d-dimensional
+    cell is shared by two of them or lies in a facet of C (a row of
+    `ineqs` vanishes on the facet but not on its cell).  Why: then the
+    union of the d-dimensional cells is closed, not empty, and open in
     relint C off the codimension-2 faces, which do not disconnect it; so it
     is C.  An unpaired facet inside relint C leaves the points beyond it
     uncovered, and lower-dimensional cells fill no open set.
+
+    Each caller knows d = dim C without converting C to generators: the
+    rank of all rays (`support_convex`), the dimension of the cone
+    (`cone_covered_by_gens`), and n - m + dim tc for the preimage of a
+    target cone tc under A from rank n onto rank m (`is_proper`).
     """
-    gens = _h_to_gens(ineqs, eqs, dim)
-    d = cone_dim(gens) if gens else 0
     if d == 0:
         return True
     full = {frozenset(c): c for c in cells if cone_dim(c) == d}
@@ -221,12 +227,7 @@ def cone_covered(ineqs, eqs, dim, cells: Sequence[tuple]) -> bool:
 
 
 def cone_covered_by_gens(gens: tuple, cover: Sequence[tuple]) -> bool:
-    if not gens:
-        return True
-    dim = len(gens[0])
-    ineqs = list(cone_facets(gens))
-    eqs = list(cone_span_perp(gens))
-    return cone_covered(ineqs, eqs, dim, cover)
+    return not gens or cone_covered(cone_facets(gens), cone_dim(gens), cover)
 
 
 # ---------------------------------------------------------------------------
@@ -270,13 +271,11 @@ class Fan:
     def support_convex(self) -> bool:
         """Support equals the convex hull cone of all rays (possibly the
         whole space).  The cones must form a valid fan."""
-        if not self.rays:
-            return True
-        # H-representation of the hull: facet normals are the extreme rays of
-        # the dual cone, equalities come from the dual's lineality
-        normals, lin = xl.extreme_rays_of_halfspaces(list(self.rays), (), self.rank)
-        eqs = tuple(xl.scale_to_integer(l) for l in lin)
-        return cone_covered(tuple(normals), eqs, self.rank,
+        if not self.rays or self.max_cones == (tuple(range(len(self.rays))),):
+            return True  # no rays, or one cone of all rays
+        # the hull's facet normals are the extreme rays of the dual cone
+        normals, _ = xl.extreme_rays_of_halfspaces(list(self.rays), (), self.rank)
+        return cone_covered(normals, xl.rank(self.rays),
                             [self.cone_gens(c) for c in self.max_cones])
 
     def canonical(self) -> tuple:
@@ -781,23 +780,23 @@ class MorphismFlags:
     proper: bool
     projective: bool
     ample_certificate: Optional[tuple] = None
+    contracted: Optional[tuple] = None  # `_contracted_facets` of a proper map
 
 
-def _maps_into(m: FanMap, gens) -> Optional[tuple]:
-    """A target maximal cone whose image contains A(cone), or None."""
-    imgs = [m.apply(g) for g in gens]
-    if m.target.rank == 0:
-        return ()
-    for tc in m.target.max_cones:
-        tg = m.target.cone_gens(tc)
-        if all(xl.is_zero(w) or cone_contains(tg, w) for w in imgs):
-            return tc
-    return None
+def _landing(m: FanMap):
+    """The function taking source ray indices to the set of target maximal
+    cones that contain all their images; each ray's image is placed once."""
+    T = m.target
+    homes = [frozenset(tc for tc in T.max_cones
+                       if cone_contains(T.cone_gens(tc), m.apply(r)))
+             for r in m.source.rays]
+    every = frozenset(T.max_cones)
+    return lambda idx: every.intersection(*(homes[i] for i in idx))
 
 
-def is_toric_morphism(m: FanMap) -> bool:
-    return all(_maps_into(m, m.source.cone_gens(c)) is not None
-               for c in m.source.max_cones)
+def is_toric_morphism(m: FanMap, landing=None) -> bool:
+    """Does every maximal source cone map into a target cone?"""
+    return all(map(landing or _landing(m), m.source.max_cones))
 
 
 def _full_dim_simplicial(F: Fan) -> bool:
@@ -833,10 +832,15 @@ def _cut(gens: tuple, ineqs, eqs, dim) -> tuple:
 
 
 def is_proper(m: FanMap) -> bool:
-    """Preimage of the target support equals the source support: for each
-    target cone tc, the source cones cut by its preimage Q = A^-1(tc) must
-    cover Q (`cone_covered`).  Precondition: source and target are valid
-    fans.
+    """Preimage of the target support equals the source support: m is toric
+    and its cones cover every preimage (`_covers_preimages`).  Precondition:
+    source and target are valid fans."""
+    return is_toric_morphism(m) and _covers_preimages(m)
+
+
+def _covers_preimages(m: FanMap) -> bool:
+    """For each target cone tc, do the source cones cut by its preimage
+    Q = A^-1(tc) cover Q (`cone_covered`)?  m must be a toric morphism.
 
     When A is onto (rank A = target rank), no cone is cut.  A source cone
     whose image lies in tc lies in Q and stays whole; every other one is
@@ -847,8 +851,6 @@ def is_proper(m: FanMap) -> bool:
     `cone_covered` ignores cells of lower dimension.  A map that is not
     onto can keep a full cut in such a face, so it cuts every cone.
     """
-    if not is_toric_morphism(m):
-        return False
     n = m.source.rank
     At = xl.transpose(m.matrix)
     onto = m.target.rank == 0 or xl.rank(m.matrix) == m.target.rank
@@ -860,9 +862,11 @@ def is_proper(m: FanMap) -> bool:
         eqs = [tuple(xl.mat_vec(At, z)) for z in cone_span_perp(tg)]
         if onto:
             cells = [g for g in sources if _within(g, ineqs, eqs)]
+            d = n - m.target.rank + cone_dim(tg)
         else:
             cells = [_cut(g, ineqs, eqs, n) for g in sources]
-        if not cone_covered(ineqs, eqs, n, cells):
+            d = cone_dim(_h_to_gens(ineqs, eqs, n))
+        if not cone_covered(ineqs, d, cells):
             return False
     return True
 
@@ -876,9 +880,10 @@ class Wall:
 
 @lru_cache(maxsize=None)
 def walls(F: Fan) -> tuple:
-    """Codimension-1 faces shared by two maximal cones: for each nonempty
-    facet of the facet map (`_facet_owners`), every pair (a, b), a < b, of
-    its owners, with the walls in the order of (a, b).
+    """Codimension-1 faces shared by two maximal cones: for each facet of
+    the facet map (`_facet_owners`), every pair (a, b), a < b, of its
+    owners, with the walls in the order of (a, b).  The empty facet counts
+    only between two rays of a rank-1 fan, where the origin is the wall.
 
     Precondition: F is a valid fan.  Then two maximal cones meet in a face
     of both, so they share at most one facet, and a cone's facet is the
@@ -886,56 +891,68 @@ def walls(F: Fan) -> tuple:
     """
     found = []
     for facet, owners in _facet_owners(F).items():
-        if facet:
+        if facet or F.rank == 1:
             found += [(a, b, facet) for k, a in enumerate(owners)
                       for b in owners[k + 1:]]
     return tuple(Wall(facet, F.max_cones[a], F.max_cones[b])
                  for a, b, facet in sorted(found))
 
 
-def projectivity_certificate(m: FanMap) -> Optional[tuple]:
-    """Divisor coefficients strictly positive on every contracted wall class,
-    found by an exact LP with one row per contracted wall of the facet map
-    (in its order), or None when infeasible.
+def wall_coefficients(F: Fan, facet: tuple, ca: tuple, cb: tuple) -> tuple:
+    """The relation sum a_i v_i = 0 of the rays of the adjacent cones ca and
+    cb, as the primitive integer kernel vector of their union's rays,
+    indexed by all rays of F and positive on the two rays off the facet
+    (they lie on opposite sides of it in a valid fan)."""
+    union = tuple(sorted(set(ca) | set(cb)))
+    ker = xl.integer_kernel(xl.transpose(F.cone_gens(union)))
+    if len(ker) != 1:
+        raise InvariantBreach(f"wall relation space has dimension {len(ker)}")
+    off = [i for i in union if i not in facet]
+    if len(off) != 2:
+        raise InvariantBreach("wall must have exactly two off-wall rays")
+    sign = 1 if ker[0][union.index(off[0])] > 0 else -1
+    rel = [0] * len(F.rays)
+    for i, a in zip(union, ker[0]):
+        rel[i] = sign * a
+    if not (rel[off[0]] > 0 and rel[off[1]] > 0):
+        raise InvariantBreach("off-wall coefficients are not positive")
+    return tuple(rel)
 
-    Precondition, else PreconditionError: every maximal cone of the source
-    is simplicial and full dimensional.  Then every coefficient vector
-    defines a piecewise linear support function, and positivity on a wall
-    class is strict convexity across the wall.
-    """
+
+def _contracted_facets(m: FanMap, landing) -> tuple:
+    """The walls m contracts, in facet-map order: (facet, its
+    `wall_coefficients`) for each facet of two cones whose union `landing`
+    places in a target cone.  Every source cone must be simplicial and full
+    dimensional, else PreconditionError."""
     F = m.source
     if not _full_dim_simplicial(F):
         raise PreconditionError("projectivity needs a simplicial source with "
                                 "full-dimensional cones")
-    nr = len(F.rays)
-    ineqs = []
-    for s, owners in _facet_owners(F).items():
-        if len(owners) != 2:
-            continue
-        ca, cb = (F.max_cones[i] for i in owners)
-        union = tuple(sorted(set(ca) | set(cb)))
-        if _maps_into(m, F.cone_gens(union)) is None:
-            continue
-        (a,) = xl.integer_kernel(xl.transpose([F.rays[i] for i in union]))
-        off = next(i for i in ca if i not in s)
-        sign = 1 if a[union.index(off)] > 0 else -1
-        row = [Fraction(0)] * nr
-        for pos, i in enumerate(union):
-            row[i] = Fraction(sign * a[pos])
-        ineqs.append((tuple(row), Fraction(1)))
-    sol = xl.feasible_point(ineqs, (), nr)
-    if sol is None:
-        return None
-    return tuple(sol)
+    out = []
+    for facet, owners in _facet_owners(F).items():
+        sides = [F.max_cones[i] for i in owners]
+        if len(sides) == 2 and landing(sides[0] + sides[1]):
+            out.append((facet, wall_coefficients(F, facet, *sides)))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def check_morphism(m: FanMap) -> MorphismFlags:
-    """Toric, proper and projective flags of m.  Only a proper map gets a
-    `projectivity_certificate`, which needs its scope."""
-    toric = is_toric_morphism(m)
-    proper = is_proper(m) if toric else False
-    cert = projectivity_certificate(m) if proper else None
-    return MorphismFlags(toric=toric, proper=proper,
-                         projective=cert is not None,
-                         ample_certificate=cert)
+    """Toric, proper and projective flags of m.  Only a proper map gets its
+    `_contracted_facets` (the relations of `curves.contracted_walls`) and
+    an ample certificate, which need their scope: divisor coefficients
+    strictly positive on every relation, found by an exact LP with one row
+    per relation, in facet-map order, or None when infeasible.  On a
+    simplicial source with full-dimensional cones every coefficient vector
+    defines a piecewise linear support function, and positivity on a wall
+    class is strict convexity across the wall."""
+    landing = _landing(m)
+    toric = is_toric_morphism(m, landing)
+    if not (toric and _covers_preimages(m)):
+        return MorphismFlags(toric=toric, proper=False, projective=False)
+    contracted = _contracted_facets(m, landing)
+    sol = xl.feasible_point([(tuple(map(Fraction, rel)), Fraction(1))
+                             for _, rel in contracted], (), len(m.source.rays))
+    cert = None if sol is None else tuple(sol)
+    return MorphismFlags(toric=True, proper=True, projective=cert is not None,
+                         ample_certificate=cert, contracted=contracted)

@@ -11,17 +11,37 @@ oracle for `fan.is_proper`.)
 on the facet map: one covector per maximal cone, equal on shared rays and
 strictly convex across every contracted wall.  It needs no simplicial
 source, so it checks the wall LP's verdict independently.
+
+`wall_lp_certificate` and `contracted_walls` are the paths `fan` and
+`curves` ran before `check_morphism` made one pass over the facet map per
+map: each placed the images of every paired facet's union again and
+computed its kernel relation again, and the Mori scope converted the
+source's support to a double description.  `check_contracted` compares
+them with `check_morphism` and `curves.contracted_walls`.
 """
 
 import itertools
 from fractions import Fraction
 
+from toricmmp import curves as cv
 from toricmmp import exactlin as xl
 from toricmmp import fan as fn
 from toricmmp.errors import PreconditionError
-from toricmmp.fan import (Fan, FanMap, _maps_into, certify_fan, cone_contains,
+from toricmmp.fan import (Fan, FanMap, certify_fan, cone_contains,
                           cone_covered_by_gens, cone_intersection,
                           identity_map, qfactorialize, walls)
+
+
+def _maps_into(m: FanMap, gens):
+    """A target maximal cone whose image contains A(cone), or None."""
+    imgs = [m.apply(g) for g in gens]
+    if m.target.rank == 0:
+        return ()
+    for tc in m.target.max_cones:
+        tg = m.target.cone_gens(tc)
+        if all(xl.is_zero(w) or cone_contains(tg, w) for w in imgs):
+            return tc
+    return None
 
 
 def validate_fan(F: Fan) -> list:
@@ -113,3 +133,68 @@ def projectivity_certificate(m: FanMap):
         for i in cone:
             coeffs[i] = -sum(sol[var(ci, k)] * F.rays[i][k] for k in range(F.rank))
     return tuple(coeffs)
+
+
+def wall_lp_certificate(m: FanMap):
+    """The wall LP of `check_morphism`, with one row per paired facet of the
+    facet map whose union maps into a target cone, or None."""
+    F = m.source
+    if not fn._full_dim_simplicial(F):
+        raise PreconditionError("projectivity needs a simplicial source with "
+                                "full-dimensional cones")
+    nr = len(F.rays)
+    ineqs = []
+    for s, owners in fn._facet_owners(F).items():
+        if len(owners) != 2:
+            continue
+        ca, cb = (F.max_cones[i] for i in owners)
+        union = tuple(sorted(set(ca) | set(cb)))
+        if _maps_into(m, F.cone_gens(union)) is None:
+            continue
+        (a,) = xl.integer_kernel(xl.transpose([F.rays[i] for i in union]))
+        off = next(i for i in ca if i not in s)
+        sign = 1 if a[union.index(off)] > 0 else -1
+        row = [Fraction(0)] * nr
+        for pos, i in enumerate(union):
+            row[i] = Fraction(sign * a[pos])
+        ineqs.append((tuple(row), Fraction(1)))
+    sol = xl.feasible_point(ineqs, (), nr)
+    if sol is None:
+        return None
+    return tuple(sol)
+
+
+def contracted_walls(m: FanMap) -> tuple:
+    """`curves.contracted_walls` from the source's own support and a walk
+    over `walls` that places each wall's union and takes its relation."""
+    F = m.source
+    if not F.is_simplicial():
+        raise PreconditionError("source fan must be simplicial")
+    if not F.support_full_dimensional():
+        raise PreconditionError("source support must be full-dimensional")
+    if not F.support_convex():
+        raise PreconditionError("source support must be convex")
+    if not fn.is_proper(m):
+        raise PreconditionError("map must be a proper toric morphism")
+    out = []
+    for w in walls(F):
+        merged = tuple(sorted(set(w.side_a) | set(w.side_b)))
+        if _maps_into(m, F.cone_gens(merged)) is not None:
+            out.append((w, cv.wall_relation(F, w)))
+    return tuple(out)
+
+
+def _outcome(fn_, m):
+    try:
+        return fn_(m)
+    except PreconditionError as e:
+        return f"PreconditionError: {e}"
+
+
+def check_contracted(m: FanMap):
+    """Fail unless `curves.contracted_walls` and the ample certificate of
+    `check_morphism` equal the oracles', error messages included."""
+    assert _outcome(cv.contracted_walls, m) == _outcome(contracted_walls, m), m
+    flags = fn.check_morphism(m)
+    want = wall_lp_certificate(m) if fn.is_proper(m) else None
+    assert flags.ample_certificate == want, m

@@ -23,7 +23,8 @@ from toricmmp.mmp import (ContractionResult, _merge_groups,
 
 
 def walls(F: Fan) -> tuple:
-    """Codimension-1 faces shared by exactly two maximal cones."""
+    """Codimension-1 faces shared by exactly two maximal cones; the origin
+    only between two full-dimensional cones (rays of a rank-1 fan)."""
     out = []
     for a, b in itertools.combinations(range(len(F.max_cones)), 2):
         ca, cb = F.max_cones[a], F.max_cones[b]
@@ -35,7 +36,7 @@ def walls(F: Fan) -> tuple:
             continue
         shared = tuple(sorted(set(ca) & set(cb)))
         sg = F.cone_gens(shared)
-        if shared and cone_dim(sg) == da - 1:
+        if (shared or da == F.rank) and cone_dim(sg) == da - 1:
             inter = cone_intersection(ga, gb)
             if cone_eq(inter, sg):
                 out.append(Wall(shared, ca, cb))

@@ -1,0 +1,53 @@
+"""The package's process-global caches are exactly the ones the benchmark
+clears: `perfbench/run.py` clears the `lru_cache`s listed in
+`perfbench/bench_trace.CACHES` before each timed pass, so a cache missing
+from that list would carry work from one pass into the next, and a listed
+one that no longer exists would break the run."""
+
+import ast
+import importlib
+import importlib.util
+from pathlib import Path
+
+import toricmmp
+
+PACKAGE = Path(toricmmp.__file__).parent
+BENCH_TRACE = PACKAGE.parents[1] / "perfbench" / "bench_trace.py"
+
+
+def _listed_caches():
+    """(module, function) of each `CACHES` entry, where it is defined."""
+    spec = importlib.util.spec_from_file_location("bench_trace", BENCH_TRACE)
+    bench_trace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_trace)
+    out = set()
+    for _name, mod, attr in bench_trace.CACHES:
+        fn = getattr(importlib.import_module(f"toricmmp.{mod}"), attr)
+        out.add((fn.__module__, fn.__qualname__))
+    return out
+
+
+def _package_caches():
+    """(module, function) of each function the package decorates with a
+    `functools` cache; any other use of one is reported by its line."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        decorated = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                for dec in node.decorator_list:
+                    decorated[id(getattr(dec, "func", dec))] = node.name
+        for node in ast.walk(tree):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if name in ("lru_cache", "cache"):
+                where = decorated.get(id(node), f"line {node.lineno}")
+                found.add((f"toricmmp.{path.stem}", where))
+    return found
+
+
+def test_every_package_cache_is_cleared_by_the_benchmark():
+    assert _package_caches() == _listed_caches()
+    for module, fn in _listed_caches():
+        cached = getattr(importlib.import_module(module), fn)
+        assert callable(cached.cache_clear)

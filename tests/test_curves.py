@@ -2,13 +2,15 @@ from fractions import Fraction
 
 import pytest
 
+import fan_oracle
 import mmp_oracle
 from toricmmp import corpus
 from toricmmp import curves as cv
 from toricmmp import divisor as dv
 from toricmmp.divisor import InvariantDivisor
 from toricmmp.errors import PreconditionError
-from toricmmp.fan import Fan, FanMap, map_to_point
+from toricmmp.fan import Fan, FanMap, check_morphism, identity_map, \
+    map_to_point
 from toricmmp.mmp import contract, contract_face, run_mmp
 
 
@@ -128,6 +130,63 @@ def test_contracted_walls_blowup(blowup_map, blowup2):
     w, c = pairs[0]
     assert w.rays == (2,)
     assert c.coeffs == (1, 1, -1)
+
+
+def test_p1_has_one_wall_and_contracts_to_a_point():
+    # in rank 1 the origin is the wall between the two rays
+    P1 = Fan(1, ((1,), (-1,)), ((0,), (1,)))
+    assert cv.walls(P1) == mmp_oracle.walls(P1) != ()
+    ne = cv.ne_cone(map_to_point(P1))
+    assert [c.coeffs for c in ne.generators] == [(1, 1)] and ne.rho == 1
+    trace = run_mmp(map_to_point(P1), dv.canonical_divisor(P1))
+    assert trace.outcome == "fano"
+    assert [(s.kind, s.chosen_class.coeffs) for s in trace.steps] == \
+        [("fano", (1, 1))]
+
+
+def test_contracted_walls_match_replaced_paths(p2, f1, blowup_map,
+                                               a1xp1_over_a1, quadric_map_a,
+                                               corpus65_map):
+    # walls, classes and ample certificates against the walk over `walls`
+    # and the wall LP that placed every union again, on the desk maps and
+    # every map an MMP of a corpus slice passes through
+    maps = [map_to_point(p2), map_to_point(f1), blowup_map, a1xp1_over_a1,
+            quadric_map_a, corpus65_map]
+    for m, D in corpus.termination_instances(seed=20240801, count=24):
+        trace = run_mmp(m, D)
+        maps += [cur for cur, _ in mmp_oracle.step_maps(m, trace)]
+        maps.append(trace.final_map)
+    mismatches = []
+    for m in maps:
+        try:
+            fan_oracle.check_contracted(m)
+        except AssertionError:
+            mismatches.append(m)
+    assert mismatches == []
+    assert sum(len(cv.contracted_walls(m)) for m in maps) > len(maps)
+
+
+def test_convexity_from_the_base_keeps_verdicts(orthant2):
+    # the base's support (three quadrants) is not convex, so the source's
+    # own support decides, with the old verdicts and messages
+    quadrants = ((1, 0), (0, 1), (-1, 0), (0, -1))
+    L = Fan(2, quadrants, ((0, 1), (1, 2), (2, 3)))
+    P1xP1 = Fan(2, quadrants, ((0, 1), (1, 2), (2, 3), (0, 3)))
+    line = FanMap(((1, 0), (0, 0)), P1xP1, L)  # P1 x P1 -> the x-axis
+    assert not L.support_convex() and P1xP1.support_convex()
+    assert check_morphism(line).proper
+    assert [w.rays for w, _ in cv.contracted_walls(line)] == [(0,), (2,)]
+    # not convex, proper over itself; and maps that are not proper
+    wedge = Fan(2, ((1, 0), (1, 1)), ((0, 1),))
+    cases = {identity_map(L, L): "source support must be convex",
+             identity_map(L, P1xP1): "source support must be convex",
+             FanMap(((1, 0), (0, 1)), wedge, orthant2):
+                 "map must be a proper toric morphism"}
+    for m, message in cases.items():
+        with pytest.raises(PreconditionError, match=message):
+            cv.contracted_walls(m)
+    for m in [line, *cases]:
+        fan_oracle.check_contracted(m)
 
 
 def test_contracted_walls_needs_simplicial(quadric_cone_fan):

@@ -285,8 +285,8 @@ def test_cone_covered_implicit_equalities_and_repeats(orthant2):
     # needed, although the lone origin facet of one lies on both rows' zero set
     rows = [(1, 0), (-1, 0)]
     up, down = ((0, 1),), ((0, -1),)
-    assert fn.cone_covered(rows, [], 2, [up, down])
-    assert not fn.cone_covered(rows, [], 2, [up])
+    assert fn.cone_covered(rows, 1, [up, down])
+    assert not fn.cone_covered(rows, 1, [up])
     assert not covering_oracle.cone_covered(rows, [], 2, [up])
     # the same line as the preimage of the orthant under x -> (x1, -x1)
     line = Fan(2, ((0, 1), (0, -1)), ((0,), (1,)))

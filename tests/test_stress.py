@@ -8,7 +8,9 @@ Each instance is a seeded `corpus.random_complete_fan` (rank 3 with up to 9
 rays, or rank 4 or 5) mapped to a point, with a `corpus.random_divisor`.  The MMP
 must end, and its certificates are re-checked as in the acceptance corpus:
 nefness at a minimal end and negativity on every replayed flip.  Each
-step's contraction must also equal the LP oracle's (`mmp_oracle`).  The time
+step's contraction must also equal the LP oracle's (`mmp_oracle`), and each
+map's contracted walls, classes and ample certificate the replaced paths'
+(`fan_oracle.check_contracted`).  The time
 per instance is printed, to find worst cases.  The seeds are fixed and are
 not to be chosen by their outcome.
 """
@@ -18,6 +20,7 @@ import time
 
 import pytest
 
+import fan_oracle
 import mmp_oracle
 from test_acceptance import _check_flip_steps
 from toricmmp import corpus
@@ -46,6 +49,8 @@ def test_mmp_stress(rank, nrays, seed):
     _check_flip_steps(m, D, trace)
     for cur, cls in mmp_oracle.step_maps(m, trace):
         mmp_oracle.check_contraction(cur, cls)
+        fan_oracle.check_contracted(cur)
+    fan_oracle.check_contracted(trace.final_map)
     steps = ",".join(s.kind for s in trace.steps) or "none"
     print(f"\nrank {rank}, {len(F.rays)} rays, seed {seed}: steps {steps}, "
           f"{trace.outcome}, {time.perf_counter() - start:.2f} s")
