@@ -39,7 +39,13 @@ def wall_relation(F: Fan, w: Wall) -> CurveClass:
     return CurveClass(wall_coefficients(F, w.rays, w.side_a, w.side_b))
 
 
-def _require_mori_scope(m: FanMap):
+@lru_cache(maxsize=None)
+def contracted_walls(m: FanMap) -> tuple:
+    """(Wall, CurveClass) pairs for the walls whose two adjacent cones map
+    into one common cone of the target, in `walls` order; these carry the
+    complete curves contracted by the morphism.  The classes are the
+    relations `check_morphism` found (`fan._contracted_facets`).
+    PreconditionError outside the scope of the relative Mori cone."""
     F = m.source
     # full-dimensional simplicial cones make F simplicial and full-dimensional
     full = bool(F.max_cones) and _full_dim_simplicial(F)
@@ -47,24 +53,16 @@ def _require_mori_scope(m: FanMap):
         raise PreconditionError("source fan must be simplicial")
     if not (full or F.support_full_dimensional()):
         raise PreconditionError("source support must be full-dimensional")
+    flags = check_morphism(m) if full else None
     # a proper map has |F| = A^-1 |S|, convex when the base's support is
-    if not (full and check_morphism(m).proper
-            and m.target.support_convex()) and not F.support_convex():
+    if not (flags and flags.proper and m.target.support_convex()) \
+            and not F.support_convex():
         raise PreconditionError("source support must be convex")
-
-
-@lru_cache(maxsize=None)
-def contracted_walls(m: FanMap) -> tuple:
-    """(Wall, CurveClass) pairs for the walls whose two adjacent cones map
-    into one common cone of the target, in `walls` order; these carry the
-    complete curves contracted by the morphism.  The classes are the
-    relations `check_morphism` found (`fan._contracted_facets`)."""
-    _require_mori_scope(m)
-    flags = check_morphism(m)
+    flags = flags or check_morphism(m)
     if not flags.toric or not flags.proper:
         raise PreconditionError("map must be a proper toric morphism")
     relation = dict(flags.contracted)
-    return tuple((w, CurveClass(relation[w.rays])) for w in walls(m.source)
+    return tuple((w, CurveClass(relation[w.rays])) for w in walls(F)
                  if w.rays in relation)
 
 
