@@ -12,12 +12,13 @@ on the facet map: one covector per maximal cone, equal on shared rays and
 strictly convex across every contracted wall.  It needs no simplicial
 source, so it checks the wall LP's verdict independently.
 
-`wall_lp_certificate` and `contracted_walls` are the paths `fan` and
-`curves` ran before `check_morphism` made one pass over the facet map per
-map: each placed the images of every paired facet's union again and
-computed its kernel relation again, and the Mori scope converted the
-source's support to a double description.  `check_contracted` compares
-them with `check_morphism` and `curves.contracted_walls`.
+`wall_lp_certificate`, `contracted_walls` and `wall_relation` are the
+paths `fan` and `curves` ran before `check_morphism` made one pass over
+the facet map per map: each placed the images of every paired facet's
+union again and computed its kernel relation again, and the Mori scope
+converted the source's support to a double description.
+`check_contracted` compares them with `check_morphism` and
+`curves.contracted_walls`.
 """
 
 import itertools
@@ -26,7 +27,7 @@ from fractions import Fraction
 from toricmmp import curves as cv
 from toricmmp import exactlin as xl
 from toricmmp import fan as fn
-from toricmmp.errors import PreconditionError
+from toricmmp.errors import InvariantBreach, PreconditionError
 from toricmmp.fan import (Fan, FanMap, certify_fan, cone_contains,
                           cone_covered_by_gens, cone_intersection,
                           identity_map, qfactorialize, walls)
@@ -164,6 +165,27 @@ def wall_lp_certificate(m: FanMap):
     return tuple(sol)
 
 
+def wall_relation(F: Fan, w) -> cv.CurveClass:
+    """`curves.wall_relation` as it computed the kernel itself."""
+    support = tuple(sorted(set(w.side_a) | set(w.side_b)))
+    A = [[F.rays[i][k] for i in support] for k in range(F.rank)]
+    ker = xl.integer_kernel(A)
+    if len(ker) != 1:
+        raise InvariantBreach(f"wall relation space has dimension {len(ker)}")
+    rel = list(ker[0])
+    off = [support.index(i) for i in support if i not in w.rays]
+    if len(off) != 2:
+        raise InvariantBreach("wall must have exactly two off-wall rays")
+    if rel[off[0]] < 0:
+        rel = [-c for c in rel]
+    if not (rel[off[0]] > 0 and rel[off[1]] > 0):
+        raise InvariantBreach("off-wall coefficients are not positive")
+    full = [0] * len(F.rays)
+    for pos, i in enumerate(support):
+        full[i] = rel[pos]
+    return cv.CurveClass(tuple(full))
+
+
 def contracted_walls(m: FanMap) -> tuple:
     """`curves.contracted_walls` from the source's own support and a walk
     over `walls` that places each wall's union and takes its relation."""
@@ -180,7 +202,7 @@ def contracted_walls(m: FanMap) -> tuple:
     for w in walls(F):
         merged = tuple(sorted(set(w.side_a) | set(w.side_b)))
         if _maps_into(m, F.cone_gens(merged)) is not None:
-            out.append((w, cv.wall_relation(F, w)))
+            out.append((w, wall_relation(F, w)))
     return tuple(out)
 
 
