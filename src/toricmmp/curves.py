@@ -16,7 +16,7 @@ from .errors import PreconditionError
 from .record import record
 from .fan import Fan, FanMap, Wall, _full_dim_simplicial, check_morphism, \
     cone_dim, wall_coefficients, walls
-from .divisor import InvariantDivisor, support_function
+from .divisor import InvariantDivisor, check_divisor
 
 
 @record
@@ -103,8 +103,9 @@ class NefVerdict:
 
 def nefness(D: InvariantDivisor, m: FanMap, strict: bool = False) -> NefVerdict:
     """D is nef over the base iff it pairs >= 0 (strict: > 0) with every
-    contracted wall class."""
-    support_function(m.source, D)  # Q-Cartier gate
+    contracted wall class.  `contracted_walls` needs a simplicial source,
+    on which every divisor is Q-Cartier."""
+    check_divisor(m.source, D)
     pairs = contracted_walls(m)
     strictly = True
     for w, c in pairs:

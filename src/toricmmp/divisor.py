@@ -152,9 +152,10 @@ def sections_polytope(F: Fan, D: InvariantDivisor) -> xl.HalfspaceSystem:
 
 
 def sections_basis(F: Fan, D: InvariantDivisor, box=None) -> list:
-    """Lattice points of P_D; requires boundedness unless a box is given."""
+    """Lattice points of P_D, sorted.  Without a `box` [(lo, hi), ...] P_D
+    must be bounded (checked); with one, only the points in the box."""
     H = sections_polytope(F, D)
-    return xl.lattice_points(H, bounded=box is None, box=box)
+    return xl.lattice_points(H, box=box)
 
 
 def round_down(D: InvariantDivisor) -> InvariantDivisor:

@@ -3,14 +3,14 @@
 Everything here works over ``fractions.Fraction`` or Python ints; no floating
 point is used anywhere.  Vectors are tuples, matrices are tuples of row
 tuples.  All algorithms are desk-scale exact methods: Gaussian elimination,
-Hermite/Smith reduction, Fourier-Motzkin elimination, a Bland-rule phase-1
-simplex for feasibility questions with many variables, recursive interval
-enumeration for lattice points, and a subset-enumeration double description
-whose one-dimensional kernels are signed maximal minors.  The simplex and
-the minors run on Python ints by fraction-free elimination: the simplex by
-integer pivoting over one common denominator (Edmonds), the minors by
-Bareiss's determinant (Bareiss 1968); the simplex builds ``Fraction``s only
-for the witness it returns.
+Hermite/Smith reduction, a Bland-rule phase-1 simplex, which answers every
+feasibility and boundedness question, Fourier-Motzkin elimination with
+recursive interval enumeration, used only to list lattice points, and a
+subset-enumeration double description whose one-dimensional kernels are
+signed maximal minors.  The simplex and the minors run on Python ints by
+fraction-free elimination: the simplex by integer pivoting over one common
+denominator (Edmonds), the minors by Bareiss's determinant (Bareiss 1968);
+the simplex builds ``Fraction``s only for the witness it returns.
 
 Deterministic ordering: whenever ties arise, vectors are compared
 lexicographically.
@@ -369,7 +369,7 @@ def integer_multiple_for_solvability(A: Sequence[Sequence[int]], b: Sequence) ->
 
 
 # ---------------------------------------------------------------------------
-# halfspace systems and Fourier-Motzkin elimination
+# halfspace systems; Fourier-Motzkin enumeration of lattice points
 # ---------------------------------------------------------------------------
 
 @record
@@ -473,64 +473,37 @@ def _interval(rows, var, partial):
 
 
 def lp_feasible(H: HalfspaceSystem) -> Optional[Vector]:
-    """Exact rational witness satisfying all constraints, or None.
-
-    Deterministic Fourier-Motzkin elimination with back-substitution; the
-    witness picks 0 when admissible, otherwise the interval midpoint or the
-    finite bound.
-    """
-    dim = H.dim
-    rows = H.rows()
-    if dim == 0:
-        return () if all(o >= 0 for _, o in rows) else None
-    tower = _fm_tower(rows, dim)
-    for coeffs, off in tower[0]:
-        if off < 0:
-            return None
-    partial = []
-    for var in range(dim):
-        iv = _interval(tower[var + 1], var, partial)
-        if iv == "empty":
-            return None
-        lo, hi = iv
-        if lo is None and hi is None:
-            x = Fraction(0)
-        elif lo is None:
-            x = min(Fraction(0), hi)
-        elif hi is None:
-            x = max(Fraction(0), lo)
-        elif lo <= 0 <= hi:
-            x = Fraction(0)
-        else:
-            x = (lo + hi) / 2
-        partial.append(x)
-    if not H.contains(partial):
-        raise InvariantBreach("Fourier-Motzkin witness violates a constraint")
-    return tuple(partial)
+    """Exact rational point satisfying all constraints, or None: one
+    phase-1 simplex (`feasible_point`)."""
+    return feasible_point([(n, -o) for n, o in zip(H.normals, H.offsets)],
+                          (), H.dim)
 
 
 def recession_cone_trivial(H: HalfspaceSystem) -> bool:
-    """True iff the recession cone {x : <n,x> >= 0 for all normals} is {0}."""
+    """True iff the recession cone {x : <n,x> >= 0 for all normals} is {0}.
+
+    One LP, by Stiemke's lemma: for the matrix N of normals, either some x
+    has Nx >= 0 and Nx != 0, or some y > 0 has sum y_i n_i = 0.  So the
+    cone is {0} iff N has rank dim (no x != 0 has Nx = 0) and y = 1 + z
+    works for some z >= 0, that is sum z_i n_i = -sum n_i.  Without
+    normals (dim 0) the cone is the point.
+    """
     dim = H.dim
     if dim == 0:
         return True
-    for i in range(dim):
-        for sign in (1, -1):
-            unit = tuple(sign if j == i else 0 for j in range(dim))
-            probe = HalfspaceSystem(
-                tuple(H.normals) + (unit, vscale(-1, unit)),
-                tuple(Fraction(0) for _ in H.normals) + (Fraction(-1), Fraction(1)),
-            )
-            if lp_feasible(probe) is not None:
-                return False
-    return True
+    if rank(H.normals) < dim:
+        return False
+    target = tuple(-sum(col) for col in zip(*H.normals))
+    return solve_nonneg(H.normals, target) is not None
 
 
-def lattice_points(H: HalfspaceSystem, bounded: bool = True,
+def lattice_points(H: HalfspaceSystem,
                    box: Optional[Sequence[tuple]] = None) -> list:
-    """All integer points of the polyhedron, by recursive coordinate-interval
-    enumeration.  With `bounded` the polyhedron must have trivial recession
-    cone (checked); otherwise an explicit `box` [(lo,hi), ...] is required.
+    """All integer points of the polyhedron, sorted, by recursive
+    coordinate-interval enumeration over a Fourier-Motzkin tower.  Without
+    a `box` [(lo, hi), ...] the polyhedron must have trivial recession cone
+    (checked by `recession_cone_trivial`); with one, only the points in the
+    box are listed.
     """
     dim = H.dim
     if dim == 0:
@@ -542,11 +515,8 @@ def lattice_points(H: HalfspaceSystem, bounded: bool = True,
             extra_n += [unit, vscale(-1, unit)]
             extra_o += [Fraction(-lo), Fraction(hi)]
         H = H.with_extra(extra_n, extra_o)
-    elif bounded:
-        if not recession_cone_trivial(H):
-            raise PreconditionError("polyhedron is unbounded; pass a box")
-    else:
-        raise PreconditionError("unbounded enumeration requires a box")
+    elif not recession_cone_trivial(H):
+        raise PreconditionError("polyhedron is unbounded; pass a box")
     tower = _fm_tower(H.rows(), dim)
     for coeffs, off in tower[0]:
         if off < 0:

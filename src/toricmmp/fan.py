@@ -539,6 +539,13 @@ def star(F: Fan, tau) -> Fan:
         "star fan")
 
 
+def index_rays(index: dict, rays) -> tuple:
+    """Sorted indices of `rays` in `index`, a map ray -> index in order of
+    first appearance, to which each new ray is added; `tuple(index)` is
+    then the ray list of the fan being built."""
+    return tuple(sorted(index.setdefault(r, len(index)) for r in rays))
+
+
 def quotient_fan(F: Fan, P, cones) -> Fan:
     """Images of the given cones of F under the lattice projection P.
 
@@ -546,7 +553,7 @@ def quotient_fan(F: Fan, P, cones) -> Fan:
     generators; rays are indexed by first appearance, and image cones lying
     inside another image cone are dropped.  The result is not validated.
     """
-    ray_list: list = []
+    index: dict = {}
     images = []
     for c in cones:
         imgs = [tuple(int(a) for a in xl.mat_vec(P, F.rays[i])) for i in c]
@@ -555,21 +562,17 @@ def quotient_fan(F: Fan, P, cones) -> Fan:
             images.append(())
             continue
         ext = sorted({xl.primitive(imgs[k]) for k in xl.extreme_rays(imgs)})
-        idxs = []
-        for r in ext:
-            if r not in ray_list:
-                ray_list.append(r)
-            idxs.append(ray_list.index(r))
-        images.append(tuple(sorted(idxs)))
+        images.append(index_rays(index, ext))
+    rays = tuple(index)
     keep = []
     for c in set(images):
-        gens_c = tuple(ray_list[i] for i in c)
+        gens_c = tuple(rays[i] for i in c)
         if not any(set(c) < set(d) or
-                   (c != d and all(cone_contains(tuple(ray_list[i] for i in d), v)
+                   (c != d and all(cone_contains(tuple(rays[i] for i in d), v)
                                    for v in gens_c))
                    for d in set(images)):
             keep.append(c)
-    return Fan(len(P), tuple(ray_list), tuple(sorted(keep)))
+    return Fan(len(P), rays, tuple(sorted(keep)))
 
 
 def star_subdivision(F: Fan, v) -> Fan:
@@ -751,20 +754,13 @@ def common_refinement(F1: Fan, F2: Fan):
     for p in pieces:
         if not any(q != p and all(cone_contains(q, g) for g in p) for q in pieces):
             maximal.append(p)
-    ray_list: list = []
-    cones = []
-    for p in maximal:
-        idxs = []
-        for r in p:
-            if r not in ray_list:
-                ray_list.append(r)
-            idxs.append(ray_list.index(r))
-        cones.append(tuple(sorted(idxs)))
+    index: dict = {}
+    cones = [index_rays(index, p) for p in maximal]
     if not maximal:
         out = Fan(F1.rank, (), ())  # rank 0 gets the zero cone
         return out, identity_map(out, F1), identity_map(out, F2)
     coarse = certify_fan(
-        Fan(F1.rank, tuple(ray_list), tuple(sorted(set(cones)))),
+        Fan(F1.rank, tuple(index), tuple(sorted(set(cones)))),
         "refinement fan")
     fine, _ = qfactorialize(coarse)
     return fine, identity_map(fine, F1), identity_map(fine, F2)

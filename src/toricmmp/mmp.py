@@ -21,7 +21,7 @@ from . import exactlin as xl
 from .errors import InvariantBreach, PreconditionError
 from .record import record
 from .fan import (Fan, FanMap, Wall, certify_fan, certify_local, cone_dim,
-                  common_refinement, identity_map, quotient_fan)
+                  common_refinement, identity_map, index_rays, quotient_fan)
 from .divisor import (InvariantDivisor, pullback, pushforward,
                       support_function)
 from .curves import (CurveClass, contracted_walls, ne_cone, nefness,
@@ -79,7 +79,8 @@ def _section_of_projection(P):
 def contract(m: FanMap, wall_set) -> ContractionResult:
     """Contract the extremal ray whose walls are `wall_set`.
 
-    The walls must share one relation sum a_i v_i = 0, and maximal cones
+    The walls must be contracted by m and share one relation
+    sum a_i v_i = 0 (their `contracted_walls` class), and maximal cones
     merge across them.  Its signs give the kind (Reid 1983), with no search:
     no negative a_i is fano, the quotient by the lattice of the rays J+ with
     a_i > 0; one negative a_j is divisorial, and the target drops
@@ -91,7 +92,10 @@ def contract(m: FanMap, wall_set) -> ContractionResult:
     certified step-locally (`certify_local`).
     """
     F = m.source
-    relations = {wall_relation(F, w) for w in wall_set}
+    relation = dict(contracted_walls(m))
+    if any(w not in relation for w in wall_set):
+        raise PreconditionError("a wall of the set is not contracted by the map")
+    relations = {relation[w] for w in wall_set}
     if len(relations) != 1:
         raise PreconditionError("the walls do not share one relation")
     (rel,) = relations
@@ -363,23 +367,17 @@ def contract_face(m: FanMap, D: InvariantDivisor):
             # come from this cone's positive circuits, not from one relation
             lines = [gens[k] for k in xl.positive_circuit_indices(gens)]
             return _contract_fibration_face(m, D, lines)
-    ray_list, cones, coeff_at = [], [], {}
+    index, cones = {}, []
     for g in groups:
         rayset = tuple(sorted(set(itertools.chain.from_iterable(g))))
         gens = F.cone_gens(rayset)
         keep = list(rayset)
         if len(g) > 1 and gens:
             keep = [rayset[k] for k in sorted(xl.extreme_rays(gens))]
-        idxs = []
-        for i in keep:
-            r = F.rays[i]
-            if r not in ray_list:
-                ray_list.append(r)
-                coeff_at[r] = D.coeffs[i]
-            idxs.append(ray_list.index(r))
-        cones.append(tuple(sorted(idxs)))
-    Z = certify_fan(Fan(F.rank, tuple(ray_list), tuple(sorted(set(cones)))),
+        cones.append(index_rays(index, [F.rays[i] for i in keep]))
+    Z = certify_fan(Fan(F.rank, tuple(index), tuple(sorted(set(cones)))),
                     "ample model fan")
+    coeff_at = dict(zip(F.rays, D.coeffs))
     Dz = InvariantDivisor(tuple(coeff_at[r] for r in Z.rays))
     return Z, identity_map(F, Z), Dz
 

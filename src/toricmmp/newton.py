@@ -16,7 +16,7 @@ from typing import Optional
 from . import exactlin as xl
 from .errors import InputError, InvariantBreach
 from .record import record
-from .fan import Fan, FanMap, certify_fan, resolve
+from .fan import Fan, FanMap, certify_fan, index_rays, resolve
 from .divisor import InvariantDivisor
 from .curves import NefVerdict, nefness
 from .mmp import MMPTrace, contract_face, run_mmp
@@ -79,7 +79,7 @@ def normal_fan(E) -> Fan:
     E = check_exponents(E)
     n = len(E[0])
     cones = []
-    ray_list = []
+    index: dict = {}
     for m in E:
         ineqs = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
         for mp in E:
@@ -88,15 +88,10 @@ def normal_fan(E) -> Fan:
         rays, lin = xl.extreme_rays_of_halfspaces(ineqs, (), n)
         if lin or not rays or xl.rank(rays) < n:
             continue  # m is not a vertex with a full-dimensional domain
-        idxs = []
-        for r in rays:
-            if r not in ray_list:
-                ray_list.append(r)
-            idxs.append(ray_list.index(r))
-        cone = tuple(sorted(idxs))
+        cone = index_rays(index, rays)
         if cone not in cones:
             cones.append(cone)
-    return certify_fan(Fan(n, tuple(ray_list), tuple(sorted(cones))),
+    return certify_fan(Fan(n, tuple(index), tuple(sorted(cones))),
                        "normal fan")
 
 

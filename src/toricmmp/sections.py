@@ -93,7 +93,7 @@ def graded_lattice_points(F: Fan, D: InvariantDivisor, degree: int,
     the brute-force oracle used against hilbert_basis."""
     mD = round_down(D.scale(degree))
     H = sections_polytope(F, mD)
-    pts = xl.lattice_points(H, bounded=box is None, box=box)
+    pts = xl.lattice_points(H, box=box)
     return [tuple(list(p) + [degree]) for p in pts]
 
 

@@ -1,12 +1,18 @@
-"""`Fraction` test oracle for the integer-pivoting simplex of `exactlin`.
+"""Test oracles for the feasibility LPs of `exactlin`.
 
 `_phase1` is the Bland-rule phase-1 simplex over `Fraction`s, as `exactlin`
 ran it before it moved to integer pivoting, and `solve_nonneg` the entry
-point built on it.  Nothing here calls into `exactlin`, so a test that
-compares the two shares no arithmetic with the code it checks.
+point built on it.  `lp_feasible` and `recession_cone_trivial` are the
+Fourier-Motzkin versions `exactlin` used before the simplex answered every
+feasibility and boundedness question: a witness by elimination and
+back-substitution, and boundedness by 2 * dim probes, one per signed unit
+vector.  Nothing here calls into `exactlin`, so a test that compares the
+two shares no arithmetic with the code it checks.
 """
 
+import itertools
 from fractions import Fraction
+from math import gcd, lcm
 
 
 def _phase1(A, b):
@@ -65,3 +71,91 @@ def solve_nonneg(columns, target):
     m = len(columns[0])
     A = [[columns[j][i] for j in range(len(columns))] for i in range(m)]
     return _phase1(A, list(target))
+
+
+def _normalize_row(row):
+    coeffs, off = row
+    entries = list(coeffs) + [off]
+    if all(e == 0 for e in entries):
+        return (tuple(coeffs), off)
+    den = lcm(*(Fraction(e).denominator for e in entries))
+    ints = [int(Fraction(e) * den) for e in entries]
+    g = 0
+    for e in ints:
+        g = gcd(g, abs(e))
+    ints = [e // g for e in ints]
+    return (tuple(ints[:-1]), ints[-1])
+
+
+def _fm_tower(rows, dim):
+    """tower[k]: the rows <coeffs, x> + offset >= 0 with x_k..x_{dim-1}
+    eliminated, so they constrain x_0..x_{k-1} only."""
+    tower = [None] * (dim + 1)
+    cur = tower[dim] = sorted(set(_normalize_row(r) for r in rows))
+    for var in range(dim - 1, -1, -1):
+        pos = [r for r in cur if r[0][var] > 0]
+        neg = [r for r in cur if r[0][var] < 0]
+        out = set(_normalize_row(r) for r in cur if r[0][var] == 0)
+        for (cp, op_), (cn, on_) in itertools.product(pos, neg):
+            a, b = cp[var], -cn[var]
+            out.add(_normalize_row((tuple(b * p + a * q for p, q in zip(cp, cn)),
+                                    b * op_ + a * on_)))
+        cur = tower[var] = sorted(out)
+    return tower
+
+
+def _interval(rows, var, partial):
+    """(lo, hi) for x_var given x_0..x_{var-1}, None for no bound, or None
+    for the whole pair when the interval is empty."""
+    lo, hi = None, None
+    for coeffs, off in rows:
+        c = coeffs[var]
+        if c == 0:
+            continue
+        bound = Fraction(-(off + sum(coeffs[i] * partial[i] for i in range(var))), c)
+        if c > 0 and (lo is None or bound > lo):
+            lo = bound
+        if c < 0 and (hi is None or bound < hi):
+            hi = bound
+    if lo is not None and hi is not None and lo > hi:
+        return None
+    return lo, hi
+
+
+def lp_feasible(normals, offsets):
+    """x with <n, x> + o >= 0 for every row, or None: Fourier-Motzkin
+    elimination, then back-substitution taking 0 when admissible, else the
+    finite bound or the interval's midpoint."""
+    dim = len(normals[0]) if normals else 0
+    rows = [(tuple(map(Fraction, n)), Fraction(o)) for n, o in zip(normals, offsets)]
+    tower = _fm_tower(rows, dim)
+    if any(off < 0 for _, off in tower[0]):
+        return None
+    partial = []
+    for var in range(dim):
+        iv = _interval(tower[var + 1], var, partial)
+        if iv is None:
+            return None
+        lo, hi = iv
+        if (lo is None or lo <= 0) and (hi is None or hi >= 0):
+            x = Fraction(0)
+        elif lo is None or hi is None:
+            x = hi if lo is None else lo
+        else:
+            x = (lo + hi) / 2
+        partial.append(x)
+    if any(sum(a * b for a, b in zip(n, partial)) + o < 0 for n, o in rows):
+        raise AssertionError("Fourier-Motzkin witness violates a constraint")
+    return tuple(partial)
+
+
+def recession_cone_trivial(normals):
+    """Is {x : <n, x> >= 0 for every normal} = {0}?  It is not exactly when
+    one probe, the cone cut by x_i = +1 or x_i = -1, is feasible."""
+    dim = len(normals[0]) if normals else 0
+    for i, sign in itertools.product(range(dim), (1, -1)):
+        unit = tuple(sign if j == i else 0 for j in range(dim))
+        probe = list(normals) + [unit, tuple(-a for a in unit)]
+        if lp_feasible(probe, [0] * len(normals) + [-1, 1]) is not None:
+            return False
+    return True

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -101,7 +102,50 @@ def test_lattice_points_unbounded_guard():
     H = xl.HalfspaceSystem(((1, 0), (0, 1)), (0, 0))
     with pytest.raises(PreconditionError):
         xl.lattice_points(H)
-    assert len(xl.lattice_points(H, bounded=False, box=[(0, 2), (0, 2)])) == 9
+    assert len(xl.lattice_points(H, box=[(0, 2), (0, 2)])) == 9
+
+
+def _random_system(rng, dim):
+    """1-6 rows over dim <= 3 variables with entries in -3..3; about 30% of
+    the normals have true fractions, and offsets are small rationals."""
+    normals, offsets = [], []
+    for _ in range(rng.randint(1, 6)):
+        n = (0,) * dim
+        while not any(n):
+            n = tuple(rng.randint(-3, 3) for _ in range(dim))
+        if rng.random() < 0.3:
+            n = tuple(Fraction(a, rng.randint(1, 3)) for a in n)
+        normals.append(n)
+        offsets.append(Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+    return xl.HalfspaceSystem(tuple(normals), tuple(offsets))
+
+
+def test_feasibility_lps_match_fourier_motzkin_oracle():
+    # the simplex verdicts against the Fourier-Motzkin ones of lp_oracle
+    rng = random.Random(20240801)
+    seen = {"feasible": 0, "infeasible": 0, "trivial": 0, "nontrivial": 0}
+    mismatches = []
+    for k in range(600):
+        H = _random_system(rng, rng.randint(1, 3))
+        feasible = xl.lp_feasible(H) is not None
+        trivial = xl.recession_cone_trivial(H)
+        if feasible != (lp_oracle.lp_feasible(H.normals, H.offsets) is not None) \
+                or trivial != lp_oracle.recession_cone_trivial(H.normals):
+            mismatches.append((k, H))
+        seen["feasible" if feasible else "infeasible"] += 1
+        seen["trivial" if trivial else "nontrivial"] += 1
+    assert mismatches == []
+    assert min(seen.values()) >= 60, seen
+
+
+def test_recession_cone_trivial_one_lp():
+    # Fourier-Motzkin probes ran past 10 s on this system; the one LP does not
+    N = ((-1, 2, -3, 1), (-1, 3, 1, -2), (3, 1, 1, 1), (-1, 0, -3, 1),
+         (3, 0, -1, 1), (-2, -1, -2, -2), (3, -2, -3, 1), (2, -1, 0, -3),
+         (-3, 2, 3, -2), (-2, -3, 3, -3))
+    assert xl.recession_cone_trivial(xl.HalfspaceSystem(N, (0,) * len(N)))
+    # no normals: dimension 0, where the cone is the point
+    assert xl.recession_cone_trivial(xl.HalfspaceSystem((), ()))
 
 
 def test_extreme_rays_of_halfspaces():

@@ -13,7 +13,7 @@ from toricmmp.curves import (contracted_walls, ne_cone, nefness,
 from toricmmp.divisor import InvariantDivisor
 from toricmmp.errors import InvariantBreach, PreconditionError
 from toricmmp.fan import (Fan, FanMap, cone_dim, cone_eq, cone_intersection,
-                          map_to_point)
+                          identity_map, map_to_point)
 from toricmmp.mmp import contract, contract_face, flip, run_mmp, verify_negativity
 
 
@@ -85,6 +85,9 @@ def test_contract_requires_one_relation(f1):
         contract(m, [w for w, _ in contracted_walls(m)])
     with pytest.raises(PreconditionError):
         contract(m, [])
+    # the identity contracts no wall of F1
+    with pytest.raises(PreconditionError):
+        contract(identity_map(f1, f1), [walls(f1)[0]])
 
 
 def test_flip_quadric(quadric_map_a, quadric_tri_b):
