@@ -1,4 +1,5 @@
-"""Wall relations, curve classes, the relative Mori cone, and nef tests.
+"""Wall relations, curve classes, the relative Mori cone, supporting
+divisors of its extremal rays, and nef tests.
 
 Intersection numbers are computed up to a positive rational scale (lattice
 index factors are dropped): every decision downstream consumes only signs
@@ -15,7 +16,7 @@ from . import exactlin as xl
 from .errors import PreconditionError
 from .record import record
 from .fan import Fan, FanMap, Wall, _full_dim_simplicial, check_morphism, \
-    cone_dim, wall_coefficients, walls
+    cone_dim, positive_on, wall_coefficients, walls
 from .divisor import InvariantDivisor, check_divisor
 
 
@@ -73,23 +74,35 @@ class NECone:
     rho: int               # dimension of the linear span
 
 
-def ne_cone(m: FanMap) -> NECone:
+def mori_classes(m: FanMap) -> tuple:
+    """(classes, rho): the distinct classes of `contracted_walls(m)`, sorted
+    by coefficients, and the rank of their span.  They span the relative
+    Mori cone, which is pointed because m must be projective
+    (PreconditionError otherwise, after the scope errors)."""
     pairs = contracted_walls(m)
     if not check_morphism(m).projective:
         raise PreconditionError("map must be projective (strong convexity of "
                                 "the Mori cone needs an ample divisor)")
-    classes = []
-    for _, c in pairs:
-        if c not in classes:
-            classes.append(c)
-    classes.sort(key=lambda c: c.coeffs)
-    if not classes:
-        return NECone((), (), 0)
-    vecs = [c.coeffs for c in classes]
-    ext = xl.extreme_rays(vecs)
-    return NECone(tuple(classes),
-                  tuple(classes[i] for i in ext),
-                  xl.rank(vecs))
+    classes = tuple(sorted({c for _, c in pairs}, key=lambda c: c.coeffs))
+    return classes, xl.rank([c.coeffs for c in classes])
+
+
+def ne_cone(m: FanMap) -> NECone:
+    classes, rho = mori_classes(m)
+    ext = xl.extreme_rays([c.coeffs for c in classes])
+    return NECone(classes, tuple(classes[i] for i in ext), rho)
+
+
+def supporting_divisor(m: FanMap, c: CurveClass) -> Optional[InvariantDivisor]:
+    """A divisor L with L . c = 0 and L . c' >= 1 for every other class c'
+    of `contracted_walls(m)`, c among them, by one exact LP; None exactly
+    when c spans no extremal ray of the relative Mori cone, as L exposes the
+    ray of c and every face of a polyhedral cone is exposed.  L is nef over
+    the base, and its linearity domains are the unions of cells across the
+    walls of class c: the cones of the contraction's target (Reid 1983)."""
+    others = sorted({d.coeffs for _, d in contracted_walls(m)} - {c.coeffs})
+    L = positive_on(others, len(m.source.rays), [c.coeffs])
+    return None if L is None else InvariantDivisor(L)
 
 
 @record

@@ -707,10 +707,16 @@ def extreme_rays(generators: Sequence[Sequence]) -> list:
     rep_vectors = sorted(reps)
     extreme = set()
     for p in rep_vectors:
-        others = [q for q in rep_vectors if q != p]
-        if solve_nonneg(others, p) is None:
+        if is_extreme(p, [q for q in rep_vectors if q != p]):
             extreme.update(reps[p])
     return sorted(extreme)
+
+
+def is_extreme(p, others) -> bool:
+    """Does p span an extreme ray of the pointed cone spanned by p and
+    `others`, none of them a positive multiple of p?  Exactly when p is no
+    nonnegative combination of the others: one LP."""
+    return solve_nonneg(others, p) is None
 
 
 def extreme_rays_of_halfspaces(ineqs: Sequence[Sequence], eqs: Sequence[Sequence],

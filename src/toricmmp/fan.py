@@ -12,16 +12,15 @@ double description.  A full-dimensional simplicial fan is valid by the
 triangulation criterion (De Loera-Rambau-Santos, *Triangulations*, 2010,
 ch. 4): its facets pair up with opposite orientation, unpaired facets lie on
 the boundary of the cone of all rays, and one point is covered once
-(`validate_fan`).  Where the caller knows that every pair of cones away
-from some given cones is fine, only the pairs through them are tested
-(`certify_local`).  Two valid fans share most cones in practice;
+(`validate_fan`).  Two valid fans share most cones in practice;
 `common_refinement` intersects only the cones they do not share, and
 `is_proper` cuts no source cone when the lattice map is onto, so the
 caller knows the dimension `cone_covered` needs.  Walls, the triangulation
 criterion and `check_morphism` read one facet map (`_facet_owners`);
 `check_morphism` places each ray's image once and keeps the relations of
 the walls a map contracts, for its projectivity LP and for
-`curves.contracted_walls`.
+`curves.contracted_walls`; the LP (`positive_on`) also finds the divisor
+that supports an extremal ray (`curves.supporting_divisor`).
 """
 
 from __future__ import annotations
@@ -476,25 +475,6 @@ def certify_fan(F: Fan, what: str) -> Fan:
     return F
 
 
-def certify_local(F: Fan, cones, what: str) -> Fan:
-    """`certify_fan` for a fan that is valid away from the maximal cones
-    `cones` (ray tuples): their strong convexity and extreme generators,
-    and each pair of one of them with a maximal cone sharing a ray with it.
-
-    Precondition, which the caller proves: the rays pass the ray checks,
-    two cones not in `cones` meet in a common face, and a cone in `cones`
-    meets every cone sharing no ray with it only in 0.
-    """
-    idx = [F.max_cones.index(c) for c in cones]
-    near = {tuple(sorted((a, b))) for a in idx
-            for b in range(len(F.max_cones))
-            if b != a and set(F.max_cones[a]) & set(F.max_cones[b])}
-    bad = _cone_violations(F, idx, near)
-    if bad:
-        raise InvariantBreach(f"{what} invalid: {bad}")
-    return F
-
-
 @record
 class ConeClass:
     kind: str  # 'smooth' | 'simplicial' | 'non-simplicial'
@@ -932,6 +912,16 @@ def _contracted_facets(m: FanMap, landing) -> tuple:
     return tuple(out)
 
 
+def positive_on(relations, nrays: int, zero=()) -> Optional[tuple]:
+    """Divisor coefficients L with L . r >= 1 for each relation r, in the
+    given order, and L . z = 0 for each z in `zero`, by one exact LP; None
+    when there is none."""
+    sol = xl.feasible_point(
+        [(tuple(map(Fraction, r)), Fraction(1)) for r in relations],
+        [(tuple(map(Fraction, z)), Fraction(0)) for z in zero], nrays)
+    return None if sol is None else tuple(sol)
+
+
 @lru_cache(maxsize=None)
 def check_morphism(m: FanMap) -> MorphismFlags:
     """Toric, proper and projective flags of m.  Only a proper map gets its
@@ -947,8 +937,6 @@ def check_morphism(m: FanMap) -> MorphismFlags:
     if not (toric and _covers_preimages(m)):
         return MorphismFlags(toric=toric, proper=False, projective=False)
     contracted = _contracted_facets(m, landing)
-    sol = xl.feasible_point([(tuple(map(Fraction, rel)), Fraction(1))
-                             for _, rel in contracted], (), len(m.source.rays))
-    cert = None if sol is None else tuple(sol)
+    cert = positive_on([rel for _, rel in contracted], len(m.source.rays))
     return MorphismFlags(toric=True, proper=True, projective=cert is not None,
                          ample_certificate=cert, contracted=contracted)

@@ -7,8 +7,10 @@ contraction, which ends the run; one negative a_j is divisorial and drops
 v_j and the Picard rank by one; two or more make it flipping, and Reid's
 circuit construction swaps the triangulation of each merged cone from the
 positive to the negative side, where the divisor must be ample over the
-small target (the certificate).  Every step is recorded with its
-certificates and termination is witnessed by a no-repeat set of fans.
+small target (the certificate); the small target is the fan of the
+linearity domains of the divisor supporting the ray.  Every step is
+recorded with its certificates and termination is witnessed by a
+no-repeat set of fans.
 """
 
 from __future__ import annotations
@@ -20,12 +22,12 @@ from typing import Optional
 from . import exactlin as xl
 from .errors import InvariantBreach, PreconditionError
 from .record import record
-from .fan import (Fan, FanMap, Wall, certify_fan, certify_local, cone_dim,
-                  common_refinement, identity_map, index_rays, quotient_fan)
+from .fan import (Fan, FanMap, Wall, certify_fan, cone_dim, common_refinement,
+                  identity_map, index_rays, quotient_fan)
 from .divisor import (InvariantDivisor, pullback, pushforward,
                       support_function)
-from .curves import (CurveClass, contracted_walls, ne_cone, nefness,
-                     wall_relation)
+from .curves import (CurveClass, contracted_walls, mori_classes, nefness,
+                     supporting_divisor, wall_relation)
 
 
 @record
@@ -38,6 +40,7 @@ class ContractionResult:
     merged_cones: tuple = ()      # ray-index tuples in source indexing
     quotient_matrix: Optional[tuple] = None
     relation: Optional[CurveClass] = None  # the walls' sum a_i v_i = 0
+    supporting: Optional[InvariantDivisor] = None  # flipping: L of the ray
 
 
 def _merge_groups(F: Fan, wall_set):
@@ -79,26 +82,30 @@ def _section_of_projection(P):
 def contract(m: FanMap, wall_set) -> ContractionResult:
     """Contract the extremal ray whose walls are `wall_set`.
 
-    The walls must be contracted by m and share one relation
-    sum a_i v_i = 0 (their `contracted_walls` class), and maximal cones
-    merge across them.  Its signs give the kind (Reid 1983), with no search:
-    no negative a_i is fano, the quotient by the lattice of the rays J+ with
-    a_i > 0; one negative a_j is divisorial, and the target drops
-    v_j = sum (a_i / -a_j) v_i; two or more is flipping, and the merged
-    circuit cones stay whole in the small, non-simplicial target.  Each
-    merged cone must have rank + 1 rays and be cut by F into the cells
-    rayset - {j}, j in J+; then it is the union of those cells (the two
-    triangulations of a circuit cover the same cone), and the target is
-    certified step-locally (`certify_local`).
+    The walls must be contracted by m, share one relation sum a_i v_i = 0
+    (their `contracted_walls` class), and be every contracted wall of that
+    class; maximal cones merge across them.  Its signs give the kind
+    (Reid 1983), with no search: no negative a_i is fano, the quotient by
+    the lattice of the rays J+ with a_i > 0; one negative a_j is
+    divisorial, and the target drops v_j = sum (a_i / -a_j) v_i; two or
+    more is flipping, and the merged circuit cones stay whole in the small,
+    non-simplicial target, the fan of the linearity domains of the class's
+    `supporting_divisor` L (its certificate, `supporting`; None is a
+    PreconditionError).  Each merged cone must have rank + 1 rays and be
+    cut by F into the cells rayset - {j}, j in J+; then it is the union of
+    those cells (the two triangulations of a circuit cover the same cone).
     """
     F = m.source
-    relation = dict(contracted_walls(m))
+    pairs = contracted_walls(m)
+    relation = dict(pairs)
     if any(w not in relation for w in wall_set):
         raise PreconditionError("a wall of the set is not contracted by the map")
     relations = {relation[w] for w in wall_set}
     if len(relations) != 1:
         raise PreconditionError("the walls do not share one relation")
     (rel,) = relations
+    if set(wall_set) != {w for w, c in pairs if c == rel}:
+        raise PreconditionError("the set misses a contracted wall of its class")
     j_plus = [i for i, a in enumerate(rel.coeffs) if a > 0]
     j_minus = [i for i, a in enumerate(rel.coeffs) if a < 0]
 
@@ -141,21 +148,20 @@ def contract(m: FanMap, wall_set) -> ContractionResult:
                                  FanMap(m.matrix, Z, m.target),
                                  removed_ray=F.rays[ray], relation=rel)
 
+    L = supporting_divisor(m, rel)
+    if L is None:
+        raise PreconditionError("the class spans no extremal ray")
     for rayset in merged_ray_sets:
         original = {c for c in F.max_cones if set(c) <= set(rayset)}
         if (len(rayset) != F.rank + 1
                 or original != _circuit_cells(rayset, j_plus)):
             raise InvariantBreach(
                 f"merged cone {rayset} is not the J+ side of a circuit")
-    # each merged cone is the union of its cells, cones of the valid F, so
-    # it meets a cone sharing no ray with it only in 0, and two unmerged
-    # cones are cones of F: only pairs through a merged cone need the test
-    Z = certify_local(
-        Fan(F.rank, F.rays, tuple(sorted(set(merged_ray_sets + unmerged)))),
-        merged_ray_sets, "flipping target fan")
+    Z = Fan(F.rank, F.rays, tuple(sorted(set(merged_ray_sets + unmerged))))
     return ContractionResult("flipping", Z, identity_map(F, Z),
                              FanMap(m.matrix, Z, m.target),
-                             merged_cones=tuple(merged_ray_sets), relation=rel)
+                             merged_cones=tuple(merged_ray_sets), relation=rel,
+                             supporting=L)
 
 
 def _fibration(m: FanMap, lin_gens):
@@ -197,10 +203,12 @@ def _flip_contracted(m: FanMap, D: InvariantDivisor, res):
     F = m.source
     j_minus = [i for i, a in enumerate(res.relation.coeffs) if a < 0]
     # `contract` checked that each merged cone is the J+ side of a circuit
-    replacement = {rayset: _circuit_cells(rayset, j_minus)
-                   for rayset in res.merged_cones}
-    Xp = _replace_cones(F, replacement)
-    for rayset in replacement:
+    cones = {c for c in F.max_cones
+             if not any(set(c) <= set(r) for r in res.merged_cones)}
+    for rayset in res.merged_cones:
+        cones |= _circuit_cells(rayset, j_minus)
+    Xp = Fan(F.rank, F.rays, tuple(sorted(cones)))
+    for rayset in res.merged_cones:
         for j, k in itertools.combinations(j_minus, 2):
             wall = Wall(tuple(i for i in rayset if i not in (j, k)),
                         tuple(i for i in rayset if i != j),
@@ -218,20 +226,6 @@ def _flip_contracted(m: FanMap, D: InvariantDivisor, res):
 def _circuit_cells(rayset, side) -> set:
     """Cells rayset - {j}, j in side: one triangulation of a circuit cone."""
     return {tuple(i for i in rayset if i != j) for j in side}
-
-
-def _replace_cones(F: Fan, replacement) -> Fan:
-    merged_members = set()
-    new_cones = []
-    for rayset, cells in replacement.items():
-        for c in F.max_cones:
-            if set(c) <= set(rayset):
-                merged_members.add(c)
-        new_cones.extend(cells)
-    for c in F.max_cones:
-        if c not in merged_members:
-            new_cones.append(c)
-    return Fan(F.rank, F.rays, tuple(sorted(set(new_cones))))
 
 
 # ---------------------------------------------------------------------------
@@ -260,80 +254,73 @@ class MMPTrace:
     final_divisor: Optional[InvariantDivisor]
 
 
-def _negative_extremal(ne, D):
-    return [c for c in ne.extremal_rays if c.pair(D) < 0]
+# termination is a theorem: a run this long is a bug
+MAX_STEPS = 10000
 
 
-def run_mmp(m: FanMap, D: InvariantDivisor, max_steps: int = 10000) -> MMPTrace:
+def run_mmp(m: FanMap, D: InvariantDivisor) -> MMPTrace:
     """D-MMP over the base of m; returns the full certified trace.
 
     Ray selection: among the D-negative extremal classes, prefer one whose
     contraction is divisorial or flipping, lexicographically smallest class
     first; fano contractions are taken only when no alternative exists.
+    Each map's `mori_classes` and rho are found once: a step's rho after is
+    the next step's rho before.
     """
     cur_map, cur_D = m, D
+    classes, rho = mori_classes(m)
     steps = []
     seen = {m.source.canonical()}
-    for _ in range(max_steps):
-        F = cur_map.source
-        ne = ne_cone(cur_map)
-        verdict = nefness(cur_D, cur_map)
-        if verdict.nef:
-            return MMPTrace(tuple(steps), "minimal", F, cur_map, cur_D)
-        negative = _negative_extremal(ne, cur_D)
-        if not negative:
-            raise InvariantBreach("divisor not nef but no negative extremal ray")
-        pairs = contracted_walls(cur_map)
-        chosen = None
-        fano_fallback = None
-        for c in sorted(negative, key=lambda c: c.coeffs):
-            wall_set = [w for w, cc in pairs if cc == c]
-            res = contract(cur_map, wall_set)
-            if res.kind != "fano":
-                chosen = (c, wall_set, res)
-                break
-            if fano_fallback is None:
-                fano_fallback = (c, wall_set, res)
-        if chosen is None:
-            chosen = fano_fallback
-        c, wall_set, res = chosen
+    for _ in range(MAX_STEPS):
+        if nefness(cur_D, cur_map).nef:
+            return MMPTrace(tuple(steps), "minimal", cur_map.source, cur_map,
+                            cur_D)
+        c, res = _negative_contraction(cur_map, cur_D, classes)
         value = c.pair(cur_D)
-
         if res.kind == "fano":
-            steps.append(MMPStep("fano", c, value, ne.rho, None,
-                                 res.target, None))
+            steps.append(MMPStep("fano", c, value, rho, None, res.target, None))
             return MMPTrace(tuple(steps), "fano", res.target, res.base_map, None)
-
+        pos = None
         if res.kind == "divisorial":
             new_map = res.base_map
             new_D = pushforward(res.contraction, cur_D)
-            rho_after = ne_cone(new_map).rho
-            if rho_after != ne.rho - 1:
-                raise InvariantBreach(
-                    f"divisorial step must drop rho by one ({ne.rho} -> {rho_after})")
-            key = res.target.canonical()
-            if key in seen:
-                raise InvariantBreach("fan repeated; termination violated")
-            seen.add(key)
-            steps.append(MMPStep("divisorial", c, value, ne.rho, rho_after,
-                                 res.target, new_D, removed_ray=res.removed_ray))
-            cur_map, cur_D = new_map, new_D
-            continue
-
-        # flipping
-        Xp, to_w, Dp, pos = _flip_contracted(cur_map, cur_D, res)
-        new_map = FanMap(cur_map.matrix, Xp, cur_map.target)
-        new_ne = ne_cone(new_map)
-        if new_ne.rho != ne.rho:
+        else:
+            Xp, _, new_D, pos = _flip_contracted(cur_map, cur_D, res)
+            new_map = FanMap(cur_map.matrix, Xp, cur_map.target)
+        new_classes, rho_after = mori_classes(new_map)
+        if res.kind == "divisorial" and rho_after != rho - 1:
+            raise InvariantBreach(
+                f"divisorial step must drop rho by one ({rho} -> {rho_after})")
+        if res.kind == "flipping" and rho_after != rho:
             raise InvariantBreach("flip must preserve rho")
-        key = Xp.canonical()
+        key = new_map.source.canonical()
         if key in seen:
             raise InvariantBreach("fan repeated; termination violated")
         seen.add(key)
-        steps.append(MMPStep("flipping", c, value, ne.rho, new_ne.rho,
-                             Xp, Dp, flip_positive_value=pos))
-        cur_map, cur_D = new_map, Dp
+        steps.append(MMPStep(res.kind, c, value, rho, rho_after,
+                             new_map.source, new_D, removed_ray=res.removed_ray,
+                             flip_positive_value=pos))
+        cur_map, cur_D, classes, rho = new_map, new_D, new_classes, rho_after
     raise InvariantBreach("step limit exceeded")
+
+
+def _negative_contraction(m: FanMap, D: InvariantDivisor, classes):
+    """(class, contraction) of `run_mmp`'s ray selection.  The D-negative
+    `classes` are tested for extremality (`xl.is_extreme`, one LP each) in
+    their sorted order, and only until a contraction is not fano."""
+    pairs = contracted_walls(m)
+    fano = None
+    for c in classes:
+        if c.pair(D) >= 0 or not xl.is_extreme(
+                c.coeffs, [d.coeffs for d in classes if d != c]):
+            continue
+        res = contract(m, [w for w, d in pairs if d == c])
+        if res.kind != "fano":
+            return c, res
+        fano = fano or (c, res)
+    if fano is None:
+        raise InvariantBreach("divisor not nef but no negative extremal ray")
+    return fano
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,13 @@ it proved simplicial fans by the triangulation criterion and refined only
 the cones two fans do not share.  (`covering_oracle.is_proper` is the
 oracle for `fan.is_proper`.)
 
+`certify_local` is the pairwise check `mmp.contract` ran on a flipping
+target before the supporting divisor L of the ray certified it: only the
+pairs through the merged cones.  `supports` re-checks L with dot products
+and the target as the fan of L's linearity domains, and
+`check_supporting` compares both verdicts on a target, and L's existence
+with the extremal rays of `curves.ne_cone`.
+
 `projectivity_certificate` is the covector LP `fan` ran before the wall LP
 on the facet map: one covector per maximal cone, equal on shared rays and
 strictly convex across every contracted wall.  It needs no simplicial
@@ -27,6 +34,7 @@ from fractions import Fraction
 from toricmmp import curves as cv
 from toricmmp import exactlin as xl
 from toricmmp import fan as fn
+from toricmmp import mmp
 from toricmmp.errors import InvariantBreach, PreconditionError
 from toricmmp.fan import (Fan, FanMap, certify_fan, cone_contains,
                           cone_covered_by_gens, cone_intersection,
@@ -52,6 +60,65 @@ def validate_fan(F: Fan) -> list:
         return violations
     n = len(F.max_cones)
     return fn._cone_violations(F, range(n), itertools.combinations(range(n), 2))
+
+
+def certify_local(F: Fan, cones, what: str) -> Fan:
+    """`certify_fan` for a fan that is valid away from the maximal cones
+    `cones` (ray tuples): their strong convexity and extreme generators,
+    and each pair of one of them with a maximal cone sharing a ray with it.
+
+    Precondition, which the caller proves: the rays pass the ray checks,
+    two cones not in `cones` meet in a common face, and a cone in `cones`
+    meets every cone sharing no ray with it only in 0.
+    """
+    idx = [F.max_cones.index(c) for c in cones]
+    near = {tuple(sorted((a, b))) for a in idx
+            for b in range(len(F.max_cones))
+            if b != a and set(F.max_cones[a]) & set(F.max_cones[b])}
+    bad = fn._cone_violations(F, idx, near)
+    if bad:
+        raise InvariantBreach(f"{what} invalid: {bad}")
+    return F
+
+
+def certifies(Z: Fan, merged) -> bool:
+    """Does `certify_local` pass Z, checked around the cones `merged`?"""
+    try:
+        certify_local(Z, merged, "flipping target")
+    except InvariantBreach:
+        return False
+    return True
+
+
+def supports(m: FanMap, cls, L, Z: Fan) -> bool:
+    """Does L certify Z as the target of contracting the class `cls` of m?
+    L must pair to 0 with `cls` and to at least 1 with every other class of
+    m, and the maximal cones of Z must be L's linearity domains: the cells
+    of m's source merged across the contracted walls where L is zero."""
+    pairs = cv.contracted_walls(m)
+    if cls.pair(L) != 0 or any(c.pair(L) < 1 for _, c in pairs if c != cls):
+        return False
+    groups = mmp._merge_groups(m.source,
+                               [w for w, c in pairs if c.pair(L) == 0])
+    domains = {tuple(sorted(set(itertools.chain.from_iterable(g))))
+               for g in groups}
+    return domains == set(Z.max_cones)
+
+
+def check_supporting(m: FanMap, cls):
+    """Fail unless `curves.supporting_divisor` finds a divisor for exactly
+    the extremal classes of `curves.ne_cone(m)`, and unless, when `mmp.
+    contract` flips the class `cls`, its divisor and `certify_local` both
+    accept its target.  Returns the contraction."""
+    extremal = set(cv.ne_cone(m).extremal_rays)
+    for c in cv.mori_classes(m)[0]:
+        assert (cv.supporting_divisor(m, c) is not None) == (c in extremal), \
+            (m, c)
+    res = mmp.contract(m, [w for w, c in cv.contracted_walls(m) if c == cls])
+    if res.kind == "flipping":
+        assert supports(m, cls, res.supporting, res.target), (m, cls)
+        assert certifies(res.target, res.merged_cones), (m, cls)
+    return res
 
 
 def common_refinement(F1: Fan, F2: Fan):

@@ -141,11 +141,20 @@ def step_maps(m: FanMap, trace):
 
 def check_contraction(m: FanMap, cls) -> str:
     """Contract the walls of class `cls` with `mmp.contract` and with the
-    oracle; fail unless every field but the relation agrees.  Returns the
-    kind."""
-    wall_set = [w for w, c in contracted_walls(m) if c == cls]
+    oracle; fail unless every field but the relation and the supporting
+    divisor agrees, the relation is `cls` and a flip's supporting divisor
+    pairs to 0 with `cls` and to at least 1 with every other class.
+    Returns the kind."""
+    pairs = contracted_walls(m)
+    wall_set = [w for w, c in pairs if c == cls]
     new, old = mmp.contract(m, wall_set), contract(m, wall_set)
     assert new.relation == cls
-    assert mmp.ContractionResult(**{**vars(new), "relation": None}) == old, \
-        (m, cls)
+    L = new.supporting
+    if new.kind == "flipping":
+        assert cls.pair(L) == 0, (m, cls)
+        assert all(c.pair(L) >= 1 for _, c in pairs if c != cls), (m, cls)
+    else:
+        assert L is None
+    assert mmp.ContractionResult(**{**vars(new), "relation": None,
+                                    "supporting": None}) == old, (m, cls)
     return new.kind

@@ -1,15 +1,15 @@
 """Local fan certification against the whole-fan oracles.
 
 `validate_fan` proves full-dimensional simplicial fans by the triangulation
-criterion, `contract` certifies a flipping target only around its merged
-cones, `common_refinement` intersects only unshared cones and `is_proper`
-cuts no cone under an onto map.  Each is checked here against the routine
-it replaced (`fan_oracle`, `covering_oracle`) on a slice of the acceptance
-corpus and on mutated fans, and a guard makes sure the MMP never falls
-back to the pairwise check on the fans the fast paths cover.
+criterion, `contract` certifies a flipping target by the supporting divisor
+of its ray, `common_refinement` intersects only unshared cones and
+`is_proper` cuts no cone under an onto map.  Each is checked here against
+the routine it replaced (`fan_oracle`, `covering_oracle`) on a slice of the
+acceptance corpus and on mutated fans, and a guard makes sure the MMP never
+falls back to the pairwise check on the fans the fast paths cover, nor
+builds the whole Mori cone.
 """
 
-import itertools
 import random
 
 import pytest
@@ -18,9 +18,11 @@ import covering_oracle
 import fan_oracle
 import mmp_oracle
 from toricmmp import corpus
+from toricmmp import curves as cv
 from toricmmp import fan as fn
 from toricmmp import mmp
 from toricmmp.curves import contracted_walls
+from toricmmp.divisor import InvariantDivisor
 from toricmmp.errors import InvariantBreach
 from toricmmp.fan import Fan, FanMap
 from test_acceptance import _check_flip_steps
@@ -168,9 +170,22 @@ def test_flipping_target_matches_validate_fan(instances):
     assert len(flips) >= 3
     rng = random.Random(11)
     verdicts = set()
+    corrupted = 0
     for cur, res, _ in flips:
-        Z = res.target
+        Z, cls, L = res.target, res.relation, res.supporting
         assert fan_oracle.validate_fan(Z) == []
+        assert fan_oracle.supports(cur, cls, L, Z)
+        # move one coefficient of L so that another class pairs to 0
+        for other in cv.mori_classes(cur)[0]:
+            if other != cls:
+                i = next(i for i, a in enumerate(other.coeffs) if a)
+                coeffs = list(L.coeffs)
+                coeffs[i] -= other.pair(L) / other.coeffs[i]
+                bad = InvariantDivisor(coeffs)
+                assert other.pair(bad) == 0
+                assert not fan_oracle.supports(cur, cls, bad, Z)
+                corrupted += 1
+                break
         # widen a merged cone by a ray of a cone next to it
         for rayset in res.merged_cones:
             near = sorted({i for c in Z.max_cones if set(c) & set(rayset)
@@ -182,19 +197,33 @@ def test_flipping_target_matches_validate_fan(instances):
                 if wide not in W.max_cones:
                     continue
                 try:
-                    fn.certify_local(W, [wide], "widened target")
+                    fan_oracle.certify_local(W, [wide], "widened target")
                     ok = True
                 except InvariantBreach:
                     ok = False
                 assert ok == (fan_oracle.validate_fan(W) == []), W
+                # the widened cone is no linearity domain of L
+                assert not fan_oracle.supports(cur, cls, L, W)
                 verdicts.add(ok)
         # put a cell of the source back next to the merged cone holding it
         cell = next(c for c in cur.source.max_cones
                     if set(c) <= set(res.merged_cones[0]))
         W = Fan(Z.rank, Z.rays, Z.max_cones + (cell,))
         with pytest.raises(InvariantBreach, match="contained"):
-            fn.certify_local(W, res.merged_cones, "target with a cell")
-    assert False in verdicts
+            fan_oracle.certify_local(W, res.merged_cones, "target with a cell")
+        assert not fan_oracle.supports(cur, cls, L, W)
+    assert False in verdicts and corrupted >= 3
+
+
+def test_supporting_divisor_matches_oracles(instances):
+    # every step of the slice: L exists exactly for ne_cone's extremal
+    # classes, and on a flip L and certify_local both accept the target
+    kinds = []
+    for k in SLICE:
+        m, D = instances[k]
+        for cur, cls in mmp_oracle.step_maps(m, mmp.run_mmp(m, D)):
+            kinds.append(fan_oracle.check_supporting(cur, cls).kind)
+    assert kinds.count("flipping") >= 3 and "divisorial" in kinds
 
 
 # -- common refinement ----------------------------------------------------------
@@ -293,40 +322,52 @@ def test_is_proper_cuts_under_a_map_that_is_not_onto():
 
 def test_no_pairwise_check_on_simplicial_fans_or_flipping_targets(
         instances, monkeypatch):
-    calls = []
+    violations, intersections, ne_calls = [], [], []
     orig = fn._cone_violations
+    orig_inter = fn.cone_intersection
+    orig_ne = cv.ne_cone
 
     def spy(F, cones, pairs):
-        pairs = list(pairs)
-        calls.append((F, pairs))
+        violations.append(F)
         return orig(F, cones, pairs)
 
+    def spy_inter(gens_a, gens_b):
+        intersections.append((gens_a, gens_b))
+        return orig_inter(gens_a, gens_b)
+
+    def spy_ne(m):
+        ne_calls.append(m)
+        return orig_ne(m)
+
     monkeypatch.setattr(fn, "_cone_violations", spy)
+    monkeypatch.setattr(fn, "cone_intersection", spy_inter)
+    monkeypatch.setattr(cv, "ne_cone", spy_ne)
+    monkeypatch.setattr(mmp, "ne_cone", spy_ne, raising=False)
     targets = {}
     orig_contract = mmp.contract
 
     def record(m, wall_set):
         res = orig_contract(m, wall_set)
         if res.kind == "flipping":
-            targets[res.target] = {res.target.max_cones.index(r)
-                                   for r in res.merged_cones}
+            targets[res.target] = res
         return res
 
     monkeypatch.setattr(mmp, "contract", record)
-    for k in SLICE:
-        m, D = instances[k]
-        _check_flip_steps(m, D, mmp.run_mmp(m, D))
-    assert len(targets) >= 3
-    unmerged_pairs = 0
-    for F, pairs in calls:
+    traces = [(instances[k], mmp.run_mmp(*instances[k])) for k in SLICE]
+    # run_mmp intersects no cones and does not build the Mori cone
+    assert intersections == [] and ne_calls == []
+    for (m, D), trace in traces:
+        _check_flip_steps(m, D, trace)
+    # nor does the flip replay touch a flipping target: no pairwise check
+    # of it and no intersection with one of its merged cones
+    merged = {frozenset(Z.cone_gens(r))
+              for Z, res in targets.items() for r in res.merged_cones}
+    for F in violations:
         assert not _full_dim_simplicial(F), F
-        if F in targets:
-            merged = targets[F]
-            assert all(a in merged or b in merged for a, b in pairs), F
-    for Z, merged in targets.items():
-        unmerged_pairs += any(a not in merged and b not in merged
-                              for a, b in itertools.combinations(
-                                  range(len(Z.max_cones)), 2))
-    # the guard is not vacuous: the targets were checked, and some target
-    # has a pair of unmerged cones
-    assert any(F in targets for F, _ in calls) and unmerged_pairs > 0
+        assert F not in targets, F
+    for pair in intersections:
+        assert not merged & {frozenset(g) for g in pair}, pair
+    # the guard is not vacuous: flipping targets were built, each with its
+    # supporting divisor
+    assert len(targets) >= 3
+    assert all(res.supporting is not None for res in targets.values())

@@ -88,6 +88,15 @@ def test_contract_requires_one_relation(f1):
     # the identity contracts no wall of F1
     with pytest.raises(PreconditionError):
         contract(identity_map(f1, f1), [walls(f1)[0]])
+    # a divisorial ray with two walls: either wall alone is a caller error
+    m, D = corpus.termination_instances(seed=20240801, count=18)[17]
+    cls = run_mmp(m, D).steps[0].chosen_class
+    wall_set = [w for w, c in contracted_walls(m) if c == cls]
+    assert len(wall_set) == 2
+    assert contract(m, wall_set).kind == "divisorial"
+    for w in wall_set:
+        with pytest.raises(PreconditionError, match="misses a contracted wall"):
+            contract(m, [w])
 
 
 def test_flip_quadric(quadric_map_a, quadric_tri_b):
@@ -167,6 +176,15 @@ def _ample_on_merged(F, D, rayset):
                if set(w.side_a) | set(w.side_b) <= set(rayset))
 
 
+def _replace_cones(F, replacement):
+    """F with the cells inside each merged cone `rayset` replaced by the
+    cells `replacement[rayset]`."""
+    kept = [c for c in F.max_cones
+            if not any(set(c) <= set(r) for r in replacement)]
+    cells = [c for t in replacement.values() for c in t]
+    return Fan(F.rank, F.rays, tuple(sorted(set(kept + cells))))
+
+
 def _ample_triangulation_flip(m, wall_set, D):
     """The flipped fan found by search: for each merged cone, the unique
     triangulation other than the original on which D is ample."""
@@ -177,11 +195,11 @@ def _ample_triangulation_flip(m, wall_set, D):
     for rayset in res.merged_cones:
         original = tuple(sorted(c for c in F.max_cones if set(c) <= set(rayset)))
         choices = [t for t in _triangulations(F, rayset) if t != original
-                   and _ample_on_merged(mmp._replace_cones(F, {rayset: t}),
+                   and _ample_on_merged(_replace_cones(F, {rayset: t}),
                                         D, rayset)]
         assert len(choices) == 1, f"{len(choices)} ample triangulations"
         replacement[rayset] = choices[0]
-    return mmp._replace_cones(F, replacement)
+    return _replace_cones(F, replacement)
 
 
 # the divisor of corpus instance 65 on its pre-flip fan (`corpus65_map`)

@@ -5,14 +5,15 @@ Left out of the default run by the `slow` marker; run it with
     python3 -m pytest -m slow -s tests/test_stress.py
 
 Each instance is a seeded `corpus.random_complete_fan` (rank 3 with up to 9
-rays, or rank 4 or 5) mapped to a point, with a `corpus.random_divisor`.  The MMP
-must end, and its certificates are re-checked as in the acceptance corpus:
-nefness at a minimal end and negativity on every replayed flip.  Each
-step's contraction must also equal the LP oracle's (`mmp_oracle`), and each
-map's contracted walls, classes and ample certificate the replaced paths'
-(`fan_oracle.check_contracted`).  The time
-per instance is printed, to find worst cases.  The seeds are fixed and are
-not to be chosen by their outcome.
+rays, or rank 4, 5 or 6) mapped to a point, with a `corpus.random_divisor`.
+The MMP must end, and its certificates are re-checked as in the acceptance
+corpus: nefness at a minimal end and negativity on every replayed flip.
+Each step's contraction must also equal the LP oracle's (`mmp_oracle`),
+each map's contracted walls, classes and ample certificate the replaced
+paths' (`fan_oracle.check_contracted`), and each map's supporting divisors
+and flipping target the replaced paths' (`fan_oracle.check_supporting`).
+The time per instance is printed, to find worst cases.  The seeds are fixed
+and are not to be chosen by their outcome.
 """
 
 import random
@@ -29,7 +30,7 @@ from toricmmp.fan import map_to_point
 from toricmmp.mmp import run_mmp
 
 CASES = ([(3, nrays) for nrays in range(5, 10)] + [(4, nrays) for nrays in (6, 7)]
-         + [(5, nrays) for nrays in (7, 8)])
+         + [(5, nrays) for nrays in (7, 8)] + [(6, 8)])
 SEEDS = range(3)
 
 
@@ -50,6 +51,7 @@ def test_mmp_stress(rank, nrays, seed):
     for cur, cls in mmp_oracle.step_maps(m, trace):
         mmp_oracle.check_contraction(cur, cls)
         fan_oracle.check_contracted(cur)
+        fan_oracle.check_supporting(cur, cls)
     fan_oracle.check_contracted(trace.final_map)
     steps = ",".join(s.kind for s in trace.steps) or "none"
     print(f"\nrank {rank}, {len(F.rays)} rays, seed {seed}: steps {steps}, "
