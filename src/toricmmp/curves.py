@@ -31,12 +31,13 @@ class CurveClass:
 
 
 def wall_relation(F: Fan, w: Wall) -> CurveClass:
-    """The relation (`fan.wall_coefficients`) of a wall of simplicial cones."""
+    """The relation (`fan.wall_coefficients`) of a wall of full-dimensional
+    simplicial cones."""
     for side in (w.side_a, w.side_b):
-        if len(side) != cone_dim(F.cone_gens(side)):
+        if not len(side) == cone_dim(F.cone_gens(side)) == F.rank:
             raise PreconditionError(
-                f"adjacent cone {side} is not simplicial; wall relations need "
-                "a Q-factorial fan")
+                f"adjacent cone {side} is not simplicial and full-dimensional; "
+                "wall relations need a Q-factorial fan")
     return CurveClass(wall_coefficients(F, w.rays, w.side_a, w.side_b))
 
 

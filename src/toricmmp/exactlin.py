@@ -3,14 +3,17 @@
 Everything here works over ``fractions.Fraction`` or Python ints; no floating
 point is used anywhere.  Vectors are tuples, matrices are tuples of row
 tuples.  All algorithms are desk-scale exact methods: Gaussian elimination,
-Hermite/Smith reduction, a Bland-rule phase-1 simplex, which answers every
-feasibility and boundedness question, Fourier-Motzkin elimination with
-recursive interval enumeration, used only to list lattice points, and a
-subset-enumeration double description whose one-dimensional kernels are
-signed maximal minors.  The simplex and the minors run on Python ints by
-fraction-free elimination: the simplex by integer pivoting over one common
-denominator (Edmonds), the minors by Bareiss's determinant (Bareiss 1968);
-the simplex builds ``Fraction``s only for the witness it returns.
+signed maximal minors, Smith reduction, a Bland-rule phase-1 simplex, which
+answers every feasibility and boundedness question, Fourier-Motzkin
+elimination with recursive interval enumeration, used only to list lattice
+points, and a subset-enumeration double description.  Every corank-one
+integer kernel (a wall relation, a facet normal, a ray of the double
+description) is a vector of signed maximal minors (`primitive_kernel`);
+the Smith form serves only quotient lattices and divisibility.  The simplex
+and the minors run on Python ints by fraction-free elimination: the simplex
+by integer pivoting over one common denominator (Edmonds), the minors by
+Bareiss's determinant (Bareiss 1968); the simplex builds ``Fraction``s only
+for the witness it returns.
 
 Deterministic ordering: whenever ties arise, vectors are compared
 lexicographically.
@@ -163,6 +166,10 @@ def nullspace(A: Sequence[Sequence], n: Optional[int] = None) -> list:
     return basis
 
 
+# ---------------------------------------------------------------------------
+# integer kernels: Bareiss determinants and signed maximal minors
+# ---------------------------------------------------------------------------
+
 def integer_det(M: Sequence[Sequence[int]]) -> int:
     """Determinant of a square integer matrix by fraction-free elimination
     (Bareiss): every division is exact, so all entries stay integers."""
@@ -193,54 +200,26 @@ def _minor_kernel(M, s: int) -> Vector:
                  for j in range(s))
 
 
+def primitive_kernel(M: Sequence[Sequence[int]], s: int) -> Vector:
+    """The primitive integer vector spanning the kernel of an (s-1) x s
+    integer matrix M of rank s-1, up to sign: its signed maximal minors
+    (`_minor_kernel`) divided by their gcd.  A wrong shape or a rank
+    deficit (all minors zero) is an InvariantBreach."""
+    rows = [tuple(r) for r in M]
+    if len(rows) != s - 1 or any(len(r) != s for r in rows):
+        raise InvariantBreach(f"{len(rows)} rows in Z^{s} do not cut out a line")
+    ker = _minor_kernel(rows, s)
+    if is_zero(ker):
+        raise InvariantBreach("rank-deficient matrix: its kernel is not a line")
+    ker = primitive(ker)
+    if any(dot(r, ker) != 0 for r in rows):
+        raise InvariantBreach("integer kernel vector is not in the kernel")
+    return ker
+
+
 # ---------------------------------------------------------------------------
-# integer lattice algorithms (Hermite / Smith reduction)
+# integer lattice algorithms (Smith reduction): quotients and divisibility
 # ---------------------------------------------------------------------------
-
-def integer_kernel(A: Sequence[Sequence[int]]) -> list:
-    """Lattice basis of {x in Z^k : A x = 0} via column reduction.
-
-    Returns [] when the kernel is trivial.  The output vectors are the columns
-    of a unimodular transform corresponding to zeroed columns, so they always
-    form a basis of the full integer kernel lattice.
-    """
-    if not A or not A[0]:
-        k = len(A[0]) if A else 0
-        return [tuple(r) for r in identity_matrix(k)]
-    m, k = len(A), len(A[0])
-    cols = [[int(A[i][j]) for i in range(m)] for j in range(k)]
-    U = [[1 if i == j else 0 for i in range(k)] for j in range(k)]  # columns of unimodular U
-
-    col = 0
-    for row in range(m):
-        while True:
-            nz = [j for j in range(col, k) if cols[j][row] != 0]
-            if not nz:
-                break
-            j0 = min(nz, key=lambda j: (abs(cols[j][row]), j))
-            cols[col], cols[j0] = cols[j0], cols[col]
-            U[col], U[j0] = U[j0], U[col]
-            done = True
-            for j in range(col + 1, k):
-                if cols[j][row] == 0:
-                    continue
-                q = cols[j][row] // cols[col][row]
-                cols[j] = [a - q * b for a, b in zip(cols[j], cols[col])]
-                U[j] = [a - q * b for a, b in zip(U[j], U[col])]
-                if cols[j][row] != 0:
-                    done = False
-            if done:
-                break
-        if col < k and cols[col][row] != 0:
-            col += 1
-        if col == k:
-            break
-    kernel = [tuple(U[j]) for j in range(k) if all(c == 0 for c in cols[j])]
-    for kv in kernel:
-        if any(dot(rowa, kv) != 0 for rowa in A):
-            raise InvariantBreach("integer kernel vector is not in the kernel")
-    return sorted(kernel)
-
 
 def smith_normal_form(A: Sequence[Sequence[int]]):
     """Smith normal form with transforms: returns (D, U, V) with U A V = D,
@@ -312,11 +291,6 @@ def smith_normal_form(A: Sequence[Sequence[int]]):
     return Dt, tuple(tuple(r) for r in U), tuple(tuple(r) for r in V)
 
 
-def smith_invariants(A: Sequence[Sequence[int]]) -> list:
-    D, _, _ = smith_normal_form(A)
-    return [D[i][i] for i in range(min(len(D), len(D[0]) if D else 0)) if D[i][i] != 0]
-
-
 def quotient_projection(vectors: Sequence[Sequence[int]], dim: int) -> Matrix:
     """Integer projection matrix P : Z^dim -> Z^(dim-r) with kernel the
     saturation of the sublattice spanned by `vectors` (r = its rank)."""
@@ -326,26 +300,6 @@ def quotient_projection(vectors: Sequence[Sequence[int]], dim: int) -> Matrix:
     D, U, _ = smith_normal_form(W)
     r = len([i for i in range(min(len(D), len(D[0]))) if D[i][i] != 0])
     return tuple(tuple(U[i]) for i in range(r, dim))
-
-
-def integer_solve(A: Sequence[Sequence[int]], b: Sequence[int]) -> Optional[Vector]:
-    """One integer solution of A x = b, or None."""
-    if not A:
-        return ()
-    D, U, V = smith_normal_form(A)
-    c = mat_vec(U, b)
-    m, n = len(A), len(A[0])
-    y = [0] * n
-    for i in range(m):
-        d = D[i][i] if i < min(m, n) else 0
-        if d == 0:
-            if c[i] != 0:
-                return None
-        else:
-            if c[i] % d != 0:
-                return None
-            y[i] = c[i] // d
-    return mat_vec(V, y)
 
 
 def integer_multiple_for_solvability(A: Sequence[Sequence[int]], b: Sequence) -> Optional[int]:

@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Optional, Sequence
 
 from . import exactlin as xl
@@ -60,24 +61,20 @@ def cone_span_perp(gens: tuple) -> tuple:
 def cone_facets(gens: tuple) -> tuple:
     """Facet normals of the cone within its own span: integer vectors n with
     <n, g> >= 0 for all generators and n vanishing on exactly one facet.
-    For a one-dimensional cone the single normal is the ray itself."""
+    For a one-dimensional cone the single normal is the ray itself.  On a
+    simplicial cone the normal opposite g_i is the `primitive_kernel` of the
+    other generators and an integer basis of the span's complement, signed
+    positive on g_i; otherwise the normals are the rays of the dual cone."""
     if not gens:
         return ()
     dim = len(gens[0])
     d = cone_dim(gens)
     if len(gens) == d:
-        # simplicial: one normal per omitted generator
+        perp = tuple(xl.scale_to_integer(z) for z in cone_span_perp(gens))
         normals = []
         for i in range(len(gens)):
-            others = [gens[j] for j in range(len(gens)) if j != i]
-            rows = list(others) + list(cone_span_perp(gens))
-            ker = xl.nullspace(rows, dim)
-            if len(ker) != 1:
-                raise InvariantBreach("facet normal not unique on simplicial cone")
-            n = xl.scale_to_integer(ker[0])
-            if xl.dot(n, gens[i]) < 0:
-                n = xl.vscale(-1, n)
-            normals.append(tuple(n))
+            n = xl.primitive_kernel(gens[:i] + gens[i + 1:] + perp, dim)
+            normals.append(n if xl.dot(n, gens[i]) > 0 else xl.vscale(-1, n))
         return tuple(sorted(normals))
     ineqs = [tuple(g) for g in gens]
     rays, lin = xl.extreme_rays_of_halfspaces(ineqs, cone_span_perp(gens), dim)
@@ -134,16 +131,17 @@ def minimal_face_containing(gens: tuple, vectors) -> Optional[tuple]:
 
 
 def cone_lattice_multiplicity(gens: tuple) -> int:
-    """Index of the sublattice generated by the rays inside the lattice of
-    the cone's span (simplicial cones)."""
+    """Index of the sublattice generated by the rays of a simplicial cone
+    inside the lattice of its span: the gcd of the maximal minors of the
+    generator matrix, which is the product of its Smith invariants.  A
+    non-simplicial cone, whose minors all vanish, is a PreconditionError."""
     if not gens:
         return 1
-    cols = [[int(g[i]) for g in gens] for i in range(len(gens[0]))]
-    inv = xl.smith_invariants(cols)
-    out = 1
-    for s in inv:
-        out *= s
-    return out
+    mult = gcd(*(xl.integer_det(rows)
+                 for rows in itertools.combinations(zip(*gens), len(gens))))
+    if mult == 0:
+        raise PreconditionError("lattice multiplicity needs a simplicial cone")
+    return mult
 
 
 def parallelepiped_points(gens: tuple) -> list:
@@ -482,11 +480,10 @@ class ConeClass:
 
 
 def classify_cone(F: Fan, cone) -> ConeClass:
+    """Kind and lattice multiplicity of a maximal cone of F or of a face of
+    one, given by ray indices; other ray sets are a PreconditionError."""
     cone = tuple(sorted(cone))
-    if cone not in {tuple(sorted(c)) for c in F.max_cones}:
-        # accept faces of listed cones as well
-        if not any(set(cone) <= set(c) for c in F.max_cones):
-            raise PreconditionError(f"cone {cone} does not belong to the fan")
+    _face_holders(F, cone)
     gens = F.cone_gens(cone)
     if not gens:
         return ConeClass("smooth", 1)
@@ -501,21 +498,28 @@ def classify_cone(F: Fan, cone) -> ConeClass:
 # star and star subdivision
 # ---------------------------------------------------------------------------
 
+def _face_holders(F: Fan, tau: tuple) -> list:
+    """The maximal cones containing the rays `tau`, once `tau` spans a face
+    of each of them (PreconditionError otherwise)."""
+    holders = [c for c in F.max_cones if set(tau) <= set(c)]
+    if not holders:
+        raise PreconditionError(f"{tau} is not a face of any maximal cone")
+    tgens = F.cone_gens(tau)
+    for c in holders:
+        mf = minimal_face_containing(F.cone_gens(c), tgens)
+        if mf is None or not cone_eq(tgens, mf):
+            raise PreconditionError(f"{tau} is not a face of cone {c}")
+    return holders
+
+
 def star(F: Fan, tau) -> Fan:
     """Star fan of the face `tau` (ray-index tuple) in the quotient lattice."""
     tau = tuple(sorted(set(tau)))
     if not tau:
         return F
-    tgens = F.cone_gens(tau)
-    holders = [c for c in F.max_cones if set(tau) <= set(c)]
-    if not holders:
-        raise PreconditionError(f"{tau} is not a face of any maximal cone")
-    for c in holders:
-        mf = minimal_face_containing(F.cone_gens(c), tgens)
-        if mf is None or not cone_eq(tgens, mf):
-            raise PreconditionError(f"{tau} is not a face of cone {c}")
     return certify_fan(
-        quotient_fan(F, xl.quotient_projection(tgens, F.rank), holders),
+        quotient_fan(F, xl.quotient_projection(F.cone_gens(tau), F.rank),
+                     _face_holders(F, tau)),
         "star fan")
 
 
@@ -875,20 +879,18 @@ def walls(F: Fan) -> tuple:
 
 
 def wall_coefficients(F: Fan, facet: tuple, ca: tuple, cb: tuple) -> tuple:
-    """The relation sum a_i v_i = 0 of the rays of the adjacent cones ca and
-    cb, as the primitive integer kernel vector of their union's rays,
-    indexed by all rays of F and positive on the two rays off the facet
-    (they lie on opposite sides of it in a valid fan)."""
+    """The relation sum a_i v_i = 0 of the rank + 1 rays of the adjacent
+    full-dimensional simplicial cones ca and cb: the `primitive_kernel` of
+    their rays, indexed by all rays of F and positive on the two rays off
+    the facet (they lie on opposite sides of it in a valid fan)."""
     union = tuple(sorted(set(ca) | set(cb)))
-    ker = xl.integer_kernel(xl.transpose(F.cone_gens(union)))
-    if len(ker) != 1:
-        raise InvariantBreach(f"wall relation space has dimension {len(ker)}")
+    ker = xl.primitive_kernel(xl.transpose(F.cone_gens(union)), len(union))
     off = [i for i in union if i not in facet]
     if len(off) != 2:
         raise InvariantBreach("wall must have exactly two off-wall rays")
-    sign = 1 if ker[0][union.index(off[0])] > 0 else -1
+    sign = 1 if ker[union.index(off[0])] > 0 else -1
     rel = [0] * len(F.rays)
-    for i, a in zip(union, ker[0]):
+    for i, a in zip(union, ker):
         rel[i] = sign * a
     if not (rel[off[0]] > 0 and rel[off[1]] > 0):
         raise InvariantBreach("off-wall coefficients are not positive")

@@ -65,18 +65,15 @@ def _merge_groups(F: Fan, wall_set):
 
 
 def _section_of_projection(P):
-    """Integer right inverse s with P s = identity (P comes from a Smith
-    transform, so one exists)."""
-    rows = [list(r) for r in P]
-    cols = []
+    """Integer right inverse s with P s = identity, from one Smith form
+    U P V = D.  P comes from a Smith transform, so P is onto and D = [I 0]
+    (else InvariantBreach); then s = V [I; 0] U."""
+    D, U, V = xl.smith_normal_form(P)
     k = len(P)
-    for j in range(k):
-        e = [1 if i == j else 0 for i in range(k)]
-        x = xl.integer_solve(rows, e)
-        if x is None:
-            raise InvariantBreach("quotient projection has no integer section")
-        cols.append(x)
-    return tuple(tuple(cols[j][i] for j in range(k)) for i in range(len(cols[0])))
+    if D != tuple(tuple(int(i == j) for j in range(len(V))) for i in range(k)):
+        raise InvariantBreach("quotient projection has no integer section")
+    return tuple(tuple(sum(row[i] * U[i][j] for i in range(k)) for j in range(k))
+                 for row in V)
 
 
 def contract(m: FanMap, wall_set) -> ContractionResult:

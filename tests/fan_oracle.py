@@ -31,6 +31,7 @@ converted the source's support to a double description.
 import itertools
 from fractions import Fraction
 
+import lattice_oracle
 from toricmmp import curves as cv
 from toricmmp import exactlin as xl
 from toricmmp import fan as fn
@@ -219,7 +220,7 @@ def wall_lp_certificate(m: FanMap):
         union = tuple(sorted(set(ca) | set(cb)))
         if _maps_into(m, F.cone_gens(union)) is None:
             continue
-        (a,) = xl.integer_kernel(xl.transpose([F.rays[i] for i in union]))
+        (a,) = lattice_oracle.integer_kernel(xl.transpose([F.rays[i] for i in union]))
         off = next(i for i in ca if i not in s)
         sign = 1 if a[union.index(off)] > 0 else -1
         row = [Fraction(0)] * nr
@@ -236,7 +237,7 @@ def wall_relation(F: Fan, w) -> cv.CurveClass:
     """`curves.wall_relation` as it computed the kernel itself."""
     support = tuple(sorted(set(w.side_a) | set(w.side_b)))
     A = [[F.rays[i][k] for i in support] for k in range(F.rank)]
-    ker = xl.integer_kernel(A)
+    ker = lattice_oracle.integer_kernel(A)
     if len(ker) != 1:
         raise InvariantBreach(f"wall relation space has dimension {len(ker)}")
     rel = list(ker[0])

@@ -1,0 +1,115 @@
+"""Test oracles for the integer-lattice layer: the routines `exactlin`,
+`fan` and `mmp` ran before every corank-one integer kernel became a vector
+of signed maximal minors (`exactlin.primitive_kernel`).
+
+`integer_kernel` is the Hermite column reduction that gave a lattice basis
+of any integer kernel; `fan.wall_coefficients` and the simplicial facet
+normals of `fan.cone_facets` took its one vector (or a `Fraction` nullspace
+scaled to integers).  `lattice_multiplicity` is the product of the Smith
+invariants, which `fan.cone_lattice_multiplicity` took before the gcd of
+the maximal minors.  `section_of_projection` solves P x = e_j over the
+integers once per column, one Smith form each, as `mmp` did before it read
+the section off one Smith form.
+"""
+
+from typing import Optional, Sequence
+
+from toricmmp import exactlin as xl
+from toricmmp.errors import InvariantBreach
+
+
+def integer_kernel(A: Sequence[Sequence[int]]) -> list:
+    """Lattice basis of {x in Z^k : A x = 0} via column reduction.
+
+    Returns [] when the kernel is trivial.  The output vectors are the columns
+    of a unimodular transform corresponding to zeroed columns, so they always
+    form a basis of the full integer kernel lattice.
+    """
+    if not A or not A[0]:
+        k = len(A[0]) if A else 0
+        return [tuple(r) for r in xl.identity_matrix(k)]
+    m, k = len(A), len(A[0])
+    cols = [[int(A[i][j]) for i in range(m)] for j in range(k)]
+    U = [[1 if i == j else 0 for i in range(k)] for j in range(k)]  # columns of unimodular U
+
+    col = 0
+    for row in range(m):
+        while True:
+            nz = [j for j in range(col, k) if cols[j][row] != 0]
+            if not nz:
+                break
+            j0 = min(nz, key=lambda j: (abs(cols[j][row]), j))
+            cols[col], cols[j0] = cols[j0], cols[col]
+            U[col], U[j0] = U[j0], U[col]
+            done = True
+            for j in range(col + 1, k):
+                if cols[j][row] == 0:
+                    continue
+                q = cols[j][row] // cols[col][row]
+                cols[j] = [a - q * b for a, b in zip(cols[j], cols[col])]
+                U[j] = [a - q * b for a, b in zip(U[j], U[col])]
+                if cols[j][row] != 0:
+                    done = False
+            if done:
+                break
+        if col < k and cols[col][row] != 0:
+            col += 1
+        if col == k:
+            break
+    kernel = [tuple(U[j]) for j in range(k) if all(c == 0 for c in cols[j])]
+    for kv in kernel:
+        if any(xl.dot(rowa, kv) != 0 for rowa in A):
+            raise InvariantBreach("integer kernel vector is not in the kernel")
+    return sorted(kernel)
+
+
+def smith_invariants(A: Sequence[Sequence[int]]) -> list:
+    D, _, _ = xl.smith_normal_form(A)
+    return [D[i][i] for i in range(min(len(D), len(D[0]) if D else 0)) if D[i][i] != 0]
+
+
+def lattice_multiplicity(gens: tuple) -> int:
+    """Index of the sublattice generated by the rays inside the lattice of
+    the cone's span: the product of the Smith invariants."""
+    if not gens:
+        return 1
+    cols = [[int(g[i]) for g in gens] for i in range(len(gens[0]))]
+    out = 1
+    for s in smith_invariants(cols):
+        out *= s
+    return out
+
+
+def integer_solve(A: Sequence[Sequence[int]], b: Sequence[int]) -> Optional[tuple]:
+    """One integer solution of A x = b, or None."""
+    if not A:
+        return ()
+    D, U, V = xl.smith_normal_form(A)
+    c = xl.mat_vec(U, b)
+    m, n = len(A), len(A[0])
+    y = [0] * n
+    for i in range(m):
+        d = D[i][i] if i < min(m, n) else 0
+        if d == 0:
+            if c[i] != 0:
+                return None
+        else:
+            if c[i] % d != 0:
+                return None
+            y[i] = c[i] // d
+    return xl.mat_vec(V, y)
+
+
+def section_of_projection(P):
+    """Integer right inverse s with P s = identity, one `integer_solve` per
+    column."""
+    rows = [list(r) for r in P]
+    cols = []
+    k = len(P)
+    for j in range(k):
+        e = [1 if i == j else 0 for i in range(k)]
+        x = integer_solve(rows, e)
+        if x is None:
+            raise InvariantBreach("quotient projection has no integer section")
+        cols.append(x)
+    return tuple(tuple(cols[j][i] for j in range(k)) for i in range(len(cols[0])))

@@ -7,10 +7,13 @@ generator of a merged cone is the removed ray of a divisorial contraction,
 and otherwise the contraction is flipping.  Both are the routines `fan` and
 `mmp` ran before they read the same answers off the fan's combinatorics and
 the extremal relation.  `check_contraction` compares the two contracts.
+The fano base map takes its section from `lattice_oracle`, one integer
+solve per column, so no section code is shared with `mmp`.
 """
 
 import itertools
 
+import lattice_oracle
 from toricmmp import exactlin as xl
 from toricmmp import mmp
 from toricmmp.curves import contracted_walls
@@ -18,8 +21,7 @@ from toricmmp.errors import InvariantBreach, PreconditionError
 from toricmmp.fan import (Fan, FanMap, Wall, cone_dim, cone_eq,
                           cone_intersection, identity_map, quotient_fan,
                           validate_fan)
-from toricmmp.mmp import (ContractionResult, _merge_groups,
-                          _section_of_projection)
+from toricmmp.mmp import ContractionResult, _merge_groups
 
 
 def walls(F: Fan) -> tuple:
@@ -77,7 +79,7 @@ def contract(m: FanMap, wall_set) -> ContractionResult:
             if m.target.rank == 0:
                 base = FanMap((), Z, m.target)
             else:
-                s = _section_of_projection(P)
+                s = lattice_oracle.section_of_projection(P)
                 B = tuple(tuple(xl.dot(row, col) for col in zip(*s))
                           for row in m.matrix)
                 base = FanMap(B, Z, m.target)

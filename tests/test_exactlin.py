@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import cone_oracle
+import lattice_oracle
 import lp_oracle
 from toricmmp import exactlin as xl
 from toricmmp.errors import InputError, InvariantBreach, PreconditionError
@@ -20,14 +21,22 @@ def test_primitive():
 
 def test_integer_kernel_quadric():
     A = [[0, 1, 0, 1], [0, 0, 1, 1], [1, 1, 1, 1]]
-    assert xl.integer_kernel(A) == [(1, -1, -1, 1)]
+    assert lattice_oracle.integer_kernel(A) == [(1, -1, -1, 1)]
+    assert xl.primitive_kernel(A, 4) == (-1, 1, 1, -1)
 
 
 def test_integer_kernel_is_kernel_and_primitive():
     A = [[2, 4, 6], [1, 2, 3]]
-    for k in xl.integer_kernel(A):
+    for k in lattice_oracle.integer_kernel(A):
         assert all(xl.dot(row, k) == 0 for row in A)
         assert xl.primitive(k) == k or xl.primitive(tuple(-c for c in k)) == k
+    # rank 1 with two rows: the kernel is a plane, not a line
+    with pytest.raises(InvariantBreach):
+        xl.primitive_kernel(A, 3)
+    with pytest.raises(InvariantBreach):
+        xl.primitive_kernel([(1, 2, 3)], 2)  # a row of the wrong length
+    with pytest.raises(InvariantBreach):
+        xl.primitive_kernel(A[:1], 3)  # too few rows
 
 
 small_ints = st.integers(min_value=-6, max_value=6)
@@ -60,8 +69,11 @@ def test_smith_form_properties(rows):
 @settings(max_examples=60, deadline=None)
 def test_integer_kernel_property(rows):
     A = [tuple(r) for r in rows]
-    for k in xl.integer_kernel(A):
+    K = lattice_oracle.integer_kernel(A)
+    for k in K:
         assert all(xl.dot(row, k) == 0 for row in A)
+    if len(A) == 1 and len(K) == 1:
+        assert xl.primitive_kernel(A, 2) in (K[0], tuple(-c for c in K[0]))
 
 
 def test_solve_nonneg():
@@ -160,7 +172,8 @@ def test_extreme_rays_of_halfspaces():
 def test_smith_examples():
     D, U, V = xl.smith_normal_form([[2, 4], [6, 8]])
     assert (D[0][0], D[1][1]) == (2, 4)
-    assert xl.smith_invariants([[1, 0], [0, 1]]) == [1, 1]
+    D, U, V = xl.smith_normal_form([[1, 0], [0, 1]])
+    assert (D[0][0], D[1][1]) == (1, 1)
 
 
 def test_quotient_projection():

