@@ -75,21 +75,28 @@ class NECone:
     rho: int               # dimension of the linear span
 
 
-def mori_classes(m: FanMap) -> tuple:
-    """(classes, rho): the distinct classes of `contracted_walls(m)`, sorted
-    by coefficients, and the rank of their span.  They span the relative
-    Mori cone, which is pointed because m must be projective
-    (PreconditionError otherwise, after the scope errors)."""
+def mori_classes(m: FanMap, ample=None) -> tuple:
+    """(classes, rho, ample): the distinct classes of `contracted_walls(m)`,
+    sorted by coefficients, the rank of their span (`xl.rank`, integer
+    elimination), and divisor coefficients strictly positive on every class.
+    The classes span the relative Mori cone, which is pointed because m
+    must be projective.  A given `ample` that is strictly positive on every
+    class proves this by dot products and is returned; otherwise (none
+    given, or the check fails) the projectivity LP of `check_morphism`
+    decides and its certificate is returned.  PreconditionError, after the
+    scope errors, when m is not projective."""
     pairs = contracted_walls(m)
-    if not check_morphism(m).projective:
-        raise PreconditionError("map must be projective (strong convexity of "
-                                "the Mori cone needs an ample divisor)")
     classes = tuple(sorted({c for _, c in pairs}, key=lambda c: c.coeffs))
-    return classes, xl.rank([c.coeffs for c in classes])
+    if ample is None or any(xl.dot(c.coeffs, ample) <= 0 for c in classes):
+        ample = check_morphism(m).ample_certificate
+        if ample is None:
+            raise PreconditionError("map must be projective (strong convexity "
+                                    "of the Mori cone needs an ample divisor)")
+    return classes, xl.rank([c.coeffs for c in classes]), ample
 
 
 def ne_cone(m: FanMap) -> NECone:
-    classes, rho = mori_classes(m)
+    classes, rho, _ = mori_classes(m)
     ext = xl.extreme_rays([c.coeffs for c in classes])
     return NECone(classes, tuple(classes[i] for i in ext), rho)
 

@@ -9,11 +9,13 @@ elimination with recursive interval enumeration, used only to list lattice
 points, and a subset-enumeration double description.  Every corank-one
 integer kernel (a wall relation, a facet normal, a ray of the double
 description) is a vector of signed maximal minors (`primitive_kernel`);
-the Smith form serves only quotient lattices and divisibility.  The simplex
-and the minors run on Python ints by fraction-free elimination: the simplex
-by integer pivoting over one common denominator (Edmonds), the minors by
-Bareiss's determinant (Bareiss 1968); the simplex builds ``Fraction``s only
-for the witness it returns.
+the Smith form serves only quotient lattices and divisibility.  The simplex,
+the minors and the rank run on Python ints by fraction-free elimination: the
+simplex by integer pivoting over one common denominator (Edmonds), the
+minors by Bareiss's determinant (Bareiss 1968), the rank by forward
+elimination on primitive integer rows; the simplex builds ``Fraction``s only
+for the witness it returns.  The ``Fraction`` reduced row echelon form
+(`_rref`) serves `nullspace` and `solve_linear` only.
 
 Deterministic ordering: whenever ties arise, vectors are compared
 lexicographically.
@@ -123,8 +125,30 @@ def _rref(rows):
 
 
 def rank(A: Sequence[Sequence]) -> int:
-    _, pivots = _rref(A)
-    return len(pivots)
+    """Rank by fraction-free forward elimination: each row is scaled to
+    integers (`_integer_row`), a pivot row p clears its column from every
+    other row b by p_c * b - b_c * p, and each new row is divided by the
+    gcd of its entries, so no `Fraction` is built."""
+    rows = [row for row in map(_integer_row, A) if any(row)]
+    r = 0
+    while rows:
+        piv = rows.pop()
+        c = next(i for i, a in enumerate(piv) if a)
+        p = piv[c]
+        rest = []
+        for row in rows:
+            f = row[c]
+            if f:
+                row = [p * a - f * b for a, b in zip(row, piv)]
+                g = gcd(*row)
+                if not g:
+                    continue
+                if g > 1:
+                    row = [a // g for a in row]
+            rest.append(row)
+        rows = rest
+        r += 1
+    return r
 
 
 def solve_linear(A: Sequence[Sequence], b: Sequence) -> Optional[Vector]:
@@ -693,7 +717,7 @@ def extreme_rays_of_halfspaces(ineqs: Sequence[Sequence], eqs: Sequence[Sequence
     # inequality rows in span coordinates
     rows = [tuple(dot(a, bvec) for bvec in span) for a in ineqs]
     rows = [r for r in rows if not is_zero(r)]
-    lin = nullspace(rows, s)
+    lin = [] if rank(rows) == s else nullspace(rows, s)
     if lin:
         amb_lin = [tuple(sum(Fraction(y[j]) * span[j][i] for j in range(s)) for i in range(dim))
                    for y in lin]

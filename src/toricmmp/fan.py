@@ -18,9 +18,10 @@ the boundary of the cone of all rays, and one point is covered once
 caller knows the dimension `cone_covered` needs.  Walls, the triangulation
 criterion and `check_morphism` read one facet map (`_facet_owners`);
 `check_morphism` places each ray's image once and keeps the relations of
-the walls a map contracts, for its projectivity LP and for
-`curves.contracted_walls`; the LP (`positive_on`) also finds the divisor
-that supports an extremal ray (`curves.supporting_divisor`).
+the walls a map contracts, for `curves.contracted_walls` and for its
+projectivity LP, which runs only when its answer is read; the LP
+(`positive_on`) also finds the divisor that supports an extremal ray
+(`curves.supporting_divisor`).
 """
 
 from __future__ import annotations
@@ -51,8 +52,9 @@ def cone_dim(gens: tuple) -> int:
 
 @lru_cache(maxsize=None)
 def cone_span_perp(gens: tuple) -> tuple:
-    """Basis of the orthogonal complement of span(cone)."""
-    if not gens:
+    """Basis of the orthogonal complement of span(cone); empty, with no
+    elimination, when the cone is full-dimensional."""
+    if not gens or cone_dim(gens) == len(gens[0]):
         return ()
     return tuple(xl.nullspace(gens, len(gens[0])))
 
@@ -441,27 +443,34 @@ def _cone_violations(F: Fan, cones, pairs) -> list:
         gens = F.cone_gens(mc[i])
         if gens and len(set(xl.extreme_rays(gens))) != len(gens):
             violations.append(f"cone {mc[i]} lists a non-extreme generator")
+    inside = {}
     for a, b in pairs:
         ga, gb = F.cone_gens(mc[a]), F.cone_gens(mc[b])
         if not ga or not gb:
             continue
-        inter = cone_intersection(ga, gb)
-        fa = minimal_face_containing(ga, inter)
-        fb = minimal_face_containing(gb, inter)
-        if inter == ():
-            ok = fa == () and fb == ()
-        else:
-            ok = (fa is not None and fb is not None
-                  and cone_eq(inter, fa) and cone_eq(inter, fb))
-        if not ok:
+        face, inside[a, b], inside[b, a] = _pair_verdict(ga, gb)
+        if not face:
             violations.append(
                 f"cones {mc[a]} and {mc[b]} do not intersect in a common face")
-    for a, b in sorted(pairs + [(b, a) for a, b in pairs]):
-        ga, gb = F.cone_gens(mc[a]), F.cone_gens(mc[b])
-        if ga and gb and set(mc[a]) != set(mc[b]):
-            if all(cone_contains(gb, g) for g in ga):
-                violations.append(f"cone {mc[a]} is contained in cone {mc[b]}")
+    for a, b in sorted(inside):
+        if inside[a, b] and set(mc[a]) != set(mc[b]):
+            violations.append(f"cone {mc[a]} is contained in cone {mc[b]}")
     return violations
+
+
+def _pair_verdict(ga: tuple, gb: tuple) -> tuple:
+    """(the cones of ga and gb meet in a common face, the first lies in the
+    second, the second in the first), by one intersection."""
+    inter = cone_intersection(ga, gb)
+    fa = minimal_face_containing(ga, inter)
+    fb = minimal_face_containing(gb, inter)
+    if inter == ():
+        face = fa == () and fb == ()
+    else:
+        face = (fa is not None and fb is not None
+                and cone_eq(inter, fa) and cone_eq(inter, fb))
+    return (face, all(cone_contains(gb, g) for g in ga),
+            all(cone_contains(ga, g) for g in gb))
 
 
 def certify_fan(F: Fan, what: str) -> Fan:
@@ -754,13 +763,36 @@ def common_refinement(F1: Fan, F2: Fan):
 # morphism checks
 # ---------------------------------------------------------------------------
 
+_UNSOLVED = object()
+
+
 @record
 class MorphismFlags:
+    """What `check_morphism` found.  `projective` and `ample_certificate`
+    are solved by the projectivity LP when one of them is first read, and
+    kept on the instance."""
     toric: bool
     proper: bool
-    projective: bool
-    ample_certificate: Optional[tuple] = None
     contracted: Optional[tuple] = None  # `_contracted_facets` of a proper map
+    nrays: int = 0                      # rays of the source
+
+    @property
+    def ample_certificate(self) -> Optional[tuple]:
+        """Divisor coefficients strictly positive on every contracted
+        relation, by one exact LP with one row per relation in facet-map
+        order; None when there is none or the map is not proper."""
+        cert = getattr(self, "_certificate", _UNSOLVED)
+        if cert is _UNSOLVED:
+            cert = None
+            if self.proper:
+                cert = positive_on([rel for _, rel in self.contracted],
+                                   self.nrays)
+            object.__setattr__(self, "_certificate", cert)
+        return cert
+
+    @property
+    def projective(self) -> bool:
+        return self.ample_certificate is not None
 
 
 def _landing(m: FanMap):
@@ -926,19 +958,19 @@ def positive_on(relations, nrays: int, zero=()) -> Optional[tuple]:
 
 @lru_cache(maxsize=None)
 def check_morphism(m: FanMap) -> MorphismFlags:
-    """Toric, proper and projective flags of m.  Only a proper map gets its
-    `_contracted_facets` (the relations of `curves.contracted_walls`) and
-    an ample certificate, which need their scope: divisor coefficients
-    strictly positive on every relation, found by an exact LP with one row
-    per relation, in facet-map order, or None when infeasible.  On a
-    simplicial source with full-dimensional cones every coefficient vector
-    defines a piecewise linear support function, and positivity on a wall
-    class is strict convexity across the wall."""
+    """Toric, proper and projective flags of m.  Toric, proper and, for a
+    proper map only, its `_contracted_facets` (the relations of
+    `curves.contracted_walls`, which need their scope) are computed here;
+    the projectivity LP over those relations runs only when `projective`
+    or `ample_certificate` is first read, so a caller holding its own
+    certificate never solves it.  On a simplicial source with
+    full-dimensional cones every coefficient vector defines a piecewise
+    linear support function, and positivity on a wall class is strict
+    convexity across the wall."""
     landing = _landing(m)
     toric = is_toric_morphism(m, landing)
     if not (toric and _covers_preimages(m)):
-        return MorphismFlags(toric=toric, proper=False, projective=False)
-    contracted = _contracted_facets(m, landing)
-    cert = positive_on([rel for _, rel in contracted], len(m.source.rays))
-    return MorphismFlags(toric=True, proper=True, projective=cert is not None,
-                         ample_certificate=cert, contracted=contracted)
+        return MorphismFlags(toric=toric, proper=False)
+    return MorphismFlags(toric=True, proper=True,
+                         contracted=_contracted_facets(m, landing),
+                         nrays=len(m.source.rays))

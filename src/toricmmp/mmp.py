@@ -10,7 +10,9 @@ positive to the negative side, where the divisor must be ample over the
 small target (the certificate); the small target is the fan of the
 linearity domains of the divisor supporting the ray.  Every step is
 recorded with its certificates and termination is witnessed by a
-no-repeat set of fans.
+no-repeat set of fans.  Every model a step reaches is again projective
+over the base: the step carries an ample class to it, checked by dot
+products, so only the first map's projectivity is an LP.
 """
 
 from __future__ import annotations
@@ -262,10 +264,13 @@ def run_mmp(m: FanMap, D: InvariantDivisor) -> MMPTrace:
     contraction is divisorial or flipping, lexicographically smallest class
     first; fano contractions are taken only when no alternative exists.
     Each map's `mori_classes` and rho are found once: a step's rho after is
-    the next step's rho before.
+    the next step's rho before.  Only m's projectivity is solved by an LP:
+    every model a step reaches is again projective over the base, and the
+    step hands it an ample certificate (`_carried`) that `mori_classes`
+    checks by dot products; the LP runs again only if that check fails.
     """
     cur_map, cur_D = m, D
-    classes, rho = mori_classes(m)
+    classes, rho, ample = mori_classes(m)
     steps = []
     seen = {m.source.canonical()}
     for _ in range(MAX_STEPS):
@@ -284,7 +289,8 @@ def run_mmp(m: FanMap, D: InvariantDivisor) -> MMPTrace:
         else:
             Xp, _, new_D, pos = _flip_contracted(cur_map, cur_D, res)
             new_map = FanMap(cur_map.matrix, Xp, cur_map.target)
-        new_classes, rho_after = mori_classes(new_map)
+        new_classes, rho_after, ample = mori_classes(
+            new_map, _carried(res, ample, new_map, new_D))
         if res.kind == "divisorial" and rho_after != rho - 1:
             raise InvariantBreach(
                 f"divisorial step must drop rho by one ({rho} -> {rho_after})")
@@ -299,6 +305,26 @@ def run_mmp(m: FanMap, D: InvariantDivisor) -> MMPTrace:
                              flip_positive_value=pos))
         cur_map, cur_D, classes, rho = new_map, new_D, new_classes, rho_after
     raise InvariantBreach("step limit exceeded")
+
+
+def _carried(res: ContractionResult, ample, new_map: FanMap,
+             new_D: InvariantDivisor) -> tuple:
+    """The candidate ample certificate of the model a step reaches, built
+    from the step (Reid 1983; Cox-Little-Schenck, *Toric Varieties*, ch.
+    15).  Divisorial: the source's certificate `ample` pushed forward, its
+    removed ray's coefficient dropped.  Flip: A+ = L + eps D+, with L the
+    ray's supporting divisor, zero on the new internal walls, where D+ is
+    positive, and eps half the least L.c / (-D+.c) over the contracted
+    classes c of the new map with D+.c < 0 (1 when there is none).  Only a
+    candidate; `mori_classes` checks it."""
+    if res.kind == "divisorial":
+        i = res.contraction.source.rays.index(res.removed_ray)
+        return ample[:i] + ample[i + 1:]
+    L = res.supporting
+    bounds = [c.pair(L) / -d for _, c in contracted_walls(new_map)
+              if (d := c.pair(new_D)) < 0]
+    eps = min(bounds) / 2 if bounds else Fraction(1)
+    return tuple(a + eps * d for a, d in zip(L.coeffs, new_D.coeffs))
 
 
 def _negative_contraction(m: FanMap, D: InvariantDivisor, classes):

@@ -26,8 +26,13 @@ union again and computed its kernel relation again, and the Mori scope
 converted the source's support to a double description.
 `check_contracted` compares them with `check_morphism` and
 `curves.contracted_walls`.
+
+`shared_pair_verdicts` lets the whole-fan check of `mmp_oracle.contract`
+and `certify_local`, which check many of the same pairs of cones of a
+flipping target, answer each pair once; each still builds its own verdict.
 """
 
+import contextlib
 import itertools
 from fractions import Fraction
 
@@ -80,6 +85,25 @@ def certify_local(F: Fan, cones, what: str) -> Fan:
     if bad:
         raise InvariantBreach(f"{what} invalid: {bad}")
     return F
+
+
+@contextlib.contextmanager
+def shared_pair_verdicts():
+    """Within the block, `fan._pair_verdict` answers each pair of generator
+    tuples once, from a memo that lives as long as the block."""
+    memo = {}
+    orig = fn._pair_verdict
+
+    def memoized(ga, gb):
+        if (ga, gb) not in memo:
+            memo[ga, gb] = orig(ga, gb)
+        return memo[ga, gb]
+
+    fn._pair_verdict = memoized
+    try:
+        yield
+    finally:
+        fn._pair_verdict = orig
 
 
 def certifies(Z: Fan, merged) -> bool:

@@ -1,4 +1,4 @@
-"""Test oracles for the feasibility LPs of `exactlin`.
+"""Test oracles for the feasibility LPs and the rank of `exactlin`.
 
 `_phase1` is the Bland-rule phase-1 simplex over `Fraction`s, as `exactlin`
 ran it before it moved to integer pivoting, and `solve_nonneg` the entry
@@ -6,8 +6,10 @@ point built on it.  `lp_feasible` and `recession_cone_trivial` are the
 Fourier-Motzkin versions `exactlin` used before the simplex answered every
 feasibility and boundedness question: a witness by elimination and
 back-substitution, and boundedness by 2 * dim probes, one per signed unit
-vector.  Nothing here calls into `exactlin`, so a test that compares the
-two shares no arithmetic with the code it checks.
+vector.  `rank` counts the pivots of a reduced row echelon form over
+`Fraction`s, as `exactlin.rank` did before it eliminated on integer rows.
+Nothing here calls into `exactlin`, so a test that compares the two shares
+no arithmetic with the code it checks.
 """
 
 import itertools
@@ -159,3 +161,25 @@ def recession_cone_trivial(normals):
         if lp_feasible(probe, [0] * len(normals) + [-1, 1]) is not None:
             return False
     return True
+
+
+def rank(A):
+    """The number of pivots of the reduced row echelon form of A over
+    `Fraction`s."""
+    rows = [[Fraction(x) for x in r] for r in A]
+    ncols = len(rows[0]) if rows else 0
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        rows[r] = [a / rows[r][c] for a in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        r += 1
+        if r == len(rows):
+            break
+    return r

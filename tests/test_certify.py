@@ -7,7 +7,9 @@ of its ray, `common_refinement` intersects only unshared cones and
 the routine it replaced (`fan_oracle`, `covering_oracle`) on a slice of the
 acceptance corpus and on mutated fans, and a guard makes sure the MMP never
 falls back to the pairwise check on the fans the fast paths cover, nor
-builds the whole Mori cone.
+builds the whole Mori cone.  Another guard counts the projectivity LPs of
+`run_mmp`: one per run, as every later model is certified by the ample
+class its step carries, and a corrupted carried class falls back to the LP.
 """
 
 import random
@@ -371,3 +373,69 @@ def test_no_pairwise_check_on_simplicial_fans_or_flipping_targets(
     # supporting divisor
     assert len(targets) >= 3
     assert all(res.supporting is not None for res in targets.values())
+
+
+# -- the carried ample certificate --------------------------------------------------
+
+def _projectivity_lps(instances, monkeypatch, carried=None):
+    """Run the slice's MMPs, each with fresh morphism caches, counting per
+    run the projectivity LPs (calls into `fan.positive_on`;
+    `supporting_divisor` reaches it through its own binding in `curves` and
+    is not counted) and the fallbacks (a step's carried certificate that `mori_classes` did not
+    return).  `carried` replaces `mmp._carried`.  Returns (traces, LPs per
+    run, fallbacks per run, certificates carried)."""
+    lps, fallbacks, seen = [0], [0], [0]
+    orig_lp, orig_classes = fn.positive_on, mmp.mori_classes
+
+    def count_lp(*args):
+        lps[0] += 1
+        return orig_lp(*args)
+
+    def classes(m, ample=None):
+        out = orig_classes(m, ample)
+        if ample is not None:
+            seen[0] += 1
+            fallbacks[0] += out[2] != ample
+        return out
+
+    monkeypatch.setattr(fn, "positive_on", count_lp)
+    monkeypatch.setattr(mmp, "mori_classes", classes)
+    if carried is not None:
+        monkeypatch.setattr(mmp, "_carried", carried)
+    traces, lp_counts, fallback_counts = [], [], []
+    for k in SLICE:
+        # a map met in an earlier run would answer from the cache
+        fn.check_morphism.cache_clear()
+        cv.contracted_walls.cache_clear()
+        lps[0] = fallbacks[0] = 0
+        traces.append(mmp.run_mmp(*instances[k]))
+        lp_counts.append(lps[0])
+        fallback_counts.append(fallbacks[0])
+    return traces, lp_counts, fallback_counts, seen[0]
+
+
+def test_run_mmp_solves_one_projectivity_lp(instances, monkeypatch):
+    # only the first map's projectivity is an LP; each step's model gets a
+    # carried certificate that the dot-product check accepts
+    traces, lps, fallbacks, carried = _projectivity_lps(instances, monkeypatch)
+    assert lps == [1] * len(SLICE)
+    assert fallbacks == [0] * len(SLICE)
+    assert carried >= 20
+    assert sum(s.kind == "flipping" for t in traces for s in t.steps) >= 3
+
+
+def test_corrupted_certificate_falls_back_to_the_lp(instances, monkeypatch):
+    # a carried certificate negative on every class fails the check: the LP
+    # decides instead, once per step whose model has a class, and the
+    # traces are those of the uncorrupted run
+    want = [mmp.run_mmp(*instances[k]) for k in SLICE]
+    orig = mmp._carried
+
+    def corrupted(res, ample, new_map, new_D):
+        return tuple(-a - 1 for a in orig(res, ample, new_map, new_D))
+
+    got, lps, fallbacks, carried = _projectivity_lps(instances, monkeypatch,
+                                                     corrupted)
+    assert got == want
+    assert lps == [1 + f for f in fallbacks]
+    assert sum(fallbacks) >= carried - 10 and carried >= 20

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import random
 from fractions import Fraction
 
@@ -8,6 +10,7 @@ import cone_oracle
 import lattice_oracle
 import lp_oracle
 from toricmmp import exactlin as xl
+from toricmmp import fan as fn
 from toricmmp.errors import InputError, InvariantBreach, PreconditionError
 
 
@@ -167,6 +170,70 @@ def test_extreme_rays_of_halfspaces():
     rays, lin = xl.extreme_rays_of_halfspaces([(1, 1)], [], 2)
     assert len(lin) == 1 and len(rays) == 1
     assert xl.dot((1, 1), rays[0]) > 0
+
+
+def _random_rank_matrix(rng, k):
+    """A seeded matrix: small ints, true Fractions or (k % 3 == 2) rows
+    with many zeros plus rows that combine earlier ones, so that the rank
+    falls short of both sides; empty and zero rows occur too."""
+    m, n = rng.randint(0, 6), rng.randint(1, 6)
+    if k % 3 == 0:
+        return [tuple(rng.randint(-6, 6) for _ in range(n)) for _ in range(m)]
+    if k % 3 == 1:
+        return [tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 8))
+                      for _ in range(n)) for _ in range(m)]
+    rows = [tuple(rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(n))
+            for _ in range(max(m - 2, 0))]
+    while rows and len(rows) < m:
+        a, b = rng.choice(rows), rng.choice(rows)
+        p, q = Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.randint(-2, 2)
+        rows.append(tuple(p * x + q * y for x, y in zip(a, b)))
+    rng.shuffle(rows)
+    return rows
+
+
+def test_rank_matches_fraction_oracle():
+    # integer elimination against the Fraction rref of lp_oracle
+    rng = random.Random(20240801)
+    mismatches, deficient = [], 0
+    for k in range(10000):
+        A = _random_rank_matrix(rng, k)
+        got = xl.rank(A)
+        if got != lp_oracle.rank(A):
+            mismatches.append(A)
+        deficient += bool(A) and got < min(len(A), len(A[0]))
+    assert mismatches == []
+    assert deficient >= 1200
+    assert xl.rank([]) == 0 and xl.rank([(0, 0), (0, 0)]) == 0
+    assert xl.rank([(Fraction(1, 2), Fraction(1, 3)), (3, 2)]) == 1
+
+
+def test_rank_builds_no_fraction():
+    # rank eliminates on integer rows: no _rref and no Fraction inside it
+    tree = ast.parse(inspect.getsource(xl.rank))
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert not names & {"_rref", "Fraction", "nullspace", "solve_linear"}
+    assert "_integer_row" in names
+
+
+def test_trivial_kernels_skip_elimination(monkeypatch):
+    # a full-dimensional cone has no span complement and full-rank rows no
+    # lineality: neither calls nullspace, and the answers are unchanged
+    calls = []
+    orig = xl.nullspace
+    monkeypatch.setattr(xl, "nullspace",
+                        lambda A, n=None: calls.append(A) or orig(A, n))
+    gens = ((1, 0, 0), (0, 1, 0), (1, 1, 3))
+    fn.cone_span_perp.cache_clear()
+    assert fn.cone_span_perp(gens) == ()
+    assert xl.extreme_rays_of_halfspaces([(1, 0), (0, 1)], [], 2) == \
+        ([(0, 1), (1, 0)], [])
+    assert calls == []
+    fn.cone_span_perp.cache_clear()
+    assert len(fn.cone_span_perp(gens[:2])) == 1
+    assert len(xl.extreme_rays_of_halfspaces([(1, 1)], [], 2)[1]) == 1
+    assert calls[0] == gens[:2] and [(1, 1)] in calls
 
 
 def test_smith_examples():

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from toricmmp import corpus
 from toricmmp import divisor as dv
 from toricmmp import sections as sc
 from toricmmp.divisor import InvariantDivisor
@@ -149,6 +150,17 @@ def test_zariski_mixed(blowup2, blowup_map):
 def test_zariski_not_pseudo_effective(p2):
     with pytest.raises(PreconditionError):
         sc.zariski_decompose(map_to_point(p2), dv.canonical_divisor(p2))
+
+
+@pytest.mark.slow
+def test_zariski_on_a_small_complete_fan():
+    # rank 3, 4 rays over a point: the MMP of the resolved fan takes 84
+    # steps and ends in a fano fibration, so D is not pseudo-effective
+    m, D = corpus.termination_instances(20240801, 40)[3]
+    with pytest.raises(PreconditionError,
+                       match="pseudo-effectivity failed: the MMP ends in a "
+                             "fano fibration with D negative on its fibers"):
+        sc.zariski_decompose(m, D)
 
 
 def test_ckm_detects_corruption(blowup2, blowup_map):
