@@ -381,9 +381,10 @@ def _projectivity_lps(instances, monkeypatch, carried=None):
     """Run the slice's MMPs, each with fresh morphism caches, counting per
     run the projectivity LPs (calls into `fan.positive_on`;
     `supporting_divisor` reaches it through its own binding in `curves` and
-    is not counted) and the fallbacks (a step's carried certificate that `mori_classes` did not
-    return).  `carried` replaces `mmp._carried`.  Returns (traces, LPs per
-    run, fallbacks per run, certificates carried)."""
+    is not counted) and the fallbacks (a step's carried certificate that
+    `mori_classes` did not return).  `carried` replaces `mmp._carried`.
+    Returns (traces, LPs per run, fallbacks per run, certificates
+    carried)."""
     lps, fallbacks, seen = [0], [0], [0]
     orig_lp, orig_classes = fn.positive_on, mmp.mori_classes
 
@@ -438,4 +439,5 @@ def test_corrupted_certificate_falls_back_to_the_lp(instances, monkeypatch):
                                                      corrupted)
     assert got == want
     assert lps == [1 + f for f in fallbacks]
-    assert sum(fallbacks) >= carried - 10 and carried >= 20
+    # 29 of 30 carried: a model with no contracted class accepts any class
+    assert sum(fallbacks) >= carried - 1 and carried >= 20
