@@ -1,21 +1,27 @@
 """Seeded random instance generation for property harnesses.
 
-Complete projective simplicial fans come from regular triangulations: pick
-random primitive rays positively spanning the space and generic positive
-heights, then read the simplicial cells off the vertices of the polyhedron
-{m : <m, v> <= h_v}.  Relative (affine-base) instances are random chains of
-star subdivisions of the orthant, which stay projective over the base.
+Complete projective simplicial fans are normal fans of bounded polytopes:
+pick random primitive rays v positively spanning the space (one Stiemke LP,
+`recession_cone_trivial`) and random positive heights h_v, and read the
+cells off the vertices of {m : <m, v> <= h_v} with `fan.regular_cells`, the
+regular subdivision routine of `fan.qfactorialize`.  Degenerate heights are
+resampled.  Otherwise every vertex is simple and the polytope is bounded,
+so the cells form its complete normal fan: a fan that fails `certify_fan`
+or has a non-convex support is a bug, raised as an InvariantBreach rather
+than resampled.  Relative (affine-base) instances are random chains of star
+subdivisions of the orthant, which stay projective over the base.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 from . import exactlin as xl
 from .errors import InvariantBreach
-from .fan import Fan, FanMap, map_to_point, star_subdivision, validate_fan
+from .fan import (Fan, FanMap, certify_fan, map_to_point, regular_cells,
+                  star_subdivision)
 from .divisor import InvariantDivisor
 
 
@@ -27,46 +33,30 @@ def _random_primitive(rng, rank, lo=-4, hi=4):
 
 
 def random_complete_fan(rng: random.Random, rank: int, nrays: int) -> Fan:
-    """Random complete projective simplicial fan via a regular
-    triangulation of a random positively-spanning ray set."""
+    """Random complete projective simplicial fan: the normal fan of
+    {m : <m, v> <= h_v} for random primitive rays v positively spanning the
+    space and random positive heights h_v, resampled while the heights are
+    degenerate."""
     for _ in range(200):
         rays = set()
         while len(rays) < nrays:
             rays.add(_random_primitive(rng, rank))
         rays = sorted(rays)
         # the rays must positively span the whole space (completeness)
-        spanning = all(
-            xl.solve_nonneg(list(rays), e) is not None
-            and xl.solve_nonneg(list(rays), tuple(-c for c in e)) is not None
-            for e in [tuple(1 if j == i else 0 for j in range(rank))
-                      for i in range(rank)])
-        if not spanning:
+        if not xl.recession_cone_trivial(xl.HalfspaceSystem(tuple(rays), (0,) * nrays)):
             continue
-        heights = {v: Fraction(rng.randint(1, 1000), rng.randint(1, 7))
-                   for v in rays}
-        cells = []
-        used = set()
-        for sub in itertools.combinations(rays, rank):
-            m = xl.solve_linear(list(sub), [heights[v] for v in sub])
-            if m is None:
-                continue
-            vals = [(xl.dot(m, w), heights[w]) for w in rays if w not in sub]
-            if any(val == h for val, h in vals):
-                cells = None  # degenerate heights; resample
-                break
-            if all(val < h for val, h in vals):
-                cells.append(sub)
-                used.update(sub)
-        if not cells:
-            continue
-        ray_list = sorted(used)
-        idx = {v: i for i, v in enumerate(ray_list)}
-        F = Fan(rank, tuple(ray_list),
-                tuple(sorted(tuple(sorted(idx[v] for v in c)) for c in cells)))
-        if validate_fan(F):
-            continue
+        heights = [Fraction(rng.randint(1, 1000), rng.randint(1, 7)) for _ in rays]
+        scale = lcm(*(h.denominator for h in heights))
+        cells = regular_cells(rays, [int(h * scale) for h in heights])
+        if cells is None:
+            continue  # degenerate heights; resample
+        used = sorted({i for cell in cells for i in cell})
+        idx = {i: k for k, i in enumerate(used)}
+        F = certify_fan(Fan(rank, tuple(rays[i] for i in used),
+                            tuple(sorted(tuple(idx[i] for i in cell) for cell in cells))),
+                        "random complete fan")
         if not F.support_convex():
-            continue
+            raise InvariantBreach("random complete fan has a non-convex support")
         return F
     raise InvariantBreach("could not sample a complete fan")
 

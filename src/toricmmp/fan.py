@@ -21,7 +21,10 @@ criterion and `check_morphism` read one facet map (`_facet_owners`);
 the walls a map contracts, for `curves.contracted_walls` and for its
 projectivity LP, which runs only when its answer is read; the LP
 (`positive_on`) also finds the divisor that supports an extremal ray
-(`curves.supporting_divisor`).
+(`curves.supporting_divisor`).  One routine, `regular_cells`, builds
+the regular subdivision that integer lifting heights induce, from the
+signed maximal minors of the lifted rows (`exactlin.primitive_kernel`);
+`qfactorialize` and the corpus generator both call it.
 """
 
 from __future__ import annotations
@@ -599,73 +602,71 @@ def star_subdivision(F: Fan, v) -> Fan:
 # regular triangulation (Q-factorialization) and resolution
 # ---------------------------------------------------------------------------
 
-def _regular_cells(F: Fan, cone, heights):
-    """Cells of the regular subdivision of one maximal cone induced by the
-    lifting heights, or None when the heights are not generic enough."""
-    gens = F.cone_gens(cone)
-    d = cone_dim(gens)
+def regular_cells(gens, heights, perp=()) -> Optional[list]:
+    """Cells of the regular subdivision of cone(gens) that the integer
+    lifting heights induce, as tuples of indices into gens, or None when
+    the heights are degenerate.  `perp` holds integer rows spanning the
+    complement of span(gens), so a cell has d = len(gens[0]) - len(perp)
+    generators.
+
+    A d-subset S with nonzero determinant (rows S and perp) is lifted to the
+    rows (g, h) of S and (z, 0) of perp; their signed minors k span the
+    normal of the hyperplane through the lifted S.  Scanning the other
+    lifted generators in index order, the first with dot(k, .) * k[-1] < 0
+    lies below that hyperplane and rejects S, and the first with value 0
+    lies on it and makes the heights degenerate."""
+    dim = len(gens[0])
+    perp = [tuple(z) for z in perp]
+    lifted = [tuple(g) + (h,) for g, h in zip(gens, heights)]
+    lifted_perp = [z + (0,) for z in perp]
     cells = []
-    for sub in itertools.combinations(cone, d):
-        sg = F.cone_gens(sub)
-        if cone_dim(sg) != d:
+    for sub in itertools.combinations(range(len(gens)), dim - len(perp)):
+        if xl.integer_det([gens[i] for i in sub] + perp) == 0:
             continue
-        rows = list(sg) + list(cone_span_perp(gens))
-        rhs = [heights[i] for i in sub] + [Fraction(0)] * len(cone_span_perp(gens))
-        m = xl.solve_linear(rows, rhs)
-        if m is None:
-            continue
-        strict = True
-        degenerate = False
-        for j in cone:
+        k = xl.primitive_kernel([lifted[i] for i in sub] + lifted_perp, dim + 1)
+        for j, row in enumerate(lifted):
             if j in sub:
                 continue
-            val = xl.dot(m, F.rays[j])
-            if val == heights[j]:
-                degenerate = True
+            side = xl.dot(k, row) * k[-1]
+            if side == 0:
+                return None
+            if side < 0:
                 break
-            if val > heights[j]:
-                strict = False
-                break
-        if degenerate:
-            return None
-        if strict:
-            cells.append(tuple(sorted(sub)))
-    if not cells:
-        return None
-    if not cone_covered_by_gens(gens, [F.cone_gens(c) for c in cells]):
-        return None
+        else:
+            cells.append(sub)
     return cells
 
 
 def qfactorialize(F: Fan):
     """Small projective Q-factorialization: simplicial fan with the same rays
-    and support, via a regular triangulation from deterministic generic
-    lifting heights.  Returns (fan, refinement map); identity when already
-    simplicial.  The wall LP of `check_morphism` certifies the map
-    projective."""
+    and support, via the regular triangulation (`regular_cells`) of each
+    non-simplicial cone from the heights c^(i+1) on ray i, for the first
+    prime c that makes them generic.  Returns (fan, refinement map);
+    identity when already simplicial.  Generic heights triangulate each
+    cone and agree on shared faces, so a failed covering check or an
+    invalid result is an InvariantBreach.  The wall LP of `check_morphism`
+    certifies the map projective."""
     if F.is_simplicial():
         return F, identity_map(F, F)
     for c in _PRIMES:
-        heights = {i: Fraction(c) ** (i + 1) for i in range(len(F.rays))}
         new_cones = []
-        ok = True
         for cone in F.max_cones:
             gens = F.cone_gens(cone)
             if len(cone) == cone_dim(gens):
                 new_cones.append(cone)
                 continue
-            cells = _regular_cells(F, cone, heights)
+            perp = [xl.scale_to_integer(z) for z in cone_span_perp(gens)]
+            cells = regular_cells(gens, [c ** (i + 1) for i in cone], perp)
             if cells is None:
-                ok = False
                 break
+            cells = [tuple(cone[t] for t in cell) for cell in cells]
+            if not cone_covered_by_gens(gens, [F.cone_gens(cell) for cell in cells]):
+                raise InvariantBreach("regular cells do not cover their cone")
             new_cones.extend(cells)
-        if not ok:
-            continue
-        out = Fan(F.rank, F.rays, tuple(sorted(set(new_cones))))
-        bad = validate_fan(out)
-        if bad:
-            continue
-        return out, identity_map(out, F)
+        else:
+            out = certify_fan(Fan(F.rank, F.rays, tuple(sorted(set(new_cones)))),
+                              "Q-factorialization")
+            return out, identity_map(out, F)
     raise InvariantBreach("no generic lifting heights found")
 
 

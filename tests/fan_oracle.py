@@ -27,6 +27,10 @@ converted the source's support to a double description.
 `check_contracted` compares them with `check_morphism` and
 `curves.contracted_walls`.
 
+`regular_cells` is the subdivision `fan.qfactorialize` ran before
+`fan.regular_cells` read the cells off lifted signed minors: one
+`Fraction` solve per subset for the covector through the lifted points.
+
 `shared_pair_verdicts` lets the whole-fan check of `mmp_oracle.contract`
 and `certify_local`, which check many of the same pairs of cones of a
 flipping target, answer each pair once; each still builds its own verdict.
@@ -183,6 +187,44 @@ def common_refinement(F1: Fan, F2: Fan):
         "refinement fan")
     fine, _ = qfactorialize(coarse)
     return fine, identity_map(fine, F1), identity_map(fine, F2)
+
+
+def regular_cells(F: Fan, cone, heights):
+    """Cells of the regular subdivision of one maximal cone induced by the
+    lifting heights, or None when the heights are not generic enough."""
+    gens = F.cone_gens(cone)
+    d = fn.cone_dim(gens)
+    cells = []
+    for sub in itertools.combinations(cone, d):
+        sg = F.cone_gens(sub)
+        if fn.cone_dim(sg) != d:
+            continue
+        rows = list(sg) + list(fn.cone_span_perp(gens))
+        rhs = [heights[i] for i in sub] + [Fraction(0)] * len(fn.cone_span_perp(gens))
+        m = xl.solve_linear(rows, rhs)
+        if m is None:
+            continue
+        strict = True
+        degenerate = False
+        for j in cone:
+            if j in sub:
+                continue
+            val = xl.dot(m, F.rays[j])
+            if val == heights[j]:
+                degenerate = True
+                break
+            if val > heights[j]:
+                strict = False
+                break
+        if degenerate:
+            return None
+        if strict:
+            cells.append(tuple(sorted(sub)))
+    if not cells:
+        return None
+    if not cone_covered_by_gens(gens, [F.cone_gens(c) for c in cells]):
+        return None
+    return cells
 
 
 def projectivity_certificate(m: FanMap):

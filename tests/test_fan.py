@@ -124,6 +124,74 @@ def test_qfactorialize_cube_cone():
     assert fn.check_morphism(FanMap(xl.identity_matrix(4), Q, C)).projective
 
 
+def _random_gens(rng, rank, pointed):
+    """rank + 1 or rank + 2 distinct primitive vectors with entries in
+    [-3, 3], the last one positive when `pointed`."""
+    n = rng.randint(rank + 1, rank + 2)
+    gens = set()
+    while len(gens) < n:
+        v = [rng.randint(-3, 3) for _ in range(rank)]
+        if pointed:
+            v[-1] = rng.randint(1, 3)
+        if not xl.is_zero(v):
+            gens.add(tuple(xl.primitive(v)))
+    return sorted(gens)
+
+
+def _subdivision_configurations(count):
+    """Seeded generator lists, cycling through three kinds over ranks 2-4:
+    positively spanning ray sets, pointed cones, and pointed cones of rank
+    2 or 3 mapped into one or two more dimensions by an integer matrix."""
+    rng = random.Random(2010)
+    out = []
+    while len(out) < count:
+        kind, rank = len(out) % 3, 2 + len(out) // 3 % 3
+        if kind == 2:
+            rank = min(rank, 3)
+        gens = _random_gens(rng, rank, kind > 0)
+        if kind == 0 and not xl.recession_cone_trivial(
+                xl.HalfspaceSystem(tuple(gens), (0,) * len(gens))):
+            continue
+        if kind == 2:
+            A = [[rng.randint(-2, 2) for _ in range(rank)]
+                 for _ in range(rank + rng.randint(1, 2))]
+            if xl.rank(A) < rank:
+                continue
+            gens = sorted(tuple(xl.primitive(xl.mat_vec(A, g))) for g in gens)
+        out.append(tuple(gens))
+    return out
+
+
+@pytest.mark.parametrize("count", [1000, pytest.param(5000, marks=pytest.mark.slow)])
+def test_regular_cells_match_solve_oracle(count):
+    # the lifted signed minors against the Fraction solve per subset, for
+    # the heights c^(i+1) of qfactorialize: equal cells, equal None verdicts
+    mismatches, verdicts = [], []
+    for gens in _subdivision_configurations(count):
+        n = len(gens)
+        perp = fn.cone_span_perp(gens)
+        F = Fan(len(gens[0]), gens, (tuple(range(n)),))
+        for c in (2, 3):
+            heights = [c ** (i + 1) for i in range(n)]
+            cells = fn.regular_cells(gens, heights, [xl.scale_to_integer(z) for z in perp])
+            oracle = fan_oracle.regular_cells(F, tuple(range(n)), dict(enumerate(heights)))
+            if cells != oracle:
+                mismatches.append((gens, c))
+            verdicts.append(cells is None)
+    assert mismatches == []
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_qfactorialize_retries_the_next_prime_on_degenerate_heights():
+    # -2 v0 + 5 v1 - 4 v2 + v3 = 0, and the heights 2, 4, 8, 16 satisfy
+    # the same relation, so c = 2 lifts all four rays onto one hyperplane
+    rays = ((-2, -1, 1), (-2, 0, 1), (-1, 0, 1), (2, -2, 1))
+    assert fn.regular_cells(rays, [2, 4, 8, 16]) is None
+    assert fn.regular_cells(rays, [3, 9, 27, 81]) == [(0, 1, 2), (0, 2, 3)]
+    Q, _ = fn.qfactorialize(Fan(3, rays, ((0, 1, 2, 3),)))
+    assert Q == Fan(3, rays, ((0, 1, 2), (0, 2, 3)))
+
+
 def test_resolve_smooth_fixed_point(p2):
     R, _ = fn.resolve(p2)
     assert R.canonical() == p2.canonical()
