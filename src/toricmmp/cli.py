@@ -38,8 +38,10 @@ def _ints(text, sep, option):
         raise InputError(f"{option} expects integers, got {text!r}")
 
 
-def _load_setting(args, need_divisor=False, default_divisor=None):
-    """(FanMap, divisor) from --map or --fan (+ point base)."""
+def _load_setting(args, default_divisor=None):
+    """(FanMap, divisor) from --map or --fan (+ point base).  Without
+    --divisor the divisor is `default_divisor(source fan)`; with no default
+    it is None for a command that takes no --divisor, else an InputError."""
     if getattr(args, "map", None):
         m = tio.load_map(args.map)
         _valid(m.source, "source fan")
@@ -51,13 +53,10 @@ def _load_setting(args, need_divisor=False, default_divisor=None):
     D = None
     if getattr(args, "divisor", None):
         D = tio.load_divisor(args.divisor, m.source)
-    elif need_divisor:
-        if default_divisor == "K":
-            D = canonical_divisor(m.source)
-        elif default_divisor == "0":
-            D = zero_divisor(m.source)
-        else:
-            raise InputError("--divisor is required")
+    elif default_divisor is not None:
+        D = default_divisor(m.source)
+    elif hasattr(args, "divisor"):  # an empty --divisor for zariski
+        raise InputError("--divisor is required")
     return m, D
 
 
@@ -113,7 +112,7 @@ def cmd_ne_cone(args):
 
 
 def cmd_mmp(args):
-    m, D = _load_setting(args, need_divisor=True, default_divisor="K")
+    m, D = _load_setting(args, canonical_divisor)
     trace = mmp_mod.run_mmp(m, D)
     text = tio.dumps(_trace_obj(trace))
     if args.trace:
@@ -128,7 +127,7 @@ def cmd_mmp(args):
 def cmd_zariski(args):
     if args.m_max is not None and args.m_max < 1:
         raise InputError(f"--m-max must be at least 1, got {args.m_max}")
-    m, D = _load_setting(args, need_divisor=True)
+    m, D = _load_setting(args)
     R = sections_mod.zariski_decompose(m, D)
     verdict = sections_mod.verify_ckm(R, D, m_max=args.m_max)
     print(tio.dumps({
@@ -142,7 +141,7 @@ def cmd_zariski(args):
 
 
 def cmd_sections(args):
-    m, D = _load_setting(args, need_divisor=True, default_divisor="0")
+    m, D = _load_setting(args, zero_divisor)
     F = m.source
     H = sections_polytope(F, D)
     out = {"halfspaces": [{"normal": list(n), "offset": o}
@@ -162,7 +161,7 @@ def cmd_sections(args):
 
 
 def cmd_hilbert(args):
-    m, D = _load_setting(args, need_divisor=True, default_divisor="0")
+    m, D = _load_setting(args, zero_divisor)
     gens = sections_mod.algebra_generators(m, D)
     print(tio.dumps({"generators": [list(g) for g in gens],
                      "count": len(gens)}), end="")

@@ -84,9 +84,10 @@ class SupportFunction:
 
 @lru_cache(maxsize=None)
 def support_function(F: Fan, D: InvariantDivisor) -> SupportFunction:
-    """Solve <m, v_rho> = -d_rho on every maximal cone; raises NotQCartier
-    with the witness cone when some system is inconsistent.  The Cartier
-    index is the least l >= 1 making every covector of lD integral."""
+    """Solve <m, v_rho> = -d_rho on every maximal cone by one Smith form
+    (`exactlin.smith_solve`); raises NotQCartier with the witness cone when
+    some system is inconsistent.  The Cartier index is the least l >= 1
+    making every covector of lD integral: the lcm of the cones' indices."""
     check_divisor(F, D)
     covectors = []
     index = 1
@@ -94,17 +95,13 @@ def support_function(F: Fan, D: InvariantDivisor) -> SupportFunction:
         if not cone:
             covectors.append((Fraction(0),) * F.rank)
             continue
-        A = [F.rays[i] for i in cone]
-        b = [-D.coeffs[i] for i in cone]
-        m = xl.solve_linear(A, b)
-        if m is None:
+        solved = xl.smith_solve([F.rays[i] for i in cone],
+                                [-D.coeffs[i] for i in cone])
+        if solved is None:
             raise NotQCartier(cone)
-        covectors.append(tuple(m))
-        scale = math.lcm(*[c.denominator for c in b]) if b else 1
-        ell = xl.integer_multiple_for_solvability(A, [scale * c for c in b])
-        if ell is None:
-            raise NotQCartier(cone)
-        index = math.lcm(index, scale * ell)
+        m, ell = solved
+        covectors.append(m)
+        index = math.lcm(index, ell)
     return SupportFunction(tuple(covectors), index, F)
 
 

@@ -9,13 +9,15 @@ elimination with recursive interval enumeration, used only to list lattice
 points, and a subset-enumeration double description.  Every corank-one
 integer kernel (a wall relation, a facet normal, a ray of the double
 description) is a vector of signed maximal minors (`primitive_kernel`);
-the Smith form serves only quotient lattices and divisibility.  The simplex,
-the minors and the rank run on Python ints by fraction-free elimination: the
-simplex by integer pivoting over one common denominator (Edmonds), the
-minors by Bareiss's determinant (Bareiss 1968), the rank by forward
-elimination on primitive integer rows; the simplex builds ``Fraction``s only
-for the witness it returns.  The ``Fraction`` reduced row echelon form
-(`_rref`) serves `nullspace` and `solve_linear` only.
+the Smith form serves only quotient lattices and `smith_solve`, a rational
+solution together with its divisibility index.  The simplex, the minors and
+the rank run on Python ints by fraction-free elimination: the simplex by
+integer pivoting over one common denominator (Edmonds), the minors by
+Bareiss's determinant (Bareiss 1968), the rank by forward elimination on
+primitive integer rows; the simplex builds ``Fraction``s only for the
+witness it returns.  The ``Fraction`` reduced row echelon form (`_rref`)
+serves `nullspace` and `solve_linear` only, and `solve_linear` has one
+caller, `fan.parallelepiped_points`.
 
 Deterministic ordering: whenever ties arise, vectors are compared
 lexicographically.
@@ -326,24 +328,21 @@ def quotient_projection(vectors: Sequence[Sequence[int]], dim: int) -> Matrix:
     return tuple(tuple(U[i]) for i in range(r, dim))
 
 
-def integer_multiple_for_solvability(A: Sequence[Sequence[int]], b: Sequence) -> Optional[int]:
-    """Smallest positive integer l such that A x = l*b has an integer
-    solution, or None if no rational solution exists."""
-    if not A:
-        return 1
-    D, U, _ = smith_normal_form(A)
-    c = mat_vec(U, b)
-    m, n = len(A), len(A[0])
-    ell = 1
-    for i in range(m):
-        d = D[i][i] if i < min(m, n) else 0
-        ci = Fraction(c[i])
-        if d == 0:
-            if ci != 0:
-                return None
-        else:
-            ell = lcm(ell, (ci / d).denominator)
-    return ell
+def smith_solve(A: Sequence[Sequence[int]], b: Sequence):
+    """(x, l) for an integer matrix A and a rational vector b, from one
+    Smith form U A V = D, or None when A x = b has no rational solution:
+    x = V y with y_i = (U b)_i / d_i and the free y_i zero, and l, the lcm
+    of the denominators of y, is the least l >= 1 for which A z = l b has
+    an integer solution (l x is one)."""
+    D, U, V = smith_normal_form(A)
+    y = [Fraction(0)] * len(V)
+    for i, c in enumerate(mat_vec(U, b)):
+        d = D[i][i] if i < len(V) else 0
+        if d:
+            y[i] = Fraction(c) / d
+        elif c:
+            return None
+    return mat_vec(V, y), lcm(*(t.denominator for t in y))
 
 
 # ---------------------------------------------------------------------------
@@ -382,18 +381,14 @@ class HalfspaceSystem:
 
 
 def _normalize_row(row):
+    """The row (coeffs, offset) as a primitive integer row, scaled by a
+    positive rational (`scale_to_integer` on the joined row); a zero row
+    stays as it is."""
     coeffs, off = row
-    entries = list(coeffs) + [off]
-    nz = [e for e in entries if e != 0]
-    if not nz:
+    if off == 0 and is_zero(coeffs):
         return (tuple(coeffs), off)
-    den = lcm(*(Fraction(e).denominator for e in entries))
-    ints = [int(Fraction(e) * den) for e in entries]
-    g = 0
-    for e in ints:
-        g = gcd(g, abs(e))
-    ints = [e // g for e in ints]
-    return (tuple(ints[:-1]), ints[-1])
+    *ints, off = scale_to_integer(tuple(coeffs) + (off,))
+    return (tuple(ints), off)
 
 
 def _fm_eliminate(rows, var):

@@ -11,8 +11,8 @@ Fans are certified locally wherever the theory allows, with no pairwise
 double description.  A full-dimensional simplicial fan is valid by the
 triangulation criterion (De Loera-Rambau-Santos, *Triangulations*, 2010,
 ch. 4): its facets pair up with opposite orientation, unpaired facets lie on
-the boundary of the cone of all rays, and one point is covered once
-(`validate_fan`).  Two valid fans share most cones in practice;
+the boundary of the cone of all rays (`Fan.support_convex`), and one point
+is covered once (`cone_contains`).  Two valid fans share most cones in practice;
 `common_refinement` intersects only the cones they do not share, and
 `is_proper` cuts no source cone when the lattice map is onto, so the
 caller knows the dimension `cone_covered` needs.  Walls, the triangulation
@@ -30,7 +30,6 @@ signed maximal minors of the lifted rows (`exactlin.primitive_kernel`);
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from typing import Optional, Sequence
@@ -55,11 +54,12 @@ def cone_dim(gens: tuple) -> int:
 
 @lru_cache(maxsize=None)
 def cone_span_perp(gens: tuple) -> tuple:
-    """Basis of the orthogonal complement of span(cone); empty, with no
-    elimination, when the cone is full-dimensional."""
+    """Basis of the orthogonal complement of span(cone), as primitive
+    integer rows; empty, with no elimination, when the cone is
+    full-dimensional."""
     if not gens or cone_dim(gens) == len(gens[0]):
         return ()
-    return tuple(xl.nullspace(gens, len(gens[0])))
+    return tuple(map(xl.scale_to_integer, xl.nullspace(gens, len(gens[0]))))
 
 
 @lru_cache(maxsize=None)
@@ -75,7 +75,7 @@ def cone_facets(gens: tuple) -> tuple:
     dim = len(gens[0])
     d = cone_dim(gens)
     if len(gens) == d:
-        perp = tuple(xl.scale_to_integer(z) for z in cone_span_perp(gens))
+        perp = cone_span_perp(gens)
         normals = []
         for i in range(len(gens)):
             n = xl.primitive_kernel(gens[:i] + gens[i + 1:] + perp, dim)
@@ -272,7 +272,10 @@ class Fan:
 
     def support_convex(self) -> bool:
         """Support equals the convex hull cone of all rays (possibly the
-        whole space).  The cones must form a valid fan."""
+        whole space), by `cone_covered` on the hull's facet normals.  Its
+        argument needs only that each facet of a full-dimensional cone has
+        at most two owners, on opposite sides when there are two: a valid
+        fan, or one whose facet pairing `_triangulates` has passed."""
         if not self.rays or self.max_cones == (tuple(range(len(self.rays))),):
             return True  # no rays, or one cone of all rays
         # the hull's facet normals are the extreme rays of the dual cone
@@ -363,28 +366,20 @@ def _ray_violations(F: Fan) -> list:
     return violations
 
 
-def _simplicial_contains(gens: tuple, det: int, v) -> bool:
-    """Is v in the full-dimensional simplicial cone with generator rows
-    `gens` and determinant `det`?  By Cramer's rule v = sum t_i g_i with
-    t_i = det(gens with row i replaced by v) / det, so v lies in the cone
-    exactly when no such determinant has the opposite sign of `det`."""
-    return all(xl.integer_det(gens[:i] + (v,) + gens[i + 1:]) * det >= 0
-               for i in range(len(gens)))
-
-
 def _triangulates(F: Fan) -> bool:
     """Does the triangulation criterion prove F, whose rays passed the ray
     checks, a valid fan?  False means undecided, not invalid.
 
     It applies when every maximal cone is full-dimensional and simplicial
-    (rank rays, nonzero determinant).  Such cones form a fan with support
+    (`_full_dim_simplicial`: rank rays spanning the space).  Such cones form a fan with support
     C = cone(all rays) exactly when (De Loera-Rambau-Santos,
     *Triangulations*, 2010, ch. 4):
     - every facet (a cone minus one ray) lies in at most two cones;
     - across a shared facet the two opposite rays lie on opposite sides,
       that is, their determinants with the facet have opposite signs;
-    - a facet with one owner lies in a facet of C;
-    - one interior point of one cone lies in no other cone.
+    - a facet with one owner lies in a facet of C, which is the covering
+      test of `support_convex`, run only when some facet has one owner;
+    - one interior point of one cone lies in no other cone (`cone_contains`).
     Why: the number of cones covering a point of C off the codimension-2
     faces does not change across a paired facet and no unpaired facet
     meets the interior of C, so it is the same everywhere, and it is one
@@ -392,37 +387,25 @@ def _triangulates(F: Fan) -> bool:
     meeting facet to facet.  A fan whose support is not convex fails the
     third test and is left to the pairwise check.
     """
-    n = F.rank
-    if n == 0 or not F.max_cones:
+    if F.rank == 0 or not F.max_cones or not _full_dim_simplicial(F):
         return False
-    dets = []
-    for c in F.max_cones:
-        if len(c) != n:
-            return False
-        det = xl.integer_det(F.cone_gens(c))
-        if det == 0:
-            return False
-        dets.append(det)
-    normals = None  # facet normals of C, computed on the first unpaired facet
+    unpaired = False
     for facet, owners in _facet_owners(F).items():
-        fg = F.cone_gens(facet)
-        if len(owners) == 2:
-            a, b = (xl.integer_det(
-                fg + F.cone_gens(set(F.max_cones[k]) - set(facet)))
-                for k in owners)
-            if a * b >= 0:
-                return False
-        elif len(owners) == 1:
-            if normals is None:
-                normals, _ = xl.extreme_rays_of_halfspaces(F.rays, (), n)
-            if not any(all(xl.dot(u, g) == 0 for g in fg) for u in normals):
-                return False
-        else:
+        if len(owners) > 2:
             return False
-    gens0 = F.cone_gens(F.max_cones[0])
-    p = tuple(sum(col) for col in zip(*gens0))
-    return not any(_simplicial_contains(F.cone_gens(c), det, p)
-                   for c, det in zip(F.max_cones[1:], dets[1:]))
+        if len(owners) == 1:
+            unpaired = True
+            continue
+        fg = F.cone_gens(facet)
+        a, b = (xl.integer_det(
+            fg + F.cone_gens(set(F.max_cones[k]) - set(facet)))
+            for k in owners)
+        if a * b >= 0:
+            return False
+    if unpaired and not F.support_convex():
+        return False
+    p = tuple(sum(col) for col in zip(*F.cone_gens(F.max_cones[0])))
+    return not any(cone_contains(F.cone_gens(c), p) for c in F.max_cones[1:])
 
 
 def _cone_violations(F: Fan, cones, pairs) -> list:
@@ -655,8 +638,8 @@ def qfactorialize(F: Fan):
             if len(cone) == cone_dim(gens):
                 new_cones.append(cone)
                 continue
-            perp = [xl.scale_to_integer(z) for z in cone_span_perp(gens)]
-            cells = regular_cells(gens, [c ** (i + 1) for i in cone], perp)
+            cells = regular_cells(gens, [c ** (i + 1) for i in cone],
+                                  cone_span_perp(gens))
             if cells is None:
                 break
             cells = [tuple(cone[t] for t in cell) for cell in cells]
@@ -951,9 +934,8 @@ def positive_on(relations, nrays: int, zero=()) -> Optional[tuple]:
     """Divisor coefficients L with L . r >= 1 for each relation r, in the
     given order, and L . z = 0 for each z in `zero`, by one exact LP; None
     when there is none."""
-    sol = xl.feasible_point(
-        [(tuple(map(Fraction, r)), Fraction(1)) for r in relations],
-        [(tuple(map(Fraction, z)), Fraction(0)) for z in zero], nrays)
+    sol = xl.feasible_point([(r, 1) for r in relations],
+                            [(z, 0) for z in zero], nrays)
     return None if sol is None else tuple(sol)
 
 

@@ -40,7 +40,6 @@ class ContractionResult:
     base_map: FanMap              # target fan -> original base
     removed_ray: Optional[tuple] = None
     merged_cones: tuple = ()      # ray-index tuples in source indexing
-    quotient_matrix: Optional[tuple] = None
     relation: Optional[CurveClass] = None  # the walls' sum a_i v_i = 0
     supporting: Optional[InvariantDivisor] = None  # flipping: L of the ray
 
@@ -116,8 +115,7 @@ def contract(m: FanMap, wall_set) -> ContractionResult:
             B = tuple(tuple(xl.dot(row, col) for col in zip(*s))
                       for row in m.matrix)
         return ContractionResult("fano", Z, FanMap(P, F, Z),
-                                 FanMap(B, Z, m.target),
-                                 quotient_matrix=tuple(P), relation=rel)
+                                 FanMap(B, Z, m.target), relation=rel)
 
     merged = [g for g in _merge_groups(F, wall_set) if len(g) > 1]
     merged_ray_sets = [tuple(sorted(set(itertools.chain.from_iterable(g))))
@@ -366,9 +364,11 @@ def contract_face(m: FanMap, D: InvariantDivisor):
     merged = [tuple(sorted(set(itertools.chain.from_iterable(g))))
               for g in groups if len(g) > 1]
     for rayset in merged:
-        # D must descend: one covector fits the whole merged cone
-        if xl.solve_linear([F.rays[i] for i in rayset],
-                           [-D.coeffs[i] for i in rayset]) is None:
+        # D must descend: one covector fits the whole merged cone, so the
+        # coefficients add no rank to its rays
+        rows = [F.rays[i] for i in rayset]
+        if xl.rank(rows) != xl.rank([r + (-D.coeffs[i],)
+                                     for r, i in zip(rows, rayset)]):
             raise InvariantBreach("divisor does not descend to the merged cone")
     for rayset in merged:
         gens = list(F.cone_gens(rayset))

@@ -22,26 +22,18 @@ from .curves import nefness
 from .mmp import contract_face, run_mmp
 
 
-@record
-class SectionCone:
-    """Halfspace description of the graded section cone in M x R."""
-    normals: tuple  # each (v_rho..., d_rho) plus the grading row
-    dim: int
-
-    def contains(self, x) -> bool:
-        return all(xl.dot(n, x) >= 0 for n in self.normals)
-
-
-def section_cone(F: Fan, D: InvariantDivisor) -> SectionCone:
+def section_cone(F: Fan, D: InvariantDivisor) -> xl.HalfspaceSystem:
+    """The graded section cone as a halfspace system in M x R with zero
+    offsets: the grading row and one row (v_rho, d_rho) per ray, each
+    cleared of its denominator."""
     check_divisor(F, D)
     if not F.support_full_dimensional():
         raise PreconditionError("support must span the lattice (pointedness)")
-    dim = F.rank + 1
     rows = [tuple([0] * F.rank + [1])]
     for v, d in zip(F.rays, D.coeffs):
         den = d.denominator  # clear the denominator row-wise
         rows.append(tuple([den * c for c in v] + [int(den * d)]))
-    return SectionCone(tuple(rows), dim)
+    return xl.HalfspaceSystem(tuple(rows), (0,) * len(rows))
 
 
 def _require_affine_base(m: FanMap):
@@ -50,8 +42,9 @@ def _require_affine_base(m: FanMap):
         raise PreconditionError("base must be affine (a single cone)")
 
 
-def hilbert_basis(C: SectionCone) -> list:
-    """Minimal generating set of the semigroup of lattice points of C."""
+def hilbert_basis(C: xl.HalfspaceSystem) -> list:
+    """Minimal generating set of the semigroup of lattice points of the cone
+    C, a halfspace system with zero offsets (`section_cone`)."""
     rays, lin = xl.extreme_rays_of_halfspaces(list(C.normals), (), C.dim)
     if lin:
         raise PreconditionError("section cone is not pointed")

@@ -55,8 +55,7 @@ def _low_discrepancy_points(F: Fan, psi):
         normals = list(cone_facets(gens))
         offsets = [Fraction(0)] * len(normals)
         for z in cone_span_perp(gens):
-            zi = xl.scale_to_integer(z)
-            normals += [zi, tuple(-c for c in zi)]
+            normals += [z, tuple(-c for c in z)]
             offsets += [Fraction(0), Fraction(0)]
         normals.append(tuple(-c for c in m))
         offsets.append(Fraction(1))  # psi(v) = <m,v> <= 1

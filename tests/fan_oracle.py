@@ -7,6 +7,11 @@ it proved simplicial fans by the triangulation criterion and refined only
 the cones two fans do not share.  (`covering_oracle.is_proper` is the
 oracle for `fan.is_proper`.)
 
+`triangulates` is the triangulation criterion as `fan._triangulates` ran
+it before it called `Fan.support_convex` and `cone_contains`: its own
+double description of the hull for the unpaired facets, and its own
+membership test by Cramer's rule (`simplicial_contains`) for the one point.
+
 `certify_local` is the pairwise check `mmp.contract` ran on a flipping
 target before the supporting divisor L of the ray certified it: only the
 pairs through the merged cones.  `supports` re-checks L with dot products
@@ -70,6 +75,51 @@ def validate_fan(F: Fan) -> list:
         return violations
     n = len(F.max_cones)
     return fn._cone_violations(F, range(n), itertools.combinations(range(n), 2))
+
+
+def simplicial_contains(gens: tuple, det: int, v) -> bool:
+    """Is v in the full-dimensional simplicial cone with generator rows
+    `gens` and determinant `det`?  By Cramer's rule v = sum t_i g_i with
+    t_i = det(gens with row i replaced by v) / det, so v lies in the cone
+    exactly when no such determinant has the opposite sign of `det`."""
+    return all(xl.integer_det(gens[:i] + (v,) + gens[i + 1:]) * det >= 0
+               for i in range(len(gens)))
+
+
+def triangulates(F: Fan) -> bool:
+    """`fan._triangulates` with the hull's facet normals from its own double
+    description and the one-point test by `simplicial_contains`."""
+    n = F.rank
+    if n == 0 or not F.max_cones:
+        return False
+    dets = []
+    for c in F.max_cones:
+        if len(c) != n:
+            return False
+        det = xl.integer_det(F.cone_gens(c))
+        if det == 0:
+            return False
+        dets.append(det)
+    normals = None  # facet normals of C, computed on the first unpaired facet
+    for facet, owners in fn._facet_owners(F).items():
+        fg = F.cone_gens(facet)
+        if len(owners) == 2:
+            a, b = (xl.integer_det(
+                fg + F.cone_gens(set(F.max_cones[k]) - set(facet)))
+                for k in owners)
+            if a * b >= 0:
+                return False
+        elif len(owners) == 1:
+            if normals is None:
+                normals, _ = xl.extreme_rays_of_halfspaces(F.rays, (), n)
+            if not any(all(xl.dot(u, g) == 0 for g in fg) for u in normals):
+                return False
+        else:
+            return False
+    gens0 = F.cone_gens(F.max_cones[0])
+    p = tuple(sum(col) for col in zip(*gens0))
+    return not any(simplicial_contains(F.cone_gens(c), det, p)
+                   for c, det in zip(F.max_cones[1:], dets[1:]))
 
 
 def certify_local(F: Fan, cones, what: str) -> Fan:

@@ -10,11 +10,19 @@ invariants, which `fan.cone_lattice_multiplicity` took before the gcd of
 the maximal minors.  `section_of_projection` solves P x = e_j over the
 integers once per column, one Smith form each, as `mmp` did before it read
 the section off one Smith form.
+
+`support_function` is `divisor.support_function` as it eliminated each
+cone twice before `exactlin.smith_solve`: a `Fraction` `solve_linear` for
+the covector, then a Smith form for the Cartier index
+(`integer_multiple_for_solvability`).
 """
 
+import math
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from toricmmp import exactlin as xl
+from toricmmp.divisor import NotQCartier, SupportFunction, check_divisor
 from toricmmp.errors import InvariantBreach
 
 
@@ -113,3 +121,47 @@ def section_of_projection(P):
             raise InvariantBreach("quotient projection has no integer section")
         cols.append(x)
     return tuple(tuple(cols[j][i] for j in range(k)) for i in range(len(cols[0])))
+
+
+def integer_multiple_for_solvability(A: Sequence[Sequence[int]], b: Sequence) -> Optional[int]:
+    """Smallest positive integer l such that A x = l*b has an integer
+    solution, or None if no rational solution exists."""
+    if not A:
+        return 1
+    D, U, _ = xl.smith_normal_form(A)
+    c = xl.mat_vec(U, b)
+    m, n = len(A), len(A[0])
+    ell = 1
+    for i in range(m):
+        d = D[i][i] if i < min(m, n) else 0
+        ci = Fraction(c[i])
+        if d == 0:
+            if ci != 0:
+                return None
+        else:
+            ell = math.lcm(ell, (ci / d).denominator)
+    return ell
+
+
+def support_function(F, D) -> SupportFunction:
+    """Per maximal cone the `solve_linear` covector, and the Cartier index
+    from `integer_multiple_for_solvability` on the cleared right-hand side."""
+    check_divisor(F, D)
+    covectors = []
+    index = 1
+    for cone in F.max_cones:
+        if not cone:
+            covectors.append((Fraction(0),) * F.rank)
+            continue
+        A = [F.rays[i] for i in cone]
+        b = [-D.coeffs[i] for i in cone]
+        m = xl.solve_linear(A, b)
+        if m is None:
+            raise NotQCartier(cone)
+        covectors.append(tuple(m))
+        scale = math.lcm(*[c.denominator for c in b]) if b else 1
+        ell = integer_multiple_for_solvability(A, [scale * c for c in b])
+        if ell is None:
+            raise NotQCartier(cone)
+        index = math.lcm(index, scale * ell)
+    return SupportFunction(tuple(covectors), index, F)

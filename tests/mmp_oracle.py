@@ -83,8 +83,7 @@ def contract(m: FanMap, wall_set) -> ContractionResult:
                 B = tuple(tuple(xl.dot(row, col) for col in zip(*s))
                           for row in m.matrix)
                 base = FanMap(B, Z, m.target)
-            return ContractionResult("fano", Z, FanMap(P, F, Z), base,
-                                     quotient_matrix=tuple(P))
+            return ContractionResult("fano", Z, FanMap(P, F, Z), base)
 
     # divisorial: a merged cone with a non-extreme generator (the removed
     # ray may sit inside a proper face, not only in the full interior)

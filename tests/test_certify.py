@@ -5,7 +5,9 @@ criterion, `contract` certifies a flipping target by the supporting divisor
 of its ray, `common_refinement` intersects only unshared cones and
 `is_proper` cuts no cone under an onto map.  Each is checked here against
 the routine it replaced (`fan_oracle`, `covering_oracle`) on a slice of the
-acceptance corpus and on mutated fans, and a guard makes sure the MMP never
+acceptance corpus and on mutated fans, and so is the criterion, which now
+borrows `Fan.support_convex` and `cone_contains` for its boundary and
+one-point tests (`fan_oracle.triangulates`), and a guard makes sure the MMP never
 falls back to the pairwise check on the fans the fast paths cover, nor
 builds the whole Mori cone.  Another guard counts the projectivity LPs of
 `run_mmp`: one per run, as every later model is certified by the ample
@@ -137,8 +139,9 @@ def test_cone_listed_twice_counts_once(p2):
     assert fn.validate_fan(F) == []
 
 
-def test_validate_matches_pairwise_oracle(instances):
-    # every fan the slice's MMP runs validate, and six mutations of each
+@pytest.fixture(scope="module")
+def slice_fans(instances):
+    """Every fan the slice's MMP runs validate, and six mutations of each."""
     seen = {}
     orig = fn.validate_fan
 
@@ -153,16 +156,48 @@ def test_validate_matches_pairwise_oracle(instances):
     finally:
         fn.validate_fan = orig
     rng = random.Random(7)
-    fans = list(seen) + [mutate(rng, F) for F in seen if F.rays
+    return list(seen) + [mutate(rng, F) for F in seen if F.rays
                          for _ in range(6)]
+
+
+def test_validate_matches_pairwise_oracle(slice_fans):
     fast = invalid = 0
-    for F in fans:
+    for F in slice_fans:
         got = fn.validate_fan(F)
         assert got == fan_oracle.validate_fan(F), F
         invalid += bool(got)
         fast += not fn._ray_violations(F) and fn._triangulates(F)
     # 218 fans: 82 invalid, 89 proved by the criterion
     assert invalid >= 60 and fast >= 60
+
+
+def test_criterion_matches_its_oracle(slice_fans):
+    # the criterion with `support_convex` and `cone_contains` against its
+    # own hull and Cramer's rule: the fans above, 300 seeded complete fans
+    # and affine chains, each of the last two with a mutation
+    rng = random.Random(16)
+    fans = list(slice_fans) + [PENTAGRAM, FOLD, OVERLAP, THREE_QUARTERS]
+    for s in range(300):
+        rank = 2 + s % 3
+        F = corpus.random_complete_fan(random.Random(s), rank, rank + 2 + s % 5)
+        fans += [F, mutate(rng, F)]
+    for m, _ in corpus.affine_instances(seed=16, count=60):
+        fans += [m.source, mutate(rng, m.source)]
+    mismatches = []
+    verdicts = {True: 0, False: 0}  # fans with an unpaired facet, by verdict
+    proved = 0
+    for F in fans:
+        if fn._ray_violations(F):
+            continue
+        got = fn._triangulates(F)
+        if got != fan_oracle.triangulates(F):
+            mismatches.append(F)
+        proved += got
+        if _full_dim_simplicial(F) and any(
+                len(o) == 1 for o in fn._facet_owners(F).values()):
+            verdicts[got] += 1
+    assert mismatches == []
+    assert (len(fans), proved, verdicts) == (942, 569, {True: 105, False: 150})
 
 
 # -- the flipping target --------------------------------------------------------

@@ -248,10 +248,18 @@ def test_quotient_projection():
     assert len(P) == 1 and xl.dot(P[0], (1, 1)) == 0
 
 
-def test_integer_multiple_for_solvability():
+def test_smith_solve():
     # index-2 lattice situation
-    assert xl.integer_multiple_for_solvability([(1, 0), (1, 2)], (-1, 0)) == 2
-    assert xl.integer_multiple_for_solvability([(1, 0), (0, 1)], (3, 5)) == 1
+    assert xl.smith_solve([(1, 0), (1, 2)], (-1, 0)) == ((-1, Fraction(1, 2)), 2)
+    assert xl.smith_solve([(1, 0), (0, 1)], (3, 5)) == ((3, 5), 1)
+    # a fractional right-hand side, and no rational solution
+    assert xl.smith_solve([(1, 0), (0, 1)], (Fraction(1, 2), Fraction(1, 3)))[1] == 6
+    assert xl.smith_solve([(1, 1), (2, 2)], (1, 3)) is None
+    # one row: the free coordinate is zero in Smith coordinates, so the
+    # solution of an index-1 system is integral
+    x, ell = xl.smith_solve([(2, 1)], (1,))
+    assert ell == 1 and xl.dot((2, 1), x) == 1
+    assert all(c.denominator == 1 for c in x)
 
 
 def test_feasible_point_strict():

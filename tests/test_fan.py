@@ -173,7 +173,7 @@ def test_regular_cells_match_solve_oracle(count):
         F = Fan(len(gens[0]), gens, (tuple(range(n)),))
         for c in (2, 3):
             heights = [c ** (i + 1) for i in range(n)]
-            cells = fn.regular_cells(gens, heights, [xl.scale_to_integer(z) for z in perp])
+            cells = fn.regular_cells(gens, heights, perp)
             oracle = fan_oracle.regular_cells(F, tuple(range(n)), dict(enumerate(heights)))
             if cells != oracle:
                 mismatches.append((gens, c))

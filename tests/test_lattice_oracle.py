@@ -2,17 +2,24 @@
 the signed-minor kernel against the Hermite kernel, the gcd of maximal
 minors against the product of the Smith invariants (and the simplicial
 facet normals against the `Fraction` double description of `cone_oracle`),
-and the one-Smith-form section against one integer solve per column."""
+the one-Smith-form section against one integer solve per column, and the
+one-Smith-form support function against a `Fraction` solve plus a Smith
+form per cone."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 import cone_oracle
 import lattice_oracle
+from toricmmp import corpus
+from toricmmp import divisor as dv
 from toricmmp import exactlin as xl
 from toricmmp import fan as fn
+from toricmmp.divisor import NotQCartier
 from toricmmp.errors import InvariantBreach
+from toricmmp.fan import Fan
 from toricmmp.mmp import _section_of_projection
 
 
@@ -78,3 +85,70 @@ def test_section_matches_per_column_solve():
             [tuple(int(i == j) for j in range(len(P))) for i in range(len(P))]
         checked += 1
     assert checked == 400
+
+
+def _lower_dimensional_fans(rng, count):
+    """Seeded fans with lower-dimensional maximal cones: random faces of the
+    cones of an affine chain, and single cones of dimension d in Z^n on up
+    to d + 2 generators (often not simplicial), mapped in by a random
+    integer matrix of rank d."""
+    out = []
+    while len(out) < count:
+        if len(out) % 2:
+            F = corpus.random_affine_instance(rng, rng.randint(2, 3),
+                                              rng.randint(1, 3)).source
+            faces = {tuple(sorted(rng.sample(c, rng.randint(1, len(c)))))
+                     for c in F.max_cones}
+            faces = [f for f in faces if not any(set(f) < set(g) for g in faces)]
+            used = sorted(set().union(*faces))
+            idx = {i: k for k, i in enumerate(used)}
+            out.append(Fan(F.rank, tuple(F.rays[i] for i in used),
+                           tuple(tuple(idx[i] for i in f) for f in faces)))
+            continue
+        n = rng.randint(2, 4)
+        d = rng.randint(1, n)
+        M = _matrix(rng, n, d)
+        while xl.rank(M) != d:
+            M = _matrix(rng, n, d)
+        gens = set()
+        for _ in range(rng.randint(d, d + 2)):
+            v = tuple(rng.randint(-2, 2) for _ in range(d - 1)) + (rng.randint(1, 3),)
+            gens.add(xl.primitive(xl.mat_vec(M, v)))
+        out.append(Fan(n, tuple(sorted(gens)), (tuple(range(len(gens))),)))
+    return out
+
+
+def test_support_function_matches_two_eliminations():
+    # covector values on each cone's generators, the Cartier index and the
+    # NotQCartier witness; the divisor is random or a fraction of a
+    # principal one, so non-simplicial cones give both verdicts
+    rng = random.Random(20261021)
+    mismatches = []
+    lower = witnesses = 0
+    for F in _lower_dimensional_fans(rng, 400):
+        if rng.randrange(2):
+            D = corpus.random_divisor(rng, F)
+        else:
+            u = tuple(rng.randint(-3, 3) for _ in range(F.rank))
+            D = dv.principal_divisor(F, u).scale(Fraction(1, rng.randint(1, 6)))
+        try:
+            want = lattice_oracle.support_function(F, D)
+        except NotQCartier as e:
+            with pytest.raises(NotQCartier) as got:
+                dv.support_function(F, D)
+            if got.value.cone != e.cone:
+                mismatches.append((F, D))
+            witnesses += 1
+            continue
+        got = dv.support_function(F, D)
+        if got.cartier_index != want.cartier_index or any(
+                xl.dot(m, F.rays[i]) != xl.dot(u, F.rays[i])
+                for cone, m, u in zip(F.max_cones, got.covectors, want.covectors)
+                for i in cone):
+            mismatches.append((F, D))
+        lower += sum(fn.cone_dim(F.cone_gens(c)) < F.rank for c in F.max_cones)
+        # one Smith form gives covectors that the index makes integral
+        assert all((c * got.cartier_index).denominator == 1
+                   for m in got.covectors for c in m)
+    assert mismatches == []
+    assert (lower, witnesses) == (299, 35)

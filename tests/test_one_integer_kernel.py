@@ -46,5 +46,5 @@ def test_one_integer_kernel_routine():
     assert "primitive_kernel" in refs["fan.wall_coefficients"]
     assert _users(refs, "smith_normal_form") == {
         "exactlin.quotient_projection",
-        "exactlin.integer_multiple_for_solvability",
+        "exactlin.smith_solve",
         "mmp._section_of_projection"}

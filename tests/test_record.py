@@ -93,6 +93,6 @@ def test_package_records_hash_and_repr_as_dataclasses_did():
                 exactlin.HalfspaceSystem, fan.Fan, fan.FanMap, fan.ConeClass,
                 fan.MorphismFlags, fan.Wall, mmp.ContractionResult,
                 mmp.MMPStep, mmp.MMPTrace, newton.ModelReport,
-                sections.SectionCone, sections.ZariskiResult,
+                sections.ZariskiResult,
                 sections.CKMVerdict, singularities.PairClassification):
         assert cls.__init__.__qualname__ == cls.__qualname__ + ".__init__"
