@@ -5,11 +5,11 @@ criterion, `contract` certifies a flipping target by the supporting divisor
 of its ray, `common_refinement` intersects only unshared cones and
 `is_proper` cuts no cone under an onto map.  Each is checked here against
 the routine it replaced (`fan_oracle`, `covering_oracle`) on a slice of the
-acceptance corpus and on mutated fans, and so is the criterion, which now
-borrows `Fan.support_convex` and `cone_contains` for its boundary and
-one-point tests (`fan_oracle.triangulates`), and a guard makes sure the MMP never
-falls back to the pairwise check on the fans the fast paths cover, nor
-builds the whole Mori cone.  Another guard counts the projectivity LPs of
+acceptance corpus and on mutated fans; so is the criterion itself, whose
+boundary and one-point tests are now `Fan.support_convex` and
+`cone_contains` (`fan_oracle.triangulates`).  A guard makes sure the MMP
+never falls back to the pairwise check on the fans the fast paths cover,
+nor builds the whole Mori cone.  Another guard counts the projectivity LPs of
 `run_mmp`: one per run, as every later model is certified by the ample
 class its step carries, and a corrupted carried class falls back to the LP.
 """
