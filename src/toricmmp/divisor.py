@@ -150,7 +150,7 @@ def sections_polytope(F: Fan, D: InvariantDivisor) -> xl.HalfspaceSystem:
 
 def sections_basis(F: Fan, D: InvariantDivisor, box=None) -> list:
     """Lattice points of P_D, sorted.  Without a `box` [(lo, hi), ...] P_D
-    must be bounded (checked); with one, only the points in the box."""
+    must be bounded or empty (checked); with one, the points in the box."""
     H = sections_polytope(F, D)
     return xl.lattice_points(H, box=box)
 

@@ -1,23 +1,24 @@
 """Exact rational and integer linear algebra plus small polyhedral primitives.
 
-Everything here works over ``fractions.Fraction`` or Python ints; no floating
-point is used anywhere.  Vectors are tuples, matrices are tuples of row
-tuples.  All algorithms are desk-scale exact methods: Gaussian elimination,
-signed maximal minors, Smith reduction, a Bland-rule phase-1 simplex, which
-answers every feasibility and boundedness question, Fourier-Motzkin
-elimination with recursive interval enumeration, used only to list lattice
-points, and a subset-enumeration double description.  Every corank-one
-integer kernel (a wall relation, a facet normal, a ray of the double
-description) is a vector of signed maximal minors (`primitive_kernel`);
-the Smith form serves only quotient lattices and `smith_solve`, a rational
-solution together with its divisibility index.  The simplex, the minors and
-the rank run on Python ints by fraction-free elimination: the simplex by
-integer pivoting over one common denominator (Edmonds), the minors by
-Bareiss's determinant (Bareiss 1968), the rank by forward elimination on
-primitive integer rows; the simplex builds ``Fraction``s only for the
-witness it returns.  The ``Fraction`` reduced row echelon form (`_rref`)
-serves `nullspace` and `solve_linear` only, and `solve_linear` has one
-caller, `fan.parallelepiped_points`.
+Everything here works over ``fractions.Fraction`` or Python ints; no
+floating point is used anywhere.  Vectors are tuples, matrices are tuples of
+row tuples.  All algorithms are desk-scale exact methods: Gaussian
+elimination, signed maximal minors, Smith reduction, a Bland-rule phase-1
+simplex, which answers every feasibility and boundedness question,
+Fourier-Motzkin elimination with recursive interval enumeration, used only
+to list lattice points by floor division on the tower's primitive integer
+rows, and a subset-enumeration double description.  Every corank-one integer
+kernel (a wall relation, a facet normal, a ray of the double description) is
+a vector of signed maximal minors (`primitive_kernel`); the Smith form
+serves only quotient lattices and `smith_solve`, a rational solution
+together with its divisibility index.  The simplex, the minors and the rank
+run on Python ints by fraction-free elimination: the simplex by integer
+pivoting over one common denominator (Edmonds), the minors by Bareiss's
+determinant (Bareiss 1968), the rank by forward elimination on primitive
+integer rows; the simplex builds ``Fraction``s only for the witness it
+returns.  The ``Fraction`` reduced row echelon form (`_rref`) serves
+`nullspace` and `solve_linear` only, and `solve_linear` has one caller,
+`fan.parallelepiped_points`.
 
 Deterministic ordering: whenever ties arise, vectors are compared
 lexicographically.
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import ceil, floor, gcd, lcm
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .errors import InputError, InvariantBreach, PreconditionError
@@ -369,9 +370,6 @@ class HalfspaceSystem:
     def dim(self) -> int:
         return len(self.normals[0]) if self.normals else 0
 
-    def rows(self) -> list:
-        return [(tuple(map(Fraction, n)), Fraction(o)) for n, o in zip(self.normals, self.offsets)]
-
     def contains(self, x: Sequence) -> bool:
         return all(dot(n, x) + o >= 0 for n, o in zip(self.normals, self.offsets))
 
@@ -425,19 +423,20 @@ def _fm_tower(rows, dim):
 
 
 def _interval(rows, var, partial):
-    """Closed interval for x_var given values of x_0..x_{var-1} in `partial`.
-    Returns (lo, hi) with None meaning unbounded, or 'empty'."""
+    """Integer interval for x_var given x_0..x_{var-1} in `partial`, by floor
+    division.  Returns (lo, hi) with None meaning unbounded, or 'empty'."""
     lo, hi = None, None
     for coeffs, off in rows:
         c = coeffs[var]
         if c == 0:
             continue
         val = off + sum(coeffs[i] * partial[i] for i in range(var))
-        bound = Fraction(-val, c)
         if c > 0:
+            bound = -(val // c)  # c x + val >= 0: x >= ceil(-val / c)
             if lo is None or bound > lo:
                 lo = bound
         else:
+            bound = val // -c  # x <= floor(val / -c)
             if hi is None or bound < hi:
                 hi = bound
     if lo is not None and hi is not None and lo > hi:
@@ -473,27 +472,24 @@ def recession_cone_trivial(H: HalfspaceSystem) -> bool:
 def lattice_points(H: HalfspaceSystem,
                    box: Optional[Sequence[tuple]] = None) -> list:
     """All integer points of the polyhedron, sorted, by recursive
-    coordinate-interval enumeration over a Fourier-Motzkin tower.  Without
-    a `box` [(lo, hi), ...] the polyhedron must have trivial recession cone
-    (checked by `recession_cone_trivial`); with one, only the points in the
-    box are listed.
+    coordinate-interval enumeration over a Fourier-Motzkin tower of integer
+    rows.  Without a `box` [(lo, hi), ...] of ints the polyhedron must be
+    bounded or empty (checked by `recession_cone_trivial`, then by
+    `lp_feasible`); with one, only the points in the box are listed.
     """
     dim = H.dim
     if dim == 0:
-        return [()] if all(Fraction(o) >= 0 for o in H.offsets) else []
+        return [()]  # no normals, so no offsets either
     if box is not None:
-        extra_n, extra_o = [], []
-        for i, (lo, hi) in enumerate(box):
-            unit = tuple(1 if j == i else 0 for j in range(dim))
-            extra_n += [unit, vscale(-1, unit)]
-            extra_o += [Fraction(-lo), Fraction(hi)]
-        H = H.with_extra(extra_n, extra_o)
+        H = H.with_extra([r for u in identity_matrix(dim) for r in (u, vscale(-1, u))],
+                         [b for lo, hi in box for b in (-lo, hi)])
     elif not recession_cone_trivial(H):
-        raise PreconditionError("polyhedron is unbounded; pass a box")
-    tower = _fm_tower(H.rows(), dim)
-    for coeffs, off in tower[0]:
-        if off < 0:
+        if lp_feasible(H) is None:
             return []
+        raise PreconditionError("polyhedron is unbounded; pass a box")
+    tower = _fm_tower(zip(H.normals, H.offsets), dim)
+    if any(off < 0 for _, off in tower[0]):
+        return []
 
     out = []
 
@@ -504,10 +500,11 @@ def lattice_points(H: HalfspaceSystem,
         lo, hi = iv
         if lo is None or hi is None:
             raise PreconditionError("unbounded direction during enumeration")
-        for x in range(ceil(lo), floor(hi) + 1):
+        for x in range(lo, hi + 1):
             nxt = partial + [x]
-            if var == dim - 1:
-                if H.contains(nxt):
+            if var == dim - 1:  # test every row of H, scaled to integers
+                if all(sum(c * y for c, y in zip(coeffs, nxt)) + off >= 0
+                       for coeffs, off in tower[dim]):
                     out.append(tuple(nxt))
             else:
                 rec(var + 1, nxt)

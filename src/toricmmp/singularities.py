@@ -53,12 +53,12 @@ def _low_discrepancy_points(F: Fan, psi):
         if not gens:
             continue
         normals = list(cone_facets(gens))
-        offsets = [Fraction(0)] * len(normals)
+        offsets = [0] * len(normals)
         for z in cone_span_perp(gens):
             normals += [z, tuple(-c for c in z)]
-            offsets += [Fraction(0), Fraction(0)]
+            offsets += [0, 0]
         normals.append(tuple(-c for c in m))
-        offsets.append(Fraction(1))  # psi(v) = <m,v> <= 1
+        offsets.append(1)  # psi(v) = <m,v> <= 1
         H = xl.HalfspaceSystem(tuple(normals), tuple(offsets))
         for p in xl.lattice_points(H):
             if xl.is_zero(p) or p in rayset:

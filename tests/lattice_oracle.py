@@ -15,15 +15,24 @@ the section off one Smith form.
 cone twice before `exactlin.smith_solve`: a `Fraction` `solve_linear` for
 the covector, then a Smith form for the Cartier index
 (`integer_multiple_for_solvability`).
+
+`lattice_points` is `exactlin.lattice_points` as it enumerated before it
+read integer bounds off the tower's integer rows: `Fraction` rows,
+`Fraction` intervals rounded by `ceil` and `floor`, and
+`HalfspaceSystem.contains` on the unscaled rows at the last coordinate.
+Its tower and intervals are the `Fraction` ones of `lp_oracle`, so it
+shares no elimination with the code it checks.  It raises on every
+unbounded polyhedron, empty or not, as that path did.
 """
 
 import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
+import lp_oracle
 from toricmmp import exactlin as xl
 from toricmmp.divisor import NotQCartier, SupportFunction, check_divisor
-from toricmmp.errors import InvariantBreach
+from toricmmp.errors import InvariantBreach, PreconditionError
 
 
 def integer_kernel(A: Sequence[Sequence[int]]) -> list:
@@ -165,3 +174,46 @@ def support_function(F, D) -> SupportFunction:
             raise NotQCartier(cone)
         index = math.lcm(index, scale * ell)
     return SupportFunction(tuple(covectors), index, F)
+
+
+def lattice_points(H: xl.HalfspaceSystem, box=None) -> list:
+    """All integer points of the polyhedron, sorted, by recursive
+    `Fraction` interval enumeration over a Fourier-Motzkin tower; without a
+    `box` the recession cone must be trivial."""
+    dim = H.dim
+    if dim == 0:
+        return [()] if all(Fraction(o) >= 0 for o in H.offsets) else []
+    if box is not None:
+        extra_n, extra_o = [], []
+        for i, (lo, hi) in enumerate(box):
+            unit = tuple(1 if j == i else 0 for j in range(dim))
+            extra_n += [unit, xl.vscale(-1, unit)]
+            extra_o += [Fraction(-lo), Fraction(hi)]
+        H = H.with_extra(extra_n, extra_o)
+    elif not xl.recession_cone_trivial(H):
+        raise PreconditionError("polyhedron is unbounded; pass a box")
+    rows = [(tuple(map(Fraction, n)), Fraction(o)) for n, o in zip(H.normals, H.offsets)]
+    tower = lp_oracle._fm_tower(rows, dim)
+    for coeffs, off in tower[0]:
+        if off < 0:
+            return []
+
+    out = []
+
+    def rec(var, partial):
+        iv = lp_oracle._interval(tower[var + 1], var, partial)
+        if iv is None:
+            return
+        lo, hi = iv
+        if lo is None or hi is None:
+            raise PreconditionError("unbounded direction during enumeration")
+        for x in range(math.ceil(lo), math.floor(hi) + 1):
+            nxt = partial + [x]
+            if var == dim - 1:
+                if H.contains(nxt):
+                    out.append(tuple(nxt))
+            else:
+                rec(var + 1, nxt)
+
+    rec(0, [])
+    return sorted(out)

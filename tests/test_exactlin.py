@@ -1,5 +1,7 @@
 import ast
 import inspect
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -118,6 +120,112 @@ def test_lattice_points_unbounded_guard():
     with pytest.raises(PreconditionError):
         xl.lattice_points(H)
     assert len(xl.lattice_points(H, box=[(0, 2), (0, 2)])) == 9
+    # u_1 >= 1 and u_1 <= 0: empty, though the u_2-axis recedes
+    H = xl.HalfspaceSystem(((1, 0), (-1, 0)), (-1, 0))
+    assert not xl.recession_cone_trivial(H)
+    assert xl.lattice_points(H) == []
+
+
+def _rational(rng):
+    return Fraction(rng.randint(-7, 7), rng.randint(1, 3))
+
+
+def _enumeration_case(rng, k):
+    """(H, box, scan) over 1-4 variables with `Fraction` offsets.  By k % 8
+    it has a box (0-2), rows bounding every coordinate (3-4), bare rows
+    that may leave it unbounded (5-6), or a contradiction in x_0 (7); every
+    fifth system is flat, with an equality pair as
+    `singularities._low_discrepancy_points` builds.  `scan` is a box of
+    ints holding every lattice point, or None when none is known."""
+    dim = rng.randint(1, 4)
+    mode = (0, 0, 0, 1, 1, 2, 2, 3)[k % 8]
+    normals, offsets = [], []
+    for _ in range(rng.randint(1, 5 - dim // 2)):
+        n = (0,) * dim
+        while not any(n):
+            n = tuple(rng.randint(-3, 3) for _ in range(dim))
+        normals.append(n)
+        offsets.append(Fraction(rng.randint(-3, 7), rng.randint(1, 3)))
+    if k % 5 == 1:
+        z = (0,) * dim
+        while not any(z):
+            z = tuple(rng.randint(-2, 2) for _ in range(dim))
+        o = rng.choice((0, 0, 1, -1, Fraction(1, 2)))
+        normals += [z, tuple(-c for c in z)]
+        offsets += [o, -o]
+    box = scan = None
+    if mode == 0:
+        box = scan = [(rng.randint(-3, 0), rng.randint(0, 3)) for _ in range(dim)]
+    elif mode == 1:
+        scan = []
+        for i in range(dim):
+            lo = _rational(rng) / 2
+            hi = lo + abs(_rational(rng)) / 2
+            unit = tuple(1 if j == i else 0 for j in range(dim))
+            normals += [unit, tuple(-c for c in unit)]
+            offsets += [-lo, hi]
+            scan.append((math.ceil(lo), math.floor(hi)))
+    elif mode == 3:
+        unit = (1,) + (0,) * (dim - 1)
+        normals += [unit, tuple(-c for c in unit)]
+        offsets += [-1, Fraction(rng.randint(-3, 1), 2)]
+        if rng.random() < 0.5:
+            box = scan = [(-2, 2)] * dim
+    return xl.HalfspaceSystem(tuple(normals), tuple(offsets)), box, scan
+
+
+def _projection_box(H):
+    """Box of ints around a bounded nonempty H: each coordinate's range is
+    read off the `Fraction` tower of lp_oracle with that coordinate last
+    to be eliminated."""
+    rows = [(tuple(map(Fraction, n)), Fraction(o)) for n, o in zip(H.normals, H.offsets)]
+    out = []
+    for i in range(H.dim):
+        order = [i] + [j for j in range(H.dim) if j != i]
+        tower = lp_oracle._fm_tower([(tuple(n[j] for j in order), o) for n, o in rows],
+                                    H.dim)
+        lo, hi = lp_oracle._interval(tower[1], 0, [])
+        out.append((math.ceil(lo), math.floor(hi)))
+    return out
+
+
+def _points_or_none(enumerate_points, H, box):
+    try:
+        return enumerate_points(H, box=box)
+    except PreconditionError:
+        return None
+
+
+def test_lattice_points_match_fraction_oracle_and_box_scan():
+    # the integer enumeration against the Fraction one of lattice_oracle and
+    # against a scan of a box around the polyhedron
+    rng = random.Random(20261019)
+    mismatches, seen = [], {"nonempty": 0, "empty": 0, "unbounded": 0,
+                            "empty, recedes": 0, "flat": 0}
+    for k in range(1000):
+        H, box, scan = _enumeration_case(rng, k)
+        got = _points_or_none(xl.lattice_points, H, box)
+        want = _points_or_none(lattice_oracle.lattice_points, H, box)
+        if want is None:
+            # the oracle raises on every unbounded polyhedron; the integer
+            # path answers [] when it is empty
+            empty = xl.lp_feasible(H) is None
+            seen["empty, recedes" if empty else "unbounded"] += 1
+            if got != ([] if empty else None):
+                mismatches.append((k, H, box, got))
+            continue
+        if scan is None and want:
+            scan = _projection_box(H)
+        scanned = [p for p in itertools.product(*(range(lo, hi + 1) for lo, hi in scan))
+                   if H.contains(p)] if scan else []
+        if not got == want == scanned:
+            mismatches.append((k, H, box, got))
+        seen["nonempty" if got else "empty"] += 1
+        seen["flat"] += k % 5 == 1 and bool(got)
+    assert xl.lattice_points(xl.HalfspaceSystem((), ())) == [()]
+    assert lattice_oracle.lattice_points(xl.HalfspaceSystem((), ())) == [()]
+    assert mismatches == []
+    assert min(seen.values()) >= 25, seen
 
 
 def _random_system(rng, dim):

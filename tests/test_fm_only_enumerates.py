@@ -2,7 +2,11 @@
 simplex answers every feasibility and boundedness question.  Within the
 package only `exactlin.lattice_points` reaches the elimination tower
 (`_fm_tower`) and its interval reader (`_interval`), so a second
-feasibility routine built on them cannot come back unnoticed."""
+feasibility routine built on them cannot come back unnoticed.  The
+enumeration runs on the tower's integer rows: neither `_interval` nor
+`lattice_points` builds a `Fraction` or rounds one, and the last
+coordinate's membership test reads the tower, not
+`HalfspaceSystem.contains`."""
 
 import ast
 from pathlib import Path
@@ -44,3 +48,10 @@ def test_only_lattice_points_reaches_fourier_motzkin():
             break
         reach |= more
     assert reach - FM == {"lattice_points"}
+
+
+def test_enumeration_runs_on_integer_rows():
+    refs = _references(Path(toricmmp.__file__).parent / "exactlin.py")
+    for name in ("_interval", "lattice_points"):
+        assert not refs[name] & {"Fraction", "ceil", "floor"}, name
+    assert "contains" not in refs["lattice_points"]
