@@ -250,14 +250,11 @@ def test_sections_and_box(tmp_path, capsys):
     code, out = _run(capsys, ["sections", "--fan", f2])
     assert code == 0
     assert json.loads(out)["lattice_points"] is None
-
-
-def test_sections_of_an_empty_polytope_with_a_recession_direction(tmp_path, capsys):
     # P_D = {u_1 >= 1, u_1 <= 0} is empty although the u_2-axis recedes
-    f = _write(tmp_path, "line.json",
-               {"rank": 2, "rays": [[1, 0], [-1, 0]], "cones": [[0], [1]]})
+    f3 = _write(tmp_path, "line.json",
+                {"rank": 2, "rays": [[1, 0], [-1, 0]], "cones": [[0], [1]]})
     div = _write(tmp_path, "d.json", {"coeffs": ["-1", "0"]})
-    code, out = _run(capsys, ["sections", "--fan", f, "--divisor", div])
+    code, out = _run(capsys, ["sections", "--fan", f3, "--divisor", div])
     assert code == 0
     data = json.loads(out)
     assert data["lattice_points"] == [] and "note" not in data
