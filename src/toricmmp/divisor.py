@@ -150,9 +150,11 @@ def sections_polytope(F: Fan, D: InvariantDivisor) -> xl.HalfspaceSystem:
 
 def sections_basis(F: Fan, D: InvariantDivisor, box=None) -> list:
     """Lattice points of P_D, sorted.  Without a `box` [(lo, hi), ...] P_D
-    must be bounded or empty (checked); with one, the points in the box."""
-    H = sections_polytope(F, D)
-    return xl.lattice_points(H, box=box)
+    must be bounded or empty (checked; without rays it is the whole space);
+    with one, the points in the box."""
+    if box is None and F.rank and not F.rays:
+        raise PreconditionError("polyhedron is unbounded; pass a box")
+    return xl.lattice_points(sections_polytope(F, D), box=box)
 
 
 def round_down(D: InvariantDivisor) -> InvariantDivisor:

@@ -11,14 +11,14 @@ rows, and a subset-enumeration double description.  Every corank-one integer
 kernel (a wall relation, a facet normal, a ray of the double description) is
 a vector of signed maximal minors (`primitive_kernel`); the Smith form
 serves only quotient lattices and `smith_solve`, a rational solution
-together with its divisibility index.  The simplex, the minors and the rank
-run on Python ints by fraction-free elimination: the simplex by integer
-pivoting over one common denominator (Edmonds), the minors by Bareiss's
-determinant (Bareiss 1968), the rank by forward elimination on primitive
-integer rows; the simplex builds ``Fraction``s only for the witness it
-returns.  The ``Fraction`` reduced row echelon form (`_rref`) serves
-`nullspace` and `solve_linear` only, and `solve_linear` has one caller,
-`fan.parallelepiped_points`.
+together with its divisibility index.  The simplex, the minors, the rank
+and `nullspace` run on Python ints by fraction-free elimination: the
+simplex by integer pivoting over one common denominator (Edmonds), the
+minors by Bareiss's determinant (Bareiss 1968), the rank and `nullspace`
+by forward elimination on primitive integer rows (`_echelon`); the simplex
+builds ``Fraction``s only for the witness it returns.  The ``Fraction``
+reduced row echelon form (`_rref`) serves `solve_linear` only, and
+`solve_linear` has one caller, `fan.parallelepiped_points`.
 
 Deterministic ordering: whenever ties arise, vectors are compared
 lexicographically.
@@ -98,7 +98,7 @@ def scale_to_integer(v: Sequence) -> Vector:
 
 
 # ---------------------------------------------------------------------------
-# rational Gaussian elimination
+# Gaussian elimination: fraction-free echelon rows, and the rational rref
 # ---------------------------------------------------------------------------
 
 def _rref(rows):
@@ -127,13 +127,14 @@ def _rref(rows):
     return rows, pivots
 
 
-def rank(A: Sequence[Sequence]) -> int:
-    """Rank by fraction-free forward elimination: each row is scaled to
-    integers (`_integer_row`), a pivot row p clears its column from every
-    other row b by p_c * b - b_c * p, and each new row is divided by the
-    gcd of its entries, so no `Fraction` is built."""
+def _echelon(A: Sequence[Sequence]) -> list:
+    """(pivot column, integer row) pairs, one per unit of rank, by forward
+    elimination: rows scaled to integers (`_integer_row`), a pivot row p
+    clearing its column, its first nonzero entry, from each other row b by
+    p_c * b - b_c * p, and each new row divided by the gcd of its entries.
+    So no `Fraction` is built, and the pivot columns are the rref's."""
     rows = [row for row in map(_integer_row, A) if any(row)]
-    r = 0
+    out = []
     while rows:
         piv = rows.pop()
         c = next(i for i, a in enumerate(piv) if a)
@@ -150,8 +151,13 @@ def rank(A: Sequence[Sequence]) -> int:
                     row = [a // g for a in row]
             rest.append(row)
         rows = rest
-        r += 1
-    return r
+        out.append((c, piv))
+    return out
+
+
+def rank(A: Sequence[Sequence]) -> int:
+    """The number of pivots of `_echelon`."""
+    return len(_echelon(A))
 
 
 def solve_linear(A: Sequence[Sequence], b: Sequence) -> Optional[Vector]:
@@ -176,20 +182,20 @@ def solve_linear(A: Sequence[Sequence], b: Sequence) -> Optional[Vector]:
 
 
 def nullspace(A: Sequence[Sequence], n: Optional[int] = None) -> list:
-    """Rational basis of {x : A x = 0}; `n` gives the dimension when A is
-    empty."""
-    if not A:
-        return [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)] if n else []
-    n = len(A[0])
-    rows, pivots = _rref(A)
-    free = [c for c in range(n) if c not in pivots]
+    """Basis of {x : A x = 0}, one primitive integer row per free column f
+    of `_echelon(A)`, in increasing order: the `primitive_kernel` of the
+    echelon rows on the pivot columns and f, positive at f, 0 at the other
+    free columns; the rref's vector for f times a positive rational.  `n`
+    gives the dimension when A is empty."""
+    n = len(A[0]) if A else n or 0
+    echelon = _echelon(A)
+    pivots = [c for c, _ in echelon]
     basis = []
-    for f in free:
-        x = [Fraction(0)] * n
-        x[f] = Fraction(1)
-        for i, c in enumerate(pivots):
-            x[c] = -rows[i][f]
-        basis.append(tuple(x))
+    for f in sorted(set(range(n)) - set(pivots)):
+        cols = pivots + [f]
+        ker = primitive_kernel([[row[c] for c in cols] for _, row in echelon], len(cols))
+        x = dict(zip(cols, ker if ker[-1] > 0 else vscale(-1, ker)))
+        basis.append(tuple(x.get(c, 0) for c in range(n)))
     return basis
 
 
@@ -475,11 +481,13 @@ def lattice_points(H: HalfspaceSystem,
     coordinate-interval enumeration over a Fourier-Motzkin tower of integer
     rows.  Without a `box` [(lo, hi), ...] of ints the polyhedron must be
     bounded or empty (checked by `recession_cone_trivial`, then by
-    `lp_feasible`); with one, only the points in the box are listed.
+    `lp_feasible`); with one, only the points in the box, whose length is
+    the dimension.  Each level's interval applies every row of the tower
+    that involves its variable, so every point listed satisfies H.
     """
-    dim = H.dim
+    dim = H.dim if box is None else len(box)
     if dim == 0:
-        return [()]  # no normals, so no offsets either
+        return [()]  # the one point of Z^0
     if box is not None:
         H = H.with_extra([r for u in identity_matrix(dim) for r in (u, vscale(-1, u))],
                          [b for lo, hi in box for b in (-lo, hi)])
@@ -500,14 +508,11 @@ def lattice_points(H: HalfspaceSystem,
         lo, hi = iv
         if lo is None or hi is None:
             raise PreconditionError("unbounded direction during enumeration")
+        if var == dim - 1:
+            out.extend(tuple(partial) + (x,) for x in range(lo, hi + 1))
+            return
         for x in range(lo, hi + 1):
-            nxt = partial + [x]
-            if var == dim - 1:  # test every row of H, scaled to integers
-                if all(sum(c * y for c, y in zip(coeffs, nxt)) + off >= 0
-                       for coeffs, off in tower[dim]):
-                    out.append(tuple(nxt))
-            else:
-                rec(var + 1, nxt)
+            rec(var + 1, partial + [x])
 
     rec(0, [])
     return sorted(out)
@@ -693,35 +698,31 @@ def extreme_rays_of_halfspaces(ineqs: Sequence[Sequence], eqs: Sequence[Sequence
                                dim: int) -> tuple:
     """(rays, lineality) of the cone {x : <a,x> >= 0, <e,x> = 0}.
 
-    Rays are primitive integer vectors, sorted; lineality is a rational basis
-    of the largest linear subspace inside the cone.  Subset-enumeration double
-    description: each extreme ray is cut out by dim(span)-1 independent active
-    constraints.  After the lineality split the work is on integers: the span
-    basis and the rows are rescaled to primitive integer vectors (a positive
-    rescaling keeps every ray) and the kernel of each row subset is its
-    vector of signed maximal minors.
+    Rays are primitive integer vectors, sorted; lineality is a basis of the
+    largest linear subspace inside the cone, as primitive integer vectors.
+    Subset-enumeration double description: each extreme ray is cut out by
+    dim(span)-1 independent active constraints.  The work is on integers:
+    the span basis is the integer `nullspace` of the equations, the rows
+    are scaled to primitive integer vectors (which keeps every ray) and the
+    kernel of each row subset is its vector of signed maximal minors.
     """
-    span = nullspace(list(eqs), dim) if eqs else \
-        [tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)]
+    span = nullspace(list(eqs), dim) if eqs else identity_matrix(dim)
     if not span:
         return [], []
     s = len(span)
     # inequality rows in span coordinates
-    rows = [tuple(dot(a, bvec) for bvec in span) for a in ineqs]
+    rows = [tuple(dot(a, b) for b in span) for a in ineqs]
     rows = [r for r in rows if not is_zero(r)]
     lin = [] if rank(rows) == s else nullspace(rows, s)
     if lin:
-        amb_lin = [tuple(sum(Fraction(y[j]) * span[j][i] for j in range(s)) for i in range(dim))
+        amb_lin = [primitive(tuple(sum(y[j] * span[j][i] for j in range(s)) for i in range(dim)))
                    for y in lin]
         # split off the pointed part: C = lineality + (C intersect lineality-perp)
-        sub_rays, sub_lin = extreme_rays_of_halfspaces(
-            ineqs, list(eqs) + [tuple(l) for l in amb_lin], dim)
+        sub_rays, sub_lin = extreme_rays_of_halfspaces(ineqs, list(eqs) + amb_lin, dim)
         if sub_lin:
             raise InvariantBreach("pointed part of the cone has a lineality space")
         return sub_rays, amb_lin
-    basis = [scale_to_integer(b) for b in span]
-    rows = (tuple(dot(a, b) for b in basis) for a in ineqs)
-    rows = list(dict.fromkeys(scale_to_integer(r) for r in rows if not is_zero(r)))
+    rows = list(dict.fromkeys(map(scale_to_integer, rows)))
     rays = set()
     for subset in itertools.combinations(rows, s - 1):
         ker = _minor_kernel(subset, s)
@@ -729,7 +730,7 @@ def extreme_rays_of_halfspaces(ineqs: Sequence[Sequence], eqs: Sequence[Sequence
             continue  # dependent rows
         for cand in (ker, tuple(-k for k in ker)):
             if all(sum(x * y for x, y in zip(r, cand)) >= 0 for r in rows):
-                rays.add(primitive(tuple(sum(c * b[i] for c, b in zip(cand, basis))
+                rays.add(primitive(tuple(sum(c * b[i] for c, b in zip(cand, span))
                                          for i in range(dim))))
                 break
     return sorted(rays), []

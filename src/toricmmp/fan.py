@@ -59,7 +59,7 @@ def cone_span_perp(gens: tuple) -> tuple:
     full-dimensional."""
     if not gens or cone_dim(gens) == len(gens[0]):
         return ()
-    return tuple(map(xl.scale_to_integer, xl.nullspace(gens, len(gens[0]))))
+    return tuple(xl.nullspace(gens, len(gens[0])))
 
 
 @lru_cache(maxsize=None)
@@ -172,11 +172,7 @@ def parallelepiped_points(gens: tuple) -> list:
 
 def _h_to_gens(ineqs, eqs, dim):
     rays, lin = xl.extreme_rays_of_halfspaces(list(ineqs), list(eqs), dim)
-    gens = list(rays)
-    for l in lin:
-        gens.append(xl.scale_to_integer(l))
-        gens.append(xl.scale_to_integer(xl.vscale(-1, l)))
-    return tuple(gens)
+    return tuple(rays) + tuple(v for l in lin for v in (l, xl.vscale(-1, l)))
 
 
 def _facets_of(items: tuple, gens: tuple) -> list:

@@ -17,7 +17,7 @@ from .record import record
 from .fan import (Fan, FanMap, common_refinement, identity_map,
                   parallelepiped_points, qfactorialize, resolve)
 from .divisor import (InvariantDivisor, check_divisor, pullback, round_down,
-                      sections_polytope, support_function)
+                      sections_basis, sections_polytope, support_function)
 from .curves import nefness
 from .mmp import contract_face, run_mmp
 
@@ -84,9 +84,7 @@ def graded_lattice_points(F: Fan, D: InvariantDivisor, degree: int,
                           box=None) -> list:
     """Lattice points of P_{floor(degree * D)} as graded vectors (u, degree);
     the brute-force oracle used against hilbert_basis."""
-    mD = round_down(D.scale(degree))
-    H = sections_polytope(F, mD)
-    pts = xl.lattice_points(H, box=box)
+    pts = sections_basis(F, round_down(D.scale(degree)), box=box)
     return [tuple(list(p) + [degree]) for p in pts]
 
 
@@ -161,18 +159,13 @@ def zariski_decompose(m: FanMap, D: InvariantDivisor) -> ZariskiResult:
 
 def _lattice_free_of(ineqs_normals, ineqs_offsets):
     """Is {u : <n,u> + o >= 0} free of lattice points?  Returns (verdict,
-    witness); raises when the region is rationally feasible and unbounded
-    (no finite certificate available)."""
+    witness).  One LP answers an empty region, bounded or not; then
+    `lattice_points` raises on an unbounded one (no finite certificate)."""
     H = xl.HalfspaceSystem(tuple(ineqs_normals), tuple(ineqs_offsets))
     if xl.lp_feasible(H) is None:
         return True, None
-    if not xl.recession_cone_trivial(H):
-        raise PreconditionError("cannot certify lattice emptiness of an "
-                                "unbounded region")
     pts = xl.lattice_points(H)
-    if pts:
-        return False, pts[0]
-    return True, None
+    return (False, pts[0]) if pts else (True, None)
 
 
 @record

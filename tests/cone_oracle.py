@@ -2,11 +2,13 @@
 
 `cone_contains` decides membership with the phase-1 simplex, and
 `extreme_rays_of_halfspaces` is the subset-enumeration double description
-with one `Fraction` nullspace per subset of constraints.  Tests check
+with one `Fraction` nullspace per subset of constraints, the reduced
+echelon one of `lp_oracle`, and a `Fraction` lineality basis.  Tests check
 `fan.cone_contains` (facet normals) and `exactlin.extreme_rays_of_halfspaces`
 (signed integer minors) against them.  The simplex is the `Fraction`
 oracle of `lp_oracle`, so the membership oracle shares no arithmetic with
-`exactlin`'s integer pivoting.
+`exactlin`'s integer pivoting, and the double description shares no
+elimination with `exactlin`.
 """
 
 import itertools
@@ -27,14 +29,14 @@ def cone_contains(gens, v) -> bool:
 def extreme_rays_of_halfspaces(ineqs, eqs, dim) -> tuple:
     """(rays, lineality) of {x : <a,x> >= 0, <e,x> = 0}: each extreme ray
     is the one-dimensional rational kernel of dim(span)-1 active rows."""
-    span = xl.nullspace(list(eqs), dim) if eqs else \
+    span = lp_oracle.nullspace(list(eqs), dim) if eqs else \
         [tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)]
     if not span:
         return [], []
     s = len(span)
     rows = [tuple(xl.dot(a, bvec) for bvec in span) for a in ineqs]
     rows = [r for r in rows if not xl.is_zero(r)]
-    lin = xl.nullspace(rows, s)
+    lin = lp_oracle.nullspace(rows, s)
     if lin:
         amb_lin = [tuple(sum(Fraction(y[j]) * span[j][i] for j in range(s))
                          for i in range(dim)) for y in lin]
@@ -52,7 +54,7 @@ def extreme_rays_of_halfspaces(ineqs, eqs, dim) -> tuple:
                 rays.add(xl.scale_to_integer(amb))
     else:
         for subset in itertools.combinations(range(len(rows)), s - 1):
-            ker = xl.nullspace([rows[i] for i in subset], s)
+            ker = lp_oracle.nullspace([rows[i] for i in subset], s)
             if len(ker) != 1:
                 continue
             for cand in (ker[0], xl.vscale(-1, ker[0])):

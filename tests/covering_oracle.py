@@ -67,8 +67,7 @@ def support_convex(F) -> bool:
     if not F.rays:
         return True
     normals, lin = xl.extreme_rays_of_halfspaces(list(F.rays), (), F.rank)
-    eqs = tuple(xl.scale_to_integer(l) for l in lin)
-    return cone_covered(tuple(normals), eqs, F.rank,
+    return cone_covered(tuple(normals), tuple(lin), F.rank,
                         [F.cone_gens(c) for c in F.max_cones])
 
 

@@ -7,7 +7,10 @@ Fourier-Motzkin versions `exactlin` used before the simplex answered every
 feasibility and boundedness question: a witness by elimination and
 back-substitution, and boundedness by 2 * dim probes, one per signed unit
 vector.  `rank` counts the pivots of a reduced row echelon form over
-`Fraction`s, as `exactlin.rank` did before it eliminated on integer rows.
+`Fraction`s, as `exactlin.rank` did before it eliminated on integer rows,
+and `nullspace` reads a rational kernel basis off the same form, as
+`exactlin.nullspace` did before it took signed minors of integer echelon
+rows.
 Nothing here calls into `exactlin`, so a test that compares the two shares
 no arithmetic with the code it checks.
 """
@@ -163,13 +166,16 @@ def recession_cone_trivial(normals):
     return True
 
 
-def rank(A):
-    """The number of pivots of the reduced row echelon form of A over
+def _rref(A):
+    """(rows, pivot columns) of the reduced row echelon form of A over
     `Fraction`s."""
     rows = [[Fraction(x) for x in r] for r in A]
     ncols = len(rows[0]) if rows else 0
-    r = 0
+    pivots = []
     for c in range(ncols):
+        r = len(pivots)
+        if r == len(rows):
+            break
         pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
         if pr is None:
             continue
@@ -179,7 +185,30 @@ def rank(A):
             if i != r and rows[i][c] != 0:
                 f = rows[i][c]
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        r += 1
-        if r == len(rows):
-            break
-    return r
+        pivots.append(c)
+    return rows, pivots
+
+
+def rank(A):
+    """The number of pivots of the reduced row echelon form of A."""
+    return len(_rref(A)[1])
+
+
+def nullspace(A, n=None):
+    """Rational basis of {x : A x = 0}, one vector per free column f of
+    the reduced row echelon form, in increasing order: 1 at f, 0 at the
+    other free columns.  `n` gives the dimension when A is empty."""
+    if not A:
+        return [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)] if n else []
+    n = len(A[0])
+    rows, pivots = _rref(A)
+    basis = []
+    for f in range(n):
+        if f in pivots:
+            continue
+        x = [Fraction(0)] * n
+        x[f] = Fraction(1)
+        for i, c in enumerate(pivots):
+            x[c] = -rows[i][f]
+        basis.append(tuple(x))
+    return basis

@@ -258,6 +258,15 @@ def test_sections_and_box(tmp_path, capsys):
     assert code == 0
     data = json.loads(out)
     assert data["lattice_points"] == [] and "note" not in data
+    # a fan without rays: P_D is the whole plane
+    f4 = _write(tmp_path, "rayless.json", {"rank": 2, "rays": [], "cones": [[]]})
+    code, out = _run(capsys, ["sections", "--fan", f4])
+    assert code == 0
+    data = json.loads(out)
+    assert data["lattice_points"] is None and "note" in data
+    code, out = _run(capsys, ["sections", "--fan", f4, "--box", "0:1,0:1"])
+    assert code == 0
+    assert json.loads(out)["lattice_points"] == [[0, 0], [0, 1], [1, 0], [1, 1]]
 
 
 def test_hilbert(tmp_path, capsys):

@@ -124,6 +124,9 @@ def test_lattice_points_unbounded_guard():
     H = xl.HalfspaceSystem(((1, 0), (-1, 0)), (-1, 0))
     assert not xl.recession_cone_trivial(H)
     assert xl.lattice_points(H) == []
+    # no rows at all: the box gives the dimension
+    assert xl.lattice_points(xl.HalfspaceSystem((), ()), box=[(0, 1), (0, 1)]) == \
+        [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 def _rational(rng):
@@ -316,9 +319,31 @@ def test_rank_matches_fraction_oracle():
     assert xl.rank([(Fraction(1, 2), Fraction(1, 3)), (3, 2)]) == 1
 
 
+def test_nullspace_matches_fraction_oracle():
+    # signed minors on the integer echelon rows against the Fraction rref
+    # of lp_oracle: the same basis vectors, each scaled to a primitive
+    # integer vector by a positive rational
+    rng = random.Random(20261020)
+    mismatches, vectors = [], 0
+    for k in range(10000):
+        A = _random_rank_matrix(rng, k)
+        n = len(A[0]) if A else rng.randint(0, 4)
+        got = xl.nullspace(A, n)
+        want = [xl.scale_to_integer(v) for v in lp_oracle.nullspace(A, n)]
+        if got != want or xl.rank(A) + len(got) != n:
+            mismatches.append(A)
+        vectors += len(got)
+    assert mismatches == []
+    assert vectors >= 10000
+    assert xl.nullspace([]) == [] and xl.nullspace([], 2) == [(1, 0), (0, 1)]
+    assert xl.nullspace([(0, 0)]) == [(1, 0), (0, 1)]
+    assert xl.nullspace([(Fraction(1, 2), Fraction(-1, 3), 0)]) == [(2, 3, 0), (0, 0, 1)]
+
+
 def test_rank_builds_no_fraction():
-    # rank eliminates on integer rows: no _rref and no Fraction inside it
-    tree = ast.parse(inspect.getsource(xl.rank))
+    # the echelon rows behind rank and nullspace are integer rows: no _rref
+    # and no Fraction inside the elimination
+    tree = ast.parse(inspect.getsource(xl._echelon))
     names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
     assert not names & {"_rref", "Fraction", "nullspace", "solve_linear"}
@@ -427,9 +452,12 @@ def halfspace_systems(draw):
 @example(([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1)], [], 3))  # x0 = 0
 @settings(max_examples=300, deadline=None)
 def test_extreme_rays_of_halfspaces_matches_fraction_oracle(system):
-    # signed integer minors against one Fraction nullspace per row subset
-    got = xl.extreme_rays_of_halfspaces(*system)
-    assert got == cone_oracle.extreme_rays_of_halfspaces(*system)
+    # signed integer minors against one Fraction nullspace per row subset;
+    # the lineality basis is the oracle's scaled to primitive integer rows
+    rays, lin = xl.extreme_rays_of_halfspaces(*system)
+    want_rays, want_lin = cone_oracle.extreme_rays_of_halfspaces(*system)
+    assert rays == want_rays
+    assert lin == [xl.scale_to_integer(v) for v in want_lin]
 
 
 # --- the integer-pivoting simplex against the Fraction oracle of lp_oracle ---

@@ -6,7 +6,7 @@ The Hermite kernel of `lattice_oracle` is checked against sympy first and
 then gives `exactlin.primitive_kernel` its generator up to sign.
 """
 
-from fractions import Fraction
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,8 +33,12 @@ def square_matrices(draw, max_n=5):
     return [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(n)]
 
 
-def _fractions(vec):
-    return tuple(Fraction(int(x.p), int(x.q)) for x in vec)
+def _primitive(vec):
+    """sympy's rational vector scaled by a positive rational to a primitive
+    integer vector."""
+    den = math.lcm(*(int(x.q) for x in vec))
+    ints = [int(x.p) * (den // int(x.q)) for x in vec]
+    return tuple(a // math.gcd(*ints) for a in ints)
 
 
 @given(int_matrices())
@@ -42,8 +46,9 @@ def _fractions(vec):
 def test_rank_and_nullspace_match_sympy(A):
     M = sympy.Matrix(A)
     assert xl.rank(A) == M.rank()
-    # both put 1 at one free column and 0 at the others, so the bases agree
-    assert xl.nullspace(A) == [_fractions(v) for v in M.nullspace()]
+    # both vanish at all free columns but one, where they are positive, so
+    # the bases agree up to a positive scale
+    assert xl.nullspace(A) == [_primitive(v) for v in M.nullspace()]
 
 
 @given(int_matrices())
