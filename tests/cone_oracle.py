@@ -29,8 +29,7 @@ def cone_contains(gens, v) -> bool:
 def extreme_rays_of_halfspaces(ineqs, eqs, dim) -> tuple:
     """(rays, lineality) of {x : <a,x> >= 0, <e,x> = 0}: each extreme ray
     is the one-dimensional rational kernel of dim(span)-1 active rows."""
-    span = lp_oracle.nullspace(list(eqs), dim) if eqs else \
-        [tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)]
+    span = lp_oracle.nullspace(list(eqs), dim)
     if not span:
         return [], []
     s = len(span)

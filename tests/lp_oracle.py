@@ -198,9 +198,7 @@ def nullspace(A, n=None):
     """Rational basis of {x : A x = 0}, one vector per free column f of
     the reduced row echelon form, in increasing order: 1 at f, 0 at the
     other free columns.  `n` gives the dimension when A is empty."""
-    if not A:
-        return [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)] if n else []
-    n = len(A[0])
+    n = len(A[0]) if A else n or 0
     rows, pivots = _rref(A)
     basis = []
     for f in range(n):
