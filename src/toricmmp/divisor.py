@@ -126,15 +126,19 @@ def pullback(m: FanMap, D: InvariantDivisor) -> InvariantDivisor:
 
 def pushforward(m: FanMap, D: InvariantDivisor) -> InvariantDivisor:
     """Drop coefficients at rays without a counterpart downstairs; the map
-    must send every surviving ray onto a target ray."""
+    must send every surviving ray onto a target ray.  Each source ray is
+    mapped once."""
     check_divisor(m.source, D)
+    landing = {}
+    for v, d in zip(m.source.rays, D.coeffs):
+        image = m.apply(v)
+        if not xl.is_zero(image):
+            landing.setdefault(xl.primitive(image), set()).add(d)
     out = []
     for w in m.target.rays:
-        matches = [i for i, v in enumerate(m.source.rays)
-                   if not xl.is_zero(m.apply(v)) and tuple(xl.primitive(m.apply(v))) == w]
-        if not matches:
+        vals = landing.get(w)
+        if not vals:
             raise PreconditionError(f"target ray {w} has no preimage ray")
-        vals = {D.coeffs[i] for i in matches}
         if len(vals) > 1:
             raise PreconditionError(f"ambiguous pushforward coefficient at {w}")
         out.append(vals.pop())

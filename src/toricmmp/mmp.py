@@ -1,18 +1,20 @@
 """Extremal contractions, flips, the D-MMP driver, and the negativity oracle.
 
 The driver is the trichotomy loop: while the divisor is not nef over the
-base, contract a negative extremal ray.  The signs of its wall relation
-sum a_i v_i = 0 give the kind (Reid 1983): no negative a_i is a fano
-contraction, which ends the run; one negative a_j is divisorial and drops
-v_j and the Picard rank by one; two or more make it flipping, and Reid's
-circuit construction swaps the triangulation of each merged cone from the
-positive to the negative side, where the divisor must be ample over the
-small target (the certificate); the small target is the fan of the
-linearity domains of the divisor supporting the ray.  Every step is
-recorded with its certificates and termination is witnessed by a
-no-repeat set of fans.  Every model a step reaches is again projective
-over the base: the step carries an ample class to it, checked by dot
-products, so only the first map's projectivity is an LP.
+base, contract a negative extremal ray.  Each step is read off the ray's
+wall relation c = sum a_i v_i = 0 (Reid 1983).  Its signs give the kind,
+and the driver tries the classes with a negative a_i first: none is a
+fano contraction, which ends the run; one negative a_j is divisorial and
+drops v_j and the Picard rank by one; two or more make it flipping.  Both
+birational kinds merge cones that must be circuits, checked once.  A flip
+swaps each circuit's triangulation from the positive to the negative side,
+whose new walls carry -c: the divisor's value there is -D.c > 0, its
+ampleness (the certificate) over the small target, the fan of linearity
+domains of the divisor supporting the ray.  Every step is recorded with
+its certificates and termination is witnessed by a no-repeat set of fans.
+Every model a step reaches is again projective over the base: the step
+carries an ample class to it, checked by dot products, so only the first
+map's projectivity is an LP.
 """
 
 from __future__ import annotations
@@ -24,12 +26,12 @@ from typing import Optional
 from . import exactlin as xl
 from .errors import InvariantBreach, PreconditionError
 from .record import record
-from .fan import (Fan, FanMap, Wall, certify_fan, cone_dim, common_refinement,
-                  identity_map, index_rays, quotient_fan)
+from .fan import (Fan, FanMap, certify_fan, common_refinement, identity_map,
+                  index_rays, quotient_fan)
 from .divisor import (InvariantDivisor, pullback, pushforward,
                       support_function)
 from .curves import (CurveClass, contracted_walls, mori_classes, nefness,
-                     supporting_divisor, wall_relation)
+                     supporting_divisor)
 
 
 @record
@@ -89,9 +91,11 @@ def contract(m: FanMap, wall_set) -> ContractionResult:
     more is flipping, and the merged circuit cones stay whole in the small,
     non-simplicial target, the fan of the linearity domains of the class's
     `supporting_divisor` L (its certificate, `supporting`; None is a
-    PreconditionError).  Each merged cone must have rank + 1 rays and be
-    cut by F into the cells rayset - {j}, j in J+; then it is the union of
-    those cells (the two triangulations of a circuit cover the same cone).
+    PreconditionError).  For both birational kinds each merged cone must
+    have rank + 1 rays and be cut by F into the cells rayset - {j}, j in
+    J+; then it is the union of those cells (the two triangulations of a
+    circuit cover the same cone), and dropping the one J- ray of a
+    divisorial circuit leaves independent rays, a simplicial cone.
     """
     F = m.source
     pairs = contracted_walls(m)
@@ -117,9 +121,20 @@ def contract(m: FanMap, wall_set) -> ContractionResult:
         return ContractionResult("fano", Z, FanMap(P, F, Z),
                                  FanMap(B, Z, m.target), relation=rel)
 
+    L = None
+    if len(j_minus) > 1:
+        L = supporting_divisor(m, rel)
+        if L is None:
+            raise PreconditionError("the class spans no extremal ray")
     merged = [g for g in _merge_groups(F, wall_set) if len(g) > 1]
     merged_ray_sets = [tuple(sorted(set(itertools.chain.from_iterable(g))))
                        for g in merged]
+    for rayset in merged_ray_sets:
+        original = {c for c in F.max_cones if set(c) <= set(rayset)}
+        if (len(rayset) != F.rank + 1
+                or original != _circuit_cells(rayset, j_plus)):
+            raise InvariantBreach(
+                f"merged cone {rayset} is not the J+ side of a circuit")
     merged_members = set(itertools.chain.from_iterable(merged))
     unmerged = [c for c in F.max_cones if c not in merged_members]
 
@@ -127,13 +142,8 @@ def contract(m: FanMap, wall_set) -> ContractionResult:
         (ray,) = j_minus
         survivors = [i for i in range(len(F.rays)) if i != ray]
         reindex = {old: new for new, old in enumerate(survivors)}
-        new_cones = []
-        for rayset in merged_ray_sets:
-            kept = tuple(sorted(reindex[i] for i in rayset if i != ray))
-            gens = tuple(F.rays[i] for i in rayset if i != ray)
-            if len(gens) != cone_dim(gens):
-                raise InvariantBreach("divisorial target cone is not simplicial")
-            new_cones.append(kept)
+        new_cones = [tuple(sorted(reindex[i] for i in rayset if i != ray))
+                     for rayset in merged_ray_sets]
         for c in unmerged:
             if ray in c:
                 raise InvariantBreach("removed ray survives in an unmerged cone")
@@ -145,15 +155,6 @@ def contract(m: FanMap, wall_set) -> ContractionResult:
                                  FanMap(m.matrix, Z, m.target),
                                  removed_ray=F.rays[ray], relation=rel)
 
-    L = supporting_divisor(m, rel)
-    if L is None:
-        raise PreconditionError("the class spans no extremal ray")
-    for rayset in merged_ray_sets:
-        original = {c for c in F.max_cones if set(c) <= set(rayset)}
-        if (len(rayset) != F.rank + 1
-                or original != _circuit_cells(rayset, j_plus)):
-            raise InvariantBreach(
-                f"merged cone {rayset} is not the J+ side of a circuit")
     Z = Fan(F.rank, F.rays, tuple(sorted(set(merged_ray_sets + unmerged))))
     return ContractionResult("flipping", Z, identity_map(F, Z),
                              FanMap(m.matrix, Z, m.target),
@@ -183,8 +184,9 @@ def flip(m: FanMap, wall_set, D: InvariantDivisor):
     sum a_i v_i = 0, and J+ / J- are the rays with positive / negative
     coefficient.  Each merged cone has rank + 1 rays and is cut by F into
     the cells rayset - {j}, j in J+; the flip replaces them with the cells
-    rayset - {j}, j in J-.  D must then be strictly positive on the new
-    internal walls (ampleness over the small target).
+    rayset - {j}, j in J-.  D must be negative on the relation, so that it
+    is strictly positive on the new internal walls (ampleness over the
+    small target); otherwise PreconditionError.
     Returns (flipped fan, map to the small target, transported divisor).
     """
     return _flip_contracted(m, D, contract(m, wall_set))[:3]
@@ -194,9 +196,14 @@ def _flip_contracted(m: FanMap, D: InvariantDivisor, res):
     """`flip`, given the ContractionResult `res` of the walls, and D's value
     on the new internal walls.  These are read off the circuit: the wall
     rayset - {j, k} between the cells rayset - {j} and rayset - {k}, for
-    j, k in J-; the new fan is simplicial, so D is Q-Cartier on it."""
+    j, k in J-, carries the relation with the opposite sign, so D's value
+    there is -D.c, checked positive before the fan is built; the new fan is
+    simplicial, so D is Q-Cartier on it."""
     if res.kind != "flipping":
         raise PreconditionError(f"contraction is {res.kind}, not flipping")
+    positive = -res.relation.pair(D)
+    if positive <= 0:
+        raise PreconditionError("D is not negative on the flipped class")
     F = m.source
     j_minus = [i for i, a in enumerate(res.relation.coeffs) if a < 0]
     # `contract` checked that each merged cone is the J+ side of a circuit
@@ -204,18 +211,7 @@ def _flip_contracted(m: FanMap, D: InvariantDivisor, res):
              if not any(set(c) <= set(r) for r in res.merged_cones)}
     for rayset in res.merged_cones:
         cones |= _circuit_cells(rayset, j_minus)
-    Xp = Fan(F.rank, F.rays, tuple(sorted(cones)))
-    for rayset in res.merged_cones:
-        for j, k in itertools.combinations(j_minus, 2):
-            wall = Wall(tuple(i for i in rayset if i not in (j, k)),
-                        tuple(i for i in rayset if i != j),
-                        tuple(i for i in rayset if i != k))
-            positive = wall_relation(Xp, wall).pair(D)
-            if positive <= 0:
-                raise InvariantBreach("D is not ample on the flipped cells")
-    certify_fan(Xp, "flipped fan")
-    if set(Xp.rays) != set(F.rays):
-        raise InvariantBreach("flip changed the ray set")
+    Xp = certify_fan(Fan(F.rank, F.rays, tuple(sorted(cones))), "flipped fan")
     return (Xp, identity_map(Xp, res.target), InvariantDivisor(D.coeffs),
             positive)
 
@@ -258,11 +254,13 @@ MAX_STEPS = 10000
 def run_mmp(m: FanMap, D: InvariantDivisor) -> MMPTrace:
     """D-MMP over the base of m; returns the full certified trace.
 
-    Ray selection: among the D-negative extremal classes, prefer one whose
-    contraction is divisorial or flipping, lexicographically smallest class
-    first; fano contractions are taken only when no alternative exists.
-    Each map's `mori_classes` and rho are found once: a step's rho after is
-    the next step's rho before.  Only m's projectivity is solved by an LP:
+    Ray selection reads the kind off the signs of each class's relation:
+    among the D-negative extremal classes, one with a negative coefficient
+    (divisorial or flipping) is preferred, lexicographically smallest class
+    first; a fano class is taken only when no such class is extremal.
+    `contract` runs once per step, on the chosen class.  Each map's
+    `mori_classes` and rho are found once: a step's rho after is the next
+    step's rho before.  Only m's projectivity is solved by an LP:
     every model a step reaches is again projective over the base, and the
     step hands it an ample certificate (`_carried`) that `mori_classes`
     checks by dot products; the LP runs again only if that check fails.
@@ -309,15 +307,14 @@ def _carried(res: ContractionResult, ample, new_map: FanMap,
              new_D: InvariantDivisor) -> tuple:
     """The candidate ample certificate of the model a step reaches, built
     from the step (Reid 1983; Cox-Little-Schenck, *Toric Varieties*, ch.
-    15).  Divisorial: the source's certificate `ample` pushed forward, its
-    removed ray's coefficient dropped.  Flip: A+ = L + eps D+, with L the
+    15).  Divisorial: the source's certificate `ample` pushed forward, by
+    the `pushforward` that carries D.  Flip: A+ = L + eps D+, with L the
     ray's supporting divisor, zero on the new internal walls, where D+ is
     positive, and eps half the least L.c / (-D+.c) over the contracted
     classes c of the new map with D+.c < 0 (1 when there is none).  Only a
     candidate; `mori_classes` checks it."""
     if res.kind == "divisorial":
-        i = res.contraction.source.rays.index(res.removed_ray)
-        return ample[:i] + ample[i + 1:]
+        return pushforward(res.contraction, InvariantDivisor(ample)).coeffs
     L = res.supporting
     bounds = [c.pair(L) / -d for _, c in contracted_walls(new_map)
               if (d := c.pair(new_D)) < 0]
@@ -327,21 +324,16 @@ def _carried(res: ContractionResult, ample, new_map: FanMap,
 
 def _negative_contraction(m: FanMap, D: InvariantDivisor, classes):
     """(class, contraction) of `run_mmp`'s ray selection.  The D-negative
-    `classes` are tested for extremality (`xl.is_extreme`, one LP each) in
-    their sorted order, and only until a contraction is not fano."""
+    `classes` with a negative coefficient, whose contractions are
+    birational (Reid 1983), come first, then the rest, each part in sorted
+    order; the first one that is extremal (`xl.is_extreme`, one LP each)
+    is contracted."""
     pairs = contracted_walls(m)
-    fano = None
-    for c in classes:
-        if c.pair(D) >= 0 or not xl.is_extreme(
-                c.coeffs, [d.coeffs for d in classes if d != c]):
-            continue
-        res = contract(m, [w for w, d in pairs if d == c])
-        if res.kind != "fano":
-            return c, res
-        fano = fano or (c, res)
-    if fano is None:
-        raise InvariantBreach("divisor not nef but no negative extremal ray")
-    return fano
+    negative = [c for c in classes if c.pair(D) < 0]
+    for c in sorted(negative, key=lambda c: min(c.coeffs) >= 0):
+        if xl.is_extreme(c.coeffs, [d.coeffs for d in classes if d != c]):
+            return c, contract(m, [w for w, d in pairs if d == c])
+    raise InvariantBreach("divisor not nef but no negative extremal ray")
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,19 @@ def references():
     out = {}
     for path in sorted(Path(toricmmp.__file__).parent.glob("*.py")):
         for node in ast.parse(path.read_text(), filename=str(path)).body:
-            names = out.setdefault(f"{path.stem}.{getattr(node, 'name', path.stem)}",
-                                   set())
-            for sub in ast.walk(node):
-                if isinstance(sub, ast.Name):
-                    names.add(sub.id)
-                elif isinstance(sub, ast.Attribute):
-                    names.add(sub.attr)
+            out.setdefault(f"{path.stem}.{getattr(node, 'name', path.stem)}",
+                           set()).update(names(node))
+    return out
+
+
+def names(node):
+    """The names and attributes an `ast` node mentions."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
     return out
 
 

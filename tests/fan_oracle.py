@@ -34,7 +34,8 @@ converted the source's support to a double description.
 
 `regular_cells` is the subdivision `fan.qfactorialize` ran before
 `fan.regular_cells` read the cells off lifted signed minors: one
-`Fraction` solve per subset for the covector through the lifted points.
+`Fraction` solve per subset for the covector through the lifted points,
+by `lp_oracle.solve`, which shares no elimination with `exactlin`.
 
 `shared_pair_verdicts` lets the whole-fan check of `mmp_oracle.contract`
 and `certify_local`, which check many of the same pairs of cones of a
@@ -46,6 +47,7 @@ import itertools
 from fractions import Fraction
 
 import lattice_oracle
+import lp_oracle
 from toricmmp import curves as cv
 from toricmmp import exactlin as xl
 from toricmmp import fan as fn
@@ -251,7 +253,7 @@ def regular_cells(F: Fan, cone, heights):
             continue
         rows = list(sg) + list(fn.cone_span_perp(gens))
         rhs = [heights[i] for i in sub] + [Fraction(0)] * len(fn.cone_span_perp(gens))
-        m = xl.solve_linear(rows, rhs)
+        m = lp_oracle.solve(rows, rhs)
         if m is None:
             continue
         strict = True

@@ -12,8 +12,9 @@ integers once per column, one Smith form each, as `mmp` did before it read
 the section off one Smith form.
 
 `support_function` is `divisor.support_function` as it eliminated each
-cone twice before `exactlin.smith_solve`: a `Fraction` `solve_linear` for
-the covector, then a Smith form for the Cartier index
+cone twice before `exactlin.smith_solve`: a `Fraction` solve for the
+covector (`lp_oracle.solve`, as `solve_linear` solved it, with its own
+elimination), then a Smith form for the Cartier index
 (`integer_multiple_for_solvability`).
 
 `lattice_points` is `exactlin.lattice_points` as it enumerated before it
@@ -153,7 +154,7 @@ def integer_multiple_for_solvability(A: Sequence[Sequence[int]], b: Sequence) ->
 
 
 def support_function(F, D) -> SupportFunction:
-    """Per maximal cone the `solve_linear` covector, and the Cartier index
+    """Per maximal cone the `lp_oracle.solve` covector, and the Cartier index
     from `integer_multiple_for_solvability` on the cleared right-hand side."""
     check_divisor(F, D)
     covectors = []
@@ -164,7 +165,7 @@ def support_function(F, D) -> SupportFunction:
             continue
         A = [F.rays[i] for i in cone]
         b = [-D.coeffs[i] for i in cone]
-        m = xl.solve_linear(A, b)
+        m = lp_oracle.solve(A, b)
         if m is None:
             raise NotQCartier(cone)
         covectors.append(tuple(m))

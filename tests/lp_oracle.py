@@ -6,11 +6,11 @@ point built on it.  `lp_feasible` and `recession_cone_trivial` are the
 Fourier-Motzkin versions `exactlin` used before the simplex answered every
 feasibility and boundedness question: a witness by elimination and
 back-substitution, and boundedness by 2 * dim probes, one per signed unit
-vector.  `rank` counts the pivots of a reduced row echelon form over
-`Fraction`s, as `exactlin.rank` did before it eliminated on integer rows,
-and `nullspace` reads a rational kernel basis off the same form, as
-`exactlin.nullspace` did before it took signed minors of integer echelon
-rows.
+vector.  `nullspace` reads a rational kernel basis off a reduced row
+echelon form over `Fraction`s, as `exactlin.nullspace` did before it took
+signed minors of integer echelon rows (its length checks `exactlin.rank`
+too), and `solve` one solution of a linear system off the same form, for
+the oracles that solved linear systems with `exactlin.solve_linear`.
 Nothing here calls into `exactlin`, so a test that compares the two shares
 no arithmetic with the code it checks.
 """
@@ -189,9 +189,19 @@ def _rref(A):
     return rows, pivots
 
 
-def rank(A):
-    """The number of pivots of the reduced row echelon form of A."""
-    return len(_rref(A)[1])
+def solve(A, b):
+    """One solution of A x = b, free variables 0, or None when the system
+    is inconsistent: the right-hand side is a pivot column."""
+    if not A:
+        return ()
+    n = len(A[0])
+    rows, pivots = _rref([list(r) + [bi] for r, bi in zip(A, b)])
+    if pivots and pivots[-1] == n:
+        return None
+    x = [Fraction(0)] * n
+    for i, c in enumerate(pivots):
+        x[c] = rows[i][n]
+    return tuple(x)
 
 
 def nullspace(A, n=None):

@@ -9,6 +9,7 @@ integer / rational arithmetic with tolerance zero.
 """
 
 import hashlib
+import itertools
 import math
 import time
 from fractions import Fraction
@@ -19,9 +20,10 @@ from toricmmp import corpus, sections as sc
 from toricmmp import divisor as dv
 from toricmmp import singularities as sg
 from toricmmp import newton as nt
-from toricmmp.curves import contracted_walls, ne_cone, nefness
+from toricmmp.curves import (CurveClass, contracted_walls, ne_cone, nefness,
+                             wall_relation)
 from toricmmp.divisor import InvariantDivisor, support_function
-from toricmmp.fan import Fan, FanMap, check_morphism, map_to_point
+from toricmmp.fan import Fan, FanMap, Wall, check_morphism, map_to_point
 from toricmmp.mmp import contract, run_mmp, verify_negativity
 
 
@@ -80,7 +82,8 @@ def test_acceptance_3_quadric_flip(quadric_tri_a, quadric_tri_b,
 
 def _check_flip_steps(m, D, trace):
     """Re-derive every flipping step and pass it through the negativity
-    oracle."""
+    oracle; recompute the relation of every new internal wall on the
+    flipped fan, which `mmp` reads off the circuit instead."""
     F0, D0 = m.source, D
     for s in trace.steps:
         if s.kind == "fano":
@@ -99,6 +102,16 @@ def _check_flip_steps(m, D, trace):
                                   (s.fan_after, g, s.divisor_after))
             assert E.is_effective() and not E.is_zero()
             # the new walls carry the circuit relation with the other sign
+            flipped = CurveClass(tuple(-a for a in s.chosen_class.coeffs))
+            j_minus = [i for i, a in enumerate(s.chosen_class.coeffs) if a < 0]
+            for rayset in res.merged_cones:
+                for j, k in itertools.combinations(j_minus, 2):
+                    wall = Wall(tuple(i for i in rayset if i not in (j, k)),
+                                tuple(i for i in rayset if i != j),
+                                tuple(i for i in rayset if i != k))
+                    rel = wall_relation(s.fan_after, wall)
+                    assert rel == flipped
+                    assert s.flip_positive_value == rel.pair(s.divisor_after)
             assert s.flip_positive_value == -s.value
         F0, D0 = s.fan_after, s.divisor_after
 

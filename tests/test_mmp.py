@@ -11,7 +11,7 @@ from toricmmp import mmp
 from toricmmp.curves import (contracted_walls, ne_cone, nefness,
                              wall_relation, walls)
 from toricmmp.divisor import InvariantDivisor
-from toricmmp.errors import InvariantBreach, PreconditionError
+from toricmmp.errors import PreconditionError
 from toricmmp.fan import (Fan, FanMap, cone_dim, cone_eq, cone_intersection,
                           identity_map, map_to_point)
 from toricmmp.mmp import contract, contract_face, flip, run_mmp, verify_negativity
@@ -116,10 +116,11 @@ def test_flip_quadric(quadric_map_a, quadric_tri_b):
 
 
 def test_flip_wrong_sign(quadric_map_a):
-    # D positive on the class is not a flipping divisor for this wall
+    # D positive on the class is not a flipping divisor for this wall: a
+    # caller's precondition, read off -D.c before any fan is built
     D = InvariantDivisor((0, 1, 0, 0))
     wall_set = [w for w, _ in contracted_walls(quadric_map_a)]
-    with pytest.raises(InvariantBreach):
+    with pytest.raises(PreconditionError, match="not negative"):
         flip(quadric_map_a, wall_set, D)
 
 
@@ -256,6 +257,18 @@ def test_run_mmp_flip(quadric_map_a, quadric_tri_b):
     assert s.value == -1 and s.flip_positive_value == 1
     assert s.rho_before == s.rho_after == 1
     assert trace.final_fan.canonical() == quadric_tri_b.canonical()
+
+
+def test_run_mmp_contracts_once_per_step(monkeypatch):
+    # the relation's signs pick the ray, so no fano contraction is built
+    # and then dropped: one `contract` per step
+    m, D = corpus.termination_instances(0, 100)[0]
+    calls = []
+    monkeypatch.setattr(mmp, "contract",
+                        lambda m, ws: calls.append(ws) or contract(m, ws))
+    trace = run_mmp(m, D)
+    assert len(trace.steps) == 4
+    assert len(calls) == len(trace.steps)
 
 
 def test_run_mmp_relative(a1xp1_over_a1):

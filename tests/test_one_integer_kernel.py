@@ -7,9 +7,14 @@ on the fraction-free echelon rows that `exactlin.rank` counts, so the
 kernel, the Smith invariants and the per-column integer solve are gone,
 and the Smith form serves only the quotient lattice, the divisibility
 index and the section of a quotient projection.  So a second kernel
-routine cannot come back unnoticed."""
+routine cannot come back unnoticed.  The test oracles (`*_oracle.py`)
+solve linear systems with `lp_oracle.solve`, on their own elimination,
+never with `solve_linear`."""
 
-from ast_refs import references, users
+import ast
+from pathlib import Path
+
+from ast_refs import names, references, users
 
 GONE = {"integer_kernel", "integer_solve", "smith_invariants"}
 
@@ -39,3 +44,11 @@ def test_kernel_bases_are_integer():
     for key in ("exactlin._echelon", "exactlin.rank", "exactlin.nullspace",
                 "exactlin.extreme_rays_of_halfspaces", "fan.cone_span_perp"):
         assert "Fraction" not in refs[key], key
+
+
+def test_oracles_share_no_elimination():
+    oracles = sorted(Path(__file__).parent.glob("*_oracle.py"))
+    assert len(oracles) >= 6
+    for path in oracles:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        assert "solve_linear" not in names(tree), path.name

@@ -6,7 +6,12 @@ Cartier index from one Smith form (`exactlin.smith_solve`), and
 `mmp.contract_face` tests descent by integer ranks, so `solve_linear` has
 one caller left, `fan.parallelepiped_points`.  `cone_span_perp` returns
 the primitive integer rows of `exactlin.nullspace` as they are, and no
-caller rescales them.  So none of the second implementations can come
+caller rescales them.  `mmp` reads each step off the chosen class's
+relation: it computes no wall relation (a flip's new walls carry the
+relation with the opposite sign) and no cone dimension (both birational
+kinds go through one circuit check), and `_negative_contraction` keeps
+no fano contraction in reserve, since the signs say which classes are
+birational.  So none of the second implementations can come
 back unnoticed.  (The replaced routines are the oracles
 `fan_oracle.triangulates` and `lattice_oracle.support_function`.)"""
 
@@ -33,3 +38,7 @@ def test_no_second_implementation():
         assert "scale_to_integer" not in refs[key], key
     assert "scale_to_integer" not in refs["fan.cone_span_perp"]
     assert "Fraction" not in refs["fan.positive_on"]
+    mmp = set().union(*(names for key, names in refs.items()
+                        if key.startswith("mmp.")))
+    assert not mmp & {"Wall", "wall_relation", "cone_dim"}
+    assert "fano" not in refs["mmp._negative_contraction"]
