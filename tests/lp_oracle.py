@@ -6,10 +6,11 @@ point built on it.  `lp_feasible` and `recession_cone_trivial` are the
 Fourier-Motzkin versions `exactlin` used before the simplex answered every
 feasibility and boundedness question: a witness by elimination and
 back-substitution, and boundedness by 2 * dim probes, one per signed unit
-vector.  `nullspace` reads a rational kernel basis off a reduced row
-echelon form over `Fraction`s, as `exactlin.nullspace` did before it took
-signed minors of integer echelon rows (its length checks `exactlin.rank`
-too), and `solve` one solution of a linear system off the same form, for
+vector.  `rank` counts the pivots of a reduced row echelon form over
+`Fraction`s, as `exactlin.rank` did before it eliminated on integer rows,
+`nullspace` reads a rational kernel basis off the same form, as
+`exactlin.nullspace` did before it took signed minors of integer echelon
+rows, and `solve` one solution of a linear system off the same form, for
 the oracles that solved linear systems with `exactlin.solve_linear`.
 Nothing here calls into `exactlin`, so a test that compares the two shares
 no arithmetic with the code it checks.
@@ -187,6 +188,11 @@ def _rref(A):
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
     return rows, pivots
+
+
+def rank(A):
+    """The number of pivots of the reduced row echelon form of A."""
+    return len(_rref(A)[1])
 
 
 def solve(A, b):

@@ -303,31 +303,41 @@ def _random_rank_matrix(rng, k):
     return rows
 
 
+def test_rank_matches_fraction_oracle():
+    # integer elimination against the Fraction rref of lp_oracle
+    rng = random.Random(20240801)
+    mismatches, deficient = [], 0
+    for k in range(10000):
+        A = _random_rank_matrix(rng, k)
+        got = xl.rank(A)
+        if got != lp_oracle.rank(A):
+            mismatches.append(A)
+        deficient += bool(A) and got < min(len(A), len(A[0]))
+    assert mismatches == []
+    assert deficient >= 1200
+    assert xl.rank([]) == 0 and xl.rank([(0, 0), (0, 0)]) == 0
+    assert xl.rank([(Fraction(1, 2), Fraction(1, 3)), (3, 2)]) == 1
+
+
 def test_nullspace_matches_fraction_oracle():
     # signed minors on the integer echelon rows against the Fraction rref
     # of lp_oracle: the same basis vectors, each scaled to a primitive
-    # integer vector by a positive rational.  This checks `rank` too: the
-    # oracle's basis has n - (its rank) vectors, so got == want and
-    # rank + len(got) == n force the integer rank to equal the oracle's
+    # integer vector by a positive rational
     rng = random.Random(20261020)
-    mismatches, vectors, deficient = [], 0, 0
+    mismatches, vectors = [], 0
     for k in range(10000):
         A = _random_rank_matrix(rng, k)
         n = len(A[0]) if A else rng.randint(0, 4)
         got = xl.nullspace(A, n)
         want = [xl.scale_to_integer(v) for v in lp_oracle.nullspace(A, n)]
-        r = xl.rank(A)
-        if got != want or r + len(got) != n:
+        if got != want or xl.rank(A) + len(got) != n:
             mismatches.append(A)
         vectors += len(got)
-        deficient += bool(A) and r < min(len(A), n)
     assert mismatches == []
-    assert vectors >= 10000 and deficient >= 1200
+    assert vectors >= 10000
     assert xl.nullspace([]) == [] and xl.nullspace([], 2) == [(1, 0), (0, 1)]
     assert xl.nullspace([(0, 0)]) == [(1, 0), (0, 1)]
     assert xl.nullspace([(Fraction(1, 2), Fraction(-1, 3), 0)]) == [(2, 3, 0), (0, 0, 1)]
-    assert xl.rank([]) == 0 and xl.rank([(0, 0), (0, 0)]) == 0
-    assert xl.rank([(Fraction(1, 2), Fraction(1, 3)), (3, 2)]) == 1
 
 
 def test_solve_linear_matches_fraction_oracle():
