@@ -1,10 +1,11 @@
 """Extremal contractions, flips, the D-MMP driver, and the negativity oracle.
 
-The driver is the trichotomy loop: while the divisor is not nef over the
-base, contract a negative extremal ray.  Each step is read off the ray's
-wall relation c = sum a_i v_i = 0 (Reid 1983).  Its signs give the kind,
-and the driver tries the classes with a negative a_i first: none is a
-fano contraction, which ends the run; one negative a_j is divisorial and
+The driver is the trichotomy loop: while D is negative on a class of the
+map (not nef over the base), contract a negative extremal ray; `contract`
+refuses a class that spans none (one LP).  Each step is read off the
+ray's wall relation c = sum a_i v_i = 0 (Reid 1983).  Its signs give the
+kind, and the driver tries the classes with a negative a_i first: none is
+a fano contraction, which ends the run; one negative a_j is divisorial and
 drops v_j and the Picard rank by one; two or more make it flipping.  Both
 birational kinds merge cones that must be circuits, checked once.  A flip
 swaps each circuit's triangulation from the positive to the negative side,
@@ -28,10 +29,14 @@ from .errors import InvariantBreach, PreconditionError
 from .record import record
 from .fan import (Fan, FanMap, certify_fan, common_refinement, identity_map,
                   index_rays, quotient_fan)
-from .divisor import (InvariantDivisor, pullback, pushforward,
-                      support_function)
+from .divisor import (InvariantDivisor, check_divisor, pullback,
+                      pushforward, support_function)
 from .curves import (CurveClass, contracted_walls, mori_classes, nefness,
                      supporting_divisor)
+
+
+class NotExtremal(PreconditionError):
+    """`contract`'s class spans no extremal ray of the relative Mori cone."""
 
 
 @record
@@ -84,18 +89,20 @@ def contract(m: FanMap, wall_set) -> ContractionResult:
 
     The walls must be contracted by m, share one relation sum a_i v_i = 0
     (their `contracted_walls` class), and be every contracted wall of that
-    class; maximal cones merge across them.  Its signs give the kind
-    (Reid 1983), with no search: no negative a_i is fano, the quotient by
-    the lattice of the rays J+ with a_i > 0; one negative a_j is
-    divisorial, and the target drops v_j = sum (a_i / -a_j) v_i; two or
-    more is flipping, and the merged circuit cones stay whole in the small,
-    non-simplicial target, the fan of the linearity domains of the class's
-    `supporting_divisor` L (its certificate, `supporting`; None is a
-    PreconditionError).  For both birational kinds each merged cone must
-    have rank + 1 rays and be cut by F into the cells rayset - {j}, j in
-    J+; then it is the union of those cells (the two triangulations of a
-    circuit cover the same cone), and dropping the one J- ray of a
-    divisorial circuit leaves independent rays, a simplicial cone.
+    class; maximal cones merge across them.  The class must span an
+    extremal ray (one `xl.is_extreme` LP against the other contracted
+    classes), else NotExtremal.  Its signs give the kind (Reid 1983),
+    with no search: no negative a_i is fano, the quotient by the lattice of
+    the rays J+ with a_i > 0; one negative a_j is divisorial, and the
+    target drops v_j = sum (a_i / -a_j) v_i; two or more is flipping, and
+    the merged circuit cones stay whole in the small, non-simplicial
+    target, the fan of the linearity domains of the class's
+    `supporting_divisor` L (its certificate, `supporting`).  For both
+    birational kinds each merged cone must have rank + 1 rays and be cut by
+    F into the cells rayset - {j}, j in J+; then it is the union of those
+    cells (the two triangulations of a circuit cover the same cone), and
+    dropping the one J- ray of a divisorial circuit leaves independent
+    rays, a simplicial cone.
     """
     F = m.source
     pairs = contracted_walls(m)
@@ -108,6 +115,9 @@ def contract(m: FanMap, wall_set) -> ContractionResult:
     (rel,) = relations
     if set(wall_set) != {w for w, c in pairs if c == rel}:
         raise PreconditionError("the set misses a contracted wall of its class")
+    if not xl.is_extreme(rel.coeffs,
+                         sorted({c.coeffs for _, c in pairs} - {rel.coeffs})):
+        raise NotExtremal(f"the class {rel.coeffs} spans no extremal ray")
     j_plus = [i for i, a in enumerate(rel.coeffs) if a > 0]
     j_minus = [i for i, a in enumerate(rel.coeffs) if a < 0]
 
@@ -125,7 +135,7 @@ def contract(m: FanMap, wall_set) -> ContractionResult:
     if len(j_minus) > 1:
         L = supporting_divisor(m, rel)
         if L is None:
-            raise PreconditionError("the class spans no extremal ray")
+            raise InvariantBreach("an extremal class has no supporting divisor")
     merged = [g for g in _merge_groups(F, wall_set) if len(g) > 1]
     merged_ray_sets = [tuple(sorted(set(itertools.chain.from_iterable(g))))
                        for g in merged]
@@ -254,27 +264,30 @@ MAX_STEPS = 10000
 def run_mmp(m: FanMap, D: InvariantDivisor) -> MMPTrace:
     """D-MMP over the base of m; returns the full certified trace.
 
-    Ray selection reads the kind off the signs of each class's relation:
-    among the D-negative extremal classes, one with a negative coefficient
-    (divisorial or flipping) is preferred, lexicographically smallest class
-    first; a fano class is taken only when no such class is extremal.
-    `contract` runs once per step, on the chosen class.  Each map's
-    `mori_classes` and rho are found once: a step's rho after is the next
-    step's rho before.  Only m's projectivity is solved by an LP:
-    every model a step reaches is again projective over the base, and the
-    step hands it an ample certificate (`_carried`) that `mori_classes`
-    checks by dot products; the LP runs again only if that check fails.
+    D is paired with each class of a map once; no negative value ends the
+    run `minimal`.  Ray selection reads the kind off the signs of each
+    class's relation: among the D-negative extremal classes, one with a
+    negative coefficient (divisorial or flipping) is preferred,
+    lexicographically smallest class first; a fano class is taken only when
+    no such class is extremal.  `contract` is asked once per tested
+    candidate, and builds once per step.  Each map's `mori_classes` and rho
+    are found once, and only m's projectivity is an LP: every model a step
+    reaches is again projective over the base, and the step hands it an
+    ample certificate (`_carried`) that `mori_classes` checks by dot
+    products; the LP runs again only if that check fails.
     """
     cur_map, cur_D = m, D
     classes, rho, ample = mori_classes(m)
+    check_divisor(m.source, D)
     steps = []
     seen = {m.source.canonical()}
     for _ in range(MAX_STEPS):
-        if nefness(cur_D, cur_map).nef:
+        negative = {c: v for c in classes if (v := c.pair(cur_D)) < 0}
+        if not negative:
             return MMPTrace(tuple(steps), "minimal", cur_map.source, cur_map,
                             cur_D)
-        c, res = _negative_contraction(cur_map, cur_D, classes)
-        value = c.pair(cur_D)
+        c, res = _negative_contraction(cur_map, negative)
+        value = negative[c]
         if res.kind == "fano":
             steps.append(MMPStep("fano", c, value, rho, None, res.target, None))
             return MMPTrace(tuple(steps), "fano", res.target, res.base_map, None)
@@ -287,11 +300,9 @@ def run_mmp(m: FanMap, D: InvariantDivisor) -> MMPTrace:
             new_map = FanMap(cur_map.matrix, Xp, cur_map.target)
         new_classes, rho_after, ample = mori_classes(
             new_map, _carried(res, ample, new_map, new_D))
-        if res.kind == "divisorial" and rho_after != rho - 1:
-            raise InvariantBreach(
-                f"divisorial step must drop rho by one ({rho} -> {rho_after})")
-        if res.kind == "flipping" and rho_after != rho:
-            raise InvariantBreach("flip must preserve rho")
+        if rho_after != rho - (res.kind == "divisorial"):
+            raise InvariantBreach(f"{res.kind} step takes rho {rho} to "
+                                  f"{rho_after}")
         key = new_map.source.canonical()
         if key in seen:
             raise InvariantBreach("fan repeated; termination violated")
@@ -322,17 +333,17 @@ def _carried(res: ContractionResult, ample, new_map: FanMap,
     return tuple(a + eps * d for a, d in zip(L.coeffs, new_D.coeffs))
 
 
-def _negative_contraction(m: FanMap, D: InvariantDivisor, classes):
+def _negative_contraction(m: FanMap, negative):
     """(class, contraction) of `run_mmp`'s ray selection.  The D-negative
-    `classes` with a negative coefficient, whose contractions are
+    classes `negative` with a negative coefficient, whose contractions are
     birational (Reid 1983), come first, then the rest, each part in sorted
-    order; the first one that is extremal (`xl.is_extreme`, one LP each)
-    is contracted."""
+    order; the first that `contract` does not refuse is contracted."""
     pairs = contracted_walls(m)
-    negative = [c for c in classes if c.pair(D) < 0]
     for c in sorted(negative, key=lambda c: min(c.coeffs) >= 0):
-        if xl.is_extreme(c.coeffs, [d.coeffs for d in classes if d != c]):
+        try:
             return c, contract(m, [w for w, d in pairs if d == c])
+        except NotExtremal:
+            pass
     raise InvariantBreach("divisor not nef but no negative extremal ray")
 
 
@@ -344,8 +355,7 @@ def contract_face(m: FanMap, D: InvariantDivisor):
     """Merge across every contracted wall where D pairs to zero; the result
     is the D-ample model (possibly non-simplicial).  Returns
     (fan, contraction map, descended divisor)."""
-    verdict = nefness(D, m)
-    if not verdict.nef:
+    if not nefness(D, m).nef:
         raise PreconditionError("divisor is not nef over the base")
     F = m.source
     pairs = contracted_walls(m)

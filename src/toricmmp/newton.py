@@ -1,7 +1,8 @@
 """Newton-polytope models of non-degenerate hypersurface germs.
 
-From the exponent set of f alone: the Newton polyhedron, its normal fan
-restricted to the positive orthant, a smooth ambient resolution, and the
+From the exponent set of f alone: the Newton polyhedron (one double
+description), its normal fan restricted to the positive orthant, read off
+the facets through each vertex, a smooth ambient resolution, and the
 minimal / canonical / dlt / log-canonical ambient models obtained by running
 the MMP with the invariant numerical representative of K + (strict
 transform).  Non-degeneracy of f is an assumed precondition and is not
@@ -75,22 +76,18 @@ def orthant_fan(n: int) -> Fan:
 
 def normal_fan(E) -> Fan:
     """Normal fan of the Newton polyhedron; supports the positive orthant,
-    one maximal cone per vertex (the linearity domains of ord)."""
+    one maximal cone per vertex (the linearity domains of ord), spanned by
+    the normals of the `newton_polytope` facets through it."""
     E = check_exponents(E)
     n = len(E[0])
-    cones = []
+    H = newton_polytope(E)
+    cones = set()
     index: dict = {}
     for m in E:
-        ineqs = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-        for mp in E:
-            if mp != m:
-                ineqs.append(tuple(a - b for a, b in zip(mp, m)))
-        rays, lin = xl.extreme_rays_of_halfspaces(ineqs, (), n)
-        if lin or not rays or xl.rank(rays) < n:
-            continue  # m is not a vertex with a full-dimensional domain
-        cone = index_rays(index, rays)
-        if cone not in cones:
-            cones.append(cone)
+        rays = sorted(w for w, c in zip(H.normals, H.offsets)
+                      if xl.dot(w, m) + c == 0)
+        if xl.rank(rays) == n:  # m is a vertex
+            cones.add(index_rays(index, rays))
     return certify_fan(Fan(n, tuple(index), tuple(sorted(cones))),
                        "normal fan")
 

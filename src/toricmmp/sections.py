@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Optional
 
 from . import exactlin as xl
-from .errors import InputError, InvariantBreach, PreconditionError
+from .errors import InvariantBreach, PreconditionError
 from .record import record
 from .fan import (Fan, FanMap, common_refinement, identity_map,
                   parallelepiped_points, qfactorialize, resolve)
@@ -36,10 +36,9 @@ def section_cone(F: Fan, D: InvariantDivisor) -> xl.HalfspaceSystem:
     return xl.HalfspaceSystem(tuple(rows), (0,) * len(rows))
 
 
-def _require_affine_base(m: FanMap):
-    t = m.target
-    if t.rank > 0 and len(t.max_cones) != 1:
-        raise PreconditionError("base must be affine (a single cone)")
+def _affine_base(m: FanMap) -> bool:
+    """Is the base a single cone (a point counts)?"""
+    return m.target.rank == 0 or len(m.target.max_cones) == 1
 
 
 def hilbert_basis(C: xl.HalfspaceSystem) -> list:
@@ -76,7 +75,8 @@ def hilbert_basis(C: xl.HalfspaceSystem) -> list:
 def algebra_generators(m: FanMap, D: InvariantDivisor) -> list:
     """Graded generators of the section algebra of a (possibly non-Q-Cartier)
     Weil divisor over an affine base."""
-    _require_affine_base(m)
+    if not _affine_base(m):
+        raise PreconditionError("base must be affine (a single cone)")
     return hilbert_basis(section_cone(m.source, D))
 
 
@@ -92,23 +92,16 @@ def graded_lattice_points(F: Fan, D: InvariantDivisor, degree: int,
 # pseudo-effectivity
 # ---------------------------------------------------------------------------
 
-def is_pseudo_effective(m: FanMap, D: InvariantDivisor,
-                        route: str = "lp") -> bool:
-    """Two independent routes.
-
-    'lp' (affine base): P_D is nonempty as a rational polyhedron; a witness
-    scales to an integral section of some multiple.
-    'mmp': run the D-MMP; a nef end certifies pseudo-effectivity, a fano end
-    (D negative on a covering family of curves) refutes it.
-    """
-    if route == "lp":
-        _require_affine_base(m)
-        H = sections_polytope(m.source, D)
-        return xl.lp_feasible(H) is not None
-    if route == "mmp":
-        trace = run_mmp(m, D)
-        return trace.outcome == "minimal"
-    raise InputError(f"unknown route {route!r}")
+def is_pseudo_effective(m: FanMap, D: InvariantDivisor) -> bool:
+    """Is D pseudo-effective over the base?  The base picks the route.
+    Over an affine base (a point counts) one LP decides: P_D is nonempty
+    as a rational polyhedron, and a witness scales to an integral section
+    of some multiple.  Over any other base the D-MMP decides: a nef end
+    certifies pseudo-effectivity, a fano end (D negative on a covering
+    family of curves) refutes it."""
+    if _affine_base(m):
+        return xl.lp_feasible(sections_polytope(m.source, D)) is not None
+    return run_mmp(m, D).outcome == "minimal"
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,11 @@ converted the source's support to a double description.
 `Fraction` solve per subset for the covector through the lifted points,
 by `lp_oracle.solve`, which shares no elimination with `exactlin`.
 
+`normal_fan` is the normal fan of a Newton polyhedron as
+`newton.normal_fan` built it before it read each vertex's cone off the
+facets of `newton.newton_polytope`: one double description per exponent,
+of the cone of w >= 0 on which that exponent attains ord.
+
 `shared_pair_verdicts` lets the whole-fan check of `mmp_oracle.contract`
 and `certify_local`, which check many of the same pairs of cones of a
 flipping target, answer each pair once; each still builds its own verdict.
@@ -52,10 +57,11 @@ from toricmmp import curves as cv
 from toricmmp import exactlin as xl
 from toricmmp import fan as fn
 from toricmmp import mmp
+from toricmmp import newton
 from toricmmp.errors import InvariantBreach, PreconditionError
 from toricmmp.fan import (Fan, FanMap, certify_fan, cone_contains,
                           cone_covered_by_gens, cone_intersection,
-                          identity_map, qfactorialize, walls)
+                          identity_map, index_rays, qfactorialize, walls)
 
 
 def _maps_into(m: FanMap, gens):
@@ -406,3 +412,26 @@ def check_contracted(m: FanMap):
     flags = fn.check_morphism(m)
     want = wall_lp_certificate(m) if fn.is_proper(m) else None
     assert flags.ample_certificate == want, m
+
+
+def normal_fan(E) -> Fan:
+    """Normal fan of the Newton polyhedron of E, one double description per
+    exponent m: the cone {w >= 0 : <m' - m, w> >= 0 for every m'} is a
+    maximal cone exactly when it is full-dimensional."""
+    E = newton.check_exponents(E)
+    n = len(E[0])
+    cones = []
+    index: dict = {}
+    for m in E:
+        ineqs = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+        for mp in E:
+            if mp != m:
+                ineqs.append(tuple(a - b for a, b in zip(mp, m)))
+        rays, lin = xl.extreme_rays_of_halfspaces(ineqs, (), n)
+        if lin or not rays or xl.rank(rays) < n:
+            continue  # m is not a vertex with a full-dimensional domain
+        cone = index_rays(index, rays)
+        if cone not in cones:
+            cones.append(cone)
+    return certify_fan(Fan(n, tuple(index), tuple(sorted(cones))),
+                       "normal fan")

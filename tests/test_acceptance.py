@@ -2,8 +2,8 @@
 
 Ten exact checks covering the cone theorem, the contraction trichotomy,
 flips with negativity certificates, MMP termination on a random corpus,
-Zariski decomposition with section-set equality, the two pseudo-effectivity
-routes, Hilbert-basis generation, the singularity table, the Newton-polytope
+Zariski decomposition with section-set equality, pseudo-effectivity by the
+LP against the D-MMP's verdict, Hilbert-basis generation, the singularity table, the Newton-polytope
 pipeline, and the freeness witness for nef Cartier divisors.  Everything is
 integer / rational arithmetic with tolerance zero.
 """
@@ -169,9 +169,8 @@ def test_acceptance_5_blowup_exceptional(blowup2, blowup_map):
 
 def test_acceptance_6_pseudo_effectivity_routes_agree():
     for m, D in corpus.affine_instances(seed=77, count=40):
-        lp = sc.is_pseudo_effective(m, D, route="lp")
-        via_mmp = sc.is_pseudo_effective(m, D, route="mmp")
-        assert lp == via_mmp
+        via_mmp = run_mmp(m, D).outcome == "minimal"
+        assert sc.is_pseudo_effective(m, D) == via_mmp
 
 
 # -- 7: Hilbert bases generate all sections up to grading 8 -------------------

@@ -1,17 +1,19 @@
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import lp_oracle
 import mmp_oracle
 from covering_oracle import cone_covered_by_gens
 from toricmmp import corpus
 from toricmmp import divisor as dv
 from toricmmp import mmp
-from toricmmp.curves import (contracted_walls, ne_cone, nefness,
-                             wall_relation, walls)
+from toricmmp.curves import (CurveClass, contracted_walls, ne_cone,
+                             nefness, wall_relation, walls)
 from toricmmp.divisor import InvariantDivisor
-from toricmmp.errors import PreconditionError
+from toricmmp.errors import InputError, InvariantBreach, PreconditionError
 from toricmmp.fan import (Fan, FanMap, cone_dim, cone_eq, cone_intersection,
                           identity_map, map_to_point)
 from toricmmp.mmp import contract, contract_face, flip, run_mmp, verify_negativity
@@ -97,6 +99,70 @@ def test_contract_requires_one_relation(f1):
     for w in wall_set:
         with pytest.raises(PreconditionError, match="misses a contracted wall"):
             contract(m, [w])
+
+
+def _kind_of_signs(cls):
+    """The kind Reid's signs give: no, one or several negative a_i."""
+    negatives = sum(a < 0 for a in cls.coeffs)
+    return ("fano", "divisorial", "flipping")[min(negatives, 2)]
+
+
+def _contract_every_class(m, tally):
+    """`contract` on the walls of every contracted class of m: an extremal
+    class (by the `Fraction` LP oracle) gives the kind its signs give, a
+    non-extremal one raises PreconditionError, never InvariantBreach and
+    never a result."""
+    pairs = contracted_walls(m)
+    classes = sorted({c for _, c in pairs}, key=lambda c: c.coeffs)
+    for c in classes:
+        wall_set = [w for w, d in pairs if d == c]
+        others = [d.coeffs for d in classes if d != c]
+        if lp_oracle.solve_nonneg(others, c.coeffs) is None:
+            assert contract(m, wall_set).kind == _kind_of_signs(c), (m, c)
+            tally[_kind_of_signs(c)] += 1
+        else:
+            try:
+                res = contract(m, wall_set)
+            except InvariantBreach as err:
+                pytest.fail(f"non-extremal {c} raised InvariantBreach: {err}")
+            except PreconditionError:
+                tally["refused " + _kind_of_signs(c)] += 1
+            else:
+                pytest.fail(f"non-extremal {c} gave a {res.kind} contraction")
+
+
+def test_contract_refuses_non_extremal_classes(f1):
+    tally = Counter()
+    for m, D in corpus.termination_instances(seed=20240801, count=40):
+        trace = run_mmp(m, D)
+        maps = [cur for cur, _ in mmp_oracle.step_maps(m, trace)]
+        if trace.outcome == "minimal":
+            maps.append(trace.final_map)
+        for cur in maps:
+            _contract_every_class(cur, tally)
+    assert {"fano", "divisorial", "flipping", "refused fano",
+            "refused divisorial"} <= set(tally)
+    # one small non-extremal class of each sign pattern: on F1 the section
+    # at infinity (1, 0, 1, 1) is the fibre plus the (-1)-curve; a 3-fold
+    # over the orthant and a complete 3-fold carry the other two
+    orthant3 = Fan(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((0, 1, 2),))
+    over_orthant = FanMap(
+        ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+        Fan(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 2, 1), (2, 4, 3)),
+            ((0, 1, 4), (0, 2, 4), (1, 3, 4), (2, 3, 4))), orthant3)
+    complete = map_to_point(Fan(
+        3, ((-4, -2, -3), (-4, 1, -2), (-3, -4, -4), (0, -3, 2), (0, 0, -1),
+            (2, 2, 3)),
+        ((0, 1, 3), (0, 1, 4), (0, 2, 3), (0, 2, 4), (1, 3, 5), (1, 4, 5),
+         (2, 3, 4), (3, 4, 5))))
+    cases = ((map_to_point(f1), (1, 0, 1, 1), "fano"),
+             (over_orthant, (2, 0, 1, 2, -1), "divisorial"),
+             (complete, (0, 0, 6, -2, -1, 9), "flipping"))
+    for m, cls, kind in cases:
+        assert kind == _kind_of_signs(CurveClass(cls))
+        with pytest.raises(mmp.NotExtremal):
+            contract(m, _wall_set_for(m, cls))
+        _contract_every_class(m, Counter())
 
 
 def test_flip_quadric(quadric_map_a, quadric_tri_b):
@@ -248,6 +314,15 @@ def test_run_mmp_nef_input(f1):
     assert trace.final_fan.canonical() == f1.canonical()
 
 
+def test_run_mmp_checks_the_divisor_after_the_scope(f1, quadric_cone_fan):
+    # the scope errors of `mori_classes` come first, then a divisor of the
+    # wrong length is bad input
+    with pytest.raises(InputError):
+        run_mmp(map_to_point(f1), InvariantDivisor((1, 2)))
+    with pytest.raises(PreconditionError, match="simplicial"):
+        run_mmp(map_to_point(quadric_cone_fan), InvariantDivisor((1, 2)))
+
+
 def test_run_mmp_flip(quadric_map_a, quadric_tri_b):
     D = InvariantDivisor((1, 0, 0, 0))
     trace = run_mmp(quadric_map_a, D)
@@ -261,14 +336,28 @@ def test_run_mmp_flip(quadric_map_a, quadric_tri_b):
 
 def test_run_mmp_contracts_once_per_step(monkeypatch):
     # the relation's signs pick the ray, so no fano contraction is built
-    # and then dropped: one `contract` per step
-    m, D = corpus.termination_instances(0, 100)[0]
+    # and then dropped: `contract` is asked once per tested candidate, and
+    # builds once per step; a candidate it refuses is not extremal
     calls = []
-    monkeypatch.setattr(mmp, "contract",
-                        lambda m, ws: calls.append(ws) or contract(m, ws))
-    trace = run_mmp(m, D)
-    assert len(trace.steps) == 4
-    assert len(calls) == len(trace.steps)
+
+    def counted(m, ws):
+        try:
+            res = contract(m, ws)
+        except mmp.NotExtremal:
+            calls.append("refused")
+            raise
+        calls.append(res.kind)
+        return res
+
+    monkeypatch.setattr(mmp, "contract", counted)
+    instances = corpus.termination_instances(0, 100)
+    for i, n_steps, n_refused in ((0, 4, 0), (85, 1, 1)):
+        calls.clear()
+        trace = run_mmp(*instances[i])
+        assert len(trace.steps) == n_steps
+        assert calls.count("refused") == n_refused
+        assert [k for k in calls if k != "refused"] == [
+            s.kind for s in trace.steps]
 
 
 def test_run_mmp_relative(a1xp1_over_a1):

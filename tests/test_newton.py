@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+import fan_oracle
 from toricmmp import exactlin as xl
 from toricmmp import newton as nt
 from toricmmp.errors import InputError
@@ -72,6 +74,21 @@ def test_normal_fan_single_monomial():
     F = nt.normal_fan(((3, 1),))
     assert len(F.max_cones) == 1  # one vertex: ord is globally linear
     assert sorted(F.rays) == [(0, 1), (1, 0)]
+
+
+# the germs of the CLI tests and the benchmark's `newton` commands
+CLI_GERMS = (CUSP, ((3, 0), (0, 5)), A1_SURFACE)
+
+
+def test_normal_fan_matches_per_exponent_oracle():
+    rng = random.Random(20240801)
+    cases = list(CLI_GERMS) + [((0, 0),), ((1, 2), (1, 2), (2, 1))]
+    for _ in range(100):
+        n = rng.randint(2, 4)
+        cases.append(tuple(tuple(rng.randint(0, 5) for _ in range(n))
+                           for _ in range(rng.randint(1, 5))))
+    for E in cases:
+        assert nt.normal_fan(E) == fan_oracle.normal_fan(E), E
 
 
 def test_ambient_resolution_cusp():

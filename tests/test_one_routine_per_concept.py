@@ -1,4 +1,4 @@
-"""The fan and divisor layers keep one routine per concept.  The
+"""The fan, divisor, MMP and Newton layers keep one routine per concept.  The
 triangulation criterion (`fan._triangulates`) runs no double description of
 its own: its boundary test is `Fan.support_convex` and its one-point test
 `cone_contains`.  `divisor.support_function` takes each cone's covector and
@@ -11,9 +11,15 @@ relation: it computes no wall relation (a flip's new walls carry the
 relation with the opposite sign) and no cone dimension (both birational
 kinds go through one circuit check), and `_negative_contraction` keeps
 no fano contraction in reserve, since the signs say which classes are
-birational.  So none of the second implementations can come
-back unnoticed.  (The replaced routines are the oracles
-`fan_oracle.triangulates` and `lattice_oracle.support_function`.)"""
+birational.  Each MMP-step fact is decided once: `run_mmp` reads nefness
+off the classes it pairs with D, so neither it nor `_negative_contraction`
+names `nefness`, and extremality is decided inside `mmp.contract` (one
+`is_extreme` LP), so neither names `is_extreme`.  `newton.normal_fan`
+reads each vertex's cone off the facets of `newton_polytope` and runs no
+double description of its own.  So none of the second implementations can
+come back unnoticed.  (The replaced routines are the oracles
+`fan_oracle.triangulates`, `fan_oracle.normal_fan` and
+`lattice_oracle.support_function`.)"""
 
 from ast_refs import references, users
 
@@ -42,3 +48,8 @@ def test_no_second_implementation():
                         if key.startswith("mmp.")))
     assert not mmp & {"Wall", "wall_relation", "cone_dim"}
     assert "fano" not in refs["mmp._negative_contraction"]
+    for key in ("mmp.run_mmp", "mmp._negative_contraction"):
+        assert not refs[key] & {"nefness", "is_extreme"}, key
+    assert "is_extreme" in refs["mmp.contract"]
+    assert "newton_polytope" in refs["newton.normal_fan"]
+    assert "extreme_rays_of_halfspaces" not in refs["newton.normal_fan"]

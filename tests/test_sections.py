@@ -88,31 +88,38 @@ def test_graded_points_match_cone(a1_cone_fan):
 
 
 def test_pseudo_effective_lp(orthant2, blowup2):
+    # an affine base takes the LP route
     m = map_to_point(orthant2)
-    assert sc.is_pseudo_effective(m, dv.zero_divisor(orthant2), route="lp")
-    assert sc.is_pseudo_effective(m, InvariantDivisor((-1, 2)), route="lp")
+    assert sc.is_pseudo_effective(m, dv.zero_divisor(orthant2))
+    assert sc.is_pseudo_effective(m, InvariantDivisor((-1, 2)))
     m2 = map_to_point(blowup2)
-    assert sc.is_pseudo_effective(m2, InvariantDivisor((0, 0, 1)), route="lp")
+    assert sc.is_pseudo_effective(m2, InvariantDivisor((0, 0, 1)))
     # a principal shift makes even very negative divisors effective here
-    assert sc.is_pseudo_effective(m2, InvariantDivisor((-1, -1, -3)),
-                                  route="lp")
+    assert sc.is_pseudo_effective(m2, InvariantDivisor((-1, -1, -3)))
 
 
-def test_pseudo_effective_mmp_refutes(p2):
+def test_pseudo_effective_mmp_refutes(p2, f1):
     m = map_to_point(p2)
-    assert not sc.is_pseudo_effective(m, dv.canonical_divisor(p2),
-                                      route="mmp")
-    assert sc.is_pseudo_effective(m, dv.canonical_divisor(p2).scale(-1),
-                                  route="mmp")
+    K = dv.canonical_divisor(p2)
+    assert run_mmp(m, K).outcome == "fano"
+    assert not sc.is_pseudo_effective(m, K)
+    assert run_mmp(m, K.scale(-1)).outcome == "minimal"
+    assert sc.is_pseudo_effective(m, K.scale(-1))
+    # over the ruling F1 -> P^1, not an affine base, the MMP decides: K is
+    # negative on the fibres, which cover F1
+    ruling = FanMap(((1, 0),), f1, Fan(1, ((1,), (-1,)), ((0,), (1,))))
+    K = dv.canonical_divisor(f1)
+    assert not sc.is_pseudo_effective(ruling, K)
+    assert sc.is_pseudo_effective(ruling, K.scale(-1))
+    assert sc.is_pseudo_effective(ruling, dv.zero_divisor(f1))
 
 
 def test_pseudo_effective_routes_agree(blowup2, blowup_map):
     for coeffs in [(0, 0, 1), (1, 1, 0), (0, 0, -1), (-1, -1, -3),
                    (Fraction(1, 2), 0, 0)]:
         D = InvariantDivisor(coeffs)
-        lp = sc.is_pseudo_effective(blowup_map, D, route="lp")
-        via_mmp = sc.is_pseudo_effective(blowup_map, D, route="mmp")
-        assert lp == via_mmp, coeffs
+        via_mmp = run_mmp(blowup_map, D).outcome == "minimal"
+        assert sc.is_pseudo_effective(blowup_map, D) == via_mmp, coeffs
 
 
 def test_zariski_exceptional(blowup2, blowup_map):
