@@ -355,7 +355,8 @@ def contract_face(m: FanMap, D: InvariantDivisor):
     """Merge across every contracted wall where D pairs to zero; the result
     is the D-ample model (possibly non-simplicial).  Returns
     (fan, contraction map, descended divisor)."""
-    if not nefness(D, m).nef:
+    verdict = nefness(D, m)
+    if not verdict.nef:
         raise PreconditionError("divisor is not nef over the base")
     F = m.source
     pairs = contracted_walls(m)

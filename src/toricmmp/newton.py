@@ -1,12 +1,11 @@
 """Newton-polytope models of non-degenerate hypersurface germs.
 
-From the exponent set of f alone: the Newton polyhedron (one double
-description), its normal fan restricted to the positive orthant, read off
-the facets through each vertex, a smooth ambient resolution, and the
-minimal / canonical / dlt / log-canonical ambient models obtained by running
-the MMP with the invariant numerical representative of K + (strict
-transform).  Non-degeneracy of f is an assumed precondition and is not
-verified here.
+From the exponent set of f alone: the Newton polyhedron, its normal fan
+(the facet normals through each vertex) restricted to the positive orthant,
+a smooth ambient resolution, and the minimal / canonical / dlt /
+log-canonical ambient models obtained by running the MMP with the invariant
+numerical representative of K + (strict transform).  Non-degeneracy of f is
+an assumed precondition and is not verified here.
 """
 
 from __future__ import annotations
