@@ -25,9 +25,9 @@ from .fan import (Fan, FanMap, certify_fan, map_to_point, regular_cells,
 from .divisor import InvariantDivisor
 
 
-def _random_primitive(rng, rank, lo=-4, hi=4):
+def _random_primitive(rng, rank):
     while True:
-        v = tuple(rng.randint(lo, hi) for _ in range(rank))
+        v = tuple(rng.randint(-4, 4) for _ in range(rank))
         if not xl.is_zero(v):
             return tuple(xl.primitive(v))
 

@@ -30,7 +30,7 @@ signed maximal minors of the lifted rows (`exactlin.primitive_kernel`);
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 from typing import Optional, Sequence
 
@@ -743,9 +743,6 @@ def common_refinement(F1: Fan, F2: Fan):
 # morphism checks
 # ---------------------------------------------------------------------------
 
-_UNSOLVED = object()
-
-
 @record
 class MorphismFlags:
     """What `check_morphism` found.  `projective` and `ample_certificate`
@@ -756,19 +753,14 @@ class MorphismFlags:
     contracted: Optional[tuple] = None  # `_contracted_facets` of a proper map
     nrays: int = 0                      # rays of the source
 
-    @property
+    @cached_property
     def ample_certificate(self) -> Optional[tuple]:
         """Divisor coefficients strictly positive on every contracted
         relation, by one exact LP with one row per relation in facet-map
         order; None when there is none or the map is not proper."""
-        cert = getattr(self, "_certificate", _UNSOLVED)
-        if cert is _UNSOLVED:
-            cert = None
-            if self.proper:
-                cert = positive_on([rel for _, rel in self.contracted],
-                                   self.nrays)
-            object.__setattr__(self, "_certificate", cert)
-        return cert
+        if not self.proper:
+            return None
+        return positive_on([rel for _, rel in self.contracted], self.nrays)
 
     @property
     def projective(self) -> bool:

@@ -5,6 +5,10 @@ C = {(u, a) : a >= 0, <u, v_rho> + a d_rho >= 0 for every ray}; its lattice
 points in degree a are the monomial sections of aD.  Finite generation is
 made effective through a Hilbert basis computation (Gordan's construction:
 extreme rays, fundamental parallelepipeds, irreducibility pruning).
+
+The relative Zariski decomposition is an application of the toric MMP: the
+D-MMP runs on X itself, and a resolution of X only refines the model on
+which P and N are read off.
 """
 
 from __future__ import annotations
@@ -120,34 +124,31 @@ class ZariskiResult:
 
 
 def zariski_decompose(m: FanMap, D: InvariantDivisor) -> ZariskiResult:
-    """Relative Zariski decomposition: resolve, run the D-MMP, pull the nef
-    end back to a common refinement; P is that pullback and N the exact
-    excess of D over it."""
+    """Relative Zariski decomposition: run the D-MMP on X, then take the
+    model Z = common_refinement(resolve(X), X_end); P is the pullback of
+    the nef end to Z and N the exact excess of D over it.  The resolution
+    only refines the model: no MMP step runs on it."""
     X, Y = m.source, m.target
     check_divisor(X, D)
     if not X.is_simplicial():
         raise PreconditionError("source must be simplicial (Q-factorial)")
-    Xr, rmap = resolve(X)
-    Dr = pullback(rmap, D)
-    mr = FanMap(m.matrix, Xr, Y)
-    trace = run_mmp(mr, Dr)
+    trace = run_mmp(m, D)
     if trace.outcome != "minimal":
         raise PreconditionError("pseudo-effectivity failed: the MMP ends in a "
                                 "fano fibration with D negative on its fibers")
-    Xl, Dl = trace.final_fan, trace.final_divisor
-    Z, mu, nu = common_refinement(Xr, Xl)
-    P = pullback(nu, Dl)
-    N = pullback(mu, Dr) - P
+    Z, _, nu = common_refinement(resolve(X)[0], trace.final_fan)
+    to_source = identity_map(Z, X)
+    P = pullback(nu, trace.final_divisor)
+    N = pullback(to_source, D) - P
     if not N.is_effective():
         raise InvariantBreach("negative part is not effective")
     zbase = FanMap(m.matrix, Z, Y)
-    vP = nefness(P, zbase)
-    if not vP.nef:
+    if not nefness(P, zbase).nef:
         raise InvariantBreach("positive part is not nef over the base")
     # semi-ampleness certificate: the ample model of P exists
     contract_face(zbase, P)
     idx = support_function(Z, P).cartier_index
-    return ZariskiResult(Z, identity_map(Z, X), zbase, P, N, Xl, idx)
+    return ZariskiResult(Z, to_source, zbase, P, N, trace.final_fan, idx)
 
 
 def _lattice_free_of(ineqs_normals, ineqs_offsets):

@@ -1,4 +1,5 @@
-"""Test oracles for `fan.walls` and `mmp.contract`.
+"""Test oracles for `fan.walls`, `mmp.contract` and
+`sections.zariski_decompose`.
 
 `walls` finds the walls of a fan by intersecting each pair of maximal cones
 (double description) and `contract` decides the contraction's kind by LPs:
@@ -9,6 +10,9 @@ and otherwise the contraction is flipping.  Both are the routines `fan` and
 the extremal relation.  `check_contraction` compares the two contracts.
 The fano base map takes its section from `lattice_oracle`, one integer
 solve per column, so no section code is shared with `mmp`.
+`zariski_on_resolution` is the Zariski decomposition `sections` ran
+before it ran the D-MMP on X: it resolves X first and runs the whole MMP
+on the resolution.
 """
 
 import itertools
@@ -16,12 +20,16 @@ import itertools
 import lattice_oracle
 from toricmmp import exactlin as xl
 from toricmmp import mmp
-from toricmmp.curves import contracted_walls
+from toricmmp.curves import contracted_walls, nefness
+from toricmmp.divisor import (InvariantDivisor, check_divisor, pullback,
+                              support_function)
 from toricmmp.errors import InvariantBreach, PreconditionError
-from toricmmp.fan import (Fan, FanMap, Wall, cone_dim, cone_eq,
-                          cone_intersection, identity_map, quotient_fan,
-                          validate_fan)
-from toricmmp.mmp import ContractionResult, _merge_groups
+from toricmmp.fan import (Fan, FanMap, Wall, common_refinement, cone_dim,
+                          cone_eq, cone_intersection, identity_map,
+                          quotient_fan, resolve, validate_fan)
+from toricmmp.mmp import (ContractionResult, _merge_groups, contract_face,
+                          run_mmp)
+from toricmmp.sections import ZariskiResult
 
 
 def walls(F: Fan) -> tuple:
@@ -159,3 +167,34 @@ def check_contraction(m: FanMap, cls) -> str:
     assert mmp.ContractionResult(**{**vars(new), "relation": None,
                                     "supporting": None}) == old, (m, cls)
     return new.kind
+
+
+def zariski_on_resolution(m: FanMap, D: InvariantDivisor) -> ZariskiResult:
+    """Relative Zariski decomposition: resolve, run the D-MMP, pull the nef
+    end back to a common refinement; P is that pullback and N the exact
+    excess of D over it."""
+    X, Y = m.source, m.target
+    check_divisor(X, D)
+    if not X.is_simplicial():
+        raise PreconditionError("source must be simplicial (Q-factorial)")
+    Xr, rmap = resolve(X)
+    Dr = pullback(rmap, D)
+    mr = FanMap(m.matrix, Xr, Y)
+    trace = run_mmp(mr, Dr)
+    if trace.outcome != "minimal":
+        raise PreconditionError("pseudo-effectivity failed: the MMP ends in a "
+                                "fano fibration with D negative on its fibers")
+    Xl, Dl = trace.final_fan, trace.final_divisor
+    Z, mu, nu = common_refinement(Xr, Xl)
+    P = pullback(nu, Dl)
+    N = pullback(mu, Dr) - P
+    if not N.is_effective():
+        raise InvariantBreach("negative part is not effective")
+    zbase = FanMap(m.matrix, Z, Y)
+    vP = nefness(P, zbase)
+    if not vP.nef:
+        raise InvariantBreach("positive part is not nef over the base")
+    # semi-ampleness certificate: the ample model of P exists
+    contract_face(zbase, P)
+    idx = support_function(Z, P).cartier_index
+    return ZariskiResult(Z, identity_map(Z, X), zbase, P, N, Xl, idx)

@@ -2,12 +2,13 @@ from fractions import Fraction
 
 import pytest
 
+import mmp_oracle
 from toricmmp import corpus
 from toricmmp import divisor as dv
 from toricmmp import sections as sc
 from toricmmp.divisor import InvariantDivisor
 from toricmmp.errors import PreconditionError
-from toricmmp.fan import Fan, FanMap, map_to_point
+from toricmmp.fan import Fan, FanMap, common_refinement, map_to_point
 from toricmmp.mmp import run_mmp
 
 
@@ -159,15 +160,97 @@ def test_zariski_not_pseudo_effective(p2):
         sc.zariski_decompose(map_to_point(p2), dv.canonical_divisor(p2))
 
 
-@pytest.mark.slow
 def test_zariski_on_a_small_complete_fan():
-    # rank 3, 4 rays over a point: the MMP of the resolved fan takes 84
-    # steps and ends in a fano fibration, so D is not pseudo-effective
+    # rank 3, 4 rays over a point: the D-MMP on X ends in a fano fibration,
+    # so D is not pseudo-effective
     m, D = corpus.termination_instances(20240801, 40)[3]
     with pytest.raises(PreconditionError,
                        match="pseudo-effectivity failed: the MMP ends in a "
                              "fano fibration with D negative on its fibers"):
         sc.zariski_decompose(m, D)
+
+
+def _decompose(zariski, m, D):
+    """`zariski(m, D)`, or None when it refuses D as not pseudo-effective."""
+    try:
+        return zariski(m, D)
+    except PreconditionError:
+        return None
+
+
+def _split_on_a_common_refinement(new, old):
+    """(P, N) of two decompositions, each pulled back to one common
+    refinement of their models."""
+    _, a, b = common_refinement(new.model, old.model)
+    return ((dv.pullback(a, new.P), dv.pullback(a, new.N)),
+            (dv.pullback(b, old.P), dv.pullback(b, old.N)))
+
+
+def test_zariski_matches_the_resolution_oracle():
+    # the D-MMP on X against the resolve-first route it replaced: equal
+    # verdicts, and equal P and N on a common refinement; the model fans
+    # differ only at index 18 (8 rays against 9), where the MMP on X ends on
+    # a coarser fan than the MMP on the resolution
+    differ = []
+    for i, (m, D) in enumerate(corpus.affine_instances(77, 40)):
+        new = _decompose(sc.zariski_decompose, m, D)
+        old = _decompose(mmp_oracle.zariski_on_resolution, m, D)
+        assert (new is None) == (old is None), i
+        if new is None:
+            continue
+        if new.model != old.model:
+            differ.append(i)
+        new_split, old_split = _split_on_a_common_refinement(new, old)
+        assert new_split == old_split, i
+        assert sc.verify_ckm(new, D).ok, i
+    assert differ == [18]
+
+
+def test_zariski_runs_the_mmp_on_x(monkeypatch):
+    # the source of affine_instances(77, 40)[0] is not smooth: the MMP runs
+    # on it, and the resolution is built once the MMP has ended minimal
+    m, D = corpus.affine_instances(77, 40)[0]
+    calls = []
+
+    def traced(name, fn):
+        def wrapper(*args):
+            calls.append((name, args[0]))
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(sc, "run_mmp", traced("run_mmp", sc.run_mmp))
+    monkeypatch.setattr(sc, "resolve", traced("resolve", sc.resolve))
+    R = sc.zariski_decompose(m, D)
+    assert calls == [("run_mmp", m), ("resolve", m.source)]
+    assert calls[0][1] is m
+    assert R.nef_end_fan == run_mmp(m, D).final_fan
+
+
+# verify_ckm's default m_max on termination_instances(20240801, 40)[27] is
+# 4 x 32,802 (the Cartier index of P): 131,208 degrees, about a minute
+CKM_DEGREES = {27: 1000}
+
+
+@pytest.mark.slow
+def test_zariski_on_the_termination_instances():
+    # every base here is affine, so `is_pseudo_effective` is one LP, and it
+    # must give the verdict of the D-MMP on X; the oracle's MMP on the
+    # resolution takes half a minute on a refused instance such as [3], so
+    # it runs on the accepted ones only, where the model fans differ only
+    # at index 17 (10 rays against 13)
+    differ = []
+    for i, (m, D) in enumerate(corpus.termination_instances(20240801, 40)):
+        new = _decompose(sc.zariski_decompose, m, D)
+        assert sc.is_pseudo_effective(m, D) == (new is not None), i
+        if new is None:
+            continue
+        old = mmp_oracle.zariski_on_resolution(m, D)
+        if new.model != old.model:
+            differ.append(i)
+        new_split, old_split = _split_on_a_common_refinement(new, old)
+        assert new_split == old_split, i
+        assert sc.verify_ckm(new, D, m_max=CKM_DEGREES.get(i)).ok, i
+    assert differ == [17]
 
 
 def test_ckm_detects_corruption(blowup2, blowup_map):
