@@ -46,21 +46,27 @@ def contracted_walls(m: FanMap) -> tuple:
     """(Wall, CurveClass) pairs for the walls whose two adjacent cones map
     into one common cone of the target, in `walls` order; these carry the
     complete curves contracted by the morphism.  The classes are the
-    relations `check_morphism` found (`fan._contracted_facets`).
-    PreconditionError outside the scope of the relative Mori cone."""
+    relations `check_morphism` found (`fan._contracted_facets`), or those a
+    map built by an MMP step carries (`fan.swap_cells`), whose scope holds
+    by construction: simplicial full-dimensional cones and the support of
+    the map the step started from.  PreconditionError outside the scope of
+    the relative Mori cone."""
     F = m.source
-    # full-dimensional simplicial cones make F simplicial and full-dimensional
-    full = bool(F.max_cones) and _full_dim_simplicial(F)
-    if not (full or F.is_simplicial()):
-        raise PreconditionError("source fan must be simplicial")
-    if not (full or F.support_full_dimensional()):
-        raise PreconditionError("source support must be full-dimensional")
-    flags = check_morphism(m) if full else None
-    # a proper map has |F| = A^-1 |S|, convex when the base's support is
-    if not (flags and flags.proper and m.target.support_convex()) \
-            and not F.support_convex():
-        raise PreconditionError("source support must be convex")
-    flags = flags or check_morphism(m)
+    flags = m.step_flags
+    if flags is None:
+        # full-dimensional simplicial cones make F simplicial and
+        # full-dimensional
+        full = bool(F.max_cones) and _full_dim_simplicial(F)
+        if not (full or F.is_simplicial()):
+            raise PreconditionError("source fan must be simplicial")
+        if not (full or F.support_full_dimensional()):
+            raise PreconditionError("source support must be full-dimensional")
+        flags = check_morphism(m) if full else None
+        # a proper map has |F| = A^-1 |S|, convex when the base's support is
+        if not (flags and flags.proper and m.target.support_convex()) \
+                and not F.support_convex():
+            raise PreconditionError("source support must be convex")
+        flags = flags or check_morphism(m)
     if not flags.toric or not flags.proper:
         raise PreconditionError("map must be a proper toric morphism")
     relation = dict(flags.contracted)

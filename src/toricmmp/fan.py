@@ -12,7 +12,10 @@ double description.  A full-dimensional simplicial fan is valid by the
 triangulation criterion (De Loera-Rambau-Santos, *Triangulations*, 2010,
 ch. 4): its facets pair up with opposite orientation, unpaired facets lie on
 the boundary of the cone of all rays (`Fan.support_convex`), and one point
-is covered once (`cone_contains`).  Two valid fans share most cones in practice;
+is covered once (`cone_contains`).  An MMP step's fan is proved so by
+the facets of the cells it changed alone (`swap_cells`), which also hand
+the step's map the wall relations of its kept cells, its new relations
+and its morphism flags.  Two valid fans share most cones in practice;
 `common_refinement` intersects only the cones they do not share, and
 `is_proper` cuts no source cone when the lattice map is onto, so the
 caller knows the dimension `cone_covered` needs.  Walls, the triangulation
@@ -298,6 +301,11 @@ class FanMap:
     matrix: tuple  # target_rank x source_rank integer matrix
     source: Fan
     target: Fan
+
+    # not a field: the `MorphismFlags` of a map built by `swap_cells`, which
+    # `check_morphism` and `curves.contracted_walls` return or read instead
+    # of deciding them again; equality and hashing read the fields only
+    step_flags = None
 
     def __post_init__(self):
         mat = tuple(tuple(int(c) for c in row) for row in self.matrix)
@@ -937,7 +945,10 @@ def check_morphism(m: FanMap) -> MorphismFlags:
     certificate never solves it.  On a simplicial source with
     full-dimensional cones every coefficient vector defines a piecewise
     linear support function, and positivity on a wall class is strict
-    convexity across the wall."""
+    convexity across the wall.  A map built by `swap_cells` gets the flags
+    it carries."""
+    if m.step_flags is not None:
+        return m.step_flags
     landing = _landing(m)
     toric = is_toric_morphism(m, landing)
     if not (toric and _covers_preimages(m)):
@@ -945,3 +956,97 @@ def check_morphism(m: FanMap) -> MorphismFlags:
     return MorphismFlags(toric=True, proper=True,
                          contracted=_contracted_facets(m, landing),
                          nrays=len(m.source.rays))
+
+
+def swap_cells(m: FanMap, relations: dict, survivors, removed, added,
+               known=None) -> FanMap:
+    """The map m with the cells `removed` of its source F replaced by the
+    cells `added` and its rays cut down to `survivors`, certified a valid
+    fan by the cells it changed, and carrying its `MorphismFlags`
+    (`step_flags`) derived from m's contracted `relations` ({facet:
+    coefficients}, both in F's indexing).  `added` is given in F's
+    indexing, `known` ({facet: coefficients}) in the new fan's.
+
+    This is an MMP step (Reid 1983): m is a proper toric map whose source F
+    is a valid simplicial fan with full-dimensional cones and convex support
+    C = cone(all rays), the removed cells are the J+ triangulation of the
+    circuit cones cone(rayset), and the added cells their J- triangulation
+    (a flip), or the one cell rayset - {j} for the ray j the step drops
+    (divisorial; then v_j lies in the cell and C stays cone(all rays)).
+    New cells have rank independent rays, and every kept ray lies in a
+    cell of the new fan Z.  Z is proved a fan with support C by the
+    triangulation criterion (`_triangulates`), run on the facets the step
+    changed only, the facets of the removed and the added cells: each has
+    at most two owners in Z; two owners lie on opposite sides, which is the
+    positivity of the relation on the two off-wall rays (`wall_coefficients`,
+    or the given `known` relation); one owner means a facet in the
+    boundary of C, all rays on one side of its span.  Every other facet
+    has the owners, the sides and the boundary it had in F, a valid fan.
+    An interior point of a kept cell lies in no new cell, as the new cells
+    lie in the circuit cones, the union of the removed cells; so it is
+    covered once, and with no kept cell one point of a new cell is checked
+    against the other new cells (`cone_contains`).  InvariantBreach when a
+    check fails.
+
+    The flags need no whole-map pass.  A wall between two kept cells keeps
+    its relation, re-indexed (the dropped ray's coefficient is 0 there),
+    and is contracted as before: same cells, same lattice map, same base.
+    A wall through a new cell takes its fresh `wall_coefficients`, or the
+    `known` relation (a flip's new internal walls carry -c), and is
+    contracted when its union lands in a base cone (`_landing`).  Each new
+    cell lies in a circuit cone, which the contraction maps into one base
+    cone, so it lands (checked), and the kept cells land as before: Z maps
+    into the base.  Its support is F's, so Z is proper over the base as F
+    was, and the base's support convexity, decided for m, still holds."""
+    F = m.source
+    index = {old: new for new, old in enumerate(survivors)}
+    removed = set(removed)
+    try:
+        kept = [tuple(index[i] for i in c) for c in F.max_cones
+                if c not in removed]
+        new = {tuple(index[i] for i in c) for c in added}
+    except KeyError:
+        raise InvariantBreach("a cell keeps a ray the step drops") from None
+    Z = Fan(F.rank, tuple(F.rays[i] for i in survivors),
+            tuple(sorted(set(kept) | new)))
+    out = FanMap(m.matrix, Z, m.target)
+    landing = _landing(out)
+    changed = {c[:k] + c[k + 1:] for c in new for k in range(len(c))}
+    changed.update(tuple(index[i] for i in c[:k] + c[k + 1:])
+                   for c in removed for k in range(len(c))
+                   if all(i in index for i in c[:k] + c[k + 1:]))
+    known = known or {}
+    contracted = []
+    for facet, owners in _facet_owners(Z).items():
+        sides = [Z.max_cones[k] for k in owners]
+        if facet not in changed:
+            rel = relations.get(tuple(survivors[i] for i in facet))
+            if rel is not None:
+                contracted.append((facet, tuple(rel[i] for i in survivors)))
+            continue
+        if len(sides) > 2:
+            raise InvariantBreach(f"facet {facet} of the step has "
+                                  f"{len(sides)} cells")
+        if len(sides) == 1:
+            (normal,) = cone_span_perp(Z.cone_gens(facet))
+            if len({d > 0 for v in Z.rays if (d := xl.dot(normal, v))}) > 1:
+                raise InvariantBreach(f"facet {facet} of the step has one "
+                                      "cell inside the support")
+            continue
+        rel = known.get(facet) or wall_coefficients(Z, facet, *sides)
+        if any(rel[i] <= 0 for i in set(sides[0]) ^ set(sides[1])):
+            raise InvariantBreach(f"the cells at facet {facet} of the step "
+                                  "lie on one side of it")
+        if landing(sides[0] + sides[1]):
+            contracted.append((facet, rel))
+    if not kept:
+        first, *others = sorted(new)
+        p = tuple(map(sum, zip(*Z.cone_gens(first))))
+        if any(cone_contains(Z.cone_gens(c), p) for c in others):
+            raise InvariantBreach("the new cells overlap")
+    if not all(map(landing, new)):
+        raise InvariantBreach("a new cell maps into no cone of the base")
+    object.__setattr__(out, "step_flags", MorphismFlags(
+        toric=True, proper=True, contracted=tuple(contracted),
+        nrays=len(Z.rays)))
+    return out

@@ -15,7 +15,15 @@ domains of the divisor supporting the ray.  Every step is recorded with
 its certificates and termination is witnessed by a no-repeat set of fans.
 Every model a step reaches is again projective over the base: the step
 carries an ample class to it, checked by dot products, so only the first
-map's projectivity is an LP.
+map's projectivity is an LP.  Nor is any later map checked whole: the step
+acts only inside its circuit cones (Reid 1983), so `fan.swap_cells` builds
+its map from the cells it replaces.  Walls between kept cells keep their
+relations, the new internal walls of a flip carry -c, and only the walls
+through a new cell get a fresh relation.  Those relations are the
+triangulation criterion's opposite-sides test on the facets the step
+changed, so they certify the new fan too, and the map's toric and proper
+flags follow from the step.  Whole-map `check_morphism` and whole-fan
+validation run on the first map and on the fano quotient only.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from . import exactlin as xl
 from .errors import InvariantBreach, PreconditionError
 from .record import record
 from .fan import (Fan, FanMap, certify_fan, common_refinement, identity_map,
-                  index_rays, quotient_fan)
+                  index_rays, quotient_fan, swap_cells)
 from .divisor import (InvariantDivisor, check_divisor, pullback,
                       pushforward, support_function)
 from .curves import (CurveClass, contracted_walls, mori_classes, nefness,
@@ -102,7 +110,9 @@ def contract(m: FanMap, wall_set) -> ContractionResult:
     F into the cells rayset - {j}, j in J+; then it is the union of those
     cells (the two triangulations of a circuit cover the same cone), and
     dropping the one J- ray of a divisorial circuit leaves independent
-    rays, a simplicial cone.
+    rays, a simplicial cone.  The divisorial target and its map to the base
+    come from `fan.swap_cells`, which certifies the fan by the cells the
+    step changed and carries the map's flags.
     """
     F = m.source
     pairs = contracted_walls(m)
@@ -146,30 +156,29 @@ def contract(m: FanMap, wall_set) -> ContractionResult:
             raise InvariantBreach(
                 f"merged cone {rayset} is not the J+ side of a circuit")
     merged_members = set(itertools.chain.from_iterable(merged))
-    unmerged = [c for c in F.max_cones if c not in merged_members]
 
     if len(j_minus) == 1:
         (ray,) = j_minus
-        survivors = [i for i in range(len(F.rays)) if i != ray]
-        reindex = {old: new for new, old in enumerate(survivors)}
-        new_cones = [tuple(sorted(reindex[i] for i in rayset if i != ray))
-                     for rayset in merged_ray_sets]
-        for c in unmerged:
-            if ray in c:
-                raise InvariantBreach("removed ray survives in an unmerged cone")
-            new_cones.append(tuple(sorted(reindex[i] for i in c)))
-        Z = certify_fan(Fan(F.rank, tuple(F.rays[i] for i in survivors),
-                            tuple(sorted(set(new_cones)))),
-                        "divisorial target fan")
-        return ContractionResult("divisorial", Z, identity_map(F, Z),
-                                 FanMap(m.matrix, Z, m.target),
+        base = swap_cells(m, _relations(pairs),
+                          [i for i in range(len(F.rays)) if i != ray],
+                          merged_members,
+                          [tuple(i for i in r if i != ray)
+                           for r in merged_ray_sets])
+        Z = base.source
+        return ContractionResult("divisorial", Z, identity_map(F, Z), base,
                                  removed_ray=F.rays[ray], relation=rel)
 
+    unmerged = [c for c in F.max_cones if c not in merged_members]
     Z = Fan(F.rank, F.rays, tuple(sorted(set(merged_ray_sets + unmerged))))
     return ContractionResult("flipping", Z, identity_map(F, Z),
                              FanMap(m.matrix, Z, m.target),
                              merged_cones=tuple(merged_ray_sets), relation=rel,
                              supporting=L)
+
+
+def _relations(pairs) -> dict:
+    """{facet: coefficients} of `contracted_walls` pairs, for `swap_cells`."""
+    return {w.rays: c.coeffs for w, c in pairs}
 
 
 def _fibration(m: FanMap, lin_gens):
@@ -199,16 +208,19 @@ def flip(m: FanMap, wall_set, D: InvariantDivisor):
     small target); otherwise PreconditionError.
     Returns (flipped fan, map to the small target, transported divisor).
     """
-    return _flip_contracted(m, D, contract(m, wall_set))[:3]
+    res = contract(m, wall_set)
+    new_map, Dp, _ = _flip_contracted(m, D, res)
+    return new_map.source, identity_map(new_map.source, res.target), Dp
 
 
 def _flip_contracted(m: FanMap, D: InvariantDivisor, res):
-    """`flip`, given the ContractionResult `res` of the walls, and D's value
-    on the new internal walls.  These are read off the circuit: the wall
-    rayset - {j, k} between the cells rayset - {j} and rayset - {k}, for
-    j, k in J-, carries the relation with the opposite sign, so D's value
-    there is -D.c, checked positive before the fan is built; the new fan is
-    simplicial, so D is Q-Cartier on it."""
+    """`flip`, given the ContractionResult `res` of the walls: (the flipped
+    fan's map to m's base, from `swap_cells`, the transported divisor, D's
+    value on the new internal walls).  These are read off the circuit: the
+    wall rayset - {j, k} between the cells rayset - {j} and rayset - {k},
+    for j, k in J-, carries the relation with the opposite sign, so D's
+    value there is -D.c, checked positive before the fan is built; the new
+    fan is simplicial, so D is Q-Cartier on it."""
     if res.kind != "flipping":
         raise PreconditionError(f"contraction is {res.kind}, not flipping")
     positive = -res.relation.pair(D)
@@ -216,14 +228,17 @@ def _flip_contracted(m: FanMap, D: InvariantDivisor, res):
         raise PreconditionError("D is not negative on the flipped class")
     F = m.source
     j_minus = [i for i, a in enumerate(res.relation.coeffs) if a < 0]
+    flipped = tuple(-a for a in res.relation.coeffs)
     # `contract` checked that each merged cone is the J+ side of a circuit
-    cones = {c for c in F.max_cones
-             if not any(set(c) <= set(r) for r in res.merged_cones)}
-    for rayset in res.merged_cones:
-        cones |= _circuit_cells(rayset, j_minus)
-    Xp = certify_fan(Fan(F.rank, F.rays, tuple(sorted(cones))), "flipped fan")
-    return (Xp, identity_map(Xp, res.target), InvariantDivisor(D.coeffs),
-            positive)
+    removed = [c for c in F.max_cones
+               if any(set(c) <= set(r) for r in res.merged_cones)]
+    added = [c for r in res.merged_cones for c in _circuit_cells(r, j_minus)]
+    internal = {tuple(i for i in r if i not in jk): flipped
+                for r in res.merged_cones
+                for jk in itertools.combinations(j_minus, 2)}
+    new_map = swap_cells(m, _relations(contracted_walls(m)),
+                         range(len(F.rays)), removed, added, internal)
+    return new_map, InvariantDivisor(D.coeffs), positive
 
 
 def _circuit_cells(rayset, side) -> set:
@@ -274,7 +289,11 @@ def run_mmp(m: FanMap, D: InvariantDivisor) -> MMPTrace:
     are found once, and only m's projectivity is an LP: every model a step
     reaches is again projective over the base, and the step hands it an
     ample certificate (`_carried`) that `mori_classes` checks by dot
-    products; the LP runs again only if that check fails.
+    products; the LP runs again only if that check fails.  Only m goes
+    through the whole-map `check_morphism`: each later map carries the
+    flags and wall relations its step derived (`fan.swap_cells`), so
+    `contracted_walls` reads its classes off them, and rho is still the
+    rank of those classes, checked against the step's kind.
     """
     cur_map, cur_D = m, D
     classes, rho, ample = mori_classes(m)
@@ -296,8 +315,7 @@ def run_mmp(m: FanMap, D: InvariantDivisor) -> MMPTrace:
             new_map = res.base_map
             new_D = pushforward(res.contraction, cur_D)
         else:
-            Xp, _, new_D, pos = _flip_contracted(cur_map, cur_D, res)
-            new_map = FanMap(cur_map.matrix, Xp, cur_map.target)
+            new_map, new_D, pos = _flip_contracted(cur_map, cur_D, res)
         new_classes, rho_after, ample = mori_classes(
             new_map, _carried(res, ample, new_map, new_D))
         if rho_after != rho - (res.kind == "divisorial"):
@@ -321,14 +339,14 @@ def _carried(res: ContractionResult, ample, new_map: FanMap,
     15).  Divisorial: the source's certificate `ample` pushed forward, by
     the `pushforward` that carries D.  Flip: A+ = L + eps D+, with L the
     ray's supporting divisor, zero on the new internal walls, where D+ is
-    positive, and eps half the least L.c / (-D+.c) over the contracted
-    classes c of the new map with D+.c < 0 (1 when there is none).  Only a
-    candidate; `mori_classes` checks it."""
+    positive, and eps half the least L.c / (-D+.c) over the distinct
+    contracted classes c of the new map with D+.c < 0 (1 when there is
+    none).  Only a candidate; `mori_classes` checks it."""
     if res.kind == "divisorial":
         return pushforward(res.contraction, InvariantDivisor(ample)).coeffs
     L = res.supporting
-    bounds = [c.pair(L) / -d for _, c in contracted_walls(new_map)
-              if (d := c.pair(new_D)) < 0]
+    classes = {c for _, c in contracted_walls(new_map)}
+    bounds = [c.pair(L) / -d for c in classes if (d := c.pair(new_D)) < 0]
     eps = min(bounds) / 2 if bounds else Fraction(1)
     return tuple(a + eps * d for a, d in zip(L.coeffs, new_D.coeffs))
 

@@ -42,6 +42,13 @@ by `lp_oracle.solve`, which shares no elimination with `exactlin`.
 facets of `newton.newton_polytope`: one double description per exponent,
 of the cone of w >= 0 on which that exponent attains ord.
 
+The whole-map and whole-fan paths of the package are the oracles of the
+MMP step's derivation: `fan.swap_cells` hands each map a step builds its
+flags and wall relations and certifies its fan by the cells the step
+changed, and `mmp_oracle.check_successor` compares that with
+`fan.check_morphism` and `curves.contracted_walls` on an equal map that
+carries no step flags, and with `fan.validate_fan` on the whole fan.
+
 `shared_pair_verdicts` lets the whole-fan check of `mmp_oracle.contract`
 and `certify_local`, which check many of the same pairs of cones of a
 flipping target, answer each pair once; each still builds its own verdict.

@@ -10,8 +10,9 @@ vector.  `rank` counts the pivots of a reduced row echelon form over
 `Fraction`s, as `exactlin.rank` did before it eliminated on integer rows,
 `nullspace` reads a rational kernel basis off the same form, as
 `exactlin.nullspace` did before it took signed minors of integer echelon
-rows, and `solve` one solution of a linear system off the same form, for
-the oracles that solved linear systems with `exactlin.solve_linear`.
+rows.  `solve` finds one solution of a linear system, for the oracles that
+solved linear systems with `exactlin.solve_linear`, by an integer-scaled
+elimination of its own.
 Nothing here calls into `exactlin`, so a test that compares the two shares
 no arithmetic with the code it checks.
 """
@@ -197,17 +198,50 @@ def rank(A):
 
 def solve(A, b):
     """One solution of A x = b, free variables 0, or None when the system
-    is inconsistent: the right-hand side is a pivot column."""
+    is inconsistent: the right-hand side is a pivot column.
+
+    Integer-scaled elimination, not the `Fraction` form of `_rref`: each
+    row of (A | b) is scaled to integers, the forward pass cross-multiplies
+    rows and divides each new row by the gcd of its entries, and only the
+    back-substitution over the pivot columns builds `Fraction`s.  Its pivot
+    columns are those of the reduced form (the first column-space basis),
+    so the solution with free variables 0 is the same."""
     if not A:
         return ()
     n = len(A[0])
-    rows, pivots = _rref([list(r) + [bi] for r, bi in zip(A, b)])
+    rows = [_integer_row(list(r) + [bi]) for r, bi in zip(A, b)]
+    pivots = []
+    for c in range(n + 1):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        p = rows[r]
+        for i in range(r + 1, len(rows)):
+            f = rows[i][c]
+            if f:
+                rows[i] = _integer_row([p[c] * x - f * y
+                                        for x, y in zip(rows[i], p)])
+        pivots.append(c)
     if pivots and pivots[-1] == n:
         return None
     x = [Fraction(0)] * n
-    for i, c in enumerate(pivots):
-        x[c] = rows[i][n]
+    for i in reversed(range(len(pivots))):
+        row, c = rows[i], pivots[i]
+        rest = sum(row[k] * x[k] for k in pivots[i + 1:])
+        x[c] = Fraction(row[n] - rest) / row[c]
     return tuple(x)
+
+
+def _integer_row(row):
+    """`row` (integers or `Fraction`s) scaled to coprime integers."""
+    den = lcm(*(e.denominator for e in row))
+    ints = [e.numerator * (den // e.denominator) for e in row]
+    g = gcd(*ints)
+    return ints if g in (0, 1) else [e // g for e in ints]
 
 
 def nullspace(A, n=None):

@@ -1,5 +1,5 @@
-"""Test oracles for `fan.walls`, `mmp.contract` and
-`sections.zariski_decompose`.
+"""Test oracles for `fan.walls`, `mmp.contract`, the maps an MMP step
+builds and `sections.zariski_decompose`.
 
 `walls` finds the walls of a fan by intersecting each pair of maximal cones
 (double description) and `contract` decides the contraction's kind by LPs:
@@ -10,6 +10,11 @@ and otherwise the contraction is flipping.  Both are the routines `fan` and
 the extremal relation.  `check_contraction` compares the two contracts.
 The fano base map takes its section from `lattice_oracle`, one integer
 solve per column, so no section code is shared with `mmp`.
+`check_successor` holds each map a divisorial step or a flip builds to
+the paths `run_mmp` took for it before `fan.swap_cells` derived its flags
+and walls from the step: the whole-map `fan.check_morphism` and
+`curves.contracted_walls` of an equal map that carries no step flags, and
+the whole-fan `fan.validate_fan` of its fan.
 `zariski_on_resolution` is the Zariski decomposition `sections` ran
 before it ran the D-MMP on X: it resolves X first and runs the whole MMP
 on the resolution.
@@ -19,6 +24,7 @@ import itertools
 
 import lattice_oracle
 from toricmmp import exactlin as xl
+from toricmmp import fan as fn
 from toricmmp import mmp
 from toricmmp.curves import contracted_walls, nefness
 from toricmmp.divisor import (InvariantDivisor, check_divisor, pullback,
@@ -167,6 +173,19 @@ def check_contraction(m: FanMap, cls) -> str:
     assert mmp.ContractionResult(**{**vars(new), "relation": None,
                                     "supporting": None}) == old, (m, cls)
     return new.kind
+
+
+def check_successor(m: FanMap):
+    """Fail unless the flags that a map built by an MMP step carries
+    (`fan.swap_cells`) equal the whole-map `check_morphism` of an equal map
+    that carries none, the contracted walls read off them equal the
+    whole-map `contracted_walls`, and the map's fan passes the whole-fan
+    `validate_fan`."""
+    whole = FanMap(m.matrix, m.source, m.target)
+    assert m.step_flags == fn.check_morphism.__wrapped__(whole), m
+    assert contracted_walls.__wrapped__(m) == \
+        contracted_walls.__wrapped__(whole), m
+    assert validate_fan(m.source) == [], m
 
 
 def zariski_on_resolution(m: FanMap, D: InvariantDivisor) -> ZariskiResult:

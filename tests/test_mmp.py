@@ -8,7 +8,9 @@ import lp_oracle
 import mmp_oracle
 from covering_oracle import cone_covered_by_gens
 from toricmmp import corpus
+from toricmmp import curves as cv
 from toricmmp import divisor as dv
+from toricmmp import fan as fn
 from toricmmp import mmp
 from toricmmp.curves import (CurveClass, contracted_walls, ne_cone,
                              nefness, wall_relation, walls)
@@ -453,3 +455,102 @@ def test_verify_negativity_pushforward_mismatch(blowup2, orthant2, blowup_map):
     with pytest.raises(PreconditionError):
         verify_negativity((blowup2, blowup_map, D),
                           (orthant2, ident, dv.zero_divisor(orthant2)))
+
+
+# -- the maps a step builds: flags and fan from the step (`fan.swap_cells`) ----
+
+def _reached_maps(monkeypatch):
+    """The list that collects every map `run_mmp` reaches, in order: each
+    map it asks `mori_classes` about."""
+    maps = []
+    orig = mmp.mori_classes
+
+    def classes(m, ample=None):
+        maps.append(m)
+        return orig(m, ample)
+
+    monkeypatch.setattr(mmp, "mori_classes", classes)
+    return maps
+
+
+@pytest.mark.parametrize("seed", [20240801, 0, 1, 2,
+                                  pytest.param(7, marks=pytest.mark.slow)])
+def test_step_maps_match_the_whole_map_oracles(seed, monkeypatch):
+    # every map a divisorial step or a flip builds carries the flags the
+    # step derived: equal to the whole-map check_morphism, with the
+    # whole-map contracted walls, and its fan passes validate_fan
+    maps = _reached_maps(monkeypatch)
+    kinds = Counter()
+    for m, D in corpus.termination_instances(seed, 100):
+        maps.clear()
+        trace = run_mmp(m, D)
+        assert maps[0] is m and m.step_flags is None
+        assert len(maps) == 1 + sum(s.kind != "fano" for s in trace.steps)
+        for cur in maps[1:]:
+            mmp_oracle.check_successor(cur)
+        kinds.update(s.kind for s in trace.steps)
+    assert kinds["divisorial"] >= 50 and kinds["flipping"] >= 3
+
+
+def test_run_mmp_checks_the_whole_map_and_fan_only_at_the_ends(monkeypatch):
+    # whole-map properness runs on the first map only and whole-fan
+    # validation on the fano quotient only: each step's map and fan come
+    # from the step
+    instances = corpus.termination_instances(20240801, 100)
+    covers, validated = [], []
+    orig_covers, orig_validate = fn._covers_preimages, fn.validate_fan
+    monkeypatch.setattr(fn, "_covers_preimages",
+                        lambda m: covers.append(m) or orig_covers(m))
+    monkeypatch.setattr(fn, "validate_fan",
+                        lambda F: validated.append(F) or orig_validate(F))
+    for k, kinds in ((15, ["flipping"] * 3 + ["divisorial"] * 2 + ["fano"]),
+                     (21, ["divisorial"] * 3 + ["fano"])):
+        # a map met in an earlier run would answer from the cache
+        fn.check_morphism.cache_clear()
+        cv.contracted_walls.cache_clear()
+        covers.clear()
+        validated.clear()
+        m, D = instances[k]
+        trace = run_mmp(m, D)
+        assert [s.kind for s in trace.steps] == kinds
+        assert covers == [m]
+        assert validated == [trace.final_fan]
+
+
+def _corrupted(kind):
+    """`fan.swap_cells` with one kind of corrupted input: the known
+    relations of a flip's new internal walls with the wrong sign, a new
+    cell with one ray swapped for another, a new cell missing, or a
+    removed cell kept."""
+    def swap(m, relations, survivors, removed, added, known=None):
+        added = sorted(added)
+        if kind == "known":
+            known = {f: tuple(-a for a in rel) for f, rel in known.items()}
+        elif kind == "cell":
+            cell = added[0]
+            other = next(i for i in survivors if i not in cell)
+            added[0] = tuple(sorted(cell[1:] + (other,)))
+        elif kind == "missing":
+            added.pop()
+        else:
+            added.append(sorted(removed)[0])
+        return fn.swap_cells(m, relations, survivors, removed, added, known)
+    return swap
+
+
+@pytest.mark.parametrize("kind", ["known", "fresh", "cell", "missing",
+                                  "removed"])
+def test_corrupted_step_raises_invariant_breach(kind, monkeypatch):
+    # a step whose derived relations or new cells are wrong is a bug that
+    # the local certificate catches: [15] starts with a flip, [21] with a
+    # divisorial step
+    instances = corpus.termination_instances(20240801, 100)
+    if kind == "fresh":
+        orig = fn.wall_coefficients
+        monkeypatch.setattr(fn, "wall_coefficients", lambda *args: tuple(
+            -a for a in orig(*args)))
+    else:
+        monkeypatch.setattr(mmp, "swap_cells", _corrupted(kind))
+    for k in ((15,) if kind == "known" else (15, 21)):
+        with pytest.raises(InvariantBreach):
+            run_mmp(*instances[k])

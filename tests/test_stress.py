@@ -14,7 +14,9 @@ paths' (`fan_oracle.check_contracted`), and each map's supporting divisors
 and flipping target the replaced paths' (`fan_oracle.check_supporting`).
 The ample certificate `run_mmp` holds for each map it reaches, carried from
 the step before or found by the LP fallback, must be strictly positive on
-every class of `fan_oracle.contracted_walls`.  The two whole-fan oracles
+every class of `fan_oracle.contracted_walls`, and each map a step builds
+must carry the whole-map flags, walls and fan verdict
+(`mmp_oracle.check_successor`).  The two whole-fan oracles
 share their verdicts on pairs of cones (`fan_oracle.shared_pair_verdicts`).
 The time and the fallbacks per instance are printed, to find worst cases.
 The seeds are fixed and are not to be chosen by their outcome.
@@ -65,6 +67,8 @@ def test_mmp_stress(rank, nrays, seed, monkeypatch):
     for cur, _, ample in held:
         assert all(xl.dot(c.coeffs, ample) > 0
                    for _, c in fan_oracle.contracted_walls(cur)), cur
+    for cur, _, _ in held[1:]:
+        mmp_oracle.check_successor(cur)
     with fan_oracle.shared_pair_verdicts():
         _check_flip_steps(m, D, trace)
         for cur, cls in mmp_oracle.step_maps(m, trace):
