@@ -6,13 +6,15 @@ point built on it.  `lp_feasible` and `recession_cone_trivial` are the
 Fourier-Motzkin versions `exactlin` used before the simplex answered every
 feasibility and boundedness question: a witness by elimination and
 back-substitution, and boundedness by 2 * dim probes, one per signed unit
-vector.  `rank` counts the pivots of a reduced row echelon form over
-`Fraction`s, as `exactlin.rank` did before it eliminated on integer rows,
-`nullspace` reads a rational kernel basis off the same form, as
-`exactlin.nullspace` did before it took signed minors of integer echelon
-rows.  `solve` finds one solution of a linear system, for the oracles that
-solved linear systems with `exactlin.solve_linear`, by an integer-scaled
-elimination of its own.
+vector.  `rank`, `nullspace` and `solve` share one elimination of their
+own, on integer-scaled rows (`_echelon`), with `Fraction`s only in the
+back-substitution.  `rank` counts its pivots, `nullspace` gives the
+rational kernel basis of the reduced row echelon form, one vector per
+free column, and `solve` one solution of a linear system with free
+variables 0, for the oracles that solved linear systems with
+`exactlin.solve_linear`.  (They read the same answers off a `Fraction`
+reduced row echelon form before: its pivot columns and its solutions
+with given free values are the echelon form's.)
 Nothing here calls into `exactlin`, so a test that compares the two shares
 no arithmetic with the code it checks.
 """
@@ -85,12 +87,7 @@ def _normalize_row(row):
     entries = list(coeffs) + [off]
     if all(e == 0 for e in entries):
         return (tuple(coeffs), off)
-    den = lcm(*(Fraction(e).denominator for e in entries))
-    ints = [int(Fraction(e) * den) for e in entries]
-    g = 0
-    for e in ints:
-        g = gcd(g, abs(e))
-    ints = [e // g for e in ints]
+    ints = _integer_row(entries)
     return (tuple(ints[:-1]), ints[-1])
 
 
@@ -168,50 +165,16 @@ def recession_cone_trivial(normals):
     return True
 
 
-def _rref(A):
-    """(rows, pivot columns) of the reduced row echelon form of A over
-    `Fraction`s."""
-    rows = [[Fraction(x) for x in r] for r in A]
-    ncols = len(rows[0]) if rows else 0
+def _echelon(A, ncols):
+    """(rows, pivot columns) of a row echelon form of A over the integers:
+    each row is scaled to coprime integers, each pivot row clears the rows
+    below it by cross-multiplication, and each new row is divided by the
+    gcd of its entries.  Rows are used top down and columns left to right,
+    so the pivot columns are those of the reduced row echelon form: the
+    first basis of the column space."""
+    rows = [_integer_row(r) for r in A]
     pivots = []
     for c in range(ncols):
-        r = len(pivots)
-        if r == len(rows):
-            break
-        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        rows[r] = [a / rows[r][c] for a in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-    return rows, pivots
-
-
-def rank(A):
-    """The number of pivots of the reduced row echelon form of A."""
-    return len(_rref(A)[1])
-
-
-def solve(A, b):
-    """One solution of A x = b, free variables 0, or None when the system
-    is inconsistent: the right-hand side is a pivot column.
-
-    Integer-scaled elimination, not the `Fraction` form of `_rref`: each
-    row of (A | b) is scaled to integers, the forward pass cross-multiplies
-    rows and divides each new row by the gcd of its entries, and only the
-    back-substitution over the pivot columns builds `Fraction`s.  Its pivot
-    columns are those of the reduced form (the first column-space basis),
-    so the solution with free variables 0 is the same."""
-    if not A:
-        return ()
-    n = len(A[0])
-    rows = [_integer_row(list(r) + [bi]) for r, bi in zip(A, b)]
-    pivots = []
-    for c in range(n + 1):
         r = len(pivots)
         if r == len(rows):
             break
@@ -226,14 +189,7 @@ def solve(A, b):
                 rows[i] = _integer_row([p[c] * x - f * y
                                         for x, y in zip(rows[i], p)])
         pivots.append(c)
-    if pivots and pivots[-1] == n:
-        return None
-    x = [Fraction(0)] * n
-    for i in reversed(range(len(pivots))):
-        row, c = rows[i], pivots[i]
-        rest = sum(row[k] * x[k] for k in pivots[i + 1:])
-        x[c] = Fraction(row[n] - rest) / row[c]
-    return tuple(x)
+    return rows, pivots
 
 
 def _integer_row(row):
@@ -244,19 +200,44 @@ def _integer_row(row):
     return ints if g in (0, 1) else [e // g for e in ints]
 
 
+def _back_substitute(rows, pivots, x, rhs=None):
+    """Fill the pivot entries of x (its other entries given) so that every
+    echelon row holds: row . x = row[rhs], or 0 when `rhs` is None."""
+    for i in reversed(range(len(pivots))):
+        row, c = rows[i], pivots[i]
+        rest = sum(row[k] * x[k] for k in range(c + 1, len(x)) if row[k])
+        x[c] = Fraction((0 if rhs is None else row[rhs]) - rest) / row[c]
+    return tuple(x)
+
+
+def rank(A):
+    """The number of pivots of a row echelon form of A."""
+    return len(_echelon(A, len(A[0]) if A else 0)[1])
+
+
+def solve(A, b):
+    """One solution of A x = b, free variables 0, or None when the system
+    is inconsistent: the right-hand side is a pivot column of (A | b)."""
+    if not A:
+        return ()
+    n = len(A[0])
+    rows, pivots = _echelon([list(r) + [bi] for r, bi in zip(A, b)], n + 1)
+    if pivots and pivots[-1] == n:
+        return None
+    return _back_substitute(rows, pivots, [Fraction(0)] * n, rhs=n)
+
+
 def nullspace(A, n=None):
-    """Rational basis of {x : A x = 0}, one vector per free column f of
-    the reduced row echelon form, in increasing order: 1 at f, 0 at the
-    other free columns.  `n` gives the dimension when A is empty."""
+    """Rational basis of {x : A x = 0}, one vector per free column f, in
+    increasing order: 1 at f, 0 at the other free columns, the vector of
+    the reduced row echelon form.  `n` gives the dimension when A is
+    empty."""
     n = len(A[0]) if A else n or 0
-    rows, pivots = _rref(A)
+    rows, pivots = _echelon(A, n)
     basis = []
     for f in range(n):
-        if f in pivots:
-            continue
-        x = [Fraction(0)] * n
-        x[f] = Fraction(1)
-        for i, c in enumerate(pivots):
-            x[c] = -rows[i][f]
-        basis.append(tuple(x))
+        if f not in pivots:
+            x = [Fraction(0)] * n
+            x[f] = Fraction(1)
+            basis.append(_back_substitute(rows, pivots, x))
     return basis

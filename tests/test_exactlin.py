@@ -304,7 +304,7 @@ def _random_rank_matrix(rng, k):
 
 
 def test_rank_matches_fraction_oracle():
-    # integer elimination against the Fraction rref of lp_oracle
+    # integer elimination against lp_oracle's own elimination
     rng = random.Random(20240801)
     mismatches, deficient = [], 0
     for k in range(10000):
@@ -320,9 +320,9 @@ def test_rank_matches_fraction_oracle():
 
 
 def test_nullspace_matches_fraction_oracle():
-    # signed minors on the integer echelon rows against the Fraction rref
-    # of lp_oracle: the same basis vectors, each scaled to a primitive
-    # integer vector by a positive rational
+    # signed minors on the integer echelon rows against the reduced
+    # echelon basis of lp_oracle: the same basis vectors, each scaled to a
+    # primitive integer vector by a positive rational
     rng = random.Random(20261020)
     mismatches, vectors = [], 0
     for k in range(10000):
