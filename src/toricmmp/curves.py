@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Optional
 
 from . import exactlin as xl
@@ -25,9 +26,12 @@ class CurveClass:
     coeffs: tuple  # primitive integer vector indexed by the fan's rays
 
     def pair(self, D: InvariantDivisor) -> Fraction:
-        """D . C up to a fixed positive scale: sum a_rho d_rho."""
-        return sum((Fraction(a) * d for a, d in zip(self.coeffs, D.coeffs)),
-                   Fraction(0))
+        """D . C up to a fixed positive scale: sum a_rho d_rho, summed on
+        integers over L, the lcm of D's denominators, as d = n/q is
+        n (L // q) / L; one Fraction is built."""
+        L = lcm(*(d.denominator for d in D.coeffs))
+        return Fraction(sum(a * d.numerator * (L // d.denominator)
+                            for a, d in zip(self.coeffs, D.coeffs) if a), L)
 
 
 def wall_relation(F: Fan, w: Wall) -> CurveClass:

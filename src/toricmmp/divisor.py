@@ -82,24 +82,30 @@ class SupportFunction:
         return self.cartier_index == 1
 
 
+def _covector(F: Fan, D: InvariantDivisor, cone) -> tuple:
+    """(m, l): a covector with <m, v_rho> = -d_rho on the rays of `cone`,
+    by one Smith form (`exactlin.smith_solve`), and the least l >= 1 making
+    l m integral; NotQCartier with the cone when there is none."""
+    if not cone:
+        return (Fraction(0),) * F.rank, 1
+    solved = xl.smith_solve([F.rays[i] for i in cone],
+                            [-D.coeffs[i] for i in cone])
+    if solved is None:
+        raise NotQCartier(cone)
+    return solved
+
+
 @lru_cache(maxsize=None)
 def support_function(F: Fan, D: InvariantDivisor) -> SupportFunction:
-    """Solve <m, v_rho> = -d_rho on every maximal cone by one Smith form
-    (`exactlin.smith_solve`); raises NotQCartier with the witness cone when
-    some system is inconsistent.  The Cartier index is the least l >= 1
-    making every covector of lD integral: the lcm of the cones' indices."""
+    """Solve <m, v_rho> = -d_rho on every maximal cone (`_covector`);
+    raises NotQCartier with the witness cone when some system is
+    inconsistent.  The Cartier index is the least l >= 1 making every
+    covector of lD integral: the lcm of the cones' indices."""
     check_divisor(F, D)
     covectors = []
     index = 1
     for cone in F.max_cones:
-        if not cone:
-            covectors.append((Fraction(0),) * F.rank)
-            continue
-        solved = xl.smith_solve([F.rays[i] for i in cone],
-                                [-D.coeffs[i] for i in cone])
-        if solved is None:
-            raise NotQCartier(cone)
-        m, ell = solved
+        m, ell = _covector(F, D, cone)
         covectors.append(m)
         index = math.lcm(index, ell)
     return SupportFunction(tuple(covectors), index, F)
@@ -115,12 +121,34 @@ def is_q_cartier(F: Fan, D: InvariantDivisor) -> bool:
 
 def pullback(m: FanMap, D: InvariantDivisor) -> InvariantDivisor:
     """Pullback along a refinement or resolution: coefficient at a source ray
-    v is -psi_D(image of v).  D must be Q-Cartier on the target."""
+    v is -psi_D(A v).  D must be Q-Cartier on the target: a non-simplicial
+    target runs the whole `support_function` first, for its NotQCartier
+    and witness cone; on a simplicial one every D is.  Then psi_D is read
+    only where needed: an image k v_j on target ray j gets k d_j, as every
+    covector meets <m, v_j> = -d_j, and any other image the covector
+    (`_covector`) of the first maximal cone holding it, the cone
+    `SupportFunction.value` reads (PreconditionError when none does)."""
     check_divisor(m.target, D)
-    psi = support_function(m.target, D)
+    T = m.target
+    if not T.is_simplicial():
+        support_function(T, D)
+    index = {r: j for j, r in enumerate(T.rays)}
+    covectors = {}
     out = []
     for v in m.source.rays:
-        out.append(-psi.value(m.apply(v)))
+        image = m.apply(v)
+        k = math.gcd(*image)
+        j = index.get(tuple(a // k for a in image)) if k else None
+        if j is not None:
+            out.append(k * D.coeffs[j])
+            continue
+        cone = next((c for c in T.max_cones
+                     if cone_contains(T.cone_gens(c), image)), None)
+        if cone is None:
+            raise PreconditionError(f"{image} lies outside the fan support")
+        if cone not in covectors:
+            covectors[cone] = _covector(T, D, cone)[0]
+        out.append(-Fraction(xl.dot(covectors[cone], image)))
     return InvariantDivisor(tuple(out))
 
 

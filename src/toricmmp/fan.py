@@ -15,12 +15,13 @@ the boundary of the cone of all rays (`Fan.support_convex`), and one point
 is covered once (`cone_contains`).  An MMP step's fan is proved so by
 the facets of the cells it changed alone (`swap_cells`), which also hand
 the step's map the wall relations of its kept cells, its new relations
-and its morphism flags.  Two valid fans share most cones in practice;
-`common_refinement` intersects only the cones they do not share, and
-`is_proper` cuts no source cone when the lattice map is onto, so the
-caller knows the dimension `cone_covered` needs.  Walls, the triangulation
-criterion and `check_morphism` read one facet map (`_facet_owners`);
-`check_morphism` places each ray's image once and keeps the relations of
+and its morphism flags.  Two valid fans share most rays and cones, and
+what they share is read by index: `common_refinement` intersects only the
+cones they do not share, `is_proper` skips a target cone that is a source
+cell under the identity and cuts no source cone under an onto map, and
+`check_morphism` places an image on a target ray into the cones listing
+it.  Walls, the triangulation criterion and `check_morphism` read one
+facet map (`_facet_owners`); `check_morphism` keeps the relations of
 the walls a map contracts, for `curves.contracted_walls` and for its
 projectivity LP, which runs only when its answer is read; the LP
 (`positive_on`) also finds the divisor that supports an extremal ray
@@ -706,7 +707,11 @@ def common_refinement(F1: Fan, F2: Fan):
     are checked to be covered by their pieces; the proper faces left out
     have lower dimension, which `cone_covered` ignores.  The pieces keep
     the order of the whole table of intersections (row by row), so the
-    rays of the refinement come in the same order.
+    rays of the refinement come in the same order.  Only pieces of lower
+    dimension than the lattice are tested for lying in another: if a
+    full-dimensional piece s1 meet s2 lay in t1 meet t2, then s1 meet t1
+    would be a full-dimensional face of both, so s1 = t1, and likewise
+    s2 = t2.
     """
     if F1.rank != F2.rank:
         raise PreconditionError("fans live in different lattices")
@@ -733,7 +738,8 @@ def common_refinement(F1: Fan, F2: Fan):
                 pieces.append(inter)
     maximal = []
     for p in pieces:
-        if not any(q != p and all(cone_contains(q, g) for g in p) for q in pieces):
+        if cone_dim(p) == F1.rank or not any(
+                q != p and all(cone_contains(q, g) for g in p) for q in pieces):
             maximal.append(p)
     index: dict = {}
     cones = [index_rays(index, p) for p in maximal]
@@ -777,11 +783,21 @@ class MorphismFlags:
 
 def _landing(m: FanMap):
     """The function taking source ray indices to the set of target maximal
-    cones that contain all their images; each ray's image is placed once."""
+    cones that contain all their images; each ray's image is placed once.
+    An image k v_j, k > 0, on target ray j lands in exactly the cones that
+    list j: in a valid target fan the ray of v_j is a face of every cone
+    holding v_j, so v_j is one of its generators.  Only other images are
+    placed by `cone_contains`."""
     T = m.target
-    homes = [frozenset(tc for tc in T.max_cones
-                       if cone_contains(T.cone_gens(tc), m.apply(r)))
-             for r in m.source.rays]
+    index = {r: j for j, r in enumerate(T.rays)}
+    listing = {j: frozenset(tc for tc in T.max_cones if j in tc)
+               for j in range(len(T.rays))}
+    homes = []
+    for image in map(m.apply, m.source.rays):
+        k = gcd(*image)
+        j = index.get(tuple(a // k for a in image)) if k else None
+        homes.append(listing[j] if j is not None else frozenset(
+            tc for tc in T.max_cones if cone_contains(T.cone_gens(tc), image)))
     every = frozenset(T.max_cones)
     return lambda idx: every.intersection(*(homes[i] for i in idx))
 
@@ -842,13 +858,20 @@ def _covers_preimages(m: FanMap) -> bool:
     preimage of that face is a face of Q of lower dimension, and
     `cone_covered` ignores cells of lower dimension.  A map that is not
     onto can keep a full cut in such a face, so it cuts every cone.
+
+    For the identity lattice map a target cone that is also a source cell
+    is its own preimage, covered by that cell, and is skipped.
     """
     n = m.source.rank
     At = xl.transpose(m.matrix)
     onto = m.target.rank == 0 or xl.rank(m.matrix) == m.target.rank
     sources = [m.source.cone_gens(c) for c in m.source.max_cones]
+    own = (frozenset(map(frozenset, sources))
+           if m.matrix == xl.identity_matrix(n) else frozenset())
     for tc in m.target.max_cones:
         tg = m.target.cone_gens(tc)
+        if frozenset(tg) in own:
+            continue
         # rows of (facet o A): facet-normal composed with the lattice map
         ineqs = [tuple(xl.mat_vec(At, f)) for f in cone_facets(tg)]
         eqs = [tuple(xl.mat_vec(At, z)) for z in cone_span_perp(tg)]

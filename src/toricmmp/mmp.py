@@ -37,8 +37,7 @@ from .errors import InvariantBreach, PreconditionError
 from .record import record
 from .fan import (Fan, FanMap, certify_fan, common_refinement, identity_map,
                   index_rays, quotient_fan, swap_cells)
-from .divisor import (InvariantDivisor, check_divisor, pullback,
-                      pushforward, support_function)
+from .divisor import InvariantDivisor, check_divisor, pullback, pushforward
 from .curves import (CurveClass, contracted_walls, mori_classes, nefness,
                      supporting_divisor)
 
@@ -418,12 +417,10 @@ def _contract_fibration_face(m: FanMap, D: InvariantDivisor, lines):
     contains the lines spanned by `lines`, so the model lives in a quotient
     lattice."""
     P, Z = _fibration(m, lines)
-    coeffs = ()
+    Dz = InvariantDivisor(())
     if Z.rank > 0:
-        s = _section_of_projection(P)
-        psi = support_function(m.source, D)
-        coeffs = tuple(-psi.value(xl.mat_vec(s, w)) for w in Z.rays)
-    return Z, FanMap(P, m.source, Z), InvariantDivisor(coeffs)
+        Dz = pullback(FanMap(_section_of_projection(P), Z, m.source), D)
+    return Z, FanMap(P, m.source, Z), Dz
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,19 @@
 clears: `perfbench/run.py` clears the `lru_cache`s listed in
 `perfbench/bench_trace.CACHES` before each timed pass, so a cache missing
 from that list would carry work from one pass into the next, and a listed
-one that no longer exists would break the run."""
+one that no longer exists would break the run.  Nor do the records the
+benchmark reuses across passes cache a value on the instance."""
 
 import ast
+import functools
 import importlib
 import importlib.util
 from pathlib import Path
 
 import toricmmp
+from toricmmp.curves import CurveClass
+from toricmmp.divisor import InvariantDivisor
+from toricmmp.fan import Fan, FanMap
 
 PACKAGE = Path(toricmmp.__file__).parent
 BENCH_TRACE = PACKAGE.parents[1] / "perfbench" / "bench_trace.py"
@@ -51,3 +56,12 @@ def test_every_package_cache_is_cleared_by_the_benchmark():
     for module, fn in _listed_caches():
         cached = getattr(importlib.import_module(module), fn)
         assert callable(cached.cache_clear)
+
+
+def test_reused_inputs_cache_nothing_on_the_instance():
+    # the benchmark loads its input fans, maps and divisors once and reuses
+    # them in every pass, so a value cached on one would carry work from
+    # one pass into the next
+    for cls in (Fan, FanMap, InvariantDivisor, CurveClass):
+        assert not [name for name, value in vars(cls).items()
+                    if isinstance(value, functools.cached_property)], cls

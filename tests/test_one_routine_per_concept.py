@@ -1,8 +1,9 @@
 """The fan, divisor, MMP and Newton layers keep one routine per concept.  The
 triangulation criterion (`fan._triangulates`) runs no double description of
 its own: its boundary test is `Fan.support_convex` and its one-point test
-`cone_contains`.  `divisor.support_function` takes each cone's covector and
-Cartier index from one Smith form (`exactlin.smith_solve`), and
+`cone_contains`.  `divisor.support_function` and `divisor.pullback` take
+each cone's covector and Cartier index from one per-cone Smith form
+(`divisor._covector`, the one caller of `exactlin.smith_solve`), and
 `mmp.contract_face` tests descent by integer ranks, so `solve_linear` has
 one caller left, `fan.parallelepiped_points`.  `cone_span_perp` returns
 the primitive integer rows of `exactlin.nullspace` as they are, and no
@@ -35,7 +36,9 @@ def test_no_second_implementation():
     assert {"support_convex", "cone_contains"} <= triangulates
     assert "extreme_rays_of_halfspaces" not in triangulates
     assert users(refs, "solve_linear") == {"fan.parallelepiped_points"}
-    assert users(refs, "smith_solve") == {"divisor.support_function"}
+    assert users(refs, "smith_solve") == {"divisor._covector"}
+    assert users(refs, "_covector") == {"divisor.support_function",
+                                        "divisor.pullback"}
     assert "rank" in refs["mmp.contract_face"]
     assert users(refs, "cone_span_perp") >= {
         "fan.cone_facets", "fan.qfactorialize",

@@ -16,7 +16,9 @@ The ample certificate `run_mmp` holds for each map it reaches, carried from
 the step before or found by the LP fallback, must be strictly positive on
 every class of `fan_oracle.contracted_walls`, and each map a step builds
 must carry the whole-map flags, walls and fan verdict
-(`mmp_oracle.check_successor`).  The two whole-fan oracles
+(`mmp_oracle.check_successor`).  The run and the flip replay are
+cross-checked against the paths the replay's checks replaced
+(`replay_oracle.cross_checked`).  The two whole-fan oracles
 share their verdicts on pairs of cones (`fan_oracle.shared_pair_verdicts`).
 The time and the fallbacks per instance are printed, to find worst cases.
 The seeds are fixed and are not to be chosen by their outcome.
@@ -29,6 +31,7 @@ import pytest
 
 import fan_oracle
 import mmp_oracle
+import replay_oracle
 from test_acceptance import _check_flip_steps
 from toricmmp import corpus
 from toricmmp import exactlin as xl
@@ -59,23 +62,25 @@ def test_mmp_stress(rank, nrays, seed, monkeypatch):
         return out
 
     monkeypatch.setattr(mmp, "mori_classes", classes)
-    trace = mmp.run_mmp(m, D)
-    monkeypatch.undo()
-    assert trace.outcome in ("minimal", "fano")
-    if trace.outcome == "minimal":
-        assert nefness(trace.final_divisor, trace.final_map).nef
-    for cur, _, ample in held:
-        assert all(xl.dot(c.coeffs, ample) > 0
-                   for _, c in fan_oracle.contracted_walls(cur)), cur
-    for cur, _, _ in held[1:]:
-        mmp_oracle.check_successor(cur)
-    with fan_oracle.shared_pair_verdicts():
-        _check_flip_steps(m, D, trace)
-        for cur, cls in mmp_oracle.step_maps(m, trace):
-            mmp_oracle.check_contraction(cur, cls)
-            fan_oracle.check_contracted(cur)
-            fan_oracle.check_supporting(cur, cls)
-        fan_oracle.check_contracted(trace.final_map)
+    with replay_oracle.cross_checked() as (_, mismatches):
+        trace = mmp.run_mmp(m, D)
+        monkeypatch.undo()
+        assert trace.outcome in ("minimal", "fano")
+        if trace.outcome == "minimal":
+            assert nefness(trace.final_divisor, trace.final_map).nef
+        for cur, _, ample in held:
+            assert all(xl.dot(c.coeffs, ample) > 0
+                       for _, c in fan_oracle.contracted_walls(cur)), cur
+        for cur, _, _ in held[1:]:
+            mmp_oracle.check_successor(cur)
+        with fan_oracle.shared_pair_verdicts():
+            _check_flip_steps(m, D, trace)
+            for cur, cls in mmp_oracle.step_maps(m, trace):
+                mmp_oracle.check_contraction(cur, cls)
+                fan_oracle.check_contracted(cur)
+                fan_oracle.check_supporting(cur, cls)
+            fan_oracle.check_contracted(trace.final_map)
+    assert mismatches == []
     fallbacks = sum(a is not None and a != got for _, a, got in held)
     steps = ",".join(s.kind for s in trace.steps) or "none"
     print(f"\nrank {rank}, {len(F.rays)} rays, seed {seed}: steps {steps}, "
