@@ -12,7 +12,8 @@ the first cone holding each other image.  `common_refinement` tests every
 pair of pieces for nesting, where `fan.common_refinement` tests only the
 pieces of lower dimension than the lattice.  `pair` sums `Fraction`
 products, where `CurveClass.pair` sums integers over one denominator.
-(`fan_oracle.common_refinement` intersects every pair of cones.)
+(`fan_oracle.common_refinement`, which also intersects every pair of
+cones, costs too much to run on every refinement of the corpus.)
 
 `cross_checked` runs each new path and its oracle side by side, on every
 call the MMP and the flip replay make while it is open, and collects the
@@ -123,7 +124,9 @@ def common_refinement(F1: Fan, F2: Fan):
     return fine, identity_map(fine, F1), identity_map(fine, F2)
 
 
-def _same_landing(m: FanMap, new, old) -> bool:
+def same_landing(m: FanMap, new, old) -> bool:
+    """Do two landing functions of m agree?  Each is the intersection of
+    its rays' homes, so agreeing on every single ray suffices."""
     return all(new((i,)) == old((i,)) for i in range(len(m.source.rays)))
 
 
@@ -147,7 +150,7 @@ def cross_checked():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fn, "_landing", checked(
             "landing", fn._landing, landing,
-            lambda args, a, b: _same_landing(args[0], a, b)))
+            lambda args, a, b: same_landing(args[0], a, b)))
         mp.setattr(fn, "_covers_preimages", checked(
             "covers", fn._covers_preimages, covers_preimages))
         mp.setattr(mmp, "pullback", checked("pullback", mmp.pullback, pullback))
