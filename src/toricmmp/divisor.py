@@ -131,7 +131,7 @@ def pullback(m: FanMap, D: InvariantDivisor) -> InvariantDivisor:
     check_divisor(m.target, D)
     T = m.target
     if not T.is_simplicial():
-        support_function(T, D)
+        support_function(T, D)  # NotQCartier, with its witness cone
     index = {r: j for j, r in enumerate(T.rays)}
     covectors = {}
     out = []
