@@ -91,13 +91,15 @@ def mori_classes(m: FanMap, ample=None) -> tuple:
     elimination), and divisor coefficients strictly positive on every class.
     The classes span the relative Mori cone, which is pointed because m
     must be projective.  A given `ample` that is strictly positive on every
-    class proves this by dot products and is returned; otherwise (none
-    given, or the check fails) the projectivity LP of `check_morphism`
-    decides and its certificate is returned.  PreconditionError, after the
-    scope errors, when m is not projective."""
+    class proves this by integer dot products with a positive multiple of
+    it (`xl._integer_row`), which has the same signs, and is returned;
+    otherwise (none given, or the check fails) the projectivity LP of
+    `check_morphism` decides and its certificate is returned.
+    PreconditionError, after the scope errors, when m is not projective."""
     pairs = contracted_walls(m)
     classes = tuple(sorted({c for _, c in pairs}, key=lambda c: c.coeffs))
-    if ample is None or any(xl.dot(c.coeffs, ample) <= 0 for c in classes):
+    scaled = None if ample is None else xl._integer_row(ample)
+    if scaled is None or any(xl.dot(c.coeffs, scaled) <= 0 for c in classes):
         ample = check_morphism(m).ample_certificate
         if ample is None:
             raise PreconditionError("map must be projective (strong convexity "

@@ -30,7 +30,9 @@ class InvariantDivisor:
     coeffs: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
+        # a Fraction is immutable, so it is kept; anything else is converted
+        object.__setattr__(self, "coeffs", tuple(
+            c if c.__class__ is Fraction else Fraction(c) for c in self.coeffs))
 
     def __add__(self, other):
         return InvariantDivisor(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))

@@ -15,10 +15,12 @@ together with its divisibility index.  The simplex, the minors, the rank
 and `nullspace` run on Python ints by fraction-free elimination: the
 simplex by integer pivoting over one common denominator (Edmonds), the
 minors by Bareiss's determinant (Bareiss 1968), the rank and `nullspace`
-by forward elimination on primitive integer rows (`_echelon`); the simplex
-builds ``Fraction``s only for the witness it returns.  The ``Fraction``
-reduced row echelon form (`_rref`) serves `solve_linear` only, and
-`solve_linear` has one caller, `fan.parallelepiped_points`.
+by forward elimination on primitive integer rows (`_echelon`).  The
+simplex returns integer numerators over that denominator, and its
+callers check them by integer dot products and build ``Fraction``s only
+for the witness they return.  The ``Fraction`` reduced row echelon form
+(`_rref`) serves `solve_linear` only, and `solve_linear` has one caller,
+`fan.parallelepiped_points`.
 
 Deterministic ordering: whenever ties arise, vectors are compared
 lexicographically.
@@ -522,8 +524,13 @@ def lattice_points(H: HalfspaceSystem,
 # phase-1 simplex by integer pivoting
 # ---------------------------------------------------------------------------
 
-def _phase1(A, b):
-    """Find z >= 0 with A z = b (exact), or None.  Bland's rule simplex.
+def _phase1(A, b, n: int):
+    """A point x >= 0 with A x = b, or None when there is none, by Bland's
+    rule simplex on the m rows of A, each of length n.  The point comes as
+    (z, D): x = z / D, with z a tuple of n nonnegative ints, the basic
+    solution's numerators, and D > 0 the tableau's common denominator, its
+    last pivot (1 when none was made).  No `Fraction` is built.  n is
+    given so that m = 0 has its witness: n zeros over D = 1.
 
     Integer pivoting (Edmonds): the tableau holds integers over one common
     denominator D > 0, starting at 1; each row of [A | b] is scaled to
@@ -542,9 +549,8 @@ def _phase1(A, b):
     when an artificial variable is then basic at a positive level.
     """
     m = len(A)
-    n = len(A[0]) if m else 0
     if m == 0:
-        return tuple()
+        return (0,) * n, 1
     T = []
     for i in range(m):
         row = _integer_row(list(A[i]) + [b[i]])
@@ -589,38 +595,43 @@ def _phase1(A, b):
         D = p
     if cost[ncols] != 0:
         raise InvariantBreach("phase 1 ended with a nonzero cost right-hand side")
-    z = [Fraction(0)] * n
+    z = [0] * n
     for i, bv in enumerate(basis):
         if bv < n:
-            z[bv] = Fraction(T[i][ncols], D)
+            z[bv] = T[i][ncols]
         elif T[i][ncols] != 0:
             return None  # an artificial variable stays positive: infeasible
-    return tuple(z)
+    return tuple(z), D
 
 
 def solve_nonneg(columns: Sequence[Sequence], target: Sequence) -> Optional[Vector]:
-    """Coefficients c >= 0 with sum c_j columns[j] = target, or None.  A
-    witness is checked exactly before it is returned."""
+    """Coefficients c >= 0 with sum c_j columns[j] = target, or None.  The
+    witness z / D of `_phase1` is checked exactly before it is returned, on
+    its integers: len(columns) entries, z >= 0, D > 0 and A z = D target."""
     if not columns:
         return () if is_zero(target) else None
     m = len(columns[0])
     A = [[columns[j][i] for j in range(len(columns))] for i in range(m)]
-    c = _phase1(A, list(target))
-    if c is not None and (any(x < 0 for x in c) or mat_vec(A, c) != tuple(target)):
+    sol = _phase1(A, list(target), len(columns))
+    if sol is None:
+        return None
+    z, D = sol
+    if len(z) != len(columns) or D <= 0 or any(x < 0 for x in z) \
+            or mat_vec(A, z) != tuple(t * D for t in target):
         raise InvariantBreach("solve_nonneg witness fails its check")
-    return c
+    return tuple(Fraction(x, D) for x in z)
 
 
 def feasible_point(ineqs: Sequence[tuple], eqs: Sequence[tuple] = (),
                    dim: Optional[int] = None) -> Optional[Vector]:
     """Find x with <a,x> >= r for (a,r) in ineqs and <a,x> = r for (a,r) in
-    eqs.  Variables are free; handled by x = u - w with u,w >= 0.  A point
-    is checked against every constraint before it is returned."""
+    eqs.  Variables are free; handled by x = u - w with u,w >= 0.  The
+    point x / D, read off the witness z / D of `_phase1`, is checked
+    against every constraint before it is returned, on its integers:
+    D > 0, <a,x> >= r D and <a,x> = r D."""
     rows = list(ineqs) + list(eqs)
     if dim is None:
         dim = len(rows[0][0]) if rows else 0
-    if not rows:
-        return tuple(Fraction(0) for _ in range(dim))
     nslack = len(ineqs)
     A, b = [], []
     for k, (a, r) in enumerate(ineqs):
@@ -629,13 +640,17 @@ def feasible_point(ineqs: Sequence[tuple], eqs: Sequence[tuple] = (),
     for a, r in eqs:
         A.append(list(a) + [-x for x in a] + [0] * nslack)
         b.append(r)
-    z = _phase1(A, b)
-    if z is None:
+    sol = _phase1(A, b, 2 * dim + nslack)
+    if sol is None:
         return None
+    z, D = sol
+    if len(z) != 2 * dim + nslack or D <= 0:
+        raise InvariantBreach("feasible_point witness has the wrong shape")
     x = tuple(z[i] - z[dim + i] for i in range(dim))
-    if any(dot(a, x) < r for a, r in ineqs) or any(dot(a, x) != r for a, r in eqs):
+    if any(dot(a, x) < r * D for a, r in ineqs) \
+            or any(dot(a, x) != r * D for a, r in eqs):
         raise InvariantBreach("feasible_point witness violates a constraint")
-    return x
+    return tuple(Fraction(v, D) for v in x)
 
 
 # ---------------------------------------------------------------------------

@@ -143,6 +143,26 @@ def test_acceptance_traces_are_pinned():
         "9b84da80de35a09fff7708cf5c855c12c86afe08c9b2e800cb7361f0d06c72b7"
 
 
+def test_acceptance_certificates_are_pinned():
+    # the exact LP certificates, byte for byte: repr of the ample
+    # certificate of each starting map and of the supporting divisor of
+    # each flip, re-derived by `contract`, in order, into one sha256
+    digest = hashlib.sha256()
+    for seed in (20240801, 0):
+        for m, D in corpus.termination_instances(seed=seed, count=100):
+            digest.update(repr(check_morphism(m).ample_certificate).encode())
+            F0 = m.source
+            for s in run_mmp(m, D).steps:
+                if s.kind == "flipping":
+                    cur = FanMap(m.matrix, F0, m.target)
+                    res = contract(cur, [w for w, c in contracted_walls(cur)
+                                         if c == s.chosen_class])
+                    digest.update(repr(res.supporting).encode())
+                F0 = s.fan_after
+    assert digest.hexdigest() == \
+        "55efd24bd03d9831af9e979ba2bf32b8ed3374ae3a1cccff797c291359f3fea5"
+
+
 # -- 5: Zariski decomposition -------------------------------------------------
 
 def test_acceptance_5_blowup_exceptional(blowup2, blowup_map):

@@ -21,6 +21,16 @@ def test_algebra():
     assert (D + E).is_integral() and not D.is_integral()
 
 
+def test_coefficients_are_fractions():
+    # a Fraction is kept as it is; ints, bools and other rationals convert
+    half = Fraction(1, 2)
+    D = InvariantDivisor([3, half, True, Fraction(4, 2)])
+    assert D.coeffs == (3, half, 1, 2)
+    assert all(type(c) is Fraction for c in D.coeffs)
+    assert D.coeffs[1] is half
+    assert InvariantDivisor(D.coeffs) == D
+
+
 def test_check_divisor(p2):
     with pytest.raises(InputError):
         dv.check_divisor(p2, InvariantDivisor((1, 2)))

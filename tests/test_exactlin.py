@@ -91,6 +91,14 @@ def test_solve_nonneg():
     assert xl.solve_nonneg([(1, 0), (0, 1)], (-1, 0)) is None
 
 
+def test_lps_in_dimension_zero():
+    # no rows: the witness still has one entry per column or variable
+    assert xl.solve_nonneg([(), ()], ()) == (0, 0)
+    assert xl.feasible_point([], dim=2) == (0, 0)
+    assert all(isinstance(c, Fraction) for c in xl.feasible_point([], dim=2))
+    assert xl._phase1([], [], 3) == ((0, 0, 0), 1)
+
+
 def test_extreme_rays():
     assert xl.extreme_rays([(1, 0), (0, 1), (1, 1)]) == [0, 1]
     assert xl.extreme_rays([(1, 0), (2, 0), (0, 1)]) == [0, 1, 2]
@@ -505,11 +513,19 @@ def integer_systems(draw):
 @example(([[1, -1], [-1, 1]], [1, 1]))  # inconsistent
 @settings(max_examples=400, deadline=None)
 def test_phase1_matches_fraction_oracle_on_integer_systems(system):
-    # integer pivoting follows the rational pivots: same verdict, same z
+    # integer pivoting follows the rational pivots: same verdict, and the
+    # numerators over D are the oracle's z
     A, b = system
-    assert xl._phase1(A, b) == lp_oracle._phase1(A, b)
+    want = lp_oracle._phase1(A, b)
     A_frac = [[Fraction(a) for a in row] for row in A]  # integral Fractions
-    assert xl._phase1(A_frac, b) == lp_oracle._phase1(A, b)
+    for rows in (A, A_frac):
+        got = xl._phase1(rows, b, len(A[0]))
+        assert (got is None) == (want is None)
+        if got is not None:
+            z, D = got
+            assert type(D) is int and D > 0
+            assert all(type(x) is int for x in z)
+            assert tuple(Fraction(x, D) for x in z) == want
 
 
 @given(st.integers(1, 4).flatmap(lambda m: st.integers(1, 5).flatmap(
@@ -523,20 +539,46 @@ def test_phase1_certified_witness_on_rational_systems(system):
     # rows with true fractions are scaled first, which may change the pivots,
     # so only the verdict has to agree; the witness is checked exactly
     A, b = system
-    got, want = xl._phase1(A, b), lp_oracle._phase1(A, b)
+    got, want = xl._phase1(A, b, len(A[0])), lp_oracle._phase1(A, b)
     assert (got is None) == (want is None)
     if got is not None:
-        assert all(c >= 0 for c in got)
-        assert xl.mat_vec(A, got) == tuple(b)
+        z, D = got
+        assert D > 0 and all(x >= 0 for x in z)
+        assert xl.mat_vec(A, [Fraction(x, D) for x in z]) == tuple(b)
 
 
 def test_lp_witnesses_are_certified(monkeypatch):
-    # a kernel handing back a wrong witness is caught, not passed on
-    monkeypatch.setattr(xl, "_phase1", lambda A, b: tuple(Fraction(1) for _ in A[0]))
+    # a kernel handing back a wrong witness (z, D) is caught, not passed on
+    def kernel(z, D):
+        monkeypatch.setattr(xl, "_phase1", lambda A, b, n: (z(n), D))
+
+    kernel(lambda n: (1,) * n, 1)
     with pytest.raises(InvariantBreach):
         xl.solve_nonneg([(1, 0), (0, 1)], (1, 2))
     with pytest.raises(InvariantBreach):
         xl.feasible_point([((1,), Fraction(2))])
-    monkeypatch.setattr(xl, "_phase1", lambda A, b: tuple(Fraction(-1) for _ in A[0]))
+    kernel(lambda n: (-1,) * n, 1)
     with pytest.raises(InvariantBreach):
         xl.solve_nonneg([(1, 0), (0, 1)], (-1, -1))
+    # right numerators over the wrong denominator: A z = b, but z / 2 is
+    # no solution, and a check that ignored D would pass both
+    kernel(lambda n: (1, 2), 2)
+    with pytest.raises(InvariantBreach):
+        xl.solve_nonneg([(1, 0), (0, 1)], (1, 2))
+    kernel(lambda n: (1, 0, 0), 2)  # x = 1/2 against x >= 1
+    with pytest.raises(InvariantBreach):
+        xl.feasible_point([((1,), 1)])
+    # a denominator that is not positive, and a witness of the wrong length
+    kernel(lambda n: (0, 0), 0)
+    with pytest.raises(InvariantBreach):
+        xl.solve_nonneg([(1, 0), (0, 1)], (0, 0))
+    kernel(lambda n: (0, 0, 0), -1)
+    with pytest.raises(InvariantBreach):
+        xl.feasible_point([((1,), 0)])
+    kernel(lambda n: (0,), 1)
+    with pytest.raises(InvariantBreach):
+        xl.solve_nonneg([(1, 0), (0, 1)], (0, 0))
+    with pytest.raises(InvariantBreach):
+        xl.solve_nonneg([(), ()], ())
+    with pytest.raises(InvariantBreach):
+        xl.feasible_point([((1,), 0)])

@@ -9,12 +9,16 @@ and the Smith form serves only the quotient lattice, the divisibility
 index and the section of a quotient projection.  So a second kernel
 routine cannot come back unnoticed.  The test oracles (`*_oracle.py`)
 solve linear systems with `lp_oracle.solve`, on their own elimination,
-never with `solve_linear`."""
+never with `solve_linear`.  The phase-1 simplex hands back integer
+numerators over one denominator, and the LPs built on it check that
+witness on integers, so a `Fraction` appears there only in the witness
+they return."""
 
 import ast
 from pathlib import Path
 
 from ast_refs import names, references, users
+from toricmmp import exactlin as xl
 
 GONE = {"integer_kernel", "integer_solve", "smith_invariants"}
 
@@ -44,6 +48,29 @@ def test_kernel_bases_are_integer():
     for key in ("exactlin._echelon", "exactlin.rank", "exactlin.nullspace",
                 "exactlin.extreme_rays_of_halfspaces", "fan.cone_span_perp"):
         assert "Fraction" not in refs[key], key
+
+
+def _function(module, name):
+    tree = ast.parse(Path(module.__file__).read_text())
+    return next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def _fraction_names(node):
+    return [sub for sub in ast.walk(node)
+            if isinstance(sub, ast.Name) and sub.id == "Fraction"]
+
+
+def test_lp_witnesses_are_checked_on_integers():
+    assert not _fraction_names(_function(xl, "_phase1"))
+    for name in ("solve_nonneg", "feasible_point"):
+        node = _function(xl, name)
+        returned = [sub for ret in ast.walk(node) if isinstance(ret, ast.Return)
+                    and ret.value is not None for sub in _fraction_names(ret)]
+        assert returned, name
+        assert len(returned) == len(_fraction_names(node)), name
+    # the carried ample class is checked on a positive integer multiple
+    assert "_integer_row" in references()["curves.mori_classes"]
 
 
 def test_oracles_share_no_elimination():
