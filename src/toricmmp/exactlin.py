@@ -14,8 +14,9 @@ serves only quotient lattices and `smith_solve`, a rational solution
 together with its divisibility index.  The simplex, the minors, the rank
 and `nullspace` run on Python ints by fraction-free elimination: the
 simplex by integer pivoting over one common denominator (Edmonds), the
-minors by Bareiss's determinant (Bareiss 1968), the rank and `nullspace`
-by forward elimination on primitive integer rows (`_echelon`).  The
+minors by cofactor expansion up to 3 x 3 and by Bareiss's determinant
+above (Bareiss 1968), the rank and `nullspace` by forward elimination on
+primitive integer rows (`_echelon`).  The
 simplex returns integer numerators over that denominator, and its
 callers check them by integer dot products and build ``Fraction``s only
 for the witness they return.  The ``Fraction`` reduced row echelon form
@@ -31,6 +32,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Optional, Sequence
 
 from .errors import InputError, InvariantBreach, PreconditionError
@@ -45,9 +47,11 @@ Matrix = tuple
 # ---------------------------------------------------------------------------
 
 def dot(u: Sequence, v: Sequence):
+    """The sum of the products u_i v_i, summed from 0 in index order: the
+    value of the generator sum it replaced, with the loop in `map`."""
     if len(u) != len(v):
         raise InputError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def vsub(u: Sequence, v: Sequence) -> Vector:
@@ -206,10 +210,20 @@ def nullspace(A: Sequence[Sequence], n: Optional[int] = None) -> list:
 # ---------------------------------------------------------------------------
 
 def integer_det(M: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix by fraction-free elimination
-    (Bareiss): every division is exact, so all entries stay integers."""
+    """Determinant of a square integer matrix.  Up to 3 x 3 it is the
+    cofactor expansion along the first row, the same integer in a few
+    products; above that fraction-free elimination (Bareiss), where every
+    division is exact, so all entries stay integers."""
+    n = len(M)
+    if n <= 2:
+        if n == 2:
+            (a, b), (c, d) = M
+            return a * d - b * c
+        return M[0][0] if n else 1
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = M
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     a = [list(r) for r in M]
-    n = len(a)
     sign, prev = 1, 1
     for k in range(n - 1):
         if a[k][k] == 0:
@@ -224,7 +238,7 @@ def integer_det(M: Sequence[Sequence[int]]) -> int:
             for j in range(k + 1, n):
                 ri[j] = (ri[j] * akk - aik * rk[j]) // prev
         prev = akk
-    return sign * a[-1][-1] if n else 1
+    return sign * a[-1][-1]
 
 
 def _minor_kernel(M, s: int) -> Vector:
@@ -607,7 +621,10 @@ def _phase1(A, b, n: int):
 def solve_nonneg(columns: Sequence[Sequence], target: Sequence) -> Optional[Vector]:
     """Coefficients c >= 0 with sum c_j columns[j] = target, or None.  The
     witness z / D of `_phase1` is checked exactly before it is returned, on
-    its integers: len(columns) entries, z >= 0, D > 0 and A z = D target."""
+    its integers: len(columns) entries, z >= 0, D > 0 and A z = D target.
+    A column whose length is not the target's is bad input."""
+    if any(len(col) != len(target) for col in columns):
+        raise InputError("solve_nonneg: every column needs the target's length")
     if not columns:
         return () if is_zero(target) else None
     m = len(columns[0])
@@ -720,18 +737,30 @@ def extreme_rays_of_halfspaces(ineqs: Sequence[Sequence], eqs: Sequence[Sequence
     the span basis is the integer `nullspace` of the equations, the rows
     are scaled to primitive integer vectors (which keeps every ray) and the
     kernel of each row subset is its vector of signed maximal minors.
+    With no equations the span is all of Q^dim and its coordinates are the
+    ambient ones, so the rows are taken as given and each ray is its
+    primitive kernel: the values the identity basis gave, with no products.
     """
-    span = nullspace(list(eqs), dim) if eqs else identity_matrix(dim)
-    if not span:
-        return [], []
-    s = len(span)
-    # inequality rows in span coordinates
-    rows = [tuple(dot(a, b) for b in span) for a in ineqs]
+    if eqs:
+        span = nullspace(list(eqs), dim)
+        if not span:
+            return [], []
+        s = len(span)
+        rows = [tuple(dot(a, b) for b in span) for a in ineqs]
+
+        def ambient(y):
+            return tuple(sum(c * b[i] for c, b in zip(y, span)) for i in range(dim))
+    else:
+        if not dim:
+            return [], []
+        s, ambient = dim, tuple
+        rows = [tuple(a) for a in ineqs]
+        if any(len(r) != dim for r in rows):
+            raise InputError(f"inequality rows do not lie in Q^{dim}")
     rows = [r for r in rows if not is_zero(r)]
     lin = [] if rank(rows) == s else nullspace(rows, s)
     if lin:
-        amb_lin = [primitive(tuple(sum(y[j] * span[j][i] for j in range(s)) for i in range(dim)))
-                   for y in lin]
+        amb_lin = [primitive(ambient(y)) for y in lin]
         # split off the pointed part: C = lineality + (C intersect lineality-perp)
         sub_rays, sub_lin = extreme_rays_of_halfspaces(ineqs, list(eqs) + amb_lin, dim)
         if sub_lin:
@@ -744,8 +773,7 @@ def extreme_rays_of_halfspaces(ineqs: Sequence[Sequence], eqs: Sequence[Sequence
         if is_zero(ker):
             continue  # dependent rows
         for cand in (ker, tuple(-k for k in ker)):
-            if all(sum(x * y for x, y in zip(r, cand)) >= 0 for r in rows):
-                rays.add(primitive(tuple(sum(c * b[i] for c, b in zip(cand, span))
-                                         for i in range(dim))))
+            if all(sum(map(mul, r, cand)) >= 0 for r in rows):
+                rays.add(primitive(ambient(cand)))
                 break
     return sorted(rays), []

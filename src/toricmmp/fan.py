@@ -11,13 +11,15 @@ Fans are certified locally wherever the theory allows, with no pairwise
 double description.  A full-dimensional simplicial fan is valid by the
 triangulation criterion (De Loera-Rambau-Santos, *Triangulations*, 2010,
 ch. 4): its facets pair up with opposite orientation, unpaired facets lie on
-the boundary of the cone of all rays (`Fan.support_convex`), and one point
-is covered once (`cone_contains`).  An MMP step's fan is proved so by
+the boundary of the cone of all rays (`Fan.support_convex`, which reads
+each unpaired facet's own normal and never the hull's facets), and one
+point is covered once (`cone_contains`).  An MMP step's fan is proved so by
 the facets of the cells it changed alone (`swap_cells`), which also hand
 the step's map the wall relations of its kept cells, its new relations
 and its morphism flags.  Two valid fans share most rays and cones, and
 what they share is read by index: `common_refinement` intersects only the
-cones they do not share, `is_proper` skips a target cone that is a source
+cones they do not share (`cone_intersection`, with no row the second cone
+already satisfies), `is_proper` skips a target cone that is a source
 cell under the identity and cuts no source cone under an onto map, and
 `check_morphism` places an image on a target ray into the cones listing
 it.  Walls, the triangulation criterion and `check_morphism` read one
@@ -116,11 +118,18 @@ def cone_eq(gens_a: tuple, gens_b: tuple) -> bool:
 
 def cone_intersection(gens_a: tuple, gens_b: tuple) -> tuple:
     """Generators (extreme rays) of the intersection of two strongly convex
-    cones."""
+    cones, sorted and primitive.  A facet normal of the first cone that
+    every generator of the second satisfies holds on all of the second, so
+    it is dropped before the double description: the cut-out cone is the
+    same, and so are its sorted primitive extreme rays.  Normals are dropped
+    from one side only; the second cone's own rows keep the result pointed,
+    where dropping from both sides could leave a line."""
     if not gens_a or not gens_b:
         return ()
     dim = len(gens_a[0])
-    ineqs = list(cone_facets(gens_a)) + list(cone_facets(gens_b))
+    ineqs = [n for n in cone_facets(gens_a)
+             if any(xl.dot(n, g) < 0 for g in gens_b)]
+    ineqs += cone_facets(gens_b)
     eqs = list(cone_span_perp(gens_a)) + list(cone_span_perp(gens_b))
     rays, lin = xl.extreme_rays_of_halfspaces(ineqs, eqs, dim)
     if lin:
@@ -206,26 +215,33 @@ def cone_covered(ineqs, d: int, cells: Sequence[tuple]) -> bool:
     Each caller knows d = dim C without converting C to generators: the
     rank of all rays (`support_convex`), the dimension of the cone
     (`cone_covered_by_gens`), and n - m + dim tc for the preimage of a
-    target cone tc under A from rank n onto rank m (`is_proper`).
+    target cone tc under A from rank n onto rank m (`is_proper`).  Only
+    the rows that vanish on an unpaired facet are read.
     """
     if d == 0:
         return True
+    unpaired = _unpaired_facets(d, cells)
+    # implicit equalities of C vanish on every cell and never count
+    return unpaired is not None and all(
+        any(all(xl.dot(r, v) == 0 for v in facet)
+            and any(xl.dot(r, g) != 0 for g in cell) for r in ineqs)
+        for facet, cell in unpaired)
+
+
+def _unpaired_facets(d: int, cells: Sequence[tuple]) -> Optional[list]:
+    """(facet, its one d-dimensional cell) for each facet of a
+    d-dimensional cell that is not shared by exactly two of them (a facet
+    with three or more gives its first), or None when no cell is
+    d-dimensional: the facet pairing of `cone_covered`."""
     full = {frozenset(c): c for c in cells if cone_dim(c) == d}
     if not full:
-        return False
+        return None
     owners = {}  # facet generator set -> d-dimensional cells having it
     for c in full.values():
         for facet in _facets_of(c, c):
             owners.setdefault(frozenset(facet), []).append(c)
-    for facet, holders in owners.items():
-        if len(holders) == 2:
-            continue
-        # implicit equalities of C vanish on every cell and never count
-        if not any(all(xl.dot(r, v) == 0 for v in facet)
-                   and any(xl.dot(r, g) != 0 for g in holders[0])
-                   for r in ineqs):
-            return False
-    return True
+    return [(facet, holders[0]) for facet, holders in owners.items()
+            if len(holders) != 2]
 
 
 def cone_covered_by_gens(gens: tuple, cover: Sequence[tuple]) -> bool:
@@ -271,17 +287,32 @@ class Fan:
         return bool(self.rays) and xl.rank(self.rays) == self.rank
 
     def support_convex(self) -> bool:
-        """Support equals the convex hull cone of all rays (possibly the
-        whole space), by `cone_covered` on the hull's facet normals.  Its
-        argument needs only that each facet of a full-dimensional cone has
-        at most two owners, on opposite sides when there are two: a valid
-        fan, or one whose facet pairing `_triangulates` has passed."""
+        """Support equals the convex hull cone C of all rays (possibly the
+        whole space), by `cone_covered` on C's facet normals.  Its argument
+        needs only that each facet of a full-dimensional cone has at most
+        two owners, on opposite sides when there are two: a valid fan, or
+        one whose facet pairing `_triangulates` has passed.
+
+        `cone_covered` reads a row of C only where it vanishes on an
+        unpaired facet, and a (d-1)-dimensional facet lies in at most one
+        facet of C, whose normal within the span of the rays is the facet's
+        own: the one `nullspace` vector of its rays and the span's
+        complement.  It is a normal of C exactly when every ray lies on one
+        side of it.  So only those normals are handed on, and the verdict is
+        the one the whole list of C's facet normals gives; a fan with every
+        facet paired (a complete fan) computes no normal at all."""
         if not self.rays or self.max_cones == (tuple(range(len(self.rays))),):
             return True  # no rays, or one cone of all rays
-        # the hull's facet normals are the extreme rays of the dual cone
-        normals, _ = xl.extreme_rays_of_halfspaces(list(self.rays), (), self.rank)
-        return cone_covered(normals, xl.rank(self.rays),
-                            [self.cone_gens(c) for c in self.max_cones])
+        cells = [self.cone_gens(c) for c in self.max_cones]
+        perp = xl.nullspace(self.rays)
+        d = self.rank - len(perp)
+        normals = []
+        for facet, _ in _unpaired_facets(d, cells) or ():
+            (n,) = xl.nullspace(list(facet) + perp, self.rank)
+            sides = {x > 0 for v in self.rays if (x := xl.dot(n, v))}
+            if len(sides) == 1:
+                normals.append(n if sides == {True} else xl.vscale(-1, n))
+        return cone_covered(normals, d, cells)
 
     def canonical(self) -> tuple:
         """Canonical hashable form, insensitive to ray ordering (used for

@@ -5,10 +5,16 @@ cover (overlapping, or sticking out of the covered cone) and runs one double
 description per piece; membership goes through the LP oracle.  Tests check
 `fan.cone_covered` (facet pairing) against it, and the triangulation search
 in test_mmp uses it.
+
+`hull_support_convex` is `Fan.support_convex` as it ran before it took
+only the normals of the unpaired facets: every facet normal of the cone of
+all rays, by a double description of its dual, handed to
+`fan.cone_covered`.
 """
 
 from cone_oracle import cone_contains
 from toricmmp import exactlin as xl
+from toricmmp import fan as fn
 from toricmmp.errors import InvariantBreach
 from toricmmp.fan import (_h_to_gens, cone_dim, cone_facets, cone_span_perp,
                           is_toric_morphism)
@@ -69,6 +75,16 @@ def support_convex(F) -> bool:
     normals, lin = xl.extreme_rays_of_halfspaces(list(F.rays), (), F.rank)
     return cone_covered(tuple(normals), tuple(lin), F.rank,
                         [F.cone_gens(c) for c in F.max_cones])
+
+
+def hull_support_convex(F) -> bool:
+    """`Fan.support_convex` on the hull's facet normals, the extreme rays
+    of the dual cone of all rays."""
+    if not F.rays or F.max_cones == (tuple(range(len(F.rays))),):
+        return True
+    normals, _ = xl.extreme_rays_of_halfspaces(list(F.rays), (), F.rank)
+    return fn.cone_covered(normals, xl.rank(F.rays),
+                           [F.cone_gens(c) for c in F.max_cones])
 
 
 def is_proper(m) -> bool:

@@ -49,6 +49,11 @@ changed, and `mmp_oracle.check_successor` compares that with
 `fan.check_morphism` and `curves.contracted_walls` on an equal map that
 carries no step flags, and with `fan.validate_fan` on the whole fan.
 
+`cone_intersection` is the intersection `fan.cone_intersection` ran
+before it dropped the first cone's facet normals that the second cone's
+generators satisfy: one double description over every facet normal of
+both cones.
+
 `shared_pair_verdicts` lets the whole-fan check of `mmp_oracle.contract`
 and `certify_local`, which check many of the same pairs of cones of a
 flipping target, answer each pair once; each still builds its own verdict.
@@ -135,6 +140,19 @@ def triangulates(F: Fan) -> bool:
     p = tuple(sum(col) for col in zip(*gens0))
     return not any(simplicial_contains(F.cone_gens(c), det, p)
                    for c, det in zip(F.max_cones[1:], dets[1:]))
+
+
+def cone_intersection(gens_a: tuple, gens_b: tuple) -> tuple:
+    """`fan.cone_intersection` over all the facet normals of both cones."""
+    if not gens_a or not gens_b:
+        return ()
+    dim = len(gens_a[0])
+    ineqs = list(fn.cone_facets(gens_a)) + list(fn.cone_facets(gens_b))
+    eqs = list(fn.cone_span_perp(gens_a)) + list(fn.cone_span_perp(gens_b))
+    rays, lin = xl.extreme_rays_of_halfspaces(ineqs, eqs, dim)
+    if lin:
+        raise InvariantBreach("intersection of strongly convex cones has a line")
+    return tuple(rays)
 
 
 def certify_local(F: Fan, cones, what: str) -> Fan:

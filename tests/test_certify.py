@@ -14,6 +14,8 @@ nor builds the whole Mori cone.  Another guard counts the projectivity LPs of
 class its step carries, and a corrupted carried class falls back to the LP.
 """
 
+import collections
+import itertools
 import random
 
 import pytest
@@ -23,6 +25,7 @@ import fan_oracle
 import mmp_oracle
 from toricmmp import corpus
 from toricmmp import curves as cv
+from toricmmp import exactlin as xl
 from toricmmp import fan as fn
 from toricmmp import mmp
 from toricmmp.curves import contracted_walls
@@ -308,6 +311,98 @@ def test_common_refinement_matches_full_table(instances, monkeypatch):
     for F1, F2 in ((G, G), (G, H), (H, G)):
         assert fn.common_refinement(F1, F2) == \
             fan_oracle.common_refinement(F1, F2)
+
+
+# -- intersections and the convexity test against their double descriptions ---
+
+CROSS_SEEDS = (20240801, 0, 1, 2)
+
+
+@pytest.fixture(scope="module")
+def corpus_fans(instances):
+    """The sources and targets of the corpus's starting maps, seeds
+    `CROSS_SEEDS`, each once, in first-seen order."""
+    fans = {}
+    for seed in CROSS_SEEDS:
+        insts = instances if seed == 20240801 else \
+            corpus.termination_instances(seed=seed, count=100)
+        for m, _ in insts:
+            fans.setdefault(m.source)
+            fans.setdefault(m.target)
+    return list(fans)
+
+
+@pytest.fixture(scope="module")
+def replay_refinements(instances):
+    """The (X, X') pairs the flip replay refines, over the whole corpus."""
+    return _refinement_calls(instances, range(100))
+
+
+def test_cone_intersection_matches_both_sided_oracle(corpus_fans,
+                                                     replay_refinements):
+    # dropping the first cone's normals that the second cone's generators
+    # satisfy against one double description over both cones' normals:
+    # every ordered pair of maximal cones of each corpus fan, and every
+    # ordered pair of cones a flip replay's refinement intersects
+    pairs = [(F.cone_gens(a), F.cone_gens(b)) for F in corpus_fans
+             for a, b in itertools.permutations(F.max_cones, 2)]
+    for F1, F2 in replay_refinements:
+        for a in F1.max_cones:
+            for b in F2.max_cones:
+                ga, gb = F1.cone_gens(a), F2.cone_gens(b)
+                pairs += [(ga, gb), (gb, ga)]
+    mismatches, dropped, meets = [], 0, set()
+    for ga, gb in pairs:
+        got = fn.cone_intersection(ga, gb)
+        if got != fan_oracle.cone_intersection(ga, gb):
+            mismatches.append((ga, gb))
+        dropped += any(all(xl.dot(n, g) >= 0 for g in gb)
+                       for n in fn.cone_facets(ga))
+        meets.add(fn.cone_dim(got) if got else 0)
+    assert mismatches == []
+    # 5,990 pairs from 369 corpus fans and 918 from the 8 replayed flips;
+    # half of them drop a normal, and the intersections have every
+    # dimension from 0 to 3
+    assert (len(pairs), dropped, meets) == (6908, 3488, {0, 1, 2, 3})
+
+
+def _embedded(F, a):
+    """F in the hyperplane x_{n+1} = <a, x> of the lattice of rank n + 1:
+    a fan whose support is not full-dimensional."""
+    return Fan(F.rank + 1, tuple(r + (xl.dot(a, r),) for r in F.rays),
+               F.max_cones)
+
+
+def test_support_convex_matches_hull_oracle(corpus_fans, replay_refinements):
+    # the unpaired facets' own normals against every facet normal of the
+    # hull: the corpus fans, each with one cone dropped, the replay's fans
+    # and refinements, all of these in a hyperplane of the next rank (a
+    # support that is not full-dimensional), and mutations
+    rng = random.Random(25)
+    base = list(corpus_fans)
+    for F in corpus_fans:
+        if len(F.max_cones) > 1:
+            k = rng.randrange(len(F.max_cones))
+            base.append(Fan(F.rank, F.rays,
+                            F.max_cones[:k] + F.max_cones[k + 1:]))
+    for F1, F2 in replay_refinements:
+        base += [F1, F2, fn.common_refinement(F1, F2)[0]]
+    fans = base + [_embedded(F, tuple(rng.randint(-2, 2) for _ in range(F.rank)))
+                   for F in base]
+    fans += [mutate(rng, F) for F in base if F.rays]
+    mismatches, verdicts = [], collections.Counter()
+    for F in fans:
+        got = F.support_convex()
+        if got != covering_oracle.hull_support_convex(F):
+            mismatches.append(F)
+        if F.rays and any(len(o) == 1 for o in fn._facet_owners(F).values()):
+            verdicts[got, xl.rank(F.rays) == F.rank] += 1
+    assert mismatches == []
+    # 2,108 fans; both verdicts on fans with an unpaired facet, by
+    # (verdict, support full-dimensional)
+    assert len(fans) == 2108
+    assert verdicts == {(True, True): 106, (False, True): 864,
+                        (True, False): 72, (False, False): 338}
 
 
 # -- properness -------------------------------------------------------------------

@@ -91,6 +91,58 @@ def test_solve_nonneg():
     assert xl.solve_nonneg([(1, 0), (0, 1)], (-1, 0)) is None
 
 
+def test_solve_nonneg_rejects_columns_of_another_length():
+    # a shape mismatch is bad input (exit 1), not a failed witness check
+    for columns, target in (([(), ()], (1,)),
+                            ([(1, 0), (0, 1)], (1, 1, 1)),
+                            ([(1, 0), (0,)], (1, 1))):
+        with pytest.raises(InputError):
+            xl.solve_nonneg(columns, target)
+
+
+def test_dot_rejects_a_length_mismatch():
+    assert xl.dot((1, 2, 3), (4, 5, 6)) == 32
+    assert xl.dot((), ()) == 0
+    assert xl.dot((Fraction(1, 2), 1), (3, Fraction(1, 3))) == Fraction(11, 6)
+    for u, v in (((1, 2), (1,)), ((), (0,)), ((1,), (1, 0, 0))):
+        with pytest.raises(InputError):
+            xl.dot(u, v)
+
+
+def _leibniz_det(M):
+    """The determinant as the signed sum over permutations, the sign read
+    off the inversion count."""
+    n = len(M)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        sign = (-1) ** sum(perm[i] > perm[j]
+                           for i, j in itertools.combinations(range(n), 2))
+        total += sign * math.prod(M[i][perm[i]] for i in range(n))
+    return total
+
+
+def test_integer_det_matches_leibniz():
+    # closed-form cofactors up to 3 x 3 and Bareiss at 4 x 4 against the
+    # permutation sum, on seeded matrices with many zeros (so zero leading
+    # pivots and singular matrices occur) and on a few chosen ones
+    rng = random.Random(25)
+    cases = [[], [[0]], [[0, 1], [1, 0]], [[0, 0, 1], [0, 1, 0], [1, 0, 0]],
+             [[0, 1, 2, 3], [1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 1]],
+             [[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]],
+             [[0, 2, 1, 0], [0, 1, 3, 1], [0, 4, 1, 2], [0, 1, 1, 1]]]
+    for n in range(5):
+        for _ in range(400):
+            cases.append([[rng.choice((0, 0, rng.randint(-5, 5)))
+                           for _ in range(n)] for _ in range(n)])
+    singular = 0
+    for M in cases:
+        want = _leibniz_det(M)
+        assert xl.integer_det(M) == want, M
+        assert xl.integer_det(tuple(map(tuple, M))) == want, M
+        singular += want == 0
+    assert 0 < singular < len(cases)
+
+
 def test_lps_in_dimension_zero():
     # no rows: the witness still has one entry per column or variable
     assert xl.solve_nonneg([(), ()], ()) == (0, 0)
@@ -472,6 +524,16 @@ def halfspace_systems(draw):
 @example(([(Fraction(1, 2), 0), (0, 1), (-1, -1)], [], 2))  # the whole plane
 @example(([(2, 0, 0), (1, 0, 0), (0, 0, 0), (0, 1, 0)], [], 3))
 @example(([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1)], [], 3))  # x0 = 0
+# no equations, dims 0-4, with duplicate and zero rows: the rows are taken
+# as given, with no identity span
+@example(([], [], 0))
+@example(([()], [], 0))
+@example(([(0,), (2,), (1,), (2,)], [], 1))
+@example(([(0, 0), (1, 2), (2, 4), (-1, 0), (1, 2)], [], 2))
+@example(([(1, 0, 0), (0, 1, 0), (0, 0, 0), (0, 1, 0), (1, 1, 1), (2, 2, 2)], [], 3))
+@example(([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+           (0, 0, 0, 0), (0, 0, 2, 0), (1, 1, 1, 1)], [], 4))
+@example(([(1, 0, 0, 0), (-1, 0, 0, 0), (0, 1, 1, 0), (0, 1, 1, 0)], [], 4))
 @settings(max_examples=300, deadline=None)
 def test_extreme_rays_of_halfspaces_matches_fraction_oracle(system):
     # signed integer minors against one Fraction nullspace per row subset;

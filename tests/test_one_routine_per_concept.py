@@ -17,12 +17,20 @@ off the classes it pairs with D, so neither it nor `_negative_contraction`
 names `nefness`, and extremality is decided inside `mmp.contract` (one
 `is_extreme` LP), so neither names `is_extreme`.  `newton.normal_fan`
 reads each vertex's cone off the facets of `newton_polytope` and runs no
-double description of its own.  So none of the second implementations can
-come back unnoticed.  (The replaced routines are the oracles
-`fan_oracle.triangulates`, `fan_oracle.normal_fan` and
+double description of its own.  `Fan.support_convex` takes the normals
+of the unpaired facets alone and runs no double description of the hull,
+and `extreme_rays_of_halfspaces` builds no identity span when there are
+no equations.  So none of the second implementations can come back
+unnoticed.  (The replaced routines are the oracles
+`fan_oracle.triangulates`, `fan_oracle.normal_fan`,
+`covering_oracle.hull_support_convex` and
 `lattice_oracle.support_function`.)"""
 
-from ast_refs import references, users
+import ast
+from pathlib import Path
+
+from ast_refs import names, references, users
+from toricmmp import fan
 
 GONE = {"_simplicial_contains", "integer_multiple_for_solvability",
         "SectionCone", "quotient_matrix"}
@@ -56,3 +64,14 @@ def test_no_second_implementation():
     assert "is_extreme" in refs["mmp.contract"]
     assert "newton_polytope" in refs["newton.normal_fan"]
     assert "extreme_rays_of_halfspaces" not in refs["newton.normal_fan"]
+
+
+def test_support_convex_and_the_double_description_take_no_detour():
+    (fan_class,) = [node for node in ast.parse(Path(fan.__file__).read_text()).body
+                    if getattr(node, "name", None) == "Fan"]
+    (method,) = [node for node in fan_class.body
+                 if getattr(node, "name", None) == "support_convex"]
+    assert "extreme_rays_of_halfspaces" not in names(method)
+    assert "nullspace" in names(method)
+    refs = references()
+    assert "identity_matrix" not in refs["exactlin.extreme_rays_of_halfspaces"]

@@ -9,7 +9,7 @@ then gives `exactlin.primitive_kernel` its generator up to sign.
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 sympy = pytest.importorskip("sympy")
 from sympy.matrices.normalforms import invariant_factors  # noqa: E402
@@ -84,6 +84,15 @@ def test_integer_kernel_spans_sympy_kernel(A):
 
 
 @given(square_matrices())
+# zero leading pivots: a row swap in the cofactor range and in Bareiss's
+@example([[0, 1], [1, 0]])
+@example([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
+@example([[0, 2, 0], [1, 0, 0], [0, 0, 3]])
+@example([[0, 1, 2, 3], [1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 1]])
+@example([[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]])
+@example([[0, 2, 1, 0], [0, 1, 3, 1], [0, 4, 1, 2], [0, 1, 1, 1]])  # zero column
+@example([[0, 1, 0, 0, 0], [1, 0, 0, 0, 0], [0, 0, 0, 2, 0],
+          [0, 0, 3, 0, 0], [0, 0, 0, 0, -1]])
 @settings(max_examples=200, deadline=None)
 def test_integer_det_matches_sympy(A):
     assert xl.integer_det(A) == sympy.Matrix(len(A), len(A), sum(A, [])).det()
