@@ -16,12 +16,11 @@ and `nullspace` run on Python ints by fraction-free elimination: the
 simplex by integer pivoting over one common denominator (Edmonds), the
 minors by cofactor expansion up to 3 x 3 and by Bareiss's determinant
 above (Bareiss 1968), the rank and `nullspace` by forward elimination on
-primitive integer rows (`_echelon`).  The
-simplex returns integer numerators over that denominator, and its
-callers check them by integer dot products and build ``Fraction``s only
-for the witness they return.  The ``Fraction`` reduced row echelon form
-(`_rref`) serves `solve_linear` only, and `solve_linear` has one caller,
-`fan.parallelepiped_points`.
+primitive integer rows (`_echelon`).  The simplex returns integer
+numerators over that denominator, and its callers check them by integer
+dot products and build ``Fraction``s only for the witness they return.
+The ``Fraction`` reduced row echelon form (`_rref`) serves `solve_linear`
+only, and `solve_linear` has one caller, `fan.parallelepiped_points`.
 
 Deterministic ordering: whenever ties arise, vectors are compared
 lexicographically.
@@ -47,8 +46,8 @@ Matrix = tuple
 # ---------------------------------------------------------------------------
 
 def dot(u: Sequence, v: Sequence):
-    """The sum of the products u_i v_i, summed from 0 in index order: the
-    value of the generator sum it replaced, with the loop in `map`."""
+    """The sum of the products u_i v_i, added to 0 in index order, so the
+    value is exact for ints and ``Fraction``s alike."""
     if len(u) != len(v):
         raise InputError(f"dimension mismatch: {len(u)} vs {len(v)}")
     return sum(map(mul, u, v))
@@ -737,9 +736,9 @@ def extreme_rays_of_halfspaces(ineqs: Sequence[Sequence], eqs: Sequence[Sequence
     the span basis is the integer `nullspace` of the equations, the rows
     are scaled to primitive integer vectors (which keeps every ray) and the
     kernel of each row subset is its vector of signed maximal minors.
-    With no equations the span is all of Q^dim and its coordinates are the
-    ambient ones, so the rows are taken as given and each ray is its
-    primitive kernel: the values the identity basis gave, with no products.
+    With no equations the span is all of Q^dim in its own coordinates, so
+    the rows are taken as given and each ray is its primitive kernel, with
+    no change of basis.
     """
     if eqs:
         span = nullspace(list(eqs), dim)
