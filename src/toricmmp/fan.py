@@ -4,33 +4,28 @@ A Fan stores the lattice rank, the ordered list of primitive ray generators,
 and the maximal cones as tuples of ray indices.  Non-simplicial cones are
 stored by generator list; faces are computed on demand from the dual
 description.  All values are immutable and all operations pure.  Apart from
-`validate_fan`, every operation expects valid fans: covering questions are
-answered by facet pairing (`cone_covered`), which relies on it.
+`validate_fan`, every operation expects valid fans.
 
-Fans are certified locally wherever the theory allows, with no pairwise
-double description.  A full-dimensional simplicial fan is valid by the
-triangulation criterion (De Loera-Rambau-Santos, *Triangulations*, 2010,
-ch. 4): its facets pair up with opposite orientation, unpaired facets lie on
-the boundary of the cone of all rays (`Fan.support_convex`, which reads
-each unpaired facet's own normal and never the hull's facets), and one
-point is covered once (`cone_contains`).  An MMP step's fan is proved so by
-the facets of the cells it changed alone (`swap_cells`), which also hand
-the step's map the wall relations of its kept cells, its new relations
-and its morphism flags.  Two valid fans share most rays and cones, and
-what they share is read by index: `common_refinement` intersects only the
-cones they do not share (`cone_intersection`, with no row the second cone
-already satisfies), `is_proper` skips a target cone that is a source
-cell under the identity and cuts no source cone under an onto map, and
-`check_morphism` places an image on a target ray into the cones listing
-it.  Walls, the triangulation criterion and `check_morphism` read one
-facet map (`_facet_owners`); `check_morphism` keeps the relations of
-the walls a map contracts, for `curves.contracted_walls` and for its
-projectivity LP, which runs only when its answer is read; the LP
-(`positive_on`) also finds the divisor that supports an extremal ray
-(`curves.supporting_divisor`).  One routine, `regular_cells`, builds
-the regular subdivision that integer lifting heights induce, from the
-signed maximal minors of the lifted rows (`exactlin.primitive_kernel`);
-`qfactorialize` and the corpus generator both call it.
+Facets are paired in one loop (`_facet_owners`) and tested against the
+boundary of the cone of all rays by one routine (`_on_boundary`).  The
+pairing gives the fan's facet map (`_facet_map`), read by `walls`,
+`check_morphism` and the triangulation criterion, and the covering test
+(`cone_covered`), which decides properness and support equality.
+`Fan.support_convex` decides on the pairing and the boundary test alone.
+A full-dimensional simplicial fan is valid by the triangulation criterion
+(De Loera-Rambau-Santos, *Triangulations*, 2010, ch. 4; `_triangulates`),
+with no pairwise double description, and an MMP step's fan by that
+criterion on the facets of the cells it changed (`swap_cells`), which also
+hands the step's map its morphism flags.  Two valid fans share most rays
+and cones, and what they share is read by index: `common_refinement`
+intersects only the cones they do not share, `is_proper` skips a target
+cone that is a source cell under the identity and cuts no source cone
+under an onto map, and `check_morphism` places an image on a target ray
+into the cones listing it.  `check_morphism` keeps the relations of the
+walls a map contracts; its projectivity LP (`positive_on`) runs only when
+its answer is read.  One routine, `regular_cells`, builds the regular
+subdivision that integer lifting heights induce; `qfactorialize` and the
+corpus generator both call it.
 """
 
 from __future__ import annotations
@@ -188,16 +183,6 @@ def _h_to_gens(ineqs, eqs, dim):
     return tuple(rays) + tuple(v for l in lin for v in (l, xl.vscale(-1, l)))
 
 
-def _facets_of(items: tuple, gens: tuple) -> list:
-    """The facets of the cone spanned by `gens`, each as the sub-tuple of
-    `items` (one item per generator) lying on it: a simplicial cone's by
-    dropping one generator, any other cone's from `cone_facets`."""
-    if len(gens) == cone_dim(gens):
-        return [items[:i] + items[i + 1:] for i in range(len(items))]
-    return [tuple(x for x, g in zip(items, gens) if xl.dot(n, g) == 0)
-            for n in cone_facets(gens)]
-
-
 def cone_covered(ineqs, d: int, cells: Sequence[tuple]) -> bool:
     """Is the d-dimensional (possibly non-pointed) cone C, cut out by
     `ineqs` >= 0 within its span, the union of `cells`?
@@ -213,35 +198,57 @@ def cone_covered(ineqs, d: int, cells: Sequence[tuple]) -> bool:
     uncovered, and lower-dimensional cells fill no open set.
 
     Each caller knows d = dim C without converting C to generators: the
-    rank of all rays (`support_convex`), the dimension of the cone
-    (`cone_covered_by_gens`), and n - m + dim tc for the preimage of a
-    target cone tc under A from rank n onto rank m (`is_proper`).  Only
-    the rows that vanish on an unpaired facet are read.
+    dimension of the cone (`cone_covered_by_gens`), and n - m + dim tc for
+    the preimage of a target cone tc under A from rank n onto rank m
+    (`is_proper`).  Only the rows that vanish on an unpaired facet are
+    read.
     """
     if d == 0:
         return True
-    unpaired = _unpaired_facets(d, cells)
+    full = [c for c in dict.fromkeys(tuple(sorted(c)) for c in cells)
+            if cone_dim(c) == d]
     # implicit equalities of C vanish on every cell and never count
-    return unpaired is not None and all(
+    return bool(full) and all(
         any(all(xl.dot(r, v) == 0 for v in facet)
-            and any(xl.dot(r, g) != 0 for g in cell) for r in ineqs)
-        for facet, cell in unpaired)
+            and any(xl.dot(r, g) != 0 for g in full[owners[0]]) for r in ineqs)
+        for facet, owners in _facet_owners(full, full).items()
+        if len(owners) != 2)
 
 
-def _unpaired_facets(d: int, cells: Sequence[tuple]) -> Optional[list]:
-    """(facet, its one d-dimensional cell) for each facet of a
-    d-dimensional cell that is not shared by exactly two of them (a facet
-    with three or more gives its first), or None when no cell is
-    d-dimensional: the facet pairing of `cone_covered`."""
-    full = {frozenset(c): c for c in cells if cone_dim(c) == d}
-    if not full:
-        return None
-    owners = {}  # facet generator set -> d-dimensional cells having it
-    for c in full.values():
-        for facet in _facets_of(c, c):
-            owners.setdefault(frozenset(facet), []).append(c)
-    return [(facet, holders[0]) for facet, holders in owners.items()
-            if len(holders) != 2]
+def _facet_owners(cells: Sequence[tuple], gens) -> dict:
+    """The facet pairing: each facet of a cell, as the sub-tuple of the
+    cell's items lying on it, to the indices of the cells having it, in
+    increasing order.  `cells` are sorted tuples of items (ray indices, or
+    the generators themselves), `gens` their generator tuples.  Facets come
+    in first-seen order, cell by cell: a simplicial cell's by dropping one
+    item, any other cell's from `cone_facets`, so it must be strongly
+    convex."""
+    owners = {}
+    for k, (c, g) in enumerate(zip(cells, gens)):
+        if len(g) == cone_dim(g):
+            facets = [c[:i] + c[i + 1:] for i in range(len(c))]
+        else:
+            facets = [tuple(x for x, v in zip(c, g) if xl.dot(n, v) == 0)
+                      for n in cone_facets(g)]
+        for facet in facets:
+            owners.setdefault(facet, []).append(k)
+    return owners
+
+
+def _on_boundary(rays, facet: tuple, perp: tuple = ()) -> bool:
+    """Does `facet`, the generators of a cone of codimension 1 in span C,
+    lie in a facet of C = cone(rays)?  The rows `perp` span the complement
+    of span C.  The facet's normal within span C is the one
+    `cone_span_perp` row of `facet` and `perp`, or (1,) for the empty facet
+    of a rank-1 cone, and the answer is yes exactly when every ray lies on
+    one side of it.  Why: a row of C's dual that vanishes on the facet is
+    that normal or its negative, and the normal is such a row when all rays
+    lie on one side.  So this is the boundary half of the triangulation
+    criterion, and `cone_covered`'s test of one unpaired facet against
+    C's facet normals."""
+    rows = facet + perp
+    (normal,) = cone_span_perp(rows) if rows else ((1,),)
+    return len({x > 0 for v in rays if (x := xl.dot(normal, v))}) == 1
 
 
 def cone_covered_by_gens(gens: tuple, cover: Sequence[tuple]) -> bool:
@@ -287,32 +294,21 @@ class Fan:
         return bool(self.rays) and xl.rank(self.rays) == self.rank
 
     def support_convex(self) -> bool:
-        """Support equals the convex hull cone C of all rays (possibly the
-        whole space), by `cone_covered` on C's facet normals.  Its argument
-        needs only that each facet of a full-dimensional cone has at most
-        two owners, on opposite sides when there are two: a valid fan, or
-        one whose facet pairing `_triangulates` has passed.
-
-        `cone_covered` reads a row of C only where it vanishes on an
-        unpaired facet, and a (d-1)-dimensional facet lies in at most one
-        facet of C, whose normal within the span of the rays is the facet's
-        own: the one `nullspace` vector of its rays and the span's
-        complement.  It is a normal of C exactly when every ray lies on one
-        side of it.  So only those normals are handed on, and the verdict is
-        the one the whole list of C's facet normals gives; a fan with every
-        facet paired (a complete fan) computes no normal at all."""
+        """Support equals C = cone(all rays), possibly the whole space: some
+        cone has dimension d = dim C, and every facet of a d-dimensional
+        cone not shared by exactly two of them lies on the boundary of C
+        (`_on_boundary`).  This is `cone_covered` on C's facet normals, so
+        F must be a valid fan."""
         if not self.rays or self.max_cones == (tuple(range(len(self.rays))),):
             return True  # no rays, or one cone of all rays
-        cells = [self.cone_gens(c) for c in self.max_cones]
-        perp = xl.nullspace(self.rays)
+        perp = tuple(xl.nullspace(self.rays))
         d = self.rank - len(perp)
-        normals = []
-        for facet, _ in _unpaired_facets(d, cells) or ():
-            (n,) = xl.nullspace(list(facet) + perp, self.rank)
-            sides = {x > 0 for v in self.rays if (x := xl.dot(n, v))}
-            if len(sides) == 1:
-                normals.append(n if sides == {True} else xl.vscale(-1, n))
-        return cone_covered(normals, d, cells)
+        cones = [c for c in self.max_cones if cone_dim(self.cone_gens(c)) == d]
+        return bool(cones) and all(
+            _on_boundary(self.rays, self.cone_gens(facet), perp)
+            for facet, owners in _facet_owners(
+                cones, map(self.cone_gens, cones)).items()
+            if len(owners) != 2)
 
     def canonical(self) -> tuple:
         """Canonical hashable form, insensitive to ray ordering (used for
@@ -413,8 +409,7 @@ def _triangulates(F: Fan) -> bool:
     - every facet (a cone minus one ray) lies in at most two cones;
     - across a shared facet the two opposite rays lie on opposite sides,
       that is, their determinants with the facet have opposite signs;
-    - a facet with one owner lies in a facet of C, which is the covering
-      test of `support_convex`, run only when some facet has one owner;
+    - a facet with one owner lies in a facet of C (`_on_boundary`);
     - one interior point of one cone lies in no other cone (`cone_contains`).
     Why: the number of cones covering a point of C off the codimension-2
     faces does not change across a paired facet and no unpaired facet
@@ -425,21 +420,19 @@ def _triangulates(F: Fan) -> bool:
     """
     if F.rank == 0 or not F.max_cones or not _full_dim_simplicial(F):
         return False
-    unpaired = False
-    for facet, owners in _facet_owners(F).items():
+    for facet, owners in _facet_map(F).items():
+        fg = F.cone_gens(facet)
         if len(owners) > 2:
             return False
         if len(owners) == 1:
-            unpaired = True
+            if not _on_boundary(F.rays, fg):
+                return False
             continue
-        fg = F.cone_gens(facet)
         a, b = (xl.integer_det(
             fg + F.cone_gens(set(F.max_cones[k]) - set(facet)))
             for k in owners)
         if a * b >= 0:
             return False
-    if unpaired and not F.support_convex():
-        return False
     p = tuple(sum(col) for col in zip(*F.cone_gens(F.max_cones[0])))
     return not any(cone_contains(F.cone_gens(c), p) for c in F.max_cones[1:])
 
@@ -718,10 +711,6 @@ def resolve(F: Fan):
     return cur, identity_map(cur, F)
 
 
-def total_multiplicity(F: Fan) -> int:
-    return sum(cone_lattice_multiplicity(F.cone_gens(c)) for c in F.max_cones)
-
-
 # ---------------------------------------------------------------------------
 # common refinement
 # ---------------------------------------------------------------------------
@@ -844,16 +833,9 @@ def _full_dim_simplicial(F: Fan) -> bool:
                for c in F.max_cones)
 
 
-def _facet_owners(F: Fan) -> dict:
-    """The facet map: each facet of a maximal cone, as its sorted ray
-    indices, to the indices of the maximal cones having it as a facet, in
-    increasing order.  Facets come in first-seen order, cone by cone
-    (`_facets_of`).  F's non-simplicial cones must be strongly convex."""
-    owners = {}
-    for ci, c in enumerate(F.max_cones):
-        for facet in _facets_of(c, F.cone_gens(c)):
-            owners.setdefault(facet, []).append(ci)
-    return owners
+def _facet_map(F: Fan) -> dict:
+    """The facet map: `_facet_owners` of F's maximal cones."""
+    return _facet_owners(F.max_cones, map(F.cone_gens, F.max_cones))
 
 
 def _within(gens: tuple, ineqs, eqs) -> bool:
@@ -936,7 +918,7 @@ def walls(F: Fan) -> tuple:
     cone of the rays lying on it; no intersection is computed.
     """
     found = []
-    for facet, owners in _facet_owners(F).items():
+    for facet, owners in _facet_map(F).items():
         if facet or F.rank == 1:
             found += [(a, b, facet) for k, a in enumerate(owners)
                       for b in owners[k + 1:]]
@@ -973,7 +955,7 @@ def _contracted_facets(m: FanMap, landing) -> tuple:
         raise PreconditionError("projectivity needs a simplicial source with "
                                 "full-dimensional cones")
     out = []
-    for facet, owners in _facet_owners(F).items():
+    for facet, owners in _facet_map(F).items():
         sides = [F.max_cones[i] for i in owners]
         if len(sides) == 2 and landing(sides[0] + sides[1]):
             out.append((facet, wall_coefficients(F, facet, *sides)))
@@ -1012,14 +994,14 @@ def check_morphism(m: FanMap) -> MorphismFlags:
                          nrays=len(m.source.rays))
 
 
-def swap_cells(m: FanMap, relations: dict, survivors, removed, added,
-               known=None) -> FanMap:
+def swap_cells(m: FanMap, survivors, removed, added, known=None) -> FanMap:
     """The map m with the cells `removed` of its source F replaced by the
     cells `added` and its rays cut down to `survivors`, certified a valid
     fan by the cells it changed, and carrying its `MorphismFlags`
-    (`step_flags`) derived from m's contracted `relations` ({facet:
-    coefficients}, both in F's indexing).  `added` is given in F's
-    indexing, `known` ({facet: coefficients}) in the new fan's.
+    (`step_flags`) derived from m's contracted relations, which
+    `check_morphism(m)` returns from m's own flags or its cache.  `added`
+    is given in F's indexing, `known` ({facet: coefficients}) in the new
+    fan's.
 
     This is an MMP step (Reid 1983): m is a proper toric map whose source F
     is a valid simplicial fan with full-dimensional cones and convex support
@@ -1034,7 +1016,7 @@ def swap_cells(m: FanMap, relations: dict, survivors, removed, added,
     at most two owners in Z; two owners lie on opposite sides, which is the
     positivity of the relation on the two off-wall rays (`wall_coefficients`,
     or the given `known` relation); one owner means a facet in the
-    boundary of C, all rays on one side of its span.  Every other facet
+    boundary of C (`_on_boundary`).  Every other facet
     has the owners, the sides and the boundary it had in F, a valid fan.
     An interior point of a kept cell lies in no new cell, as the new cells
     lie in the circuit cones, the union of the removed cells; so it is
@@ -1070,8 +1052,9 @@ def swap_cells(m: FanMap, relations: dict, survivors, removed, added,
                    for c in removed for k in range(len(c))
                    if all(i in index for i in c[:k] + c[k + 1:]))
     known = known or {}
+    relations = dict(check_morphism(m).contracted)
     contracted = []
-    for facet, owners in _facet_owners(Z).items():
+    for facet, owners in _facet_map(Z).items():
         sides = [Z.max_cones[k] for k in owners]
         if facet not in changed:
             rel = relations.get(tuple(survivors[i] for i in facet))
@@ -1082,8 +1065,7 @@ def swap_cells(m: FanMap, relations: dict, survivors, removed, added,
             raise InvariantBreach(f"facet {facet} of the step has "
                                   f"{len(sides)} cells")
         if len(sides) == 1:
-            (normal,) = cone_span_perp(Z.cone_gens(facet))
-            if len({d > 0 for v in Z.rays if (d := xl.dot(normal, v))}) > 1:
+            if not _on_boundary(Z.rays, Z.cone_gens(facet)):
                 raise InvariantBreach(f"facet {facet} of the step has one "
                                       "cell inside the support")
             continue

@@ -17,12 +17,13 @@ Every model a step reaches is again projective over the base: the step
 carries an ample class to it, checked by dot products, so only the first
 map's projectivity is an LP.  Nor is any later map checked whole: the step
 acts only inside its circuit cones (Reid 1983), so `fan.swap_cells` builds
-its map from the cells it replaces.  Walls between kept cells keep their
+its map from the cells it replaces and the relations m contracts, which it
+reads off `check_morphism(m)` itself.  Walls between kept cells keep their
 relations, the new internal walls of a flip carry -c, and only the walls
-through a new cell get a fresh relation.  Those relations are the
-triangulation criterion's opposite-sides test on the facets the step
-changed, so they certify the new fan too, and the map's toric and proper
-flags follow from the step.  Whole-map `check_morphism` and whole-fan
+through a new cell get a fresh relation.  With the boundary test, those
+relations are the triangulation criterion on the facets the step changed,
+so they certify the new fan too, and the map's toric and proper flags
+follow from the step.  Whole-map `check_morphism` and whole-fan
 validation run on the first map and on the fano quotient only.
 """
 
@@ -158,8 +159,7 @@ def contract(m: FanMap, wall_set) -> ContractionResult:
 
     if len(j_minus) == 1:
         (ray,) = j_minus
-        base = swap_cells(m, _relations(pairs),
-                          [i for i in range(len(F.rays)) if i != ray],
+        base = swap_cells(m, [i for i in range(len(F.rays)) if i != ray],
                           merged_members,
                           [tuple(i for i in r if i != ray)
                            for r in merged_ray_sets])
@@ -173,11 +173,6 @@ def contract(m: FanMap, wall_set) -> ContractionResult:
                              FanMap(m.matrix, Z, m.target),
                              merged_cones=tuple(merged_ray_sets), relation=rel,
                              supporting=L)
-
-
-def _relations(pairs) -> dict:
-    """{facet: coefficients} of `contracted_walls` pairs, for `swap_cells`."""
-    return {w.rays: c.coeffs for w, c in pairs}
 
 
 def _fibration(m: FanMap, lin_gens):
@@ -235,8 +230,7 @@ def _flip_contracted(m: FanMap, D: InvariantDivisor, res):
     internal = {tuple(i for i in r if i not in jk): flipped
                 for r in res.merged_cones
                 for jk in itertools.combinations(j_minus, 2)}
-    new_map = swap_cells(m, _relations(contracted_walls(m)),
-                         range(len(F.rays)), removed, added, internal)
+    new_map = swap_cells(m, range(len(F.rays)), removed, added, internal)
     return new_map, InvariantDivisor(D.coeffs), positive
 
 

@@ -9,7 +9,10 @@ in test_mmp uses it.
 `hull_support_convex` is `Fan.support_convex` as it ran before it took
 only the normals of the unpaired facets: every facet normal of the cone of
 all rays, by a double description of its dual, handed to
-`fan.cone_covered`.
+`fan.cone_covered`.  `paired_support_convex` is the step between: the
+unpaired facets' own normals, one `nullspace` each, kept when every ray
+lies on one side and handed to `fan.cone_covered`, which pairs the facets
+again.
 """
 
 from cone_oracle import cone_contains
@@ -85,6 +88,35 @@ def hull_support_convex(F) -> bool:
     normals, _ = xl.extreme_rays_of_halfspaces(list(F.rays), (), F.rank)
     return fn.cone_covered(normals, xl.rank(F.rays),
                            [F.cone_gens(c) for c in F.max_cones])
+
+
+def paired_support_convex(F) -> bool:
+    """`Fan.support_convex` on the one-sided normals of the unpaired facets
+    of the cones of dimension d = dim cone(all rays), cones keyed by their
+    generator sets."""
+    if not F.rays or F.max_cones == (tuple(range(len(F.rays))),):
+        return True
+    cells = [F.cone_gens(c) for c in F.max_cones]
+    perp = xl.nullspace(F.rays)
+    d = F.rank - len(perp)
+    owners = {}  # facet generator set -> d-dimensional cells having it
+    for c in {frozenset(c): c for c in cells if cone_dim(c) == d}.values():
+        if len(c) == d:
+            facets = [c[:k] + c[k + 1:] for k in range(d)]
+        else:
+            facets = [[g for g in c if xl.dot(n, g) == 0]
+                      for n in cone_facets(c)]
+        for facet in facets:
+            owners.setdefault(frozenset(facet), []).append(c)
+    normals = []
+    for facet, holders in owners.items():
+        if len(holders) == 2:
+            continue
+        (n,) = xl.nullspace(list(facet) + perp, F.rank)
+        sides = {x > 0 for v in F.rays if (x := xl.dot(n, v))}
+        if len(sides) == 1:
+            normals.append(n if sides == {True} else xl.vscale(-1, n))
+    return fn.cone_covered(normals, d, cells)
 
 
 def is_proper(m) -> bool:

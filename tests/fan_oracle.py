@@ -121,7 +121,7 @@ def triangulates(F: Fan) -> bool:
             return False
         dets.append(det)
     normals = None  # facet normals of C, computed on the first unpaired facet
-    for facet, owners in fn._facet_owners(F).items():
+    for facet, owners in fn._facet_map(F).items():
         fg = F.cone_gens(facet)
         if len(owners) == 2:
             a, b = (xl.integer_det(
@@ -362,7 +362,7 @@ def wall_lp_certificate(m: FanMap):
                                 "full-dimensional cones")
     nr = len(F.rays)
     ineqs = []
-    for s, owners in fn._facet_owners(F).items():
+    for s, owners in fn._facet_map(F).items():
         if len(owners) != 2:
             continue
         ca, cb = (F.max_cones[i] for i in owners)

@@ -6,7 +6,7 @@ of its ray, `common_refinement` intersects only unshared cones and
 `is_proper` cuts no cone under an onto map.  Each is checked here against
 the routine it replaced (`fan_oracle`, `covering_oracle`) on a slice of the
 acceptance corpus and on mutated fans; so is the criterion itself, whose
-boundary and one-point tests are now `Fan.support_convex` and
+boundary and one-point tests are now `fan._on_boundary` and
 `cone_contains` (`fan_oracle.triangulates`).  A guard makes sure the MMP
 never falls back to the pairwise check on the fans the fast paths cover,
 nor builds the whole Mori cone.  Another guard counts the projectivity LPs of
@@ -128,7 +128,11 @@ def test_criterion_leaves_nonconvex_support_to_the_pairwise_check():
 
 def test_criterion_proves_valid_fans(p2, f1, quadric_tri_a, quadric_tri_b,
                                      orthant2, blowup2):
-    for F in (p2, f1, quadric_tri_a, quadric_tri_b, orthant2, blowup2):
+    # the rank-1 fans' facet is empty: one ray on the boundary, or two
+    # rays on opposite sides of the origin
+    for F in (p2, f1, quadric_tri_a, quadric_tri_b, orthant2, blowup2,
+              Fan(1, ((1,),), ((0,),)),
+              Fan(1, ((1,), (-1,)), ((0,), (1,)))):
         assert fn._triangulates(F)
     # not full-dimensional or not simplicial: undecided
     assert not fn._triangulates(Fan(2, ((1, 0),), ((0,),)))
@@ -169,7 +173,7 @@ def test_validate_matches_pairwise_oracle(slice_fans):
 
 
 def test_criterion_matches_its_oracle(slice_fans):
-    # the criterion with `support_convex` and `cone_contains` against its
+    # the criterion with `_on_boundary` and `cone_contains` against its
     # own hull and Cramer's rule: the fans above, 300 seeded complete fans
     # and affine chains, each of the last two with a mutation
     rng = random.Random(16)
@@ -191,7 +195,7 @@ def test_criterion_matches_its_oracle(slice_fans):
             mismatches.append(F)
         proved += got
         if _full_dim_simplicial(F) and any(
-                len(o) == 1 for o in fn._facet_owners(F).values()):
+                len(o) == 1 for o in fn._facet_map(F).values()):
             verdicts[got] += 1
     assert mismatches == []
     assert (len(fans), proved, verdicts) == (942, 569, {True: 105, False: 150})
@@ -374,10 +378,12 @@ def _embedded(F, a):
 
 
 def test_support_convex_matches_hull_oracle(corpus_fans, replay_refinements):
-    # the unpaired facets' own normals against every facet normal of the
-    # hull: the corpus fans, each with one cone dropped, the replay's fans
-    # and refinements, all of these in a hyperplane of the next rank (a
-    # support that is not full-dimensional), and mutations
+    # the boundary test on the unpaired facets against every facet normal
+    # of the hull and against the unpaired facets' one-sided normals, both
+    # handed to the covering test: the corpus fans, each with one cone
+    # dropped, the replay's fans and refinements, all of these in a
+    # hyperplane of the next rank (a support that is not full-dimensional),
+    # and mutations
     rng = random.Random(25)
     base = list(corpus_fans)
     for F in corpus_fans:
@@ -393,9 +399,10 @@ def test_support_convex_matches_hull_oracle(corpus_fans, replay_refinements):
     mismatches, verdicts = [], collections.Counter()
     for F in fans:
         got = F.support_convex()
-        if got != covering_oracle.hull_support_convex(F):
+        if got != covering_oracle.hull_support_convex(F) \
+                or got != covering_oracle.paired_support_convex(F):
             mismatches.append(F)
-        if F.rays and any(len(o) == 1 for o in fn._facet_owners(F).values()):
+        if F.rays and any(len(o) == 1 for o in fn._facet_map(F).values()):
             verdicts[got, xl.rank(F.rays) == F.rank] += 1
     assert mismatches == []
     # 2,108 fans; both verdicts on fans with an unpaired facet, by

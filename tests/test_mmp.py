@@ -522,7 +522,7 @@ def _corrupted(kind):
     relations of a flip's new internal walls with the wrong sign, a new
     cell with one ray swapped for another, a new cell missing, or a
     removed cell kept."""
-    def swap(m, relations, survivors, removed, added, known=None):
+    def swap(m, survivors, removed, added, known=None):
         added = sorted(added)
         if kind == "known":
             known = {f: tuple(-a for a in rel) for f, rel in known.items()}
@@ -534,7 +534,7 @@ def _corrupted(kind):
             added.pop()
         else:
             added.append(sorted(removed)[0])
-        return fn.swap_cells(m, relations, survivors, removed, added, known)
+        return fn.swap_cells(m, survivors, removed, added, known)
     return swap
 
 

@@ -1,7 +1,12 @@
-"""The fan, divisor, MMP and Newton layers keep one routine per concept.  The
-triangulation criterion (`fan._triangulates`) runs no double description of
-its own: its boundary test is `Fan.support_convex` and its one-point test
-`cone_contains`.  `divisor.support_function` and `divisor.pullback` take
+"""The fan, divisor, MMP and Newton layers keep one routine per concept.
+`fan` pairs facets in one loop, `_facet_owners`: the fan's facet map
+(`_facet_map`), `cone_covered` and `Fan.support_convex` all read it.  One boundary test,
+`_on_boundary` (every ray on one side of an unpaired facet's span), serves
+`Fan.support_convex`, the triangulation criterion (`fan._triangulates`) and
+`fan.swap_cells`; so `support_convex` hands no normals to `cone_covered`,
+`_triangulates` does not go through `support_convex`, and the criterion
+runs no double description of its own (its one-point test is
+`cone_contains`).  `divisor.support_function` and `divisor.pullback` take
 each cone's covector and Cartier index from one per-cone Smith form
 (`divisor._covector`, the one caller of `exactlin.smith_solve`), and
 `mmp.contract_face` tests descent by integer ranks, so `solve_linear` has
@@ -15,15 +20,17 @@ no fano contraction in reserve, since the signs say which classes are
 birational.  Each MMP-step fact is decided once: `run_mmp` reads nefness
 off the classes it pairs with D, so neither it nor `_negative_contraction`
 names `nefness`, and extremality is decided inside `mmp.contract` (one
-`is_extreme` LP), so neither names `is_extreme`.  `newton.normal_fan`
-reads each vertex's cone off the facets of `newton_polytope` and runs no
-double description of its own.  `Fan.support_convex` takes the normals
-of the unpaired facets alone and runs no double description of the hull,
-and `extreme_rays_of_halfspaces` builds no identity span when there are
-no equations.  So none of the second implementations can come back
+`is_extreme` LP), so neither names `is_extreme`.  `mmp` hands `swap_cells`
+no relations: it reads m's contracted relations off `check_morphism`.
+`newton.normal_fan` reads each vertex's cone off the facets of
+`newton_polytope` and runs no double description of its own.
+`Fan.support_convex` runs no double description of the hull, and
+`extreme_rays_of_halfspaces` builds no identity span when there are no
+equations.  So none of the second implementations can come back
 unnoticed.  (The replaced routines are the oracles
 `fan_oracle.triangulates`, `fan_oracle.normal_fan`,
-`covering_oracle.hull_support_convex` and
+`covering_oracle.hull_support_convex`,
+`covering_oracle.paired_support_convex` and
 `lattice_oracle.support_function`.)"""
 
 import ast
@@ -33,7 +40,7 @@ from ast_refs import names, references, users
 from toricmmp import fan
 
 GONE = {"_simplicial_contains", "integer_multiple_for_solvability",
-        "SectionCone", "quotient_matrix"}
+        "SectionCone", "quotient_matrix", "_unpaired_facets", "_relations"}
 
 
 def test_no_second_implementation():
@@ -41,8 +48,13 @@ def test_no_second_implementation():
     assert not {key.split(".")[1] for key in refs} & GONE
     assert not set().union(*refs.values()) & GONE
     triangulates = refs["fan._triangulates"]
-    assert {"support_convex", "cone_contains"} <= triangulates
-    assert "extreme_rays_of_halfspaces" not in triangulates
+    assert {"_on_boundary", "cone_contains"} <= triangulates
+    assert not triangulates & {"support_convex", "extreme_rays_of_halfspaces"}
+    assert users(refs, "_on_boundary") == {"fan.Fan", "fan._triangulates",
+                                           "fan.swap_cells"}
+    assert "cone_span_perp" not in refs["fan.swap_cells"]
+    assert users(refs, "_facet_owners") == {"fan.cone_covered", "fan.Fan",
+                                            "fan._facet_map"}
     assert users(refs, "solve_linear") == {"fan.parallelepiped_points"}
     assert users(refs, "smith_solve") == {"divisor._covector"}
     assert users(refs, "_covector") == {"divisor.support_function",
@@ -71,7 +83,7 @@ def test_support_convex_and_the_double_description_take_no_detour():
                     if getattr(node, "name", None) == "Fan"]
     (method,) = [node for node in fan_class.body
                  if getattr(node, "name", None) == "support_convex"]
-    assert "extreme_rays_of_halfspaces" not in names(method)
-    assert "nullspace" in names(method)
+    assert not names(method) & {"extreme_rays_of_halfspaces", "cone_covered"}
+    assert {"nullspace", "_on_boundary", "_facet_owners"} <= names(method)
     refs = references()
     assert "identity_matrix" not in refs["exactlin.extreme_rays_of_halfspaces"]
