@@ -224,7 +224,8 @@ def test_resolve_preserves_support(quadric_cone_fan):
 
 
 def total_multiplicity(F: Fan) -> int:
-    return sum(fn.cone_lattice_multiplicity(F.cone_gens(c)) for c in F.max_cones)
+    return sum(fn.cone_lattice_multiplicity(F.cone_gens(c))
+               for c in F.max_cones)
 
 
 def test_multiplicity_decreases(a1_cone_fan):

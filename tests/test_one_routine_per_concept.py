@@ -1,9 +1,9 @@
 """The fan, divisor, MMP and Newton layers keep one routine per concept.
 `fan` pairs facets in one loop, `_facet_owners`: the fan's facet map
-(`_facet_map`), `cone_covered` and `Fan.support_convex` all read it.  One boundary test,
-`_on_boundary` (every ray on one side of an unpaired facet's span), serves
-`Fan.support_convex`, the triangulation criterion (`fan._triangulates`) and
-`fan.swap_cells`; so `support_convex` hands no normals to `cone_covered`,
+(`_facet_map`), `cone_covered` and `Fan.support_convex` all read it.  One
+boundary test, `_on_boundary` (every ray on one side of an unpaired
+facet's span), serves `Fan.support_convex`, the triangulation criterion
+(`fan._triangulates`) and `fan.swap_cells`; so `support_convex` hands no normals to `cone_covered`,
 `_triangulates` does not go through `support_convex`, and the criterion
 runs no double description of its own (its one-point test is
 `cone_contains`).  `divisor.support_function` and `divisor.pullback` take
