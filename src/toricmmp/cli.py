@@ -125,11 +125,9 @@ def cmd_mmp(args):
 
 
 def cmd_zariski(args):
-    if args.m_max is not None and args.m_max < 1:
-        raise InputError(f"--m-max must be at least 1, got {args.m_max}")
     m, D = _load_setting(args)
     R = sections_mod.zariski_decompose(m, D)
-    verdict = sections_mod.verify_ckm(R, D, m_max=args.m_max)
+    verdict = sections_mod.verify_ckm(R, D)
     print(tio.dumps({
         "model_fan": tio.fan_to_obj(R.model),
         "P": tio.divisor_to_obj(R.P),
@@ -235,7 +233,6 @@ def build_parser():
     q.add_argument("--fan")
     q.add_argument("--map")
     q.add_argument("--divisor", required=True)
-    q.add_argument("--m-max", type=int, default=None)
     q.set_defaults(func=cmd_zariski)
 
     q = sub.add_parser("sections", help="section polytope and monomial basis")

@@ -13,12 +13,13 @@ which P and N are read off.
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Optional
 
 from . import exactlin as xl
 from .errors import InvariantBreach, PreconditionError
 from .record import record
-from .fan import (Fan, FanMap, common_refinement, identity_map,
+from .fan import (Fan, FanMap, _landing, common_refinement, identity_map,
                   parallelepiped_points, qfactorialize, resolve)
 from .divisor import (InvariantDivisor, check_divisor, pullback, round_down,
                       sections_basis, sections_polytope, support_function)
@@ -151,17 +152,6 @@ def zariski_decompose(m: FanMap, D: InvariantDivisor) -> ZariskiResult:
     return ZariskiResult(Z, to_source, zbase, P, N, trace.final_fan, idx)
 
 
-def _lattice_free_of(ineqs_normals, ineqs_offsets):
-    """Is {u : <n,u> + o >= 0} free of lattice points?  Returns (verdict,
-    witness).  One LP answers an empty region, bounded or not; then
-    `lattice_points` raises on an unbounded one (no finite certificate)."""
-    H = xl.HalfspaceSystem(tuple(ineqs_normals), tuple(ineqs_offsets))
-    if xl.lp_feasible(H) is None:
-        return True, None
-    pts = xl.lattice_points(H)
-    return (False, pts[0]) if pts else (True, None)
-
-
 @record
 class CKMVerdict:
     ok: bool
@@ -170,37 +160,48 @@ class CKMVerdict:
     witness: Optional[tuple] = None
 
 
-def verify_ckm(R: ZariskiResult, D: InvariantDivisor,
-               m_max: Optional[int] = None) -> CKMVerdict:
-    """Certify the decomposition: P nef (1), N effective (2), and for each
-    m = 1..m_max equality of the section sets of floor(mP) and floor(m mu*D)
-    (3).  One inclusion is free since N >= 0 pushes every coefficient up;
-    the other is certified by lattice-emptiness of each violation region."""
+def verify_ckm(R: ZariskiResult, D: InvariantDivisor) -> CKMVerdict:
+    """Certify the decomposition: P nef (1), N effective (2), and for every
+    m >= 1 equal sections of floor(mP) and floor(m mu*D) over each chart of
+    the base (3).  Over a maximal base cone tau, with the model rays rho
+    over it (`_landing`), these are the lattice points of m P_P and
+    m P_{mu*D}, P_T = {u : <u, v_rho> >= -T_rho} (Cox-Little-Schenck,
+    Prop. 4.3.3), so (3) holds in every degree iff the two rational
+    polyhedra are equal.  P <= mu*D = t gives one inclusion.  The other
+    holds at a ray k with N_k > 0 when Farkas multipliers lambda >= 0 exist
+    (Schrijver, Theory of Linear and Integer Programming, 7):
+    sum lambda_rho v_rho = v_k and sum lambda_rho t_rho <= p_k.  Failing
+    them, (u, s) with <u, v_rho> + s t_rho >= 0, s >= 1 and
+    -<u, v_k> - s p_k >= 1 puts u/s in P_{mu*D} outside P_P: with q the
+    lcm of its denominators, q u/s is a section of floor(q mu*D) over tau
+    that floor(qP) lacks.  No such (u, s) means P_{mu*D} is empty there."""
     Z = R.model
     if not R.N.is_effective():
         return CKMVerdict(False, failed_condition=2)
     if not nefness(R.P, R.base_map).nef:
         return CKMVerdict(False, failed_condition=1)
-    if m_max is None:
-        m_max = 4 * R.p_cartier_index
     muD = pullback(R.to_source, D)
     if not (muD - R.P - R.N).is_zero():
         return CKMVerdict(False, failed_condition=3, failed_degree=0)
-    for deg in range(1, m_max + 1):
-        dP = round_down(R.P.scale(deg))
-        dT = round_down(muD.scale(deg))
-        if any(p > t for p, t in zip(dP.coeffs, dT.coeffs)):
-            raise InvariantBreach("floor monotonicity violated")
-        # sections of floor(deg*P) automatically include into the other side;
-        # check the converse ray by ray
-        for k, v in enumerate(Z.rays):
-            if dP.coeffs[k] == dT.coeffs[k]:
+    t, p = muD.coeffs, R.P.coeffs
+    rows = [v + (c,) for v, c in zip(Z.rays, t)]
+    slack = (0,) * Z.rank + (1,)
+    landing = _landing(R.base_map)
+    homes = [landing((k,)) for k in range(len(Z.rays))]
+    for tau in R.base_map.target.max_cones:
+        over = [k for k, h in enumerate(homes) if tau in h]
+        columns = [rows[k] for k in over] + [slack]
+        for k in over:
+            if not R.N.coeffs[k] or \
+                    xl.solve_nonneg(columns, Z.rays[k] + (p[k],)) is not None:
                 continue
-            normals = list(Z.rays) + [tuple(-c for c in v)]
-            offsets = list(dT.coeffs) + [-dP.coeffs[k] - 1]
-            empty, witness = _lattice_free_of(normals, offsets)
-            if not empty:
-                return CKMVerdict(False, failed_condition=3,
-                                  failed_degree=deg,
-                                  witness=tuple(witness))
+            cut = tuple(-c for c in Z.rays[k]) + (-p[k],)
+            point = xl.feasible_point([(rows[r], 0) for r in over]
+                                      + [(slack, 1), (cut, 1)])
+            if point is None:
+                break  # P^tau_{mu*D} is empty
+            u = [c / point[-1] for c in point[:-1]]
+            q = lcm(*(c.denominator for c in u))
+            return CKMVerdict(False, failed_condition=3, failed_degree=q,
+                              witness=tuple(int(q * c) for c in u))
     return CKMVerdict(True)

@@ -24,6 +24,10 @@ read integer bounds off the tower's integer rows: `Fraction` rows,
 Its tower and intervals are the `Fraction` ones of `lp_oracle`, so it
 shares no elimination with the code it checks.  It raises on every
 unbounded polyhedron, empty or not, as that path did.
+
+`ckm_by_degrees` is `sections.verify_ckm` as it certified condition (3)
+before the Farkas multipliers: one degree at a time, each violation region
+tested for lattice points (`lattice_free_of`).
 """
 
 import math
@@ -32,8 +36,11 @@ from typing import Optional, Sequence
 
 import lp_oracle
 from toricmmp import exactlin as xl
-from toricmmp.divisor import NotQCartier, SupportFunction, check_divisor
+from toricmmp.curves import nefness
+from toricmmp.divisor import (NotQCartier, SupportFunction, check_divisor,
+                              pullback, round_down)
 from toricmmp.errors import InvariantBreach, PreconditionError
+from toricmmp.sections import CKMVerdict
 
 
 def integer_kernel(A: Sequence[Sequence[int]]) -> list:
@@ -218,3 +225,51 @@ def lattice_points(H: xl.HalfspaceSystem, box=None) -> list:
 
     rec(0, [])
     return sorted(out)
+
+
+def lattice_free_of(ineqs_normals, ineqs_offsets):
+    """Is {u : <n,u> + o >= 0} free of lattice points?  Returns (verdict,
+    witness).  One LP answers an empty region, bounded or not; then
+    `exactlin.lattice_points` raises on an unbounded one (no finite
+    certificate)."""
+    H = xl.HalfspaceSystem(tuple(ineqs_normals), tuple(ineqs_offsets))
+    if xl.lp_feasible(H) is None:
+        return True, None
+    pts = xl.lattice_points(H)
+    return (False, pts[0]) if pts else (True, None)
+
+
+def ckm_by_degrees(R, D, m_max: Optional[int] = None):
+    """Conditions (2), (1) and mu*D = P + N as `sections.verify_ckm` checks
+    them, then (3) for m = 1..m_max (default 4 x the Cartier index of P):
+    the global sections of floor(mP) and floor(m mu*D) on the model, ray by
+    ray.  Global sections are the sections over the base only when the base
+    is affine."""
+    Z = R.model
+    if not R.N.is_effective():
+        return CKMVerdict(False, failed_condition=2)
+    if not nefness(R.P, R.base_map).nef:
+        return CKMVerdict(False, failed_condition=1)
+    if m_max is None:
+        m_max = 4 * R.p_cartier_index
+    muD = pullback(R.to_source, D)
+    if not (muD - R.P - R.N).is_zero():
+        return CKMVerdict(False, failed_condition=3, failed_degree=0)
+    for deg in range(1, m_max + 1):
+        dP = round_down(R.P.scale(deg))
+        dT = round_down(muD.scale(deg))
+        if any(p > t for p, t in zip(dP.coeffs, dT.coeffs)):
+            raise InvariantBreach("floor monotonicity violated")
+        # sections of floor(deg*P) automatically include into the other side;
+        # check the converse ray by ray
+        for k, v in enumerate(Z.rays):
+            if dP.coeffs[k] == dT.coeffs[k]:
+                continue
+            normals = list(Z.rays) + [tuple(-c for c in v)]
+            offsets = list(dT.coeffs) + [-dP.coeffs[k] - 1]
+            empty, witness = lattice_free_of(normals, offsets)
+            if not empty:
+                return CKMVerdict(False, failed_condition=3,
+                                  failed_degree=deg,
+                                  witness=tuple(witness))
+    return CKMVerdict(True)

@@ -171,8 +171,7 @@ def test_acceptance_5_blowup_exceptional(blowup2, blowup_map):
     assert R.P.is_zero()
     assert dict(zip(R.model.rays, R.N.coeffs)) == \
         {(1, 0): 0, (0, 1): 0, (1, 1): 1}
-    verdict = sc.verify_ckm(R, E, m_max=12)
-    assert verdict.ok
+    assert sc.verify_ckm(R, E).ok
     # independent oracle: the monomial sections of floor(mP) and floor(mE)
     # coincide exactly for every m = 1..12
     box = [(0, 40), (0, 40)]

@@ -4,7 +4,8 @@ minors against the product of the Smith invariants (and the simplicial
 facet normals against the `Fraction` double description of `cone_oracle`),
 the one-Smith-form section against one integer solve per column, and the
 one-Smith-form support function against a `Fraction` solve plus a Smith
-form per cone."""
+form per cone; and the lattice-emptiness test behind the degree-by-degree
+Zariski oracle."""
 
 import random
 from fractions import Fraction
@@ -18,7 +19,7 @@ from toricmmp import divisor as dv
 from toricmmp import exactlin as xl
 from toricmmp import fan as fn
 from toricmmp.divisor import NotQCartier
-from toricmmp.errors import InvariantBreach
+from toricmmp.errors import InvariantBreach, PreconditionError
 from toricmmp.fan import Fan
 from toricmmp.mmp import _section_of_projection
 
@@ -152,3 +153,16 @@ def test_support_function_matches_two_eliminations():
                    for m in got.covectors for c in m)
     assert mismatches == []
     assert (lower, witnesses) == (299, 35)
+
+
+def test_lattice_free_of_bounded_regions():
+    # 1/3 <= u <= 2/3: rational points, no lattice point
+    assert lattice_oracle.lattice_free_of([(3,), (-3,)], [-1, 2]) == \
+        (True, None)
+    # 1/2 <= u1 <= 3/2, -1/2 <= u2 <= 1/2 holds exactly (1, 0)
+    empty, point = lattice_oracle.lattice_free_of(
+        [(2, 0), (-2, 0), (0, 2), (0, -2)], [-1, 3, 1, 1])
+    assert not empty and tuple(point) == (1, 0)
+    # the half-line u >= 1/2 is feasible and unbounded: no finite certificate
+    with pytest.raises(PreconditionError):
+        lattice_oracle.lattice_free_of([(2,)], [-1])

@@ -24,14 +24,17 @@ names `nefness`, and extremality is decided inside `mmp.contract` (one
 no relations: it reads m's contracted relations off `check_morphism`.
 `newton.normal_fan` reads each vertex's cone off the facets of
 `newton_polytope` and runs no double description of its own.
+`sections.verify_ckm` certifies every degree at once by Farkas
+multipliers: it enumerates no lattice points, rounds no divisor and takes
+no degree bound.
 `Fan.support_convex` runs no double description of the hull, and
 `extreme_rays_of_halfspaces` builds no identity span when there are no
 equations.  So none of the second implementations can come back
 unnoticed.  (The replaced routines are the oracles
 `fan_oracle.triangulates`, `fan_oracle.normal_fan`,
 `covering_oracle.hull_support_convex`,
-`covering_oracle.paired_support_convex` and
-`lattice_oracle.support_function`.)"""
+`covering_oracle.paired_support_convex`,
+`lattice_oracle.support_function` and `lattice_oracle.ckm_by_degrees`.)"""
 
 import ast
 from pathlib import Path
@@ -40,7 +43,8 @@ from ast_refs import names, references, users
 from toricmmp import fan
 
 GONE = {"_simplicial_contains", "integer_multiple_for_solvability",
-        "SectionCone", "quotient_matrix", "_unpaired_facets", "_relations"}
+        "SectionCone", "quotient_matrix", "_unpaired_facets", "_relations",
+        "_lattice_free_of"}
 
 
 def test_no_second_implementation():
@@ -76,6 +80,11 @@ def test_no_second_implementation():
     assert "is_extreme" in refs["mmp.contract"]
     assert "newton_polytope" in refs["newton.normal_fan"]
     assert "extreme_rays_of_halfspaces" not in refs["newton.normal_fan"]
+    assert not refs["sections.verify_ckm"] & {"lattice_points", "round_down",
+                                              "lp_feasible"}
+    for path in Path(fan.__file__).parent.glob("*.py"):
+        text = path.read_text()
+        assert "m_max" not in text and "m-max" not in text, path.name
 
 
 def test_support_convex_and_the_double_description_take_no_detour():

@@ -2,13 +2,16 @@ from fractions import Fraction
 
 import pytest
 
+import lattice_oracle
 import mmp_oracle
 from toricmmp import corpus
 from toricmmp import divisor as dv
 from toricmmp import sections as sc
+from toricmmp.curves import nefness
 from toricmmp.divisor import InvariantDivisor
 from toricmmp.errors import PreconditionError
-from toricmmp.fan import Fan, FanMap, common_refinement, map_to_point
+from toricmmp.fan import (Fan, FanMap, common_refinement, cone_contains,
+                          map_to_point)
 from toricmmp.mmp import run_mmp
 
 
@@ -129,8 +132,7 @@ def test_zariski_exceptional(blowup2, blowup_map):
     R = sc.zariski_decompose(blowup_map, E)
     assert R.P.is_zero()
     assert R.N.coeffs == pullback_coeffs(R, blowup2, E)
-    v = sc.verify_ckm(R, E, m_max=12)
-    assert v.ok
+    assert sc.verify_ckm(R, E).ok
 
 
 def pullback_coeffs(R, X, D):
@@ -152,7 +154,7 @@ def test_zariski_mixed(blowup2, blowup_map):
     R = sc.zariski_decompose(blowup_map, D)
     assert dict(zip(R.model.rays, R.N.coeffs)) == \
         {(1, 0): 0, (0, 1): 0, (1, 1): 1}
-    assert sc.verify_ckm(R, D, m_max=8).ok
+    assert sc.verify_ckm(R, D).ok
 
 
 def test_zariski_not_pseudo_effective(p2):
@@ -226,7 +228,7 @@ def test_zariski_runs_the_mmp_on_x(monkeypatch):
     assert R.nef_end_fan == run_mmp(m, D).final_fan
 
 
-# verify_ckm's default m_max on termination_instances(20240801, 40)[27] is
+# the degree oracle's default on termination_instances(20240801, 40)[27] is
 # 4 x 32,802 (the Cartier index of P): 131,208 degrees, about a minute
 CKM_DEGREES = {27: 1000}
 
@@ -237,7 +239,8 @@ def test_zariski_on_the_termination_instances():
     # must give the verdict of the D-MMP on X; the oracle's MMP on the
     # resolution takes half a minute on a refused instance such as [3], so
     # it runs on the accepted ones only, where the model fans differ only
-    # at index 17 (10 rays against 13)
+    # at index 17 (10 rays against 13); every base is affine, so the degree
+    # oracle's global sections give the same verdict as the Farkas check
     differ = []
     for i, (m, D) in enumerate(corpus.termination_instances(20240801, 40)):
         new = _decompose(sc.zariski_decompose, m, D)
@@ -249,7 +252,8 @@ def test_zariski_on_the_termination_instances():
             differ.append(i)
         new_split, old_split = _split_on_a_common_refinement(new, old)
         assert new_split == old_split, i
-        assert sc.verify_ckm(new, D, m_max=CKM_DEGREES.get(i)).ok, i
+        assert sc.verify_ckm(new, D).ok, i
+        assert lattice_oracle.ckm_by_degrees(new, D, CKM_DEGREES.get(i)).ok, i
     assert differ == [17]
 
 
@@ -282,13 +286,80 @@ def test_ckm_detects_wrong_split(blowup2, blowup_map):
     assert not v.ok
 
 
-def test_lattice_free_of_bounded_regions():
-    # 1/3 <= u <= 2/3: rational points, no lattice point
-    assert sc._lattice_free_of([(3,), (-3,)], [-1, 2]) == (True, None)
-    # 1/2 <= u1 <= 3/2, -1/2 <= u2 <= 1/2 holds exactly (1, 0)
-    empty, point = sc._lattice_free_of([(2, 0), (-2, 0), (0, 2), (0, -2)],
-                                       [-1, 3, 1, 1])
-    assert not empty and tuple(point) == (1, 0)
-    # the half-line u >= 1/2 is feasible and unbounded: no finite certificate
-    with pytest.raises(PreconditionError):
-        sc._lattice_free_of([(2,)], [-1])
+def _mutants(R, eps):
+    """The decompositions P - eps E_k, N + eps E_k, one per model ray k,
+    that keep P nef over the base: conditions (1) and (2) hold, (3) fails."""
+    n = len(R.model.rays)
+    for k in range(n):
+        E = InvariantDivisor(tuple(eps if j == k else 0 for j in range(n)))
+        if nefness(R.P - E, R.base_map).nef:
+            yield sc.ZariskiResult(R.model, R.to_source, R.base_map, R.P - E,
+                                   R.N + E, R.nef_end_fan, R.p_cartier_index)
+
+
+def _witness_breaks_a_chart(R, D, verdict):
+    """Does the integral witness of degree q meet every row of
+    floor(q mu*D) over some maximal base cone, and break a row of floor(qP)
+    there?  Read on integers, with the rays over each cone placed by
+    `cone_contains`."""
+    q, w = verdict.failed_degree, verdict.witness
+    Z, base = R.model, R.base_map
+    T = dv.round_down(dv.pullback(R.to_source, D).scale(q)).coeffs
+    P = dv.round_down(R.P.scale(q)).coeffs
+    for tau in base.target.max_cones:
+        over = [k for k, v in enumerate(Z.rays)
+                if cone_contains(base.target.cone_gens(tau), base.apply(v))]
+        pair = [sum(a * b for a, b in zip(w, Z.rays[k])) for k in over]
+        if all(x >= -T[k] for x, k in zip(pair, over)) and \
+                any(x < -P[k] for x, k in zip(pair, over)):
+            return True
+    return False
+
+
+def test_ckm_reads_each_chart_of_a_non_affine_base():
+    # F1 blown up at a fixed point, over P^1 by the first coordinate: moving
+    # E/2 from P to N, E the ray (-1, 1), the whole fibre over infinity,
+    # keeps P nef and the global sections equal, but not the sections over
+    # the chart at infinity
+    X = Fan(2, ((1, 0), (0, 1), (-1, 1), (0, -1), (1, -1)),
+            ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4)))
+    m = FanMap(((1, 0),), X, Fan(1, ((1,), (-1,)), ((0,), (1,))))
+    D = InvariantDivisor((-2, -2, -2, 2, -2))
+    R = sc.zariski_decompose(m, D)
+    assert sc.verify_ckm(R, D).ok
+    k = R.model.rays.index((-1, 1))
+    (bad,) = [M for M in _mutants(R, Fraction(1, 2))
+              if M.N.coeffs[k] != R.N.coeffs[k]]
+    v = sc.verify_ckm(bad, D)
+    assert (v.ok, v.failed_condition) == (False, 3)
+    assert _witness_breaks_a_chart(bad, D, v)
+    assert lattice_oracle.ckm_by_degrees(bad, D, 12).ok  # global sections
+
+
+def test_ckm_rejects_every_mutant_with_a_verdict():
+    # the 186 nef mutants of affine_instances(77, 40); the degree loop up to
+    # degree 60 rejects the same ones where it finishes, and raises
+    # PreconditionError ("pass a box") on the 153 whose violation regions
+    # are unbounded
+    count = raised = 0
+    for m, D in corpus.affine_instances(77, 40):
+        R = sc.zariski_decompose(m, D)
+        for eps in (Fraction(1, 2), Fraction(1, 3), Fraction(2)):
+            for bad in _mutants(R, eps):
+                v = sc.verify_ckm(bad, D)
+                assert (v.ok, v.failed_condition) == (False, 3)
+                assert _witness_breaks_a_chart(bad, D, v)
+                count += 1
+                try:
+                    assert not lattice_oracle.ckm_by_degrees(bad, D, 60).ok
+                except PreconditionError:
+                    raised += 1
+    assert (count, raised) == (186, 153)
+
+
+def test_ckm_matches_the_degree_oracle():
+    # every base here is affine: the Farkas check and the degree loop up to
+    # 4 x the Cartier index of P give the same verdict on all 40
+    for i, (m, D) in enumerate(corpus.affine_instances(77, 40)):
+        R = sc.zariski_decompose(m, D)
+        assert sc.verify_ckm(R, D) == lattice_oracle.ckm_by_degrees(R, D), i
