@@ -17,7 +17,7 @@ from . import exactlin as xl
 from .errors import PreconditionError
 from .record import record
 from .fan import Fan, FanMap, Wall, _full_dim_simplicial, check_morphism, \
-    cone_dim, positive_on, wall_coefficients, walls
+    cone_dim, wall_coefficients, walls
 from .divisor import InvariantDivisor, check_divisor
 
 
@@ -119,9 +119,12 @@ def supporting_divisor(m: FanMap, c: CurveClass) -> Optional[InvariantDivisor]:
     when c spans no extremal ray of the relative Mori cone, as L exposes the
     ray of c and every face of a polyhedral cone is exposed.  L is nef over
     the base, and its linearity domains are the unions of cells across the
-    walls of class c: the cones of the contraction's target (Reid 1983)."""
-    others = sorted({d.coeffs for _, d in contracted_walls(m)} - {c.coeffs})
-    L = positive_on(others, len(m.source.rays), [c.coeffs])
+    walls of class c: the cones of the contraction's target (Reid 1983).
+    The LP's answer is kept on the map's flags
+    (`fan.MorphismFlags.supporting`), whose contracted classes are those of
+    `contracted_walls(m)`."""
+    contracted_walls(m)  # the scope of the relative Mori cone
+    L = check_morphism(m).supporting(c.coeffs)
     return None if L is None else InvariantDivisor(L)
 
 

@@ -8,24 +8,27 @@ description.  All values are immutable and all operations pure.  Apart from
 
 Facets are paired in one loop (`_facet_owners`) and tested against the
 boundary of the cone of all rays by one routine (`_on_boundary`).  The
-pairing gives the fan's facet map (`_facet_map`), read by `walls`,
-`check_morphism` and the triangulation criterion, and the covering test
-(`cone_covered`), which decides properness and support equality.
+pairing gives the fan's facet map (`_facet_map`), built by `walls`, which
+is cached per fan and read by `check_morphism` and `swap_cells`
+(`_paired_facets`), and by the triangulation criterion, and the covering
+test (`cone_covered`), which decides properness and support equality.
 `Fan.support_convex` decides on the pairing and the boundary test alone.
 A full-dimensional simplicial fan is valid by the triangulation criterion
 (De Loera-Rambau-Santos, *Triangulations*, 2010, ch. 4; `_triangulates`),
-with no pairwise double description, and an MMP step's fan by that
-criterion on the facets of the cells it changed (`swap_cells`), which also
-hands the step's map its morphism flags.  Two valid fans share most rays
+with no pairwise double description; a fan that differs from a valid one
+in a few cells, by the cells it changes (`validate_fan` with a base), as
+an MMP step's fan is (`swap_cells`, which also hands the step's map its
+morphism flags) and a common refinement.  Two valid fans share most rays
 and cones, and what they share is read by index: `common_refinement`
 intersects only the cones they do not share, `is_proper` skips a target
 cone that is a source cell under the identity and cuts no source cone
 under an onto map, and `check_morphism` places an image on a target ray
 into the cones listing it.  `check_morphism` keeps the relations of the
 walls a map contracts; its projectivity LP (`positive_on`) runs only when
-its answer is read.  One routine, `regular_cells`, builds the regular
-subdivision that integer lifting heights induce; `qfactorialize` and the
-corpus generator both call it.
+its answer is read, and its flags keep that answer and the LP verdicts on
+each class.  One routine, `regular_cells`, builds the regular subdivision
+that integer lifting heights induce; `_regular_triangulation` (for
+`qfactorialize` and `common_refinement`) and the corpus generator call it.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property, lru_cache
 from math import gcd
+from operator import attrgetter
 from typing import Optional, Sequence
 
 from . import exactlin as xl
@@ -362,21 +366,36 @@ def map_to_point(source: Fan) -> FanMap:
 # validation and classification
 # ---------------------------------------------------------------------------
 
-def validate_fan(F: Fan) -> list:
+def validate_fan(F: Fan, base: Optional[Fan] = None) -> list:
     """Fan axioms as a verdict list; empty iff F is a valid fan.
 
     The ray checks run first.  A full-dimensional simplicial F that passes
     them is then proved valid by the triangulation criterion
     (`_triangulates`), which intersects no cones.  Any other F, and any F
     the criterion does not prove, goes through the pairwise check
-    (`_cone_violations` on every cone and every pair of cones), which alone
-    writes the violations about cones.
+    (`_cone_violations`), which alone writes the violations about cones.
+
+    `base`, when given, is a valid fan of F's rank, and only what F does
+    not share with it is read: the criterion runs on the facets of the
+    cells in which the two differ, and the pairwise check on the cones of
+    F that are no cones of base (compared by their generators) and on the
+    pairs holding one.  The verdict list is the same: the cones of base are
+    strongly convex, list extreme generators, and meet pairwise in common
+    faces, none inside another.
     """
     violations = _ray_violations(F)
-    if violations or _triangulates(F):
+    if violations or _triangulates(F, base):
         return violations
     n = len(F.max_cones)
-    return _cone_violations(F, range(n), itertools.combinations(range(n), 2))
+    if base is None:
+        return _cone_violations(F, range(n),
+                                itertools.combinations(range(n), 2))
+    old = {frozenset(base.cone_gens(c)) for c in base.max_cones}
+    new = {k for k, c in enumerate(F.max_cones)
+           if frozenset(F.cone_gens(c)) not in old}
+    return _cone_violations(F, new, [
+        (a, b) for a, b in itertools.combinations(range(n), 2)
+        if a in new or b in new])
 
 
 def _ray_violations(F: Fan) -> list:
@@ -398,43 +417,95 @@ def _ray_violations(F: Fan) -> list:
     return violations
 
 
-def _triangulates(F: Fan) -> bool:
+def _triangulates(F: Fan, base: Optional[Fan] = None) -> bool:
     """Does the triangulation criterion prove F, whose rays passed the ray
     checks, a valid fan?  False means undecided, not invalid.
 
     It applies when every maximal cone is full-dimensional and simplicial
-    (`_full_dim_simplicial`: rank rays spanning the space).  Such cones form a fan with support
-    C = cone(all rays) exactly when (De Loera-Rambau-Santos,
-    *Triangulations*, 2010, ch. 4):
+    (`_full_dim_simplicial`: rank rays spanning the space).  Such cones
+    form a fan with support C = cone(all rays) exactly when
+    (De Loera-Rambau-Santos, *Triangulations*, 2010, ch. 4):
     - every facet (a cone minus one ray) lies in at most two cones;
     - across a shared facet the two opposite rays lie on opposite sides,
       that is, their determinants with the facet have opposite signs;
     - a facet with one owner lies in a facet of C (`_on_boundary`);
-    - one interior point of one cone lies in no other cone (`cone_contains`).
+    - one interior point p of one cone lies in no other cone.
     Why: the number of cones covering a point of C off the codimension-2
     faces does not change across a paired facet and no unpaired facet
     meets the interior of C, so it is the same everywhere, and it is one
     at the chosen point.  The cones then cover C with disjoint interiors,
     meeting facet to facet.  A fan whose support is not convex fails the
-    third test and is left to the pairwise check.
+    third test and is left to the pairwise check.  The last test is
+    Cramer's rule on the same determinants: p lies in a cone exactly when,
+    for each of its facets, p and the opposite ray are not on opposite
+    sides, and the determinant of a shared facet with its opposite ray is
+    the one the second test computed.
+
+    With `base`, a valid fan of full-dimensional simplicial cones whose
+    rays are rays of F, only the facets of the cells in which F and base
+    differ are read: those of the new cells (cones of F that are no cones
+    of base) and of the removed ones (cones of base that are no cones of
+    F).  Every other facet has the
+    same owners in both fans, on the same sides.  A changed facet with one
+    owner in base must then lie in a facet of C as well, and p is taken in
+    a kept cell when there is one, tested against the new cells only.
+    Why: where both fans are read, the difference of their covering
+    numbers changes only across a facet with one owner in one fan, and
+    those of the changed facets lie outside the interior of C; it is zero
+    at p, covered once in base and so in F.  So F covers what base covers
+    in C, once, meeting facet to facet as base does.
     """
     if F.rank == 0 or not F.max_cones or not _full_dim_simplicial(F):
         return False
-    for facet, owners in _facet_map(F).items():
+    owners = _facet_map(F)
+    cells = F.max_cones
+    kept, facets, removed = set(), owners, {}  # removed: facet -> count
+    if base is not None:
+        index = {r: i for i, r in enumerate(F.rays)}
+        if (base.rank != F.rank or not _full_dim_simplicial(base)
+                or any(r not in index for r in base.rays)):
+            return False
+        ours = set(cells)
+        for c in base.max_cones:
+            c = tuple(sorted(index[base.rays[i]] for i in c))
+            if c in ours:
+                kept.add(c)
+                continue
+            for k in range(len(c)):
+                f = c[:k] + c[k + 1:]
+                removed[f] = removed.get(f, 0) + 1
+        changed = {c[:k] + c[k + 1:] for c in cells if c not in kept
+                   for k in range(len(c))}
+        facets = {f: owners.get(f, ()) for f in changed.union(removed)}
+    side = {}  # (facet, opposite ray) -> det(facet gens + opposite ray)
+    for facet, own in facets.items():
+        if len(own) > 2:
+            return False
         fg = F.cone_gens(facet)
-        if len(owners) > 2:
-            return False
-        if len(owners) == 1:
-            if not _on_boundary(F.rays, fg):
+        if len(own) == 2:
+            (i,), (j,) = (set(cells[k]).difference(facet) for k in own)
+            a = side[facet, i] = xl.integer_det(fg + (F.rays[i],))
+            b = side[facet, j] = xl.integer_det(fg + (F.rays[j],))
+            if a * b >= 0:
                 return False
-            continue
-        a, b = (xl.integer_det(
-            fg + F.cone_gens(set(F.max_cones[k]) - set(facet)))
-            for k in owners)
-        if a * b >= 0:
+        unpaired = len(own) == 1 or base is not None and (
+            removed.get(facet, 0) + sum(cells[k] in kept for k in own) == 1)
+        if unpaired and not _on_boundary(F.rays, fg):
             return False
-    p = tuple(sum(col) for col in zip(*F.cone_gens(F.max_cones[0])))
-    return not any(cone_contains(F.cone_gens(c), p) for c in F.max_cones[1:])
+    first = next((c for c in cells if c in kept), cells[0])
+    p = tuple(map(sum, zip(*F.cone_gens(first))))
+
+    def holds(c):
+        for k, i in enumerate(c):
+            fg = F.cone_gens(c[:k] + c[k + 1:])
+            s = side.get((c[:k] + c[k + 1:], i))
+            if s is None:
+                s = xl.integer_det(fg + (F.rays[i],))
+            if s * xl.integer_det(fg + (p,)) < 0:
+                return False
+        return True
+
+    return not any(holds(c) for c in cells if c != first and c not in kept)
 
 
 def _cone_violations(F: Fan, cones, pairs) -> list:
@@ -651,15 +722,24 @@ def regular_cells(gens, heights, perp=()) -> Optional[list]:
 
 def qfactorialize(F: Fan):
     """Small projective Q-factorialization: simplicial fan with the same rays
-    and support, via the regular triangulation (`regular_cells`) of each
-    non-simplicial cone from the heights c^(i+1) on ray i, for the first
-    prime c that makes them generic.  Returns (fan, refinement map);
-    identity when already simplicial.  Generic heights triangulate each
-    cone and agree on shared faces, so a failed covering check or an
-    invalid result is an InvariantBreach.  The wall LP of `check_morphism`
-    certifies the map projective."""
+    and support (`_regular_triangulation`), certified by `certify_fan`.
+    Returns (fan, refinement map); identity when already simplicial.  The
+    wall LP of `check_morphism` certifies the map projective."""
     if F.is_simplicial():
         return F, identity_map(F, F)
+    out = certify_fan(_regular_triangulation(F), "Q-factorialization")
+    return out, identity_map(out, F)
+
+
+def _regular_triangulation(F: Fan) -> Fan:
+    """F with each non-simplicial cone replaced by its regular triangulation
+    (`regular_cells`) from the heights c^(i+1) on ray i, for the first
+    prime c that makes them generic; F itself when it is simplicial.
+    Generic heights triangulate each cone and agree on shared faces, so a
+    failed covering check is an InvariantBreach.  The result is not
+    certified."""
+    if F.is_simplicial():
+        return F
     for c in _PRIMES:
         new_cones = []
         for cone in F.max_cones:
@@ -676,9 +756,7 @@ def qfactorialize(F: Fan):
                 raise InvariantBreach("regular cells do not cover their cone")
             new_cones.extend(cells)
         else:
-            out = certify_fan(Fan(F.rank, F.rays, tuple(sorted(set(new_cones)))),
-                              "Q-factorialization")
-            return out, identity_map(out, F)
+            return Fan(F.rank, F.rays, tuple(sorted(set(new_cones))))
     raise InvariantBreach("no generic lifting heights found")
 
 
@@ -732,6 +810,14 @@ def common_refinement(F1: Fan, F2: Fan):
     full-dimensional piece s1 meet s2 lay in t1 meet t2, then s1 meet t1
     would be a full-dimensional face of both, so s1 = t1, and likewise
     s2 = t2.
+
+    The pieces are triangulated (`_regular_triangulation`) and certified
+    by what they change in F1 (`validate_fan` with F1 as its base): a
+    piece with the generators of a cone of F1, a shared cone among them,
+    is that cone, so only the facets of the other pieces and of the cones
+    of F1 they replace go through the triangulation criterion, or, when
+    the cones are not all full-dimensional, only the pairs that hold such
+    a piece go through the pairwise check.
     """
     if F1.rank != F2.rank:
         raise PreconditionError("fans live in different lattices")
@@ -766,10 +852,11 @@ def common_refinement(F1: Fan, F2: Fan):
     if not maximal:
         out = Fan(F1.rank, (), ())  # rank 0 gets the zero cone
         return out, identity_map(out, F1), identity_map(out, F2)
-    coarse = certify_fan(
-        Fan(F1.rank, tuple(index), tuple(sorted(set(cones)))),
-        "refinement fan")
-    fine, _ = qfactorialize(coarse)
+    fine = _regular_triangulation(
+        Fan(F1.rank, tuple(index), tuple(sorted(set(cones)))))
+    bad = validate_fan(fine, F1)
+    if bad:
+        raise InvariantBreach(f"refinement fan invalid: {bad}")
     return fine, identity_map(fine, F1), identity_map(fine, F2)
 
 
@@ -781,7 +868,10 @@ def common_refinement(F1: Fan, F2: Fan):
 class MorphismFlags:
     """What `check_morphism` found.  `projective` and `ample_certificate`
     are solved by the projectivity LP when one of them is first read, and
-    kept on the instance."""
+    kept on the instance; so are the LP verdicts on each contracted class,
+    `is_extreme` and `supporting`.  `check_morphism` hands an equal map the
+    same instance from its cache, so a class contracted twice on equal
+    maps is decided by one LP each."""
     toric: bool
     proper: bool
     contracted: Optional[tuple] = None  # `_contracted_facets` of a proper map
@@ -795,6 +885,31 @@ class MorphismFlags:
         if not self.proper:
             return None
         return positive_on([rel for _, rel in self.contracted], self.nrays)
+
+    @cached_property
+    def _verdicts(self) -> dict:
+        """(verdict name, class) -> the answer, once its LP is solved."""
+        return {}
+
+    def _others(self, c: tuple) -> list:
+        return sorted({rel for _, rel in self.contracted} - {c})
+
+    def is_extreme(self, c: tuple) -> bool:
+        """Does the contracted class c span an extremal ray of the cone of
+        the contracted classes: is it no nonnegative combination of the
+        others (one LP, `xl.is_extreme`)?"""
+        if ("extreme", c) not in self._verdicts:
+            self._verdicts["extreme", c] = xl.is_extreme(c, self._others(c))
+        return self._verdicts["extreme", c]
+
+    def supporting(self, c: tuple) -> Optional[tuple]:
+        """Divisor coefficients L with L . c = 0 and L . c' >= 1 for every
+        other contracted class c', by one LP (`positive_on`); None exactly
+        when there is none."""
+        if ("supporting", c) not in self._verdicts:
+            self._verdicts["supporting", c] = positive_on(
+                self._others(c), self.nrays, [c])
+        return self._verdicts["supporting", c]
 
     @property
     def projective(self) -> bool:
@@ -945,21 +1060,40 @@ def wall_coefficients(F: Fan, facet: tuple, ca: tuple, cb: tuple) -> tuple:
     return tuple(rel)
 
 
+def _paired_facets(F: Fan) -> list:
+    """(facet, (cone a, cone b)) for each facet of exactly two maximal cones
+    a < b, read off `walls(F)`, in facet-map order (`_facet_map`): by its
+    first cone a, then in the order a simplicial cone lists its facets, by
+    the position in a of the ray off the facet.  The cones must be
+    simplicial."""
+    found = walls(F)
+    repeated = set()
+    if len({w.rays for w in found}) < len(found):  # facets of 3+ cones
+        seen = set()
+        repeated = {w.rays for w in found
+                    if w.rays in seen or seen.add(w.rays)}
+    out = []
+    for a, group in itertools.groupby(found, attrgetter("side_a")):
+        other = {w.rays: w.side_b for w in group}
+        for k in range(len(a)):
+            facet = a[:k] + a[k + 1:]
+            if facet in other and facet not in repeated:
+                out.append((facet, (a, other[facet])))
+    return out
+
+
 def _contracted_facets(m: FanMap, landing) -> tuple:
     """The walls m contracts, in facet-map order: (facet, its
     `wall_coefficients`) for each facet of two cones whose union `landing`
-    places in a target cone.  Every source cone must be simplicial and full
-    dimensional, else PreconditionError."""
+    places in a target cone (`_paired_facets`).  Every source cone must be
+    simplicial and full dimensional, else PreconditionError."""
     F = m.source
     if not _full_dim_simplicial(F):
         raise PreconditionError("projectivity needs a simplicial source with "
                                 "full-dimensional cones")
-    out = []
-    for facet, owners in _facet_map(F).items():
-        sides = [F.max_cones[i] for i in owners]
-        if len(sides) == 2 and landing(sides[0] + sides[1]):
-            out.append((facet, wall_coefficients(F, facet, *sides)))
-    return tuple(out)
+    return tuple((facet, wall_coefficients(F, facet, *sides))
+                 for facet, sides in _paired_facets(F)
+                 if landing(sides[0] + sides[1]))
 
 
 def positive_on(relations, nrays: int, zero=()) -> Optional[tuple]:
@@ -1013,7 +1147,9 @@ def swap_cells(m: FanMap, survivors, removed, added, known=None) -> FanMap:
     cell of the new fan Z.  Z is proved a fan with support C by the
     triangulation criterion (`_triangulates`), run on the facets the step
     changed only, the facets of the removed and the added cells: each has
-    at most two owners in Z; two owners lie on opposite sides, which is the
+    at most two owners in Z (read off `walls(Z)`, and, for a removed
+    cell's facet no wall of Z holds, off its wall in F, whose kept cell
+    still owns it); two owners lie on opposite sides, which is the
     positivity of the relation on the two off-wall rays (`wall_coefficients`,
     or the given `known` relation); one owner means a facet in the
     boundary of C (`_on_boundary`).  Every other facet
@@ -1047,27 +1183,38 @@ def swap_cells(m: FanMap, survivors, removed, added, known=None) -> FanMap:
             tuple(sorted(set(kept) | new)))
     out = FanMap(m.matrix, Z, m.target)
     landing = _landing(out)
-    changed = {c[:k] + c[k + 1:] for c in new for k in range(len(c))}
+    new_facets = {c[:k] + c[k + 1:] for c in new for k in range(len(c))}
+    changed = set(new_facets)
     changed.update(tuple(index[i] for i in c[:k] + c[k + 1:])
                    for c in removed for k in range(len(c))
                    if all(i in index for i in c[:k] + c[k + 1:]))
     known = known or {}
     relations = dict(check_morphism(m).contracted)
+    owners = {}  # changed facets of two or more cells -> those cells
+    for w in walls(Z):
+        if w.rays in changed:
+            owners.setdefault(w.rays, set()).update((w.side_a, w.side_b))
+    for facet, cells in owners.items():
+        if len(cells) > 2:
+            raise InvariantBreach(f"facet {facet} of the step has "
+                                  f"{len(cells)} cells")
+    # a removed cell's facet keeps a kept cell where it was a wall with one
+    partner = {w.rays for w in walls(F)
+               if (w.side_a in removed) != (w.side_b in removed)}
+    for facet in changed:
+        if facet in owners:
+            continue
+        if (facet in new_facets
+                or tuple(survivors[i] for i in facet) in partner) \
+                and not _on_boundary(Z.rays, Z.cone_gens(facet)):
+            raise InvariantBreach(f"facet {facet} of the step has one "
+                                  "cell inside the support")
     contracted = []
-    for facet, owners in _facet_map(Z).items():
-        sides = [Z.max_cones[k] for k in owners]
+    for facet, sides in _paired_facets(Z):
         if facet not in changed:
             rel = relations.get(tuple(survivors[i] for i in facet))
             if rel is not None:
                 contracted.append((facet, tuple(rel[i] for i in survivors)))
-            continue
-        if len(sides) > 2:
-            raise InvariantBreach(f"facet {facet} of the step has "
-                                  f"{len(sides)} cells")
-        if len(sides) == 1:
-            if not _on_boundary(Z.rays, Z.cone_gens(facet)):
-                raise InvariantBreach(f"facet {facet} of the step has one "
-                                      "cell inside the support")
             continue
         rel = known.get(facet) or wall_coefficients(Z, facet, *sides)
         if any(rel[i] <= 0 for i in set(sides[0]) ^ set(sides[1])):

@@ -24,7 +24,10 @@ through a new cell get a fresh relation.  With the boundary test, those
 relations are the triangulation criterion on the facets the step changed,
 so they certify the new fan too, and the map's toric and proper flags
 follow from the step.  Whole-map `check_morphism` and whole-fan
-validation run on the first map and on the fano quotient only.
+validation run on the first map and on the fano quotient only, and the
+negativity oracle's refinement is certified by the cells its pieces
+change (`fan.common_refinement`).  The LP verdicts on a class are kept on
+its map's flags, so a step replayed on an equal map solves no LP.
 """
 
 from __future__ import annotations
@@ -36,8 +39,8 @@ from typing import Optional
 from . import exactlin as xl
 from .errors import InvariantBreach, PreconditionError
 from .record import record
-from .fan import (Fan, FanMap, certify_fan, common_refinement, identity_map,
-                  index_rays, quotient_fan, swap_cells)
+from .fan import (Fan, FanMap, certify_fan, check_morphism, common_refinement,
+                  identity_map, index_rays, quotient_fan, swap_cells)
 from .divisor import InvariantDivisor, check_divisor, pullback, pushforward
 from .curves import (CurveClass, contracted_walls, mori_classes, nefness,
                      supporting_divisor)
@@ -98,8 +101,11 @@ def contract(m: FanMap, wall_set) -> ContractionResult:
     The walls must be contracted by m, share one relation sum a_i v_i = 0
     (their `contracted_walls` class), and be every contracted wall of that
     class; maximal cones merge across them.  The class must span an
-    extremal ray (one `xl.is_extreme` LP against the other contracted
-    classes), else NotExtremal.  Its signs give the kind (Reid 1983),
+    extremal ray (one `is_extreme` LP against the other contracted
+    classes), else NotExtremal.  That verdict and L below are read off the
+    map's flags, `check_morphism(m)`, which keep them
+    (`fan.MorphismFlags`): a second contraction of the class on an equal
+    map solves no LP.  Its signs give the kind (Reid 1983),
     with no search: no negative a_i is fano, the quotient by the lattice of
     the rays J+ with a_i > 0; one negative a_j is divisorial, and the
     target drops v_j = sum (a_i / -a_j) v_i; two or more is flipping, and
@@ -125,8 +131,7 @@ def contract(m: FanMap, wall_set) -> ContractionResult:
     (rel,) = relations
     if set(wall_set) != {w for w, c in pairs if c == rel}:
         raise PreconditionError("the set misses a contracted wall of its class")
-    if not xl.is_extreme(rel.coeffs,
-                         sorted({c.coeffs for _, c in pairs} - {rel.coeffs})):
+    if not check_morphism(m).is_extreme(rel.coeffs):
         raise NotExtremal(f"the class {rel.coeffs} spans no extremal ray")
     j_plus = [i for i, a in enumerate(rel.coeffs) if a > 0]
     j_minus = [i for i, a in enumerate(rel.coeffs) if a < 0]

@@ -11,6 +11,9 @@ oracle for `fan.is_proper`.)
 it before it called `Fan.support_convex` and `cone_contains`: its own
 double description of the hull for the unpaired facets, and its own
 membership test by Cramer's rule (`simplicial_contains`) for the one point.
+`triangulates_by_membership` is the criterion as it ran next, until its
+one-point test read the determinants the criterion computes: `cone_contains`
+on every other cone, which builds each cone's facet normals.
 
 `certify_local` is the pairwise check `mmp.contract` ran on a flipping
 target before the supporting divisor L of the ray certified it: only the
@@ -140,6 +143,28 @@ def triangulates(F: Fan) -> bool:
     p = tuple(sum(col) for col in zip(*gens0))
     return not any(simplicial_contains(F.cone_gens(c), det, p)
                    for c, det in zip(F.max_cones[1:], dets[1:]))
+
+
+def triangulates_by_membership(F: Fan) -> bool:
+    """`fan._triangulates` (no base) with the one-point test by
+    `cone_contains`."""
+    if F.rank == 0 or not F.max_cones or not fn._full_dim_simplicial(F):
+        return False
+    for facet, owners in fn._facet_map(F).items():
+        fg = F.cone_gens(facet)
+        if len(owners) > 2:
+            return False
+        if len(owners) == 1:
+            if not fn._on_boundary(F.rays, fg):
+                return False
+            continue
+        a, b = (xl.integer_det(
+            fg + F.cone_gens(set(F.max_cones[k]) - set(facet)))
+            for k in owners)
+        if a * b >= 0:
+            return False
+    p = tuple(sum(col) for col in zip(*F.cone_gens(F.max_cones[0])))
+    return not any(cone_contains(F.cone_gens(c), p) for c in F.max_cones[1:])
 
 
 def cone_intersection(gens_a: tuple, gens_b: tuple) -> tuple:

@@ -9,11 +9,19 @@ cone that is also a source cell.  `pullback` reads every coefficient off
 the whole `divisor.support_function`, where `divisor.pullback` on a
 simplicial target reads a shared ray's coefficient off D and solves only
 the first cone holding each other image.  `common_refinement` tests every
-pair of pieces for nesting, where `fan.common_refinement` tests only the
-pieces of lower dimension than the lattice.  `pair` sums `Fraction`
-products, where `CurveClass.pair` sums integers over one denominator.
-(`fan_oracle.common_refinement`, which also intersects every pair of
-cones, costs too much to run on every refinement of the corpus.)
+pair of pieces for nesting and certifies the whole refinement, the fan of the
+pieces by `certify_fan` and its Q-factorialization again, where
+`fan.common_refinement` tests only the pieces of lower dimension than the
+lattice and certifies only the cells in which its triangulated pieces
+differ from the first fan (`fan.validate_fan` with that fan as its base,
+whose verdicts are also compared with the whole-fan `validate_fan` on
+every call).  `contract` solves its LPs afresh, on a copy of the map's
+flags that holds no verdicts, where `mmp.contract` reads the verdicts an
+earlier contraction of the same class on an equal map left on the flags.
+`pair` sums `Fraction` products, where `CurveClass.pair` sums integers
+over one denominator.  (`fan_oracle.common_refinement`, which also
+intersects every pair of cones, costs too much to run on every refinement
+of the corpus.)
 
 `cross_checked` runs each new path and its oracle side by side, on every
 call the MMP and the flip replay make while it is open, and collects the
@@ -26,6 +34,7 @@ from fractions import Fraction
 
 import pytest
 
+from toricmmp import curves as cv
 from toricmmp import exactlin as xl
 from toricmmp import fan as fn
 from toricmmp import mmp
@@ -124,18 +133,55 @@ def common_refinement(F1: Fan, F2: Fan):
     return fine, identity_map(fine, F1), identity_map(fine, F2)
 
 
+_contract = mmp.contract
+
+
+def contract(m: FanMap, wall_set):
+    """`mmp.contract` with its LPs solved afresh: on a copy of the map's
+    flags that holds no verdicts."""
+    flags = fn.check_morphism(m)
+    fresh = fn.MorphismFlags(flags.toric, flags.proper, flags.contracted,
+                             flags.nrays)
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (mmp, cv):
+            mp.setattr(module, "check_morphism", lambda _: fresh)
+        return _contract(m, wall_set)
+
+
+def decided(m: FanMap, wall_set) -> bool:
+    """Do the flags of m already hold the extremality verdict on the class
+    of `wall_set`: is this a second contraction of it?"""
+    try:
+        cls = dict(cv.contracted_walls(m))[wall_set[0]]
+    except (PreconditionError, KeyError, IndexError):
+        return False
+    return ("extreme", cls.coeffs) in fn.check_morphism(m)._verdicts
+
+
 def same_landing(m: FanMap, new, old) -> bool:
     """Do two landing functions of m agree?  Each is the intersection of
     its rays' homes, so agreeing on every single ray suffices."""
     return all(new((i,)) == old((i,)) for i in range(len(m.source.rays)))
 
 
+def _outcome(f, *args):
+    """(value, None) of f(*args), or (None, the PreconditionError it
+    raised)."""
+    try:
+        return f(*args), None
+    except PreconditionError as e:
+        return None, e
+
+
 @contextlib.contextmanager
 def cross_checked():
     """While open, each call of `fan._landing`, `fan._covers_preimages`,
     `mmp.pullback`, `mmp.common_refinement` and `CurveClass.pair` also runs
-    its oracle.  Yields (calls, mismatches): a Counter of calls by name and
-    a list of (name, arguments) where the two disagree."""
+    its oracle, as do `fan.validate_fan` given a base (its oracle is the
+    whole-fan check) and `mmp.contract` on a class the map's flags already
+    decided (`decided`; its oracle is `contract`, and a refusal must be
+    the same refusal).  Yields (calls, mismatches): a Counter of calls by
+    name and a list of (name, arguments) where the two disagree."""
     calls, mismatches = Counter(), []
 
     def checked(name, new, oracle, same=lambda args, a, b: a == b):
@@ -147,6 +193,29 @@ def cross_checked():
             return out
         return run
 
+    whole = fn.validate_fan
+
+    def validate(F, base=None):
+        out = whole(F, base)
+        if base is not None:
+            calls["certificate"] += 1
+            if out != whole(F):
+                mismatches.append(("certificate", (F, base)))
+        return out
+
+    def second_contract(m, wall_set):
+        if not decided(m, wall_set):
+            return _contract(m, wall_set)
+        calls["second contract"] += 1
+        (out, err), (old, old_err) = (_outcome(_contract, m, wall_set),
+                                      _outcome(contract, m, wall_set))
+        if out != old or type(err) is not type(old_err) \
+                or str(err) != str(old_err):
+            mismatches.append(("second contract", (m, wall_set)))
+        if err is not None:
+            raise err
+        return out
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fn, "_landing", checked(
             "landing", fn._landing, landing,
@@ -157,4 +226,6 @@ def cross_checked():
         mp.setattr(mmp, "common_refinement", checked(
             "refinement", mmp.common_refinement, common_refinement))
         mp.setattr(CurveClass, "pair", checked("pair", CurveClass.pair, pair))
+        mp.setattr(fn, "validate_fan", validate)
+        mp.setattr(mmp, "contract", second_contract)
         yield calls, mismatches

@@ -6,8 +6,11 @@ of its ray, `common_refinement` intersects only unshared cones and
 `is_proper` cuts no cone under an onto map.  Each is checked here against
 the routine it replaced (`fan_oracle`, `covering_oracle`) on a slice of the
 acceptance corpus and on mutated fans; so is the criterion itself, whose
-boundary and one-point tests are now `fan._on_boundary` and
-`cone_contains` (`fan_oracle.triangulates`).  A guard makes sure the MMP
+boundary and one-point tests are now `fan._on_boundary` and Cramer's
+rule on its own determinants (`fan_oracle.triangulates`, and
+`fan_oracle.triangulates_by_membership` for the one-point test by
+`cone_contains`).  The facet pairs read off `walls` keep the facet map's
+order.  A guard makes sure the MMP
 never falls back to the pairwise check on the fans the fast paths cover,
 nor builds the whole Mori cone.  Another guard counts the projectivity LPs of
 `run_mmp`: one per run, as every later model is certified by the ample
@@ -173,9 +176,10 @@ def test_validate_matches_pairwise_oracle(slice_fans):
 
 
 def test_criterion_matches_its_oracle(slice_fans):
-    # the criterion with `_on_boundary` and `cone_contains` against its
-    # own hull and Cramer's rule: the fans above, 300 seeded complete fans
-    # and affine chains, each of the last two with a mutation
+    # the criterion with `_on_boundary` and its determinants against its
+    # own hull and Cramer's rule, and against its one-point test by
+    # `cone_contains`: the fans above, 300 seeded complete fans and affine
+    # chains, each of the last two with a mutation
     rng = random.Random(16)
     fans = list(slice_fans) + [PENTAGRAM, FOLD, OVERLAP, THREE_QUARTERS]
     for s in range(300):
@@ -191,7 +195,8 @@ def test_criterion_matches_its_oracle(slice_fans):
         if fn._ray_violations(F):
             continue
         got = fn._triangulates(F)
-        if got != fan_oracle.triangulates(F):
+        if got != fan_oracle.triangulates(F) \
+                or got != fan_oracle.triangulates_by_membership(F):
             mismatches.append(F)
         proved += got
         if _full_dim_simplicial(F) and any(
@@ -199,6 +204,48 @@ def test_criterion_matches_its_oracle(slice_fans):
             verdicts[got] += 1
     assert mismatches == []
     assert (len(fans), proved, verdicts) == (942, 569, {True: 105, False: 150})
+
+
+def test_criterion_matches_membership_oracle_on_generated_fans(monkeypatch):
+    # every fan the generator of corpus seeds 20240801 and 0-2 certifies:
+    # the one-point test by the criterion's determinants against
+    # `cone_contains`
+    fans = []
+    orig = fn.validate_fan
+    monkeypatch.setattr(fn, "validate_fan",
+                        lambda F, base=None: fans.append(F) or orig(F, base))
+    for seed in (20240801, 0, 1, 2):
+        corpus.termination_instances(seed, 100)
+    monkeypatch.undo()
+    proved = [F for F in fans if fn._triangulates(F)]
+    assert [F for F in fans if fn._triangulates(F)
+            != fan_oracle.triangulates_by_membership(F)] == []
+    # 272 fans, 68 a seed, every one proved by the criterion
+    assert len(fans) == len(proved) == 272
+
+
+def test_paired_facets_keep_facet_map_order(corpus_fans, replay_refinements):
+    # the two-owner facets read off `walls` come in the order of the facet
+    # map, so the projectivity LP's rows and its witness do not change
+    rng = random.Random(28)
+    fans = [F for F in corpus_fans if _full_dim_simplicial(F)]
+    for F1, F2 in replay_refinements:
+        fans += [F1, F2, fn.common_refinement(F1, F2)[0]]
+    for s in range(100):
+        rank = 2 + s % 3
+        fans.append(corpus.random_complete_fan(random.Random(s), rank,
+                                               rank + 2 + s % 5))
+    fans += [mutate(rng, F) for F in list(fans)]
+    checked = 0
+    for F in fans:
+        if not F.max_cones or not F.is_simplicial():
+            continue
+        assert fn._paired_facets(F) == [
+            (facet, tuple(F.max_cones[k] for k in owners))
+            for facet, owners in fn._facet_map(F).items()
+            if len(owners) == 2], F
+        checked += 1
+    assert checked >= 500
 
 
 # -- the flipping target --------------------------------------------------------
@@ -510,18 +557,19 @@ def test_no_pairwise_check_on_simplicial_fans_or_flipping_targets(
 
 def _projectivity_lps(instances, monkeypatch, carried=None):
     """Run the slice's MMPs, each with fresh morphism caches, counting per
-    run the projectivity LPs (calls into `fan.positive_on`;
-    `supporting_divisor` reaches it through its own binding in `curves` and
-    is not counted) and the fallbacks (a step's carried certificate that
+    run the projectivity LPs (calls into `fan.positive_on` with no zero
+    rows; a supporting divisor's LP, `MorphismFlags.supporting`, passes its
+    class as one and is not counted) and the fallbacks (a step's carried
+    certificate that
     `mori_classes` did not return).  `carried` replaces `mmp._carried`.
     Returns (traces, LPs per run, fallbacks per run, certificates
     carried)."""
     lps, fallbacks, seen = [0], [0], [0]
     orig_lp, orig_classes = fn.positive_on, mmp.mori_classes
 
-    def count_lp(*args):
-        lps[0] += 1
-        return orig_lp(*args)
+    def count_lp(relations, nrays, zero=()):
+        lps[0] += not zero
+        return orig_lp(relations, nrays, zero)
 
     def classes(m, ample=None):
         out = orig_classes(m, ample)

@@ -5,8 +5,12 @@ boundary test, `_on_boundary` (every ray on one side of an unpaired
 facet's span), serves `Fan.support_convex`, the triangulation criterion
 (`fan._triangulates`) and `fan.swap_cells`; so `support_convex` hands no normals to `cone_covered`,
 `_triangulates` does not go through `support_convex`, and the criterion
-runs no double description of its own (its one-point test is
-`cone_contains`).  `divisor.support_function` and `divisor.pullback` take
+runs no double description of its own (its one-point test is Cramer's
+rule on its own determinants, not `cone_contains`).  Each fan's facets are
+paired once: only `walls` (cached per fan) and the criterion build the
+facet map, and `check_morphism` and `swap_cells` read `walls`.
+`common_refinement` certifies only the cells it changes, so it names no
+`certify_fan`.  `divisor.support_function` and `divisor.pullback` take
 each cone's covector and Cartier index from one per-cone Smith form
 (`divisor._covector`, the one caller of `exactlin.smith_solve`), and
 `mmp.contract_face` tests descent by integer ranks, so `solve_linear` has
@@ -31,7 +35,8 @@ no degree bound.
 `extreme_rays_of_halfspaces` builds no identity span when there are no
 equations.  So none of the second implementations can come back
 unnoticed.  (The replaced routines are the oracles
-`fan_oracle.triangulates`, `fan_oracle.normal_fan`,
+`fan_oracle.triangulates`, `fan_oracle.triangulates_by_membership`,
+`fan_oracle.normal_fan`,
 `covering_oracle.hull_support_convex`,
 `covering_oracle.paired_support_convex`,
 `lattice_oracle.support_function` and `lattice_oracle.ckm_by_degrees`.)"""
@@ -52,7 +57,10 @@ def test_no_second_implementation():
     assert not {key.split(".")[1] for key in refs} & GONE
     assert not set().union(*refs.values()) & GONE
     triangulates = refs["fan._triangulates"]
-    assert {"_on_boundary", "cone_contains"} <= triangulates
+    assert "_on_boundary" in triangulates
+    assert "cone_contains" not in triangulates
+    assert users(refs, "_facet_map") == {"fan.walls", "fan._triangulates"}
+    assert "certify_fan" not in refs["fan.common_refinement"]
     assert not triangulates & {"support_convex", "extreme_rays_of_halfspaces"}
     assert users(refs, "_on_boundary") == {"fan.Fan", "fan._triangulates",
                                            "fan.swap_cells"}
@@ -65,7 +73,7 @@ def test_no_second_implementation():
                                         "divisor.pullback"}
     assert "rank" in refs["mmp.contract_face"]
     assert users(refs, "cone_span_perp") >= {
-        "fan.cone_facets", "fan.qfactorialize",
+        "fan.cone_facets", "fan._regular_triangulation",
         "singularities._low_discrepancy_points"}
     for key in users(refs, "cone_span_perp"):
         assert "scale_to_integer" not in refs[key], key

@@ -1,12 +1,18 @@
 """The checks of the flip replay against the paths they replaced
 (`replay_oracle`): `fan._landing`, `fan._covers_preimages`,
 `divisor.pullback`, `fan.common_refinement` and `CurveClass.pair` read
-what the fans share by index or sum on integers.  The cross-check runs on
-every call that `run_mmp` and the re-derivation of every flip (as the
-acceptance gate and the benchmark replay them) make on the corpus; the
-other tests cover the fallbacks no corpus instance reaches.
+what the fans share by index or sum on integers, the refinement is
+certified by the cells it changes, and a second `mmp.contract` of a class
+reads the LP verdicts the first left on the map's flags.  The cross-check
+runs on every call that `run_mmp` and the re-derivation of every flip (as
+the acceptance gate and the benchmark replay them) make on the corpus;
+the other tests cover the fallbacks no corpus instance reaches.  One pass
+of the acceptance corpus is also counted: the replay's `contract` solves
+no LP, each fan's facets are paired once outside `validate_fan`, and a
+flip pair's refinement runs no whole-fan `validate_fan`.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,6 +24,7 @@ from test_acceptance import _check_flip_steps
 from toricmmp import corpus
 from toricmmp import curves as cv
 from toricmmp import divisor as dv
+from toricmmp import exactlin as xl
 from toricmmp import fan as fn
 from toricmmp import mmp
 from toricmmp.curves import CurveClass, nefness
@@ -38,11 +45,130 @@ def test_replay_paths_match_their_oracles():
                     assert nefness(trace.final_divisor, trace.final_map).nef
                 _check_flip_steps(m, D, trace)
     assert mismatches == []
-    # two pullbacks and one refinement per replayed flip
+    # two pullbacks and one refinement with its certificate per replayed
+    # flip, whose contraction is a second one; equal maps met again in
+    # other runs add more
     assert calls["refinement"] >= 20
     assert calls["pullback"] == 2 * calls["refinement"]
+    assert calls["certificate"] == calls["refinement"]
+    assert calls["second contract"] >= calls["refinement"]
     assert calls["landing"] >= 400 and calls["covers"] >= 400
     assert calls["pair"] >= 3000
+
+
+@pytest.fixture(scope="module")
+def counted_pass():
+    """One pass of the acceptance corpus as the benchmark runs it, caches
+    cleared, counting: the LPs (`_phase1`) the replay's `contract` solves,
+    the fans whose facet map is built outside `validate_fan`, and the
+    fans a refinement passes to the whole-fan `validate_fan`."""
+    instances = corpus.termination_instances(20240801, 100)
+    for cache in (fn.check_morphism, cv.contracted_walls, fn.walls,
+                  fn.cone_dim, fn.cone_span_perp, fn.cone_facets,
+                  dv.support_function):
+        cache.cache_clear()
+    where = {"replay": False, "contract": 0, "validate": 0, "refine": 0}
+    counts = {"replay LPs": [], "facet maps": [], "whole in refinement": [],
+              "flips": 0}
+    orig_phase1, orig_facet_map = xl._phase1, fn._facet_map
+
+    def phase1(*args):
+        if where["replay"] and where["contract"]:
+            counts["replay LPs"].append(args)
+        return orig_phase1(*args)
+
+    def facet_map(F):
+        if not where["validate"]:
+            counts["facet maps"].append(F)
+        return orig_facet_map(F)
+
+    def inside(key, f, record=None):
+        def run(*args):
+            if record is not None:
+                record(args)
+            where[key] += 1
+            try:
+                return f(*args)
+            finally:
+                where[key] -= 1
+        return run
+
+    def whole(args):
+        if where["refine"] and (len(args) < 2 or args[1] is None):
+            counts["whole in refinement"].append(args[0])
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(xl, "_phase1", phase1)
+        mp.setattr(fn, "_facet_map", facet_map)
+        mp.setattr(fn, "validate_fan",
+                   inside("validate", fn.validate_fan, whole))
+        mp.setattr(mmp, "common_refinement",
+                   inside("refine", mmp.common_refinement))
+        mp.setattr(mmp, "contract", inside("contract", mmp.contract))
+        for m, D in instances:
+            trace = mmp.run_mmp(m, D)
+            if trace.outcome == "minimal":
+                assert nefness(trace.final_divisor, trace.final_map).nef
+            where["replay"] = True
+            _check_flip_steps(m, D, trace)
+            where["replay"] = False
+            counts["flips"] += sum(s.kind == "flipping" for s in trace.steps)
+    assert counts["flips"] == 8
+    return counts
+
+
+def test_replayed_contract_solves_no_lp(counted_pass):
+    # its is_extreme and supporting-divisor verdicts are on the flags
+    assert counted_pass["replay LPs"] == []
+
+
+def test_each_fan_is_paired_once_outside_validate_fan(counted_pass):
+    # `walls` builds the facet map and caches it; `check_morphism` and
+    # `swap_cells` read it there
+    fans = counted_pass["facet maps"]
+    assert len(fans) == len(set(fans)) >= 150
+
+
+def test_flip_refinement_runs_no_whole_fan_check(counted_pass):
+    assert counted_pass["whole in refinement"] == []
+
+
+def test_local_certificate_rejects_what_the_whole_check_rejects():
+    # every refinement of a flip pair over the corpus, with one piece (a
+    # cell that is no cell of X) dropped or one ray of a piece moved: the
+    # certificate given X as its base writes the whole check's verdicts
+    rng = random.Random(28)
+    pairs = []
+    for m, D in corpus.termination_instances(20240801, 100):
+        F0 = m.source
+        for s in mmp.run_mmp(m, D).steps:
+            if s.kind == "flipping":
+                pairs.append((F0, s.fan_after))
+            F0 = s.fan_after
+    assert len(pairs) == 8
+    tried, rejected = 0, 0
+    for X, Xp in pairs:
+        Z = fn.common_refinement(X, Xp)[0]
+        assert fn.validate_fan(Z, X) == fn.validate_fan(Z) == []
+        cells = {frozenset(X.cone_gens(c)) for c in X.max_cones}
+        pieces = [c for c in Z.max_cones
+                  if frozenset(Z.cone_gens(c)) not in cells]
+        mutants = [Fan(Z.rank, Z.rays, tuple(c for c in Z.max_cones
+                                             if c != piece))
+                   for piece in pieces]
+        for piece in pieces:
+            for i in piece:
+                rays = list(Z.rays)
+                v = list(rays[i])
+                v[rng.randrange(Z.rank)] += rng.choice((-1, 1))
+                rays[i] = tuple(v)
+                mutants.append(Fan(Z.rank, tuple(rays), Z.max_cones))
+        for M in mutants:
+            got = fn.validate_fan(M, X)
+            assert got == fn.validate_fan(M), M
+            tried += 1
+            rejected += bool(got)
+    assert tried >= 100 and rejected >= 20
 
 
 def test_pullback_to_a_non_simplicial_target(quadric_tri_a, quadric_cone_fan):
