@@ -21,9 +21,9 @@ earlier contraction of the same class on an equal map left on the flags.
 `small_target_flags` is the whole-map `check_morphism` of a map from one
 side of a flip to its small target, where `fan.circuit_map` reads the
 flags off the circuits.  `pair` sums `Fraction` products, where
-`CurveClass.pair` sums integers over one denominator.  (`fan_oracle.common_refinement`, which also
-intersects every pair of cones, costs too much to run on every refinement
-of the corpus.)
+`CurveClass.pair` sums integers over one denominator.
+(`fan_oracle.common_refinement`, which also intersects every pair of
+cones, costs too much to run on every refinement of the corpus.)
 
 `cross_checked` runs each new path and its oracle side by side, on every
 call the MMP and the flip replay make while it is open, and collects the
@@ -188,10 +188,10 @@ def cross_checked():
     its oracle, as do `fan.validate_fan` given a base (its oracle is the
     whole-fan check), `mmp.circuit_map` (the flags it hands the map to the
     small target against `small_target_flags`) and `mmp.contract` on a
-    class the map's flags already
-    decided (`decided`; its oracle is `contract`, and a refusal must be
-    the same refusal).  Yields (calls, mismatches): a Counter of calls by
-    name and a list of (name, arguments) where the two disagree."""
+    class the map's flags already decided (`decided`; its oracle is
+    `contract`, and a refusal must be the same refusal).  Yields (calls,
+    mismatches): a Counter of calls by name and a list of (name,
+    arguments) where the two disagree."""
     calls, mismatches = Counter(), []
 
     def checked(name, new, oracle, same=lambda args, a, b: a == b):
