@@ -18,8 +18,7 @@ A full-dimensional simplicial fan is valid by the triangulation criterion
 with no pairwise double description; a fan that differs from a valid one
 in a few cells, by the cells it changes (`validate_fan` with a base), as
 an MMP step's fan is (`swap_cells`, which also hands the step's map its
-morphism flags, as `circuit_map` does a flip's maps to its small target)
-and a common refinement.  Two valid fans share most rays
+morphism flags) and a common refinement.  Two valid fans share most rays
 and cones, and what they share is read by index: `common_refinement`
 intersects only the cones they do not share, `is_proper` skips a target
 cone that is a source cell under the identity and cuts no source cone
@@ -1127,29 +1126,6 @@ def check_morphism(m: FanMap) -> MorphismFlags:
     return MorphismFlags(toric=True, proper=True,
                          contracted=_contracted_facets(m, landing),
                          nrays=len(m.source.rays))
-
-
-def circuit_map(X: Fan, Z: Fan, circuits, relation: tuple) -> FanMap:
-    """The identity map from X, one side of a flip, to its small target Z,
-    carrying its `MorphismFlags` (`step_flags`), which `check_morphism`
-    also keeps for an equal map.  `circuits` are the ray sets of the merged
-    circuit cones, and `relation` is the circuit relation with its sign on
-    X's side, positive on the rays off X's walls inside a circuit.
-
-    The flags follow from the flip (Reid 1983): the cells of X inside each
-    circuit cone triangulate it and every other cell of X is a cone of Z,
-    so the map is toric and proper; two cells land in one cone of Z
-    exactly when they lie in one circuit cone, and the wall between them
-    carries the circuit's unique relation.  The contracted walls are those,
-    in facet-map order (`_paired_facets`)."""
-    inside = [set(r) for r in circuits]
-    contracted = tuple((facet, relation) for facet, (a, b) in _paired_facets(X)
-                       if any(set(a).union(b) <= r for r in inside))
-    out = identity_map(X, Z)
-    object.__setattr__(out, "step_flags", MorphismFlags(
-        toric=True, proper=True, contracted=contracted, nrays=len(X.rays)))
-    check_morphism(out)
-    return out
 
 
 def swap_cells(m: FanMap, survivors, removed, added, known=None) -> FanMap:

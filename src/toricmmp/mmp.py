@@ -24,12 +24,10 @@ through a new cell get a fresh relation.  With the boundary test, those
 relations are the triangulation criterion on the facets the step changed,
 so they certify the new fan too, and the map's toric and proper flags
 follow from the step.  Whole-map `check_morphism` and whole-fan
-validation run on the first map and on the fano quotient only.  The maps
-from either side of a flip to its small target carry flags read off its
-circuits (`fan.circuit_map`), the negativity oracle's refinement is
-certified by the cells its pieces change (`fan.common_refinement`), and
-the LP verdicts on a class are kept on its map's flags: a step replayed on
-equal maps checks no map whole and solves no LP.
+validation run on the first map and on the fano quotient only, and the
+negativity oracle's refinement is certified by the cells its pieces
+change (`fan.common_refinement`).  The LP verdicts on a class are kept on
+its map's flags, so a step replayed on an equal map solves no LP.
 """
 
 from __future__ import annotations
@@ -41,9 +39,8 @@ from typing import Optional
 from . import exactlin as xl
 from .errors import InvariantBreach, PreconditionError
 from .record import record
-from .fan import (Fan, FanMap, certify_fan, check_morphism, circuit_map,
-                  common_refinement, identity_map, index_rays, quotient_fan,
-                  swap_cells)
+from .fan import (Fan, FanMap, certify_fan, check_morphism, common_refinement,
+                  identity_map, index_rays, quotient_fan, swap_cells)
 from .divisor import InvariantDivisor, check_divisor, pullback, pushforward
 from .curves import (CurveClass, contracted_walls, mori_classes, nefness,
                      supporting_divisor)
@@ -177,8 +174,7 @@ def contract(m: FanMap, wall_set) -> ContractionResult:
 
     unmerged = [c for c in F.max_cones if c not in merged_members]
     Z = Fan(F.rank, F.rays, tuple(sorted(set(merged_ray_sets + unmerged))))
-    return ContractionResult("flipping", Z,
-                             circuit_map(F, Z, merged_ray_sets, rel.coeffs),
+    return ContractionResult("flipping", Z, identity_map(F, Z),
                              FanMap(m.matrix, Z, m.target),
                              merged_cones=tuple(merged_ray_sets), relation=rel,
                              supporting=L)
@@ -212,15 +208,14 @@ def flip(m: FanMap, wall_set, D: InvariantDivisor):
     Returns (flipped fan, map to the small target, transported divisor).
     """
     res = contract(m, wall_set)
-    new_map, to_target, Dp, _ = _flip_contracted(m, D, res)
-    return new_map.source, to_target, Dp
+    new_map, Dp, _ = _flip_contracted(m, D, res)
+    return new_map.source, identity_map(new_map.source, res.target), Dp
 
 
 def _flip_contracted(m: FanMap, D: InvariantDivisor, res):
     """`flip`, given the ContractionResult `res` of the walls: (the flipped
-    fan's map to m's base, from `swap_cells`, its map to the small target,
-    from `fan.circuit_map`, the transported divisor, D's value on the new
-    internal walls).  These are read off the circuit: the
+    fan's map to m's base, from `swap_cells`, the transported divisor, D's
+    value on the new internal walls).  These are read off the circuit: the
     wall rayset - {j, k} between the cells rayset - {j} and rayset - {k},
     for j, k in J-, carries the relation with the opposite sign, so D's
     value there is -D.c, checked positive before the fan is built; the new
@@ -241,9 +236,7 @@ def _flip_contracted(m: FanMap, D: InvariantDivisor, res):
                 for r in res.merged_cones
                 for jk in itertools.combinations(j_minus, 2)}
     new_map = swap_cells(m, range(len(F.rays)), removed, added, internal)
-    to_target = circuit_map(new_map.source, res.target, res.merged_cones,
-                            flipped)
-    return new_map, to_target, InvariantDivisor(D.coeffs), positive
+    return new_map, InvariantDivisor(D.coeffs), positive
 
 
 def _circuit_cells(rayset, side) -> set:
@@ -320,9 +313,7 @@ def run_mmp(m: FanMap, D: InvariantDivisor) -> MMPTrace:
             new_map = res.base_map
             new_D = pushforward(res.contraction, cur_D)
         else:
-            # the map to the small target is built for check_morphism to
-            # keep its flags, which a replay of the flip reads
-            new_map, _, new_D, pos = _flip_contracted(cur_map, cur_D, res)
+            new_map, new_D, pos = _flip_contracted(cur_map, cur_D, res)
         new_classes, rho_after, ample = mori_classes(
             new_map, _carried(res, ample, new_map, new_D))
         if rho_after != rho - (res.kind == "divisorial"):

@@ -18,12 +18,10 @@ whose verdicts are also compared with the whole-fan `validate_fan` on
 every call).  `contract` solves its LPs afresh, on a copy of the map's
 flags that holds no verdicts, where `mmp.contract` reads the verdicts an
 earlier contraction of the same class on an equal map left on the flags.
-`small_target_flags` is the whole-map `check_morphism` of a map from one
-side of a flip to its small target, where `fan.circuit_map` reads the
-flags off the circuits.  `pair` sums `Fraction` products, where
-`CurveClass.pair` sums integers over one denominator.
-(`fan_oracle.common_refinement`, which also intersects every pair of
-cones, costs too much to run on every refinement of the corpus.)
+`pair` sums `Fraction` products, where `CurveClass.pair` sums integers
+over one denominator.  (`fan_oracle.common_refinement`, which also
+intersects every pair of cones, costs too much to run on every refinement
+of the corpus.)
 
 `cross_checked` runs each new path and its oracle side by side, on every
 call the MMP and the flip replay make while it is open, and collects the
@@ -150,12 +148,6 @@ def contract(m: FanMap, wall_set):
         return _contract(m, wall_set)
 
 
-def small_target_flags(m: FanMap):
-    """The whole-map `check_morphism` of an equal map that carries no
-    flags, bypassing the cache."""
-    return fn.check_morphism.__wrapped__(FanMap(m.matrix, m.source, m.target))
-
-
 def decided(m: FanMap, wall_set) -> bool:
     """Do the flags of m already hold the extremality verdict on the class
     of `wall_set`: is this a second contraction of it?"""
@@ -186,12 +178,10 @@ def cross_checked():
     """While open, each call of `fan._landing`, `fan._covers_preimages`,
     `mmp.pullback`, `mmp.common_refinement` and `CurveClass.pair` also runs
     its oracle, as do `fan.validate_fan` given a base (its oracle is the
-    whole-fan check), `mmp.circuit_map` (the flags it hands the map to the
-    small target against `small_target_flags`) and `mmp.contract` on a
-    class the map's flags already decided (`decided`; its oracle is
-    `contract`, and a refusal must be the same refusal).  Yields (calls,
-    mismatches): a Counter of calls by name and a list of (name,
-    arguments) where the two disagree."""
+    whole-fan check) and `mmp.contract` on a class the map's flags already
+    decided (`decided`; its oracle is `contract`, and a refusal must be
+    the same refusal).  Yields (calls, mismatches): a Counter of calls by
+    name and a list of (name, arguments) where the two disagree."""
     calls, mismatches = Counter(), []
 
     def checked(name, new, oracle, same=lambda args, a, b: a == b):
@@ -237,9 +227,5 @@ def cross_checked():
             "refinement", mmp.common_refinement, common_refinement))
         mp.setattr(CurveClass, "pair", checked("pair", CurveClass.pair, pair))
         mp.setattr(fn, "validate_fan", validate)
-        mp.setattr(mmp, "circuit_map", checked(
-            "small target", mmp.circuit_map,
-            lambda X, Z, *_: small_target_flags(fn.identity_map(X, Z)),
-            lambda args, a, b: a.step_flags == b))
         mp.setattr(mmp, "contract", second_contract)
         yield calls, mismatches
