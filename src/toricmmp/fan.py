@@ -8,17 +8,20 @@ description.  All values are immutable and all operations pure.  Apart from
 
 Facets are paired in one loop (`_facet_owners`) and tested against the
 boundary of the cone of all rays by one routine (`_on_boundary`).  The
-pairing gives the fan's facet map (`_facet_map`), built by `walls`, which
-is cached per fan and read by `check_morphism` and `swap_cells`
-(`_paired_facets`), and by the triangulation criterion, and the covering
-test (`cone_covered`), which decides properness and support equality.
-`Fan.support_convex` decides on the pairing and the boundary test alone.
-A full-dimensional simplicial fan is valid by the triangulation criterion
-(De Loera-Rambau-Santos, *Triangulations*, 2010, ch. 4; `_triangulates`),
-with no pairwise double description; a fan that differs from a valid one
-in a few cells, by the cells it changes (`validate_fan` with a base), as
-an MMP step's fan is (`swap_cells`, which also hands the step's map its
-morphism flags) and a common refinement.  Two valid fans share most rays
+pairing gives the fan's facet map (`_facet_map`), built once per fan by
+`walls`, which is cached; the triangulation criterion, `check_morphism`
+and `swap_cells` (`_paired_facets`) read it there.  It also gives the
+covering test (`cone_covered`), which decides properness and support
+equality, and `Fan.support_convex` decides on the pairing and the
+boundary test alone.  A full-dimensional simplicial fan is valid by the
+triangulation criterion (De Loera-Rambau-Santos, *Triangulations*, 2010,
+ch. 4), with no pairwise double description: a shared facet has its two
+cones on opposite sides, an unshared one lies on the boundary, and one
+point is covered once.  One routine runs it and states its proof,
+`_triangulates`: on a whole fan, or on the cells in which a fan differs
+from a valid one, which its callers hand over, `validate_fan` with a base
+(for a common refinement) and `swap_cells` (for an MMP step's fan, whose
+map it also hands its morphism flags).  Two valid fans share most rays
 and cones, and what they share is read by index: `common_refinement`
 intersects only the cones they do not share, `is_proper` skips a target
 cone that is a source cell under the identity and cuts no source cone
@@ -34,6 +37,8 @@ that integer lifting heights induce; `_regular_triangulation` (for
 from __future__ import annotations
 
 import itertools
+import sys
+from collections import Counter
 from functools import cached_property, lru_cache
 from math import gcd
 from operator import attrgetter
@@ -163,10 +168,14 @@ def cone_lattice_multiplicity(gens: tuple) -> int:
 
 def parallelepiped_points(gens: tuple) -> list:
     """Nonzero lattice points sum t_i g_i with 0 <= t_i < 1 for a simplicial
-    cone, each returned as (point, coefficients t)."""
+    cone, each returned as (point, coefficients t).  The scan runs over the
+    box the generators span; a side longer than `sys.maxsize` cannot be
+    scanned and is a PreconditionError."""
     dim = len(gens[0])
     lo = [sum(min(0, g[j]) for g in gens) for j in range(dim)]
     hi = [sum(max(0, g[j]) for g in gens) for j in range(dim)]
+    if any(h - l >= sys.maxsize for l, h in zip(lo, hi)):
+        raise PreconditionError("the parallelepiped's box is too large to scan")
     A = [[g[j] for g in gens] for j in range(dim)]
     out = []
     for point in itertools.product(*[range(l, h + 1) for l, h in zip(lo, hi)]):
@@ -219,6 +228,11 @@ def cone_covered(ineqs, d: int, cells: Sequence[tuple]) -> bool:
         if len(owners) != 2)
 
 
+def _cell_facets(c: tuple) -> list:
+    """The facets of a simplicial cell c: c minus one item, in order."""
+    return [c[:k] + c[k + 1:] for k in range(len(c))]
+
+
 def _facet_owners(cells: Sequence[tuple], gens) -> dict:
     """The facet pairing: each facet of a cell, as the sub-tuple of the
     cell's items lying on it, to the indices of the cells having it, in
@@ -230,7 +244,7 @@ def _facet_owners(cells: Sequence[tuple], gens) -> dict:
     owners = {}
     for k, (c, g) in enumerate(zip(cells, gens)):
         if len(g) == cone_dim(g):
-            facets = [c[:i] + c[i + 1:] for i in range(len(c))]
+            facets = _cell_facets(c)
         else:
             facets = [tuple(x for x, v in zip(c, g) if xl.dot(n, v) == 0)
                       for n in cone_facets(g)]
@@ -376,23 +390,35 @@ def validate_fan(F: Fan, base: Optional[Fan] = None) -> list:
     (`_cone_violations`), which alone writes the violations about cones.
 
     `base`, when given, is a valid fan of F's rank, and only what F does
-    not share with it is read: the criterion runs on the facets of the
-    cells in which the two differ, and the pairwise check on the cones of
-    F that are no cones of base (compared by their generators) and on the
-    pairs holding one.  The verdict list is the same: the cones of base are
-    strongly convex, list extreme generators, and meet pairwise in common
-    faces, none inside another.
+    not share with it is read: the criterion is handed the cells in which
+    the two differ, when base has full-dimensional simplicial cells on
+    rays of F, and the pairwise check reads the cones of F that are no
+    cones of base (compared by their generators) and the pairs holding
+    one.  The verdict list is the same: the cones of base are strongly
+    convex, list extreme generators, and meet pairwise in common faces,
+    none inside another.
     """
     violations = _ray_violations(F)
-    if violations or _triangulates(F, base):
+    if violations:
         return violations
     n = len(F.max_cones)
     if base is None:
+        if _triangulates(F):
+            return []
         return _cone_violations(F, range(n),
                                 itertools.combinations(range(n), 2))
-    old = {frozenset(base.cone_gens(c)) for c in base.max_cones}
-    new = {k for k, c in enumerate(F.max_cones)
-           if frozenset(F.cone_gens(c)) not in old}
+    index = {r: i for i, r in enumerate(F.rays)}
+    # base's cells in F's ray indices; -1 stands for a ray F lacks
+    old = {tuple(sorted(index.get(base.rays[i], -1) for i in c))
+           for c in base.max_cones}
+    kept = old.intersection(F.max_cones)
+    new = {k for k, c in enumerate(F.max_cones) if c not in kept}
+    if (base.rank == F.rank and _full_dim_simplicial(base)
+            and all(r in index for r in base.rays)):
+        gone = Counter(f for c in old - kept for f in _cell_facets(c))
+        partnered = {f for c in kept for f in _cell_facets(c) if f in gone}
+        if _triangulates(F, [F.max_cones[k] for k in new], gone, partnered):
+            return []
     return _cone_violations(F, new, [
         (a, b) for a, b in itertools.combinations(range(n), 2)
         if a in new or b in new])
@@ -417,95 +443,93 @@ def _ray_violations(F: Fan) -> list:
     return violations
 
 
-def _triangulates(F: Fan, base: Optional[Fan] = None) -> bool:
+def _triangulates(F: Fan, new=None, gone=None, partnered=frozenset()) -> bool:
     """Does the triangulation criterion prove F, whose rays passed the ray
     checks, a valid fan?  False means undecided, not invalid.
 
-    It applies when every maximal cone is full-dimensional and simplicial
-    (`_full_dim_simplicial`: rank rays spanning the space).  Such cones
-    form a fan with support C = cone(all rays) exactly when
-    (De Loera-Rambau-Santos, *Triangulations*, 2010, ch. 4):
+    It applies when every maximal cone is full-dimensional and simplicial:
+    rank rays with a nonzero determinant.  Such cones form a fan with
+    support C = cone(all rays) exactly when (De Loera-Rambau-Santos,
+    *Triangulations*, 2010, ch. 4):
     - every facet (a cone minus one ray) lies in at most two cones;
     - across a shared facet the two opposite rays lie on opposite sides,
       that is, their determinants with the facet have opposite signs;
     - a facet with one owner lies in a facet of C (`_on_boundary`);
-    - one interior point p of one cone lies in no other cone.
+    - one interior point p of one cone lies in no other cone, which is
+      Cramer's rule: p lies in a cone exactly when no determinant of the
+      cone's generators with one of them replaced by p has the sign
+      opposite to the cone's.
     Why: the number of cones covering a point of C off the codimension-2
     faces does not change across a paired facet and no unpaired facet
     meets the interior of C, so it is the same everywhere, and it is one
     at the chosen point.  The cones then cover C with disjoint interiors,
     meeting facet to facet.  A fan whose support is not convex fails the
-    third test and is left to the pairwise check.  The last test is
-    Cramer's rule on the same determinants: p lies in a cone exactly when,
-    for each of its facets, p and the opposite ray are not on opposite
-    sides, and the determinant of a shared facet with its opposite ray is
-    the one the second test computed.
+    third test and is left to the pairwise check.
 
-    With `base`, a valid fan of full-dimensional simplicial cones whose
-    rays are rays of F, only the facets of the cells in which F and base
-    differ are read: those of the new cells (cones of F that are no cones
-    of base) and of the removed ones (cones of base that are no cones of
-    F).  Every other facet has the
-    same owners in both fans, on the same sides.  A changed facet with one
-    owner in base must then lie in a facet of C as well, and p is taken in
-    a kept cell when there is one, tested against the new cells only.
-    Why: where both fans are read, the difference of their covering
-    numbers changes only across a facet with one owner in one fan, and
-    those of the changed facets lie outside the interior of C; it is zero
-    at p, covered once in base and so in F.  So F covers what base covers
-    in C, once, meeting facet to facet as base does.
+    A caller that knows a valid fan of full-dimensional simplicial cells,
+    the base, from which F differs in a few cells hands over what changed:
+    `new`, the cells of F that are no cells of the base (None: every cell,
+    and the whole fan is read); `gone`, {facet: how many removed cells own
+    it} over the facets of the base's cells that are no cells of F, in F's
+    ray indices; `partnered`, those facets that a kept cell owns.  Only
+    these facets are read; every other one has the same owners in both
+    fans, on the same sides.  Owners in F are read off `walls(F)`; a
+    changed facet not there has one when it is a new cell's or partnered.
+    A changed facet with one owner in either fan must lie in a facet of
+    C, and p is taken in a kept cell when there is one, tested against the
+    new cells only.  Why: where both fans are read, the difference of
+    their covering numbers changes only across a facet with one owner in
+    one fan, and those of the changed facets lie outside the interior of
+    C; it is zero at p, covered once in the base and so in F.  So F covers
+    what the base covers in C, once, meeting facet to facet as the base
+    does.  `gone` may leave out the facets through a ray of the base that
+    F lacks when that ray lies in a new cell and the base's support is C:
+    such a facet has no owner in F, and one owner in the base only on the
+    boundary of C.
     """
-    if F.rank == 0 or not F.max_cones or not _full_dim_simplicial(F):
-        return False
-    owners = _facet_map(F)
     cells = F.max_cones
-    kept, facets, removed = set(), owners, {}  # removed: facet -> count
-    if base is not None:
-        index = {r: i for i, r in enumerate(F.rays)}
-        if (base.rank != F.rank or not _full_dim_simplicial(base)
-                or any(r not in index for r in base.rays)):
-            return False
-        ours = set(cells)
-        for c in base.max_cones:
-            c = tuple(sorted(index[base.rays[i]] for i in c))
-            if c in ours:
-                kept.add(c)
-                continue
-            for k in range(len(c)):
-                f = c[:k] + c[k + 1:]
-                removed[f] = removed.get(f, 0) + 1
-        changed = {c[:k] + c[k + 1:] for c in cells if c not in kept
-                   for k in range(len(c))}
-        facets = {f: owners.get(f, ()) for f in changed.union(removed)}
-    side = {}  # (facet, opposite ray) -> det(facet gens + opposite ray)
-    for facet, own in facets.items():
+    new = set(cells if new is None else new)
+    if F.rank == 0 or not cells:
+        return False
+    det = {c: len(c) == F.rank and xl.integer_det(F.cone_gens(c))
+           for c in new}
+    if not all(det.values()):
+        return False  # a kept cell is the base's
+    gone = gone or {}
+    facets = {f for c in new for f in _cell_facets(c)}
+    changed = facets.union(gone)
+    owners = {}  # changed facets of two or more cells -> those cells
+    for w in walls(F):
+        if w.rays in changed:
+            owners.setdefault(w.rays, set()).update((w.side_a, w.side_b))
+    for facet in changed:
+        own = owners.get(facet, ())
         if len(own) > 2:
             return False
         fg = F.cone_gens(facet)
-        if len(own) == 2:
-            (i,), (j,) = (set(cells[k]).difference(facet) for k in own)
-            a = side[facet, i] = xl.integer_det(fg + (F.rays[i],))
-            b = side[facet, j] = xl.integer_det(fg + (F.rays[j],))
+        if own:
+            # the ray of a cell off the facet is the one index it adds
+            s = sum(facet)
+            a, b = (xl.integer_det(fg + (F.rays[sum(c) - s],)) for c in own)
             if a * b >= 0:
                 return False
-        unpaired = len(own) == 1 or base is not None and (
-            removed.get(facet, 0) + sum(cells[k] in kept for k in own) == 1)
-        if unpaired and not _on_boundary(F.rays, fg):
+            count, held = 2, sum(c not in new for c in own)
+        else:
+            held = facet in partnered
+            count = (facet in facets) + held
+        # one owner in F, or in the base (its removed and kept owners)
+        if 1 in (count, gone.get(facet, 0) + held) \
+                and not _on_boundary(F.rays, fg):
             return False
-    first = next((c for c in cells if c in kept), cells[0])
+    first = next((c for c in cells if c not in new), cells[0])
     p = tuple(map(sum, zip(*F.cone_gens(first))))
 
     def holds(c):
-        for k, i in enumerate(c):
-            fg = F.cone_gens(c[:k] + c[k + 1:])
-            s = side.get((c[:k] + c[k + 1:], i))
-            if s is None:
-                s = xl.integer_det(fg + (F.rays[i],))
-            if s * xl.integer_det(fg + (p,)) < 0:
-                return False
-        return True
+        g = F.cone_gens(c)
+        return all(xl.integer_det(g[:k] + (p,) + g[k + 1:]) * det[c] >= 0
+                   for k in range(len(g)))
 
-    return not any(holds(c) for c in cells if c != first and c not in kept)
+    return not any(holds(c) for c in new if c != first)
 
 
 def _cone_violations(F: Fan, cones, pairs) -> list:
@@ -812,12 +836,9 @@ def common_refinement(F1: Fan, F2: Fan):
     s2 = t2.
 
     The pieces are triangulated (`_regular_triangulation`) and certified
-    by what they change in F1 (`validate_fan` with F1 as its base): a
+    by the cells they change in F1 (`validate_fan` with F1 as its base); a
     piece with the generators of a cone of F1, a shared cone among them,
-    is that cone, so only the facets of the other pieces and of the cones
-    of F1 they replace go through the triangulation criterion, or, when
-    the cones are not all full-dimensional, only the pairs that hold such
-    a piece go through the pairwise check.
+    is that cone.
     """
     if F1.rank != F2.rank:
         raise PreconditionError("fans live in different lattices")
@@ -1075,8 +1096,7 @@ def _paired_facets(F: Fan) -> list:
     out = []
     for a, group in itertools.groupby(found, attrgetter("side_a")):
         other = {w.rays: w.side_b for w in group}
-        for k in range(len(a)):
-            facet = a[:k] + a[k + 1:]
+        for facet in _cell_facets(a):
             if facet in other and facet not in repeated:
                 out.append((facet, (a, other[facet])))
     return out
@@ -1143,75 +1163,51 @@ def swap_cells(m: FanMap, survivors, removed, added, known=None) -> FanMap:
     circuit cones cone(rayset), and the added cells their J- triangulation
     (a flip), or the one cell rayset - {j} for the ray j the step drops
     (divisorial; then v_j lies in the cell and C stays cone(all rays)).
-    New cells have rank independent rays, and every kept ray lies in a
-    cell of the new fan Z.  Z is proved a fan with support C by the
-    triangulation criterion (`_triangulates`), run on the facets the step
-    changed only, the facets of the removed and the added cells: each has
-    at most two owners in Z (read off `walls(Z)`, and, for a removed
-    cell's facet no wall of Z holds, off its wall in F, whose kept cell
-    still owns it); two owners lie on opposite sides, which is the
-    positivity of the relation on the two off-wall rays (`wall_coefficients`,
-    or the given `known` relation); one owner means a facet in the
-    boundary of C (`_on_boundary`).  Every other facet
-    has the owners, the sides and the boundary it had in F, a valid fan.
-    An interior point of a kept cell lies in no new cell, as the new cells
-    lie in the circuit cones, the union of the removed cells; so it is
-    covered once, and with no kept cell one point of a new cell is checked
-    against the other new cells (`cone_contains`).  InvariantBreach when a
-    check fails.
+    New cells have rank independent rays.  The new fan Z is certified by
+    the triangulation criterion with F as its base (`_triangulates`),
+    handed the new cells (an added cell that F keeps is no new cell), the
+    facets of the removed cells that avoid a dropped ray, and those of
+    them that a kept cell owns (a wall of F with one removed side); every
+    kept ray must lie in a cell of Z, the one ray check F does not pass
+    on.  InvariantBreach when a check fails, here or below.
 
     The flags need no whole-map pass.  A wall between two kept cells keeps
     its relation, re-indexed (the dropped ray's coefficient is 0 there),
     and is contracted as before: same cells, same lattice map, same base.
     A wall through a new cell takes its fresh `wall_coefficients`, or the
-    `known` relation (a flip's new internal walls carry -c), and is
-    contracted when its union lands in a base cone (`_landing`).  Each new
-    cell lies in a circuit cone, which the contraction maps into one base
-    cone, so it lands (checked), and the kept cells land as before: Z maps
-    into the base.  Its support is F's, so Z is proper over the base as F
-    was, and the base's support convexity, decided for m, still holds."""
+    `known` relation (a flip's new internal walls carry -c), which must be
+    positive on the two rays off the wall, and is contracted when its
+    union lands in a base cone (`_landing`).  Each new cell lies in a
+    circuit cone, which the contraction maps into one base cone, so it
+    lands (checked), and the kept cells land as before: Z maps into the
+    base.  Its support is F's, so Z is proper over the base as F was, and
+    the base's support convexity, decided for m, still holds."""
     F = m.source
     index = {old: new for new, old in enumerate(survivors)}
     removed = set(removed)
     try:
         kept = [tuple(index[i] for i in c) for c in F.max_cones
                 if c not in removed]
-        new = {tuple(index[i] for i in c) for c in added}
+        new = {tuple(index[i] for i in c) for c in added}.difference(kept)
     except KeyError:
         raise InvariantBreach("a cell keeps a ray the step drops") from None
     Z = Fan(F.rank, tuple(F.rays[i] for i in survivors),
             tuple(sorted(set(kept) | new)))
+    gone = Counter(tuple(index[i] for i in f) for c in removed
+                   for f in _cell_facets(c) if all(i in index for i in f))
+    partnered = {tuple(index[i] for i in w.rays) for w in walls(F)
+                 if (w.side_a in removed) != (w.side_b in removed)}
+    if (len(set().union(*Z.max_cones)) < len(Z.rays)
+            or not _triangulates(Z, new, gone, partnered)):
+        raise InvariantBreach("the cells of the step form no fan on its "
+                              "rays with the support of its source")
     out = FanMap(m.matrix, Z, m.target)
     landing = _landing(out)
-    new_facets = {c[:k] + c[k + 1:] for c in new for k in range(len(c))}
-    changed = set(new_facets)
-    changed.update(tuple(index[i] for i in c[:k] + c[k + 1:])
-                   for c in removed for k in range(len(c))
-                   if all(i in index for i in c[:k] + c[k + 1:]))
     known = known or {}
     relations = dict(check_morphism(m).contracted)
-    owners = {}  # changed facets of two or more cells -> those cells
-    for w in walls(Z):
-        if w.rays in changed:
-            owners.setdefault(w.rays, set()).update((w.side_a, w.side_b))
-    for facet, cells in owners.items():
-        if len(cells) > 2:
-            raise InvariantBreach(f"facet {facet} of the step has "
-                                  f"{len(cells)} cells")
-    # a removed cell's facet keeps a kept cell where it was a wall with one
-    partner = {w.rays for w in walls(F)
-               if (w.side_a in removed) != (w.side_b in removed)}
-    for facet in changed:
-        if facet in owners:
-            continue
-        if (facet in new_facets
-                or tuple(survivors[i] for i in facet) in partner) \
-                and not _on_boundary(Z.rays, Z.cone_gens(facet)):
-            raise InvariantBreach(f"facet {facet} of the step has one "
-                                  "cell inside the support")
     contracted = []
     for facet, sides in _paired_facets(Z):
-        if facet not in changed:
+        if sides[0] not in new and sides[1] not in new:
             rel = relations.get(tuple(survivors[i] for i in facet))
             if rel is not None:
                 contracted.append((facet, tuple(rel[i] for i in survivors)))
@@ -1222,11 +1218,6 @@ def swap_cells(m: FanMap, survivors, removed, added, known=None) -> FanMap:
                                   "lie on one side of it")
         if landing(sides[0] + sides[1]):
             contracted.append((facet, rel))
-    if not kept:
-        first, *others = sorted(new)
-        p = tuple(map(sum, zip(*Z.cone_gens(first))))
-        if any(cone_contains(Z.cone_gens(c), p) for c in others):
-            raise InvariantBreach("the new cells overlap")
     if not all(map(landing, new)):
         raise InvariantBreach("a new cell maps into no cone of the base")
     object.__setattr__(out, "step_flags", MorphismFlags(

@@ -18,12 +18,11 @@ carries an ample class to it, checked by dot products, so only the first
 map's projectivity is an LP.  Nor is any later map checked whole: the step
 acts only inside its circuit cones (Reid 1983), so `fan.swap_cells` builds
 its map from the cells it replaces and the relations m contracts, which it
-reads off `check_morphism(m)` itself.  Walls between kept cells keep their
-relations, the new internal walls of a flip carry -c, and only the walls
-through a new cell get a fresh relation.  With the boundary test, those
-relations are the triangulation criterion on the facets the step changed,
-so they certify the new fan too, and the map's toric and proper flags
-follow from the step.  Whole-map `check_morphism` and whole-fan
+reads off `check_morphism(m)` itself, and certifies the new fan by the
+triangulation criterion on the cells it changed (`fan._triangulates`).
+Walls between kept cells keep their relations, the new internal walls of
+a flip carry -c, and only the walls through a new cell get a fresh
+relation; the map's toric and proper flags follow from the step.  Whole-map `check_morphism` and whole-fan
 validation run on the first map and on the fano quotient only, and the
 negativity oracle's refinement is certified by the cells its pieces
 change (`fan.common_refinement`).  The LP verdicts on a class are kept on

@@ -14,6 +14,14 @@ membership test by Cramer's rule (`simplicial_contains`) for the one point.
 `triangulates_by_membership` is the criterion as it ran next, until its
 one-point test read the determinants the criterion computes: `cone_contains`
 on every other cone, which builds each cone's facet normals.
+`triangulates_by_facet_map` is the criterion as it ran before its callers
+handed it the cells they changed: it builds F's facet map itself and,
+given a base, re-derives the kept and removed cells from it.
+`swap_cells` is `fan.swap_cells` as it ran before it handed those cells to
+`fan._triangulates`: its own copy of the local criterion, with the owners
+of the changed facets read off `walls` of both fans, the sides off the
+wall relations, and the one-point test by `cone_contains` only when the
+step keeps no cell.
 
 `certify_local` is the pairwise check `mmp.contract` ran on a flipping
 target before the supporting divisor L of the ray certified it: only the
@@ -65,6 +73,7 @@ flipping target, answer each pair once; each still builds its own verdict.
 import contextlib
 import itertools
 from fractions import Fraction
+from typing import Optional
 
 import lattice_oracle
 import lp_oracle
@@ -165,6 +174,133 @@ def triangulates_by_membership(F: Fan) -> bool:
             return False
     p = tuple(sum(col) for col in zip(*F.cone_gens(F.max_cones[0])))
     return not any(cone_contains(F.cone_gens(c), p) for c in F.max_cones[1:])
+
+
+def triangulates_by_facet_map(F: Fan, base: Optional[Fan] = None) -> bool:
+    """`fan._triangulates` with the owners read off F's own facet map and,
+    given `base`, the kept and removed cells re-derived from it."""
+    if F.rank == 0 or not F.max_cones or not fn._full_dim_simplicial(F):
+        return False
+    owners = fn._facet_map(F)
+    cells = F.max_cones
+    kept, facets, removed = set(), owners, {}  # removed: facet -> count
+    if base is not None:
+        index = {r: i for i, r in enumerate(F.rays)}
+        if (base.rank != F.rank or not fn._full_dim_simplicial(base)
+                or any(r not in index for r in base.rays)):
+            return False
+        ours = set(cells)
+        for c in base.max_cones:
+            c = tuple(sorted(index[base.rays[i]] for i in c))
+            if c in ours:
+                kept.add(c)
+                continue
+            for k in range(len(c)):
+                f = c[:k] + c[k + 1:]
+                removed[f] = removed.get(f, 0) + 1
+        changed = {c[:k] + c[k + 1:] for c in cells if c not in kept
+                   for k in range(len(c))}
+        facets = {f: owners.get(f, ()) for f in changed.union(removed)}
+    side = {}  # (facet, opposite ray) -> det(facet gens + opposite ray)
+    for facet, own in facets.items():
+        if len(own) > 2:
+            return False
+        fg = F.cone_gens(facet)
+        if len(own) == 2:
+            (i,), (j,) = (set(cells[k]).difference(facet) for k in own)
+            a = side[facet, i] = xl.integer_det(fg + (F.rays[i],))
+            b = side[facet, j] = xl.integer_det(fg + (F.rays[j],))
+            if a * b >= 0:
+                return False
+        unpaired = len(own) == 1 or base is not None and (
+            removed.get(facet, 0) + sum(cells[k] in kept for k in own) == 1)
+        if unpaired and not fn._on_boundary(F.rays, fg):
+            return False
+    first = next((c for c in cells if c in kept), cells[0])
+    p = tuple(map(sum, zip(*F.cone_gens(first))))
+
+    def holds(c):
+        for k, i in enumerate(c):
+            fg = F.cone_gens(c[:k] + c[k + 1:])
+            s = side.get((c[:k] + c[k + 1:], i))
+            if s is None:
+                s = xl.integer_det(fg + (F.rays[i],))
+            if s * xl.integer_det(fg + (p,)) < 0:
+                return False
+        return True
+
+    return not any(holds(c) for c in cells if c != first and c not in kept)
+
+
+def swap_cells(m: FanMap, survivors, removed, added, known=None) -> FanMap:
+    """`fan.swap_cells` with its own local criterion: owners of the changed
+    facets read off `walls` of both fans, sides off the wall relations
+    (positive on the two rays off each wall), the boundary test on a facet
+    of one new cell or of a removed cell that a kept cell owns, and the
+    one-point test by `cone_contains` only when no cell is kept."""
+    F = m.source
+    index = {old: new for new, old in enumerate(survivors)}
+    removed = set(removed)
+    try:
+        kept = [tuple(index[i] for i in c) for c in F.max_cones
+                if c not in removed]
+        new = {tuple(index[i] for i in c) for c in added}
+    except KeyError:
+        raise InvariantBreach("a cell keeps a ray the step drops") from None
+    Z = Fan(F.rank, tuple(F.rays[i] for i in survivors),
+            tuple(sorted(set(kept) | new)))
+    out = FanMap(m.matrix, Z, m.target)
+    landing = fn._landing(out)
+    new_facets = {c[:k] + c[k + 1:] for c in new for k in range(len(c))}
+    changed = set(new_facets)
+    changed.update(tuple(index[i] for i in c[:k] + c[k + 1:])
+                   for c in removed for k in range(len(c))
+                   if all(i in index for i in c[:k] + c[k + 1:]))
+    known = known or {}
+    relations = dict(fn.check_morphism(m).contracted)
+    owners = {}  # changed facets of two or more cells -> those cells
+    for w in walls(Z):
+        if w.rays in changed:
+            owners.setdefault(w.rays, set()).update((w.side_a, w.side_b))
+    for facet, cells in owners.items():
+        if len(cells) > 2:
+            raise InvariantBreach(f"facet {facet} of the step has "
+                                  f"{len(cells)} cells")
+    # a removed cell's facet keeps a kept cell where it was a wall with one
+    partner = {w.rays for w in walls(F)
+               if (w.side_a in removed) != (w.side_b in removed)}
+    for facet in changed:
+        if facet in owners:
+            continue
+        if (facet in new_facets
+                or tuple(survivors[i] for i in facet) in partner) \
+                and not fn._on_boundary(Z.rays, Z.cone_gens(facet)):
+            raise InvariantBreach(f"facet {facet} of the step has one "
+                                  "cell inside the support")
+    contracted = []
+    for facet, sides in fn._paired_facets(Z):
+        if facet not in changed:
+            rel = relations.get(tuple(survivors[i] for i in facet))
+            if rel is not None:
+                contracted.append((facet, tuple(rel[i] for i in survivors)))
+            continue
+        rel = known.get(facet) or fn.wall_coefficients(Z, facet, *sides)
+        if any(rel[i] <= 0 for i in set(sides[0]) ^ set(sides[1])):
+            raise InvariantBreach(f"the cells at facet {facet} of the step "
+                                  "lie on one side of it")
+        if landing(sides[0] + sides[1]):
+            contracted.append((facet, rel))
+    if not kept:
+        first, *others = sorted(new)
+        p = tuple(map(sum, zip(*Z.cone_gens(first))))
+        if any(cone_contains(Z.cone_gens(c), p) for c in others):
+            raise InvariantBreach("the new cells overlap")
+    if not all(map(landing, new)):
+        raise InvariantBreach("a new cell maps into no cone of the base")
+    object.__setattr__(out, "step_flags", fn.MorphismFlags(
+        toric=True, proper=True, contracted=tuple(contracted),
+        nrays=len(Z.rays)))
+    return out
 
 
 def cone_intersection(gens_a: tuple, gens_b: tuple) -> tuple:

@@ -34,13 +34,14 @@ from fractions import Fraction
 
 import pytest
 
+import fan_oracle
 from toricmmp import curves as cv
 from toricmmp import exactlin as xl
 from toricmmp import fan as fn
 from toricmmp import mmp
 from toricmmp.curves import CurveClass
 from toricmmp.divisor import InvariantDivisor, check_divisor, support_function
-from toricmmp.errors import PreconditionError
+from toricmmp.errors import InvariantBreach, PreconditionError
 from toricmmp.fan import (Fan, FanMap, certify_fan, cone_contains,
                           cone_covered_by_gens, cone_intersection,
                           identity_map, index_rays, qfactorialize)
@@ -164,13 +165,22 @@ def same_landing(m: FanMap, new, old) -> bool:
     return all(new((i,)) == old((i,)) for i in range(len(m.source.rays)))
 
 
-def _outcome(f, *args):
-    """(value, None) of f(*args), or (None, the PreconditionError it
+def _outcome(f, *args, errors=PreconditionError):
+    """(value, None) of f(*args), or (None, the error of type `errors` it
     raised)."""
     try:
         return f(*args), None
-    except PreconditionError as e:
+    except errors as e:
         return None, e
+
+
+def same_swap(new, old) -> bool:
+    """Do two outcomes (map, error) of `fan.swap_cells` agree: equal maps
+    with equal step flags, or both an InvariantBreach?"""
+    (out, err), (want, want_err) = new, old
+    if err is not None or want_err is not None:
+        return type(err) is type(want_err)
+    return out == want and out.step_flags == want.step_flags
 
 
 @contextlib.contextmanager
@@ -178,10 +188,14 @@ def cross_checked():
     """While open, each call of `fan._landing`, `fan._covers_preimages`,
     `mmp.pullback`, `mmp.common_refinement` and `CurveClass.pair` also runs
     its oracle, as do `fan.validate_fan` given a base (its oracle is the
-    whole-fan check) and `mmp.contract` on a class the map's flags already
-    decided (`decided`; its oracle is `contract`, and a refusal must be
-    the same refusal).  Yields (calls, mismatches): a Counter of calls by
-    name and a list of (name, arguments) where the two disagree."""
+    whole-fan check, and the verdict of the criterion it hands the changed
+    cells, `fan_oracle.triangulates_by_facet_map`), `mmp.swap_cells` (its
+    oracle is `fan_oracle.swap_cells`, and a refusal must be an
+    InvariantBreach on both sides) and `mmp.contract` on a class the map's
+    flags already decided (`decided`; its oracle is `contract`, and a
+    refusal must be the same refusal).  Yields (calls, mismatches): a
+    Counter of calls by name and a list of (name, arguments) where the two
+    disagree."""
     calls, mismatches = Counter(), []
 
     def checked(name, new, oracle, same=lambda args, a, b: a == b):
@@ -193,14 +207,38 @@ def cross_checked():
             return out
         return run
 
-    whole = fn.validate_fan
+    whole, criterion = fn.validate_fan, fn._triangulates
+    verdicts = []  # the verdict of each run of the criterion
+
+    def triangulates(*args):
+        verdicts.append(criterion(*args))
+        return verdicts[-1]
 
     def validate(F, base=None):
+        start = len(verdicts)
         out = whole(F, base)
+        # the criterion runs once the ray checks pass, and is handed the
+        # changed cells when base has simplicial cells on rays of F
+        proved = any(verdicts[start:])
         if base is not None:
             calls["certificate"] += 1
             if out != whole(F):
                 mismatches.append(("certificate", (F, base)))
+            if not fn._ray_violations(F):
+                calls["criterion"] += 1
+                if proved != fan_oracle.triangulates_by_facet_map(F, base):
+                    mismatches.append(("criterion", (F, base)))
+        return out
+
+    def swap(*args):
+        calls["swap"] += 1
+        new = _outcome(fn.swap_cells, *args, errors=InvariantBreach)
+        if not same_swap(new, _outcome(fan_oracle.swap_cells, *args,
+                                       errors=InvariantBreach)):
+            mismatches.append(("swap", args))
+        out, err = new
+        if err is not None:
+            raise err
         return out
 
     def second_contract(m, wall_set):
@@ -227,5 +265,7 @@ def cross_checked():
             "refinement", mmp.common_refinement, common_refinement))
         mp.setattr(CurveClass, "pair", checked("pair", CurveClass.pair, pair))
         mp.setattr(fn, "validate_fan", validate)
+        mp.setattr(fn, "_triangulates", triangulates)
+        mp.setattr(mmp, "swap_cells", swap)
         mp.setattr(mmp, "contract", second_contract)
         yield calls, mismatches

@@ -9,8 +9,10 @@ acceptance corpus and on mutated fans; so is the criterion itself, whose
 boundary and one-point tests are now `fan._on_boundary` and Cramer's
 rule on its own determinants (`fan_oracle.triangulates`, and
 `fan_oracle.triangulates_by_membership` for the one-point test by
-`cone_contains`).  The facet pairs read off `walls` keep the facet map's
-order.  A guard makes sure the MMP
+`cone_contains`), and whose owners are read off `walls` and, given a base,
+its changed cells handed over by `validate_fan`
+(`fan_oracle.triangulates_by_facet_map`).  The facet pairs read off
+`walls` keep the facet map's order.  A guard makes sure the MMP
 never falls back to the pairwise check on the fans the fast paths cover,
 nor builds the whole Mori cone.  Another guard counts the projectivity LPs of
 `run_mmp`: one per run, as every later model is certified by the ample
@@ -26,6 +28,7 @@ import pytest
 import covering_oracle
 import fan_oracle
 import mmp_oracle
+import replay_oracle
 from toricmmp import corpus
 from toricmmp import curves as cv
 from toricmmp import exactlin as xl
@@ -177,8 +180,9 @@ def test_validate_matches_pairwise_oracle(slice_fans):
 
 def test_criterion_matches_its_oracle(slice_fans):
     # the criterion with `_on_boundary` and its determinants against its
-    # own hull and Cramer's rule, and against its one-point test by
-    # `cone_contains`: the fans above, 300 seeded complete fans and affine
+    # own hull and Cramer's rule, against its one-point test by
+    # `cone_contains`, and against its owners off its own facet map: the
+    # fans above, 300 seeded complete fans and affine
     # chains, each of the last two with a mutation
     rng = random.Random(16)
     fans = list(slice_fans) + [PENTAGRAM, FOLD, OVERLAP, THREE_QUARTERS]
@@ -196,7 +200,8 @@ def test_criterion_matches_its_oracle(slice_fans):
             continue
         got = fn._triangulates(F)
         if got != fan_oracle.triangulates(F) \
-                or got != fan_oracle.triangulates_by_membership(F):
+                or got != fan_oracle.triangulates_by_membership(F) \
+                or got != fan_oracle.triangulates_by_facet_map(F):
             mismatches.append(F)
         proved += got
         if _full_dim_simplicial(F) and any(
@@ -387,6 +392,28 @@ def corpus_fans(instances):
 def replay_refinements(instances):
     """The (X, X') pairs the flip replay refines, over the whole corpus."""
     return _refinement_calls(instances, range(100))
+
+
+def test_criterion_given_a_base_matches_its_oracle(replay_refinements):
+    # each flip replay's refinement Z and six mutations of it, given either
+    # fan Z refines as the base: the criterion handed the changed cells by
+    # `validate_fan` decides as the oracle that re-derives them from the
+    # base (`replay_oracle.cross_checked`), and the verdict lists equal the
+    # whole check's
+    rng = random.Random(29)
+    proved = 0
+    with replay_oracle.cross_checked() as (calls, mismatches):
+        for X, Xp in replay_refinements:
+            Z = fn.common_refinement(X, Xp)[0]
+            for M in [Z] + [mutate(rng, Z) for _ in range(6)]:
+                for base in (X, Xp):
+                    proved += not fn._ray_violations(M) and \
+                        fan_oracle.triangulates_by_facet_map(M, base)
+                    fn.validate_fan(M, base)
+    assert mismatches == []
+    # 8 refinements: 112 fans with a base, 110 passing the ray checks, 28
+    # proved; each refinement certifies itself once more
+    assert (calls["certificate"], calls["criterion"], proved) == (120, 118, 28)
 
 
 def test_cone_intersection_matches_both_sided_oracle(corpus_fans,

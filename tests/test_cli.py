@@ -297,6 +297,19 @@ def test_sing_precondition_exit_code(tmp_path, capsys):
     assert code == 2  # non-simplicial source is a precondition failure
 
 
+def test_box_too_large_to_scan_exits_2(tmp_path, capsys):
+    # a cone of multiplicity 10^30: a side of its parallelepiped's box is
+    # longer than sys.maxsize, so the scan cannot run
+    f = _write(tmp_path, "wide.json", {"rank": 2, "rays": [[10 ** 30, 1],
+                                                           [0, 1]],
+                                       "cones": [[0, 1]]})
+    for argv in (["fan", "resolve", "--fan", f], ["hilbert", "--fan", f]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, ""), argv
+        assert captured.err.startswith("precondition violated"), argv
+
+
 def test_newton(tmp_path, capsys):
     exp = _write(tmp_path, "cusp.json", {"exponents": [[2, 0], [0, 3]]})
     code, out = _run(capsys, ["newton", "--exponents", exp,

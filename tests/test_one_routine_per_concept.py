@@ -2,15 +2,18 @@
 `fan` pairs facets in one loop, `_facet_owners`: the fan's facet map
 (`_facet_map`), `cone_covered` and `Fan.support_convex` all read it.  One
 boundary test, `_on_boundary` (every ray on one side of an unpaired
-facet's span), serves `Fan.support_convex`, the triangulation criterion
-(`fan._triangulates`) and `fan.swap_cells`; so `support_convex` hands no normals to `cone_covered`,
-`_triangulates` does not go through `support_convex`, and the criterion
-runs no double description of its own (its one-point test is Cramer's
-rule on its own determinants, not `cone_contains`).  Each fan's facets are
-paired once: only `walls` (cached per fan) and the criterion build the
-facet map, and `check_morphism` and `swap_cells` read `walls`.
-`common_refinement` certifies only the cells it changes, so it names no
-`certify_fan`.  `divisor.support_function` and `divisor.pullback` take
+facet's span), serves `Fan.support_convex` and the triangulation
+criterion (`fan._triangulates`); so `support_convex` hands no normals to
+`cone_covered`, `_triangulates` does not go through `support_convex`, and
+the criterion runs no double description of its own (its one-point test
+is Cramer's rule on its own determinants, not `cone_contains`).  The
+criterion is the one routine that tests changed facets against a base:
+`validate_fan` with a base and `fan.swap_cells` hand it the cells they
+changed, so `swap_cells` names it and neither `_on_boundary` nor
+`cone_contains`.  Each fan's facets are paired once: only `walls` (cached
+per fan) builds the facet map, and the criterion, `check_morphism` and
+`swap_cells` read `walls`.  `common_refinement` certifies only the cells
+it changes, so it names no `certify_fan`.  `divisor.support_function` and `divisor.pullback` take
 each cone's covector and Cartier index from one per-cone Smith form
 (`divisor._covector`, the one caller of `exactlin.smith_solve`), and
 `mmp.contract_face` tests descent by integer ranks, so `solve_linear` has
@@ -36,6 +39,7 @@ no degree bound.
 equations.  So none of the second implementations can come back
 unnoticed.  (The replaced routines are the oracles
 `fan_oracle.triangulates`, `fan_oracle.triangulates_by_membership`,
+`fan_oracle.triangulates_by_facet_map`, `fan_oracle.swap_cells`,
 `fan_oracle.normal_fan`,
 `covering_oracle.hull_support_convex`,
 `covering_oracle.paired_support_convex`,
@@ -59,12 +63,13 @@ def test_no_second_implementation():
     triangulates = refs["fan._triangulates"]
     assert "_on_boundary" in triangulates
     assert "cone_contains" not in triangulates
-    assert users(refs, "_facet_map") == {"fan.walls", "fan._triangulates"}
+    assert users(refs, "_facet_map") == {"fan.walls"}
     assert "certify_fan" not in refs["fan.common_refinement"]
     assert not triangulates & {"support_convex", "extreme_rays_of_halfspaces"}
-    assert users(refs, "_on_boundary") == {"fan.Fan", "fan._triangulates",
-                                           "fan.swap_cells"}
-    assert "cone_span_perp" not in refs["fan.swap_cells"]
+    assert users(refs, "_on_boundary") == {"fan.Fan", "fan._triangulates"}
+    swap = refs["fan.swap_cells"]
+    assert "_triangulates" in swap
+    assert not swap & {"cone_contains", "_on_boundary", "cone_span_perp"}
     assert users(refs, "_facet_owners") == {"fan.cone_covered", "fan.Fan",
                                             "fan._facet_map"}
     assert users(refs, "solve_linear") == {"fan.parallelepiped_points"}

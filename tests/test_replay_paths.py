@@ -3,16 +3,21 @@
 `divisor.pullback`, `fan.common_refinement` and `CurveClass.pair` read
 what the fans share by index or sum on integers, the refinement is
 certified by the cells it changes, and a second `mmp.contract` of a class
-reads the LP verdicts the first left on the map's flags.  The cross-check
-runs on every call that `run_mmp` and the re-derivation of every flip (as
-the acceptance gate and the benchmark replay them) make on the corpus;
-the other tests cover the fallbacks no corpus instance reaches.  One pass
-of the acceptance corpus is also counted: the replay's `contract` solves
-no LP, each fan's facets are paired once outside `validate_fan`, and a
-flip pair's refinement runs no whole-fan `validate_fan`.
+reads the LP verdicts the first left on the map's flags.  The one local
+triangulation criterion, handed the changed cells by `fan.swap_cells` and
+by `fan.validate_fan` with a base, is checked against the two copies it
+replaced (`fan_oracle.swap_cells`, `fan_oracle.triangulates_by_facet_map`).
+The cross-check runs on every call that `run_mmp` and the re-derivation of
+every flip (as the acceptance gate and the benchmark replay them) make on
+the corpus; the other tests cover the fallbacks and the corrupted steps no
+corpus instance reaches.  One pass of the acceptance corpus is also
+counted: the replay's `contract` solves no LP, each fan's facets are
+paired once outside `validate_fan`, and a flip pair's refinement runs no
+whole-fan `validate_fan`.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -29,7 +34,7 @@ from toricmmp import fan as fn
 from toricmmp import mmp
 from toricmmp.curves import CurveClass, nefness
 from toricmmp.divisor import InvariantDivisor, NotQCartier
-from toricmmp.errors import PreconditionError
+from toricmmp.errors import InvariantBreach, PreconditionError
 from toricmmp.fan import Fan, FanMap, identity_map, map_to_point
 
 
@@ -50,7 +55,8 @@ def test_replay_paths_match_their_oracles():
     # other runs add more
     assert calls["refinement"] >= 20
     assert calls["pullback"] == 2 * calls["refinement"]
-    assert calls["certificate"] == calls["refinement"]
+    assert calls["certificate"] == calls["criterion"] == calls["refinement"]
+    assert calls["swap"] >= 400
     assert calls["second contract"] >= calls["refinement"]
     assert calls["landing"] >= 400 and calls["covers"] >= 400
     assert calls["pair"] >= 3000
@@ -169,6 +175,79 @@ def test_local_certificate_rejects_what_the_whole_check_rejects():
             tried += 1
             rejected += bool(got)
     assert tried >= 100 and rejected >= 20
+
+
+def _corrupted_steps(m, survivors, removed, added, known, rng):
+    """(kind, arguments) of `fan.swap_cells` for one step with its cells
+    corrupted: a new cell missing (of two or more), one ray of the first new
+    cell swapped for another ray (twice), a removed cell added back or kept,
+    the known relations negated, a kept cell added too (which changes no
+    cell; when one is kept), and a divisorial step keeping the ray it
+    drops."""
+    F = m.source
+    survivors, removed, added = list(survivors), sorted(removed), sorted(added)
+    out = [("missing", added[:k] + added[k + 1:])
+           for k in range(len(added) if len(added) > 1 else 0)]
+    cell = added[0]
+    others = [i for i in survivors if i not in cell]
+    for _ in range(2 if others else 0):
+        k = rng.randrange(len(cell))
+        swapped = tuple(sorted(cell[:k] + cell[k + 1:] + (rng.choice(others),)))
+        out.append(("cell", [swapped] + added[1:]))
+    out.append(("removed", added + [removed[0]]))
+    steps = [(kind, (m, survivors, removed, cells, known))
+             for kind, cells in out]
+    steps.append(("kept", (m, survivors, removed[1:], added, known)))
+    if known:
+        steps.append(("known", (m, survivors, removed, added, {
+            f: tuple(-a for a in rel) for f, rel in known.items()})))
+    kept = [c for c in F.max_cones
+            if c not in removed and all(i in survivors for i in c)]
+    if kept:
+        steps.append(("extra", (m, survivors, removed,
+                                added + [rng.choice(kept)], known)))
+    if len(survivors) < len(F.rays):
+        steps.append(("undropped", (m, range(len(F.rays)), removed, added,
+                                    known)))
+    return steps
+
+
+def test_step_certificate_rejects_what_its_oracle_rejects(monkeypatch):
+    # every step of the acceptance corpus, corrupted (`_corrupted_steps`):
+    # the local criterion handed the changed cells and the step's own copy
+    # it replaced raise on the same ones, and build the same map otherwise;
+    # a divisorial step keeping its dropped ray leaves that ray in no cell,
+    # which the copy missed, and the whole-fan check rejects that fan too
+    calls = []
+    orig = mmp.swap_cells
+    monkeypatch.setattr(mmp, "swap_cells",
+                        lambda *args: calls.append(args) or orig(*args))
+    for m, D in corpus.termination_instances(20240801, 100):
+        mmp.run_mmp(m, D)
+    monkeypatch.undo()
+    rng = random.Random(29)
+    kinds = Counter()
+    for m, survivors, removed, added, *known in calls:
+        known = known[0] if known else None
+        for kind, args in _corrupted_steps(m, survivors, removed, added,
+                                           known, rng):
+            new = replay_oracle._outcome(fn.swap_cells, *args,
+                                         errors=InvariantBreach)
+            old = replay_oracle._outcome(fan_oracle.swap_cells, *args,
+                                         errors=InvariantBreach)
+            kinds[kind, new[1] is not None] += 1
+            if kind != "undropped":
+                assert replay_oracle.same_swap(new, old), (kind, args)
+                continue
+            assert new[1] is not None and old[1] is None, args
+            F = m.source
+            cells = [c for c in F.max_cones if c not in removed] + added
+            assert fan_oracle.validate_fan(Fan(F.rank, F.rays, cells)), args
+    # the 100 steps of the corpus: 8 flips and 92 divisorial steps
+    assert kinds == {("missing", True): 18, ("cell", True): 180,
+                     ("removed", True): 100, ("kept", True): 100,
+                     ("known", True): 8, ("extra", False): 90,
+                     ("undropped", True): 92}
 
 
 def test_pullback_to_a_non_simplicial_target(quadric_tri_a, quadric_cone_fan):
