@@ -472,8 +472,8 @@ def _triangulates(F: Fan, new=None, gone=None, partnered=frozenset()) -> bool:
     and the whole fan is read); `gone`, {facet: how many removed cells own
     it} over the facets of the base's cells that are no cells of F, in F's
     ray indices; `partnered`, those facets that a kept cell owns.  Only
-    these facets are read; every other one has the same owners in both
-    fans, on the same sides.  Owners in F are read off `walls(F)`; a
+    the facets of the new and the removed cells are read; every other one
+    has the same owners in both fans, on the same sides.  Owners in F are read off `walls(F)`; a
     changed facet not there has one when it is a new cell's or partnered.
     A changed facet with one owner in either fan must lie in a facet of
     C, and p is taken in a kept cell when there is one, tested against the
