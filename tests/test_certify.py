@@ -182,8 +182,8 @@ def test_criterion_matches_its_oracle(slice_fans):
     # the criterion with `_on_boundary` and its determinants against its
     # own hull and Cramer's rule, against its one-point test by
     # `cone_contains`, and against its owners off its own facet map: the
-    # fans above, 300 seeded complete fans and affine
-    # chains, each of the last two with a mutation
+    # fans above, 300 seeded complete fans and affine chains, each of the
+    # last two with a mutation
     rng = random.Random(16)
     fans = list(slice_fans) + [PENTAGRAM, FOLD, OVERLAP, THREE_QUARTERS]
     for s in range(300):

@@ -13,8 +13,9 @@ changed, so `swap_cells` names it and neither `_on_boundary` nor
 `cone_contains`.  Each fan's facets are paired once: only `walls` (cached
 per fan) builds the facet map, and the criterion, `check_morphism` and
 `swap_cells` read `walls`.  `common_refinement` certifies only the cells
-it changes, so it names no `certify_fan`.  `divisor.support_function` and `divisor.pullback` take
-each cone's covector and Cartier index from one per-cone Smith form
+it changes, so it names no `certify_fan`.  `divisor.support_function` and
+`divisor.pullback` take each cone's covector and Cartier index from one
+per-cone Smith form
 (`divisor._covector`, the one caller of `exactlin.smith_solve`), and
 `mmp.contract_face` tests descent by integer ranks, so `solve_linear` has
 one caller left, `fan.parallelepiped_points`.  `cone_span_perp` returns
