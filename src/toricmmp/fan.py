@@ -18,20 +18,20 @@ triangulation criterion (De Loera-Rambau-Santos, *Triangulations*, 2010,
 ch. 4), with no pairwise double description: a shared facet has its two
 cones on opposite sides, an unshared one lies on the boundary, and one
 point is covered once.  One routine runs it and states its proof,
-`_triangulates`: on a whole fan, or on the cells in which a fan differs
-from a valid one, which its callers hand over, `validate_fan` with a base
-(for a common refinement) and `swap_cells` (for an MMP step's fan, whose
-map it also hands its morphism flags).  Two valid fans share most rays
-and cones, and what they share is read by index: `common_refinement`
-intersects only the cones they do not share, `is_proper` skips a target
-cone that is a source cell under the identity and cuts no source cone
-under an onto map, and `check_morphism` places an image on a target ray
-into the cones listing it.  `check_morphism` keeps the relations of the
-walls a map contracts; its projectivity LP (`positive_on`) runs only when
-its answer is read, and its flags keep that answer and the LP verdicts on
-each class.  One routine, `regular_cells`, builds the regular subdivision
-that integer lifting heights induce; `_regular_triangulation` (for
-`qfactorialize` and `common_refinement`) and the corpus generator call it.
+`_triangulates`, on a whole fan or, given the cells it adds and removes, on
+a fan built from a valid one (by `validate_fan` with a base, for a common
+refinement, and by `swap_cells`, for an MMP step's fan).  Two valid fans
+share most rays and cones, and what they share is read by index:
+`common_refinement` intersects only the cones they do not share,
+`is_proper` skips a target cone that is a source cell under the identity
+and cuts no source cone under an onto map, and `check_morphism` places an
+image on a target ray into the cones listing it.  `check_morphism` keeps
+the relations of the walls a map contracts; its projectivity LP
+(`positive_on`) runs only when its answer is read, and its flags keep that
+answer and the LP verdicts on each class.  One routine, `regular_cells`,
+builds the regular subdivision that integer lifting heights induce;
+`_regular_triangulation` (for `qfactorialize` and `common_refinement`) and
+the corpus generator call it.
 """
 
 from __future__ import annotations
@@ -389,39 +389,26 @@ def validate_fan(F: Fan, base: Optional[Fan] = None) -> list:
     the criterion does not prove, goes through the pairwise check
     (`_cone_violations`), which alone writes the violations about cones.
 
-    `base`, when given, is a valid fan of F's rank, and only what F does
-    not share with it is read: the criterion is handed the cells in which
-    the two differ, when base has full-dimensional simplicial cells on
-    rays of F, and the pairwise check reads the cones of F that are no
-    cones of base (compared by their generators) and the pairs holding
-    one.  The verdict list is the same: the cones of base are strongly
-    convex, list extreme generators, and meet pairwise in common faces,
-    none inside another.
+    `base`, when given, is a valid fan of F's rank.  When its cells are
+    full-dimensional, simplicial and on rays of F, the criterion is handed
+    only the cells in which the two fans differ.
     """
     violations = _ray_violations(F)
     if violations:
         return violations
-    n = len(F.max_cones)
     if base is None:
         if _triangulates(F):
             return []
-        return _cone_violations(F, range(n),
-                                itertools.combinations(range(n), 2))
-    index = {r: i for i, r in enumerate(F.rays)}
-    # base's cells in F's ray indices; -1 stands for a ray F lacks
-    old = {tuple(sorted(index.get(base.rays[i], -1) for i in c))
-           for c in base.max_cones}
-    kept = old.intersection(F.max_cones)
-    new = {k for k, c in enumerate(F.max_cones) if c not in kept}
-    if (base.rank == F.rank and _full_dim_simplicial(base)
-            and all(r in index for r in base.rays)):
-        gone = Counter(f for c in old - kept for f in _cell_facets(c))
-        partnered = {f for c in kept for f in _cell_facets(c) if f in gone}
-        if _triangulates(F, [F.max_cones[k] for k in new], gone, partnered):
+    elif (base.rank == F.rank and _full_dim_simplicial(base)
+            and set(base.rays) <= set(F.rays)):
+        index = {r: i for i, r in enumerate(F.rays)}
+        old = {tuple(sorted(index[base.rays[i]] for i in c))
+               for c in base.max_cones}
+        if _triangulates(F, [c for c in F.max_cones if c not in old],
+                         old.difference(F.max_cones)):
             return []
-    return _cone_violations(F, new, [
-        (a, b) for a, b in itertools.combinations(range(n), 2)
-        if a in new or b in new])
+    n = len(F.max_cones)
+    return _cone_violations(F, range(n), itertools.combinations(range(n), 2))
 
 
 def _ray_violations(F: Fan) -> list:
@@ -443,7 +430,7 @@ def _ray_violations(F: Fan) -> list:
     return violations
 
 
-def _triangulates(F: Fan, new=None, gone=None, partnered=frozenset()) -> bool:
+def _triangulates(F: Fan, new=None, removed=()) -> bool:
     """Does the triangulation criterion prove F, whose rays passed the ray
     checks, a valid fan?  False means undecided, not invalid.
 
@@ -467,23 +454,23 @@ def _triangulates(F: Fan, new=None, gone=None, partnered=frozenset()) -> bool:
     third test and is left to the pairwise check.
 
     A caller that knows a valid fan of full-dimensional simplicial cells,
-    the base, from which F differs in a few cells hands over what changed:
-    `new`, the cells of F that are no cells of the base (None: every cell,
-    and the whole fan is read); `gone`, {facet: how many removed cells own
-    it} over the facets of the base's cells that are no cells of F, in F's
-    ray indices; `partnered`, those facets that a kept cell owns.  Only
-    the facets of the new and the removed cells are read; every other one
-    has the same owners in both fans, on the same sides.  Owners in F are read off `walls(F)`; a
-    changed facet not there has one when it is a new cell's or partnered.
-    A changed facet with one owner in either fan must lie in a facet of
-    C, and p is taken in a kept cell when there is one, tested against the
-    new cells only.  Why: where both fans are read, the difference of
-    their covering numbers changes only across a facet with one owner in
-    one fan, and those of the changed facets lie outside the interior of
-    C; it is zero at p, covered once in the base and so in F.  So F covers
-    what the base covers in C, once, meeting facet to facet as the base
-    does.  `gone` may leave out the facets through a ray of the base that
-    F lacks when that ray lies in a new cell and the base's support is C:
+    the base, from which F differs in a few cells hands over two lists:
+    `new`, the cells of F that the base lacks (None: every cell, and the
+    whole fan is read), and `removed`, the cells of the base that F lacks,
+    in F's ray indices, with -1 for a ray that F lacks.  The other cells
+    are kept.  Only the facets of the new and the removed cells are read;
+    every other one has the same owners in both fans, on the same sides.
+    Owners in F are read off `walls(F)`, or are the one new or kept cell
+    having the facet; owners in the base are the removed and kept cells
+    having it.  A changed facet with one owner in either fan must lie in
+    a facet of C, and p is taken in a kept cell when there is one, tested
+    against the new cells only.  Why: where both fans are read, the
+    difference of their covering numbers changes only across a facet with
+    one owner in one fan, and those of the changed facets lie outside the
+    interior of C; it is zero at p, covered once in the base and so in F.
+    So F covers what the base covers in C, once, meeting facet to facet as
+    the base does.  Facets through -1 are not read, so each ray that F
+    lacks must lie in a new cell and the base's support must be C: then
     such a facet has no owner in F, and one owner in the base only on the
     boundary of C.
     """
@@ -495,7 +482,9 @@ def _triangulates(F: Fan, new=None, gone=None, partnered=frozenset()) -> bool:
            for c in new}
     if not all(det.values()):
         return False  # a kept cell is the base's
-    gone = gone or {}
+    gone = Counter(f for c in removed for f in _cell_facets(c) if -1 not in f)
+    partnered = {f for c in cells if c not in new for f in _cell_facets(c)
+                 if f in gone}
     facets = {f for c in new for f in _cell_facets(c)}
     changed = facets.union(gone)
     owners = {}  # changed facets of two or more cells -> those cells
@@ -1148,14 +1137,13 @@ def check_morphism(m: FanMap) -> MorphismFlags:
                          nrays=len(m.source.rays))
 
 
-def swap_cells(m: FanMap, survivors, removed, added, known=None) -> FanMap:
+def swap_cells(m: FanMap, survivors, removed, added) -> FanMap:
     """The map m with the cells `removed` of its source F replaced by the
-    cells `added` and its rays cut down to `survivors`, certified a valid
-    fan by the cells it changed, and carrying its `MorphismFlags`
-    (`step_flags`) derived from m's contracted relations, which
-    `check_morphism(m)` returns from m's own flags or its cache.  `added`
-    is given in F's indexing, `known` ({facet: coefficients}) in the new
-    fan's.
+    cells `added`, given in F's indexing, and its rays cut down to
+    `survivors`, certified a valid fan by the cells it changed, and
+    carrying its `MorphismFlags` (`step_flags`) derived from m's contracted
+    relations, which `check_morphism(m)` returns from m's own flags or its
+    cache.
 
     This is an MMP step (Reid 1983): m is a proper toric map whose source F
     is a valid simplicial fan with full-dimensional cones and convex support
@@ -1165,19 +1153,17 @@ def swap_cells(m: FanMap, survivors, removed, added, known=None) -> FanMap:
     (divisorial; then v_j lies in the cell and C stays cone(all rays)).
     New cells have rank independent rays.  The new fan Z is certified by
     the triangulation criterion with F as its base (`_triangulates`),
-    handed the new cells (an added cell that F keeps is no new cell), the
-    facets of the removed cells that avoid a dropped ray, and those of
-    them that a kept cell owns (a wall of F with one removed side); every
-    kept ray must lie in a cell of Z, the one ray check F does not pass
-    on.  InvariantBreach when a check fails, here or below.
+    handed the new cells (an added cell that F keeps is no new cell) and
+    the removed ones, a dropped ray standing as -1; every kept ray must
+    lie in a cell of Z, the one ray check F does not pass on.
+    InvariantBreach when a check fails, here or below.
 
     The flags need no whole-map pass.  A wall between two kept cells keeps
     its relation, re-indexed (the dropped ray's coefficient is 0 there),
     and is contracted as before: same cells, same lattice map, same base.
-    A wall through a new cell takes its fresh `wall_coefficients`, or the
-    `known` relation (a flip's new internal walls carry -c), which must be
-    positive on the two rays off the wall, and is contracted when its
-    union lands in a base cone (`_landing`).  Each new cell lies in a
+    A wall through a new cell takes its fresh `wall_coefficients`, which
+    must be positive on the two rays off the wall, and is contracted when
+    its union lands in a base cone (`_landing`).  Each new cell lies in a
     circuit cone, which the contraction maps into one base cone, so it
     lands (checked), and the kept cells land as before: Z maps into the
     base.  Its support is F's, so Z is proper over the base as F was, and
@@ -1193,17 +1179,13 @@ def swap_cells(m: FanMap, survivors, removed, added, known=None) -> FanMap:
         raise InvariantBreach("a cell keeps a ray the step drops") from None
     Z = Fan(F.rank, tuple(F.rays[i] for i in survivors),
             tuple(sorted(set(kept) | new)))
-    gone = Counter(tuple(index[i] for i in f) for c in removed
-                   for f in _cell_facets(c) if all(i in index for i in f))
-    partnered = {tuple(index[i] for i in w.rays) for w in walls(F)
-                 if (w.side_a in removed) != (w.side_b in removed)}
     if (len(set().union(*Z.max_cones)) < len(Z.rays)
-            or not _triangulates(Z, new, gone, partnered)):
+            or not _triangulates(Z, new, [tuple(index.get(i, -1) for i in c)
+                                          for c in removed])):
         raise InvariantBreach("the cells of the step form no fan on its "
                               "rays with the support of its source")
     out = FanMap(m.matrix, Z, m.target)
     landing = _landing(out)
-    known = known or {}
     relations = dict(check_morphism(m).contracted)
     contracted = []
     for facet, sides in _paired_facets(Z):
@@ -1212,7 +1194,7 @@ def swap_cells(m: FanMap, survivors, removed, added, known=None) -> FanMap:
             if rel is not None:
                 contracted.append((facet, tuple(rel[i] for i in survivors)))
             continue
-        rel = known.get(facet) or wall_coefficients(Z, facet, *sides)
+        rel = wall_coefficients(Z, facet, *sides)
         if any(rel[i] <= 0 for i in set(sides[0]) ^ set(sides[1])):
             raise InvariantBreach(f"the cells at facet {facet} of the step "
                                   "lie on one side of it")

@@ -15,18 +15,20 @@ domains of the divisor supporting the ray.  Every step is recorded with
 its certificates and termination is witnessed by a no-repeat set of fans.
 Every model a step reaches is again projective over the base: the step
 carries an ample class to it, checked by dot products, so only the first
-map's projectivity is an LP.  Nor is any later map checked whole: the step
-acts only inside its circuit cones (Reid 1983), so `fan.swap_cells` builds
-its map from the cells it replaces and the relations m contracts, which it
-reads off `check_morphism(m)` itself, and certifies the new fan by the
-triangulation criterion on the cells it changed (`fan._triangulates`).
-Walls between kept cells keep their relations, the new internal walls of
-a flip carry -c, and only the walls through a new cell get a fresh
-relation; the map's toric and proper flags follow from the step.  Whole-map `check_morphism` and whole-fan
-validation run on the first map and on the fano quotient only, and the
-negativity oracle's refinement is certified by the cells its pieces
-change (`fan.common_refinement`).  The LP verdicts on a class are kept on
-its map's flags, so a step replayed on an equal map solves no LP.
+map's projectivity is an LP.  Nor is any later map checked whole: the
+step acts only inside its circuit cones (Reid 1983), so one helper for
+both birational kinds (`_swap_circuits`) hands `fan.swap_cells` the cells
+it takes out and puts in.  `swap_cells` builds the map from those cells
+and the relations m contracts, which it reads off `check_morphism(m)`
+itself, and certifies the new fan by the triangulation criterion on the
+cells it changed (`fan._triangulates`).  Walls between kept cells keep
+their relations, and only the walls through a new cell get a fresh one;
+the map's toric and proper flags follow from the step.  Whole-map
+`check_morphism` and whole-fan validation run on the first map and on the
+fano quotient only, and the negativity oracle's refinement is certified
+by the cells its pieces change (`fan.common_refinement`).  The LP
+verdicts on a class are kept on its map's flags, so a step replayed on an
+equal map solves no LP.
 """
 
 from __future__ import annotations
@@ -116,8 +118,7 @@ def contract(m: FanMap, wall_set) -> ContractionResult:
     cells (the two triangulations of a circuit cover the same cone), and
     dropping the one J- ray of a divisorial circuit leaves independent
     rays, a simplicial cone.  The divisorial target and its map to the base
-    come from `fan.swap_cells`, which certifies the fan by the cells the
-    step changed and carries the map's flags.
+    come from `_swap_circuits`, as a flip's do.
     """
     F = m.source
     pairs = contracted_walls(m)
@@ -159,18 +160,14 @@ def contract(m: FanMap, wall_set) -> ContractionResult:
                 or original != _circuit_cells(rayset, j_plus)):
             raise InvariantBreach(
                 f"merged cone {rayset} is not the J+ side of a circuit")
-    merged_members = set(itertools.chain.from_iterable(merged))
 
     if len(j_minus) == 1:
-        (ray,) = j_minus
-        base = swap_cells(m, [i for i in range(len(F.rays)) if i != ray],
-                          merged_members,
-                          [tuple(i for i in r if i != ray)
-                           for r in merged_ray_sets])
+        base = _swap_circuits(m, rel.coeffs, merged_ray_sets)
         Z = base.source
         return ContractionResult("divisorial", Z, identity_map(F, Z), base,
-                                 removed_ray=F.rays[ray], relation=rel)
+                                 removed_ray=F.rays[j_minus[0]], relation=rel)
 
+    merged_members = set(itertools.chain.from_iterable(merged))
     unmerged = [c for c in F.max_cones if c not in merged_members]
     Z = Fan(F.rank, F.rays, tuple(sorted(set(merged_ray_sets + unmerged))))
     return ContractionResult("flipping", Z, identity_map(F, Z),
@@ -195,17 +192,12 @@ def _fibration(m: FanMap, lin_gens):
 # ---------------------------------------------------------------------------
 
 def flip(m: FanMap, wall_set, D: InvariantDivisor):
-    """Elementary transformation across a flipping contraction.
-
-    Reid's circuit construction: the walls share one relation
-    sum a_i v_i = 0, and J+ / J- are the rays with positive / negative
-    coefficient.  Each merged cone has rank + 1 rays and is cut by F into
-    the cells rayset - {j}, j in J+; the flip replaces them with the cells
-    rayset - {j}, j in J-.  D must be negative on the relation, so that it
-    is strictly positive on the new internal walls (ampleness over the
-    small target); otherwise PreconditionError.
-    Returns (flipped fan, map to the small target, transported divisor).
-    """
+    """Elementary transformation across a flipping contraction (Reid's
+    circuit construction): `contract`, then `_flip_contracted`.  D must be
+    negative on the walls' relation, so that it is strictly positive on the
+    new internal walls (ampleness over the small target); otherwise
+    PreconditionError.  Returns (flipped fan, map to the small target,
+    transported divisor)."""
     res = contract(m, wall_set)
     new_map, Dp, _ = _flip_contracted(m, D, res)
     return new_map.source, identity_map(new_map.source, res.target), Dp
@@ -213,29 +205,33 @@ def flip(m: FanMap, wall_set, D: InvariantDivisor):
 
 def _flip_contracted(m: FanMap, D: InvariantDivisor, res):
     """`flip`, given the ContractionResult `res` of the walls: (the flipped
-    fan's map to m's base, from `swap_cells`, the transported divisor, D's
-    value on the new internal walls).  These are read off the circuit: the
-    wall rayset - {j, k} between the cells rayset - {j} and rayset - {k},
-    for j, k in J-, carries the relation with the opposite sign, so D's
-    value there is -D.c, checked positive before the fan is built; the new
-    fan is simplicial, so D is Q-Cartier on it."""
+    fan's map to m's base, from `_swap_circuits`, the transported divisor,
+    D's value on the new internal walls).  These are read off the circuit:
+    the wall rayset - {j, k} between the cells rayset - {j} and
+    rayset - {k}, for j, k in J-, carries the relation with the opposite
+    sign, so D's value there is -D.c, checked positive before the fan is
+    built; the new fan is simplicial, so D is Q-Cartier on it."""
     if res.kind != "flipping":
         raise PreconditionError(f"contraction is {res.kind}, not flipping")
     positive = -res.relation.pair(D)
     if positive <= 0:
         raise PreconditionError("D is not negative on the flipped class")
-    F = m.source
-    j_minus = [i for i, a in enumerate(res.relation.coeffs) if a < 0]
-    flipped = tuple(-a for a in res.relation.coeffs)
-    # `contract` checked that each merged cone is the J+ side of a circuit
-    removed = [c for c in F.max_cones
-               if any(set(c) <= set(r) for r in res.merged_cones)]
-    added = [c for r in res.merged_cones for c in _circuit_cells(r, j_minus)]
-    internal = {tuple(i for i in r if i not in jk): flipped
-                for r in res.merged_cones
-                for jk in itertools.combinations(j_minus, 2)}
-    new_map = swap_cells(m, range(len(F.rays)), removed, added, internal)
+    new_map = _swap_circuits(m, res.relation.coeffs, res.merged_cones)
     return new_map, InvariantDivisor(D.coeffs), positive
+
+
+def _swap_circuits(m: FanMap, rel, raysets) -> FanMap:
+    """The map of a birational step from the class `rel` and its circuit
+    cones `raysets` (Reid 1983), by `swap_cells`: in each circuit the
+    cells rayset - {j}, j in J+, go out and the cells rayset - {j}, j in
+    J-, come in, and a divisorial step (one ray in J-) drops that ray."""
+    j_plus = [i for i, a in enumerate(rel) if a > 0]
+    j_minus = [i for i, a in enumerate(rel) if a < 0]
+    dropped = j_minus if len(j_minus) == 1 else []
+    return swap_cells(
+        m, [i for i in range(len(rel)) if i not in dropped],
+        set().union(*(_circuit_cells(r, j_plus) for r in raysets)),
+        set().union(*(_circuit_cells(r, j_minus) for r in raysets)))
 
 
 def _circuit_cells(rayset, side) -> set:

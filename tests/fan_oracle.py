@@ -232,7 +232,7 @@ def triangulates_by_facet_map(F: Fan, base: Optional[Fan] = None) -> bool:
     return not any(holds(c) for c in cells if c != first and c not in kept)
 
 
-def swap_cells(m: FanMap, survivors, removed, added, known=None) -> FanMap:
+def swap_cells(m: FanMap, survivors, removed, added) -> FanMap:
     """`fan.swap_cells` with its own local criterion: owners of the changed
     facets read off `walls` of both fans, sides off the wall relations
     (positive on the two rays off each wall), the boundary test on a facet
@@ -256,7 +256,6 @@ def swap_cells(m: FanMap, survivors, removed, added, known=None) -> FanMap:
     changed.update(tuple(index[i] for i in c[:k] + c[k + 1:])
                    for c in removed for k in range(len(c))
                    if all(i in index for i in c[:k] + c[k + 1:]))
-    known = known or {}
     relations = dict(fn.check_morphism(m).contracted)
     owners = {}  # changed facets of two or more cells -> those cells
     for w in walls(Z):
@@ -284,7 +283,7 @@ def swap_cells(m: FanMap, survivors, removed, added, known=None) -> FanMap:
             if rel is not None:
                 contracted.append((facet, tuple(rel[i] for i in survivors)))
             continue
-        rel = known.get(facet) or fn.wall_coefficients(Z, facet, *sides)
+        rel = fn.wall_coefficients(Z, facet, *sides)
         if any(rel[i] <= 0 for i in set(sides[0]) ^ set(sides[1])):
             raise InvariantBreach(f"the cells at facet {facet} of the step "
                                   "lie on one side of it")

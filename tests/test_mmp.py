@@ -492,6 +492,35 @@ def test_step_maps_match_the_whole_map_oracles(seed, monkeypatch):
     assert kinds["divisorial"] >= 50 and kinds["flipping"] >= 3
 
 
+def test_new_internal_walls_of_a_flip_carry_the_negated_class(monkeypatch):
+    # Reid 1983: in each circuit of a flip of class c, the new wall
+    # rayset - {j, k}, j and k in J-, has the relation -c; the step map
+    # derives it afresh (`fan.swap_cells`), and it must be -c
+    flips = []
+    orig = mmp._flip_contracted
+
+    def flipped(m, D, res):
+        out = orig(m, D, res)
+        flips.append((res, out[0]))
+        return out
+
+    monkeypatch.setattr(mmp, "_flip_contracted", flipped)
+    for seed in (20240801, 0, 1, 2):
+        for m, D in corpus.termination_instances(seed, 100):
+            run_mmp(m, D)
+    walls = 0
+    for res, new_map in flips:
+        c = res.relation.coeffs
+        j_minus = [i for i, a in enumerate(c) if a < 0]
+        relations = dict(new_map.step_flags.contracted)
+        for rayset in res.merged_cones:
+            for jk in itertools.combinations(j_minus, 2):
+                facet = tuple(i for i in rayset if i not in jk)
+                assert relations[facet] == tuple(-a for a in c), facet
+                walls += 1
+    assert walls == 45
+
+
 def test_run_mmp_checks_the_whole_map_and_fan_only_at_the_ends(monkeypatch):
     # whole-map properness runs on the first map only and whole-fan
     # validation on the fano quotient only: each step's map and fan come
@@ -518,15 +547,12 @@ def test_run_mmp_checks_the_whole_map_and_fan_only_at_the_ends(monkeypatch):
 
 
 def _corrupted(kind):
-    """`fan.swap_cells` with one kind of corrupted input: the known
-    relations of a flip's new internal walls with the wrong sign, a new
-    cell with one ray swapped for another, a new cell missing, or a
-    removed cell kept."""
-    def swap(m, survivors, removed, added, known=None):
+    """`fan.swap_cells` with one kind of corrupted input: a new cell with
+    one ray swapped for another, a new cell missing, or a removed cell
+    kept."""
+    def swap(m, survivors, removed, added):
         added = sorted(added)
-        if kind == "known":
-            known = {f: tuple(-a for a in rel) for f, rel in known.items()}
-        elif kind == "cell":
+        if kind == "cell":
             cell = added[0]
             other = next(i for i in survivors if i not in cell)
             added[0] = tuple(sorted(cell[1:] + (other,)))
@@ -534,23 +560,51 @@ def _corrupted(kind):
             added.pop()
         else:
             added.append(sorted(removed)[0])
-        return fn.swap_cells(m, survivors, removed, added, known)
+        return fn.swap_cells(m, survivors, removed, added)
     return swap
 
 
-@pytest.mark.parametrize("kind", ["known", "fresh", "cell", "missing",
+def _negated_at_new_internal_walls(monkeypatch):
+    """Make `fan.wall_coefficients` return the negated relation at the new
+    internal walls rayset - {j, k}, j and k in J-, of each flip that
+    `mmp._swap_circuits` builds, and the true one everywhere else."""
+    internal = set()
+    orig_wall, orig_swap = fn.wall_coefficients, mmp._swap_circuits
+
+    def wall(F, facet, *sides):
+        rel = orig_wall(F, facet, *sides)
+        return tuple(-a for a in rel) if facet in internal else rel
+
+    def swap(m, rel, raysets):
+        j_minus = [i for i, a in enumerate(rel) if a < 0]
+        internal.update(tuple(i for i in r if i not in jk) for r in raysets
+                        for jk in itertools.combinations(j_minus, 2))
+        try:
+            return orig_swap(m, rel, raysets)
+        finally:
+            internal.clear()
+
+    monkeypatch.setattr(fn, "wall_coefficients", wall)
+    monkeypatch.setattr(mmp, "_swap_circuits", swap)
+
+
+@pytest.mark.parametrize("kind", ["internal", "fresh", "cell", "missing",
                                   "removed"])
 def test_corrupted_step_raises_invariant_breach(kind, monkeypatch):
     # a step whose derived relations or new cells are wrong is a bug that
     # the local certificate catches: [15] starts with a flip, [21] with a
-    # divisorial step
+    # divisorial step, which has no new internal walls; a wrong relation
+    # there is caught by the sign check of the step that derives it
     instances = corpus.termination_instances(20240801, 100)
     if kind == "fresh":
         orig = fn.wall_coefficients
         monkeypatch.setattr(fn, "wall_coefficients", lambda *args: tuple(
             -a for a in orig(*args)))
+    elif kind == "internal":
+        _negated_at_new_internal_walls(monkeypatch)
     else:
         monkeypatch.setattr(mmp, "swap_cells", _corrupted(kind))
-    for k in ((15,) if kind == "known" else (15, 21)):
-        with pytest.raises(InvariantBreach):
+    match = "lie on one side" if kind == "internal" else None
+    for k in ((15,) if kind == "internal" else (15, 21)):
+        with pytest.raises(InvariantBreach, match=match):
             run_mmp(*instances[k])

@@ -8,9 +8,9 @@ criterion (`fan._triangulates`); so `support_convex` hands no normals to
 the criterion runs no double description of its own (its one-point test
 is Cramer's rule on its own determinants, not `cone_contains`).  The
 criterion is the one routine that tests changed facets against a base:
-`validate_fan` with a base and `fan.swap_cells` hand it the cells they
-changed, so `swap_cells` names it and neither `_on_boundary` nor
-`cone_contains`.  Each fan's facets are paired once: only `walls` (cached
+`validate_fan` with a base and `fan.swap_cells` hand it two lists of
+cells, the new and the removed ones (`_triangulates(F, new, removed)`),
+so `swap_cells` names it and neither `_on_boundary` nor `cone_contains`.  Each fan's facets are paired once: only `walls` (cached
 per fan) builds the facet map, and the criterion, `check_morphism` and
 `swap_cells` read `walls`.  `common_refinement` certifies only the cells
 it changes, so it names no `certify_fan`.  `divisor.support_function` and
@@ -28,8 +28,12 @@ no fano contraction in reserve, since the signs say which classes are
 birational.  Each MMP-step fact is decided once: `run_mmp` reads nefness
 off the classes it pairs with D, so neither it nor `_negative_contraction`
 names `nefness`, and extremality is decided inside `mmp.contract` (one
-`is_extreme` LP), so neither names `is_extreme`.  `mmp` hands `swap_cells`
-no relations: it reads m's contracted relations off `check_morphism`.
+`is_extreme` LP), so neither names `is_extreme`.  `swap_cells` takes no
+relations (`swap_cells(m, survivors, removed, added)`): it reads m's
+contracted relations off `check_morphism` and derives the rest.  Both
+birational steps, `mmp.contract` and `mmp._flip_contracted`, build their
+circuits' cells in one helper, `mmp._swap_circuits`, the one caller of
+`swap_cells`.
 `newton.normal_fan` reads each vertex's cone off the facets of
 `newton_polytope` and runs no double description of its own.
 `sections.verify_ckm` certifies every degree at once by Farkas
@@ -47,6 +51,7 @@ unnoticed.  (The replaced routines are the oracles
 `lattice_oracle.support_function` and `lattice_oracle.ckm_by_degrees`.)"""
 
 import ast
+import inspect
 from pathlib import Path
 
 from ast_refs import names, references, users
@@ -71,6 +76,13 @@ def test_no_second_implementation():
     swap = refs["fan.swap_cells"]
     assert "_triangulates" in swap
     assert not swap & {"cone_contains", "_on_boundary", "cone_span_perp"}
+    assert _signature(fan._triangulates) == [("F", inspect.Parameter.empty),
+                                            ("new", None), ("removed", ())]
+    assert [name for name, _ in _signature(fan.swap_cells)] == [
+        "m", "survivors", "removed", "added"]
+    assert users(refs, "swap_cells") == {"mmp._swap_circuits"}
+    for key in ("mmp.contract", "mmp._flip_contracted"):
+        assert "_swap_circuits" in refs[key], key
     assert users(refs, "_facet_owners") == {"fan.cone_covered", "fan.Fan",
                                             "fan._facet_map"}
     assert users(refs, "solve_linear") == {"fan.parallelepiped_points"}
@@ -110,3 +122,9 @@ def test_support_convex_and_the_double_description_take_no_detour():
     assert {"nullspace", "_on_boundary", "_facet_owners"} <= names(method)
     refs = references()
     assert "identity_matrix" not in refs["exactlin.extreme_rays_of_halfspaces"]
+
+
+def _signature(function):
+    """(name, default) of each parameter of `function`."""
+    return [(p.name, p.default)
+            for p in inspect.signature(function).parameters.values()]

@@ -177,13 +177,12 @@ def test_local_certificate_rejects_what_the_whole_check_rejects():
     assert tried >= 100 and rejected >= 20
 
 
-def _corrupted_steps(m, survivors, removed, added, known, rng):
+def _corrupted_steps(m, survivors, removed, added, rng):
     """(kind, arguments) of `fan.swap_cells` for one step with its cells
     corrupted: a new cell missing (of two or more), one ray of the first new
     cell swapped for another ray (twice), a removed cell added back or kept,
-    the known relations negated, a kept cell added too (which changes no
-    cell; when one is kept), and a divisorial step keeping the ray it
-    drops."""
+    a kept cell added too (which changes no cell; when one is kept), and a
+    divisorial step keeping the ray it drops."""
     F = m.source
     survivors, removed, added = list(survivors), sorted(removed), sorted(added)
     out = [("missing", added[:k] + added[k + 1:])
@@ -195,20 +194,15 @@ def _corrupted_steps(m, survivors, removed, added, known, rng):
         swapped = tuple(sorted(cell[:k] + cell[k + 1:] + (rng.choice(others),)))
         out.append(("cell", [swapped] + added[1:]))
     out.append(("removed", added + [removed[0]]))
-    steps = [(kind, (m, survivors, removed, cells, known))
-             for kind, cells in out]
-    steps.append(("kept", (m, survivors, removed[1:], added, known)))
-    if known:
-        steps.append(("known", (m, survivors, removed, added, {
-            f: tuple(-a for a in rel) for f, rel in known.items()})))
+    steps = [(kind, (m, survivors, removed, cells)) for kind, cells in out]
+    steps.append(("kept", (m, survivors, removed[1:], added)))
     kept = [c for c in F.max_cones
             if c not in removed and all(i in survivors for i in c)]
     if kept:
         steps.append(("extra", (m, survivors, removed,
-                                added + [rng.choice(kept)], known)))
+                                added + [rng.choice(kept)])))
     if len(survivors) < len(F.rays):
-        steps.append(("undropped", (m, range(len(F.rays)), removed, added,
-                                    known)))
+        steps.append(("undropped", (m, range(len(F.rays)), removed, added)))
     return steps
 
 
@@ -227,10 +221,8 @@ def test_step_certificate_rejects_what_its_oracle_rejects(monkeypatch):
     monkeypatch.undo()
     rng = random.Random(29)
     kinds = Counter()
-    for m, survivors, removed, added, *known in calls:
-        known = known[0] if known else None
-        for kind, args in _corrupted_steps(m, survivors, removed, added,
-                                           known, rng):
+    for m, survivors, removed, added in calls:
+        for kind, args in _corrupted_steps(m, survivors, removed, added, rng):
             new = replay_oracle._outcome(fn.swap_cells, *args,
                                          errors=InvariantBreach)
             old = replay_oracle._outcome(fan_oracle.swap_cells, *args,
@@ -241,13 +233,13 @@ def test_step_certificate_rejects_what_its_oracle_rejects(monkeypatch):
                 continue
             assert new[1] is not None and old[1] is None, args
             F = m.source
-            cells = [c for c in F.max_cones if c not in removed] + added
+            cells = [c for c in F.max_cones if c not in removed]
+            cells += added
             assert fan_oracle.validate_fan(Fan(F.rank, F.rays, cells)), args
     # the 100 steps of the corpus: 8 flips and 92 divisorial steps
     assert kinds == {("missing", True): 18, ("cell", True): 180,
                      ("removed", True): 100, ("kept", True): 100,
-                     ("known", True): 8, ("extra", False): 90,
-                     ("undropped", True): 92}
+                     ("extra", False): 90, ("undropped", True): 92}
 
 
 def test_pullback_to_a_non_simplicial_target(quadric_tri_a, quadric_cone_fan):
