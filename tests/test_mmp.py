@@ -593,8 +593,9 @@ def _negated_at_new_internal_walls(monkeypatch):
 def test_corrupted_step_raises_invariant_breach(kind, monkeypatch):
     # a step whose derived relations or new cells are wrong is a bug that
     # the local certificate catches: [15] starts with a flip, [21] with a
-    # divisorial step, which has no new internal walls; a wrong relation
-    # there is caught by the sign check of the step that derives it
+    # divisorial step, which has no new internal walls; a wrong relation at
+    # a flip's new internal wall is caught by the sign check of the step
+    # that derives it
     instances = corpus.termination_instances(20240801, 100)
     if kind == "fresh":
         orig = fn.wall_coefficients

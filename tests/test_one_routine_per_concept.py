@@ -10,9 +10,10 @@ is Cramer's rule on its own determinants, not `cone_contains`).  The
 criterion is the one routine that tests changed facets against a base:
 `validate_fan` with a base and `fan.swap_cells` hand it two lists of
 cells, the new and the removed ones (`_triangulates(F, new, removed)`),
-so `swap_cells` names it and neither `_on_boundary` nor `cone_contains`.  Each fan's facets are paired once: only `walls` (cached
-per fan) builds the facet map, and the criterion, `check_morphism` and
-`swap_cells` read `walls`.  `common_refinement` certifies only the cells
+so `swap_cells` names it and neither `_on_boundary` nor `cone_contains`.
+Each fan's facets are paired once: only `walls` (cached per fan) builds
+the facet map, and the criterion, `check_morphism` and `swap_cells` read
+`walls`.  `common_refinement` certifies only the cells
 it changes, so it names no `certify_fan`.  `divisor.support_function` and
 `divisor.pullback` take each cone's covector and Cartier index from one
 per-cone Smith form
