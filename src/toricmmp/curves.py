@@ -115,14 +115,14 @@ def ne_cone(m: FanMap) -> NECone:
 
 def supporting_divisor(m: FanMap, c: CurveClass) -> Optional[InvariantDivisor]:
     """A divisor L with L . c = 0 and L . c' >= 1 for every other class c'
-    of `contracted_walls(m)`, c among them, by one exact LP; None exactly
-    when c spans no extremal ray of the relative Mori cone, as L exposes the
-    ray of c and every face of a polyhedral cone is exposed.  L is nef over
-    the base, and its linearity domains are the unions of cells across the
-    walls of class c: the cones of the contraction's target (Reid 1983).
-    The LP's answer is kept on the map's flags
-    (`fan.MorphismFlags.supporting`), whose contracted classes are those of
-    `contracted_walls(m)`."""
+    of `contracted_walls(m)`, c among them: the ratio-test certificate of
+    `mmp.run_mmp`, else one exact LP; None exactly when c spans no extremal
+    ray of the relative Mori cone, as L exposes the ray of c and every face
+    of a polyhedral cone is exposed.  L is nef over the base, and its
+    linearity domains are the unions of cells across the walls of class c:
+    the cones of the contraction's target (Reid 1983).  The answer is kept
+    on the map's flags (`fan.MorphismFlags.supporting`), whose contracted
+    classes are those of `contracted_walls(m)`."""
     contracted_walls(m)  # the scope of the relative Mori cone
     L = check_morphism(m).supporting(c.coeffs)
     return None if L is None else InvariantDivisor(L)

@@ -28,7 +28,8 @@ and cuts no source cone under an onto map, and `check_morphism` places an
 image on a target ray into the cones listing it.  `check_morphism` keeps
 the relations of the walls a map contracts; its projectivity LP
 (`positive_on`) runs only when its answer is read, and its flags keep that
-answer and the LP verdicts on each class.  One routine, `regular_cells`,
+answer and the verdicts on each class: the ratio-test certificate an MMP
+step hands them (`MorphismFlags.certify_ray`), else one LP.  One routine, `regular_cells`,
 builds the regular subdivision that integer lifting heights induce;
 `_regular_triangulation` (for `qfactorialize` and `common_refinement`) and
 the corpus generator call it.
@@ -39,6 +40,7 @@ from __future__ import annotations
 import itertools
 import sys
 from collections import Counter
+from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
 from operator import attrgetter
@@ -878,10 +880,11 @@ def common_refinement(F1: Fan, F2: Fan):
 class MorphismFlags:
     """What `check_morphism` found.  `projective` and `ample_certificate`
     are solved by the projectivity LP when one of them is first read, and
-    kept on the instance; so are the LP verdicts on each contracted class,
-    `is_extreme` and `supporting`.  `check_morphism` hands an equal map the
-    same instance from its cache, so a class contracted twice on equal
-    maps is decided by one LP each."""
+    kept on the instance; so are the verdicts on each contracted class,
+    `is_extreme` and `supporting`: the ratio-test certificate an MMP step
+    hands them (`certify_ray`), else one LP.  `check_morphism` hands an
+    equal map the same instance from its cache, so a class contracted twice
+    on equal maps is decided once."""
     toric: bool
     proper: bool
     contracted: Optional[tuple] = None  # `_contracted_facets` of a proper map
@@ -898,24 +901,43 @@ class MorphismFlags:
 
     @cached_property
     def _verdicts(self) -> dict:
-        """(verdict name, class) -> the answer, once its LP is solved."""
+        """(verdict name, class) -> the answer, once it is decided."""
         return {}
 
     def _others(self, c: tuple) -> list:
         return sorted({rel for _, rel in self.contracted} - {c})
 
+    def certify_ray(self, c: tuple, L) -> bool:
+        """Take the divisor coefficients L as the certificate that the
+        contracted class c spans an extremal ray, when integer dot products
+        prove it: L . c = 0 and L . c' > 0 for every other contracted class
+        c'.  Then L exposes the ray of c, so `is_extreme(c)` is True, and L
+        scaled to least value 1 on the others is `supporting(c)`; both are
+        kept, in place of any earlier verdict.  Otherwise nothing is kept and
+        the LPs decide.  Returns whether L was taken."""
+        classes = {rel for _, rel in self.contracted}
+        if c not in classes or xl.dot(c, L) != 0:
+            return False
+        values = [xl.dot(o, L) for o in classes - {c}]
+        if any(v <= 0 for v in values):
+            return False
+        least = min(values, default=1)
+        self._verdicts["extreme", c] = True
+        self._verdicts["supporting", c] = tuple(Fraction(x, least) for x in L)
+        return True
+
     def is_extreme(self, c: tuple) -> bool:
         """Does the contracted class c span an extremal ray of the cone of
         the contracted classes: is it no nonnegative combination of the
-        others (one LP, `xl.is_extreme`)?"""
+        others (one LP, `xl.is_extreme`, unless `certify_ray` decided it)?"""
         if ("extreme", c) not in self._verdicts:
             self._verdicts["extreme", c] = xl.is_extreme(c, self._others(c))
         return self._verdicts["extreme", c]
 
     def supporting(self, c: tuple) -> Optional[tuple]:
         """Divisor coefficients L with L . c = 0 and L . c' >= 1 for every
-        other contracted class c', by one LP (`positive_on`); None exactly
-        when there is none."""
+        other contracted class c': the `certify_ray` certificate, else one
+        LP (`positive_on`); None exactly when there is none."""
         if ("supporting", c) not in self._verdicts:
             self._verdicts["supporting", c] = positive_on(
                 self._others(c), self.nrays, [c])

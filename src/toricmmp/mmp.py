@@ -2,16 +2,17 @@
 
 The driver is the trichotomy loop: while D is negative on a class of the
 map (not nef over the base), contract a negative extremal ray; `contract`
-refuses a class that spans none (one LP).  Each step is read off the
-ray's wall relation c = sum a_i v_i = 0 (Reid 1983).  Its signs give the
-kind, and the driver tries the classes with a negative a_i first: none is
-a fano contraction, which ends the run; one negative a_j is divisorial and
-drops v_j and the Picard rank by one; two or more make it flipping.  Both
-birational kinds merge cones that must be circuits, checked once.  A flip
-swaps each circuit's triangulation from the positive to the negative side,
-whose new walls carry -c: the divisor's value there is -D.c > 0, its
-ampleness (the certificate) over the small target, the fan of linearity
-domains of the divisor supporting the ray.  Every step is recorded with
+refuses a class that spans none (the ratio-test certificate, else one
+LP).  Each step is read off the ray's wall relation c = sum a_i v_i = 0
+(Reid 1983).  Its signs give the kind, and the driver tries the classes
+with a negative a_i first: none is a fano contraction, which ends the
+run; one negative a_j is divisorial and drops v_j and the Picard rank by
+one; two or more make it flipping.  Both birational kinds merge cones
+that must be circuits, checked once.  A flip swaps each circuit's
+triangulation from the positive to the negative side, whose new walls
+carry -c: the divisor's value there is -D.c > 0, its ampleness (the
+certificate) over the small target, the fan of linearity domains of the
+divisor supporting the ray.  Every step is recorded with
 its certificates and termination is witnessed by a no-repeat set of fans.
 Every model a step reaches is again projective over the base: the step
 carries an ample class to it, checked by dot products, so only the first
@@ -26,9 +27,13 @@ their relations, and only the walls through a new cell get a fresh one;
 the map's toric and proper flags follow from the step.  Whole-map
 `check_morphism` and whole-fan validation run on the first map and on the
 fano quotient only, and the negativity oracle's refinement is certified
-by the cells its pieces change (`fan.common_refinement`).  The LP
-verdicts on a class are kept on its map's flags, so a step replayed on an
-equal map solves no LP.
+by the cells its pieces change (`fan.common_refinement`).  Each step
+runs the ratio test of the MMP with scaling on the carried ample class A
+(Birkar-Cascini-Hacon-McKernan 2010): when one D-negative class c*
+minimises A.c / (-D.c), L = A + t* D is zero on c* alone, which certifies
+its ray and is its supporting divisor, checked by dot products.  The
+verdicts on a class, this certificate or an LP's, are kept on its map's
+flags, so a step replayed on an equal map solves no LP.
 """
 
 from __future__ import annotations
@@ -102,13 +107,13 @@ def contract(m: FanMap, wall_set) -> ContractionResult:
     The walls must be contracted by m, share one relation sum a_i v_i = 0
     (their `contracted_walls` class), and be every contracted wall of that
     class; maximal cones merge across them.  The class must span an
-    extremal ray (one `is_extreme` LP against the other contracted
-    classes), else NotExtremal.  That verdict and L below are read off the
-    map's flags, `check_morphism(m)`, which keep them
-    (`fan.MorphismFlags`): a second contraction of the class on an equal
-    map solves no LP.  Its signs give the kind (Reid 1983),
-    with no search: no negative a_i is fano, the quotient by the lattice of
-    the rays J+ with a_i > 0; one negative a_j is divisorial, and the
+    extremal ray, else NotExtremal.  That verdict and L below are read off
+    the map's flags, `check_morphism(m)` (`fan.MorphismFlags`): the
+    ratio-test certificate `run_mmp` left there, else one `is_extreme` LP
+    against the other contracted classes, kept, so a second contraction of
+    the class on an equal map solves no LP.  Its signs give the kind (Reid
+    1983), with no search: no negative a_i is fano, the quotient by the
+    lattice of the rays J+ with a_i > 0; one negative a_j is divisorial, and the
     target drops v_j = sum (a_i / -a_j) v_i; two or more is flipping, and
     the merged circuit cones stay whole in the small, non-simplicial
     target, the fan of the linearity domains of the class's
@@ -278,11 +283,16 @@ def run_mmp(m: FanMap, D: InvariantDivisor) -> MMPTrace:
     negative coefficient (divisorial or flipping) is preferred,
     lexicographically smallest class first; a fano class is taken only when
     no such class is extremal.  `contract` is asked once per tested
-    candidate, and builds once per step.  Each map's `mori_classes` and rho
-    are found once, and only m's projectivity is an LP: every model a step
-    reaches is again projective over the base, and the step hands it an
-    ample certificate (`_carried`) that `mori_classes` checks by dot
-    products; the LP runs again only if that check fails.  Only m goes
+    candidate, and builds once per step.  Before it is asked, the ratio
+    test on the map's ample class (`_ratio_certificate`) hands the unique
+    minimiser's certificate L to the map's flags, so `contract` reads that
+    class's extremality and supporting divisor off them with no LP; a
+    divisorial step on that class carries L to its target.  Each map's
+    `mori_classes` and rho are found once, and only m's projectivity is an
+    LP: every model a step reaches is again projective over the base, and
+    the step hands it an ample certificate (`_carried`) that
+    `mori_classes` checks by dot products; the LP runs again only if that
+    check fails.  Only m goes
     through the whole-map `check_morphism`: each later map carries the
     flags and wall relations its step derived (`fan.swap_cells`), so
     `contracted_walls` reads its classes off them, and rho is still the
@@ -298,7 +308,9 @@ def run_mmp(m: FanMap, D: InvariantDivisor) -> MMPTrace:
         if not negative:
             return MMPTrace(tuple(steps), "minimal", cur_map.source, cur_map,
                             cur_D)
+        ratio = _ratio_certificate(cur_map, ample, cur_D, negative)
         c, res = _negative_contraction(cur_map, negative)
+        L = ratio[1] if ratio is not None and ratio[0] == c else None
         value = negative[c]
         if res.kind == "fano":
             steps.append(MMPStep("fano", c, value, rho, None, res.target, None))
@@ -310,7 +322,8 @@ def run_mmp(m: FanMap, D: InvariantDivisor) -> MMPTrace:
         else:
             new_map, new_D, pos = _flip_contracted(cur_map, cur_D, res)
         new_classes, rho_after, ample = mori_classes(
-            new_map, _carried(res, ample, new_map, new_D))
+            new_map, _carried(res, ample if L is None else L, new_map,
+                              new_D))
         if rho_after != rho - (res.kind == "divisorial"):
             raise InvariantBreach(f"{res.kind} step takes rho {rho} to "
                                   f"{rho_after}")
@@ -325,16 +338,42 @@ def run_mmp(m: FanMap, D: InvariantDivisor) -> MMPTrace:
     raise InvariantBreach("step limit exceeded")
 
 
+def _ratio_certificate(m: FanMap, ample, D: InvariantDivisor, negative):
+    """(c*, L) when the ratio test of the MMP with scaling (Birkar-Cascini-
+    Hacon-McKernan 2010) on the ample class `ample` certifies the class c*,
+    else None.  t* = min A.c / (-D.c) over the D-negative classes
+    `negative`, compared on integer multiples of A and D by
+    cross-multiplication.  When c* alone reaches it, L = A + t* D (times
+    the positive integer -D.c*) is zero on c* and positive on every other
+    class, so it exposes the ray of c*; `fan.MorphismFlags.certify_ray`
+    checks that by dot products and keeps L as the verdict of `contract`."""
+    A, Dz = xl._integer_row(ample), xl._integer_row(D.coeffs)
+    best, tied = None, False
+    for c in negative:
+        a, d = xl.dot(c.coeffs, A), -xl.dot(c.coeffs, Dz)
+        if best is None or a * best[2] < best[1] * d:
+            best, tied = (c, a, d), False
+        elif a * best[2] == best[1] * d:
+            tied = True
+    c, a, d = best
+    L = tuple(d * x + a * y for x, y in zip(A, Dz))
+    if tied or not check_morphism(m).certify_ray(c.coeffs, L):
+        return None
+    return c, L
+
+
 def _carried(res: ContractionResult, ample, new_map: FanMap,
              new_D: InvariantDivisor) -> tuple:
     """The candidate ample certificate of the model a step reaches, built
     from the step (Reid 1983; Cox-Little-Schenck, *Toric Varieties*, ch.
-    15).  Divisorial: the source's certificate `ample` pushed forward, by
-    the `pushforward` that carries D.  Flip: A+ = L + eps D+, with L the
-    ray's supporting divisor, zero on the new internal walls, where D+ is
-    positive, and eps half the least L.c / (-D+.c) over the distinct
-    contracted classes c of the new map with D+.c < 0 (1 when there is
-    none).  Only a candidate; `mori_classes` checks it."""
+    15).  Divisorial: `ample` pushed forward, by the `pushforward` that
+    carries D; `run_mmp` passes the ray's ratio-test certificate L, which
+    descends to an ample class of the target, or else the source's ample
+    certificate.  Flip: A+ = L + eps D+, with L the ray's supporting
+    divisor, zero on the new internal walls, where D+ is positive, and eps
+    half the least L.c / (-D+.c) over the distinct contracted classes c of
+    the new map with D+.c < 0 (1 when there is none).  Only a candidate;
+    `mori_classes` checks it."""
     if res.kind == "divisorial":
         return pushforward(res.contraction, InvariantDivisor(ample)).coeffs
     L = res.supporting

@@ -17,7 +17,10 @@ differ from the first fan (`fan.validate_fan` with that fan as its base,
 whose verdicts are also compared with the whole-fan `validate_fan` on
 every call).  `contract` solves its LPs afresh, on a copy of the map's
 flags that holds no verdicts, where `mmp.contract` reads the verdicts an
-earlier contraction of the same class on an equal map left on the flags.
+earlier contraction of the same class on an equal map, or `run_mmp`'s
+ratio test (`fan.MorphismFlags.certify_ray`), left on the flags; the two
+supporting divisors may differ, and the kept one must certify the target
+(`fan_oracle.supports`).
 `pair` sums `Fraction` products, where `CurveClass.pair` sums integers
 over one denominator.  (`fan_oracle.common_refinement`, which also
 intersects every pair of cones, costs too much to run on every refinement
@@ -151,7 +154,8 @@ def contract(m: FanMap, wall_set):
 
 def decided(m: FanMap, wall_set) -> bool:
     """Do the flags of m already hold the extremality verdict on the class
-    of `wall_set`: is this a second contraction of it?"""
+    of `wall_set`: is this a second contraction of it, or one that
+    `run_mmp`'s ratio test certified?"""
     try:
         cls = dict(cv.contracted_walls(m))[wall_set[0]]
     except (PreconditionError, KeyError, IndexError):
@@ -163,6 +167,22 @@ def same_landing(m: FanMap, new, old) -> bool:
     """Do two landing functions of m agree?  Each is the intersection of
     its rays' homes, so agreeing on every single ray suffices."""
     return all(new((i,)) == old((i,)) for i in range(len(m.source.rays)))
+
+
+def same_contraction(m: FanMap, new, old) -> bool:
+    """Do two outcomes (result, error) of `mmp.contract` on m agree: the
+    same refusal, or every field equal but `supporting`, which on the new
+    side must certify the target as the class's supporting divisor
+    (`fan_oracle.supports`) when the old side has one?"""
+    (out, err), (want, want_err) = new, old
+    if err is not None or want_err is not None:
+        return type(err) is type(want_err) and str(err) == str(want_err)
+    if (out.supporting is None) != (want.supporting is None):
+        return False
+    return (mmp.ContractionResult(**{**vars(out), "supporting": None})
+            == mmp.ContractionResult(**{**vars(want), "supporting": None})
+            and (out.supporting is None or fan_oracle.supports(
+                m, out.relation, out.supporting, out.target)))
 
 
 def _outcome(f, *args, errors=PreconditionError):
@@ -192,8 +212,8 @@ def cross_checked():
     cells, `fan_oracle.triangulates_by_facet_map`), `mmp.swap_cells` (its
     oracle is `fan_oracle.swap_cells`, and a refusal must be an
     InvariantBreach on both sides) and `mmp.contract` on a class the map's
-    flags already decided (`decided`; its oracle is `contract`, and a
-    refusal must be the same refusal).  Yields (calls, mismatches): a
+    flags already decided (`decided`; its oracle is `contract`, compared by
+    `same_contraction`).  Yields (calls, mismatches): a
     Counter of calls by name and a list of (name, arguments) where the two
     disagree."""
     calls, mismatches = Counter(), []
@@ -245,11 +265,10 @@ def cross_checked():
         if not decided(m, wall_set):
             return _contract(m, wall_set)
         calls["second contract"] += 1
-        (out, err), (old, old_err) = (_outcome(_contract, m, wall_set),
-                                      _outcome(contract, m, wall_set))
-        if out != old or type(err) is not type(old_err) \
-                or str(err) != str(old_err):
+        new = _outcome(_contract, m, wall_set)
+        if not same_contraction(m, new, _outcome(contract, m, wall_set)):
             mismatches.append(("second contract", (m, wall_set)))
+        out, err = new
         if err is not None:
             raise err
         return out

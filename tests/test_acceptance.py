@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import pytest
 
+import fan_oracle
 from toricmmp import corpus, mmp, sections as sc
 from toricmmp import divisor as dv
 from toricmmp import singularities as sg
@@ -134,20 +135,28 @@ def test_acceptance_4_termination_corpus():
     assert outcomes == {"minimal", "fano"}  # both endings are exercised
 
 
+# sha256 of the repr of each MMP trace of the acceptance corpus, in order
+TRACE_DIGEST = \
+    "9b84da80de35a09fff7708cf5c855c12c86afe08c9b2e800cb7361f0d06c72b7"
+
+
 def test_acceptance_traces_are_pinned():
     # the MMP traces of the acceptance corpus, byte for byte: repr of each
     # run, in order, into one sha256
     digest = hashlib.sha256()
     for m, D in corpus.termination_instances(seed=20240801, count=100):
         digest.update(repr(run_mmp(m, D)).encode())
-    assert digest.hexdigest() == \
-        "9b84da80de35a09fff7708cf5c855c12c86afe08c9b2e800cb7361f0d06c72b7"
+    assert digest.hexdigest() == TRACE_DIGEST
 
 
 def test_acceptance_certificates_are_pinned():
-    # the exact LP certificates, byte for byte: repr of the ample
-    # certificate of each starting map and of the supporting divisor of
-    # each flip, re-derived by `contract`, in order, into one sha256
+    # the exact certificates, byte for byte: repr of the ample certificate
+    # (an LP) of each starting map and of the supporting divisor of each
+    # flip, re-derived by `contract`, in order, into one sha256; a flip's L
+    # is `run_mmp`'s ratio-test certificate when it made one, so the caches
+    # start empty, and each L must certify its target
+    check_morphism.cache_clear()
+    contracted_walls.cache_clear()
     digest = hashlib.sha256()
     for seed in (20240801, 0):
         for m, D in corpus.termination_instances(seed=seed, count=100):
@@ -158,10 +167,12 @@ def test_acceptance_certificates_are_pinned():
                     cur = FanMap(m.matrix, F0, m.target)
                     res = contract(cur, [w for w, c in contracted_walls(cur)
                                          if c == s.chosen_class])
+                    assert fan_oracle.supports(cur, s.chosen_class,
+                                               res.supporting, res.target)
                     digest.update(repr(res.supporting).encode())
                 F0 = s.fan_after
     assert digest.hexdigest() == \
-        "55efd24bd03d9831af9e979ba2bf32b8ed3374ae3a1cccff797c291359f3fea5"
+        "ff9b26ba908e86d773d1e97e5c1622df17073e17ef18bd8c270ae85808dacc03"
 
 
 # -- 5: Zariski decomposition -------------------------------------------------

@@ -631,6 +631,83 @@ def test_run_mmp_solves_one_projectivity_lp(instances, monkeypatch):
     assert sum(s.kind == "flipping" for t in traces for s in t.steps) >= 3
 
 
+def test_carried_certificates_need_no_fallback(monkeypatch):
+    # a divisorial step whose class the ratio test certified carries the
+    # pushforward of its supporting divisor L, which descends to an ample
+    # class of the target; every carried certificate on these seeds passes
+    # the dot-product check (pushing the source's ample class forward
+    # failed on 1 of the 282 divisorial steps of seeds 0-2)
+    carried, fallbacks = [], []
+    orig = mmp.mori_classes
+
+    def classes(m, ample=None):
+        out = orig(m, ample)
+        if ample is not None:
+            carried.append(m)
+            if out[2] != ample:
+                fallbacks.append(m)
+        return out
+
+    for seed in (20240801, 0, 1, 2):
+        instances = corpus.termination_instances(seed=seed, count=100)
+        monkeypatch.setattr(mmp, "mori_classes", classes)
+        for m, D in instances:
+            mmp.run_mmp(m, D)
+        monkeypatch.undo()
+    assert fallbacks == [] and len(carried) >= 400
+
+
+def _corrupted_ray_certificate(kind, c, L, others):
+    """L moved off zero on its class c (L + c), or made zero on the first
+    other class c2 too: (u . c2) L - (L . c2) u, with u = c_j e_i - c_i e_j
+    zero on c and not on c2.  None when there is no c2."""
+    if kind == "off zero":
+        return tuple(x + a for x, a in zip(L, c))
+    if not others:
+        return None
+    c2 = others[0]
+    i, j = next((i, j) for i, j in itertools.combinations(range(len(c)), 2)
+                if c2[i] * c[j] != c2[j] * c[i])
+    u = [0] * len(c)
+    u[i], u[j] = c[j], -c[i]
+    a, b = xl.dot(u, c2), xl.dot(L, c2)
+    return tuple(a * x - b * y for x, y in zip(L, u))
+
+
+@pytest.mark.parametrize("kind", ["off zero", "second zero"])
+def test_corrupted_ray_certificate_is_refused(kind, instances, monkeypatch):
+    # `run_mmp` hands `certify_ray` a corrupted ratio-test certificate:
+    # it is refused and nothing is kept, the LPs decide as they did before
+    # the ratio test (the ray is extremal), the traces are the uncorrupted
+    # ones, and every step's contraction equals the LP oracle's
+    want = [mmp.run_mmp(*instances[k]) for k in SLICE]
+    orig = fn.MorphismFlags.certify_ray
+    refused = []
+
+    def certify(flags, c, L):
+        bad = _corrupted_ray_certificate(kind, c, L, flags._others(c))
+        if bad is None:  # c is the map's one class
+            return orig(flags, c, L)
+        assert not orig(flags, c, bad)
+        assert not any(key[1] == c for key in flags._verdicts)
+        refused.append((flags, c))
+        return False
+
+    got = []
+    for k in SLICE:
+        # a map met in an earlier run would answer from the cache
+        fn.check_morphism.cache_clear()
+        cv.contracted_walls.cache_clear()
+        monkeypatch.setattr(fn.MorphismFlags, "certify_ray", certify)
+        got.append(mmp.run_mmp(*instances[k]))
+        monkeypatch.undo()
+        for cur, cls in mmp_oracle.step_maps(instances[k][0], got[-1]):
+            mmp_oracle.check_contraction(cur, cls)
+    assert got == want
+    assert len(refused) >= 30
+    assert all(flags.is_extreme(c) for flags, c in refused)
+
+
 def test_corrupted_certificate_falls_back_to_the_lp(instances, monkeypatch):
     # a carried certificate negative on every class fails the check: the LP
     # decides instead, once per step whose model has a class, and the

@@ -594,18 +594,25 @@ def test_corrupted_step_raises_invariant_breach(kind, monkeypatch):
     # a step whose derived relations or new cells are wrong is a bug that
     # the local certificate catches: [15] starts with a flip, [21] with a
     # divisorial step, which has no new internal walls; a wrong relation at
-    # a flip's new internal wall is caught by the sign check of the step
-    # that derives it
+    # every wall through a new cell (fresh), or only at a flip's new
+    # internal walls, is caught by the sign check of the step that derives
+    # it
     instances = corpus.termination_instances(20240801, 100)
     if kind == "fresh":
-        orig = fn.wall_coefficients
-        monkeypatch.setattr(fn, "wall_coefficients", lambda *args: tuple(
-            -a for a in orig(*args)))
+        orig_wall, orig_swap = fn.wall_coefficients, mmp._swap_circuits
+
+        def swap(*args):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(fn, "wall_coefficients", lambda *a: tuple(
+                    -x for x in orig_wall(*a)))
+                return orig_swap(*args)
+
+        monkeypatch.setattr(mmp, "_swap_circuits", swap)
     elif kind == "internal":
         _negated_at_new_internal_walls(monkeypatch)
     else:
         monkeypatch.setattr(mmp, "swap_cells", _corrupted(kind))
-    match = "lie on one side" if kind == "internal" else None
+    match = "lie on one side" if kind in ("internal", "fresh") else None
     for k in ((15,) if kind == "internal" else (15, 21)):
         with pytest.raises(InvariantBreach, match=match):
             run_mmp(*instances[k])

@@ -12,10 +12,12 @@ every flip (as the acceptance gate and the benchmark replay them) make on
 the corpus; the other tests cover the fallbacks and the corrupted steps no
 corpus instance reaches.  One pass of the acceptance corpus is also
 counted: the replay's `contract` solves no LP, each fan's facets are
-paired once outside `validate_fan`, and a flip pair's refinement runs no
-whole-fan `validate_fan`.
+paired once outside `validate_fan`, a flip pair's refinement runs no
+whole-fan `validate_fan`, and the class a step chooses solves no LP
+when it is the unique minimiser of `run_mmp`'s ratio test.
 """
 
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -25,7 +27,7 @@ from hypothesis import given, settings, strategies as st
 
 import fan_oracle
 import replay_oracle
-from test_acceptance import _check_flip_steps
+from test_acceptance import TRACE_DIGEST, _check_flip_steps
 from toricmmp import corpus
 from toricmmp import curves as cv
 from toricmmp import divisor as dv
@@ -65,9 +67,15 @@ def test_replay_paths_match_their_oracles():
 @pytest.fixture(scope="module")
 def counted_pass():
     """One pass of the acceptance corpus as the benchmark runs it, caches
-    cleared, counting: the LPs (`_phase1`) the replay's `contract` solves,
-    the fans whose facet map is built outside `validate_fan`, and the
-    fans a refinement passes to the whole-fan `validate_fan`."""
+    cleared, counting: the LPs (`_phase1`) in all and those the replay's
+    `contract` solves, the fans whose facet map is built outside
+    `validate_fan`, the fans a refinement passes to the whole-fan
+    `validate_fan`, and, for each step whose chosen class is the unique
+    minimiser of A.c / (-D.c) over its map's D-negative classes (A the
+    ample class `mori_classes` returned for the map), the chosen class and
+    the classes that an `is_extreme` or supporting-divisor LP decided in
+    its ray selection (`mmp._negative_contraction`); with the traces'
+    digest."""
     instances = corpus.termination_instances(20240801, 100)
     for cache in (fn.check_morphism, cv.contracted_walls, fn.walls,
                   fn.cone_dim, fn.cone_span_perp, fn.cone_facets,
@@ -75,10 +83,15 @@ def counted_pass():
         cache.cache_clear()
     where = {"replay": False, "contract": 0, "validate": 0, "refine": 0}
     counts = {"replay LPs": [], "facet maps": [], "whole in refinement": [],
-              "flips": 0}
+              "flips": 0, "LPs": 0, "minimiser steps": []}
+    step = {"ample": None, "decided": []}
+    digest = hashlib.sha256()
     orig_phase1, orig_facet_map = xl._phase1, fn._facet_map
+    orig_classes, orig_select = mmp.mori_classes, mmp._negative_contraction
+    orig_extreme, orig_positive_on = xl.is_extreme, fn.positive_on
 
     def phase1(*args):
+        counts["LPs"] += 1
         if where["replay"] and where["contract"]:
             counts["replay LPs"].append(args)
         return orig_phase1(*args)
@@ -99,6 +112,29 @@ def counted_pass():
                 where[key] -= 1
         return run
 
+    def classes(m, ample=None):
+        out = orig_classes(m, ample)
+        step["ample"] = out[2]
+        return out
+
+    def extreme(p, others):
+        step["decided"].append(tuple(p))
+        return orig_extreme(p, others)
+
+    def positive_on(relations, nrays, zero=()):
+        step["decided"].extend(map(tuple, zero))
+        return orig_positive_on(relations, nrays, zero)
+
+    def select(m, negative):
+        step["decided"] = []
+        c, res = orig_select(m, negative)
+        ratio = {d: Fraction(xl.dot(d.coeffs, step["ample"])) / -v
+                 for d, v in negative.items()}
+        least = min(ratio.values())
+        if [d for d, t in ratio.items() if t == least] == [c]:
+            counts["minimiser steps"].append((c.coeffs, step["decided"]))
+        return c, res
+
     def whole(args):
         if where["refine"] and (len(args) < 2 or args[1] is None):
             counts["whole in refinement"].append(args[0])
@@ -111,8 +147,13 @@ def counted_pass():
         mp.setattr(mmp, "common_refinement",
                    inside("refine", mmp.common_refinement))
         mp.setattr(mmp, "contract", inside("contract", mmp.contract))
+        mp.setattr(mmp, "mori_classes", classes)
+        mp.setattr(mmp, "_negative_contraction", select)
+        mp.setattr(xl, "is_extreme", extreme)
+        mp.setattr(fn, "positive_on", positive_on)
         for m, D in instances:
             trace = mmp.run_mmp(m, D)
+            digest.update(repr(trace).encode())
             if trace.outcome == "minimal":
                 assert nefness(trace.final_divisor, trace.final_map).nef
             where["replay"] = True
@@ -120,12 +161,26 @@ def counted_pass():
             where["replay"] = False
             counts["flips"] += sum(s.kind == "flipping" for s in trace.steps)
     assert counts["flips"] == 8
+    counts["digest"] = digest.hexdigest()
     return counts
 
 
 def test_replayed_contract_solves_no_lp(counted_pass):
     # its is_extreme and supporting-divisor verdicts are on the flags
     assert counted_pass["replay LPs"] == []
+
+
+def test_ratio_certified_steps_solve_no_lp(counted_pass):
+    # the ratio test's certificate decides `contract`'s extremality and
+    # supporting divisor, so the LPs left are the first maps'
+    # projectivity, the refused candidates tried before the chosen class,
+    # and chosen classes that are no unique minimiser; the traces are the
+    # pinned ones
+    assert counted_pass["LPs"] <= 125
+    steps = counted_pass["minimiser steps"]
+    assert len(steps) >= 130
+    assert all(c not in decided for c, decided in steps)
+    assert counted_pass["digest"] == TRACE_DIGEST
 
 
 def test_each_fan_is_paired_once_outside_validate_fan(counted_pass):
