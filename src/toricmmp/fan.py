@@ -29,10 +29,10 @@ image on a target ray into the cones listing it.  `check_morphism` keeps
 the relations of the walls a map contracts; its projectivity LP
 (`positive_on`) runs only when its answer is read, and its flags keep that
 answer and the verdicts on each class: the ratio-test certificate an MMP
-step hands them (`MorphismFlags.certify_ray`), else one LP.  One routine, `regular_cells`,
-builds the regular subdivision that integer lifting heights induce;
-`_regular_triangulation` (for `qfactorialize` and `common_refinement`) and
-the corpus generator call it.
+step hands them (`MorphismFlags.certify_ray`), else one LP.  One routine,
+`regular_cells`, builds the regular subdivision that integer lifting
+heights induce; `_regular_triangulation` (for `qfactorialize` and
+`common_refinement`) and the corpus generator call it.
 """
 
 from __future__ import annotations

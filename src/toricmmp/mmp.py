@@ -27,13 +27,10 @@ their relations, and only the walls through a new cell get a fresh one;
 the map's toric and proper flags follow from the step.  Whole-map
 `check_morphism` and whole-fan validation run on the first map and on the
 fano quotient only, and the negativity oracle's refinement is certified
-by the cells its pieces change (`fan.common_refinement`).  Each step
-runs the ratio test of the MMP with scaling on the carried ample class A
-(Birkar-Cascini-Hacon-McKernan 2010): when one D-negative class c*
-minimises A.c / (-D.c), L = A + t* D is zero on c* alone, which certifies
-its ray and is its supporting divisor, checked by dot products.  The
-verdicts on a class, this certificate or an LP's, are kept on its map's
-flags, so a step replayed on an equal map solves no LP.
+by the cells its pieces change (`fan.common_refinement`).  The verdicts
+on a class, the ratio-test certificate (`_ratio_certificate`) or an LP's,
+are kept on its map's flags, so a step replayed on an equal map solves no
+LP.
 """
 
 from __future__ import annotations
@@ -113,10 +110,10 @@ def contract(m: FanMap, wall_set) -> ContractionResult:
     against the other contracted classes, kept, so a second contraction of
     the class on an equal map solves no LP.  Its signs give the kind (Reid
     1983), with no search: no negative a_i is fano, the quotient by the
-    lattice of the rays J+ with a_i > 0; one negative a_j is divisorial, and the
-    target drops v_j = sum (a_i / -a_j) v_i; two or more is flipping, and
-    the merged circuit cones stay whole in the small, non-simplicial
-    target, the fan of the linearity domains of the class's
+    lattice of the rays J+ with a_i > 0; one negative a_j is divisorial,
+    and the target drops v_j = sum (a_i / -a_j) v_i; two or more is
+    flipping, and the merged circuit cones stay whole in the small,
+    non-simplicial target, the fan of the linearity domains of the class's
     `supporting_divisor` L (its certificate, `supporting`).  For both
     birational kinds each merged cone must have rank + 1 rays and be cut by
     F into the cells rayset - {j}, j in J+; then it is the union of those
@@ -284,10 +281,9 @@ def run_mmp(m: FanMap, D: InvariantDivisor) -> MMPTrace:
     lexicographically smallest class first; a fano class is taken only when
     no such class is extremal.  `contract` is asked once per tested
     candidate, and builds once per step.  Before it is asked, the ratio
-    test on the map's ample class (`_ratio_certificate`) hands the unique
-    minimiser's certificate L to the map's flags, so `contract` reads that
-    class's extremality and supporting divisor off them with no LP; a
-    divisorial step on that class carries L to its target.  Each map's
+    test (`_ratio_certificate`) leaves the certificate L of one class on
+    the map's flags; when that class is chosen, `contract` solves no LP
+    for it, and a divisorial step carries L to its target.  Each map's
     `mori_classes` and rho are found once, and only m's projectivity is an
     LP: every model a step reaches is again projective over the base, and
     the step hands it an ample certificate (`_carried`) that

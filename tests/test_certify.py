@@ -648,12 +648,11 @@ def test_carried_certificates_need_no_fallback(monkeypatch):
                 fallbacks.append(m)
         return out
 
-    for seed in (20240801, 0, 1, 2):
-        instances = corpus.termination_instances(seed=seed, count=100)
-        monkeypatch.setattr(mmp, "mori_classes", classes)
-        for m, D in instances:
-            mmp.run_mmp(m, D)
-        monkeypatch.undo()
+    instances = [inst for seed in (20240801, 0, 1, 2)
+                 for inst in corpus.termination_instances(seed=seed, count=100)]
+    monkeypatch.setattr(mmp, "mori_classes", classes)
+    for m, D in instances:
+        mmp.run_mmp(m, D)
     assert fallbacks == [] and len(carried) >= 400
 
 
