@@ -50,11 +50,11 @@ def contracted_walls(m: FanMap) -> tuple:
     """(Wall, CurveClass) pairs for the walls whose two adjacent cones map
     into one common cone of the target, in `walls` order; these carry the
     complete curves contracted by the morphism.  The classes are the
-    relations `check_morphism` found (`fan._contracted_facets`), or those a
-    map built by an MMP step carries (`fan.swap_cells`), whose scope holds
-    by construction: simplicial full-dimensional cones and the support of
-    the map the step started from.  PreconditionError outside the scope of
-    the relative Mori cone."""
+    relations, keyed by facet, that `check_morphism` found or that a map
+    built by an MMP step carries (`fan.swap_cells`), whose scope holds by
+    construction: simplicial full-dimensional cones and the support of the
+    map the step started from.  PreconditionError outside the scope of the
+    relative Mori cone."""
     F = m.source
     flags = m.step_flags
     if flags is None:
@@ -139,15 +139,18 @@ class NefVerdict:
 
 def nefness(D: InvariantDivisor, m: FanMap, strict: bool = False) -> NefVerdict:
     """D is nef over the base iff it pairs >= 0 (strict: > 0) with every
-    contracted wall class.  `contracted_walls` needs a simplicial source,
-    on which every divisor is Q-Cartier."""
+    contracted wall class.  The violating wall is the first one, in `walls`
+    order, on which D is negative, else, when `strict`, the first on which
+    it is 0; so `nef` does not depend on the order.  `contracted_walls`
+    needs a simplicial source, on which every divisor is Q-Cartier."""
     check_divisor(m.source, D)
-    pairs = contracted_walls(m)
-    strictly = True
-    for w, c in pairs:
+    zero = None
+    for w, c in contracted_walls(m):
         val = c.pair(D)
-        if val < 0 or (strict and val == 0):
-            return NefVerdict(val >= 0, False, w, c, val)
-        if val == 0:
-            strictly = False
-    return NefVerdict(True, strictly, None, None, None)
+        if val < 0:
+            return NefVerdict(False, False, w, c, val)
+        if val == 0 and zero is None:
+            zero = (w, c, val)
+    if strict and zero:
+        return NefVerdict(True, False, *zero)
+    return NefVerdict(True, zero is None, None, None, None)

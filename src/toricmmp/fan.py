@@ -9,20 +9,20 @@ description.  All values are immutable and all operations pure.  Apart from
 Facets are paired in one loop (`_facet_owners`) and tested against the
 boundary of the cone of all rays by one routine (`_on_boundary`).  The
 pairing gives the fan's facet map (`_facet_map`), built once per fan by
-`walls`, which is cached; the triangulation criterion, `check_morphism`
-and `swap_cells` (`_paired_facets`) read it there.  It also gives the
-covering test (`cone_covered`), which decides properness and support
-equality, and `Fan.support_convex` decides on the pairing and the
-boundary test alone.  A full-dimensional simplicial fan is valid by the
-triangulation criterion (De Loera-Rambau-Santos, *Triangulations*, 2010,
-ch. 4), with no pairwise double description: a shared facet has its two
-cones on opposite sides, an unshared one lies on the boundary, and one
-point is covered once.  One routine runs it and states its proof,
-`_triangulates`, on a whole fan or, given the cells it adds and removes, on
-a fan built from a valid one (by `validate_fan` with a base, for a common
-refinement, and by `swap_cells`, for an MMP step's fan).  Two valid fans
-share most rays and cones, and what they share is read by index:
-`common_refinement` intersects only the cones they do not share,
+`walls`, which is cached and lists the walls in facet-map order; the
+triangulation criterion, `check_morphism` and `swap_cells` read that one
+list.  It also gives the covering test (`cone_covered`), which decides
+properness and support equality, and `Fan.support_convex` decides on the
+pairing and the boundary test alone.  A full-dimensional simplicial fan is
+valid by the triangulation criterion (De Loera-Rambau-Santos,
+*Triangulations*, 2010, ch. 4), with no pairwise double description: a
+shared facet has its two cones on opposite sides, an unshared one lies on
+the boundary, and one point is covered once.  One routine runs it and
+states its proof, `_triangulates`, on a whole fan or, given the cells it
+adds and removes, on a fan built from a valid one (by `validate_fan` with a
+base, for a common refinement, and by `swap_cells`, for an MMP step's fan).
+Two valid fans share most rays and cones, and what they share is read by
+index: `common_refinement` intersects only the cones they do not share,
 `is_proper` skips a target cone that is a source cell under the identity
 and cuts no source cone under an onto map, and `check_morphism` places an
 image on a target ray into the cones listing it.  `check_morphism` keeps
@@ -43,7 +43,6 @@ from collections import Counter
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
-from operator import attrgetter
 from typing import Optional, Sequence
 
 from . import exactlin as xl
@@ -887,7 +886,7 @@ class MorphismFlags:
     on equal maps is decided once."""
     toric: bool
     proper: bool
-    contracted: Optional[tuple] = None  # `_contracted_facets` of a proper map
+    contracted: Optional[tuple] = None  # (facet, relation) of a proper map
     nrays: int = 0                      # rays of the source
 
     @cached_property
@@ -1056,21 +1055,23 @@ class Wall:
 @lru_cache(maxsize=None)
 def walls(F: Fan) -> tuple:
     """Codimension-1 faces shared by two maximal cones: for each facet of
-    the facet map (`_facet_owners`), every pair (a, b), a < b, of its
-    owners, with the walls in the order of (a, b).  The empty facet counts
-    only between two rays of a rank-1 fan, where the origin is the wall.
+    the facet map (`_facet_map`), every pair (a, b), a < b, of its owners,
+    in facet-map order: by the facet's first owner, then in the order that
+    cone lists its facets (a simplicial cone by the position of the ray off
+    the facet).  The empty facet counts only between two rays of a rank-1
+    fan, where the origin is the wall.  This is the one wall list of F: the
+    triangulation criterion, `check_morphism` (so the projectivity LP's
+    rows), `swap_cells` and `curves` read it.
 
     Precondition: F is a valid fan.  Then two maximal cones meet in a face
     of both, so they share at most one facet, and a cone's facet is the
     cone of the rays lying on it; no intersection is computed.
     """
-    found = []
-    for facet, owners in _facet_map(F).items():
-        if facet or F.rank == 1:
-            found += [(a, b, facet) for k, a in enumerate(owners)
-                      for b in owners[k + 1:]]
-    return tuple(Wall(facet, F.max_cones[a], F.max_cones[b])
-                 for a, b, facet in sorted(found))
+    cones = F.max_cones
+    return tuple(Wall(facet, cones[a], cones[b])
+                 for facet, owners in _facet_map(F).items()
+                 if facet or F.rank == 1
+                 for k, a in enumerate(owners) for b in owners[k + 1:])
 
 
 def wall_coefficients(F: Fan, facet: tuple, ca: tuple, cb: tuple) -> tuple:
@@ -1092,41 +1093,6 @@ def wall_coefficients(F: Fan, facet: tuple, ca: tuple, cb: tuple) -> tuple:
     return tuple(rel)
 
 
-def _paired_facets(F: Fan) -> list:
-    """(facet, (cone a, cone b)) for each facet of exactly two maximal cones
-    a < b, read off `walls(F)`, in facet-map order (`_facet_map`): by its
-    first cone a, then in the order a simplicial cone lists its facets, by
-    the position in a of the ray off the facet.  The cones must be
-    simplicial."""
-    found = walls(F)
-    repeated = set()
-    if len({w.rays for w in found}) < len(found):  # facets of 3+ cones
-        seen = set()
-        repeated = {w.rays for w in found
-                    if w.rays in seen or seen.add(w.rays)}
-    out = []
-    for a, group in itertools.groupby(found, attrgetter("side_a")):
-        other = {w.rays: w.side_b for w in group}
-        for facet in _cell_facets(a):
-            if facet in other and facet not in repeated:
-                out.append((facet, (a, other[facet])))
-    return out
-
-
-def _contracted_facets(m: FanMap, landing) -> tuple:
-    """The walls m contracts, in facet-map order: (facet, its
-    `wall_coefficients`) for each facet of two cones whose union `landing`
-    places in a target cone (`_paired_facets`).  Every source cone must be
-    simplicial and full dimensional, else PreconditionError."""
-    F = m.source
-    if not _full_dim_simplicial(F):
-        raise PreconditionError("projectivity needs a simplicial source with "
-                                "full-dimensional cones")
-    return tuple((facet, wall_coefficients(F, facet, *sides))
-                 for facet, sides in _paired_facets(F)
-                 if landing(sides[0] + sides[1]))
-
-
 def positive_on(relations, nrays: int, zero=()) -> Optional[tuple]:
     """Divisor coefficients L with L . r >= 1 for each relation r, in the
     given order, and L . z = 0 for each z in `zero`, by one exact LP; None
@@ -1139,24 +1105,31 @@ def positive_on(relations, nrays: int, zero=()) -> Optional[tuple]:
 @lru_cache(maxsize=None)
 def check_morphism(m: FanMap) -> MorphismFlags:
     """Toric, proper and projective flags of m.  Toric, proper and, for a
-    proper map only, its `_contracted_facets` (the relations of
-    `curves.contracted_walls`, which need their scope) are computed here;
-    the projectivity LP over those relations runs only when `projective`
-    or `ample_certificate` is first read, so a caller holding its own
-    certificate never solves it.  On a simplicial source with
-    full-dimensional cones every coefficient vector defines a piecewise
-    linear support function, and positivity on a wall class is strict
-    convexity across the wall.  A map built by `swap_cells` gets the flags
-    it carries."""
+    proper map only, the walls it contracts are computed here: (facet, its
+    `wall_coefficients`) for each wall of `walls(F)` whose two cones land
+    in one target cone, in `walls` order (the relations of
+    `curves.contracted_walls`, which need their scope).  F must then be
+    simplicial with full-dimensional cones, else PreconditionError.  The
+    projectivity LP over those relations runs only when `projective` or
+    `ample_certificate` is first read, so a caller holding its own
+    certificate never solves it.  On such a source every coefficient
+    vector defines a piecewise linear support function, and positivity on
+    a wall class is strict convexity across the wall.  A map built by
+    `swap_cells` gets the flags it carries."""
     if m.step_flags is not None:
         return m.step_flags
     landing = _landing(m)
     toric = is_toric_morphism(m, landing)
     if not (toric and _covers_preimages(m)):
         return MorphismFlags(toric=toric, proper=False)
-    return MorphismFlags(toric=True, proper=True,
-                         contracted=_contracted_facets(m, landing),
-                         nrays=len(m.source.rays))
+    F = m.source
+    if not _full_dim_simplicial(F):
+        raise PreconditionError("projectivity needs a simplicial source with "
+                                "full-dimensional cones")
+    return MorphismFlags(toric=True, proper=True, contracted=tuple(
+        (w.rays, wall_coefficients(F, w.rays, w.side_a, w.side_b))
+        for w in walls(F) if landing(w.side_a + w.side_b)),
+        nrays=len(F.rays))
 
 
 def swap_cells(m: FanMap, survivors, removed, added) -> FanMap:
@@ -1180,9 +1153,11 @@ def swap_cells(m: FanMap, survivors, removed, added) -> FanMap:
     lie in a cell of Z, the one ray check F does not pass on.
     InvariantBreach when a check fails, here or below.
 
-    The flags need no whole-map pass.  A wall between two kept cells keeps
-    its relation, re-indexed (the dropped ray's coefficient is 0 there),
-    and is contracted as before: same cells, same lattice map, same base.
+    The flags need no whole-map pass; they list Z's contracted walls in
+    `walls(Z)` order, as `check_morphism` does.  A wall between two kept
+    cells keeps its relation, re-indexed (the dropped ray's coefficient is
+    0 there), and is contracted as before: same cells, same lattice map,
+    same base.
     A wall through a new cell takes its fresh `wall_coefficients`, which
     must be positive on the two rays off the wall, and is contracted when
     its union lands in a base cone (`_landing`).  Each new cell lies in a
@@ -1210,18 +1185,18 @@ def swap_cells(m: FanMap, survivors, removed, added) -> FanMap:
     landing = _landing(out)
     relations = dict(check_morphism(m).contracted)
     contracted = []
-    for facet, sides in _paired_facets(Z):
-        if sides[0] not in new and sides[1] not in new:
-            rel = relations.get(tuple(survivors[i] for i in facet))
+    for w in walls(Z):
+        if w.side_a not in new and w.side_b not in new:
+            rel = relations.get(tuple(survivors[i] for i in w.rays))
             if rel is not None:
-                contracted.append((facet, tuple(rel[i] for i in survivors)))
+                contracted.append((w.rays, tuple(rel[i] for i in survivors)))
             continue
-        rel = wall_coefficients(Z, facet, *sides)
-        if any(rel[i] <= 0 for i in set(sides[0]) ^ set(sides[1])):
-            raise InvariantBreach(f"the cells at facet {facet} of the step "
+        rel = wall_coefficients(Z, w.rays, w.side_a, w.side_b)
+        if any(rel[i] <= 0 for i in set(w.side_a) ^ set(w.side_b)):
+            raise InvariantBreach(f"the cells at facet {w.rays} of the step "
                                   "lie on one side of it")
-        if landing(sides[0] + sides[1]):
-            contracted.append((facet, rel))
+        if landing(w.side_a + w.side_b):
+            contracted.append((w.rays, rel))
     if not all(map(landing, new)):
         raise InvariantBreach("a new cell maps into no cone of the base")
     object.__setattr__(out, "step_flags", MorphismFlags(

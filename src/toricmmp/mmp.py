@@ -1,36 +1,15 @@
 """Extremal contractions, flips, the D-MMP driver, and the negativity oracle.
 
-The driver is the trichotomy loop: while D is negative on a class of the
-map (not nef over the base), contract a negative extremal ray; `contract`
-refuses a class that spans none (the ratio-test certificate, else one
-LP).  Each step is read off the ray's wall relation c = sum a_i v_i = 0
-(Reid 1983).  Its signs give the kind, and the driver tries the classes
-with a negative a_i first: none is a fano contraction, which ends the
-run; one negative a_j is divisorial and drops v_j and the Picard rank by
-one; two or more make it flipping.  Both birational kinds merge cones
-that must be circuits, checked once.  A flip swaps each circuit's
-triangulation from the positive to the negative side, whose new walls
-carry -c: the divisor's value there is -D.c > 0, its ampleness (the
-certificate) over the small target, the fan of linearity domains of the
-divisor supporting the ray.  Every step is recorded with
-its certificates and termination is witnessed by a no-repeat set of fans.
-Every model a step reaches is again projective over the base: the step
-carries an ample class to it, checked by dot products, so only the first
-map's projectivity is an LP.  Nor is any later map checked whole: the
-step acts only inside its circuit cones (Reid 1983), so one helper for
-both birational kinds (`_swap_circuits`) hands `fan.swap_cells` the cells
-it takes out and puts in.  `swap_cells` builds the map from those cells
-and the relations m contracts, which it reads off `check_morphism(m)`
-itself, and certifies the new fan by the triangulation criterion on the
-cells it changed (`fan._triangulates`).  Walls between kept cells keep
-their relations, and only the walls through a new cell get a fresh one;
-the map's toric and proper flags follow from the step.  Whole-map
-`check_morphism` and whole-fan validation run on the first map and on the
-fano quotient only, and the negativity oracle's refinement is certified
-by the cells its pieces change (`fan.common_refinement`).  The verdicts
-on a class, the ratio-test certificate (`_ratio_certificate`) or an LP's,
-are kept on its map's flags, so a step replayed on an equal map solves no
-LP.
+`run_mmp` is the trichotomy loop: while D is negative on a class of the
+map (not nef over the base), it contracts a negative extremal ray and
+records the step with its certificates; a no-repeat set of fans witnesses
+termination.  `contract` reads each step off the ray's wall relation
+(Reid 1983), and one helper, `_swap_circuits`, builds the map of both
+birational kinds from the class's circuit cones by `fan.swap_cells`, so
+no later map is checked whole.  `contract_face` gives the ample model of
+a nef divisor, and the negativity oracle, `verify_negativity`, works on a
+common refinement certified by the cells its pieces change
+(`fan.common_refinement`).
 """
 
 from __future__ import annotations
@@ -103,22 +82,25 @@ def contract(m: FanMap, wall_set) -> ContractionResult:
 
     The walls must be contracted by m, share one relation sum a_i v_i = 0
     (their `contracted_walls` class), and be every contracted wall of that
-    class; maximal cones merge across them.  The class must span an
-    extremal ray, else NotExtremal.  That verdict and L below are read off
-    the map's flags, `check_morphism(m)` (`fan.MorphismFlags`): the
-    ratio-test certificate `run_mmp` left there, else one `is_extreme` LP
-    against the other contracted classes, kept, so a second contraction of
-    the class on an equal map solves no LP.  Its signs give the kind (Reid
-    1983), with no search: no negative a_i is fano, the quotient by the
-    lattice of the rays J+ with a_i > 0; one negative a_j is divisorial,
-    and the target drops v_j = sum (a_i / -a_j) v_i; two or more is
-    flipping, and the merged circuit cones stay whole in the small,
-    non-simplicial target, the fan of the linearity domains of the class's
-    `supporting_divisor` L (its certificate, `supporting`).  For both
-    birational kinds each merged cone must have rank + 1 rays and be cut by
-    F into the cells rayset - {j}, j in J+; then it is the union of those
-    cells (the two triangulations of a circuit cover the same cone), and
-    dropping the one J- ray of a divisorial circuit leaves independent
+    class.  The class must span an extremal ray, else NotExtremal.  That
+    verdict and L below are read off the map's flags, `check_morphism(m)`
+    (`fan.MorphismFlags`): the ratio-test certificate `run_mmp` left there,
+    else one `is_extreme` LP against the other contracted classes, kept, so
+    a second contraction of the class on an equal map solves no LP.  Its
+    signs give the kind (Reid 1983), with no search: no negative a_i is
+    fano, the quotient by the lattice of the rays J+ with a_i > 0; one
+    negative a_j is divisorial, and the target drops
+    v_j = sum (a_i / -a_j) v_i; two or more is flipping, and the circuit
+    cones stay whole in the small, non-simplicial target, the fan of the
+    linearity domains of the class's `supporting_divisor` L (its
+    certificate, `supporting`).  Each wall names its circuit cone, the rays
+    of its two cells, taken once in `contracted_walls` order: two walls of
+    the class that share a cell name the same rays, since the relation
+    lives on both ray sets and the shared cell's rays are independent.  For
+    both birational kinds each circuit cone must have rank + 1 rays and be
+    cut by F into the cells rayset - {j}, j in J+; then it is the union of
+    those cells (the two triangulations of a circuit cover the same cone),
+    and dropping the one J- ray of a divisorial circuit leaves independent
     rays, a simplicial cone.  The divisorial target and its map to the base
     come from `_swap_circuits`, as a flip's do.
     """
@@ -153,10 +135,10 @@ def contract(m: FanMap, wall_set) -> ContractionResult:
         L = supporting_divisor(m, rel)
         if L is None:
             raise InvariantBreach("an extremal class has no supporting divisor")
-    merged = [g for g in _merge_groups(F, wall_set) if len(g) > 1]
-    merged_ray_sets = [tuple(sorted(set(itertools.chain.from_iterable(g))))
-                       for g in merged]
-    for rayset in merged_ray_sets:
+    circuits = list(dict.fromkeys(
+        tuple(sorted(set(w.side_a) | set(w.side_b))) for w, c in pairs
+        if c == rel))
+    for rayset in circuits:
         original = {c for c in F.max_cones if set(c) <= set(rayset)}
         if (len(rayset) != F.rank + 1
                 or original != _circuit_cells(rayset, j_plus)):
@@ -164,17 +146,17 @@ def contract(m: FanMap, wall_set) -> ContractionResult:
                 f"merged cone {rayset} is not the J+ side of a circuit")
 
     if len(j_minus) == 1:
-        base = _swap_circuits(m, rel.coeffs, merged_ray_sets)
+        base = _swap_circuits(m, rel.coeffs, circuits)
         Z = base.source
         return ContractionResult("divisorial", Z, identity_map(F, Z), base,
                                  removed_ray=F.rays[j_minus[0]], relation=rel)
 
-    merged_members = set(itertools.chain.from_iterable(merged))
-    unmerged = [c for c in F.max_cones if c not in merged_members]
-    Z = Fan(F.rank, F.rays, tuple(sorted(set(merged_ray_sets + unmerged))))
+    merged = set().union(*(_circuit_cells(r, j_plus) for r in circuits))
+    unmerged = [c for c in F.max_cones if c not in merged]
+    Z = Fan(F.rank, F.rays, tuple(sorted(set(circuits + unmerged))))
     return ContractionResult("flipping", Z, identity_map(F, Z),
                              FanMap(m.matrix, Z, m.target),
-                             merged_cones=tuple(merged_ray_sets), relation=rel,
+                             merged_cones=tuple(circuits), relation=rel,
                              supporting=L)
 
 

@@ -236,8 +236,9 @@ def swap_cells(m: FanMap, survivors, removed, added) -> FanMap:
     """`fan.swap_cells` with its own local criterion: owners of the changed
     facets read off `walls` of both fans, sides off the wall relations
     (positive on the two rays off each wall), the boundary test on a facet
-    of one new cell or of a removed cell that a kept cell owns, and the
-    one-point test by `cone_contains` only when no cell is kept."""
+    of one new cell or of a removed cell that a kept cell owns, the
+    one-point test by `cone_contains` only when no cell is kept, and the
+    contracted walls in the order of the facet map (`fn._facet_map`)."""
     F = m.source
     index = {old: new for new, old in enumerate(survivors)}
     removed = set(removed)
@@ -277,7 +278,10 @@ def swap_cells(m: FanMap, survivors, removed, added) -> FanMap:
             raise InvariantBreach(f"facet {facet} of the step has one "
                                   "cell inside the support")
     contracted = []
-    for facet, sides in fn._paired_facets(Z):
+    for facet, owners in fn._facet_map(Z).items():
+        if len(owners) != 2:
+            continue
+        sides = tuple(Z.max_cones[k] for k in owners)
         if facet not in changed:
             rel = relations.get(tuple(survivors[i] for i in facet))
             if rel is not None:

@@ -11,8 +11,8 @@ rule on its own determinants (`fan_oracle.triangulates`, and
 `fan_oracle.triangulates_by_membership` for the one-point test by
 `cone_contains`), and whose owners are read off `walls` and, given a base,
 its changed cells handed over by `validate_fan`
-(`fan_oracle.triangulates_by_facet_map`).  The facet pairs read off
-`walls` keep the facet map's order.  A guard makes sure the MMP
+(`fan_oracle.triangulates_by_facet_map`).  `walls` lists the facet
+pairs in the facet map's order.  A guard makes sure the MMP
 never falls back to the pairwise check on the fans the fast paths cover,
 nor builds the whole Mori cone.  Another guard counts the projectivity LPs of
 `run_mmp`: one per run, as every later model is certified by the ample
@@ -229,9 +229,9 @@ def test_criterion_matches_membership_oracle_on_generated_fans(monkeypatch):
     assert len(fans) == len(proved) == 272
 
 
-def test_paired_facets_keep_facet_map_order(corpus_fans, replay_refinements):
-    # the two-owner facets read off `walls` come in the order of the facet
-    # map, so the projectivity LP's rows and its witness do not change
+def test_walls_keep_facet_map_order(corpus_fans, replay_refinements):
+    # `walls` lists the two-owner facets in the order of the facet map, so
+    # the projectivity LP's rows and its witness do not change
     rng = random.Random(28)
     fans = [F for F in corpus_fans if _full_dim_simplicial(F)]
     for F1, F2 in replay_refinements:
@@ -243,12 +243,12 @@ def test_paired_facets_keep_facet_map_order(corpus_fans, replay_refinements):
     fans += [mutate(rng, F) for F in list(fans)]
     checked = 0
     for F in fans:
-        if not F.max_cones or not F.is_simplicial():
+        owned = fn._facet_map(F)
+        if any(len(owners) > 2 for owners in owned.values()):
             continue
-        assert fn._paired_facets(F) == [
-            (facet, tuple(F.max_cones[k] for k in owners))
-            for facet, owners in fn._facet_map(F).items()
-            if len(owners) == 2], F
+        assert fn.walls(F) == tuple(
+            fn.Wall(facet, *(F.max_cones[k] for k in owners))
+            for facet, owners in owned.items() if len(owners) == 2), F
         checked += 1
     assert checked >= 500
 

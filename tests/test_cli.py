@@ -230,6 +230,14 @@ def test_zariski(tmp_path, capsys):
     assert n == {(1, 0): "0", (0, 1): "0", (1, 1): "1"}
 
 
+def test_zariski_with_an_empty_divisor_exits_1(tmp_path, capsys):
+    f = _write(tmp_path, "p2.json", P2)
+    code = main(["zariski", "--fan", f, "--divisor", ""])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "input error: --divisor is required" in err
+
+
 def test_sections_and_box(tmp_path, capsys):
     f = _write(tmp_path, "p2.json", P2)
     div = _write(tmp_path, "h.json", {"coeffs": ["0", "0", "1"]})

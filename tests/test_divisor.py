@@ -92,6 +92,15 @@ def test_pushforward_missing_ray(orthant2, p2):
         dv.pushforward(m, dv.zero_divisor(orthant2))
 
 
+def test_pushforward_ambiguous_coefficient(blowup2):
+    # (x, y) -> x sends the rays (1, 0) and (1, 1) onto one ray
+    m = FanMap(((1, 0),), blowup2, Fan(1, ((1,),), ((0,),)))
+    assert dv.pushforward(m, InvariantDivisor((2, 5, 2))).coeffs == (2,)
+    with pytest.raises(PreconditionError,
+                       match="ambiguous pushforward coefficient"):
+        dv.pushforward(m, InvariantDivisor((2, 0, 3)))
+
+
 def test_sections_p2(p2):
     # H = D_{rho_2}: the unit triangle, 3 monomials
     D = InvariantDivisor((0, 0, 1))

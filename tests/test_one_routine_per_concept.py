@@ -12,8 +12,11 @@ criterion is the one routine that tests changed facets against a base:
 cells, the new and the removed ones (`_triangulates(F, new, removed)`),
 so `swap_cells` names it and neither `_on_boundary` nor `cone_contains`.
 Each fan's facets are paired once: only `walls` (cached per fan) builds
-the facet map, and the criterion, `check_morphism` and `swap_cells` read
-`walls`.  `common_refinement` certifies only the cells
+the facet map, and lists its walls in facet-map order, the one wall list
+that the criterion, `check_morphism` and `swap_cells` read.
+`mmp.contract` reads each circuit cone off one wall of its class, so
+`mmp._merge_groups` serves only `contract_face`.
+`common_refinement` certifies only the cells
 it changes, so it names no `certify_fan`.  `divisor.support_function` and
 `divisor.pullback` take each cone's covector and Cartier index from one
 per-cone Smith form
@@ -60,7 +63,7 @@ from toricmmp import fan
 
 GONE = {"_simplicial_contains", "integer_multiple_for_solvability",
         "SectionCone", "quotient_matrix", "_unpaired_facets", "_relations",
-        "_lattice_free_of"}
+        "_lattice_free_of", "_paired_facets", "_contracted_facets"}
 
 
 def test_no_second_implementation():
@@ -82,6 +85,9 @@ def test_no_second_implementation():
     assert [name for name, _ in _signature(fan.swap_cells)] == [
         "m", "survivors", "removed", "added"]
     assert users(refs, "swap_cells") == {"mmp._swap_circuits"}
+    for key in ("fan.check_morphism", "fan.swap_cells"):
+        assert "walls" in refs[key], key
+    assert users(refs, "_merge_groups") == {"mmp.contract_face"}
     for key in ("mmp.contract", "mmp._flip_contracted"):
         assert "_swap_circuits" in refs[key], key
     assert users(refs, "_facet_owners") == {"fan.cone_covered", "fan.Fan",

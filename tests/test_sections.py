@@ -274,6 +274,17 @@ def test_ckm_detects_corruption(blowup2, blowup_map):
     assert not v.ok and v.failed_condition in (1, 3)
 
 
+def test_ckm_detects_a_p_that_is_not_nef(blowup_map):
+    # P and N of the decomposition of E swapped: N = 0 is effective, and
+    # P = E pairs negatively with the exceptional curve, condition (1)
+    E = InvariantDivisor((0, 0, 1))
+    R = sc.zariski_decompose(blowup_map, E)
+    swapped = sc.ZariskiResult(R.model, R.to_source, R.base_map, R.N, R.P,
+                               R.nef_end_fan, R.p_cartier_index)
+    assert sc.verify_ckm(swapped, E) == sc.CKMVerdict(False,
+                                                     failed_condition=1)
+
+
 def test_ckm_detects_wrong_split(blowup2, blowup_map):
     # move mass from N to P so the degree-1 sections grow: condition 3
     D = InvariantDivisor((1, 1, 3))

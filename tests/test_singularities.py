@@ -48,6 +48,15 @@ def test_classify_a1(a1_cone_fan):
     assert c.witness == (1, 1) and c.min_discrepancy == 0
 
 
+def test_classify_a1_cone_that_is_not_full_dimensional():
+    # the A1 cone in a rank-3 lattice: its span rows bound the points, and
+    # the verdict is the rank-2 one
+    F = Fan(3, ((1, 0, 0), (1, 2, 0)), ((0, 1),))
+    c = sg.classify_pair(F, dv.zero_divisor(F))
+    assert (c.verdict, c.witness, c.min_discrepancy) == ("canonical",
+                                                         (1, 1, 0), 0)
+
+
 def test_classify_one_third():
     F = Fan(2, ((1, 0), (-1, 3)), ((0, 1),))
     c = sg.classify_pair(F, dv.zero_divisor(F))
