@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import mul, neg
 from typing import Optional, Sequence
 
 from .errors import InputError, InvariantBreach, PreconditionError
@@ -545,13 +545,23 @@ def _phase1(A, b, n: int):
     last pivot (1 when none was made).  No `Fraction` is built.  n is
     given so that m = 0 has its witness: n zeros over D = 1.
 
-    Integer pivoting (Edmonds): the tableau holds integers over one common
-    denominator D > 0, starting at 1; each row of [A | b] is scaled to
-    integers first.  Pivoting on p = T[r][s] turns every other row, and the
-    cost row, into (x*p - f*y) // D and then sets D = p.  The division is
-    exact because every entry is a minor of the initial tableau, and p > 0
-    (the ratio test picks it), so every sign test and every ratio
-    comparison is that of the rational tableau.
+    Integer pivoting (Edmonds): the tableau [A | I | b] holds integers over
+    one common denominator D > 0, starting at 1; each row of [A | b] is
+    scaled to integers first, and I is the block of artificial columns.
+    Pivoting on p = T[r][s] turns every other row, and the cost row, into
+    (x*p - f*y) // D and then sets D = p.  The division is exact because
+    every entry is a minor of the initial tableau, and p > 0 (the ratio
+    test picks it), so every sign test and every ratio comparison is that
+    of the rational tableau.
+
+    So each pivot multiplies the tableau, cost row included, on the left
+    by one rational matrix, and a column that starts as c times another
+    stays exactly c times it.  Only I, b and the columns of the scaled A
+    that are no such multiple are stored: a column of A with at most one
+    nonzero entry, v in row k, is v times I's column k, and a column equal
+    to an earlier stored one, or to minus it, is read off that one.  Bland's
+    entering rule, the ratio test and the witness read a column that is not
+    stored as c times its stored column.
 
     The cost row starts as minus the sum of the rows, artificial columns
     included, so it stays a combination of the constraint rows.  An
@@ -564,55 +574,68 @@ def _phase1(A, b, n: int):
     m = len(A)
     if m == 0:
         return (0,) * n, 1
-    T = []
+    rows = []
     for i in range(m):
         row = _integer_row(list(A[i]) + [b[i]])
-        if row[-1] < 0:
-            row = [-x for x in row]
-        T.append(row[:-1] + [1 if j == i else 0 for j in range(m)] + row[-1:])
-    ncols = n + m
+        rows.append([-x for x in row] if row[-1] < 0 else row)
+    # column j of [A | I] is c times stored column q for (q, c) = src[j];
+    # the stored columns are I's, the kept columns of A, then b
+    kept, src, cols = {}, [], []
+    for col in itertools.islice(zip(*rows), n):
+        hit = kept.get(col)
+        if hit is None:
+            if col.count(0) >= m - 1:
+                v = sum(col)
+                hit = (col.index(v), v) if v else (0, 0)
+            else:
+                hit = kept[col] = (m + len(cols), 1)
+                kept[tuple(map(neg, col))] = (hit[0], -1)
+                cols.append(col)
+        src.append(hit)
+    src += [(i, 1) for i in range(m)]
+    cols.append([row[n] for row in rows])
+    T = [[0] * i + [1] + [0] * (m - 1 - i) + list(r)
+         for i, r in enumerate(zip(*cols))]
     basis = list(range(n, n + m))
-    cost = [-sum(col) for col in zip(*T)]
+    cost = [-1] * m + [-sum(col) for col in cols]
     D = 1
     while True:
-        enter = next((j for j in range(ncols) if cost[j] < 0), None)
-        if enter is None:
+        for enter, (q, c) in enumerate(src):
+            if cost[q] * c < 0:
+                break
+        else:
             break
-        # Bland's ratio test: least (rhs / entry, basis[i], i) over positive
-        # entries, ratios compared by cross-multiplication
+        # Bland's ratio test on the entering column: least (rhs / entry,
+        # basis[i], i) over positive entries, ratios compared by
+        # cross-multiplication
+        col = [row[q] * c for row in T]
         piv = None
-        for i in range(m):
-            a = T[i][enter]
+        for i, a in enumerate(col):
             if a > 0:
-                if piv is None:
-                    piv, best_a, best_t = i, a, T[i][ncols]
-                    continue
-                lhs, rhs = T[i][ncols] * best_a, best_t * a
-                if lhs < rhs or (lhs == rhs and basis[i] < basis[piv]):
-                    piv, best_a, best_t = i, a, T[i][ncols]
+                t = T[i][-1]
+                if piv is None or t * best_a < best_t * a or \
+                        (t * best_a == best_t * a and basis[i] < basis[piv]):
+                    piv, best_a, best_t = i, a, t
         if piv is None:
             raise InvariantBreach("phase 1 unbounded: no positive entry in the entering column")
-        prow = T[piv]
-        p = prow[enter]
-        for i in range(m):
+        prow, p = T[piv], col[piv]
+        for i, f in enumerate(col):
             if i != piv:
-                row = T[i]
-                f = row[enter]
                 if f:
-                    T[i] = [(x * p - f * y) // D for x, y in zip(row, prow)]
+                    T[i] = [(x * p - f * y) // D for x, y in zip(T[i], prow)]
                 elif p != D:
-                    T[i] = [x * p // D for x in row]
-        f = cost[enter]
+                    T[i] = [x * p // D for x in T[i]]
+        f = cost[q] * c
         cost = [(x * p - f * y) // D for x, y in zip(cost, prow)]
         basis[piv] = enter
         D = p
-    if cost[ncols] != 0:
+    if cost[-1] != 0:
         raise InvariantBreach("phase 1 ended with a nonzero cost right-hand side")
     z = [0] * n
     for i, bv in enumerate(basis):
         if bv < n:
-            z[bv] = T[i][ncols]
-        elif T[i][ncols] != 0:
+            z[bv] = T[i][-1]
+        elif T[i][-1] != 0:
             return None  # an artificial variable stays positive: infeasible
     return tuple(z), D
 
@@ -641,10 +664,13 @@ def solve_nonneg(columns: Sequence[Sequence], target: Sequence) -> Optional[Vect
 def feasible_point(ineqs: Sequence[tuple], eqs: Sequence[tuple] = (),
                    dim: Optional[int] = None) -> Optional[Vector]:
     """Find x with <a,x> >= r for (a,r) in ineqs and <a,x> = r for (a,r) in
-    eqs.  Variables are free; handled by x = u - w with u,w >= 0.  The
-    point x / D, read off the witness z / D of `_phase1`, is checked
-    against every constraint before it is returned, on its integers:
-    D > 0, <a,x> >= r D and <a,x> = r D."""
+    eqs.  Variables are free: the system handed to `_phase1` writes
+    x = u - w with u, w >= 0 and one slack s >= 0 per inequality,
+    <a,u> - <a,w> - s = r.  `_phase1` stores none of the w and slack
+    columns, which are multiples of the u and artificial ones.  The point
+    x / D, read off the witness z / D of `_phase1`, is checked against
+    every constraint before it is returned, on its integers: D > 0,
+    <a,x> >= r D and <a,x> = r D."""
     rows = list(ineqs) + list(eqs)
     if dim is None:
         dim = len(rows[0][0]) if rows else 0

@@ -58,8 +58,12 @@ _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 
 @lru_cache(maxsize=None)
 def cone_dim(gens: tuple) -> int:
+    """The dimension of the span of the integer generators: n for n of them
+    in rank n with a nonzero `xl.integer_det`, else `xl.rank`."""
     if not gens:
         return 0
+    if len(gens) == len(gens[0]) and xl.integer_det(gens):
+        return len(gens)
     return xl.rank(gens)
 
 

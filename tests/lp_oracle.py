@@ -2,13 +2,16 @@
 
 `_phase1` is the Bland-rule phase-1 simplex over `Fraction`s, as `exactlin`
 ran it before it moved to integer pivoting, and `solve_nonneg` the entry
-point built on it.  `lp_feasible` and `recession_cone_trivial` are the
-Fourier-Motzkin versions `exactlin` used before the simplex answered every
-feasibility and boundedness question: a witness by elimination and
-back-substitution, and boundedness by 2 * dim probes, one per signed unit
-vector.  `rank`, `nullspace` and `solve` share one elimination of their
-own, on integer-scaled rows (`_echelon`), with `Fraction`s only in the
-back-substitution.  `rank` counts its pivots, `nullspace` gives the
+point built on it.  `_integer_phase1` is the integer pivoting `exactlin`
+ran before it stored only the tableau columns that are no multiple of
+another, on every column, and `feasible_point` the entry point built on
+it, which writes x = u - w and one slack per inequality.  `lp_feasible`
+and `recession_cone_trivial` are the Fourier-Motzkin versions `exactlin`
+used before the simplex answered every feasibility and boundedness
+question: a witness by elimination and back-substitution, and boundedness
+by 2 * dim probes, one per signed unit vector.  `rank`, `nullspace` and
+`solve` share one elimination of their own, on integer-scaled rows
+(`_echelon`), with `Fraction`s only in the back-substitution.  `rank` counts its pivots, `nullspace` gives the
 rational kernel basis of the reduced row echelon form, one vector per
 free column, and `solve` one solution of a linear system with free
 variables 0, for the oracles that solved linear systems with
@@ -80,6 +83,75 @@ def solve_nonneg(columns, target):
     m = len(columns[0])
     A = [[columns[j][i] for j in range(len(columns))] for i in range(m)]
     return _phase1(A, list(target))
+
+
+def _integer_phase1(A, b, n):
+    """`exactlin._phase1` as it was before it stored only the columns that
+    are no multiple of another: Edmonds' integer pivoting with Bland's rule
+    on the whole tableau [A | I | b], each row of [A | b] times the lcm of
+    its denominators.  (z, D) with x = z / D, or None."""
+    m = len(A)
+    if m == 0:
+        return (0,) * n, 1
+    T = []
+    for i in range(m):
+        row = list(A[i]) + [b[i]]
+        den = lcm(*(e.denominator for e in row))
+        row = [e.numerator * (den // e.denominator) for e in row]
+        if row[-1] < 0:
+            row = [-x for x in row]
+        T.append(row[:-1] + [1 if j == i else 0 for j in range(m)] + row[-1:])
+    ncols = n + m
+    basis = list(range(n, n + m))
+    cost = [-sum(col) for col in zip(*T)]
+    D = 1
+    while True:
+        enter = next((j for j in range(ncols) if cost[j] < 0), None)
+        if enter is None:
+            break
+        piv = None
+        for i in range(m):
+            a = T[i][enter]
+            if a > 0:
+                if piv is None:
+                    piv, best_a, best_t = i, a, T[i][ncols]
+                    continue
+                lhs, rhs = T[i][ncols] * best_a, best_t * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[piv]):
+                    piv, best_a, best_t = i, a, T[i][ncols]
+        prow = T[piv]
+        p = prow[enter]
+        for i in range(m):
+            if i != piv:
+                f = T[i][enter]
+                T[i] = [(x * p - f * y) // D for x, y in zip(T[i], prow)]
+        f = cost[enter]
+        cost = [(x * p - f * y) // D for x, y in zip(cost, prow)]
+        basis[piv] = enter
+        D = p
+    z = [0] * n
+    for i, bv in enumerate(basis):
+        if bv < n:
+            z[bv] = T[i][ncols]
+        elif T[i][ncols] != 0:
+            return None
+    return tuple(z), D
+
+
+def feasible_point(ineqs, eqs, dim):
+    """x with <a,x> >= r for (a,r) in ineqs and <a,x> = r for (a,r) in eqs,
+    or None: `_integer_phase1` on the whole tableau [u | -u | slack] of
+    x = u - w, one slack per inequality."""
+    nslack = len(ineqs)
+    A = [list(a) + [-x for x in a] + [-int(j == k) for j in range(nslack)]
+         for k, (a, _) in enumerate(ineqs)]
+    A += [list(a) + [-x for x in a] + [0] * nslack for a, _ in eqs]
+    sol = _integer_phase1(A, [r for _, r in list(ineqs) + list(eqs)],
+                          2 * dim + nslack)
+    if sol is None:
+        return None
+    z, D = sol
+    return tuple(Fraction(z[i] - z[dim + i], D) for i in range(dim))
 
 
 def _normalize_row(row):

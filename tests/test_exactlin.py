@@ -11,6 +11,10 @@ from hypothesis import example, given, settings, strategies as st
 import cone_oracle
 import lattice_oracle
 import lp_oracle
+from test_acceptance import _check_flip_steps
+from toricmmp import corpus, mmp
+from toricmmp import curves as cv
+from toricmmp import divisor as dv
 from toricmmp import exactlin as xl
 from toricmmp import fan as fn
 from toricmmp.errors import InputError, InvariantBreach, PreconditionError
@@ -476,6 +480,66 @@ def test_feasible_point_strict():
     assert sol[0] - sol[1] >= 1 and sol[1] >= 0
     # x >= 1 and -x >= 0 impossible
     assert xl.feasible_point([((1,), Fraction(1)), ((-1,), Fraction(0))]) is None
+
+
+def _corpus_lps(monkeypatch):
+    """(ineqs, eqs, dim) of every `feasible_point` call of one pass of the
+    acceptance corpus on each of four seeds, as the acceptance gate runs
+    it, with the caches cleared before each pass."""
+    calls = []
+    solve = xl.feasible_point
+
+    def record(ineqs, eqs=(), dim=None):
+        calls.append((list(ineqs), list(eqs),
+                      len(ineqs[0][0]) if dim is None else dim))
+        return solve(ineqs, eqs, dim)
+
+    monkeypatch.setattr(xl, "feasible_point", record)
+    for seed in (20240801, 0, 1, 2):
+        instances = corpus.termination_instances(seed, 100)
+        for cache in (fn.check_morphism, cv.contracted_walls, fn.walls,
+                      fn.cone_dim, fn.cone_span_perp, fn.cone_facets,
+                      dv.support_function):
+            cache.cache_clear()
+        for m, D in instances:
+            trace = mmp.run_mmp(m, D)
+            if trace.outcome == "minimal":
+                cv.nefness(trace.final_divisor, trace.final_map)
+            _check_flip_steps(m, D, trace)
+    monkeypatch.undo()
+    return calls
+
+
+def _random_lp(rng):
+    """(ineqs, eqs, dim): 1-5 variables, 0-7 inequalities and 0-2
+    equations, entries in [-3, 3], about a third of them `Fraction`s."""
+    dim = rng.randint(1, 5)
+
+    def entry():
+        a = rng.randint(-3, 3)
+        return Fraction(a, rng.randint(2, 3)) if rng.random() < 0.3 else a
+
+    def rows(count):
+        return [(tuple(entry() for _ in range(dim)), entry())
+                for _ in range(count)]
+
+    return rows(rng.randint(0, 7)), rows(rng.randint(0, 2)), dim
+
+
+def test_feasible_point_matches_the_whole_tableau(monkeypatch):
+    # `_phase1` stores no column that is a multiple of another (the w of
+    # x = u - w, the slacks); the oracle pivots the whole [u | -u | slack]
+    # tableau over Fractions, on the same scaled rows, so the pivots and
+    # the point are the same
+    systems = _corpus_lps(monkeypatch)
+    assert len(systems) >= 350
+    rng = random.Random(33)
+    systems += [_random_lp(rng) for _ in range(3000)]
+    results = [xl.feasible_point(*s) for s in systems]
+    mismatches = [s for s, got in zip(systems, results)
+                  if got != lp_oracle.feasible_point(*s)]
+    assert mismatches == []
+    assert 500 <= results.count(None) <= len(results) - 1500
 
 
 @given(st.lists(st.tuples(small_ints, small_ints), min_size=1, max_size=5))

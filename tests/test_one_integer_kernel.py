@@ -9,7 +9,8 @@ and the Smith form serves only the quotient lattice, the divisibility
 index and the section of a quotient projection.  So a second kernel
 routine cannot come back unnoticed.  The test oracles (`*_oracle.py`)
 solve linear systems with `lp_oracle.solve`, on their own elimination,
-never with `solve_linear`.  The phase-1 simplex hands back integer
+never with `solve_linear`.  The phase-1 simplex is the one pivot loop,
+behind `solve_nonneg` and `feasible_point`; it hands back integer
 numerators over one denominator, and the LPs built on it check that
 witness on integers, so a `Fraction` appears there only in the witness
 they return."""
@@ -62,6 +63,9 @@ def _fraction_names(node):
 
 
 def test_lp_witnesses_are_checked_on_integers():
+    # one pivot loop, behind both LPs
+    assert users(references(), "_phase1") == {"exactlin.solve_nonneg",
+                                              "exactlin.feasible_point"}
     assert not _fraction_names(_function(xl, "_phase1"))
     for name in ("solve_nonneg", "feasible_point"):
         node = _function(xl, name)

@@ -266,12 +266,13 @@ def test_ckm_detects_corruption(blowup2, blowup_map):
                             R.p_cartier_index)
     v = sc.verify_ckm(badN, E)
     assert not v.ok and v.failed_condition == 2
-    # corrupt P to something non-nef: condition 1
+    # corrupt P to something non-nef: condition 1; the model's rays are
+    # (1, 0), (1, 1), (0, 1), so P is the exceptional ray's divisor
     badP = sc.ZariskiResult(R.model, R.to_source, R.base_map,
-                            InvariantDivisor((0, 0, 1)), R.N, R.nef_end_fan,
+                            InvariantDivisor((0, 1, 0)), R.N, R.nef_end_fan,
                             R.p_cartier_index)
     v = sc.verify_ckm(badP, E)
-    assert not v.ok and v.failed_condition in (1, 3)
+    assert not v.ok and v.failed_condition == 1
 
 
 def test_ckm_detects_a_p_that_is_not_nef(blowup_map):
