@@ -557,11 +557,12 @@ def _phase1(A, b, n: int):
     As every division is exact, each pivot multiplies the tableau, cost
     row included, on the left by one rational matrix, so a column that
     starts as c times another stays exactly c times it.  Only I, b and
-    the columns of the scaled A that are no such multiple are stored: a column of A with at most one
-    nonzero entry, v in row k, is v times I's column k, and a column equal
-    to an earlier stored one, or to minus it, is read off that one.  Bland's
-    entering rule, the ratio test and the witness read a column that is not
-    stored as c times its stored column.
+    the columns of the scaled A that are no such multiple are stored: a
+    column of A with at most one nonzero entry, v in row k, is v times
+    I's column k, and a column equal to an earlier stored one, or to minus
+    it, is read off that one.  Bland's entering rule, the ratio test and
+    the witness read a column that is not stored as c times its stored
+    column.
 
     The cost row starts as minus the sum of the rows, artificial columns
     included, so it stays a combination of the constraint rows.  An

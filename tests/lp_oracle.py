@@ -11,13 +11,13 @@ used before the simplex answered every feasibility and boundedness
 question: a witness by elimination and back-substitution, and boundedness
 by 2 * dim probes, one per signed unit vector.  `rank`, `nullspace` and
 `solve` share one elimination of their own, on integer-scaled rows
-(`_echelon`), with `Fraction`s only in the back-substitution.  `rank` counts its pivots, `nullspace` gives the
-rational kernel basis of the reduced row echelon form, one vector per
-free column, and `solve` one solution of a linear system with free
-variables 0, for the oracles that solved linear systems with
-`exactlin.solve_linear`.  (They read the same answers off a `Fraction`
-reduced row echelon form before: its pivot columns and its solutions
-with given free values are the echelon form's.)
+(`_echelon`), with `Fraction`s only in the back-substitution.  `rank`
+counts its pivots, `nullspace` gives the rational kernel basis of the
+reduced row echelon form, one vector per free column, and `solve` one
+solution of a linear system with free variables 0, for the oracles that
+solved linear systems with `exactlin.solve_linear`.  (They read the same
+answers off a `Fraction` reduced row echelon form before: its pivot
+columns and its solutions with given free values are the echelon form's.)
 Nothing here calls into `exactlin`, so a test that compares the two shares
 no arithmetic with the code it checks.
 """
