@@ -528,8 +528,8 @@ def _random_lp(rng):
 
 def test_feasible_point_matches_the_whole_tableau(monkeypatch):
     # `_phase1` stores no column that is a multiple of another (the w of
-    # x = u - w, the slacks); the oracle pivots the whole [u | -u | slack]
-    # tableau over Fractions, on the same scaled rows, so the pivots and
+    # x = u - w, the slacks); the oracle pivots every column of the whole
+    # [u | -u | slack] tableau by the same integer rule, so the pivots and
     # the point are the same
     systems = _corpus_lps(monkeypatch)
     assert len(systems) >= 350
