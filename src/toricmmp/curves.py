@@ -16,8 +16,7 @@ from typing import Optional
 from . import exactlin as xl
 from .errors import PreconditionError
 from .record import record
-from .fan import Fan, FanMap, Wall, _full_dim_simplicial, check_morphism, \
-    cone_dim, wall_coefficients, walls
+from .fan import FanMap, Wall, _full_dim_simplicial, check_morphism, walls
 from .divisor import InvariantDivisor, check_divisor
 
 
@@ -32,17 +31,6 @@ class CurveClass:
         L = lcm(*(d.denominator for d in D.coeffs))
         return Fraction(sum(a * d.numerator * (L // d.denominator)
                             for a, d in zip(self.coeffs, D.coeffs) if a), L)
-
-
-def wall_relation(F: Fan, w: Wall) -> CurveClass:
-    """The relation (`fan.wall_coefficients`) of a wall of full-dimensional
-    simplicial cones."""
-    for side in (w.side_a, w.side_b):
-        if not len(side) == cone_dim(F.cone_gens(side)) == F.rank:
-            raise PreconditionError(
-                f"adjacent cone {side} is not simplicial and full-dimensional; "
-                "wall relations need a Q-factorial fan")
-    return CurveClass(wall_coefficients(F, w.rays, w.side_a, w.side_b))
 
 
 @lru_cache(maxsize=None)

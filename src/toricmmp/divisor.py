@@ -17,6 +17,19 @@ from .record import record
 from .fan import Fan, FanMap, cone_contains
 
 
+def parse_rational(s) -> Fraction:
+    """An int, a Fraction or a rational string ("-3/7", "1.5") as a
+    Fraction; InputError on anything else, a float or a bool included."""
+    if isinstance(s, (int, Fraction)) and not isinstance(s, bool):
+        return Fraction(s)
+    if isinstance(s, str):
+        try:
+            return Fraction(s)
+        except (ValueError, ZeroDivisionError) as e:
+            raise InputError(f"bad rational {s!r}: {e}")
+    raise InputError(f"bad rational {s!r}")
+
+
 class NotQCartier(PreconditionError):
     """Raised when no per-cone covector exists; carries the witness cone."""
 
@@ -30,9 +43,11 @@ class InvariantDivisor:
     coeffs: tuple
 
     def __post_init__(self):
-        # a Fraction is immutable, so it is kept; anything else is converted
+        # a Fraction is immutable, so it is kept; an int is converted, and
+        # anything else is parsed (`parse_rational`)
         object.__setattr__(self, "coeffs", tuple(
-            c if c.__class__ is Fraction else Fraction(c) for c in self.coeffs))
+            c if c.__class__ is Fraction else Fraction(c) if c.__class__ is int
+            else parse_rational(c) for c in self.coeffs))
 
     def __add__(self, other):
         return InvariantDivisor(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
@@ -48,9 +63,6 @@ class InvariantDivisor:
 
     def is_effective(self):
         return all(c >= 0 for c in self.coeffs)
-
-    def is_integral(self):
-        return all(c.denominator == 1 for c in self.coeffs)
 
 
 def zero_divisor(F: Fan) -> InvariantDivisor:
@@ -80,9 +92,6 @@ class SupportFunction:
                 return Fraction(xl.dot(m, v))
         raise PreconditionError(f"{tuple(v)} lies outside the fan support")
 
-    def is_cartier(self) -> bool:
-        return self.cartier_index == 1
-
 
 def _covector(F: Fan, D: InvariantDivisor, cone) -> tuple:
     """(m, l): a covector with <m, v_rho> = -d_rho on the rays of `cone`,
@@ -111,14 +120,6 @@ def support_function(F: Fan, D: InvariantDivisor) -> SupportFunction:
         covectors.append(m)
         index = math.lcm(index, ell)
     return SupportFunction(tuple(covectors), index, F)
-
-
-def is_q_cartier(F: Fan, D: InvariantDivisor) -> bool:
-    try:
-        support_function(F, D)
-        return True
-    except NotQCartier:
-        return False
 
 
 def pullback(m: FanMap, D: InvariantDivisor) -> InvariantDivisor:
@@ -193,9 +194,3 @@ def sections_basis(F: Fan, D: InvariantDivisor, box=None) -> list:
 
 def round_down(D: InvariantDivisor) -> InvariantDivisor:
     return InvariantDivisor(tuple(Fraction(math.floor(c)) for c in D.coeffs))
-
-
-def principal_divisor(F: Fan, u) -> InvariantDivisor:
-    """div(chi^u): coefficient <u, v_rho> at each ray (pairs to zero with
-    every wall class)."""
-    return InvariantDivisor(tuple(Fraction(xl.dot(u, v)) for v in F.rays))

@@ -23,8 +23,8 @@ adds and removes, on a fan built from a valid one (by `validate_fan` with a
 base, for a common refinement, and by `swap_cells`, for an MMP step's fan).
 Two valid fans share most rays and cones, and what they share is read by
 index: `common_refinement` intersects only the cones they do not share,
-`is_proper` skips a target cone that is a source cell under the identity
-and cuts no source cone under an onto map, and `check_morphism` places an
+`_covers_preimages` skips a target cone that is a source cell under the
+identity and cuts no source cone under an onto map, and `check_morphism` places an
 image on a target ray into the cones listing it.  `check_morphism` keeps
 the relations of the walls a map contracts; its projectivity LP
 (`positive_on`) runs only when its answer is read, and its flags keep that
@@ -218,7 +218,7 @@ def cone_covered(ineqs, d: int, cells: Sequence[tuple]) -> bool:
     Each caller knows d = dim C without converting C to generators: the
     dimension of the cone (`cone_covered_by_gens`), and n - m + dim tc for
     the preimage of a target cone tc under A from rank n onto rank m
-    (`is_proper`).  Only the rows that vanish on an unpaired facet are
+    (`_covers_preimages`).  Only the rows that vanish on an unpaired facet are
     read.
     """
     if d == 0:
@@ -282,6 +282,15 @@ def cone_covered_by_gens(gens: tuple, cover: Sequence[tuple]) -> bool:
 # Fan and FanMap
 # ---------------------------------------------------------------------------
 
+def integer(x, error=InputError) -> int:
+    """x as an int when it is an int or an integral Fraction; `error` on
+    anything else: a float (even 1.0), a bool, a string, a proper fraction."""
+    if isinstance(x, Fraction) and x.denominator == 1 or (
+            isinstance(x, int) and not isinstance(x, bool)):
+        return int(x)
+    raise error(f"expected an integer, got {x!r}")
+
+
 @record
 class Fan:
     rank: int
@@ -289,10 +298,12 @@ class Fan:
     max_cones: tuple  # tuple of tuples of sorted ray indices
 
     def __post_init__(self):
-        rays = tuple(tuple(int(c) for c in r) for r in self.rays)
+        rays = tuple(tuple(c if c.__class__ is int else integer(c) for c in r)
+                     for r in self.rays)
         # a cone listed twice counts once; the first listing keeps its place
-        cones = tuple(dict.fromkeys(tuple(sorted(set(int(i) for i in c)))
-                                    for c in self.max_cones))
+        cones = tuple(dict.fromkeys(
+            tuple(sorted({i if i.__class__ is int else integer(i) for i in c}))
+            for c in self.max_cones))
         object.__setattr__(self, "rays", rays)
         object.__setattr__(self, "max_cones", cones)
         for r in rays:
@@ -359,7 +370,8 @@ class FanMap:
     step_flags = None
 
     def __post_init__(self):
-        mat = tuple(tuple(int(c) for c in row) for row in self.matrix)
+        mat = tuple(tuple(c if c.__class__ is int else integer(c) for c in row)
+                    for row in self.matrix)
         object.__setattr__(self, "matrix", mat)
         if len(mat) != self.target.rank:
             raise InputError("matrix row count must equal target rank")
@@ -586,55 +598,9 @@ def certify_fan(F: Fan, what: str) -> Fan:
     return F
 
 
-@record
-class ConeClass:
-    kind: str  # 'smooth' | 'simplicial' | 'non-simplicial'
-    multiplicity: Optional[int]
-
-
-def classify_cone(F: Fan, cone) -> ConeClass:
-    """Kind and lattice multiplicity of a maximal cone of F or of a face of
-    one, given by ray indices; other ray sets are a PreconditionError."""
-    cone = tuple(sorted(cone))
-    _face_holders(F, cone)
-    gens = F.cone_gens(cone)
-    if not gens:
-        return ConeClass("smooth", 1)
-    d = cone_dim(gens)
-    if len(gens) != d:
-        return ConeClass("non-simplicial", None)
-    mult = cone_lattice_multiplicity(gens)
-    return ConeClass("smooth" if mult == 1 else "simplicial", mult)
-
-
 # ---------------------------------------------------------------------------
-# star and star subdivision
+# quotient fans and star subdivision
 # ---------------------------------------------------------------------------
-
-def _face_holders(F: Fan, tau: tuple) -> list:
-    """The maximal cones containing the rays `tau`, once `tau` spans a face
-    of each of them (PreconditionError otherwise)."""
-    holders = [c for c in F.max_cones if set(tau) <= set(c)]
-    if not holders:
-        raise PreconditionError(f"{tau} is not a face of any maximal cone")
-    tgens = F.cone_gens(tau)
-    for c in holders:
-        mf = minimal_face_containing(F.cone_gens(c), tgens)
-        if mf is None or not cone_eq(tgens, mf):
-            raise PreconditionError(f"{tau} is not a face of cone {c}")
-    return holders
-
-
-def star(F: Fan, tau) -> Fan:
-    """Star fan of the face `tau` (ray-index tuple) in the quotient lattice."""
-    tau = tuple(sorted(set(tau)))
-    if not tau:
-        return F
-    return certify_fan(
-        quotient_fan(F, xl.quotient_projection(F.cone_gens(tau), F.rank),
-                     _face_holders(F, tau)),
-        "star fan")
-
 
 def index_rays(index: dict, rays) -> tuple:
     """Sorted indices of `rays` in `index`, a map ray -> index in order of
@@ -881,10 +847,10 @@ def common_refinement(F1: Fan, F2: Fan):
 
 @record
 class MorphismFlags:
-    """What `check_morphism` found.  `projective` and `ample_certificate`
-    are solved by the projectivity LP when one of them is first read, and
-    kept on the instance; so are the verdicts on each contracted class,
-    `is_extreme` and `supporting`: the ratio-test certificate an MMP step
+    """What `check_morphism` found.  `ample_certificate` is solved by the
+    projectivity LP when it is first read, and kept on the instance; so
+    are the verdicts on each contracted class, `is_extreme` and
+    `supporting`: the ratio-test certificate an MMP step
     hands them (`certify_ray`), else one LP.  `check_morphism` hands an
     equal map the same instance from its cache, so a class contracted twice
     on equal maps is decided once."""
@@ -946,10 +912,6 @@ class MorphismFlags:
                 self._others(c), self.nrays, [c])
         return self._verdicts["supporting", c]
 
-    @property
-    def projective(self) -> bool:
-        return self.ample_certificate is not None
-
 
 def _landing(m: FanMap):
     """The function taking source ray indices to the set of target maximal
@@ -1000,13 +962,6 @@ def _cut(gens: tuple, ineqs, eqs, dim) -> tuple:
         return gens
     return _h_to_gens(list(cone_facets(gens)) + list(ineqs),
                       list(cone_span_perp(gens)) + list(eqs), dim)
-
-
-def is_proper(m: FanMap) -> bool:
-    """Preimage of the target support equals the source support: m is toric
-    and its cones cover every preimage (`_covers_preimages`).  Precondition:
-    source and target are valid fans."""
-    return is_toric_morphism(m) and _covers_preimages(m)
 
 
 def _covers_preimages(m: FanMap) -> bool:
@@ -1108,14 +1063,14 @@ def positive_on(relations, nrays: int, zero=()) -> Optional[tuple]:
 
 @lru_cache(maxsize=None)
 def check_morphism(m: FanMap) -> MorphismFlags:
-    """Toric, proper and projective flags of m.  Toric, proper and, for a
-    proper map only, the walls it contracts are computed here: (facet, its
-    `wall_coefficients`) for each wall of `walls(F)` whose two cones land
-    in one target cone, in `walls` order (the relations of
-    `curves.contracted_walls`, which need their scope).  F must then be
-    simplicial with full-dimensional cones, else PreconditionError.  The
-    projectivity LP over those relations runs only when `projective` or
-    `ample_certificate` is first read, so a caller holding its own
+    """The toric and proper flags of m and its projectivity certificate.
+    Toric, proper and, for a proper map only, the walls it contracts are
+    computed here: (facet, its `wall_coefficients`) for each wall of
+    `walls(F)` whose two cones land in one target cone, in `walls` order
+    (the relations of `curves.contracted_walls`, which need their scope).
+    F must then be simplicial with full-dimensional cones, else
+    PreconditionError.  The projectivity LP over those relations runs only
+    when `ample_certificate` is first read, so a caller holding its own
     certificate never solves it.  On such a source every coefficient
     vector defines a piecewise linear support function, and positivity on
     a wall class is strict convexity across the wall.  A map built by

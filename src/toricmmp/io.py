@@ -13,19 +13,8 @@ import os
 from fractions import Fraction
 
 from .errors import InputError
-from .fan import Fan, FanMap
+from .fan import Fan, FanMap, integer
 from .divisor import InvariantDivisor
-
-
-def parse_rational(s) -> Fraction:
-    if isinstance(s, int) and not isinstance(s, bool):
-        return Fraction(s)
-    if isinstance(s, str):
-        try:
-            return Fraction(s)
-        except (ValueError, ZeroDivisionError) as e:
-            raise InputError(f"bad rational {s!r}: {e}")
-    raise InputError(f"bad rational {s!r}")
 
 
 def format_rational(x: Fraction) -> str:
@@ -41,22 +30,15 @@ def _load_json(path):
         raise InputError(f"cannot read {path}: {e}")
 
 
-def _int(x) -> int:
-    """A JSON integer; a float (even 1.0), a bool or a string is a
-    TypeError."""
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise TypeError(f"expected an integer, got {x!r}")
-    return x
-
-
 def _int_rows(rows) -> tuple:
-    return tuple(tuple(_int(c) for c in r) for r in rows)
+    """JSON integer rows; any other entry is a TypeError (`fan.integer`)."""
+    return tuple(tuple(integer(c, TypeError) for c in r) for r in rows)
 
 
 def load_fan(path) -> Fan:
     data = _load_json(path)
     try:
-        rank = _int(data["rank"])
+        rank = integer(data["rank"], TypeError)
         if rank < 0:
             raise ValueError(f"negative rank {rank}")
         return Fan(rank, _int_rows(data["rays"]), _int_rows(data["cones"]))
@@ -70,23 +52,20 @@ def fan_to_obj(F: Fan):
             "cones": [list(c) for c in F.max_cones]}
 
 
-def save_fan(F: Fan, path):
-    with open(path, "w") as fh:
-        fh.write(dumps(fan_to_obj(F)))
-
-
-def load_divisor(path, F: Fan = None) -> InvariantDivisor:
+def load_divisor(path, F: Fan) -> InvariantDivisor:
+    """The divisor in the file, whose coefficients `InvariantDivisor`
+    parses, with one for each ray of F."""
     data = _load_json(path)
     try:
         coeffs = data["coeffs"]
         if not isinstance(coeffs, list):  # a string or object would iterate
             raise TypeError(f"coeffs must be a list, got {coeffs!r}")
-        coeffs = tuple(parse_rational(c) for c in coeffs)
     except (KeyError, TypeError) as e:
         raise InputError(f"malformed divisor file {path}: {e}")
-    if F is not None and len(coeffs) != len(F.rays):
+    D = InvariantDivisor(coeffs)
+    if len(D.coeffs) != len(F.rays):
         raise InputError("divisor length does not match the fan's ray count")
-    return InvariantDivisor(coeffs)
+    return D
 
 
 def divisor_to_obj(D: InvariantDivisor):

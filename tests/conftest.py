@@ -1,6 +1,37 @@
+from functools import lru_cache
+
 import pytest
 
+from toricmmp import corpus, curves, divisor, fan
 from toricmmp.fan import Fan, FanMap, identity_map, map_to_point
+
+
+def termination_instances(seed, count):
+    """`corpus.termination_instances(seed, count)`, built once per session.
+    Its maps and divisors are immutable and cache nothing on the instance
+    (`test_caches`), so tests can share them; a test that counts LPs, cache
+    hits or fallbacks clears the package caches first, whether or not the
+    build warmed them (`clear_package_caches`)."""
+    return _built(corpus.termination_instances, seed, count)
+
+
+def affine_instances(seed, count):
+    """`corpus.affine_instances(seed, count)`, built once per session."""
+    return _built(corpus.affine_instances, seed, count)
+
+
+@lru_cache(maxsize=None)
+def _built(build, seed, count):
+    return tuple(build(seed, count))
+
+
+def clear_package_caches():
+    """Empty every process-global cache of the package, the ones
+    `perfbench/bench_trace.CACHES` lists (`test_caches`)."""
+    for cache in (fan.cone_dim, fan.cone_span_perp, fan.cone_facets,
+                  fan.check_morphism, curves.walls, curves.contracted_walls,
+                  divisor.support_function):
+        cache.cache_clear()
 
 
 @pytest.fixture

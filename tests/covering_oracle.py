@@ -120,8 +120,8 @@ def paired_support_convex(F) -> bool:
 
 
 def is_proper(m) -> bool:
-    """`fan.is_proper`: every target cone's preimage is covered by the
-    uncut source cones."""
+    """`fan.is_toric_morphism` and `fan._covers_preimages`: every target
+    cone's preimage is covered by the uncut source cones."""
     if not is_toric_morphism(m):
         return False
     cover = [m.source.cone_gens(c) for c in m.source.max_cones]

@@ -5,7 +5,7 @@ by double description, and `common_refinement` intersects every cone of one
 fan with every cone of the other.  These are the routines `fan` ran before
 it proved simplicial fans by the triangulation criterion and refined only
 the cones two fans do not share.  (`covering_oracle.is_proper` is the
-oracle for `fan.is_proper`.)
+oracle for `fan.is_toric_morphism` and `fan._covers_preimages`.)
 
 `triangulates` is the triangulation criterion as `fan._triangulates` ran
 it before it called `Fan.support_convex` and `cone_contains`: its own
@@ -547,7 +547,8 @@ def wall_lp_certificate(m: FanMap):
 
 
 def wall_relation(F: Fan, w) -> cv.CurveClass:
-    """`curves.wall_relation` as it computed the kernel itself."""
+    """The relation of the wall w (`fan.wall_coefficients`), from an
+    integer kernel of its own."""
     support = tuple(sorted(set(w.side_a) | set(w.side_b)))
     A = [[F.rays[i][k] for i in support] for k in range(F.rank)]
     ker = lattice_oracle.integer_kernel(A)
@@ -577,7 +578,7 @@ def contracted_walls(m: FanMap) -> tuple:
         raise PreconditionError("source support must be full-dimensional")
     if not F.support_convex():
         raise PreconditionError("source support must be convex")
-    if not fn.is_proper(m):
+    if not (fn.is_toric_morphism(m) and fn._covers_preimages(m)):
         raise PreconditionError("map must be a proper toric morphism")
     out = []
     for w in walls(F):
@@ -599,7 +600,8 @@ def check_contracted(m: FanMap):
     `check_morphism` equal the oracles', error messages included."""
     assert _outcome(cv.contracted_walls, m) == _outcome(contracted_walls, m), m
     flags = fn.check_morphism(m)
-    want = wall_lp_certificate(m) if fn.is_proper(m) else None
+    proper = fn.is_toric_morphism(m) and fn._covers_preimages(m)
+    want = wall_lp_certificate(m) if proper else None
     assert flags.ample_certificate == want, m
 
 

@@ -3,11 +3,11 @@
 `validate_fan` proves full-dimensional simplicial fans by the triangulation
 criterion, `contract` certifies a flipping target by the supporting divisor
 of its ray, `common_refinement` intersects only unshared cones and
-`is_proper` cuts no cone under an onto map.  Each is checked here against
-the routine it replaced (`fan_oracle`, `covering_oracle`) on a slice of the
-acceptance corpus and on mutated fans; so is the criterion itself, whose
-boundary and one-point tests are now `fan._on_boundary` and Cramer's
-rule on its own determinants (`fan_oracle.triangulates`, and
+`_covers_preimages` cuts no cone under an onto map.  Each is checked here
+against the routine it replaced (`fan_oracle`, `covering_oracle`) on a
+slice of the acceptance corpus and on mutated fans; so is the criterion
+itself, whose boundary and one-point tests are now `fan._on_boundary` and
+Cramer's rule on its own determinants (`fan_oracle.triangulates`, and
 `fan_oracle.triangulates_by_membership` for the one-point test by
 `cone_contains`), and whose owners are read off `walls` and, given a base,
 its changed cells handed over by `validate_fan`
@@ -29,6 +29,8 @@ import covering_oracle
 import fan_oracle
 import mmp_oracle
 import replay_oracle
+from conftest import (affine_instances, clear_package_caches,
+                      termination_instances)
 from toricmmp import corpus
 from toricmmp import curves as cv
 from toricmmp import exactlin as xl
@@ -47,7 +49,7 @@ SLICE = range(24)
 
 @pytest.fixture(scope="module")
 def instances():
-    return corpus.termination_instances(seed=20240801, count=100)
+    return termination_instances(seed=20240801, count=100)
 
 
 def _full_dim_simplicial(F):
@@ -190,7 +192,7 @@ def test_criterion_matches_its_oracle(slice_fans):
         rank = 2 + s % 3
         F = corpus.random_complete_fan(random.Random(s), rank, rank + 2 + s % 5)
         fans += [F, mutate(rng, F)]
-    for m, _ in corpus.affine_instances(seed=16, count=60):
+    for m, _ in affine_instances(seed=16, count=60):
         fans += [m.source, mutate(rng, m.source)]
     mismatches = []
     verdicts = {True: 0, False: 0}  # fans with an unpaired facet, by verdict
@@ -381,7 +383,7 @@ def corpus_fans(instances):
     fans = {}
     for seed in CROSS_SEEDS:
         insts = instances if seed == 20240801 else \
-            corpus.termination_instances(seed=seed, count=100)
+            termination_instances(seed=seed, count=100)
         for m, _ in insts:
             fans.setdefault(m.source)
             fans.setdefault(m.target)
@@ -504,7 +506,7 @@ def test_is_proper_matches_covering_oracle(instances, blowup_map, orthant2,
         maps.append(res.base_map)
     verdicts = []
     for m in maps:
-        got = fn.is_proper(m)
+        got = fn.is_toric_morphism(m) and fn._covers_preimages(m)
         assert got == covering_oracle.is_proper(m), m
         verdicts.append(got)
     assert set(verdicts) == {True, False}
@@ -519,10 +521,11 @@ def test_is_proper_cuts_under_a_map_that_is_not_onto():
     hirzebruch = Fan(2, ((1, 0), (0, 1), (-1, 1), (0, -1)),
                      ((0, 1), (1, 2), (2, 3), (0, 3)))
     m = FanMap(((1, 0), (0, 0)), plane, hirzebruch)
-    assert fn.is_toric_morphism(m)
-    assert fn.is_proper(m) and covering_oracle.is_proper(m)
+    assert fn.is_toric_morphism(m) and fn._covers_preimages(m)
+    assert covering_oracle.is_proper(m)
     half = FanMap(m.matrix, Fan(2, plane.rays[:3], ((0, 1), (1, 2))), hirzebruch)
-    assert not fn.is_proper(half) and not covering_oracle.is_proper(half)
+    assert fn.is_toric_morphism(half) and not fn._covers_preimages(half)
+    assert not covering_oracle.is_proper(half)
 
 
 # -- no silent fallback to the pairwise check -------------------------------------
@@ -649,7 +652,8 @@ def test_carried_certificates_need_no_fallback(monkeypatch):
         return out
 
     instances = [inst for seed in (20240801, 0, 1, 2)
-                 for inst in corpus.termination_instances(seed=seed, count=100)]
+                 for inst in termination_instances(seed=seed, count=100)]
+    clear_package_caches()
     monkeypatch.setattr(mmp, "mori_classes", classes)
     for m, D in instances:
         mmp.run_mmp(m, D)

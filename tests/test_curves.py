@@ -4,9 +4,11 @@ import pytest
 
 import fan_oracle
 import mmp_oracle
-from toricmmp import corpus
+from conftest import termination_instances
 from toricmmp import curves as cv
 from toricmmp import divisor as dv
+from toricmmp import exactlin as xl
+from toricmmp import fan as fn
 from toricmmp.divisor import InvariantDivisor
 from toricmmp.errors import PreconditionError
 from toricmmp.fan import Fan, FanMap, check_morphism, identity_map, \
@@ -49,7 +51,7 @@ def test_walls_match_intersection_oracle(p2, f1, blowup2, orthant2,
                             for k in range(3) for s in (1, -1)])
     fans = [p2, f1, blowup2, orthant2, quadric_tri_a, quadric_cone_fan,
             corpus65_map.source, a1xp1_over_a1.source, mixed, cube]
-    for m, D in corpus.termination_instances(seed=20240801, count=24):
+    for m, D in termination_instances(seed=20240801, count=24):
         trace = run_mmp(m, D)
         fans.append(m.source)
         fans.extend(s.fan_after for s in trace.steps)
@@ -66,20 +68,20 @@ def test_walls_match_intersection_oracle(p2, f1, blowup2, orthant2,
 
 def test_wall_relation_p2(p2):
     (w,) = [w for w in cv.walls(p2) if w.rays == (0,)]
-    c = cv.wall_relation(p2, w)
-    assert c.coeffs == (1, 1, 1)
+    assert fn.wall_coefficients(p2, w.rays, w.side_a, w.side_b) == (1, 1, 1)
 
 
 def test_wall_relations_f1(f1):
-    rels = {cv.wall_relation(f1, w).coeffs for w in cv.walls(f1)}
+    rels = {fn.wall_coefficients(f1, w.rays, w.side_a, w.side_b)
+            for w in cv.walls(f1)}
     # fiber class twice, exceptional class, and the strict transform class
     assert rels == {(0, 1, 0, 1), (1, -1, 1, 0), (1, 0, 1, 1)}
 
 
 def test_wall_relation_quadric(quadric_tri_a):
     (w,) = cv.walls(quadric_tri_a)
-    c = cv.wall_relation(quadric_tri_a, w)
-    assert c.coeffs == (-1, 1, 1, -1)
+    assert fn.wall_coefficients(quadric_tri_a, w.rays, w.side_a,
+                                w.side_b) == (-1, 1, 1, -1)
 
 
 def test_pairing(f1):
@@ -92,9 +94,10 @@ def test_pairing(f1):
 
 def test_pairing_principal_is_zero(f1):
     for u in ((1, 0), (0, 1), (2, -3)):
-        P = dv.principal_divisor(f1, u)
+        P = InvariantDivisor(tuple(xl.dot(u, v) for v in f1.rays))
         for w in cv.walls(f1):
-            assert cv.wall_relation(f1, w).pair(P) == 0
+            rel = fn.wall_coefficients(f1, w.rays, w.side_a, w.side_b)
+            assert cv.CurveClass(rel).pair(P) == 0
 
 
 def test_ne_cone_p2(p2):
@@ -158,7 +161,7 @@ def test_contracted_walls_match_replaced_paths(p2, f1, blowup_map,
     # every map an MMP of a corpus slice passes through
     maps = [map_to_point(p2), map_to_point(f1), blowup_map, a1xp1_over_a1,
             quadric_map_a, corpus65_map]
-    for m, D in corpus.termination_instances(seed=20240801, count=24):
+    for m, D in termination_instances(seed=20240801, count=24):
         trace = run_mmp(m, D)
         maps += [cur for cur, _ in mmp_oracle.step_maps(m, trace)]
         maps.append(trace.final_map)

@@ -11,10 +11,10 @@ from hypothesis import example, given, settings, strategies as st
 import cone_oracle
 import lattice_oracle
 import lp_oracle
+from conftest import clear_package_caches, termination_instances
 from test_acceptance import _check_flip_steps
-from toricmmp import corpus, mmp
+from toricmmp import mmp
 from toricmmp import curves as cv
-from toricmmp import divisor as dv
 from toricmmp import exactlin as xl
 from toricmmp import fan as fn
 from toricmmp.errors import InputError, InvariantBreach, PreconditionError
@@ -496,11 +496,8 @@ def _corpus_lps(monkeypatch):
 
     monkeypatch.setattr(xl, "feasible_point", record)
     for seed in (20240801, 0, 1, 2):
-        instances = corpus.termination_instances(seed, 100)
-        for cache in (fn.check_morphism, cv.contracted_walls, fn.walls,
-                      fn.cone_dim, fn.cone_span_perp, fn.cone_facets,
-                      dv.support_function):
-            cache.cache_clear()
+        instances = termination_instances(seed, 100)
+        clear_package_caches()
         for m, D in instances:
             trace = mmp.run_mmp(m, D)
             if trace.outcome == "minimal":

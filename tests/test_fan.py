@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -7,14 +8,46 @@ import cone_oracle
 import covering_oracle
 import fan_oracle
 import mmp_oracle
-from toricmmp import corpus
+from conftest import termination_instances
 from toricmmp import curves as cv
 from toricmmp import exactlin as xl
 from toricmmp import fan as fn
 from toricmmp.curves import contracted_walls
+from toricmmp.divisor import InvariantDivisor
 from toricmmp.errors import InputError, InvariantBreach, PreconditionError
 from toricmmp.fan import Fan, FanMap, identity_map, map_to_point
 from toricmmp.mmp import contract, run_mmp
+
+ORTHANT2 = Fan(2, ((1, 0), (0, 1)), ((0, 1),))
+
+
+@pytest.mark.parametrize("build, args", [
+    pytest.param(Fan, (2, ((1.5, 0), (0, 1)), ((0, 1),)), id="fan-float-ray"),
+    pytest.param(Fan, (2, ((1.0, 0), (0, 1)), ((0, 1),)), id="fan-float-one"),
+    pytest.param(Fan, (2, ((Fraction(3, 2), 0), (0, 1)), ((0, 1),)),
+                 id="fan-fraction-ray"),
+    pytest.param(Fan, (2, ((True, 0), (0, 1)), ((0, 1),)), id="fan-bool-ray"),
+    pytest.param(Fan, (2, ((1, 0), (0, 1)), ((0.7, 1),)), id="fan-float-index"),
+    pytest.param(FanMap, (((1.9, 0), (0, 1)), ORTHANT2, ORTHANT2),
+                 id="map-float-entry"),
+    pytest.param(FanMap, (((1, False), (0, 1)), ORTHANT2, ORTHANT2),
+                 id="map-bool-entry"),
+    pytest.param(InvariantDivisor, ((0.1,),), id="divisor-float"),
+    pytest.param(InvariantDivisor, ((True,),), id="divisor-bool"),
+    pytest.param(InvariantDivisor, (("1/0",),), id="divisor-bad-string"),
+])
+def test_constructors_refuse_inexact_entries(build, args):
+    # no entry is truncated or read off a binary float
+    with pytest.raises(InputError):
+        build(*args)
+
+
+def test_constructors_take_integral_fractions():
+    F = Fan(2, ((Fraction(2, 2), 0), (0, 1)), ((Fraction(0), 1),))
+    assert F == ORTHANT2 and type(F.rays[0][0]) is int
+    m = FanMap(((Fraction(1), 0), (0, 1)), F, F)
+    assert m.matrix == ((1, 0), (0, 1)) and type(m.matrix[0][0]) is int
+    assert InvariantDivisor(("1/3", -2)).coeffs == (Fraction(1, 3), -2)
 
 
 def test_validate_good(p2, f1, quadric_cone_fan):
@@ -41,44 +74,6 @@ def test_validate_bad_ray():
     assert any("primitive" in v for v in fn.validate_fan(F))
     F = Fan(2, ((1, 0), (0, 1)), ((0,),))
     assert any("no maximal cone" in v for v in fn.validate_fan(F))
-
-
-def test_classify(orthant2, a1_cone_fan, quadric_cone_fan):
-    assert fn.classify_cone(orthant2, (0, 1)).kind == "smooth"
-    c = fn.classify_cone(a1_cone_fan, (0, 1))
-    assert (c.kind, c.multiplicity) == ("simplicial", 2)
-    c = fn.classify_cone(quadric_cone_fan, (0, 1, 2, 3))
-    assert (c.kind, c.multiplicity) == ("non-simplicial", None)
-
-
-def test_classify_rejects_non_faces(quadric_cone_fan):
-    # the diagonals (0, 3) and (1, 2) of the quadric cone span planes
-    # through its interior, and (0, 1, 3) spans all of it: none is a face
-    for rays in ((0, 3), (1, 2), (0, 1, 3)):
-        with pytest.raises(PreconditionError):
-            fn.classify_cone(quadric_cone_fan, rays)
-    for rays in ((0, 1), (1, 3), (2,), ()):
-        assert fn.classify_cone(quadric_cone_fan, rays) == fn.ConeClass("smooth", 1)
-    with pytest.raises(PreconditionError):
-        fn.classify_cone(quadric_cone_fan, (0, 4))
-
-
-def test_star_blowup(blowup2):
-    S = fn.star(blowup2, (2,))
-    assert S.rank == 1
-    assert sorted(S.rays) == [(-1,), (1,)]
-    assert fn.validate_fan(S) == []
-
-
-def test_star_maximal_smooth_cone(orthant2):
-    S = fn.star(orthant2, (0, 1))
-    assert S.rank == 0 and S.max_cones == ((),)
-
-
-def test_star_not_a_face(quadric_tri_a):
-    # rays 1 and 2 span no face of triangulation A
-    with pytest.raises(PreconditionError):
-        fn.star(quadric_tri_a, (1, 2))
 
 
 def test_star_subdivision(orthant2, blowup2):
@@ -111,7 +106,8 @@ def test_qfactorialize(quadric_cone_fan, quadric_tri_a, quadric_tri_b):
 def test_qfactorialize_certificate(quadric_cone_fan):
     Q, _ = fn.qfactorialize(quadric_cone_fan)
     I = xl.identity_matrix(3)
-    assert fn.check_morphism(FanMap(I, Q, quadric_cone_fan)).projective
+    flags = fn.check_morphism(FanMap(I, Q, quadric_cone_fan))
+    assert flags.ample_certificate is not None
 
 
 def test_qfactorialize_cube_cone():
@@ -121,7 +117,8 @@ def test_qfactorialize_cube_cone():
     assert Q.is_simplicial()
     assert set(Q.rays) == set(cube)
     assert fn.validate_fan(Q) == []
-    assert fn.check_morphism(FanMap(xl.identity_matrix(4), Q, C)).projective
+    flags = fn.check_morphism(FanMap(xl.identity_matrix(4), Q, C))
+    assert flags.ample_certificate is not None
 
 
 def _random_gens(rng, rank, pointed):
@@ -265,9 +262,9 @@ def test_common_refinement_support_mismatch(orthant2, p2):
 
 def test_check_morphism_projective(p2, blowup_map):
     flags = fn.check_morphism(map_to_point(p2))
-    assert flags.toric and flags.proper and flags.projective
+    assert flags.toric and flags.proper and flags.ample_certificate is not None
     flags = fn.check_morphism(blowup_map)
-    assert flags.toric and flags.proper and flags.projective
+    assert flags.toric and flags.proper and flags.ample_certificate is not None
 
 
 def test_check_morphism_not_proper(orthant2):
@@ -275,7 +272,7 @@ def test_check_morphism_not_proper(orthant2):
     flags = fn.check_morphism(FanMap(((1, 0), (0, 1)), half, orthant2))
     assert flags.toric and not flags.proper
     # only a proper map is certified projective
-    assert not flags.projective and flags.ample_certificate is None
+    assert flags.ample_certificate is None
 
 
 def test_check_morphism_not_toric(p2, orthant2):
@@ -284,7 +281,7 @@ def test_check_morphism_not_toric(p2, orthant2):
 
 def test_check_morphism_relative(a1xp1_over_a1):
     flags = fn.check_morphism(a1xp1_over_a1)
-    assert flags.toric and flags.proper and flags.projective
+    assert flags.toric and flags.proper and flags.ample_certificate is not None
 
 
 def _support_contains(F, v):
@@ -327,7 +324,8 @@ def test_covering_matches_splitter_oracle(quadric_tri_a, quadric_tri_b,
             for cones in itertools.combinations(source.max_cones, k):
                 F = Fan(source.rank, source.rays, cones)
                 m = identity_map(F, target)
-                got = (F.support_convex(), fn.is_proper(m))
+                got = (F.support_convex(),
+                       fn.is_toric_morphism(m) and fn._covers_preimages(m))
                 want = (covering_oracle.support_convex(F),
                         covering_oracle.is_proper(m))
                 assert got == want, cones
@@ -377,8 +375,10 @@ def test_cone_covered_implicit_equalities_and_repeats(orthant2):
     line = Fan(2, ((0, 1), (0, -1)), ((0,), (1,)))
     half = Fan(2, ((0, 1),), ((0,),))
     A = ((1, 0), (-1, 0))
-    assert fn.is_proper(FanMap(A, line, orthant2))
-    assert not fn.is_proper(FanMap(A, half, orthant2))
+    m = FanMap(A, line, orthant2)
+    assert fn.is_toric_morphism(m) and fn._covers_preimages(m)
+    m = FanMap(A, half, orthant2)
+    assert fn.is_toric_morphism(m) and not fn._covers_preimages(m)
     # a cone listed twice counts once: cone(e1, e2) leaves part of the wedge
     # between e1 and (-1, 1, 0) uncovered
     wedge = ((1, 0, 0), (-1, 1, 0))
@@ -431,7 +431,8 @@ def test_mother_of_all_examples(cells):
     assert fn.validate_fan(m.source) == []
     flags = fn.check_morphism(m)
     projective = cells in MOTHER_REGULAR
-    assert flags.toric and flags.proper and flags.projective == projective
+    assert flags.toric and flags.proper
+    assert (flags.ample_certificate is not None) == projective
     assert (fan_oracle.projectivity_certificate(m) is not None) == projective
     if projective:
         assert cv.ne_cone(m).rho > 0
@@ -449,11 +450,12 @@ def test_projectivity_matches_covector_oracle(p2, blowup_map, a1xp1_over_a1,
     maps = [map_to_point(p2), blowup_map, a1xp1_over_a1, quadric_map_a,
             corpus65_map]
     maps += [_mother_map(c) for c in MOTHER_ROTATIONAL + MOTHER_REGULAR]
-    for m, D in corpus.termination_instances(seed=20240801, count=24):
+    for m, D in termination_instances(seed=20240801, count=24):
         maps += [cur for cur, _ in
                  mmp_oracle.step_maps(m, run_mmp(m, D))]
     mismatches = [m for m in maps
-                  if fn.check_morphism(m).projective
-                  != (fan_oracle.projectivity_certificate(m) is not None)]
+                  if (fn.check_morphism(m).ample_certificate is None)
+                  != (fan_oracle.projectivity_certificate(m) is None)]
     assert mismatches == []
-    assert sum(not fn.check_morphism(m).projective for m in maps) == 2
+    assert sum(fn.check_morphism(m).ample_certificate is None
+               for m in maps) == 2

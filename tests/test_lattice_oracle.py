@@ -18,7 +18,7 @@ from toricmmp import corpus
 from toricmmp import divisor as dv
 from toricmmp import exactlin as xl
 from toricmmp import fan as fn
-from toricmmp.divisor import NotQCartier
+from toricmmp.divisor import InvariantDivisor, NotQCartier
 from toricmmp.errors import InvariantBreach, PreconditionError
 from toricmmp.fan import Fan
 from toricmmp.mmp import _section_of_projection
@@ -131,7 +131,8 @@ def test_support_function_matches_two_eliminations():
             D = corpus.random_divisor(rng, F)
         else:
             u = tuple(rng.randint(-3, 3) for _ in range(F.rank))
-            D = dv.principal_divisor(F, u).scale(Fraction(1, rng.randint(1, 6)))
+            D = InvariantDivisor(tuple(xl.dot(u, v) for v in F.rays)).scale(
+                Fraction(1, rng.randint(1, 6)))
         try:
             want = lattice_oracle.support_function(F, D)
         except NotQCartier as e:

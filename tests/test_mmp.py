@@ -7,13 +7,13 @@ import pytest
 import lp_oracle
 import mmp_oracle
 from covering_oracle import cone_covered_by_gens
-from toricmmp import corpus
+from conftest import termination_instances
 from toricmmp import curves as cv
 from toricmmp import divisor as dv
 from toricmmp import fan as fn
 from toricmmp import mmp
 from toricmmp.curves import (CurveClass, contracted_walls, ne_cone,
-                             nefness, wall_relation, walls)
+                             nefness, walls)
 from toricmmp.divisor import InvariantDivisor
 from toricmmp.errors import InputError, InvariantBreach, PreconditionError
 from toricmmp.fan import (Fan, FanMap, cone_dim, cone_eq, cone_intersection,
@@ -71,7 +71,7 @@ def test_contract_matches_lp_oracle(quadric_map_a, f1, p2, blowup_map,
     # every extremal ray of each start map and every MMP step of a slice of
     # the acceptance corpus, plus the desk examples
     kinds = []
-    instances = corpus.termination_instances(seed=20240801, count=24)
+    instances = termination_instances(seed=20240801, count=24)
     starts = [quadric_map_a, map_to_point(f1), map_to_point(p2), blowup_map,
               corpus65_map] + [m for m, _ in instances]
     for m in starts:
@@ -93,7 +93,7 @@ def test_contract_requires_one_relation(f1):
     with pytest.raises(PreconditionError):
         contract(identity_map(f1, f1), [walls(f1)[0]])
     # a divisorial ray with two walls: either wall alone is a caller error
-    m, D = corpus.termination_instances(seed=20240801, count=18)[17]
+    m, D = termination_instances(seed=20240801, count=18)[17]
     cls = run_mmp(m, D).steps[0].chosen_class
     wall_set = [w for w, c in contracted_walls(m) if c == cls]
     assert len(wall_set) == 2
@@ -135,7 +135,7 @@ def _contract_every_class(m, tally):
 
 def test_contract_refuses_non_extremal_classes(f1):
     tally = Counter()
-    for m, D in corpus.termination_instances(seed=20240801, count=40):
+    for m, D in termination_instances(seed=20240801, count=40):
         trace = run_mmp(m, D)
         maps = [cur for cur, _ in mmp_oracle.step_maps(m, trace)]
         if trace.outcome == "minimal":
@@ -241,7 +241,8 @@ def _ample_on_merged(F, D, rayset):
         dv.support_function(F, D)
     except dv.NotQCartier:
         return False
-    return all(wall_relation(F, w).pair(D) > 0 for w in walls(F)
+    return all(CurveClass(fn.wall_coefficients(F, w.rays, w.side_a, w.side_b))
+               .pair(D) > 0 for w in walls(F)
                if set(w.side_a) | set(w.side_b) <= set(rayset))
 
 
@@ -352,7 +353,7 @@ def test_run_mmp_contracts_once_per_step(monkeypatch):
         return res
 
     monkeypatch.setattr(mmp, "contract", counted)
-    instances = corpus.termination_instances(0, 100)
+    instances = termination_instances(0, 100)
     for i, n_steps, n_refused in ((0, 4, 0), (85, 1, 1)):
         calls.clear()
         trace = run_mmp(*instances[i])
@@ -481,7 +482,7 @@ def test_step_maps_match_the_whole_map_oracles(seed, monkeypatch):
     # whole-map contracted walls, and its fan passes validate_fan
     maps = _reached_maps(monkeypatch)
     kinds = Counter()
-    for m, D in corpus.termination_instances(seed, 100):
+    for m, D in termination_instances(seed, 100):
         maps.clear()
         trace = run_mmp(m, D)
         assert maps[0] is m and m.step_flags is None
@@ -506,7 +507,7 @@ def test_new_internal_walls_of_a_flip_carry_the_negated_class(monkeypatch):
 
     monkeypatch.setattr(mmp, "_flip_contracted", flipped)
     for seed in (20240801, 0, 1, 2):
-        for m, D in corpus.termination_instances(seed, 100):
+        for m, D in termination_instances(seed, 100):
             run_mmp(m, D)
     walls = 0
     for res, new_map in flips:
@@ -525,7 +526,7 @@ def test_run_mmp_checks_the_whole_map_and_fan_only_at_the_ends(monkeypatch):
     # whole-map properness runs on the first map only and whole-fan
     # validation on the fano quotient only: each step's map and fan come
     # from the step
-    instances = corpus.termination_instances(20240801, 100)
+    instances = termination_instances(20240801, 100)
     covers, validated = [], []
     orig_covers, orig_validate = fn._covers_preimages, fn.validate_fan
     monkeypatch.setattr(fn, "_covers_preimages",
@@ -597,7 +598,7 @@ def test_corrupted_step_raises_invariant_breach(kind, monkeypatch):
     # every wall through a new cell (fresh), or only at a flip's new
     # internal walls, is caught by the sign check of the step that derives
     # it
-    instances = corpus.termination_instances(20240801, 100)
+    instances = termination_instances(20240801, 100)
     if kind == "fresh":
         orig_wall, orig_swap = fn.wall_coefficients, mmp._swap_circuits
 

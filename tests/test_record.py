@@ -90,7 +90,7 @@ def test_package_records_hash_and_repr_as_dataclasses_did():
         P2.rank = 3
     for cls in (curves.CurveClass, curves.NECone, curves.NefVerdict,
                 divisor.InvariantDivisor, divisor.SupportFunction,
-                exactlin.HalfspaceSystem, fan.Fan, fan.FanMap, fan.ConeClass,
+                exactlin.HalfspaceSystem, fan.Fan, fan.FanMap,
                 fan.MorphismFlags, fan.Wall, mmp.ContractionResult,
                 mmp.MMPStep, mmp.MMPTrace, newton.ModelReport,
                 sections.ZariskiResult,

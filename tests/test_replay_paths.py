@@ -27,8 +27,8 @@ from hypothesis import given, settings, strategies as st
 
 import fan_oracle
 import replay_oracle
+from conftest import clear_package_caches, termination_instances
 from test_acceptance import TRACE_DIGEST, _check_flip_steps
-from toricmmp import corpus
 from toricmmp import curves as cv
 from toricmmp import divisor as dv
 from toricmmp import exactlin as xl
@@ -46,7 +46,7 @@ def test_replay_paths_match_their_oracles():
     cv.contracted_walls.cache_clear()
     with replay_oracle.cross_checked() as (calls, mismatches):
         for seed in (20240801, 0, 1, 2):
-            for m, D in corpus.termination_instances(seed, 100):
+            for m, D in termination_instances(seed, 100):
                 trace = mmp.run_mmp(m, D)
                 if trace.outcome == "minimal":
                     assert nefness(trace.final_divisor, trace.final_map).nef
@@ -78,11 +78,8 @@ def counted_pass():
     the classes that an `is_extreme` or supporting-divisor LP decided in
     its ray selection (`mmp._negative_contraction`); with the traces'
     digest."""
-    instances = corpus.termination_instances(20240801, 100)
-    for cache in (fn.check_morphism, cv.contracted_walls, fn.walls,
-                  fn.cone_dim, fn.cone_span_perp, fn.cone_facets,
-                  dv.support_function):
-        cache.cache_clear()
+    instances = termination_instances(20240801, 100)
+    clear_package_caches()
     where = {"replay": False, "contract": 0, "validate": 0, "refine": 0}
     counts = {"replay LPs": [], "facet maps": [], "whole in refinement": [],
               "flips": 0, "LPs": 0, "minimiser steps": []}
@@ -202,7 +199,7 @@ def test_local_certificate_rejects_what_the_whole_check_rejects():
     # certificate given X as its base writes the whole check's verdicts
     rng = random.Random(28)
     pairs = []
-    for m, D in corpus.termination_instances(20240801, 100):
+    for m, D in termination_instances(20240801, 100):
         F0 = m.source
         for s in mmp.run_mmp(m, D).steps:
             if s.kind == "flipping":
@@ -273,7 +270,7 @@ def test_step_certificate_rejects_what_its_oracle_rejects(monkeypatch):
     orig = mmp.swap_cells
     monkeypatch.setattr(mmp, "swap_cells",
                         lambda *args: calls.append(args) or orig(*args))
-    for m, D in corpus.termination_instances(20240801, 100):
+    for m, D in termination_instances(20240801, 100):
         mmp.run_mmp(m, D)
     monkeypatch.undo()
     rng = random.Random(29)

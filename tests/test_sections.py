@@ -4,7 +4,7 @@ import pytest
 
 import lattice_oracle
 import mmp_oracle
-from toricmmp import corpus
+from conftest import affine_instances, termination_instances
 from toricmmp import divisor as dv
 from toricmmp import sections as sc
 from toricmmp.curves import nefness
@@ -165,7 +165,7 @@ def test_zariski_not_pseudo_effective(p2):
 def test_zariski_on_a_small_complete_fan():
     # rank 3, 4 rays over a point: the D-MMP on X ends in a fano fibration,
     # so D is not pseudo-effective
-    m, D = corpus.termination_instances(20240801, 40)[3]
+    m, D = termination_instances(20240801, 40)[3]
     with pytest.raises(PreconditionError,
                        match="pseudo-effectivity failed: the MMP ends in a "
                              "fano fibration with D negative on its fibers"):
@@ -194,7 +194,7 @@ def test_zariski_matches_the_resolution_oracle():
     # differ only at index 18 (8 rays against 9), where the MMP on X ends on
     # a coarser fan than the MMP on the resolution
     differ = []
-    for i, (m, D) in enumerate(corpus.affine_instances(77, 40)):
+    for i, (m, D) in enumerate(affine_instances(77, 40)):
         new = _decompose(sc.zariski_decompose, m, D)
         old = _decompose(mmp_oracle.zariski_on_resolution, m, D)
         assert (new is None) == (old is None), i
@@ -211,7 +211,7 @@ def test_zariski_matches_the_resolution_oracle():
 def test_zariski_runs_the_mmp_on_x(monkeypatch):
     # the source of affine_instances(77, 40)[0] is not smooth: the MMP runs
     # on it, and the resolution is built once the MMP has ended minimal
-    m, D = corpus.affine_instances(77, 40)[0]
+    m, D = affine_instances(77, 40)[0]
     calls = []
 
     def traced(name, fn):
@@ -242,7 +242,7 @@ def test_zariski_on_the_termination_instances():
     # at index 17 (10 rays against 13); every base is affine, so the degree
     # oracle's global sections give the same verdict as the Farkas check
     differ = []
-    for i, (m, D) in enumerate(corpus.termination_instances(20240801, 40)):
+    for i, (m, D) in enumerate(termination_instances(20240801, 40)):
         new = _decompose(sc.zariski_decompose, m, D)
         assert sc.is_pseudo_effective(m, D) == (new is not None), i
         if new is None:
@@ -354,7 +354,7 @@ def test_ckm_rejects_every_mutant_with_a_verdict():
     # PreconditionError ("pass a box") on the 153 whose violation regions
     # are unbounded
     count = raised = 0
-    for m, D in corpus.affine_instances(77, 40):
+    for m, D in affine_instances(77, 40):
         R = sc.zariski_decompose(m, D)
         for eps in (Fraction(1, 2), Fraction(1, 3), Fraction(2)):
             for bad in _mutants(R, eps):
@@ -372,6 +372,6 @@ def test_ckm_rejects_every_mutant_with_a_verdict():
 def test_ckm_matches_the_degree_oracle():
     # every base here is affine: the Farkas check and the degree loop up to
     # 4 x the Cartier index of P give the same verdict on all 40
-    for i, (m, D) in enumerate(corpus.affine_instances(77, 40)):
+    for i, (m, D) in enumerate(affine_instances(77, 40)):
         R = sc.zariski_decompose(m, D)
         assert sc.verify_ckm(R, D) == lattice_oracle.ckm_by_degrees(R, D), i
