@@ -304,6 +304,7 @@ class Fan:
         cones = tuple(dict.fromkeys(
             tuple(sorted({i if i.__class__ is int else integer(i) for i in c}))
             for c in self.max_cones))
+        object.__setattr__(self, "rank", integer(self.rank))
         object.__setattr__(self, "rays", rays)
         object.__setattr__(self, "max_cones", cones)
         for r in rays:

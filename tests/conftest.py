@@ -1,8 +1,9 @@
+import sys
 from functools import lru_cache
 
 import pytest
 
-from toricmmp import corpus, curves, divisor, fan
+from toricmmp import corpus
 from toricmmp.fan import Fan, FanMap, identity_map, map_to_point
 
 
@@ -26,12 +27,14 @@ def _built(build, seed, count):
 
 
 def clear_package_caches():
-    """Empty every process-global cache of the package, the ones
-    `perfbench/bench_trace.CACHES` lists (`test_caches`)."""
-    for cache in (fan.cone_dim, fan.cone_span_perp, fan.cone_facets,
-                  fan.check_morphism, curves.walls, curves.contracted_walls,
-                  divisor.support_function):
-        cache.cache_clear()
+    """Empty every process-global cache of the package: each `functools`
+    cache a loaded module of it holds (`test_caches` pins them to the ones
+    the benchmark clears)."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("toricmmp."):
+            for value in list(vars(module).values()):
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
 
 
 @pytest.fixture

@@ -22,6 +22,7 @@ ORTHANT2 = Fan(2, ((1, 0), (0, 1)), ((0, 1),))
 
 
 @pytest.mark.parametrize("build, args", [
+    pytest.param(Fan, (2.0, ((1, 0), (0, 1)), ((0, 1),)), id="fan-float-rank"),
     pytest.param(Fan, (2, ((1.5, 0), (0, 1)), ((0, 1),)), id="fan-float-ray"),
     pytest.param(Fan, (2, ((1.0, 0), (0, 1)), ((0, 1),)), id="fan-float-one"),
     pytest.param(Fan, (2, ((Fraction(3, 2), 0), (0, 1)), ((0, 1),)),
