@@ -24,8 +24,8 @@ base, for a common refinement, and by `swap_cells`, for an MMP step's fan).
 Two valid fans share most rays and cones, and what they share is read by
 index: `common_refinement` intersects only the cones they do not share,
 `_covers_preimages` skips a target cone that is a source cell under the
-identity and cuts no source cone under an onto map, and `check_morphism` places an
-image on a target ray into the cones listing it.  `check_morphism` keeps
+identity and cuts no source cone under an onto map, and `check_morphism`
+places an image on a target ray into the cones listing it.  It keeps
 the relations of the walls a map contracts; its projectivity LP
 (`positive_on`) runs only when its answer is read, and its flags keep that
 answer and the verdicts on each class: the ratio-test certificate an MMP
@@ -218,8 +218,8 @@ def cone_covered(ineqs, d: int, cells: Sequence[tuple]) -> bool:
     Each caller knows d = dim C without converting C to generators: the
     dimension of the cone (`cone_covered_by_gens`), and n - m + dim tc for
     the preimage of a target cone tc under A from rank n onto rank m
-    (`_covers_preimages`).  Only the rows that vanish on an unpaired facet are
-    read.
+    (`_covers_preimages`).  Only the rows that vanish on an unpaired facet
+    are read.
     """
     if d == 0:
         return True
@@ -851,8 +851,8 @@ class MorphismFlags:
     """What `check_morphism` found.  `ample_certificate` is solved by the
     projectivity LP when it is first read, and kept on the instance; so
     are the verdicts on each contracted class, `is_extreme` and
-    `supporting`: the ratio-test certificate an MMP step
-    hands them (`certify_ray`), else one LP.  `check_morphism` hands an
+    `supporting`: the ratio-test certificate an MMP step hands them
+    (`certify_ray`), else one LP.  `check_morphism` hands an
     equal map the same instance from its cache, so a class contracted twice
     on equal maps is decided once."""
     toric: bool

@@ -43,8 +43,7 @@ def users(refs, name):
     return {key for key, names in refs.items() if name in names}
 
 
-def _dunder(name):
-    return name.startswith("__") and name.endswith("__")
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _routines(trees):
@@ -57,14 +56,15 @@ def _routines(trees):
     routines, loose = {}, set()
     for module, tree in trees.items():
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if isinstance(node, _FUNCTIONS):
                 routines[f"{module}.{node.name}"] = (node.name, names(node))
             elif isinstance(node, ast.ClassDef):
                 own = set().union(*map(names, node.decorator_list + node.bases
                                        + node.keywords))
                 for sub in node.body:
-                    if (isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
-                            and not _dunder(sub.name)):
+                    if isinstance(sub, _FUNCTIONS) and not (
+                            sub.name.startswith("__")
+                            and sub.name.endswith("__")):
                         routines[f"{module}.{node.name}.{sub.name}"] = (
                             sub.name, names(sub))
                     else:

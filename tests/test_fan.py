@@ -28,7 +28,8 @@ ORTHANT2 = Fan(2, ((1, 0), (0, 1)), ((0, 1),))
     pytest.param(Fan, (2, ((Fraction(3, 2), 0), (0, 1)), ((0, 1),)),
                  id="fan-fraction-ray"),
     pytest.param(Fan, (2, ((True, 0), (0, 1)), ((0, 1),)), id="fan-bool-ray"),
-    pytest.param(Fan, (2, ((1, 0), (0, 1)), ((0.7, 1),)), id="fan-float-index"),
+    pytest.param(Fan, (2, ((1, 0), (0, 1)), ((0.7, 1),)),
+                 id="fan-float-index"),
     pytest.param(FanMap, (((1.9, 0), (0, 1)), ORTHANT2, ORTHANT2),
                  id="map-float-entry"),
     pytest.param(FanMap, (((1, False), (0, 1)), ORTHANT2, ORTHANT2),

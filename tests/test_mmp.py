@@ -6,8 +6,8 @@ import pytest
 
 import lp_oracle
 import mmp_oracle
-from covering_oracle import cone_covered_by_gens
 from conftest import termination_instances
+from covering_oracle import cone_covered_by_gens
 from toricmmp import curves as cv
 from toricmmp import divisor as dv
 from toricmmp import fan as fn
