@@ -8,12 +8,13 @@ simplex, which answers every feasibility and boundedness question,
 Fourier-Motzkin elimination with recursive interval enumeration, used only
 to list lattice points by floor division on the tower's primitive integer
 rows, and a subset-enumeration double description.  Every corank-one integer
-kernel (a wall relation, a facet normal, a ray of the double description) is
-a vector of signed maximal minors (`primitive_kernel`); the Smith form
-serves only quotient lattices and `smith_solve`, a rational solution
-together with its divisibility index.  The simplex, the minors, the rank
-and `nullspace` run on Python ints by fraction-free elimination: the
-simplex by integer pivoting over one common denominator (Edmonds), the
+kernel (a facet normal, a ray of the double description) is a vector of
+signed maximal minors (`primitive_kernel`), and a wall relation takes the
+same minors by Cramer's rule on `integer_det` (`fan.wall_coefficients`);
+the Smith form serves only quotient lattices and `smith_solve`, a rational
+solution together with its divisibility index.  The simplex, the minors,
+the rank and `nullspace` run on Python ints by fraction-free elimination:
+the simplex by integer pivoting over one common denominator (Edmonds), the
 minors by cofactor expansion up to 3 x 3 and by Bareiss's determinant
 above (Bareiss 1968), the rank and `nullspace` by forward elimination on
 primitive integer rows (`_echelon`).  The simplex returns integer
@@ -545,30 +546,39 @@ def _phase1(A, b, n: int):
     last pivot (1 when none was made).  No `Fraction` is built.  n is
     given so that m = 0 has its witness: n zeros over D = 1.
 
-    Integer pivoting (Edmonds): the tableau [A | I | b] holds integers over
-    one common denominator D > 0, starting at 1; each row of [A | b] is
-    scaled to integers first, and I is the block of artificial columns.
-    Pivoting on p = T[r][s] turns every other row, and the cost row, into
-    (x*p - f*y) // D and then sets D = p.  The division is exact because
-    every entry is a minor of the initial tableau, and p > 0 (the ratio
-    test picks it), so every sign test and every ratio comparison is that
-    of the rational tableau.
+    Integer pivoting (Edmonds) on [A | I | b], I the block of artificial
+    columns: each row of [A | b] is scaled to integers first, and the
+    tableau holds integers over one common denominator D > 0, starting at
+    1.  Pivoting on p = T[r][s] turns every other row, and the cost row,
+    into (x*p - f*y) // D and then sets D = p.  The division is exact
+    because every entry is a minor of the initial tableau, and p > 0 (the
+    ratio test picks it), so every sign test and every ratio comparison is
+    that of the rational tableau.
 
-    As every division is exact, each pivot multiplies the tableau, cost
-    row included, on the left by one rational matrix, so a column that
-    starts as c times another stays exactly c times it.  Only I, b and
-    the columns of the scaled A that are no such multiple are stored: a
-    column of A with at most one nonzero entry, v in row k, is v times
-    I's column k, and a column equal to an earlier stored one, or to minus
-    it, is read off that one.  Bland's entering rule, the ratio test and
-    the witness read a column that is not stored as c times its stored
-    column.
+    As every division is exact, a column that starts as c times another
+    stays exactly c times it.  So only I's columns and the columns of the
+    scaled A that are no such multiple are kept: a column of A with at
+    most one nonzero entry, v in row k, is v times I's column k, and a
+    column equal to an earlier kept one, or to minus it, is read off that
+    one.  Bland's entering rule, the ratio test and the witness read every
+    other column as its multiplier times its kept column.  The m kept
+    columns that are basic are known: D / c times the unit vector of their
+    row, c the multiplier of the basic column.  So the tableau stores only
+    the nonbasic kept columns and b (Tucker's condensed form).  A pivot
+    gives the entering kept column's place to the leaving one, which comes
+    back as D / c in the pivot row and -f / c in every other row, f the
+    entering column's entry there.
 
     The cost row starts as minus the sum of the rows, artificial columns
-    included, so it stays a combination of the constraint rows.  An
-    artificial column keeps cost -1 while it is basic from the start, and
-    Bland's rule pivots it in place once no earlier column has negative
-    cost; when no cost is negative every basic column has cost 0, so the
+    included, so it stays a combination of the constraint rows.  A basic
+    column has cost 0, except an artificial column basic from the start,
+    whose cost is -D: Bland's rule pivots it in place once no earlier
+    column has negative cost, and a positive multiple c of it, when that
+    comes first, takes its place in the basis.  Either pivot leaves the
+    pivot row as it is, multiplies every other row by c and the cost row
+    plus the pivot row by c.  When such a column leaves, its cost is -p - f
+    for the entering cost f, where any other leaving column gets -f / c.
+    When no cost is negative every basic column has cost 0, so the
     right-hand side of the cost row is 0.  The system is infeasible exactly
     when an artificial variable is then basic at a positive level.
     """
@@ -579,8 +589,8 @@ def _phase1(A, b, n: int):
     for i in range(m):
         row = _integer_row(list(A[i]) + [b[i]])
         rows.append([-x for x in row] if row[-1] < 0 else row)
-    # column j of [A | I] is c times stored column q for (q, c) = src[j];
-    # the stored columns are I's, the kept columns of A, then b
+    # column j of [A | I] is c times kept column q for (q, c) = src[j]; the
+    # kept columns are I's, then the kept columns of A
     kept, src, cols = {}, [], []
     for col in itertools.islice(zip(*rows), n):
         hit = kept.get(col)
@@ -594,40 +604,65 @@ def _phase1(A, b, n: int):
                 cols.append(col)
         src.append(hit)
     src += [(i, 1) for i in range(m)]
+    # T[i][t] is row i of the nonbasic kept column at place t (place[q] = t,
+    # -1 for a basic one), and T[i][-1] its right-hand side
     cols.append([row[n] for row in rows])
-    T = [[0] * i + [1] + [0] * (m - 1 - i) + list(r)
-         for i, r in enumerate(zip(*cols))]
+    T = [list(r) for r in zip(*cols)]
+    place = [-1] * m + list(range(len(cols) - 1))
+    cost = [-sum(col) for col in cols]
     basis = list(range(n, n + m))
-    cost = [-1] * m + [-sum(col) for col in cols]
+    fresh = set(range(m))  # the rows whose artificial is basic from the start
     D = 1
     while True:
         for enter, (q, c) in enumerate(src):
-            if cost[q] * c < 0:
+            t = place[q]
+            if (cost[t] * c < 0) if t >= 0 else (c > 0 and q in fresh):
                 break
         else:
             break
+        if t < 0:
+            # the entering column is c D times the unit vector of row q, with
+            # cost -c D: it takes the place of q's artificial, or is it
+            if c != 1:
+                T = [row if i == q else [x * c for x in row]
+                     for i, row in enumerate(T)]
+            cost = [(x + y) * c for x, y in zip(cost, T[q])]
+            fresh.discard(q)
+            basis[q] = enter
+            D *= c
+            continue
         # Bland's ratio test on the entering column: least (rhs / entry,
         # basis[i], i) over positive entries, ratios compared by
         # cross-multiplication
-        col = [row[q] * c for row in T]
+        col = [row[t] * c for row in T]
         piv = None
         for i, a in enumerate(col):
             if a > 0:
-                t = T[i][-1]
-                if piv is None or t * best_a < best_t * a or \
-                        (t * best_a == best_t * a and basis[i] < basis[piv]):
-                    piv, best_a, best_t = i, a, t
+                rhs = T[i][-1]
+                if piv is None or rhs * best_a < best_t * a or \
+                        (rhs * best_a == best_t * a and basis[i] < basis[piv]):
+                    piv, best_a, best_t = i, a, rhs
         if piv is None:
             raise InvariantBreach("phase 1 unbounded: no positive entry in the entering column")
         prow, p = T[piv], col[piv]
+        out, c_out = src[basis[piv]]
         for i, f in enumerate(col):
             if i != piv:
                 if f:
-                    T[i] = [(x * p - f * y) // D for x, y in zip(T[i], prow)]
+                    row = [(x * p - f * y) // D for x, y in zip(T[i], prow)]
+                    row[t] = -f // c_out
+                    T[i] = row
                 elif p != D:
                     T[i] = [x * p // D for x in T[i]]
-        f = cost[q] * c
+        f = cost[t] * c
         cost = [(x * p - f * y) // D for x, y in zip(cost, prow)]
+        if piv in fresh:
+            fresh.discard(piv)
+            cost[t] = -p - f
+        else:
+            cost[t] = -f // c_out
+        prow[t] = D // c_out
+        place[q], place[out] = -1, t
         basis[piv] = enter
         D = p
     if cost[-1] != 0:

@@ -305,6 +305,8 @@ class Fan:
             tuple(sorted({i if i.__class__ is int else integer(i) for i in c}))
             for c in self.max_cones))
         object.__setattr__(self, "rank", integer(self.rank))
+        if self.rank < 0:
+            raise InputError(f"negative rank {self.rank}")
         object.__setattr__(self, "rays", rays)
         object.__setattr__(self, "max_cones", cones)
         for r in rays:
@@ -1036,21 +1038,31 @@ def walls(F: Fan) -> tuple:
 
 def wall_coefficients(F: Fan, facet: tuple, ca: tuple, cb: tuple) -> tuple:
     """The relation sum a_i v_i = 0 of the rank + 1 rays of the adjacent
-    full-dimensional simplicial cones ca and cb: the `primitive_kernel` of
-    their rays, indexed by all rays of F and positive on the two rays off
-    the facet (they lie on opposite sides of it in a valid fan)."""
-    union = tuple(sorted(set(ca) | set(cb)))
-    ker = xl.primitive_kernel(xl.transpose(F.cone_gens(union)), len(union))
-    off = [i for i in union if i not in facet]
-    if len(off) != 2:
+    full-dimensional simplicial cones ca and cb, indexed by all rays of F,
+    primitive and positive on the two rays off the facet (they lie on
+    opposite sides of it in a valid fan).  By Cramer's rule: with B the
+    rays of ca and v the ray of cb off the facet, a_i is det B with ray i
+    replaced by v, and v gets -det B (`xl.integer_det`, closed forms up
+    to 3 x 3); these are the signed maximal minors of the rank + 1 rays.
+    InvariantBreach unless each cone has rank rays, one of them off the
+    facet, and the relation is positive on both rays off it."""
+    off_a = [i for i in ca if i not in facet]
+    off_b = [i for i in cb if i not in facet]
+    if len(off_a) != 1 or len(off_b) != 1 or off_a == off_b:
         raise InvariantBreach("wall must have exactly two off-wall rays")
-    sign = 1 if ker[union.index(off[0])] > 0 else -1
+    if len(ca) != F.rank or len(cb) != F.rank:
+        raise InvariantBreach("a wall's cones need rank rays each")
+    B, v = F.cone_gens(ca), (F.rays[off_b[0]],)
+    det = xl.integer_det(B)
+    sign = -1 if det > 0 else 1
     rel = [0] * len(F.rays)
-    for i, a in zip(union, ker):
-        rel[i] = sign * a
-    if not (rel[off[0]] > 0 and rel[off[1]] > 0):
+    rel[off_b[0]] = -sign * det
+    for k, i in enumerate(ca):
+        rel[i] = sign * xl.integer_det(B[:k] + v + B[k + 1:])
+    if not (rel[off_a[0]] > 0 and rel[off_b[0]] > 0):
         raise InvariantBreach("off-wall coefficients are not positive")
-    return tuple(rel)
+    g = gcd(*rel)
+    return tuple(a // g for a in rel)
 
 
 def positive_on(relations, nrays: int, zero=()) -> Optional[tuple]:

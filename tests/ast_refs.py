@@ -1,12 +1,16 @@
 """The names each top-level statement of the package mentions, read off the
 source by `ast`: the one walker behind the guard tests that keep one
 routine per concept (`test_one_*`, `test_fm_only_enumerates`) and every
-routine reached (`test_every_routine_is_reached`)."""
+routine reached (`test_every_routine_is_reached`), and the tables of the
+benchmark's tracer that those guards and `test_caches` read."""
 
 import ast
 from pathlib import Path
 
 import toricmmp
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+BENCH_TRACE = PERFBENCH / "bench_trace.py"
 
 
 def references():
@@ -25,6 +29,17 @@ def package_trees():
     """{module: its parsed source} over the package's modules."""
     return {path.stem: ast.parse(path.read_text(), filename=str(path))
             for path in sorted(Path(toricmmp.__file__).parent.glob("*.py"))}
+
+
+def bench_tables():
+    """{"ENTRY_POINTS": ..., "CACHES": ...}: the two tables of
+    `perfbench/bench_trace.py`, read off its source by `ast` (the file is
+    not run)."""
+    tree = ast.parse(BENCH_TRACE.read_text(), filename=str(BENCH_TRACE))
+    return {node.targets[0].id: ast.literal_eval(node.value)
+            for node in tree.body if isinstance(node, ast.Assign)
+            and isinstance(node.targets[0], ast.Name)
+            and node.targets[0].id in ("ENTRY_POINTS", "CACHES")}
 
 
 def names(node):

@@ -41,7 +41,9 @@ the facet map per map: each placed the images of every paired facet's
 union again and computed its kernel relation again, and the Mori scope
 converted the source's support to a double description.
 `check_contracted` compares them with `check_morphism` and
-`curves.contracted_walls`.
+`curves.contracted_walls`.  `wall_coefficients` is `fan.wall_coefficients`
+as it ran before it took the relation by Cramer's rule: the
+`primitive_kernel` of the transposed rays of the two cones' union.
 
 `regular_cells` is the subdivision `fan.qfactorialize` ran before
 `fan.regular_cells` read the cells off lifted signed minors: one
@@ -566,6 +568,24 @@ def wall_relation(F: Fan, w) -> cv.CurveClass:
     for pos, i in enumerate(support):
         full[i] = rel[pos]
     return cv.CurveClass(tuple(full))
+
+
+def wall_coefficients(F: Fan, facet: tuple, ca: tuple, cb: tuple) -> tuple:
+    """`fan.wall_coefficients` as it ran before Cramer's rule: the
+    `primitive_kernel` of the transposed rays of the sorted union of ca and
+    cb, signed positive on the first ray off the facet."""
+    union = tuple(sorted(set(ca) | set(cb)))
+    ker = xl.primitive_kernel(xl.transpose(F.cone_gens(union)), len(union))
+    off = [i for i in union if i not in facet]
+    if len(off) != 2:
+        raise InvariantBreach("wall must have exactly two off-wall rays")
+    sign = 1 if ker[union.index(off[0])] > 0 else -1
+    rel = [0] * len(F.rays)
+    for i, a in zip(union, ker):
+        rel[i] = sign * a
+    if not (rel[off[0]] > 0 and rel[off[1]] > 0):
+        raise InvariantBreach("off-wall coefficients are not positive")
+    return tuple(rel)
 
 
 def contracted_walls(m: FanMap) -> tuple:

@@ -138,6 +138,19 @@ def _integer_phase1(A, b, n):
     return tuple(z), D
 
 
+def integer_solve_nonneg(columns, target):
+    """Coefficients c >= 0 with sum c_j columns[j] = target, or None:
+    `_integer_phase1` on the whole tableau of the columns."""
+    if not columns:
+        return () if all(a == 0 for a in target) else None
+    A = [list(row) for row in zip(*columns)]
+    sol = _integer_phase1(A, list(target), len(columns))
+    if sol is None:
+        return None
+    z, D = sol
+    return tuple(Fraction(x, D) for x in z)
+
+
 def feasible_point(ineqs, eqs, dim):
     """x with <a,x> >= r for (a,r) in ineqs and <a,x> = r for (a,r) in eqs,
     or None: `_integer_phase1` on the whole tableau [u | -u | slack] of

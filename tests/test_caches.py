@@ -8,25 +8,22 @@ benchmark reuses across passes cache a value on the instance."""
 import ast
 import functools
 import importlib
-import importlib.util
 from pathlib import Path
 
 import toricmmp
+from ast_refs import bench_tables
 from toricmmp.curves import CurveClass
 from toricmmp.divisor import InvariantDivisor
 from toricmmp.fan import Fan, FanMap
 
 PACKAGE = Path(toricmmp.__file__).parent
-BENCH_TRACE = PACKAGE.parents[1] / "perfbench" / "bench_trace.py"
 
 
 def _listed_caches():
-    """(module, function) of each `CACHES` entry, where it is defined."""
-    spec = importlib.util.spec_from_file_location("bench_trace", BENCH_TRACE)
-    bench_trace = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench_trace)
+    """(module, function) of each `CACHES` entry of the benchmark's tracer,
+    read off its source by `ast`, where the entry resolves to."""
     out = set()
-    for _name, mod, attr in bench_trace.CACHES:
+    for _name, mod, attr in bench_tables()["CACHES"]:
         fn = getattr(importlib.import_module(f"toricmmp.{mod}"), attr)
         out.add((fn.__module__, fn.__qualname__))
     return out
@@ -52,7 +49,9 @@ def _package_caches():
 
 
 def test_every_package_cache_is_cleared_by_the_benchmark():
+    # the seven module-level caches of `fan`, `curves` and `divisor`
     assert _package_caches() == _listed_caches()
+    assert len(_listed_caches()) == len(bench_tables()["CACHES"]) == 7
     for module, fn in _listed_caches():
         cached = getattr(importlib.import_module(module), fn)
         assert callable(cached.cache_clear)

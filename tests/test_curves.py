@@ -1,16 +1,21 @@
+import random
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import fan_oracle
 import mmp_oracle
-from conftest import termination_instances
+from conftest import clear_package_caches, termination_instances
+from test_acceptance import _check_flip_steps
+from toricmmp import corpus
 from toricmmp import curves as cv
 from toricmmp import divisor as dv
 from toricmmp import exactlin as xl
 from toricmmp import fan as fn
 from toricmmp.divisor import InvariantDivisor
-from toricmmp.errors import PreconditionError
+from toricmmp.errors import InvariantBreach, PreconditionError
 from toricmmp.fan import Fan, FanMap, check_morphism, identity_map, \
     map_to_point
 from toricmmp.mmp import contract, contract_face, run_mmp
@@ -82,6 +87,68 @@ def test_wall_relation_quadric(quadric_tri_a):
     (w,) = cv.walls(quadric_tri_a)
     assert fn.wall_coefficients(quadric_tri_a, w.rays, w.side_a,
                                 w.side_b) == (-1, 1, 1, -1)
+
+
+def _stress_instances():
+    """The Tier-1-sized stress fans of rank 4 and 5 (`test_stress.CASES`),
+    seeds 0-2, mapped to a point, with their divisors."""
+    out = []
+    for rank, nrays in ((4, 6), (4, 7), (5, 7), (5, 8)):
+        for seed in range(3):
+            rng = random.Random(1000 * seed + 10 * rank + nrays)
+            F = corpus.random_complete_fan(rng, rank, nrays)
+            out.append((map_to_point(F), corpus.random_divisor(rng, F)))
+    return out
+
+
+def test_wall_coefficients_match_kernel_oracle(monkeypatch):
+    # every relation `check_morphism` and `swap_cells` take by Cramer's rule,
+    # in the runs and the flip replays of corpus seeds 20240801 and 0-2 and
+    # of the stress fans, equals the primitive kernel of the cones' union
+    runs = [inst for seed in (20240801, 0, 1, 2)
+            for inst in termination_instances(seed, 100)]
+    runs += _stress_instances()
+    callers, ranks, mismatches = Counter(), Counter(), []
+    orig = fn.wall_coefficients
+
+    def checked(F, facet, ca, cb):
+        got = orig(F, facet, ca, cb)
+        caller = sys._getframe(1)
+        if caller.f_code.co_name == "<genexpr>":
+            caller = caller.f_back
+        callers[caller.f_code.co_name] += 1
+        ranks[F.rank] += 1
+        if got != fan_oracle.wall_coefficients(F, facet, ca, cb):
+            mismatches.append((F, facet, ca, cb))
+        return got
+
+    monkeypatch.setattr(fn, "wall_coefficients", checked)
+    clear_package_caches()
+    for m, D in runs:
+        _check_flip_steps(m, D, run_mmp(m, D))
+    assert mismatches == []
+    assert callers.keys() == {"check_morphism", "swap_cells"}
+    assert callers["check_morphism"] >= 2000 and callers["swap_cells"] >= 1000
+    assert ranks[4] >= 100 and ranks[5] >= 100, ranks
+
+
+@pytest.mark.parametrize("rays,facet,ca,cb,message", [
+    # the facet is not the cones' common facet
+    (((1, 0), (0, 1), (-1, -1)), (), (0, 1), (1, 2), "exactly two off-wall"),
+    (((1, 0), (0, 1), (-1, -1)), (0, 1), (0, 1), (1, 2), "exactly two off-wall"),
+    (((1, 0), (0, 1), (-1, -1)), (0, 2), (0, 1), (1, 2), "exactly two off-wall"),
+    # the cones lie on one side of the facet: (0, 2) inside (0, 1)
+    (((1, 0), (0, 1), (1, 1)), (0,), (0, 1), (0, 2), "not positive"),
+    # a cone whose rays are dependent: no relation is positive on ray 2
+    (((1, 0), (2, 0), (0, 1)), (0,), (0, 1), (0, 2), "not positive"),
+])
+def test_wall_coefficients_refuse_what_the_oracle_refuses(rays, facet, ca, cb,
+                                                          message):
+    F = Fan(2, rays, (ca, cb))
+    for wall_coefficients in (fn.wall_coefficients,
+                              fan_oracle.wall_coefficients):
+        with pytest.raises(InvariantBreach, match=message):
+            wall_coefficients(F, facet, ca, cb)
 
 
 def test_pairing(f1):

@@ -9,12 +9,9 @@ a helper the program stops calling is deleted, or moves to `tests/` as an
 oracle."""
 
 import ast
-from pathlib import Path
 
 import toricmmp
-from ast_refs import names, package_trees, unreached
-
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+from ast_refs import PERFBENCH, bench_tables, names, package_trees, unreached
 
 
 def _perfbench_names():
@@ -23,18 +20,13 @@ def _perfbench_names():
     and every name or attribute its other files mention."""
     out = set()
     for path in sorted(PERFBENCH.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
         if path.stem != "bench_trace":
-            out |= names(tree)
-            continue
-        table = {node.targets[0].id: ast.literal_eval(node.value)
-                 for node in tree.body if isinstance(node, ast.Assign)
-                 and isinstance(node.targets[0], ast.Name)
-                 and node.targets[0].id in ("ENTRY_POINTS", "CACHES")}
-        for entries in table["ENTRY_POINTS"].values():
-            for entry in entries:
-                out.update(entry.split("."))
-        out.update(attr for _, _, attr in table["CACHES"])
+            out |= names(ast.parse(path.read_text(), filename=str(path)))
+    table = bench_tables()
+    for entries in table["ENTRY_POINTS"].values():
+        for entry in entries:
+            out.update(entry.split("."))
+    out.update(attr for _, _, attr in table["CACHES"])
     return out
 
 

@@ -3,6 +3,8 @@ import inspect
 import itertools
 import math
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,12 +13,13 @@ from hypothesis import example, given, settings, strategies as st
 import cone_oracle
 import lattice_oracle
 import lp_oracle
-from conftest import clear_package_caches, termination_instances
+from conftest import affine_instances, clear_package_caches
 from test_acceptance import _check_flip_steps
-from toricmmp import mmp
+from toricmmp import corpus, mmp
 from toricmmp import curves as cv
 from toricmmp import exactlin as xl
 from toricmmp import fan as fn
+from toricmmp import sections as sc
 from toricmmp.errors import InputError, InvariantBreach, PreconditionError
 
 
@@ -482,28 +485,45 @@ def test_feasible_point_strict():
     assert xl.feasible_point([((1,), Fraction(1)), ((-1,), Fraction(0))]) is None
 
 
-def _corpus_lps(monkeypatch):
-    """(ineqs, eqs, dim) of every `feasible_point` call of one pass of the
-    acceptance corpus on each of four seeds, as the acceptance gate runs
-    it, with the caches cleared before each pass."""
-    calls = []
-    solve = xl.feasible_point
+@pytest.fixture(scope="module")
+def corpus_lps():
+    """The arguments of every `feasible_point` call, (ineqs, eqs, dim), and
+    of every `solve_nonneg` call, (columns, target), made in building the
+    acceptance corpus on each of four seeds and in one pass of it, as the
+    acceptance gate runs it, with the caches cleared before each pass, and
+    in the Zariski decompositions of `affine_instances(77, 40)` and their
+    `verify_ckm`; with the routines that called `solve_nonneg`."""
+    calls = {"feasible_point": [], "solve_nonneg": [], "callers": Counter()}
+    feasible, nonneg = xl.feasible_point, xl.solve_nonneg
 
-    def record(ineqs, eqs=(), dim=None):
-        calls.append((list(ineqs), list(eqs),
-                      len(ineqs[0][0]) if dim is None else dim))
-        return solve(ineqs, eqs, dim)
+    def record_feasible(ineqs, eqs=(), dim=None):
+        calls["feasible_point"].append(
+            (list(ineqs), list(eqs), len(ineqs[0][0]) if dim is None else dim))
+        return feasible(ineqs, eqs, dim)
 
-    monkeypatch.setattr(xl, "feasible_point", record)
-    for seed in (20240801, 0, 1, 2):
-        instances = termination_instances(seed, 100)
-        clear_package_caches()
-        for m, D in instances:
-            trace = mmp.run_mmp(m, D)
-            if trace.outcome == "minimal":
-                cv.nefness(trace.final_divisor, trace.final_map)
-            _check_flip_steps(m, D, trace)
-    monkeypatch.undo()
+    def record_nonneg(columns, target):
+        calls["solve_nonneg"].append(
+            ([tuple(c) for c in columns], tuple(target)))
+        calls["callers"][sys._getframe(1).f_code.co_name] += 1
+        return nonneg(columns, target)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(xl, "feasible_point", record_feasible)
+        mp.setattr(xl, "solve_nonneg", record_nonneg)
+        for seed in (20240801, 0, 1, 2):
+            instances = corpus.termination_instances(seed, 100)
+            clear_package_caches()
+            for m, D in instances:
+                trace = mmp.run_mmp(m, D)
+                if trace.outcome == "minimal":
+                    cv.nefness(trace.final_divisor, trace.final_map)
+                _check_flip_steps(m, D, trace)
+        for m, D in affine_instances(77, 40):
+            try:
+                R = sc.zariski_decompose(m, D)
+            except PreconditionError:
+                continue  # not pseudo-effective
+            sc.verify_ckm(R, D)
     return calls
 
 
@@ -523,18 +543,81 @@ def _random_lp(rng):
     return rows(rng.randint(0, 7)), rows(rng.randint(0, 2)), dim
 
 
-def test_feasible_point_matches_the_whole_tableau(monkeypatch):
+def test_feasible_point_matches_the_whole_tableau(corpus_lps):
     # `_phase1` stores no column that is a multiple of another (the w of
-    # x = u - w, the slacks); the oracle pivots every column of the whole
-    # [u | -u | slack] tableau by the same integer rule, so the pivots and
-    # the point are the same
-    systems = _corpus_lps(monkeypatch)
+    # x = u - w, the slacks), nor a basic column; the oracle pivots every
+    # column of the whole [u | -u | slack] tableau by the same integer
+    # rule, so the pivots and the point are the same
+    systems = list(corpus_lps["feasible_point"])
     assert len(systems) >= 350
     rng = random.Random(33)
     systems += [_random_lp(rng) for _ in range(3000)]
     results = [xl.feasible_point(*s) for s in systems]
     mismatches = [s for s, got in zip(systems, results)
                   if got != lp_oracle.feasible_point(*s)]
+    assert mismatches == []
+    assert 500 <= results.count(None) <= len(results) - 1500
+
+
+def _random_nonneg(rng):
+    """(columns, target): 1-4 rows, 0-6 columns, entries in [-3, 3], about
+    a third of them `Fraction`s; a column is often a multiple of a unit
+    vector or plus or minus an earlier column, and half the targets are
+    nonnegative combinations of the columns."""
+    m = rng.randint(1, 4)
+
+    def entry():
+        a = rng.randint(-3, 3)
+        return Fraction(a, rng.randint(2, 3)) if rng.random() < 0.3 else a
+
+    columns = []
+    for _ in range(rng.randint(0, 6)):
+        kind = rng.random()
+        if kind < 0.2 and columns:
+            col = tuple(c * rng.choice((1, -1)) for c in rng.choice(columns))
+        elif kind < 0.4:
+            k, a = rng.randrange(m), entry()
+            col = tuple(a if i == k else 0 for i in range(m))
+        else:
+            col = tuple(entry() for _ in range(m))
+        columns.append(col)
+    if rng.random() < 0.5:
+        coeffs = [rng.randint(0, 2) for _ in columns]
+        target = tuple(sum((c * col[i] for c, col in zip(coeffs, columns)), 0)
+                       for i in range(m))
+    else:
+        target = tuple(entry() for _ in range(m))
+    return columns, target
+
+
+@pytest.mark.parametrize("columns,target,want", [
+    # an artificial basic from the start has cost -D: pivoted in place, it
+    # stays basic at level 1, so the system is infeasible
+    ([(-2,), (0,), (-2,)], (1,), None),
+    # every artificial stays basic, at a positive level and at level 0
+    ([(-1, 0), (0, -2)], (1, 1), None),
+    ([(-1, -1)], (0, 0), (0,)),
+    # a positive multiple of a basic artificial takes its place: D = 2
+    ([(2,), (1,)], (2,), (1, 0)),
+])
+def test_solve_nonneg_keeps_artificial_columns_basic(columns, target, want):
+    assert xl.solve_nonneg(columns, target) == want
+    assert lp_oracle.integer_solve_nonneg(columns, target) == want
+
+
+def test_solve_nonneg_matches_the_whole_tableau(corpus_lps):
+    # the same integer pivots on the whole tableau [A | I | b], every basic
+    # column included: the same witness, over the same denominator
+    systems = list(corpus_lps["solve_nonneg"])
+    assert len(systems) >= 500
+    assert corpus_lps["callers"].keys() == {
+        "is_extreme", "recession_cone_trivial", "cone_contains_line",
+        "verify_ckm"}
+    rng = random.Random(35)
+    systems += [_random_nonneg(rng) for _ in range(3000)]
+    results = [xl.solve_nonneg(*s) for s in systems]
+    mismatches = [s for s, got in zip(systems, results)
+                  if got != lp_oracle.integer_solve_nonneg(*s)]
     assert mismatches == []
     assert 500 <= results.count(None) <= len(results) - 1500
 

@@ -44,6 +44,12 @@ def test_constructors_refuse_inexact_entries(build, args):
         build(*args)
 
 
+def test_fan_refuses_a_negative_rank():
+    # no lattice has rank -1; `io.load_fan` names the file in its own check
+    with pytest.raises(InputError, match="negative rank -1"):
+        Fan(-1, (), ())
+
+
 def test_constructors_take_integral_fractions():
     F = Fan(2, ((Fraction(2, 2), 0), (0, 1)), ((Fraction(0), 1),))
     assert F == ORTHANT2 and type(F.rays[0][0]) is int

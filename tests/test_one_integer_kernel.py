@@ -1,6 +1,8 @@
 """Every corank-one integer kernel in the package is a vector of signed
-maximal minors: `exactlin._minor_kernel` behind `primitive_kernel` (wall
-relations, simplicial facet normals) and inside the double description.
+maximal minors: `exactlin._minor_kernel` behind `primitive_kernel`
+(simplicial facet normals) and inside the double description, and the
+wall relations, which take the same minors by Cramer's rule on
+`integer_det` (`fan.wall_coefficients`).
 Every kernel basis (`exactlin.nullspace`) is made of such vectors, taken
 on the fraction-free echelon rows that `exactlin.rank` counts, so the
 `Fraction` reduced echelon form serves `solve_linear` alone.  The Hermite
@@ -32,7 +34,8 @@ def test_one_integer_kernel_routine():
                                             "exactlin.extreme_rays_of_halfspaces"}
     assert "nullspace" not in refs["fan.cone_facets"]
     assert "primitive_kernel" in refs["fan.cone_facets"]
-    assert "primitive_kernel" in refs["fan.wall_coefficients"]
+    assert "integer_det" in refs["fan.wall_coefficients"]
+    assert "primitive_kernel" not in refs["fan.wall_coefficients"]
     assert users(refs, "smith_normal_form") == {
         "exactlin.quotient_projection",
         "exactlin.smith_solve",
