@@ -546,41 +546,35 @@ def _phase1(A, b, n: int):
     last pivot (1 when none was made).  No `Fraction` is built.  n is
     given so that m = 0 has its witness: n zeros over D = 1.
 
-    Integer pivoting (Edmonds) on [A | I | b], I the block of artificial
-    columns: each row of [A | b] is scaled to integers first, and the
-    tableau holds integers over one common denominator D > 0, starting at
-    1.  Pivoting on p = T[r][s] turns every other row, and the cost row,
-    into (x*p - f*y) // D and then sets D = p.  The division is exact
-    because every entry is a minor of the initial tableau, and p > 0 (the
-    ratio test picks it), so every sign test and every ratio comparison is
-    that of the rational tableau.
-
-    As every division is exact, a column that starts as c times another
-    stays exactly c times it.  So only I's columns and the columns of the
-    scaled A that are no such multiple are kept: a column of A with at
-    most one nonzero entry, v in row k, is v times I's column k, and a
-    column equal to an earlier kept one, or to minus it, is read off that
-    one.  Bland's entering rule, the ratio test and the witness read every
-    other column as its multiplier times its kept column.  The m kept
-    columns that are basic are known: D / c times the unit vector of their
-    row, c the multiplier of the basic column.  So the tableau stores only
-    the nonbasic kept columns and b (Tucker's condensed form).  A pivot
-    gives the entering kept column's place to the leaving one, which comes
-    back as D / c in the pivot row and -f / c in every other row, f the
-    entering column's entry there.
+    Integer pivoting (Edmonds) on [A | I | b], I the artificial columns and
+    each row of [A | b] scaled to integers: the tableau holds integers over
+    one common denominator D > 0, starting at 1, and pivoting on
+    p = T[r][s] turns every other row, and the cost row, into
+    (x*p - f*y) // D, then sets D = p.  The division is exact because
+    every entry is a minor of the initial tableau, and p > 0 (the ratio
+    test picks it), so every sign test and ratio comparison is that of the
+    rational tableau.  So a column that starts as c times another stays c
+    times it: a column of A with at most one nonzero entry, v in row k, is
+    read as v times I's column k, and one equal to an earlier kept column,
+    or to minus it, as that one; only I's columns and the other columns of
+    A are kept.  A basic kept column is D / c times the unit vector of its
+    row, c the multiplier of the basic column, so only the nonbasic ones
+    and b are stored (Tucker's condensed form).  A pivot gives the entering
+    column's place to the leaving one, which comes back as D / c in the
+    pivot row and -f / c in every other row, f the entering column's entry
+    there.
 
     The cost row starts as minus the sum of the rows, artificial columns
-    included, so it stays a combination of the constraint rows.  A basic
+    included, so it stays a combination of the constraint rows, and a basic
     column has cost 0, except an artificial column basic from the start,
-    whose cost is -D: Bland's rule pivots it in place once no earlier
-    column has negative cost, and a positive multiple c of it, when that
-    comes first, takes its place in the basis.  Either pivot leaves the
-    pivot row as it is, multiplies every other row by c and the cost row
-    plus the pivot row by c.  When such a column leaves, its cost is -p - f
-    for the entering cost f, where any other leaving column gets -f / c.
-    When no cost is negative every basic column has cost 0, so the
-    right-hand side of the cost row is 0.  The system is infeasible exactly
-    when an artificial variable is then basic at a positive level.
+    whose cost is -D.  Bland's rule pivots it in place once no earlier
+    column has negative cost, or first a positive multiple c of it, which
+    takes its place: the pivot row stays, and every other row, and the cost
+    row plus the pivot row, are multiplied by c.  When it leaves, its cost
+    is -p - f for the entering cost f, not -f.  When no cost is negative
+    every basic column has cost 0, so the right-hand side of the cost row
+    is 0, and the system is infeasible exactly when an artificial variable
+    is then basic at a positive level.
     """
     m = len(A)
     if m == 0:

@@ -1052,13 +1052,13 @@ def wall_coefficients(F: Fan, facet: tuple, ca: tuple, cb: tuple) -> tuple:
         raise InvariantBreach("wall must have exactly two off-wall rays")
     if len(ca) != F.rank or len(cb) != F.rank:
         raise InvariantBreach("a wall's cones need rank rays each")
-    B, v = F.cone_gens(ca), (F.rays[off_b[0]],)
+    B, v = F.cone_gens(ca), F.rays[off_b[0]]
     det = xl.integer_det(B)
     sign = -1 if det > 0 else 1
     rel = [0] * len(F.rays)
     rel[off_b[0]] = -sign * det
     for k, i in enumerate(ca):
-        rel[i] = sign * xl.integer_det(B[:k] + v + B[k + 1:])
+        rel[i] = sign * xl.integer_det(B[:k] + (v,) + B[k + 1:])
     if not (rel[off_a[0]] > 0 and rel[off_b[0]] > 0):
         raise InvariantBreach("off-wall coefficients are not positive")
     g = gcd(*rel)

@@ -4,12 +4,13 @@
 ran it before it moved to integer pivoting, and `solve_nonneg` the entry
 point built on it.  `_integer_phase1` is the integer pivoting `exactlin`
 ran before it stored only the tableau columns that are no multiple of
-another, on every column, and `feasible_point` the entry point built on
-it, which writes x = u - w and one slack per inequality.  `lp_feasible`
-and `recession_cone_trivial` are the Fourier-Motzkin versions `exactlin`
-used before the simplex answered every feasibility and boundedness
-question: a witness by elimination and back-substitution, and boundedness
-by 2 * dim probes, one per signed unit vector.  `rank`, `nullspace` and
+another and are not basic, on every column, and `integer_solve_nonneg`
+and `feasible_point` the entry points built on it, the latter writing
+x = u - w and one slack per inequality.  `lp_feasible` and
+`recession_cone_trivial` are the Fourier-Motzkin versions `exactlin` used
+before the simplex answered every feasibility and boundedness question:
+a witness by elimination and back-substitution, and boundedness by
+2 * dim probes, one per signed unit vector.  `rank`, `nullspace` and
 `solve` share one elimination of their own, on integer-scaled rows
 (`_echelon`), with `Fraction`s only in the back-substitution.  `rank`
 counts its pivots, `nullspace` gives the rational kernel basis of the

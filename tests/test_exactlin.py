@@ -527,17 +527,19 @@ def corpus_lps():
     return calls
 
 
+def _entry(rng):
+    """An entry in [-3, 3], a `Fraction` about a third of the time."""
+    a = rng.randint(-3, 3)
+    return Fraction(a, rng.randint(2, 3)) if rng.random() < 0.3 else a
+
+
 def _random_lp(rng):
     """(ineqs, eqs, dim): 1-5 variables, 0-7 inequalities and 0-2
-    equations, entries in [-3, 3], about a third of them `Fraction`s."""
+    equations, entries `_entry`."""
     dim = rng.randint(1, 5)
 
-    def entry():
-        a = rng.randint(-3, 3)
-        return Fraction(a, rng.randint(2, 3)) if rng.random() < 0.3 else a
-
     def rows(count):
-        return [(tuple(entry() for _ in range(dim)), entry())
+        return [(tuple(_entry(rng) for _ in range(dim)), _entry(rng))
                 for _ in range(count)]
 
     return rows(rng.randint(0, 7)), rows(rng.randint(0, 2)), dim
@@ -560,33 +562,28 @@ def test_feasible_point_matches_the_whole_tableau(corpus_lps):
 
 
 def _random_nonneg(rng):
-    """(columns, target): 1-4 rows, 0-6 columns, entries in [-3, 3], about
-    a third of them `Fraction`s; a column is often a multiple of a unit
-    vector or plus or minus an earlier column, and half the targets are
-    nonnegative combinations of the columns."""
+    """(columns, target): 1-4 rows, 0-6 columns, entries `_entry`; a
+    column is often a multiple of a unit vector or plus or minus an earlier
+    column, and half the targets are nonnegative combinations of the
+    columns."""
     m = rng.randint(1, 4)
-
-    def entry():
-        a = rng.randint(-3, 3)
-        return Fraction(a, rng.randint(2, 3)) if rng.random() < 0.3 else a
-
     columns = []
     for _ in range(rng.randint(0, 6)):
         kind = rng.random()
         if kind < 0.2 and columns:
             col = tuple(c * rng.choice((1, -1)) for c in rng.choice(columns))
         elif kind < 0.4:
-            k, a = rng.randrange(m), entry()
+            k, a = rng.randrange(m), _entry(rng)
             col = tuple(a if i == k else 0 for i in range(m))
         else:
-            col = tuple(entry() for _ in range(m))
+            col = tuple(_entry(rng) for _ in range(m))
         columns.append(col)
     if rng.random() < 0.5:
         coeffs = [rng.randint(0, 2) for _ in columns]
         target = tuple(sum((c * col[i] for c, col in zip(coeffs, columns)), 0)
                        for i in range(m))
     else:
-        target = tuple(entry() for _ in range(m))
+        target = tuple(_entry(rng) for _ in range(m))
     return columns, target
 
 
