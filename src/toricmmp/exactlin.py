@@ -12,16 +12,16 @@ kernel (a facet normal, a ray of the double description) is a vector of
 signed maximal minors (`primitive_kernel`), and a wall relation takes the
 same minors by Cramer's rule on `integer_det` (`fan.wall_coefficients`);
 the Smith form serves only quotient lattices and `smith_solve`, a rational
-solution together with its divisibility index.  The simplex, the minors,
-the rank and `nullspace` run on Python ints by fraction-free elimination:
-the simplex by integer pivoting over one common denominator (Edmonds), the
-minors by cofactor expansion up to 3 x 3 and by Bareiss's determinant
-above (Bareiss 1968), the rank and `nullspace` by forward elimination on
-primitive integer rows (`_echelon`).  The simplex returns integer
-numerators over that denominator, and its callers check them by integer
-dot products and build ``Fraction``s only for the witness they return.
-The ``Fraction`` reduced row echelon form (`_rref`) serves `solve_linear`
-only, and `solve_linear` has one caller, `fan.parallelepiped_points`.
+solution together with its divisibility index, and that one Smith form
+solves every rational system A x = b (`solve_linear`, whose one caller is
+`fan.parallelepiped_points`).  The simplex, the minors, the rank and
+`nullspace` run on Python ints by fraction-free elimination: the simplex by
+integer pivoting over one common denominator (Edmonds), the minors by
+cofactor expansion up to 3 x 3 and by Bareiss's determinant above (Bareiss
+1968), the rank and `nullspace` by forward elimination on primitive integer
+rows (`_echelon`).  The simplex returns integer numerators over that
+denominator, and its callers check them by integer dot products and build
+``Fraction``s only for the witness they return.
 
 Deterministic ordering: whenever ties arise, vectors are compared
 lexicographically.
@@ -104,34 +104,8 @@ def scale_to_integer(v: Sequence) -> Vector:
 
 
 # ---------------------------------------------------------------------------
-# Gaussian elimination: fraction-free echelon rows, and the rational rref
+# Gaussian elimination: fraction-free echelon rows
 # ---------------------------------------------------------------------------
-
-def _rref(rows):
-    """Reduced row echelon form; returns (rref rows, pivot column list)."""
-    rows = [list(map(Fraction, r)) for r in rows]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r][c]
-        rows[r] = [a / piv for a in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
-
 
 def _echelon(A: Sequence[Sequence]) -> list:
     """(pivot column, integer row) pairs, one per unit of rank, by forward
@@ -167,24 +141,14 @@ def rank(A: Sequence[Sequence]) -> int:
 
 
 def solve_linear(A: Sequence[Sequence], b: Sequence) -> Optional[Vector]:
-    """One exact solution of A x = b, or None if inconsistent.
-
-    Free variables are set to zero, which makes the result deterministic.
-    """
+    """A solution of A x = b, the unique one when A's columns are
+    independent, or None if inconsistent: `smith_solve` on the rows of
+    (A | b) scaled to integers (`_integer_row`)."""
     if not A:
         return ()
-    n = len(A[0])
-    aug = [list(row) + [bi] for row, bi in zip(A, b)]
-    rows, pivots = _rref(aug)
-    for row in rows:
-        if all(a == 0 for a in row[:-1]) and row[-1] != 0:
-            return None
-    x = [Fraction(0)] * n
-    for i, c in enumerate(pivots):
-        if c == n:
-            return None
-        x[c] = rows[i][-1]
-    return tuple(x)
+    rows = [_integer_row(list(row) + [bi]) for row, bi in zip(A, b)]
+    solved = smith_solve([row[:-1] for row in rows], [row[-1] for row in rows])
+    return None if solved is None else solved[0]
 
 
 def nullspace(A: Sequence[Sequence], n: Optional[int] = None) -> list:

@@ -643,7 +643,7 @@ def quotient_fan(F: Fan, P, cones) -> Fan:
 
 def star_subdivision(F: Fan, v) -> Fan:
     """Elementary subdivision inserting the primitive vector v as a new ray."""
-    v = tuple(int(c) for c in v)
+    v = tuple(c if c.__class__ is int else integer(c) for c in v)
     if xl.is_zero(v):
         raise InputError("cannot subdivide at the zero vector")
     if tuple(xl.primitive(v)) != v:

@@ -28,8 +28,15 @@ unbounded polyhedron, empty or not, as that path did.
 `ckm_by_degrees` is `sections.verify_ckm` as it certified condition (3)
 before the Farkas multipliers: one degree at a time, each violation region
 tested for lattice points (`lattice_free_of`).
+
+`parallelepiped_points` is the box scan of `fan.parallelepiped_points`,
+one linear solve per point of the box the generators span, with
+`lp_oracle.solve` as its solver, so it shares no elimination with the
+Smith form behind `exactlin.solve_linear`.  A point off the span of a
+cone that is not full-dimensional has no solution and is skipped.
 """
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -225,6 +232,23 @@ def lattice_points(H: xl.HalfspaceSystem, box=None) -> list:
 
     rec(0, [])
     return sorted(out)
+
+
+def parallelepiped_points(gens: tuple) -> list:
+    """(point, coefficients t) for the nonzero lattice points sum t_i g_i
+    with 0 <= t_i < 1 of a simplicial cone, by scanning its box."""
+    dim = len(gens[0])
+    lo = [sum(min(0, g[j]) for g in gens) for j in range(dim)]
+    hi = [sum(max(0, g[j]) for g in gens) for j in range(dim)]
+    A = [[g[j] for g in gens] for j in range(dim)]
+    out = []
+    for point in itertools.product(*[range(l, h + 1) for l, h in zip(lo, hi)]):
+        if not any(point):
+            continue
+        t = lp_oracle.solve(A, point)
+        if t is not None and all(0 <= ti < 1 for ti in t):
+            out.append((point, tuple(t)))
+    return out
 
 
 def lattice_free_of(ineqs_normals, ineqs_offsets):

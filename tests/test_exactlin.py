@@ -407,18 +407,55 @@ def test_nullspace_matches_fraction_oracle():
     assert xl.nullspace([(Fraction(1, 2), Fraction(-1, 3), 0)]) == [(2, 3, 0), (0, 0, 1)]
 
 
+def _check_solve(A, b):
+    """Is solve_linear(A, b) None exactly when lp_oracle.solve is, a
+    solution otherwise, and the oracle's one when A's columns are
+    independent?  (None when they are not.)"""
+    got, want = xl.solve_linear(A, b), lp_oracle.solve(A, b)
+    assert (got is None) == (want is None), (A, b)
+    if got is None:
+        return False
+    assert xl.mat_vec(A, got) == tuple(b), (A, b)
+    if A and lp_oracle.rank(A) == len(A[0]):
+        assert got == want, (A, b)
+        return True
+    return None
+
+
 def test_solve_linear_matches_fraction_oracle():
-    # the oracles' own solve (lp_oracle.solve) against solve_linear: the
-    # same solution with free variables 0, or None for both
+    # the oracles' own solve (lp_oracle.solve) against solve_linear: None
+    # for both, or a solution of A x = b, the oracle's one where A's
+    # columns are independent (free variables may differ otherwise)
     rng = random.Random(20261019)
-    inconsistent = 0
+    outcomes = Counter()
     for k in range(1000):
         A = _random_rank_matrix(rng, k)
         b = [rng.randint(-4, 4) for _ in A]
-        got = xl.solve_linear(A, b)
-        assert got == lp_oracle.solve(A, b), (A, b)
-        inconsistent += got is None
-    assert 100 <= inconsistent <= 900
+        outcomes[_check_solve(A, b)] += 1
+    assert 100 <= outcomes[False] <= 900
+    assert outcomes[True] == 91
+
+
+def test_solve_linear_is_unique_on_independent_columns():
+    # square and tall systems with independent columns: b = A x0 gives x0
+    # back, and a random b is the oracle's solution or, mostly on a tall
+    # system, inconsistent for both
+    rng = random.Random(20261021)
+    shapes, inconsistent = Counter(), 0
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        m = n + rng.choice((0, 0, 1, 2))
+        A = ()
+        while not A or lp_oracle.rank(A) < n:
+            A = [tuple(rng.randint(-5, 5) if rng.random() < 0.7 else
+                       Fraction(rng.randint(-7, 7), rng.randint(1, 5))
+                       for _ in range(n)) for _ in range(m)]
+        x0 = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n))
+        b = xl.mat_vec(A, x0)
+        assert _check_solve(A, b) and xl.solve_linear(A, b) == x0
+        inconsistent += _check_solve(A, [rng.randint(-4, 4) for _ in A]) is False
+        shapes["square" if m == n else "tall"] += 1
+    assert min(shapes.values()) >= 100 and inconsistent >= 50
 
 
 def test_rank_builds_no_fraction():

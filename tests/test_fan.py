@@ -12,8 +12,10 @@ from conftest import termination_instances
 from toricmmp import curves as cv
 from toricmmp import exactlin as xl
 from toricmmp import fan as fn
+from toricmmp import newton as nt
+from toricmmp import singularities as sg
 from toricmmp.curves import contracted_walls
-from toricmmp.divisor import InvariantDivisor
+from toricmmp.divisor import InvariantDivisor, zero_divisor
 from toricmmp.errors import InputError, InvariantBreach, PreconditionError
 from toricmmp.fan import Fan, FanMap, identity_map, map_to_point
 from toricmmp.mmp import contract, run_mmp
@@ -42,6 +44,24 @@ def test_constructors_refuse_inexact_entries(build, args):
     # no entry is truncated or read off a binary float
     with pytest.raises(InputError):
         build(*args)
+
+
+@pytest.mark.parametrize("routine, args", [
+    pytest.param(fn.star_subdivision, (ORTHANT2, (1.5, 1)),
+                 id="subdivide-float"),
+    pytest.param(fn.star_subdivision, (ORTHANT2, (Fraction(3, 2), 1)),
+                 id="subdivide-fraction"),
+    pytest.param(sg.discrepancy, (ORTHANT2, zero_divisor(ORTHANT2), (1.9, 1)),
+                 id="discrepancy-float"),
+    pytest.param(nt.check_exponents, ([(2.7, 0), (0, 3)],),
+                 id="exponent-float"),
+    pytest.param(nt.check_exponents, ([(True, 0), (0, 3)],),
+                 id="exponent-bool"),
+])
+def test_routines_refuse_inexact_vectors(routine, args):
+    # a vector coordinate is read by fan.integer, never truncated by int()
+    with pytest.raises(InputError, match="expected an integer"):
+        routine(*args)
 
 
 def test_fan_refuses_a_negative_rank():

@@ -4,8 +4,10 @@ minors against the product of the Smith invariants (and the simplicial
 facet normals against the `Fraction` double description of `cone_oracle`),
 the one-Smith-form section against one integer solve per column, and the
 one-Smith-form support function against a `Fraction` solve plus a Smith
-form per cone; and the lattice-emptiness test behind the degree-by-degree
-Zariski oracle."""
+form per cone, and the parallelepiped points of simplicial cones, most of
+them not full-dimensional, against a box scan on the oracles' own solve;
+and the lattice-emptiness test behind the degree-by-degree Zariski
+oracle."""
 
 import random
 from fractions import Fraction
@@ -167,3 +169,33 @@ def test_lattice_free_of_bounded_regions():
     # the half-line u >= 1/2 is feasible and unbounded: no finite certificate
     with pytest.raises(PreconditionError):
         lattice_oracle.lattice_free_of([(2,)], [-1])
+
+
+def _simplicial_cones(seed, count, bound):
+    """Seeded generator lists of simplicial cones: k = 1..d independent
+    integer vectors of Z^d, d = 2..4, entries in [-bound, bound], not
+    always primitive; most have k < d and so are not full-dimensional."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        d = rng.randint(2, 4)
+        k = rng.randint(1, d)
+        gens = [tuple(rng.randint(-bound, bound) for _ in range(d)) for _ in range(k)]
+        if xl.rank(gens) == k:
+            out.append(tuple(gens))
+    return out
+
+
+@pytest.mark.parametrize("seed, count, bound, lower, points", [
+    (20261021, 60, 2, 32, 220),
+    pytest.param(2026, 400, 3, 267, 2694, marks=pytest.mark.slow),
+])
+def test_parallelepiped_points_match_box_scan(seed, count, bound, lower, points):
+    # the Smith-form solve per box point against the oracle's own solve,
+    # on full-dimensional cones and on cones whose box mostly lies off
+    # their span; the same points in the same order, with the same t
+    cones = _simplicial_cones(seed, count, bound)
+    found = [fn.parallelepiped_points(gens) for gens in cones]
+    assert found == [lattice_oracle.parallelepiped_points(gens) for gens in cones]
+    assert sum(len(gens) < len(gens[0]) for gens in cones) == lower
+    assert sum(map(len, found)) == points

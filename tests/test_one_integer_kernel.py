@@ -4,11 +4,12 @@ maximal minors: `exactlin._minor_kernel` behind `primitive_kernel`
 wall relations, which take the same minors by Cramer's rule on
 `integer_det` (`fan.wall_coefficients`).
 Every kernel basis (`exactlin.nullspace`) is made of such vectors, taken
-on the fraction-free echelon rows that `exactlin.rank` counts, so the
-`Fraction` reduced echelon form serves `solve_linear` alone.  The Hermite
-kernel, the Smith invariants and the per-column integer solve are gone,
-and the Smith form serves only the quotient lattice, the divisibility
-index and the section of a quotient projection.  So a second kernel
+on the fraction-free echelon rows that `exactlin.rank` counts.  The
+Hermite kernel, the Smith invariants, the per-column integer solve and the
+`Fraction` reduced echelon form (`_rref`) are gone, and the Smith form
+serves only the quotient lattice, the section of a quotient projection and
+`smith_solve`, the one rational solve of A x = b, which gives the
+divisibility index too and which `solve_linear` calls.  So a second kernel
 routine cannot come back unnoticed.  The test oracles (`*_oracle.py`)
 solve linear systems with `lp_oracle.solve`, on their own elimination,
 never with `solve_linear`.  The phase-1 simplex is the one pivot loop,
@@ -23,7 +24,7 @@ from pathlib import Path
 from ast_refs import names, references, users
 from toricmmp import exactlin as xl
 
-GONE = {"integer_kernel", "integer_solve", "smith_invariants"}
+GONE = {"integer_kernel", "integer_solve", "smith_invariants", "_rref"}
 
 
 def test_one_integer_kernel_routine():
@@ -43,12 +44,10 @@ def test_one_integer_kernel_routine():
 
 
 def test_kernel_bases_are_integer():
-    # every kernel basis is signed minors of fraction-free echelon rows;
-    # the Fraction rref is left to solve_linear
+    # every kernel basis is signed minors of fraction-free echelon rows
     refs = references()
     assert {"primitive_kernel", "_echelon"} <= refs["exactlin.nullspace"]
     assert "_echelon" in refs["exactlin.rank"]
-    assert users(refs, "_rref") == {"exactlin.solve_linear"}
     for key in ("exactlin._echelon", "exactlin.rank", "exactlin.nullspace",
                 "exactlin.extreme_rays_of_halfspaces", "fan.cone_span_perp"):
         assert "Fraction" not in refs[key], key

@@ -19,10 +19,10 @@ that the criterion, `check_morphism` and `swap_cells` read.
 `common_refinement` certifies only the cells
 it changes, so it names no `certify_fan`.  `divisor.support_function` and
 `divisor.pullback` take each cone's covector and Cartier index from one
-per-cone Smith form
-(`divisor._covector`, the one caller of `exactlin.smith_solve`), and
-`mmp.contract_face` tests descent by integer ranks, so `solve_linear` has
-one caller left, `fan.parallelepiped_points`.  `cone_span_perp` returns
+per-cone Smith form (`divisor._covector`, which calls
+`exactlin.smith_solve`, the one rational solve, as `solve_linear` does),
+and `mmp.contract_face` tests descent by integer ranks, so `solve_linear`
+has one caller left, `fan.parallelepiped_points`.  `cone_span_perp` returns
 the primitive integer rows of `exactlin.nullspace` as they are, and no
 caller rescales them.  `mmp` reads each step off the chosen class's
 relation: it computes no wall relation (a flip's new walls carry the
@@ -96,7 +96,8 @@ def test_no_second_implementation():
     assert users(refs, "_facet_owners") == {"fan.cone_covered", "fan.Fan",
                                             "fan._facet_map"}
     assert users(refs, "solve_linear") == {"fan.parallelepiped_points"}
-    assert users(refs, "smith_solve") == {"divisor._covector"}
+    assert users(refs, "smith_solve") == {"divisor._covector",
+                                          "exactlin.solve_linear"}
     assert users(refs, "_covector") == {"divisor.support_function",
                                         "divisor.pullback"}
     assert "rank" in refs["mmp.contract_face"]

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -6,12 +7,13 @@ import lattice_oracle
 import mmp_oracle
 from conftest import affine_instances, termination_instances
 from toricmmp import divisor as dv
+from toricmmp import exactlin as xl
 from toricmmp import sections as sc
 from toricmmp.curves import nefness
 from toricmmp.divisor import InvariantDivisor
 from toricmmp.errors import PreconditionError
 from toricmmp.fan import (Fan, FanMap, common_refinement, cone_contains,
-                          map_to_point)
+                          map_to_point, parallelepiped_points)
 from toricmmp.mmp import run_mmp
 
 
@@ -40,6 +42,25 @@ def test_hilbert_basis_half_integral(orthant2):
     C = sc.section_cone(orthant2, D)
     assert all(C.contains(g) for g in gens)
     assert any(g[-1] == 2 and g[0] == -1 for g in gens)
+
+
+def test_hilbert_basis_prunes_reducible_candidates():
+    # the cone of (2, 1) and (1, 3): its parallelepiped holds (1, 1),
+    # (1, 2), (2, 2) = (1, 1) + (1, 1) and (2, 3) = (1, 1) + (1, 2), and the
+    # last two must be pruned
+    C = xl.HalfspaceSystem(((-1, 2), (3, -1)), (0, 0))
+    points = [p for p, _t in parallelepiped_points(((2, 1), (1, 3)))]
+    assert sorted(points) == [(1, 1), (1, 2), (2, 2), (2, 3)]
+    basis = sc.hilbert_basis(C)
+    assert basis == [(1, 1), (1, 2), (1, 3), (2, 1)]
+    # brute force: the nonzero lattice points of C in a box that are no sum
+    # of two of them (C lies in the first quadrant, so a summand of a box
+    # point is in the box)
+    box = [p for p in itertools.product(range(9), repeat=2)
+           if p != (0, 0) and C.contains(p)]
+    irreducible = [x for x in box if not any(
+        y != x and C.contains(xl.vsub(x, y)) for y in box)]
+    assert irreducible == basis
 
 
 def _generates(C, gens, target, memo):
