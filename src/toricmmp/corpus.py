@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import lcm
 
 from . import exactlin as xl
 from .errors import InvariantBreach
@@ -46,8 +45,7 @@ def random_complete_fan(rng: random.Random, rank: int, nrays: int) -> Fan:
         if not xl.recession_cone_trivial(xl.HalfspaceSystem(tuple(rays), (0,) * nrays)):
             continue
         heights = [Fraction(rng.randint(1, 1000), rng.randint(1, 7)) for _ in rays]
-        scale = lcm(*(h.denominator for h in heights))
-        cells = regular_cells(rays, [int(h * scale) for h in heights])
+        cells = regular_cells(rays, xl._integer_row(heights))
         if cells is None:
             continue  # degenerate heights; resample
         used = sorted({i for cell in cells for i in cell})

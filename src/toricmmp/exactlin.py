@@ -14,7 +14,11 @@ same minors by Cramer's rule on `integer_det` (`fan.wall_coefficients`);
 the Smith form serves only quotient lattices and `smith_solve`, a rational
 solution together with its divisibility index, and that one Smith form
 solves every rational system A x = b (`solve_linear`, whose one caller is
-`fan.parallelepiped_points`).  The simplex, the minors, the rank and
+`fan.parallelepiped_points`) and gives the integer section of a quotient
+projection, one column per solve (`mmp._section_of_projection`).  Every
+module reads lattice integers through `integer` and its vector form
+`integers`, which refuse a float, a bool or a proper fraction instead of
+truncating it.  The simplex, the minors, the rank and
 `nullspace` run on Python ints by fraction-free elimination: the simplex by
 integer pivoting over one common denominator (Edmonds), the minors by
 cofactor expansion up to 3 x 3 and by Bareiss's determinant above (Bareiss
@@ -78,14 +82,27 @@ def identity_matrix(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
+def integer(x, error=InputError) -> int:
+    """x as an int when it is an int or an integral Fraction; `error` on
+    anything else: a float (even 1.0), a bool, a string, a proper fraction."""
+    if isinstance(x, Fraction) and x.denominator == 1 or (
+            isinstance(x, int) and not isinstance(x, bool)):
+        return x.numerator
+    raise error(f"expected an integer, got {x!r}")
+
+
+def integers(v, error=InputError) -> Vector:
+    """The entries of v read by `integer`; an exact int passes as it is."""
+    return tuple(c if c.__class__ is int else integer(c, error) for c in v)
+
+
 def primitive(v: Sequence[int]) -> Vector:
     """Divide an integer vector by the gcd of its entries (sign preserved)."""
-    if not v or all(a == 0 for a in v):
+    v = integers(v)
+    g = gcd(*v)
+    if not g:
         raise InputError("primitive() of the zero vector is undefined")
-    g = 0
-    for a in v:
-        g = gcd(g, abs(int(a)))
-    return tuple(int(a) // g for a in v)
+    return tuple(a // g for a in v)
 
 
 def _integer_row(row) -> list:
@@ -239,7 +256,7 @@ def smith_normal_form(A: Sequence[Sequence[int]]):
     U and V unimodular, D diagonal with d_i | d_{i+1}."""
     m = len(A)
     n = len(A[0]) if m else 0
-    D = [[int(A[i][j]) for j in range(n)] for i in range(m)]
+    D = [list(integers(row)) for row in A]
     U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -309,8 +326,7 @@ def quotient_projection(vectors: Sequence[Sequence[int]], dim: int) -> Matrix:
     saturation of the sublattice spanned by `vectors` (r = its rank)."""
     if not vectors:
         return identity_matrix(dim)
-    W = [[int(v[i]) for v in vectors] for i in range(dim)]  # dim x k, columns = vectors
-    D, U, _ = smith_normal_form(W)
+    D, U, _ = smith_normal_form(transpose(vectors))  # columns = vectors
     r = len([i for i in range(min(len(D), len(D[0]))) if D[i][i] != 0])
     return tuple(tuple(U[i]) for i in range(r, dim))
 

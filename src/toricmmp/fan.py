@@ -282,15 +282,6 @@ def cone_covered_by_gens(gens: tuple, cover: Sequence[tuple]) -> bool:
 # Fan and FanMap
 # ---------------------------------------------------------------------------
 
-def integer(x, error=InputError) -> int:
-    """x as an int when it is an int or an integral Fraction; `error` on
-    anything else: a float (even 1.0), a bool, a string, a proper fraction."""
-    if isinstance(x, Fraction) and x.denominator == 1 or (
-            isinstance(x, int) and not isinstance(x, bool)):
-        return int(x)
-    raise error(f"expected an integer, got {x!r}")
-
-
 @record
 class Fan:
     rank: int
@@ -298,13 +289,12 @@ class Fan:
     max_cones: tuple  # tuple of tuples of sorted ray indices
 
     def __post_init__(self):
-        rays = tuple(tuple(c if c.__class__ is int else integer(c) for c in r)
-                     for r in self.rays)
+        rays = tuple(map(xl.integers, self.rays))
         # a cone listed twice counts once; the first listing keeps its place
         cones = tuple(dict.fromkeys(
-            tuple(sorted({i if i.__class__ is int else integer(i) for i in c}))
+            tuple(sorted(set(xl.integers(c))))
             for c in self.max_cones))
-        object.__setattr__(self, "rank", integer(self.rank))
+        object.__setattr__(self, "rank", xl.integer(self.rank))
         if self.rank < 0:
             raise InputError(f"negative rank {self.rank}")
         object.__setattr__(self, "rays", rays)
@@ -373,8 +363,7 @@ class FanMap:
     step_flags = None
 
     def __post_init__(self):
-        mat = tuple(tuple(c if c.__class__ is int else integer(c) for c in row)
-                    for row in self.matrix)
+        mat = tuple(map(xl.integers, self.matrix))
         object.__setattr__(self, "matrix", mat)
         if len(mat) != self.target.rank:
             raise InputError("matrix row count must equal target rank")
@@ -622,7 +611,7 @@ def quotient_fan(F: Fan, P, cones) -> Fan:
     index: dict = {}
     images = []
     for c in cones:
-        imgs = [tuple(int(a) for a in xl.mat_vec(P, F.rays[i])) for i in c]
+        imgs = [xl.mat_vec(P, F.rays[i]) for i in c]
         imgs = [w for w in imgs if not xl.is_zero(w)]
         if not imgs:
             images.append(())
@@ -643,7 +632,7 @@ def quotient_fan(F: Fan, P, cones) -> Fan:
 
 def star_subdivision(F: Fan, v) -> Fan:
     """Elementary subdivision inserting the primitive vector v as a new ray."""
-    v = tuple(c if c.__class__ is int else integer(c) for c in v)
+    v = xl.integers(v)
     if xl.is_zero(v):
         raise InputError("cannot subdivide at the zero vector")
     if tuple(xl.primitive(v)) != v:

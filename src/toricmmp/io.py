@@ -13,13 +13,13 @@ import os
 from fractions import Fraction
 
 from .errors import InputError
-from .fan import Fan, FanMap, integer
+from .exactlin import integer, integers
+from .fan import Fan, FanMap
 from .divisor import InvariantDivisor
 
 
 def format_rational(x: Fraction) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    return str(Fraction(x))
 
 
 def _load_json(path):
@@ -31,8 +31,8 @@ def _load_json(path):
 
 
 def _int_rows(rows) -> tuple:
-    """JSON integer rows; any other entry is a TypeError (`fan.integer`)."""
-    return tuple(tuple(integer(c, TypeError) for c in r) for r in rows)
+    """JSON integer rows; any other entry is a TypeError (`exactlin.integer`)."""
+    return tuple(integers(r, TypeError) for r in rows)
 
 
 def load_fan(path) -> Fan:
@@ -94,16 +94,7 @@ def load_exponents(path) -> tuple:
         raise InputError(f"malformed exponents file {path}: {e}")
 
 
-def _jsonable(x):
-    if isinstance(x, Fraction):
-        return format_rational(x)
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    return x
-
-
 def dumps(obj) -> str:
     """Byte-deterministic report text."""
-    return json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True,
+                      default=format_rational) + "\n"

@@ -66,15 +66,13 @@ def _merge_groups(F: Fan, wall_set):
 
 
 def _section_of_projection(P):
-    """Integer right inverse s with P s = identity, from one Smith form
-    U P V = D.  P comes from a Smith transform, so P is onto and D = [I 0]
-    (else InvariantBreach); then s = V [I; 0] U."""
-    D, U, V = xl.smith_normal_form(P)
-    k = len(P)
-    if D != tuple(tuple(int(i == j) for j in range(len(V))) for i in range(k)):
+    """Integer right inverse s with P s = identity: column j is
+    `smith_solve(P, e_j)`.  P comes from a Smith transform, so P is onto and
+    every column has divisibility index 1 (else InvariantBreach)."""
+    cols = [xl.smith_solve(P, e) for e in xl.identity_matrix(len(P))]
+    if any(col is None or col[1] != 1 for col in cols):
         raise InvariantBreach("quotient projection has no integer section")
-    return tuple(tuple(sum(row[i] * U[i][j] for i in range(k)) for j in range(k))
-                 for row in V)
+    return xl.transpose([xl.integers(x) for x, _ in cols])
 
 
 def contract(m: FanMap, wall_set) -> ContractionResult:

@@ -16,7 +16,7 @@ from typing import Optional
 from . import exactlin as xl
 from .errors import InputError, InvariantBreach
 from .record import record
-from .fan import Fan, FanMap, certify_fan, index_rays, integer, resolve
+from .fan import Fan, FanMap, certify_fan, index_rays, resolve
 from .divisor import InvariantDivisor
 from .curves import NefVerdict, nefness
 from .mmp import MMPTrace, contract_face, run_mmp
@@ -25,8 +25,7 @@ MODEL_TYPES = ("minimal", "canonical", "dlt", "log-canonical")
 
 
 def check_exponents(E) -> tuple:
-    E = tuple(tuple(c if c.__class__ is int else integer(c) for c in m)
-              for m in E)
+    E = tuple(map(xl.integers, E))
     if not E:
         raise InputError("exponent set is empty")
     n = len(E[0])

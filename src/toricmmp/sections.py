@@ -37,7 +37,7 @@ def section_cone(F: Fan, D: InvariantDivisor) -> xl.HalfspaceSystem:
     rows = [tuple([0] * F.rank + [1])]
     for v, d in zip(F.rays, D.coeffs):
         den = d.denominator  # clear the denominator row-wise
-        rows.append(tuple([den * c for c in v] + [int(den * d)]))
+        rows.append(tuple([den * c for c in v] + [d.numerator]))
     return xl.HalfspaceSystem(tuple(rows), (0,) * len(rows))
 
 
@@ -203,5 +203,5 @@ def verify_ckm(R: ZariskiResult, D: InvariantDivisor) -> CKMVerdict:
             u = [c / point[-1] for c in point[:-1]]
             q = lcm(*(c.denominator for c in u))
             return CKMVerdict(False, failed_condition=3, failed_degree=q,
-                              witness=tuple(int(q * c) for c in u))
+                              witness=tuple((q * c).numerator for c in u))
     return CKMVerdict(True)

@@ -15,7 +15,7 @@ from typing import Optional
 from . import exactlin as xl
 from .errors import InputError
 from .record import record
-from .fan import Fan, cone_facets, cone_span_perp, integer
+from .fan import Fan, cone_facets, cone_span_perp
 from .divisor import (InvariantDivisor, canonical_divisor, check_divisor,
                       support_function, NotQCartier)
 
@@ -29,7 +29,7 @@ def discrepancy(F: Fan, D: InvariantDivisor, v) -> Fraction:
     """Exact discrepancy of the divisor extracted by star-subdividing at the
     primitive vector v; requires K + D Q-Cartier and v in the support."""
     check_divisor(F, D)
-    v = tuple(c if c.__class__ is int else integer(c) for c in v)
+    v = xl.integers(v)
     if tuple(xl.primitive(v)) != v:
         raise InputError(f"{v} is not primitive")
     psi = _pair_support(F, D)

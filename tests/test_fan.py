@@ -57,9 +57,15 @@ def test_constructors_refuse_inexact_entries(build, args):
                  id="exponent-float"),
     pytest.param(nt.check_exponents, ([(True, 0), (0, 3)],),
                  id="exponent-bool"),
+    pytest.param(xl.primitive, ((Fraction(3, 2), 3),), id="primitive-fraction"),
+    pytest.param(xl.smith_normal_form, ([[1.5]],), id="smith-float"),
+    pytest.param(xl.smith_solve, ([[Fraction(3, 2)]], [3]),
+                 id="smith-solve-fraction"),
+    pytest.param(xl.quotient_projection, ([(Fraction(1, 2), 0)], 2),
+                 id="quotient-fraction"),
 ])
 def test_routines_refuse_inexact_vectors(routine, args):
-    # a vector coordinate is read by fan.integer, never truncated by int()
+    # a lattice coordinate is read by exactlin.integer, never truncated by int()
     with pytest.raises(InputError, match="expected an integer"):
         routine(*args)
 
@@ -75,6 +81,8 @@ def test_constructors_take_integral_fractions():
     assert F == ORTHANT2 and type(F.rays[0][0]) is int
     m = FanMap(((Fraction(1), 0), (0, 1)), F, F)
     assert m.matrix == ((1, 0), (0, 1)) and type(m.matrix[0][0]) is int
+    v = xl.primitive((Fraction(4, 2), 2))
+    assert v == (1, 1) and {type(c) for c in v} == {int}
     assert InvariantDivisor(("1/3", -2)).coeffs == (Fraction(1, 3), -2)
 
 

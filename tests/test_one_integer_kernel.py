@@ -7,10 +7,13 @@ Every kernel basis (`exactlin.nullspace`) is made of such vectors, taken
 on the fraction-free echelon rows that `exactlin.rank` counts.  The
 Hermite kernel, the Smith invariants, the per-column integer solve and the
 `Fraction` reduced echelon form (`_rref`) are gone, and the Smith form
-serves only the quotient lattice, the section of a quotient projection and
-`smith_solve`, the one rational solve of A x = b, which gives the
-divisibility index too and which `solve_linear` calls.  So a second kernel
-routine cannot come back unnoticed.  The test oracles (`*_oracle.py`)
+serves only the quotient lattice and `smith_solve`, the one rational solve
+of A x = b, which gives the divisibility index too and which
+`solve_linear` and the section of a quotient projection call; the section
+no longer calls the Smith form itself.  So a second kernel routine cannot
+come back unnoticed.  Every lattice integer is read by `exactlin.integer`
+(and its vector form `integers`), which refuses what is not an integer,
+and no routine but the CLI's argument parser calls `int`.  The test oracles (`*_oracle.py`)
 solve linear systems with `lp_oracle.solve`, on their own elimination,
 never with `solve_linear`.  The phase-1 simplex is the one pivot loop,
 behind `solve_nonneg` and `feasible_point`; it hands back integer
@@ -21,7 +24,7 @@ they return."""
 import ast
 from pathlib import Path
 
-from ast_refs import names, references, users
+from ast_refs import names, package_trees, references, users
 from toricmmp import exactlin as xl
 
 GONE = {"integer_kernel", "integer_solve", "smith_invariants", "_rref"}
@@ -39,8 +42,22 @@ def test_one_integer_kernel_routine():
     assert "primitive_kernel" not in refs["fan.wall_coefficients"]
     assert users(refs, "smith_normal_form") == {
         "exactlin.quotient_projection",
-        "exactlin.smith_solve",
-        "mmp._section_of_projection"}
+        "exactlin.smith_solve"}
+
+
+def test_one_integer_reader():
+    # a lattice integer is read by exactlin.integer, never truncated by
+    # int(); only the CLI's argument parser calls int, on strings
+    callers, readers = set(), set()
+    for module, tree in package_trees().items():
+        for node in tree.body:
+            if getattr(node, "name", None) == "integer":
+                readers.add(module)
+            if any(isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
+                   and sub.func.id == "int" for sub in ast.walk(node)):
+                callers.add(f"{module}.{getattr(node, 'name', module)}")
+    assert callers == {"cli._ints"}
+    assert readers == {"exactlin"}
 
 
 def test_kernel_bases_are_integer():

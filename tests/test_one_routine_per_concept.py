@@ -66,7 +66,7 @@ GONE = {"_simplicial_contains", "integer_multiple_for_solvability",
         "_lattice_free_of", "_paired_facets", "_contracted_facets",
         "star", "_face_holders", "classify_cone", "ConeClass", "is_proper",
         "projective", "wall_relation", "is_q_cartier", "principal_divisor",
-        "is_cartier", "is_integral", "save_fan"}
+        "is_cartier", "is_integral", "save_fan", "_jsonable"}
 
 
 def test_no_second_implementation():
@@ -97,7 +97,8 @@ def test_no_second_implementation():
                                             "fan._facet_map"}
     assert users(refs, "solve_linear") == {"fan.parallelepiped_points"}
     assert users(refs, "smith_solve") == {"divisor._covector",
-                                          "exactlin.solve_linear"}
+                                          "exactlin.solve_linear",
+                                          "mmp._section_of_projection"}
     assert users(refs, "_covector") == {"divisor.support_function",
                                         "divisor.pullback"}
     assert "rank" in refs["mmp.contract_face"]
