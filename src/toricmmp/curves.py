@@ -1,5 +1,6 @@
-"""Wall relations, curve classes, the relative Mori cone, supporting
-divisors of its extremal rays, and nef tests.
+"""The relative Mori cone, supporting divisors of its extremal rays, and
+nef tests, on the curve classes of the walls a map contracts
+(`fan.MorphismFlags.contracted`); `CurveClass` and `walls` are `fan`'s.
 
 Intersection numbers are computed up to a positive rational scale (lattice
 index factors are dropped): every decision downstream consumes only signs
@@ -10,39 +11,25 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from typing import Optional
 
 from . import exactlin as xl
 from .errors import PreconditionError
 from .record import record
-from .fan import FanMap, Wall, _full_dim_simplicial, check_morphism, walls
+from .fan import (CurveClass, FanMap, Wall, _full_dim_simplicial,
+                  check_morphism, walls)
 from .divisor import InvariantDivisor, check_divisor
-
-
-@record
-class CurveClass:
-    coeffs: tuple  # primitive integer vector indexed by the fan's rays
-
-    def pair(self, D: InvariantDivisor) -> Fraction:
-        """D . C up to a fixed positive scale: sum a_rho d_rho, summed on
-        integers over L, the lcm of D's denominators, as d = n/q is
-        n (L // q) / L; one Fraction is built."""
-        L = lcm(*(d.denominator for d in D.coeffs))
-        return Fraction(sum(a * d.numerator * (L // d.denominator)
-                            for a, d in zip(self.coeffs, D.coeffs) if a), L)
 
 
 @lru_cache(maxsize=None)
 def contracted_walls(m: FanMap) -> tuple:
     """(Wall, CurveClass) pairs for the walls whose two adjacent cones map
     into one common cone of the target, in `walls` order; these carry the
-    complete curves contracted by the morphism.  The classes are the
-    relations, keyed by facet, that `check_morphism` found or that a map
-    built by an MMP step carries (`fan.swap_cells`), whose scope holds by
-    construction: simplicial full-dimensional cones and the support of the
-    map the step started from.  PreconditionError outside the scope of the
-    relative Mori cone."""
+    complete curves contracted by the morphism: the map's flags'
+    `contracted`, as they are.  A map an MMP step built (`fan.swap_cells`)
+    carries them, and their scope holds by construction: simplicial
+    full-dimensional cones and the support of the map the step started
+    from.  PreconditionError outside the scope of the relative Mori cone."""
     F = m.source
     flags = m.step_flags
     if flags is None:
@@ -61,9 +48,7 @@ def contracted_walls(m: FanMap) -> tuple:
         flags = flags or check_morphism(m)
     if not flags.toric or not flags.proper:
         raise PreconditionError("map must be a proper toric morphism")
-    relation = dict(flags.contracted)
-    return tuple((w, CurveClass(relation[w.rays])) for w in walls(F)
-                 if w.rays in relation)
+    return flags.contracted
 
 
 @record
@@ -84,8 +69,8 @@ def mori_classes(m: FanMap, ample=None) -> tuple:
     otherwise (none given, or the check fails) the projectivity LP of
     `check_morphism` decides and its certificate is returned.
     PreconditionError, after the scope errors, when m is not projective."""
-    pairs = contracted_walls(m)
-    classes = tuple(sorted({c for _, c in pairs}, key=lambda c: c.coeffs))
+    classes = tuple(sorted({c for _, c in contracted_walls(m)},
+                           key=lambda c: c.coeffs))
     scaled = None if ample is None else xl._integer_row(ample)
     if scaled is None or any(xl.dot(c.coeffs, scaled) <= 0 for c in classes):
         ample = check_morphism(m).ample_certificate
@@ -103,16 +88,14 @@ def ne_cone(m: FanMap) -> NECone:
 
 def supporting_divisor(m: FanMap, c: CurveClass) -> Optional[InvariantDivisor]:
     """A divisor L with L . c = 0 and L . c' >= 1 for every other class c'
-    of `contracted_walls(m)`, c among them: the ratio-test certificate of
-    `mmp.run_mmp`, else one exact LP; None exactly when c spans no extremal
-    ray of the relative Mori cone, as L exposes the ray of c and every face
-    of a polyhedral cone is exposed.  L is nef over the base, and its
-    linearity domains are the unions of cells across the walls of class c:
-    the cones of the contraction's target (Reid 1983).  The answer is kept
-    on the map's flags (`fan.MorphismFlags.supporting`), whose contracted
-    classes are those of `contracted_walls(m)`."""
+    of `contracted_walls(m)`, c among them (`fan.MorphismFlags.supporting`);
+    None exactly when c spans no extremal ray of the relative Mori cone, as
+    L exposes the ray of c and every face of a polyhedral cone is exposed.
+    L is nef over the base, and its linearity domains are the unions of
+    cells across the walls of class c: the cones of the contraction's
+    target (Reid 1983)."""
     contracted_walls(m)  # the scope of the relative Mori cone
-    L = check_morphism(m).supporting(c.coeffs)
+    L = check_morphism(m).supporting(c)
     return None if L is None else InvariantDivisor(L)
 
 

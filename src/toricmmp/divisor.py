@@ -99,8 +99,8 @@ def _covector(F: Fan, D: InvariantDivisor, cone) -> tuple:
     l m integral; NotQCartier with the cone when there is none."""
     if not cone:
         return (Fraction(0),) * F.rank, 1
-    solved = xl.smith_solve([F.rays[i] for i in cone],
-                            [-D.coeffs[i] for i in cone])
+    (solved,) = xl.smith_solve([F.rays[i] for i in cone],
+                               [[-D.coeffs[i] for i in cone]])
     if solved is None:
         raise NotQCartier(cone)
     return solved

@@ -10,17 +10,17 @@ to list lattice points by floor division on the tower's primitive integer
 rows, and a subset-enumeration double description.  Every corank-one integer
 kernel (a facet normal, a ray of the double description) is a vector of
 signed maximal minors (`primitive_kernel`), and a wall relation takes the
-same minors by Cramer's rule on `integer_det` (`fan.wall_coefficients`);
-the Smith form serves only quotient lattices and `smith_solve`, a rational
+same minors by Cramer's rule on `integer_det` (`fan.wall_coefficients`); the
+Smith form serves only quotient lattices and `smith_solve`, a rational
 solution together with its divisibility index, and that one Smith form
 solves every rational system A x = b (`solve_linear`, whose one caller is
 `fan.parallelepiped_points`) and gives the integer section of a quotient
-projection, one column per solve (`mmp._section_of_projection`).  Every
-module reads lattice integers through `integer` and its vector form
-`integers`, which refuse a float, a bool or a proper fraction instead of
-truncating it.  The simplex, the minors, the rank and
-`nullspace` run on Python ints by fraction-free elimination: the simplex by
-integer pivoting over one common denominator (Edmonds), the minors by
+projection, all its columns from one Smith form
+(`mmp._section_of_projection`).  Every module reads lattice integers through
+`integer` and its vector form `integers`, which refuse a float, a bool or a
+proper fraction instead of truncating it.  The simplex, the minors, the rank
+and `nullspace` run on Python ints by fraction-free elimination: the simplex
+by integer pivoting over one common denominator (Edmonds), the minors by
 cofactor expansion up to 3 x 3 and by Bareiss's determinant above (Bareiss
 1968), the rank and `nullspace` by forward elimination on primitive integer
 rows (`_echelon`).  The simplex returns integer numerators over that
@@ -164,7 +164,8 @@ def solve_linear(A: Sequence[Sequence], b: Sequence) -> Optional[Vector]:
     if not A:
         return ()
     rows = [_integer_row(list(row) + [bi]) for row, bi in zip(A, b)]
-    solved = smith_solve([row[:-1] for row in rows], [row[-1] for row in rows])
+    (solved,) = smith_solve([row[:-1] for row in rows],
+                            [[row[-1] for row in rows]])
     return None if solved is None else solved[0]
 
 
@@ -331,21 +332,25 @@ def quotient_projection(vectors: Sequence[Sequence[int]], dim: int) -> Matrix:
     return tuple(tuple(U[i]) for i in range(r, dim))
 
 
-def smith_solve(A: Sequence[Sequence[int]], b: Sequence):
-    """(x, l) for an integer matrix A and a rational vector b, from one
-    Smith form U A V = D, or None when A x = b has no rational solution:
-    x = V y with y_i = (U b)_i / d_i and the free y_i zero, and l, the lcm
-    of the denominators of y, is the least l >= 1 for which A z = l b has
-    an integer solution (l x is one)."""
+def smith_solve(A: Sequence[Sequence[int]], bs: Sequence) -> list:
+    """For an integer matrix A and each rational vector b of `bs`, all
+    from one Smith form U A V = D: (x, l), or None when A x = b has no
+    rational solution.  x = V y with y_i = (U b)_i / d_i and the free y_i
+    zero, and l, the lcm of the denominators of y, is the least l >= 1 for
+    which A z = l b has an integer solution (l x is one)."""
     D, U, V = smith_normal_form(A)
-    y = [Fraction(0)] * len(V)
-    for i, c in enumerate(mat_vec(U, b)):
-        d = D[i][i] if i < len(V) else 0
-        if d:
-            y[i] = Fraction(c) / d
-        elif c:
-            return None
-    return mat_vec(V, y), lcm(*(t.denominator for t in y))
+
+    def solve(b):
+        y = [Fraction(0)] * len(V)
+        for i, c in enumerate(mat_vec(U, b)):
+            d = D[i][i] if i < len(V) else 0
+            if d:
+                y[i] = Fraction(c) / d
+            elif c:
+                return None
+        return mat_vec(V, y), lcm(*(t.denominator for t in y))
+
+    return [solve(b) for b in bs]
 
 
 # ---------------------------------------------------------------------------

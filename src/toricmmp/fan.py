@@ -25,11 +25,9 @@ Two valid fans share most rays and cones, and what they share is read by
 index: `common_refinement` intersects only the cones they do not share,
 `_covers_preimages` skips a target cone that is a source cell under the
 identity and cuts no source cone under an onto map, and `check_morphism`
-places an image on a target ray into the cones listing it.  It keeps
-the relations of the walls a map contracts; its projectivity LP
-(`positive_on`) runs only when its answer is read, and its flags keep that
-answer and the verdicts on each class: the ratio-test certificate an MMP
-step hands them (`MorphismFlags.certify_ray`), else one LP.  One routine,
+places an image on a target ray into the cones listing it; its flags
+(`MorphismFlags`) keep the map's contracted walls with their classes and
+the verdicts on them.  One routine,
 `regular_cells`, builds the regular subdivision that integer lifting
 heights induce; `_regular_triangulation` (for `qfactorialize` and
 `common_refinement`) and the corpus generator call it.
@@ -42,7 +40,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from . import exactlin as xl
@@ -173,9 +171,11 @@ def cone_lattice_multiplicity(gens: tuple) -> int:
 
 def parallelepiped_points(gens: tuple) -> list:
     """Nonzero lattice points sum t_i g_i with 0 <= t_i < 1 for a simplicial
-    cone, each returned as (point, coefficients t).  The scan runs over the
-    box the generators span; a side longer than `sys.maxsize` cannot be
-    scanned and is a PreconditionError."""
+    cone, each returned as (point, coefficients t), by one `solve_linear`
+    per point of the box the generators span: a faster scan fits more
+    `lattice` passes, each kept, into a `perfbench/run.py` run, past its
+    `peak_rss_mb` bound.  A side of the box longer than `sys.maxsize`
+    cannot be scanned and is a PreconditionError."""
     dim = len(gens[0])
     lo = [sum(min(0, g[j]) for g in gens) for j in range(dim)]
     hi = [sum(max(0, g[j]) for g in gens) for j in range(dim)]
@@ -839,16 +839,19 @@ def common_refinement(F1: Fan, F2: Fan):
 
 @record
 class MorphismFlags:
-    """What `check_morphism` found.  `ample_certificate` is solved by the
-    projectivity LP when it is first read, and kept on the instance; so
-    are the verdicts on each contracted class, `is_extreme` and
+    """What `check_morphism` found.  `contracted` pairs each wall a proper
+    map contracts with its class, in `walls` order: built once per map, by
+    `check_morphism` or, for a map an MMP step builds, by `swap_cells`, and
+    read as they are by `curves` and `mmp`.  `ample_certificate` is solved
+    by the projectivity LP when it is first read, and kept on the instance;
+    so are the verdicts on each contracted class, `is_extreme` and
     `supporting`: the ratio-test certificate an MMP step hands them
-    (`certify_ray`), else one LP.  `check_morphism` hands an
-    equal map the same instance from its cache, so a class contracted twice
-    on equal maps is decided once."""
+    (`certify_ray`), else one LP.  `check_morphism` hands an equal map the
+    same instance from its cache, so a class contracted twice on equal
+    maps is decided once."""
     toric: bool
     proper: bool
-    contracted: Optional[tuple] = None  # (facet, relation) of a proper map
+    contracted: Optional[tuple] = None  # (Wall, CurveClass) of a proper map
     nrays: int = 0                      # rays of the source
 
     @cached_property
@@ -858,17 +861,17 @@ class MorphismFlags:
         order; None when there is none or the map is not proper."""
         if not self.proper:
             return None
-        return positive_on([rel for _, rel in self.contracted], self.nrays)
+        return positive_on([c.coeffs for _, c in self.contracted], self.nrays)
 
     @cached_property
     def _verdicts(self) -> dict:
         """(verdict name, class) -> the answer, once it is decided."""
         return {}
 
-    def _others(self, c: tuple) -> list:
-        return sorted({rel for _, rel in self.contracted} - {c})
+    def _others(self, c: CurveClass) -> list:
+        return sorted({d.coeffs for _, d in self.contracted} - {c.coeffs})
 
-    def certify_ray(self, c: tuple, L) -> bool:
+    def certify_ray(self, c: CurveClass, L) -> bool:
         """Take the divisor coefficients L as the certificate that the
         contracted class c spans an extremal ray, when integer dot products
         prove it: L . c = 0 and L . c' > 0 for every other contracted class
@@ -876,10 +879,10 @@ class MorphismFlags:
         scaled to least value 1 on the others is `supporting(c)`; both are
         kept, in place of any earlier verdict.  Otherwise nothing is kept and
         the LPs decide.  Returns whether L was taken."""
-        classes = {rel for _, rel in self.contracted}
-        if c not in classes or xl.dot(c, L) != 0:
+        if (c not in {d for _, d in self.contracted}
+                or xl.dot(c.coeffs, L) != 0):
             return False
-        values = [xl.dot(o, L) for o in classes - {c}]
+        values = [xl.dot(o, L) for o in self._others(c)]
         if any(v <= 0 for v in values):
             return False
         least = min(values, default=1)
@@ -887,21 +890,22 @@ class MorphismFlags:
         self._verdicts["supporting", c] = tuple(Fraction(x, least) for x in L)
         return True
 
-    def is_extreme(self, c: tuple) -> bool:
+    def is_extreme(self, c: CurveClass) -> bool:
         """Does the contracted class c span an extremal ray of the cone of
         the contracted classes: is it no nonnegative combination of the
         others (one LP, `xl.is_extreme`, unless `certify_ray` decided it)?"""
         if ("extreme", c) not in self._verdicts:
-            self._verdicts["extreme", c] = xl.is_extreme(c, self._others(c))
+            self._verdicts["extreme", c] = xl.is_extreme(c.coeffs,
+                                                         self._others(c))
         return self._verdicts["extreme", c]
 
-    def supporting(self, c: tuple) -> Optional[tuple]:
+    def supporting(self, c: CurveClass) -> Optional[tuple]:
         """Divisor coefficients L with L . c = 0 and L . c' >= 1 for every
         other contracted class c': the `certify_ray` certificate, else one
         LP (`positive_on`); None exactly when there is none."""
         if ("supporting", c) not in self._verdicts:
             self._verdicts["supporting", c] = positive_on(
-                self._others(c), self.nrays, [c])
+                self._others(c), self.nrays, [c.coeffs])
         return self._verdicts["supporting", c]
 
 
@@ -1010,9 +1014,7 @@ def walls(F: Fan) -> tuple:
     in facet-map order: by the facet's first owner, then in the order that
     cone lists its facets (a simplicial cone by the position of the ray off
     the facet).  The empty facet counts only between two rays of a rank-1
-    fan, where the origin is the wall.  This is the one wall list of F: the
-    triangulation criterion, `check_morphism` (so the projectivity LP's
-    rows), `swap_cells` and `curves` read it.
+    fan, where the origin is the wall.  This is the one wall list of F.
 
     Precondition: F is a valid fan.  Then two maximal cones meet in a face
     of both, so they share at most one facet, and a cone's facet is the
@@ -1023,6 +1025,20 @@ def walls(F: Fan) -> tuple:
                  for facet, owners in _facet_map(F).items()
                  if facet or F.rank == 1
                  for k, a in enumerate(owners) for b in owners[k + 1:])
+
+
+@record
+class CurveClass:
+    """The curve class of a wall: its `wall_coefficients`."""
+    coeffs: tuple  # primitive integer vector indexed by the fan's rays
+
+    def pair(self, D) -> Fraction:
+        """D . C up to a fixed positive scale, for a divisor D: sum a_rho
+        d_rho, summed on integers over L, the lcm of D's denominators, as
+        d = n/q is n (L // q) / L; one Fraction is built."""
+        L = lcm(*(d.denominator for d in D.coeffs))
+        return Fraction(sum(a * d.numerator * (L // d.denominator)
+                            for a, d in zip(self.coeffs, D.coeffs) if a), L)
 
 
 def wall_coefficients(F: Fan, facet: tuple, ca: tuple, cb: tuple) -> tuple:
@@ -1067,16 +1083,14 @@ def positive_on(relations, nrays: int, zero=()) -> Optional[tuple]:
 def check_morphism(m: FanMap) -> MorphismFlags:
     """The toric and proper flags of m and its projectivity certificate.
     Toric, proper and, for a proper map only, the walls it contracts are
-    computed here: (facet, its `wall_coefficients`) for each wall of
-    `walls(F)` whose two cones land in one target cone, in `walls` order
-    (the relations of `curves.contracted_walls`, which need their scope).
-    F must then be simplicial with full-dimensional cones, else
-    PreconditionError.  The projectivity LP over those relations runs only
-    when `ample_certificate` is first read, so a caller holding its own
-    certificate never solves it.  On such a source every coefficient
-    vector defines a piecewise linear support function, and positivity on
-    a wall class is strict convexity across the wall.  A map built by
-    `swap_cells` gets the flags it carries."""
+    computed here: (wall, its `CurveClass`) for each wall of `walls(F)`
+    whose two cones land in one target cone, in `walls` order (the pairs of
+    `curves.contracted_walls`, which checks their scope).  F must then be
+    simplicial with full-dimensional cones, else PreconditionError.  On
+    such a source every coefficient vector defines a piecewise linear
+    support function, and positivity on a wall class is strict convexity
+    across the wall (the projectivity LP, `ample_certificate`).  A map
+    built by `swap_cells` gets the flags it carries."""
     if m.step_flags is not None:
         return m.step_flags
     landing = _landing(m)
@@ -1088,7 +1102,7 @@ def check_morphism(m: FanMap) -> MorphismFlags:
         raise PreconditionError("projectivity needs a simplicial source with "
                                 "full-dimensional cones")
     return MorphismFlags(toric=True, proper=True, contracted=tuple(
-        (w.rays, wall_coefficients(F, w.rays, w.side_a, w.side_b))
+        (w, CurveClass(wall_coefficients(F, w.rays, w.side_a, w.side_b)))
         for w in walls(F) if landing(w.side_a + w.side_b)),
         nrays=len(F.rays))
 
@@ -1098,7 +1112,7 @@ def swap_cells(m: FanMap, survivors, removed, added) -> FanMap:
     cells `added`, given in F's indexing, and its rays cut down to
     `survivors`, certified a valid fan by the cells it changed, and
     carrying its `MorphismFlags` (`step_flags`) derived from m's contracted
-    relations, which `check_morphism(m)` returns from m's own flags or its
+    pairs, which `check_morphism(m)` returns from m's own flags or its
     cache.
 
     This is an MMP step (Reid 1983): m is a proper toric map whose source F
@@ -1114,11 +1128,11 @@ def swap_cells(m: FanMap, survivors, removed, added) -> FanMap:
     lie in a cell of Z, the one ray check F does not pass on.
     InvariantBreach when a check fails, here or below.
 
-    The flags need no whole-map pass; they list Z's contracted walls in
-    `walls(Z)` order, as `check_morphism` does.  A wall between two kept
-    cells keeps its relation, re-indexed (the dropped ray's coefficient is
-    0 there), and is contracted as before: same cells, same lattice map,
-    same base.
+    The flags need no whole-map pass; they pair Z's contracted walls with
+    their classes in `walls(Z)` order, as `check_morphism` does.  A wall
+    between two kept cells keeps m's class on its rays (`w.rays`),
+    re-indexed (the dropped ray's coefficient is 0 there), and is
+    contracted as before: same cells, same lattice map, same base.
     A wall through a new cell takes its fresh `wall_coefficients`, which
     must be positive on the two rays off the wall, and is contracted when
     its union lands in a base cone (`_landing`).  Each new cell lies in a
@@ -1144,20 +1158,21 @@ def swap_cells(m: FanMap, survivors, removed, added) -> FanMap:
                               "rays with the support of its source")
     out = FanMap(m.matrix, Z, m.target)
     landing = _landing(out)
-    relations = dict(check_morphism(m).contracted)
+    kept_classes = {w.rays: c for w, c in check_morphism(m).contracted}
     contracted = []
     for w in walls(Z):
         if w.side_a not in new and w.side_b not in new:
-            rel = relations.get(tuple(survivors[i] for i in w.rays))
-            if rel is not None:
-                contracted.append((w.rays, tuple(rel[i] for i in survivors)))
+            c = kept_classes.get(tuple(survivors[i] for i in w.rays))
+            if c is not None:
+                contracted.append(
+                    (w, CurveClass(tuple(c.coeffs[i] for i in survivors))))
             continue
         rel = wall_coefficients(Z, w.rays, w.side_a, w.side_b)
         if any(rel[i] <= 0 for i in set(w.side_a) ^ set(w.side_b)):
             raise InvariantBreach(f"the cells at facet {w.rays} of the step "
                                   "lie on one side of it")
         if landing(w.side_a + w.side_b):
-            contracted.append((w.rays, rel))
+            contracted.append((w, CurveClass(rel)))
     if not all(map(landing, new)):
         raise InvariantBreach("a new cell maps into no cone of the base")
     object.__setattr__(out, "step_flags", MorphismFlags(

@@ -66,10 +66,10 @@ def _merge_groups(F: Fan, wall_set):
 
 
 def _section_of_projection(P):
-    """Integer right inverse s with P s = identity: column j is
-    `smith_solve(P, e_j)`.  P comes from a Smith transform, so P is onto and
-    every column has divisibility index 1 (else InvariantBreach)."""
-    cols = [xl.smith_solve(P, e) for e in xl.identity_matrix(len(P))]
+    """Integer right inverse s with P s = identity, all columns from one
+    Smith form (`smith_solve`).  P comes from a Smith transform, so it is
+    onto and every column has divisibility index 1 (else InvariantBreach)."""
+    cols = xl.smith_solve(P, xl.identity_matrix(len(P)))
     if any(col is None or col[1] != 1 for col in cols):
         raise InvariantBreach("quotient projection has no integer section")
     return xl.transpose([xl.integers(x) for x, _ in cols])
@@ -80,12 +80,9 @@ def contract(m: FanMap, wall_set) -> ContractionResult:
 
     The walls must be contracted by m, share one relation sum a_i v_i = 0
     (their `contracted_walls` class), and be every contracted wall of that
-    class.  The class must span an extremal ray, else NotExtremal.  That
-    verdict and L below are read off the map's flags, `check_morphism(m)`
-    (`fan.MorphismFlags`): the ratio-test certificate `run_mmp` left there,
-    else one `is_extreme` LP against the other contracted classes, kept, so
-    a second contraction of the class on an equal map solves no LP.  Its
-    signs give the kind (Reid 1983), with no search: no negative a_i is
+    class.  The class must span an extremal ray, else NotExtremal; that
+    verdict and L below are read off the map's flags, `check_morphism(m)`,
+    which keep them (`fan.MorphismFlags`).  Its signs give the kind (Reid 1983), with no search: no negative a_i is
     fano, the quotient by the lattice of the rays J+ with a_i > 0; one
     negative a_j is divisorial, and the target drops
     v_j = sum (a_i / -a_j) v_i; two or more is flipping, and the circuit
@@ -113,7 +110,7 @@ def contract(m: FanMap, wall_set) -> ContractionResult:
     (rel,) = relations
     if set(wall_set) != {w for w, c in pairs if c == rel}:
         raise PreconditionError("the set misses a contracted wall of its class")
-    if not check_morphism(m).is_extreme(rel.coeffs):
+    if not check_morphism(m).is_extreme(rel):
         raise NotExtremal(f"the class {rel.coeffs} spans no extremal ray")
     j_plus = [i for i, a in enumerate(rel.coeffs) if a > 0]
     j_minus = [i for i, a in enumerate(rel.coeffs) if a < 0]
@@ -268,11 +265,10 @@ def run_mmp(m: FanMap, D: InvariantDivisor) -> MMPTrace:
     LP: every model a step reaches is again projective over the base, and
     the step hands it an ample certificate (`_carried`) that
     `mori_classes` checks by dot products; the LP runs again only if that
-    check fails.  Only m goes
-    through the whole-map `check_morphism`: each later map carries the
-    flags and wall relations its step derived (`fan.swap_cells`), so
-    `contracted_walls` reads its classes off them, and rho is still the
-    rank of those classes, checked against the step's kind.
+    check fails.  Only m goes through the whole-map `check_morphism`: each
+    later map carries the flags and contracted pairs its step built
+    (`fan.swap_cells`), and rho is still the rank of their classes, checked
+    against the step's kind.
     """
     cur_map, cur_D = m, D
     classes, rho, ample = mori_classes(m)
@@ -333,7 +329,7 @@ def _ratio_certificate(m: FanMap, ample, D: InvariantDivisor, negative):
             tied = True
     c, a, d = best
     L = tuple(d * x + a * y for x, y in zip(A, Dz))
-    if tied or not check_morphism(m).certify_ray(c.coeffs, L):
+    if tied or not check_morphism(m).certify_ray(c, L):
         return None
     return c, L
 

@@ -41,7 +41,10 @@ the facet map per map: each placed the images of every paired facet's
 union again and computed its kernel relation again, and the Mori scope
 converted the source's support to a double description.
 `check_contracted` compares them with `check_morphism` and
-`curves.contracted_walls`.  `wall_coefficients` is `fan.wall_coefficients`
+`curves.contracted_walls`, which now returns the (Wall, CurveClass) pairs
+`fan.check_morphism` or `fan.swap_cells` built for the map as they are;
+`contracted_walls` here keeps the walk over `walls` that pairs each wall
+with a class of its own.  `wall_coefficients` is `fan.wall_coefficients`
 as it ran before it took the relation by Cramer's rule: the
 `primitive_kernel` of the transposed rays of the two cones' union.
 
@@ -240,7 +243,9 @@ def swap_cells(m: FanMap, survivors, removed, added) -> FanMap:
     (positive on the two rays off each wall), the boundary test on a facet
     of one new cell or of a removed cell that a kept cell owns, the
     one-point test by `cone_contains` only when no cell is kept, and the
-    contracted walls in the order of the facet map (`fn._facet_map`)."""
+    (Wall, CurveClass) pairs of the contracted walls in the order of the
+    facet map (`fn._facet_map`), a kept wall's class looked up by its
+    rays."""
     F = m.source
     index = {old: new for new, old in enumerate(survivors)}
     removed = set(removed)
@@ -259,7 +264,7 @@ def swap_cells(m: FanMap, survivors, removed, added) -> FanMap:
     changed.update(tuple(index[i] for i in c[:k] + c[k + 1:])
                    for c in removed for k in range(len(c))
                    if all(i in index for i in c[:k] + c[k + 1:]))
-    relations = dict(fn.check_morphism(m).contracted)
+    kept_classes = {w.rays: c for w, c in fn.check_morphism(m).contracted}
     owners = {}  # changed facets of two or more cells -> those cells
     for w in walls(Z):
         if w.rays in changed:
@@ -285,16 +290,17 @@ def swap_cells(m: FanMap, survivors, removed, added) -> FanMap:
             continue
         sides = tuple(Z.max_cones[k] for k in owners)
         if facet not in changed:
-            rel = relations.get(tuple(survivors[i] for i in facet))
-            if rel is not None:
-                contracted.append((facet, tuple(rel[i] for i in survivors)))
+            c = kept_classes.get(tuple(survivors[i] for i in facet))
+            if c is not None:
+                contracted.append((fn.Wall(facet, *sides), fn.CurveClass(
+                    tuple(c.coeffs[i] for i in survivors))))
             continue
         rel = fn.wall_coefficients(Z, facet, *sides)
         if any(rel[i] <= 0 for i in set(sides[0]) ^ set(sides[1])):
             raise InvariantBreach(f"the cells at facet {facet} of the step "
                                   "lie on one side of it")
         if landing(sides[0] + sides[1]):
-            contracted.append((facet, rel))
+            contracted.append((fn.Wall(facet, *sides), fn.CurveClass(rel)))
     if not kept:
         first, *others = sorted(new)
         p = tuple(map(sum, zip(*Z.cone_gens(first))))

@@ -160,7 +160,7 @@ def decided(m: FanMap, wall_set) -> bool:
         cls = dict(cv.contracted_walls(m))[wall_set[0]]
     except (PreconditionError, KeyError, IndexError):
         return False
-    return ("extreme", cls.coeffs) in fn.check_morphism(m)._verdicts
+    return ("extreme", cls) in fn.check_morphism(m)._verdicts
 
 
 def same_landing(m: FanMap, new, old) -> bool:

@@ -688,7 +688,7 @@ def test_corrupted_ray_certificate_is_refused(kind, instances, monkeypatch):
     refused = []
 
     def certify(flags, c, L):
-        bad = _corrupted_ray_certificate(kind, c, L, flags._others(c))
+        bad = _corrupted_ray_certificate(kind, c.coeffs, L, flags._others(c))
         if bad is None:  # c is the map's one class
             return orig(flags, c, L)
         assert not orig(flags, c, bad)

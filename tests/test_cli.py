@@ -306,6 +306,35 @@ def test_sing_precondition_exit_code(tmp_path, capsys):
     assert code == 2  # non-simplicial source is a precondition failure
 
 
+def test_input_checks_reach_the_cli(tmp_path, capsys, monkeypatch):
+    # a ray of the wrong length is bad input, a map onto a base that is no
+    # single cone fails `hilbert`'s precondition, and a rank-0 fan has a
+    # Zariski decomposition on the zero cone
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path, "short_ray.json", {"rank": 2, "rays": [[1, 0], [0]],
+                                        "cones": [[0, 1]]})
+    _write(tmp_path, "p2.json", P2)
+    _write(tmp_path, "p2_over_p2.json", {"matrix": [[1, 0], [0, 1]],
+                                         "source": "p2.json",
+                                         "target": "p2.json"})
+    _write(tmp_path, "rank0.json", {"rank": 0, "rays": [], "cones": []})
+    _write(tmp_path, "empty.json", {"coeffs": []})
+    for argv, code, err in (
+            (["fan", "validate", "--fan", "short_ray.json"], 1,
+             "input error: ray dimension does not match rank\n"),
+            (["hilbert", "--map", "p2_over_p2.json"], 2,
+             "precondition violated: base must be affine (a single cone)\n")):
+        assert main(argv) == code, argv
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", err), argv
+    code, out = _run(capsys, ["zariski", "--fan", "rank0.json",
+                              "--divisor", "empty.json"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["model_fan"] == {"rank": 0, "rays": [], "cones": [[]]}
+    assert data["ckm_ok"] is True and data["P"] == data["N"] == {"coeffs": []}
+
+
 def test_box_too_large_to_scan_exits_2(tmp_path, capsys):
     # a cone of multiplicity 10^30: a side of its parallelepiped's box is
     # longer than sys.maxsize, so the scan cannot run

@@ -107,6 +107,23 @@ def test_solve_nonneg_rejects_columns_of_another_length():
             xl.solve_nonneg(columns, target)
 
 
+@pytest.mark.parametrize("routine, args, message", [
+    pytest.param(xl.HalfspaceSystem, (((1, 0),), (0, 0)),
+                 "normals/offsets length mismatch", id="offsets"),
+    pytest.param(xl.HalfspaceSystem, (((0, 0),), (0,)),
+                 "halfspace normal must be nonzero", id="zero-normal"),
+    pytest.param(xl.HalfspaceSystem, (((1, 0), (1, 0, 0)), (0, 0)),
+                 "inconsistent halfspace dimensions", id="normal-lengths"),
+    pytest.param(xl.extreme_rays, ([(1, 0), (0, 0)],), "zero generator",
+                 id="zero-generator"),
+    pytest.param(xl.extreme_rays_of_halfspaces, ([(1, 0), (1, 0, 0)], [], 2),
+                 r"inequality rows do not lie in Q\^2", id="row-lengths"),
+])
+def test_polyhedral_routines_refuse_bad_input(routine, args, message):
+    with pytest.raises(InputError, match=message):
+        routine(*args)
+
+
 def test_dot_rejects_a_length_mismatch():
     assert xl.dot((1, 2, 3), (4, 5, 6)) == 32
     assert xl.dot((), ()) == 0
@@ -501,16 +518,25 @@ def test_quotient_projection():
 
 def test_smith_solve():
     # index-2 lattice situation
-    assert xl.smith_solve([(1, 0), (1, 2)], (-1, 0)) == ((-1, Fraction(1, 2)), 2)
-    assert xl.smith_solve([(1, 0), (0, 1)], (3, 5)) == ((3, 5), 1)
+    assert xl.smith_solve([(1, 0), (1, 2)], [(-1, 0)]) == [
+        ((-1, Fraction(1, 2)), 2)]
+    assert xl.smith_solve([(1, 0), (0, 1)], [(3, 5)]) == [((3, 5), 1)]
     # a fractional right-hand side, and no rational solution
-    assert xl.smith_solve([(1, 0), (0, 1)], (Fraction(1, 2), Fraction(1, 3)))[1] == 6
-    assert xl.smith_solve([(1, 1), (2, 2)], (1, 3)) is None
+    assert xl.smith_solve([(1, 0), (0, 1)],
+                          [(Fraction(1, 2), Fraction(1, 3))])[0][1] == 6
+    assert xl.smith_solve([(1, 1), (2, 2)], [(1, 3)]) == [None]
     # one row: the free coordinate is zero in Smith coordinates, so the
     # solution of an index-1 system is integral
-    x, ell = xl.smith_solve([(2, 1)], (1,))
+    [(x, ell)] = xl.smith_solve([(2, 1)], [(1,)])
     assert ell == 1 and xl.dot((2, 1), x) == 1
     assert all(c.denominator == 1 for c in x)
+    # several right-hand sides from one Smith form: each answer is the one
+    # its own call gives, in order, and no right-hand side gives []
+    A = [(1, 0), (1, 2), (2, 2)]
+    bs = [(-1, 0, -2), (0, 1, 1), (1, 0, 0), (3, 5, 8)]
+    assert xl.smith_solve(A, bs) == [xl.smith_solve(A, [b])[0] for b in bs]
+    assert xl.smith_solve(A, bs)[2] is None
+    assert xl.smith_solve(A, []) == []
 
 
 def test_feasible_point_strict():

@@ -59,7 +59,7 @@ def test_constructors_refuse_inexact_entries(build, args):
                  id="exponent-bool"),
     pytest.param(xl.primitive, ((Fraction(3, 2), 3),), id="primitive-fraction"),
     pytest.param(xl.smith_normal_form, ([[1.5]],), id="smith-float"),
-    pytest.param(xl.smith_solve, ([[Fraction(3, 2)]], [3]),
+    pytest.param(xl.smith_solve, ([[Fraction(3, 2)]], [[3]]),
                  id="smith-solve-fraction"),
     pytest.param(xl.quotient_projection, ([(Fraction(1, 2), 0)], 2),
                  id="quotient-fraction"),
@@ -74,6 +74,41 @@ def test_fan_refuses_a_negative_rank():
     # no lattice has rank -1; `io.load_fan` names the file in its own check
     with pytest.raises(InputError, match="negative rank -1"):
         Fan(-1, (), ())
+
+
+P3_CONE = Fan(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((0, 1, 2),))
+
+
+@pytest.mark.parametrize("routine, args, error, message", [
+    pytest.param(Fan, (2, ((1, 0, 0), (0, 1)), ((0, 1),)), InputError,
+                 "ray dimension does not match rank", id="fan-ray-length"),
+    pytest.param(FanMap, (((1, 0, 0), (0, 1, 0)), ORTHANT2, ORTHANT2),
+                 InputError, "matrix column count must equal source rank",
+                 id="map-columns"),
+    pytest.param(identity_map, (P3_CONE, ORTHANT2), InputError,
+                 "identity map requires equal ranks", id="identity-ranks"),
+    pytest.param(fn.star_subdivision, (ORTHANT2, (0, 0)), InputError,
+                 "cannot subdivide at the zero vector", id="subdivide-zero"),
+    pytest.param(fn.star_subdivision, (ORTHANT2, (1, 0)), PreconditionError,
+                 r"\(1, 0\) is already a ray of the fan", id="subdivide-ray"),
+    pytest.param(fn.cone_lattice_multiplicity, (((1, 0), (0, 1), (1, 1)),),
+                 PreconditionError,
+                 "lattice multiplicity needs a simplicial cone",
+                 id="multiplicity-not-simplicial"),
+    pytest.param(fn.common_refinement, (ORTHANT2, P3_CONE), PreconditionError,
+                 "fans live in different lattices", id="refinement-ranks"),
+])
+def test_routines_refuse_bad_input(routine, args, error, message):
+    with pytest.raises(error, match=message):
+        routine(*args)
+
+
+def test_common_refinement_of_rank_0_fans_is_the_zero_cone():
+    F = Fan(0, (), ())
+    assert F.max_cones == ((),)
+    fine, to_first, to_second = fn.common_refinement(F, F)
+    assert fine == F
+    assert to_first == to_second == identity_map(F, F)
 
 
 def test_constructors_take_integral_fractions():

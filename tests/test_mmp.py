@@ -513,7 +513,8 @@ def test_new_internal_walls_of_a_flip_carry_the_negated_class(monkeypatch):
     for res, new_map in flips:
         c = res.relation.coeffs
         j_minus = [i for i, a in enumerate(c) if a < 0]
-        relations = dict(new_map.step_flags.contracted)
+        relations = {w.rays: c.coeffs
+                     for w, c in new_map.step_flags.contracted}
         for rayset in res.merged_cones:
             for jk in itertools.combinations(j_minus, 2):
                 facet = tuple(i for i in rayset if i not in jk)

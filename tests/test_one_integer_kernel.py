@@ -9,8 +9,9 @@ Hermite kernel, the Smith invariants, the per-column integer solve and the
 `Fraction` reduced echelon form (`_rref`) are gone, and the Smith form
 serves only the quotient lattice and `smith_solve`, the one rational solve
 of A x = b, which gives the divisibility index too and which
-`solve_linear` and the section of a quotient projection call; the section
-no longer calls the Smith form itself.  So a second kernel routine cannot
+`solve_linear` and the section of a quotient projection call, the section
+once for all its columns; the section no longer calls the Smith form
+itself.  So a second kernel routine cannot
 come back unnoticed.  Every lattice integer is read by `exactlin.integer`
 (and its vector form `integers`), which refuses what is not an integer,
 and no routine but the CLI's argument parser calls `int`.  The test oracles (`*_oracle.py`)

@@ -14,13 +14,22 @@ so `swap_cells` names it and neither `_on_boundary` nor `cone_contains`.
 Each fan's facets are paired once: only `walls` (cached per fan) builds
 the facet map, and lists its walls in facet-map order, the one wall list
 that the criterion, `check_morphism` and `swap_cells` read.
+The walls a map contracts are paired with their classes once per map, as
+(Wall, CurveClass) pairs: only `fan.check_morphism` and `fan.swap_cells`
+build a `CurveClass` or hand `MorphismFlags` its `contracted` pairs, and
+`curves.contracted_walls` returns the flags' pairs as they are, naming
+neither `walls` nor `CurveClass`; the flags' verdicts take the class
+itself, so no caller hands `is_extreme`, `supporting` or `certify_ray` its
+`coeffs`.
 `mmp.contract` reads each circuit cone off one wall of its class, so
 `mmp._merge_groups` serves only `contract_face`.
 `common_refinement` certifies only the cells
 it changes, so it names no `certify_fan`.  `divisor.support_function` and
 `divisor.pullback` take each cone's covector and Cartier index from one
 per-cone Smith form (`divisor._covector`, which calls
-`exactlin.smith_solve`, the one rational solve, as `solve_linear` does),
+`exactlin.smith_solve`, the one rational solve, as `solve_linear` does;
+each caller makes one call, one Smith form, and the section of a quotient
+projection hands it every column's right-hand side at once),
 and `mmp.contract_face` tests descent by integer ranks, so `solve_linear`
 has one caller left, `fan.parallelepiped_points`.  `cone_span_perp` returns
 the primitive integer rows of `exactlin.nullspace` as they are, and no
@@ -58,7 +67,7 @@ import ast
 import inspect
 from pathlib import Path
 
-from ast_refs import names, references, users
+from ast_refs import names, package_trees, references, users
 from toricmmp import fan
 
 GONE = {"_simplicial_contains", "integer_multiple_for_solvability",
@@ -99,6 +108,10 @@ def test_no_second_implementation():
     assert users(refs, "smith_solve") == {"divisor._covector",
                                           "exactlin.solve_linear",
                                           "mmp._section_of_projection"}
+    for key, node in _statements():
+        if key in users(refs, "smith_solve"):
+            calls, looped = _calls(node, "smith_solve")
+            assert len(calls) == 1 and not looped, key
     assert users(refs, "_covector") == {"divisor.support_function",
                                         "divisor.pullback"}
     assert "rank" in refs["mmp.contract_face"]
@@ -125,6 +138,30 @@ def test_no_second_implementation():
         assert "m_max" not in text and "m-max" not in text, path.name
 
 
+def test_contracted_pairs_are_built_once_per_map():
+    refs = references()
+    assert not refs["curves.contracted_walls"] & {"walls", "CurveClass"}
+    builders = {"fan.check_morphism", "fan.swap_cells"}
+    statements = _statements()
+    assert {key for key, node in statements
+            if _calls(node, "CurveClass")[0]} == builders
+    assert {key for key, node in statements
+            if any(k.arg == "contracted"
+                   for call in _calls(node, "MorphismFlags")[0]
+                   for k in call.keywords)} == builders
+    # the flags' verdicts take the class, not its coefficients; `xl`'s
+    # `is_extreme` is the LP on vectors
+    for key, node in statements:
+        for name in ("is_extreme", "supporting", "certify_ray"):
+            for call in _calls(node, name)[0]:
+                if getattr(call.func, "value", None) is not None and \
+                        getattr(call.func.value, "id", None) == "xl":
+                    continue
+                assert not any(isinstance(arg, ast.Attribute)
+                               and arg.attr == "coeffs"
+                               for arg in call.args), (key, name)
+
+
 def test_support_convex_and_the_double_description_take_no_detour():
     (fan_class,) = [node for node in ast.parse(Path(fan.__file__).read_text()).body
                     if getattr(node, "name", None) == "Fan"]
@@ -134,6 +171,30 @@ def test_support_convex_and_the_double_description_take_no_detour():
     assert {"nullspace", "_on_boundary", "_facet_owners"} <= names(method)
     refs = references()
     assert "identity_matrix" not in refs["exactlin.extreme_rays_of_halfspaces"]
+
+
+_LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+          ast.GeneratorExp)
+
+
+def _statements():
+    """("module.name", node) for each top-level statement of the package,
+    keyed as `references` keys it."""
+    return [(f"{module}.{getattr(node, 'name', module)}", node)
+            for module, tree in package_trees().items() for node in tree.body]
+
+
+def _calls(node, name):
+    """(the calls of `name`, as a bare name or an attribute, under node;
+    those of them inside a loop or a comprehension)."""
+    def calls(top):
+        return [sub for sub in ast.walk(top) if isinstance(sub, ast.Call)
+                and name in (getattr(sub.func, "id", None),
+                             getattr(sub.func, "attr", None))]
+    looped = {id(c) for loop in ast.walk(node) if isinstance(loop, _LOOPS)
+              for c in calls(loop)}
+    found = calls(node)
+    return found, [c for c in found if id(c) in looped]
 
 
 def _signature(function):

@@ -13,12 +13,25 @@ from toricmmp.curves import nefness
 from toricmmp.divisor import InvariantDivisor
 from toricmmp.errors import PreconditionError
 from toricmmp.fan import (Fan, FanMap, common_refinement, cone_contains,
-                          map_to_point, parallelepiped_points)
+                          identity_map, map_to_point, parallelepiped_points)
 from toricmmp.mmp import run_mmp
 
 
 A1_EXPECTED = sorted([(-2, 1, 2), (-1, 1, 1), (0, 0, 1),
                       (0, 1, 0), (1, 0, 0), (2, -1, 0)])
+
+
+def test_section_cone_needs_a_full_dimensional_support():
+    F = Fan(2, ((1, 0),), ((0,),))
+    with pytest.raises(PreconditionError,
+                       match=r"support must span the lattice \(pointedness\)"):
+        sc.section_cone(F, dv.zero_divisor(F))
+
+
+def test_algebra_generators_need_an_affine_base(p2):
+    with pytest.raises(PreconditionError,
+                       match=r"base must be affine \(a single cone\)"):
+        sc.algebra_generators(identity_map(p2, p2), dv.zero_divisor(p2))
 
 
 def test_hilbert_basis_a1(a1_cone_fan):
