@@ -82,15 +82,15 @@ def contract(m: FanMap, wall_set) -> ContractionResult:
     (their `contracted_walls` class), and be every contracted wall of that
     class.  The class must span an extremal ray, else NotExtremal; that
     verdict and L below are read off the map's flags, `check_morphism(m)`,
-    which keep them (`fan.MorphismFlags`).  Its signs give the kind (Reid 1983), with no search: no negative a_i is
-    fano, the quotient by the lattice of the rays J+ with a_i > 0; one
-    negative a_j is divisorial, and the target drops
-    v_j = sum (a_i / -a_j) v_i; two or more is flipping, and the circuit
-    cones stay whole in the small, non-simplicial target, the fan of the
-    linearity domains of the class's `supporting_divisor` L (its
-    certificate, `supporting`).  Each wall names its circuit cone, the rays
-    of its two cells, taken once in `contracted_walls` order: two walls of
-    the class that share a cell name the same rays, since the relation
+    which keep them (`fan.MorphismFlags`).  Its signs give the kind (Reid
+    1983), with no search: no negative a_i is fano, the quotient by the
+    lattice of the rays J+ with a_i > 0; one negative a_j is divisorial, and
+    the target drops v_j = sum (a_i / -a_j) v_i; two or more is flipping,
+    and the circuit cones stay whole in the small, non-simplicial target,
+    the fan of the linearity domains of the class's `supporting_divisor` L
+    (its certificate, `supporting`).  Each wall names its circuit cone, the
+    rays of its two cells, taken once in `contracted_walls` order: two walls
+    of the class that share a cell name the same rays, since the relation
     lives on both ray sets and the shared cell's rays are independent.  For
     both birational kinds each circuit cone must have rank + 1 rays and be
     cut by F into the cells rayset - {j}, j in J+; then it is the union of

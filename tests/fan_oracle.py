@@ -41,10 +41,10 @@ the facet map per map: each placed the images of every paired facet's
 union again and computed its kernel relation again, and the Mori scope
 converted the source's support to a double description.
 `check_contracted` compares them with `check_morphism` and
-`curves.contracted_walls`, which now returns the (Wall, CurveClass) pairs
-`fan.check_morphism` or `fan.swap_cells` built for the map as they are;
-`contracted_walls` here keeps the walk over `walls` that pairs each wall
-with a class of its own.  `wall_coefficients` is `fan.wall_coefficients`
+`curves.contracted_walls`, which returns the (Wall, CurveClass) pairs that
+`fan.check_morphism` or `fan.swap_cells` built for the map; the oracle
+`contracted_walls` walks `walls` and pairs each wall with a class of its
+own.  `wall_coefficients` is `fan.wall_coefficients`
 as it ran before it took the relation by Cramer's rule: the
 `primitive_kernel` of the transposed rays of the two cones' union.
 

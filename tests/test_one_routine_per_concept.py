@@ -108,8 +108,9 @@ def test_no_second_implementation():
     assert users(refs, "smith_solve") == {"divisor._covector",
                                           "exactlin.solve_linear",
                                           "mmp._section_of_projection"}
+    solvers = users(refs, "smith_solve")
     for key, node in _statements():
-        if key in users(refs, "smith_solve"):
+        if key in solvers:
             calls, looped = _calls(node, "smith_solve")
             assert len(calls) == 1 and not looped, key
     assert users(refs, "_covector") == {"divisor.support_function",
@@ -154,8 +155,8 @@ def test_contracted_pairs_are_built_once_per_map():
     for key, node in statements:
         for name in ("is_extreme", "supporting", "certify_ray"):
             for call in _calls(node, name)[0]:
-                if getattr(call.func, "value", None) is not None and \
-                        getattr(call.func.value, "id", None) == "xl":
+                if getattr(getattr(call.func, "value", None), "id", None) \
+                        == "xl":
                     continue
                 assert not any(isinstance(arg, ast.Attribute)
                                and arg.attr == "coeffs"
