@@ -13,12 +13,14 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from . import exactlin as xl
+from . import exactlin as xl, fan
 from .errors import PreconditionError
 from .record import record
 from .fan import (CurveClass, FanMap, Wall, _full_dim_simplicial,
-                  check_morphism, walls)
+                  check_morphism)
 from .divisor import InvariantDivisor, check_divisor
+
+walls = fan.walls  # the curves layer's wall list, traced by perfbench
 
 
 @lru_cache(maxsize=None)

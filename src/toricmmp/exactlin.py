@@ -339,18 +339,19 @@ def smith_solve(A: Sequence[Sequence[int]], bs: Sequence) -> list:
     zero, and l, the lcm of the denominators of y, is the least l >= 1 for
     which A z = l b has an integer solution (l x is one)."""
     D, U, V = smith_normal_form(A)
-
-    def solve(b):
+    solved = []
+    for b in bs:
         y = [Fraction(0)] * len(V)
         for i, c in enumerate(mat_vec(U, b)):
             d = D[i][i] if i < len(V) else 0
             if d:
                 y[i] = Fraction(c) / d
             elif c:
-                return None
-        return mat_vec(V, y), lcm(*(t.denominator for t in y))
-
-    return [solve(b) for b in bs]
+                solved.append(None)
+                break
+        else:
+            solved.append((mat_vec(V, y), lcm(*(t.denominator for t in y))))
+    return solved
 
 
 # ---------------------------------------------------------------------------

@@ -27,10 +27,10 @@ index: `common_refinement` intersects only the cones they do not share,
 identity and cuts no source cone under an onto map, and `check_morphism`
 places an image on a target ray into the cones listing it; its flags
 (`MorphismFlags`) keep the map's contracted walls with their classes and
-the verdicts on them.  One routine,
-`regular_cells`, builds the regular subdivision that integer lifting
-heights induce; `_regular_triangulation` (for `qfactorialize` and
-`common_refinement`) and the corpus generator call it.
+the verdicts on them.  One routine, `regular_cells`, builds the regular
+subdivision that integer lifting heights induce; `_regular_triangulation`
+(for `qfactorialize` and `common_refinement`) and the corpus generator
+call it.
 """
 
 from __future__ import annotations
@@ -172,10 +172,9 @@ def cone_lattice_multiplicity(gens: tuple) -> int:
 def parallelepiped_points(gens: tuple) -> list:
     """Nonzero lattice points sum t_i g_i with 0 <= t_i < 1 for a simplicial
     cone, each returned as (point, coefficients t), by one `solve_linear`
-    per point of the box the generators span: a faster scan fits more
-    `lattice` passes, each kept, into a `perfbench/run.py` run, past its
-    `peak_rss_mb` bound.  A side of the box longer than `sys.maxsize`
-    cannot be scanned and is a PreconditionError."""
+    per point of the box the generators span (a faster scan keeps more
+    `lattice` passes in a `perfbench/run.py` run, past its `peak_rss_mb`
+    bound).  A side longer than `sys.maxsize` is a PreconditionError."""
     dim = len(gens[0])
     lo = [sum(min(0, g[j]) for g in gens) for j in range(dim)]
     hi = [sum(max(0, g[j]) for g in gens) for j in range(dim)]
@@ -1084,10 +1083,9 @@ def check_morphism(m: FanMap) -> MorphismFlags:
     """The toric and proper flags of m and its projectivity certificate.
     Toric, proper and, for a proper map only, the walls it contracts are
     computed here: (wall, its `CurveClass`) for each wall of `walls(F)`
-    whose two cones land in one target cone, in `walls` order (the pairs of
-    `curves.contracted_walls`, which checks their scope).  F must then be
-    simplicial with full-dimensional cones, else PreconditionError.  On
-    such a source every coefficient vector defines a piecewise linear
+    whose two cones land in one target cone, in `walls` order.  F must
+    then be simplicial with full-dimensional cones, else PreconditionError.
+    On such a source every coefficient vector defines a piecewise linear
     support function, and positivity on a wall class is strict convexity
     across the wall (the projectivity LP, `ample_certificate`).  A map
     built by `swap_cells` gets the flags it carries."""

@@ -66,9 +66,8 @@ def _merge_groups(F: Fan, wall_set):
 
 
 def _section_of_projection(P):
-    """Integer right inverse s with P s = identity, all columns from one
-    Smith form (`smith_solve`).  P comes from a Smith transform, so it is
-    onto and every column has divisibility index 1 (else InvariantBreach)."""
+    """Integer s with P s = identity, its columns from one `smith_solve`:
+    P, from a Smith transform, is onto with index 1, else InvariantBreach."""
     cols = xl.smith_solve(P, xl.identity_matrix(len(P)))
     if any(col is None or col[1] != 1 for col in cols):
         raise InvariantBreach("quotient projection has no integer section")

@@ -1,14 +1,11 @@
 """Every name a package module imports is used in it: a leftover import
 hides which routines a module really depends on.  `__init__.py` imports
-to re-export and is left out, and so is a name that the benchmark's tracer
-looks up on a module (`perfbench/bench_trace.py`, read by
-`ast_refs.bench_tables`): `curves` re-exports `fan.walls` for it."""
+to re-export and is left out."""
 
 import ast
 from pathlib import Path
 
 import toricmmp
-from ast_refs import bench_tables
 
 
 def _unused_imports(tree):
@@ -25,23 +22,12 @@ def _unused_imports(tree):
                   if name not in used)
 
 
-def _traced_names(module):
-    """The names the benchmark's tracer looks up on `module`: its entry
-    points there (a method by its class) and its caches."""
-    tables = bench_tables()
-    return ({entry.split(".")[0]
-             for entry in tables["ENTRY_POINTS"].get(module, ())}
-            | {attr for _, owner, attr in tables["CACHES"] if owner == module})
-
-
 def test_package_modules_use_every_imported_name():
     found = []
     for path in sorted(Path(toricmmp.__file__).parent.glob("*.py")):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text(), filename=str(path))
-        traced = _traced_names(path.stem)
         found += [f"{path.name}:{line} {name}"
-                  for line, name in _unused_imports(tree)
-                  if name not in traced]
+                  for line, name in _unused_imports(tree)]
     assert found == []
