@@ -18,16 +18,14 @@ from .fan import Fan, FanMap, cone_contains
 
 
 def parse_rational(s) -> Fraction:
-    """An int, a Fraction or a rational string ("-3/7", "1.5") as a
-    Fraction; InputError on anything else, a float or a bool included."""
-    if isinstance(s, (int, Fraction)) and not isinstance(s, bool):
+    """A rational string ("-3/7", "1.5") as a Fraction; anything else is
+    read by `exactlin.rational`, by the rule its module states."""
+    if not isinstance(s, str):
+        return xl.rational(s)
+    try:
         return Fraction(s)
-    if isinstance(s, str):
-        try:
-            return Fraction(s)
-        except (ValueError, ZeroDivisionError) as e:
-            raise InputError(f"bad rational {s!r}: {e}")
-    raise InputError(f"bad rational {s!r}")
+    except (ValueError, ZeroDivisionError) as e:
+        raise InputError(f"bad rational {s!r}: {e}")
 
 
 class NotQCartier(PreconditionError):
@@ -40,14 +38,12 @@ class NotQCartier(PreconditionError):
 
 @record
 class InvariantDivisor:
+    """sum d_rho D_rho, each coefficient read by `parse_rational`, so by
+    the rule for an exact number that `exactlin` states."""
     coeffs: tuple
 
     def __post_init__(self):
-        # a Fraction is immutable, so it is kept; an int is converted, and
-        # anything else is parsed (`parse_rational`)
-        object.__setattr__(self, "coeffs", tuple(
-            c if c.__class__ is Fraction else Fraction(c) if c.__class__ is int
-            else parse_rational(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(map(parse_rational, self.coeffs)))
 
     def __add__(self, other):
         return InvariantDivisor(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
@@ -56,7 +52,8 @@ class InvariantDivisor:
         return InvariantDivisor(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def scale(self, c):
-        return InvariantDivisor(tuple(Fraction(c) * a for a in self.coeffs))
+        c = xl.rational(c)
+        return InvariantDivisor(tuple(c * a for a in self.coeffs))
 
     def is_zero(self):
         return all(c == 0 for c in self.coeffs)

@@ -1,34 +1,34 @@
 """Exact rational and integer linear algebra plus small polyhedral primitives.
 
-Everything here works over ``fractions.Fraction`` or Python ints; no
-floating point is used anywhere.  Vectors are tuples, matrices are tuples of
-row tuples.  All algorithms are desk-scale exact methods: Gaussian
-elimination, signed maximal minors, Smith reduction, a Bland-rule phase-1
-simplex, which answers every feasibility and boundedness question,
-Fourier-Motzkin elimination with recursive interval enumeration, used only
-to list lattice points by floor division on the tower's primitive integer
-rows, and a subset-enumeration double description.  Every corank-one integer
-kernel (a facet normal, a ray of the double description) is a vector of
-signed maximal minors (`primitive_kernel`), and a wall relation takes the
-same minors by Cramer's rule on `integer_det` (`fan.wall_coefficients`); the
-Smith form serves only quotient lattices and `smith_solve`, a rational
-solution together with its divisibility index, and that one Smith form
-solves every rational system A x = b (`solve_linear`, whose one caller is
-`fan.parallelepiped_points`) and gives the integer section of a quotient
-projection, all its columns from one Smith form
-(`mmp._section_of_projection`).  Every module reads lattice integers through
-`integer` and its vector form `integers`, which refuse a float, a bool or a
-proper fraction instead of truncating it.  The simplex, the minors, the rank
-and `nullspace` run on Python ints by fraction-free elimination: the simplex
-by integer pivoting over one common denominator (Edmonds), the minors by
-cofactor expansion up to 3 x 3 and by Bareiss's determinant above (Bareiss
-1968), the rank and `nullspace` by forward elimination on primitive integer
-rows (`_echelon`).  The simplex returns integer numerators over that
-denominator, and its callers check them by integer dot products and build
-``Fraction``s only for the witness they return.
+No floating point is used anywhere.  Vectors are tuples, matrices are
+tuples of row tuples.  The rule for an exact number is stated here once and
+tested only by `_is_exact`: an int that is not a bool, or a ``Fraction``.
+Every rational is read through it: a number by `rational` (`divisor`'s
+coefficients and scalars), a row by `_integer_row`, behind the elimination,
+the solves, the simplex, the enumeration, the double description and each
+right-hand side of `smith_solve`, and a lattice integer by `integer` and
+`integers`, which also refuse a proper fraction instead of truncating it.
+So a float or a bool raises InputError naming it, never an AttributeError
+or a solve on its binary expansion.
 
-Deterministic ordering: whenever ties arise, vectors are compared
-lexicographically.
+The methods are desk-scale and exact: Gaussian elimination, signed maximal
+minors, Smith reduction, a Bland-rule phase-1 simplex, which answers every
+feasibility and boundedness question, Fourier-Motzkin elimination with
+recursive interval enumeration, used only to list lattice points by floor
+division on the tower's primitive integer rows, and a subset-enumeration
+double description.  Every corank-one integer kernel (a facet normal, a ray
+of the double description) is a vector of signed maximal minors
+(`primitive_kernel`), and a wall relation takes the same minors by Cramer's
+rule on `integer_det` (`fan.wall_coefficients`).  The Smith form serves only
+quotient lattices and `smith_solve`, the one rational solve of A x = b, with
+its divisibility index (`solve_linear`, `divisor._covector` and
+`mmp._section_of_projection`).  The simplex, the minors, the rank and
+`nullspace` run on Python ints by fraction-free elimination: the simplex by
+integer pivoting over one common denominator (Edmonds), its callers checking
+the integer numerators it returns by integer dot products; the minors by
+cofactor expansion up to 3 x 3 and by Bareiss's determinant above (Bareiss
+1968); the rank and `nullspace` by forward elimination on primitive integer
+rows (`_echelon`).  Ties are broken lexicographically.
 """
 
 from __future__ import annotations
@@ -82,11 +82,25 @@ def identity_matrix(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
+def _is_exact(x) -> bool:
+    """The rule for an exact number (module docstring)."""
+    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+
+
+def rational(x) -> Fraction:
+    """x as a Fraction when it is exact (`_is_exact`); InputError naming x
+    on anything else, a float or a bool included."""
+    if x.__class__ is Fraction:
+        return x
+    if _is_exact(x):
+        return Fraction(x)
+    raise InputError(f"expected an exact rational, got {x!r}")
+
+
 def integer(x, error=InputError) -> int:
-    """x as an int when it is an int or an integral Fraction; `error` on
-    anything else: a float (even 1.0), a bool, a string, a proper fraction."""
-    if isinstance(x, Fraction) and x.denominator == 1 or (
-            isinstance(x, int) and not isinstance(x, bool)):
+    """x as an int when it is exact (`_is_exact`) with denominator 1;
+    `error` on anything else, a float (even 1.0) or a proper fraction."""
+    if _is_exact(x) and x.denominator == 1:
         return x.numerator
     raise error(f"expected an integer, got {x!r}")
 
@@ -106,9 +120,12 @@ def primitive(v: Sequence[int]) -> Vector:
 
 
 def _integer_row(row) -> list:
-    """The row times the positive lcm of its denominators, as ints.  Ints
-    and integral Fractions go in with no Fraction arithmetic."""
-    den = lcm(*[x.denominator for x in row])
+    """The row times the positive lcm of its denominators, as ints; each
+    entry but an int is read by `rational`, with no Fraction arithmetic."""
+    den = 1
+    for x in row:
+        if x.__class__ is not int:
+            den = lcm(den, rational(x).denominator)
     if den == 1:
         return [x.numerator for x in row]
     return [x.numerator * (den // x.denominator) for x in row]
@@ -261,24 +278,12 @@ def smith_normal_form(A: Sequence[Sequence[int]]):
     U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
-    def swap_rows(i, j):
-        D[i], D[j] = D[j], D[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for r in D:
-            r[i], r[j] = r[j], r[i]
-        for r in V:
-            r[i], r[j] = r[j], r[i]
-
     def addmul_row(dst, src, q):
         D[dst] = [a + q * b for a, b in zip(D[dst], D[src])]
         U[dst] = [a + q * b for a, b in zip(U[dst], U[src])]
 
     def addmul_col(dst, src, q):
-        for r in D:
-            r[dst] += q * r[src]
-        for r in V:
+        for r in D + V:
             r[dst] += q * r[src]
 
     t = 0
@@ -287,8 +292,10 @@ def smith_normal_form(A: Sequence[Sequence[int]]):
         if not entries:
             break
         _, pi, pj = min(entries)
-        swap_rows(t, pi)
-        swap_cols(t, pj)
+        D[t], D[pi] = D[pi], D[t]
+        U[t], U[pi] = U[pi], U[t]
+        for r in D + V:
+            r[t], r[pj] = r[pj], r[t]
         dirty = False
         for i in range(t + 1, m):
             if D[i][t] != 0:
@@ -303,14 +310,8 @@ def smith_normal_form(A: Sequence[Sequence[int]]):
         if dirty:
             continue
         # divisibility fix-up
-        bad = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if D[i][j] % D[t][t] != 0:
-                    bad = i
-                    break
-            if bad is not None:
-                break
+        bad = next((i for i in range(t + 1, m) for j in range(t + 1, n)
+                    if D[i][j] % D[t][t]), None)
         if bad is not None:
             addmul_row(t, bad, 1)
             continue
@@ -318,8 +319,7 @@ def smith_normal_form(A: Sequence[Sequence[int]]):
             D[t] = [-a for a in D[t]]
             U[t] = [-a for a in U[t]]
         t += 1
-    Dt = tuple(tuple(r) for r in D)
-    return Dt, tuple(tuple(r) for r in U), tuple(tuple(r) for r in V)
+    return tuple(map(tuple, D)), tuple(map(tuple, U)), tuple(map(tuple, V))
 
 
 def quotient_projection(vectors: Sequence[Sequence[int]], dim: int) -> Matrix:
@@ -335,17 +335,19 @@ def quotient_projection(vectors: Sequence[Sequence[int]], dim: int) -> Matrix:
 def smith_solve(A: Sequence[Sequence[int]], bs: Sequence) -> list:
     """For an integer matrix A and each rational vector b of `bs`, all
     from one Smith form U A V = D: (x, l), or None when A x = b has no
-    rational solution.  x = V y with y_i = (U b)_i / d_i and the free y_i
-    zero, and l, the lcm of the denominators of y, is the least l >= 1 for
+    rational solution.  With (den b, den) the `_integer_row` of (b, 1),
+    x = V y for y_i = (U den b)_i / (d_i den), summed on ints, and the free
+    y_i zero; l, the lcm of the denominators of y, is the least l >= 1 for
     which A z = l b has an integer solution (l x is one)."""
     D, U, V = smith_normal_form(A)
     solved = []
     for b in bs:
+        *b, den = _integer_row([*b, 1])
         y = [Fraction(0)] * len(V)
         for i, c in enumerate(mat_vec(U, b)):
             d = D[i][i] if i < len(V) else 0
             if d:
-                y[i] = Fraction(c) / d
+                y[i] = Fraction(c, d * den)
             elif c:
                 solved.append(None)
                 break
@@ -380,10 +382,6 @@ class HalfspaceSystem:
 
     def contains(self, x: Sequence) -> bool:
         return all(dot(n, x) + o >= 0 for n, o in zip(self.normals, self.offsets))
-
-    def with_extra(self, normals, offsets) -> "HalfspaceSystem":
-        return HalfspaceSystem(tuple(self.normals) + tuple(normals),
-                               tuple(self.offsets) + tuple(offsets))
 
 
 def _normalize_row(row):
@@ -491,8 +489,10 @@ def lattice_points(H: HalfspaceSystem,
     if dim == 0:
         return [()]  # the one point of Z^0
     if box is not None:
-        H = H.with_extra([r for u in identity_matrix(dim) for r in (u, vscale(-1, u))],
-                         [b for lo, hi in box for b in (-lo, hi)])
+        units = identity_matrix(dim)
+        H = HalfspaceSystem(
+            tuple(H.normals) + tuple(r for u in units for r in (u, vscale(-1, u))),
+            tuple(H.offsets) + tuple(b for lo, hi in box for b in (-lo, hi)))
     elif not recession_cone_trivial(H):
         if lp_feasible(H) is None:
             return []

@@ -13,7 +13,6 @@ which P and N are read off.
 
 from __future__ import annotations
 
-from math import lcm
 from typing import Optional
 
 from . import exactlin as xl
@@ -30,14 +29,12 @@ from .mmp import contract_face, run_mmp
 def section_cone(F: Fan, D: InvariantDivisor) -> xl.HalfspaceSystem:
     """The graded section cone as a halfspace system in M x R with zero
     offsets: the grading row and one row (v_rho, d_rho) per ray, each
-    cleared of its denominator."""
+    cleared of its denominator (`exactlin._integer_row`)."""
     check_divisor(F, D)
     if not F.support_full_dimensional():
         raise PreconditionError("support must span the lattice (pointedness)")
-    rows = [tuple([0] * F.rank + [1])]
-    for v, d in zip(F.rays, D.coeffs):
-        den = d.denominator  # clear the denominator row-wise
-        rows.append(tuple([den * c for c in v] + [d.numerator]))
+    rows = [tuple([0] * F.rank + [1])] + [
+        tuple(xl._integer_row([*v, d])) for v, d in zip(F.rays, D.coeffs)]
     return xl.HalfspaceSystem(tuple(rows), (0,) * len(rows))
 
 
@@ -200,8 +197,7 @@ def verify_ckm(R: ZariskiResult, D: InvariantDivisor) -> CKMVerdict:
                                       + [(slack, 1), (cut, 1)])
             if point is None:
                 break  # P^tau_{mu*D} is empty
-            u = [c / point[-1] for c in point[:-1]]
-            q = lcm(*(c.denominator for c in u))
+            *witness, q = xl._integer_row([c / point[-1] for c in point[:-1]] + [1])
             return CKMVerdict(False, failed_condition=3, failed_degree=q,
-                              witness=tuple((q * c).numerator for c in u))
+                              witness=tuple(witness))
     return CKMVerdict(True)

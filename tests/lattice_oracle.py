@@ -17,6 +17,10 @@ covector (`lp_oracle.solve`, as `solve_linear` solved it, with its own
 elimination), then a Smith form for the Cartier index
 (`integer_multiple_for_solvability`).
 
+`smith_solve` is `exactlin.smith_solve` as it read each right-hand side
+before it went through `_integer_row`: U b on b's own entries, then
+`Fraction((U b)_i) / d_i`.
+
 `lattice_points` is `exactlin.lattice_points` as it enumerated before it
 read integer bounds off the tower's integer rows: `Fraction` rows,
 `Fraction` intervals rounded by `ceil` and `floor`, and
@@ -147,6 +151,25 @@ def section_of_projection(P):
     return tuple(tuple(cols[j][i] for j in range(k)) for i in range(len(cols[0])))
 
 
+def smith_solve(A: Sequence[Sequence[int]], bs: Sequence) -> list:
+    """(x, l) or None for each b of `bs`, from one Smith form, b read as
+    given."""
+    D, U, V = xl.smith_normal_form(A)
+    solved = []
+    for b in bs:
+        y = [Fraction(0)] * len(V)
+        for i, c in enumerate(xl.mat_vec(U, b)):
+            d = D[i][i] if i < len(V) else 0
+            if d:
+                y[i] = Fraction(c) / d
+            elif c:
+                solved.append(None)
+                break
+        else:
+            solved.append((xl.mat_vec(V, y), math.lcm(*(t.denominator for t in y))))
+    return solved
+
+
 def integer_multiple_for_solvability(A: Sequence[Sequence[int]], b: Sequence) -> Optional[int]:
     """Smallest positive integer l such that A x = l*b has an integer
     solution, or None if no rational solution exists."""
@@ -204,7 +227,8 @@ def lattice_points(H: xl.HalfspaceSystem, box=None) -> list:
             unit = tuple(1 if j == i else 0 for j in range(dim))
             extra_n += [unit, xl.vscale(-1, unit)]
             extra_o += [Fraction(-lo), Fraction(hi)]
-        H = H.with_extra(extra_n, extra_o)
+        H = xl.HalfspaceSystem(tuple(H.normals) + tuple(extra_n),
+                               tuple(H.offsets) + tuple(extra_o))
     elif not xl.recession_cone_trivial(H):
         raise PreconditionError("polyhedron is unbounded; pass a box")
     rows = [(tuple(map(Fraction, n)), Fraction(o)) for n, o in zip(H.normals, H.offsets)]

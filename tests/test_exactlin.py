@@ -20,6 +20,7 @@ from toricmmp import curves as cv
 from toricmmp import exactlin as xl
 from toricmmp import fan as fn
 from toricmmp import sections as sc
+from toricmmp.divisor import InvariantDivisor
 from toricmmp.errors import InputError, InvariantBreach, PreconditionError
 
 
@@ -122,6 +123,38 @@ def test_solve_nonneg_rejects_columns_of_another_length():
 def test_polyhedral_routines_refuse_bad_input(routine, args, message):
     with pytest.raises(InputError, match=message):
         routine(*args)
+
+
+# Each routine with an inexact value v in a matrix, a right-hand side or an
+# offset; the rule for an exact number is `exactlin`'s (its module docstring)
+INEXACT_PLACEMENTS = {
+    "rank": lambda v: xl.rank([[v, 1], [0, 1]]),
+    "nullspace": lambda v: xl.nullspace([[1, v]]),
+    "solve_linear": lambda v: xl.solve_linear([[1, 0], [0, 1]], [v, 1]),
+    "solve_nonneg": lambda v: xl.solve_nonneg([(1,), (2,)], (v,)),
+    "feasible_point": lambda v: xl.feasible_point([((1, 0), v)]),
+    "lp_feasible": lambda v: xl.lp_feasible(
+        xl.HalfspaceSystem(((1, v), (-1, 0)), (0, 1))),
+    "lattice_points": lambda v: xl.lattice_points(
+        xl.HalfspaceSystem(((1,), (-1,)), (v, 1))),
+    "extreme_rays": lambda v: xl.extreme_rays([(1, v), (0, 1)]),
+    "extreme_rays_of_halfspaces": lambda v: xl.extreme_rays_of_halfspaces(
+        [(1, v), (0, 1)], [], 2),
+    "cone_contains_line": lambda v: xl.cone_contains_line([(v, 1), (0, 1)]),
+    "scale_to_integer": lambda v: xl.scale_to_integer((v, 1)),
+    "smith_solve": lambda v: xl.smith_solve([[1]], [[v]]),
+    "scale": lambda v: InvariantDivisor((1, 2)).scale(v),
+    "_integer_row": lambda v: xl._integer_row([v, 1]),
+}
+
+
+@pytest.mark.parametrize("value", [0.1, 0.5, True])
+@pytest.mark.parametrize("routine", sorted(INEXACT_PLACEMENTS))
+def test_routines_refuse_floats_and_bools(routine, value):
+    # InputError naming the value: no AttributeError, no solve on a
+    # float's binary expansion, no bool read as 1
+    with pytest.raises(InputError, match=f"got {value!r}$"):
+        INEXACT_PLACEMENTS[routine](value)
 
 
 def test_dot_rejects_a_length_mismatch():

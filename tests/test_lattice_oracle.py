@@ -6,16 +6,21 @@ the one-Smith-form section against one integer solve per column, and the
 one-Smith-form support function against a `Fraction` solve plus a Smith
 form per cone, and the parallelepiped points of simplicial cones, most of
 them not full-dimensional, against a box scan on the oracles' own solve;
-and the lattice-emptiness test behind the degree-by-degree Zariski
-oracle."""
+`smith_solve`, its right-hand sides read by `_integer_row`, against its
+reading before; and the lattice-emptiness test behind the degree-by-degree
+Zariski oracle."""
 
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import cone_oracle
 import lattice_oracle
+from conftest import clear_package_caches, termination_instances
+from test_acceptance import _check_flip_steps
 from toricmmp import corpus
 from toricmmp import divisor as dv
 from toricmmp import exactlin as xl
@@ -23,7 +28,7 @@ from toricmmp import fan as fn
 from toricmmp.divisor import InvariantDivisor, NotQCartier
 from toricmmp.errors import InvariantBreach, PreconditionError
 from toricmmp.fan import Fan
-from toricmmp.mmp import _section_of_projection
+from toricmmp.mmp import _section_of_projection, run_mmp
 
 
 def _matrix(rng, rows, cols):
@@ -73,13 +78,18 @@ def test_simplicial_cones_match_oracles():
     assert checked == 900
 
 
-def test_section_matches_per_column_solve():
+def _projections():
+    """The quotient projections of 400 seeded sublattices."""
     rng = random.Random(20261020)
-    checked = 0
     for _ in range(400):
         n = rng.randint(2, 5)
         vectors = [v for v in _matrix(rng, rng.randint(1, n - 1), n) if any(v)]
-        P = xl.quotient_projection(vectors, n)
+        yield xl.quotient_projection(vectors, n)
+
+
+def test_section_matches_per_column_solve():
+    checked = 0
+    for P in _projections():
         if not P:
             continue
         s = _section_of_projection(P)
@@ -88,6 +98,56 @@ def test_section_matches_per_column_solve():
             [tuple(int(i == j) for j in range(len(P))) for i in range(len(P))]
         checked += 1
     assert checked == 400
+
+
+def test_smith_solve_matches_fraction_reading():
+    # seeded integer matrices, 1-5 x 1-5 with entries in [-6, 6], some with
+    # a zero row or column, each with an integer, a Fraction and a solvable
+    # right-hand side, against the reading before `_integer_row`
+    rng = random.Random(20261022)
+    checked = solvable = 0
+    for _ in range(300):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        A = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
+        if rng.random() < 0.3:
+            A[rng.randrange(m)] = [0] * n
+        if rng.random() < 0.3:
+            j = rng.randrange(n)
+            for row in A:
+                row[j] = 0
+        x = [Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(n)]
+        bs = [[rng.randint(-6, 6) for _ in range(m)],
+              [Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(m)],
+              xl.mat_vec(A, x)]
+        got = xl.smith_solve(A, bs)
+        assert repr(got) == repr(lattice_oracle.smith_solve(A, bs))
+        checked += len(bs)
+        solvable += sum(r is not None for r in got)
+    assert (checked, solvable) == (900, 543)
+
+
+def test_smith_solve_matches_fraction_reading_on_the_corpus(monkeypatch):
+    # every system `smith_solve` is handed in the runs of corpus seed
+    # 20240801, flips replayed as the acceptance test does, from empty
+    # caches, against the reading before `_integer_row`: 16 covectors; those
+    # runs call `_section_of_projection` nowhere, so it is handed the 400
+    # seeded projections, 710 columns
+    checked = Counter()
+    solve = xl.smith_solve
+
+    def cross_checked(A, bs):
+        got = solve(A, bs)
+        assert repr(got) == repr(lattice_oracle.smith_solve(A, bs))
+        checked[sys._getframe(1).f_code.co_name] += len(bs)
+        return got
+
+    monkeypatch.setattr(xl, "smith_solve", cross_checked)
+    clear_package_caches()
+    for m, D in termination_instances(seed=20240801, count=100):
+        _check_flip_steps(m, D, run_mmp(m, D))
+    for P in _projections():
+        _section_of_projection(P)
+    assert checked == {"_covector": 16, "_section_of_projection": 710}
 
 
 def _lower_dimensional_fans(rng, count):

@@ -12,9 +12,13 @@ of A x = b, which gives the divisibility index too and which
 `solve_linear` and the section of a quotient projection call, the section
 once for all its columns; the section no longer calls the Smith form
 itself.  So a second kernel routine cannot
-come back unnoticed.  Every lattice integer is read by `exactlin.integer`
-(and its vector form `integers`), which refuses what is not an integer,
-and no routine but the CLI's argument parser calls `int`.  The test oracles (`*_oracle.py`)
+come back unnoticed.  The rule for an exact number is the one the
+`exactlin` module docstring states, tested only by `exactlin._is_exact`:
+`divisor` does not spell it again, and `smith_solve` reads its right-hand
+sides through `_integer_row`.  Every lattice integer is read by
+`exactlin.integer` (and its vector form `integers`), which refuses what is
+not an integer, and no routine but the CLI's argument parser calls `int`.
+The test oracles (`*_oracle.py`)
 solve linear systems with `lp_oracle.solve`, on their own elimination,
 never with `solve_linear`.  The phase-1 simplex is the one pivot loop,
 behind `solve_nonneg` and `feasible_point`; it hands back integer
@@ -59,6 +63,26 @@ def test_one_integer_reader():
                 callers.add(f"{module}.{getattr(node, 'name', module)}")
     assert callers == {"cli._ints"}
     assert readers == {"exactlin"}
+
+
+def test_one_exact_number_rule():
+    # only exactlin._is_exact asks isinstance about bool, int or Fraction,
+    # so divisor no longer spells the rule, and smith_solve reads each
+    # right-hand side through _integer_row
+    askers = set()
+    for module, tree in package_trees().items():
+        for node in tree.body:
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name) \
+                        and sub.func.id == "isinstance" \
+                        and names(sub.args[1]) & {"bool", "int", "Fraction"}:
+                    askers.add(f"{module}.{getattr(node, 'name', module)}")
+    assert askers == {"exactlin._is_exact"}
+    refs = references()
+    assert users(refs, "_is_exact") == {"exactlin.rational", "exactlin.integer"}
+    assert "rational" in refs["divisor.parse_rational"]
+    assert "rational" in refs["divisor.InvariantDivisor"]
+    assert "_integer_row" in refs["exactlin.smith_solve"]
 
 
 def test_kernel_bases_are_integer():
