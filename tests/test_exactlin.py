@@ -125,7 +125,7 @@ def test_polyhedral_routines_refuse_bad_input(routine, args, message):
         routine(*args)
 
 
-# Each routine with an inexact value v in a matrix, a right-hand side or an
+# Each routine with a float or a bool v in a matrix, a right-hand side or an
 # offset; the rule for an exact number is `exactlin`'s (its module docstring)
 INEXACT_PLACEMENTS = {
     "rank": lambda v: xl.rank([[v, 1], [0, 1]]),
