@@ -95,9 +95,9 @@ def cmd_fan(args):
         return
     _valid(F)
     if args.action == "resolve":
-        R, _ = resolve(F)
+        R = resolve(F)
     else:
-        R, _ = qfactorialize(F)
+        R = qfactorialize(F)
     print(tio.dumps({"fan": tio.fan_to_obj(R),
                      "simplicial": R.is_simplicial()}), end="")
 

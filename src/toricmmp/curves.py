@@ -1,6 +1,7 @@
-"""The relative Mori cone, supporting divisors of its extremal rays, and
-nef tests, on the curve classes of the walls a map contracts
-(`fan.MorphismFlags.contracted`); `CurveClass` and `walls` are `fan`'s.
+"""The relative Mori cone and nef tests, on the curve classes of the walls
+a map contracts (`fan.MorphismFlags.contracted`); `CurveClass` and `walls`
+are `fan`'s.  Whether a class is extremal, and its supporting divisor, are
+decided only by the map's flags (`fan.MorphismFlags`).
 
 Intersection numbers are computed up to a positive rational scale (lattice
 index factors are dropped): every decision downstream consumes only signs
@@ -83,22 +84,11 @@ def mori_classes(m: FanMap, ample=None) -> tuple:
 
 
 def ne_cone(m: FanMap) -> NECone:
+    """The classes of `mori_classes` and those of them that the map's flags
+    call extremal (`fan.MorphismFlags.is_extreme`), in that order."""
     classes, rho, _ = mori_classes(m)
-    ext = xl.extreme_rays([c.coeffs for c in classes])
-    return NECone(classes, tuple(classes[i] for i in ext), rho)
-
-
-def supporting_divisor(m: FanMap, c: CurveClass) -> Optional[InvariantDivisor]:
-    """A divisor L with L . c = 0 and L . c' >= 1 for every other class c'
-    of `contracted_walls(m)`, c among them (`fan.MorphismFlags.supporting`);
-    None exactly when c spans no extremal ray of the relative Mori cone, as
-    L exposes the ray of c and every face of a polyhedral cone is exposed.
-    L is nef over the base, and its linearity domains are the unions of
-    cells across the walls of class c: the cones of the contraction's
-    target (Reid 1983)."""
-    contracted_walls(m)  # the scope of the relative Mori cone
-    L = check_morphism(m).supporting(c)
-    return None if L is None else InvariantDivisor(L)
+    flags = check_morphism(m)
+    return NECone(classes, tuple(filter(flags.is_extreme, classes)), rho)
 
 
 @record

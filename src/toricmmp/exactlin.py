@@ -453,8 +453,8 @@ def _interval(rows, var, partial):
 def lp_feasible(H: HalfspaceSystem) -> Optional[Vector]:
     """Exact rational point satisfying all constraints, or None: one
     phase-1 simplex (`feasible_point`)."""
-    return feasible_point([(n, -o) for n, o in zip(H.normals, H.offsets)],
-                          (), H.dim)
+    return feasible_point([(n, -rational(o))
+                           for n, o in zip(H.normals, H.offsets)], (), H.dim)
 
 
 def recession_cone_trivial(H: HalfspaceSystem) -> bool:
@@ -492,7 +492,8 @@ def lattice_points(H: HalfspaceSystem,
         units = identity_matrix(dim)
         H = HalfspaceSystem(
             tuple(H.normals) + tuple(r for u in units for r in (u, vscale(-1, u))),
-            tuple(H.offsets) + tuple(b for lo, hi in box for b in (-lo, hi)))
+            tuple(H.offsets) + tuple(b for lo, hi in map(integers, box)
+                                     for b in (-lo, hi)))
     elif not recession_cone_trivial(H):
         if lp_feasible(H) is None:
             return []
@@ -740,7 +741,8 @@ def cone_contains_line(generators: Sequence[Sequence]) -> bool:
 def extreme_rays(generators: Sequence[Sequence]) -> list:
     """Indices of generators lying on extreme rays of the cone they span.
 
-    Raises PreconditionError when the cone contains a line.  Every input
+    Raises PreconditionError when the cone contains a line, the one line
+    test of a cone of generators (`cone_contains_line`).  Every input
     generator is a nonnegative combination of the returned ones.
     """
     gens = [tuple(g) for g in generators]
@@ -787,7 +789,7 @@ def extreme_rays_of_halfspaces(ineqs: Sequence[Sequence], eqs: Sequence[Sequence
         if not span:
             return [], []
         s = len(span)
-        rows = [tuple(dot(a, b) for b in span) for a in ineqs]
+        rows = [tuple(dot(_integer_row(a), b) for b in span) for a in ineqs]
 
         def ambient(y):
             return tuple(sum(c * b[i] for c, b in zip(y, span)) for i in range(dim))

@@ -82,7 +82,8 @@ def cone_facets(gens: tuple) -> tuple:
     For a one-dimensional cone the single normal is the ray itself.  On a
     simplicial cone the normal opposite g_i is the `primitive_kernel` of the
     other generators and an integer basis of the span's complement, signed
-    positive on g_i; otherwise the normals are the rays of the dual cone."""
+    positive on g_i; otherwise the rays of the dual cone within the span,
+    pointed as the generators span it, which cut out a cone with a line too."""
     if not gens:
         return ()
     dim = len(gens[0])
@@ -95,9 +96,7 @@ def cone_facets(gens: tuple) -> tuple:
             normals.append(n if xl.dot(n, gens[i]) > 0 else xl.vscale(-1, n))
         return tuple(sorted(normals))
     ineqs = [tuple(g) for g in gens]
-    rays, lin = xl.extreme_rays_of_halfspaces(ineqs, cone_span_perp(gens), dim)
-    if lin:
-        raise PreconditionError("cone is not strongly convex")
+    rays, _ = xl.extreme_rays_of_halfspaces(ineqs, cone_span_perp(gens), dim)
     return tuple(sorted(rays))
 
 
@@ -532,24 +531,23 @@ def _triangulates(F: Fan, new=None, removed=()) -> bool:
 def _cone_violations(F: Fan, cones, pairs) -> list:
     """The fan axioms on the maximal cones with indices `cones` and on the
     pairs of maximal cones with indices `pairs` (a < b): strong convexity
-    and extreme generators of each such cone, then for each pair a common
-    face as intersection and no containment either way.  Violations come in
-    index order, as the whole-fan check lists them."""
+    and extreme generators of each such cone (one `xl.extreme_rays` call;
+    a line, its PreconditionError, is reported alone), then for each pair a
+    common face as intersection and no containment either way.  Violations
+    come in index order, as the whole-fan check lists them."""
     cones = sorted(cones)
     pairs = sorted(pairs)
     mc = F.max_cones
-    violations = []
+    lines, violations = [], []
     for i in cones:
         gens = F.cone_gens(mc[i])
-        if gens and xl.cone_contains_line(list(gens)):
-            violations.append(
-                f"cone {mc[i]} is not strongly convex (contains a line)")
-    if violations:
-        return violations
-    for i in cones:
-        gens = F.cone_gens(mc[i])
-        if gens and len(set(xl.extreme_rays(gens))) != len(gens):
-            violations.append(f"cone {mc[i]} lists a non-extreme generator")
+        try:
+            if len(xl.extreme_rays(gens)) != len(gens):
+                violations.append(f"cone {mc[i]} lists a non-extreme generator")
+        except PreconditionError:
+            lines.append(f"cone {mc[i]} is not strongly convex (contains a line)")
+    if lines:
+        return lines
     inside = {}
     for a, b in pairs:
         ga, gb = F.cone_gens(mc[a]), F.cone_gens(mc[b])
@@ -697,13 +695,12 @@ def regular_cells(gens, heights, perp=()) -> Optional[list]:
 
 def qfactorialize(F: Fan):
     """Small projective Q-factorialization: simplicial fan with the same rays
-    and support (`_regular_triangulation`), certified by `certify_fan`.
-    Returns (fan, refinement map); identity when already simplicial.  The
-    wall LP of `check_morphism` certifies the map projective."""
+    and support (`_regular_triangulation`), certified by `certify_fan`; F
+    itself when it is simplicial.  The wall LP of `check_morphism` certifies
+    its identity map to F projective."""
     if F.is_simplicial():
-        return F, identity_map(F, F)
-    out = certify_fan(_regular_triangulation(F), "Q-factorialization")
-    return out, identity_map(out, F)
+        return F
+    return certify_fan(_regular_triangulation(F), "Q-factorialization")
 
 
 def _regular_triangulation(F: Fan) -> Fan:
@@ -736,13 +733,13 @@ def _regular_triangulation(F: Fan) -> Fan:
 
 
 def resolve(F: Fan):
-    """Smooth refinement with the same support.
+    """Smooth refinement with the same support, returned as a fan.
 
     First triangulate, then repeatedly star-subdivide the lexicographically
     first non-smooth cone at its minimal-depth primitive parallelepiped
     point; the total multiplicity strictly drops at each step.
     """
-    cur, _ = qfactorialize(F)
+    cur = qfactorialize(F)
     for _ in range(100000):
         bad = sorted(c for c in cur.max_cones
                      if cone_lattice_multiplicity(cur.cone_gens(c)) > 1)
@@ -761,7 +758,7 @@ def resolve(F: Fan):
         cur = star_subdivision(cur, v)
     else:
         raise InvariantBreach("resolution did not terminate")
-    return cur, identity_map(cur, F)
+    return cur
 
 
 # ---------------------------------------------------------------------------
@@ -844,10 +841,11 @@ class MorphismFlags:
     read as they are by `curves` and `mmp`.  `ample_certificate` is solved
     by the projectivity LP when it is first read, and kept on the instance;
     so are the verdicts on each contracted class, `is_extreme` and
-    `supporting`: the ratio-test certificate an MMP step hands them
-    (`certify_ray`), else one LP.  `check_morphism` hands an equal map the
-    same instance from its cache, so a class contracted twice on equal
-    maps is decided once."""
+    `supporting`, the only deciders of the relative Mori cone, which
+    `curves.ne_cone` and `mmp.contract` read: the ratio-test certificate an
+    MMP step hands them (`certify_ray`), else one LP.  `check_morphism`
+    hands an equal map the same instance from its cache, so a class
+    contracted twice on equal maps is decided once."""
     toric: bool
     proper: bool
     contracted: Optional[tuple] = None  # (Wall, CurveClass) of a proper map

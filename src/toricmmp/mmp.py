@@ -24,8 +24,7 @@ from .record import record
 from .fan import (Fan, FanMap, certify_fan, check_morphism, common_refinement,
                   identity_map, index_rays, quotient_fan, swap_cells)
 from .divisor import InvariantDivisor, check_divisor, pullback, pushforward
-from .curves import (CurveClass, contracted_walls, mori_classes, nefness,
-                     supporting_divisor)
+from .curves import CurveClass, contracted_walls, mori_classes, nefness
 
 
 class NotExtremal(PreconditionError):
@@ -80,23 +79,24 @@ def contract(m: FanMap, wall_set) -> ContractionResult:
     The walls must be contracted by m, share one relation sum a_i v_i = 0
     (their `contracted_walls` class), and be every contracted wall of that
     class.  The class must span an extremal ray, else NotExtremal; that
-    verdict and L below are read off the map's flags, `check_morphism(m)`,
-    which keep them (`fan.MorphismFlags`).  Its signs give the kind (Reid
-    1983), with no search: no negative a_i is fano, the quotient by the
-    lattice of the rays J+ with a_i > 0; one negative a_j is divisorial, and
-    the target drops v_j = sum (a_i / -a_j) v_i; two or more is flipping,
-    and the circuit cones stay whole in the small, non-simplicial target,
-    the fan of the linearity domains of the class's `supporting_divisor` L
-    (its certificate, `supporting`).  Each wall names its circuit cone, the
-    rays of its two cells, taken once in `contracted_walls` order: two walls
-    of the class that share a cell name the same rays, since the relation
-    lives on both ray sets and the shared cell's rays are independent.  For
-    both birational kinds each circuit cone must have rank + 1 rays and be
-    cut by F into the cells rayset - {j}, j in J+; then it is the union of
-    those cells (the two triangulations of a circuit cover the same cone),
-    and dropping the one J- ray of a divisorial circuit leaves independent
-    rays, a simplicial cone.  The divisorial target and its map to the base
-    come from `_swap_circuits`, as a flip's do.
+    verdict, `is_extreme`, and L below, `supporting`, are read off the map's
+    flags, `check_morphism(m)`, which alone decide and keep them
+    (`fan.MorphismFlags`).  Its signs give the kind (Reid 1983), with no
+    search: no negative a_i is fano, the quotient by the lattice of the rays
+    J+ with a_i > 0; one negative a_j is divisorial, and the target drops
+    v_j = sum (a_i / -a_j) v_i; two or more is flipping, and the circuit
+    cones stay whole in the small, non-simplicial target, the fan of the
+    linearity domains of the class's supporting divisor L.  Each wall names
+    its circuit cone, the rays of its two cells, taken once in
+    `contracted_walls` order: two walls of the class that share a cell name
+    the same rays, since the relation lives on both ray sets and the shared
+    cell's rays are independent.  For both birational kinds each circuit
+    cone must have rank + 1 rays and be cut by F into the cells
+    rayset - {j}, j in J+; then it is the union of those cells (the two
+    triangulations of a circuit cover the same cone), and dropping the one
+    J- ray of a divisorial circuit leaves independent rays, a simplicial
+    cone.  The divisorial target and its map to the base come from
+    `_swap_circuits`, as a flip's do.
     """
     F = m.source
     pairs = contracted_walls(m)
@@ -109,7 +109,8 @@ def contract(m: FanMap, wall_set) -> ContractionResult:
     (rel,) = relations
     if set(wall_set) != {w for w, c in pairs if c == rel}:
         raise PreconditionError("the set misses a contracted wall of its class")
-    if not check_morphism(m).is_extreme(rel):
+    flags = check_morphism(m)
+    if not flags.is_extreme(rel):
         raise NotExtremal(f"the class {rel.coeffs} spans no extremal ray")
     j_plus = [i for i, a in enumerate(rel.coeffs) if a > 0]
     j_minus = [i for i, a in enumerate(rel.coeffs) if a < 0]
@@ -124,11 +125,6 @@ def contract(m: FanMap, wall_set) -> ContractionResult:
         return ContractionResult("fano", Z, FanMap(P, F, Z),
                                  FanMap(B, Z, m.target), relation=rel)
 
-    L = None
-    if len(j_minus) > 1:
-        L = supporting_divisor(m, rel)
-        if L is None:
-            raise InvariantBreach("an extremal class has no supporting divisor")
     circuits = list(dict.fromkeys(
         tuple(sorted(set(w.side_a) | set(w.side_b))) for w, c in pairs
         if c == rel))
@@ -148,10 +144,13 @@ def contract(m: FanMap, wall_set) -> ContractionResult:
     merged = set().union(*(_circuit_cells(r, j_plus) for r in circuits))
     unmerged = [c for c in F.max_cones if c not in merged]
     Z = Fan(F.rank, F.rays, tuple(sorted(set(circuits + unmerged))))
+    L = flags.supporting(rel)
+    if L is None:
+        raise InvariantBreach("an extremal class has no supporting divisor")
     return ContractionResult("flipping", Z, identity_map(F, Z),
                              FanMap(m.matrix, Z, m.target),
                              merged_cones=tuple(circuits), relation=rel,
-                             supporting=L)
+                             supporting=InvariantDivisor(L))
 
 
 def _fibration(m: FanMap, lin_gens):
@@ -374,8 +373,9 @@ def _negative_contraction(m: FanMap, negative):
 
 def contract_face(m: FanMap, D: InvariantDivisor):
     """Merge across every contracted wall where D pairs to zero; the result
-    is the D-ample model (possibly non-simplicial).  Returns
-    (fan, contraction map, descended divisor)."""
+    is the D-ample model (possibly non-simplicial), each merged cone kept
+    by its extreme rays, or a fibration when one of them holds a line.
+    Returns (fan, contraction map, descended divisor)."""
     verdict = nefness(D, m)
     if not verdict.nef:
         raise PreconditionError("divisor is not nef over the base")
@@ -394,20 +394,18 @@ def contract_face(m: FanMap, D: InvariantDivisor):
         if xl.rank(rows) != xl.rank([r + (-D.coeffs[i],)
                                      for r, i in zip(rows, rayset)]):
             raise InvariantBreach("divisor does not descend to the merged cone")
-    for rayset in merged:
-        gens = list(F.cone_gens(rayset))
-        if xl.cone_contains_line(gens):
-            # a D-trivial face may carry several relations, so the lines
-            # come from this cone's positive circuits, not from one relation
-            lines = [gens[k] for k in xl.positive_circuit_indices(gens)]
-            return _contract_fibration_face(m, D, lines)
     index, cones = {}, []
     for g in groups:
-        rayset = tuple(sorted(set(itertools.chain.from_iterable(g))))
-        gens = F.cone_gens(rayset)
-        keep = list(rayset)
-        if len(g) > 1 and gens:
-            keep = [rayset[k] for k in sorted(xl.extreme_rays(gens))]
+        rayset = keep = tuple(sorted(set(itertools.chain.from_iterable(g))))
+        if len(g) > 1:
+            gens = F.cone_gens(rayset)
+            try:
+                keep = [rayset[k] for k in xl.extreme_rays(gens)]
+            except PreconditionError:
+                # a line: a D-trivial face may carry several relations, so
+                # the lines come from its positive circuits, not from one
+                lines = [gens[k] for k in xl.positive_circuit_indices(gens)]
+                return _contract_fibration_face(m, D, lines)
         cones.append(index_rays(index, [F.rays[i] for i in keep]))
     Z = certify_fan(Fan(F.rank, tuple(index), tuple(sorted(set(cones)))),
                     "ample model fan")

@@ -109,7 +109,7 @@ def ambient_resolution(E) -> FanMap:
     E = check_exponents(E)
     n = len(E[0])
     nf = normal_fan(E)
-    smooth, _ = resolve(nf)
+    smooth = resolve(nf)
     _assert_ord_linear(E, smooth)
     return FanMap(xl.identity_matrix(n), smooth, orthant_fan(n))
 

@@ -52,7 +52,7 @@ def hilbert_basis(C: xl.HalfspaceSystem) -> list:
     if not rays:
         return []
     cone_fan = Fan(C.dim, tuple(rays), (tuple(range(len(rays))),))
-    simp, _ = qfactorialize(cone_fan)
+    simp = qfactorialize(cone_fan)
     candidates = set(simp.rays)
     for c in simp.max_cones:
         gens = simp.cone_gens(c)
@@ -134,7 +134,7 @@ def zariski_decompose(m: FanMap, D: InvariantDivisor) -> ZariskiResult:
     if trace.outcome != "minimal":
         raise PreconditionError("pseudo-effectivity failed: the MMP ends in a "
                                 "fano fibration with D negative on its fibers")
-    Z, _, nu = common_refinement(resolve(X)[0], trace.final_fan)
+    Z, _, nu = common_refinement(resolve(X), trace.final_fan)
     to_source = identity_map(Z, X)
     P = pullback(nu, trace.final_divisor)
     N = pullback(to_source, D) - P

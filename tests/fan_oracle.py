@@ -28,7 +28,7 @@ target before the supporting divisor L of the ray certified it: only the
 pairs through the merged cones.  `supports` re-checks L with dot products
 and the target as the fan of L's linearity domains, and
 `check_supporting` compares both verdicts on a target, and L's existence
-with the extremal rays of `curves.ne_cone`.
+(`fan.MorphismFlags.supporting`) with `xl.extreme_rays` over the classes.
 
 `projectivity_certificate` is the covector LP `fan` ran before the wall LP
 on the facet map: one covector per maximal cone, equal on shared rays and
@@ -390,14 +390,16 @@ def supports(m: FanMap, cls, L, Z: Fan) -> bool:
 
 
 def check_supporting(m: FanMap, cls):
-    """Fail unless `curves.supporting_divisor` finds a divisor for exactly
-    the extremal classes of `curves.ne_cone(m)`, and unless, when `mmp.
-    contract` flips the class `cls`, its divisor and `certify_local` both
-    accept its target.  Returns the contraction."""
-    extremal = set(cv.ne_cone(m).extremal_rays)
-    for c in cv.mori_classes(m)[0]:
-        assert (cv.supporting_divisor(m, c) is not None) == (c in extremal), \
-            (m, c)
+    """Fail unless the map's flags (`fan.MorphismFlags.supporting`) find a
+    divisor for exactly the classes that `xl.extreme_rays`, an independent
+    oracle, finds extremal among the distinct contracted classes, and
+    unless, when `mmp.contract` flips the class `cls`, its divisor and
+    `certify_local` both accept its target.  Returns the contraction."""
+    classes = cv.mori_classes(m)[0]
+    flags = fn.check_morphism(m)
+    extremal = set(xl.extreme_rays([c.coeffs for c in classes]))
+    for i, c in enumerate(classes):
+        assert (flags.supporting(c) is not None) == (i in extremal), (m, c)
     res = mmp.contract(m, [w for w, c in cv.contracted_walls(m) if c == cls])
     if res.kind == "flipping":
         assert supports(m, cls, res.supporting, res.target), (m, cls)
@@ -440,7 +442,7 @@ def common_refinement(F1: Fan, F2: Fan):
     coarse = certify_fan(
         Fan(F1.rank, tuple(ray_list), tuple(sorted(set(cones)))),
         "refinement fan")
-    fine, _ = qfactorialize(coarse)
+    fine = qfactorialize(coarse)
     return fine, identity_map(fine, F1), identity_map(fine, F2)
 
 

@@ -196,7 +196,8 @@ def zariski_on_resolution(m: FanMap, D: InvariantDivisor) -> ZariskiResult:
     check_divisor(X, D)
     if not X.is_simplicial():
         raise PreconditionError("source must be simplicial (Q-factorial)")
-    Xr, rmap = resolve(X)
+    Xr = resolve(X)
+    rmap = identity_map(Xr, X)
     Dr = pullback(rmap, D)
     mr = FanMap(m.matrix, Xr, Y)
     trace = run_mmp(mr, Dr)

@@ -133,7 +133,7 @@ def common_refinement(F1: Fan, F2: Fan):
     coarse = certify_fan(
         Fan(F1.rank, tuple(index), tuple(sorted(set(cones)))),
         "refinement fan")
-    fine, _ = qfactorialize(coarse)
+    fine = qfactorialize(coarse)
     return fine, identity_map(fine, F1), identity_map(fine, F2)
 
 

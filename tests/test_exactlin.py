@@ -137,6 +137,15 @@ INEXACT_PLACEMENTS = {
         xl.HalfspaceSystem(((1, v), (-1, 0)), (0, 1))),
     "lattice_points": lambda v: xl.lattice_points(
         xl.HalfspaceSystem(((1,), (-1,)), (v, 1))),
+    # entries that were read after arithmetic on them: a negated offset, a
+    # row projected onto the span of the equations, a negated lower bound
+    "lp_feasible-offset": lambda v: xl.lp_feasible(
+        xl.HalfspaceSystem(((1,), (-1,)), (v, 1))),
+    "extreme_rays_of_halfspaces-projected": lambda v:
+        xl.extreme_rays_of_halfspaces(
+            [(v, 0, 0), (0, 1, 0), (1, 1, 0)], [(0, 0, 1)], 3),
+    "lattice_points-box": lambda v: xl.lattice_points(
+        xl.HalfspaceSystem(((1,),), (0,)), box=[(v, 2)]),
     "extreme_rays": lambda v: xl.extreme_rays([(1, v), (0, 1)]),
     "extreme_rays_of_halfspaces": lambda v: xl.extreme_rays_of_halfspaces(
         [(1, v), (0, 1)], [], 2),

@@ -164,18 +164,18 @@ def test_star_subdivision_boundary_point():
 
 
 def test_qfactorialize(quadric_cone_fan, quadric_tri_a, quadric_tri_b):
-    Q, m = fn.qfactorialize(quadric_cone_fan)
+    Q = fn.qfactorialize(quadric_cone_fan)
     assert Q.is_simplicial()
     assert set(Q.rays) == set(quadric_cone_fan.rays)  # smallness
     assert Q.canonical() in (quadric_tri_a.canonical(), quadric_tri_b.canonical())
     assert fn.validate_fan(Q) == []
     # identity on simplicial input
-    Q2, _ = fn.qfactorialize(quadric_tri_a)
+    Q2 = fn.qfactorialize(quadric_tri_a)
     assert Q2 is quadric_tri_a
 
 
 def test_qfactorialize_certificate(quadric_cone_fan):
-    Q, _ = fn.qfactorialize(quadric_cone_fan)
+    Q = fn.qfactorialize(quadric_cone_fan)
     I = xl.identity_matrix(3)
     flags = fn.check_morphism(FanMap(I, Q, quadric_cone_fan))
     assert flags.ample_certificate is not None
@@ -184,7 +184,7 @@ def test_qfactorialize_certificate(quadric_cone_fan):
 def test_qfactorialize_cube_cone():
     cube = tuple((x, y, z, 1) for x in (0, 1) for y in (0, 1) for z in (0, 1))
     C = Fan(4, cube, (tuple(range(8)),))
-    Q, _ = fn.qfactorialize(C)
+    Q = fn.qfactorialize(C)
     assert Q.is_simplicial()
     assert set(Q.rays) == set(cube)
     assert fn.validate_fan(Q) == []
@@ -256,17 +256,17 @@ def test_qfactorialize_retries_the_next_prime_on_degenerate_heights():
     rays = ((-2, -1, 1), (-2, 0, 1), (-1, 0, 1), (2, -2, 1))
     assert fn.regular_cells(rays, [2, 4, 8, 16]) is None
     assert fn.regular_cells(rays, [3, 9, 27, 81]) == [(0, 1, 2), (0, 2, 3)]
-    Q, _ = fn.qfactorialize(Fan(3, rays, ((0, 1, 2, 3),)))
+    Q = fn.qfactorialize(Fan(3, rays, ((0, 1, 2, 3),)))
     assert Q == Fan(3, rays, ((0, 1, 2), (0, 2, 3)))
 
 
 def test_resolve_smooth_fixed_point(p2):
-    R, _ = fn.resolve(p2)
+    R = fn.resolve(p2)
     assert R.canonical() == p2.canonical()
 
 
 def test_resolve_a1(a1_cone_fan):
-    R, _ = fn.resolve(a1_cone_fan)
+    R = fn.resolve(a1_cone_fan)
     assert (1, 1) in R.rays
     assert all(fn.cone_lattice_multiplicity(R.cone_gens(c)) == 1
                for c in R.max_cones)
@@ -274,7 +274,7 @@ def test_resolve_a1(a1_cone_fan):
 
 def test_resolve_one_third():
     F = Fan(2, ((1, 0), (-1, 3)), ((0, 1),))
-    R, _ = fn.resolve(F)
+    R = fn.resolve(F)
     assert (0, 1) in R.rays
     for c in R.max_cones:
         gens = R.cone_gens(c)
@@ -282,7 +282,7 @@ def test_resolve_one_third():
 
 
 def test_resolve_preserves_support(quadric_cone_fan):
-    R, _ = fn.resolve(quadric_cone_fan)
+    R = fn.resolve(quadric_cone_fan)
     assert set(quadric_cone_fan.rays) <= set(R.rays)
     assert fn.cone_covered_by_gens(
         quadric_cone_fan.cone_gens(quadric_cone_fan.max_cones[0]),
@@ -298,7 +298,7 @@ def total_multiplicity(F: Fan) -> int:
 
 def test_multiplicity_decreases(a1_cone_fan):
     before = total_multiplicity(a1_cone_fan)
-    R, _ = fn.resolve(a1_cone_fan)
+    R = fn.resolve(a1_cone_fan)
     assert total_multiplicity(R) < before + len(R.max_cones)
 
 

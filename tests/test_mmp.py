@@ -6,10 +6,11 @@ import pytest
 
 import lp_oracle
 import mmp_oracle
-from conftest import termination_instances
+from conftest import affine_instances, termination_instances
 from covering_oracle import cone_covered_by_gens
 from toricmmp import curves as cv
 from toricmmp import divisor as dv
+from toricmmp import exactlin as xl
 from toricmmp import fan as fn
 from toricmmp import mmp
 from toricmmp.curves import (CurveClass, contracted_walls, ne_cone,
@@ -402,6 +403,54 @@ def test_contract_face_semiample_on_f1(f1):
     assert sorted(Z.rays) == [(-1,), (1,)]
     # the descended divisor keeps degree 1
     assert sum(Dz.coeffs) == 1
+
+
+def test_one_line_lp_per_cone(monkeypatch, f1, quadric_cone_fan):
+    # `xl.extreme_rays` alone asks whether a cone of generators holds a
+    # line, and `fan._cone_violations` and `contract_face` read its
+    # PreconditionError: each cone they test costs one line LP
+    asked = []
+    orig = xl.cone_contains_line
+
+    def counted(gens):
+        asked.append(tuple(map(tuple, gens)))
+        return orig(gens)
+
+    monkeypatch.setattr(xl, "cone_contains_line", counted)
+    line = "cone (0, 1, 2) is not strongly convex (contains a line)"
+    for F, want in (
+            (Fan(2, ((1, 0), (-1, 0), (0, 1), (1, -1)), ((0, 1, 2), (0, 3))),
+             [line]),
+            (Fan(2, ((1, 0), (1, 1), (0, 1)), ((0, 1, 2),)),
+             ["cone (0, 1, 2) lists a non-extreme generator"]),
+            (quadric_cone_fan, [])):
+        asked.clear()
+        assert fn._cone_violations(F, range(len(F.max_cones)), ()) == want
+        assert asked == [F.cone_gens(c) for c in F.max_cones]
+    # the ruling of F1: the first merged cone is a half-plane, and the
+    # quotient fan's cones come after it
+    asked.clear()
+    Z = contract_face(map_to_point(f1), InvariantDivisor((1, 0, 0, 0)))[0]
+    half = ((1, 0), (0, 1), (0, -1))
+    assert Z.rank == 1 and asked[0] == half and half not in asked[1:]
+    # the Zariski runs on the resolution of affine_instances(77, 40): 29
+    # merged cones, each asked once
+    calls = []
+
+    def contracted(m, D):
+        asked.clear()
+        out = contract_face(m, D)
+        calls.append(list(asked))
+        return out
+
+    monkeypatch.setattr(mmp_oracle, "contract_face", contracted)
+    for m, D in affine_instances(77, 40):
+        try:
+            mmp_oracle.zariski_on_resolution(m, D)
+        except PreconditionError:
+            pass  # not pseudo-effective
+    assert sum(map(len, calls)) == 29
+    assert all(len(set(cones)) == len(cones) for cones in calls)
 
 
 def test_contract_face_not_nef(f1):

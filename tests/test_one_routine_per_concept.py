@@ -41,7 +41,13 @@ no fano contraction in reserve, since the signs say which classes are
 birational.  Each MMP-step fact is decided once: `run_mmp` reads nefness
 off the classes it pairs with D, so neither it nor `_negative_contraction`
 names `nefness`, and extremality is decided inside `mmp.contract` (one
-`is_extreme` LP), so neither names `is_extreme`.  `swap_cells` takes no
+`is_extreme` LP), so neither names `is_extreme`.  The map's flags
+(`fan.MorphismFlags`) alone decide whether a class is extremal and its
+supporting divisor: `curves.ne_cone` lists the classes their `is_extreme`
+accepts and names no `extreme_rays`, and `curves.supporting_divisor` is
+gone, `mmp.contract` reading `supporting` off the flags.  Whether a cone
+of generators holds a line is `exactlin.extreme_rays`' verdict, its
+PreconditionError, so it is the one caller of `cone_contains_line`.  `swap_cells` takes no
 relations (`swap_cells(m, survivors, removed, added)`): it reads m's
 contracted relations off `check_morphism` and derives the rest.  Both
 birational steps, `mmp.contract` and `mmp._flip_contracted`, build their
@@ -75,7 +81,8 @@ GONE = {"_simplicial_contains", "integer_multiple_for_solvability",
         "_lattice_free_of", "_paired_facets", "_contracted_facets",
         "star", "_face_holders", "classify_cone", "ConeClass", "is_proper",
         "projective", "wall_relation", "is_q_cartier", "principal_divisor",
-        "is_cartier", "is_integral", "save_fan", "_jsonable"}
+        "is_cartier", "is_integral", "save_fan", "_jsonable",
+        "supporting_divisor"}
 
 
 def test_no_second_implementation():
@@ -130,6 +137,11 @@ def test_no_second_implementation():
     for key in ("mmp.run_mmp", "mmp._negative_contraction"):
         assert not refs[key] & {"nefness", "is_extreme"}, key
     assert "is_extreme" in refs["mmp.contract"]
+    # the relative Mori cone is decided on the map's flags alone, and a
+    # cone of generators is tested for a line by `extreme_rays` alone
+    assert "is_extreme" in refs["curves.ne_cone"]
+    assert "extreme_rays" not in refs["curves.ne_cone"]
+    assert users(refs, "cone_contains_line") == {"exactlin.extreme_rays"}
     assert "newton_polytope" in refs["newton.normal_fan"]
     assert "extreme_rays_of_halfspaces" not in refs["newton.normal_fan"]
     assert not refs["sections.verify_ckm"] & {"lattice_points", "round_down",
