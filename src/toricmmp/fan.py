@@ -693,7 +693,7 @@ def regular_cells(gens, heights, perp=()) -> Optional[list]:
     return cells
 
 
-def qfactorialize(F: Fan):
+def qfactorialize(F: Fan) -> Fan:
     """Small projective Q-factorialization: simplicial fan with the same rays
     and support (`_regular_triangulation`), certified by `certify_fan`; F
     itself when it is simplicial.  The wall LP of `check_morphism` certifies
@@ -732,7 +732,7 @@ def _regular_triangulation(F: Fan) -> Fan:
     raise InvariantBreach("no generic lifting heights found")
 
 
-def resolve(F: Fan):
+def resolve(F: Fan) -> Fan:
     """Smooth refinement with the same support, returned as a fan.
 
     First triangulate, then repeatedly star-subdivide the lexicographically
